@@ -63,15 +63,6 @@ class ModularArena:
     zeta_p: int
     group_order: int
 
-    def root_of_unity(self, k: int) -> int:
-        """zeta_m^(m/k), an element of exact order k (requires k | m)."""
-        if self.m % k:
-            raise ValueError(f"{k} does not divide m = {self.m}")
-        return pow(self.zeta_m, self.m // k, self.ell)
-
-    def inv(self, a: int) -> int:
-        return pow(a, self.ell - 2, self.ell)
-
     def lift_signed(self, a: int) -> int:
         """Unique integer in (-ell/2, ell/2] congruent to a."""
         a %= self.ell

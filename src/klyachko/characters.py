@@ -11,8 +11,8 @@ Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
 psi(xgx^-1) by conjugacy class gives
 chi(c) = |G| * S_c / (|H| * |c|) with S_c = sum over H-members in class
-c of psi.  The literal sum over all of G is kept as `method="full-sum"`
-and cross-checked in the tests.
+c of psi.  The tests cross-check it against the literal sum over all
+of G.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
 from .groups import (
     GroupTable,
     KlyachkoSubgroupSpec,
-    conjugacy_classes,
     enumerate_h,
-    h_membership_flat,
-    psi_r_exponent_flat,
+    psi_r_trace_flat,
 )
 from .gf import mat_mul
 
@@ -54,10 +52,6 @@ def class_multiplication_tensor(table: GroupTable) -> list[list[list[int]]]:
     One pass of |G| products per class k: y = x^-1 g_k always lands in a
     unique class j, so each x contributes to exactly one (i, j) cell.
     """
-    cached = getattr(table, "_class_tensor", None)
-    if cached is not None:
-        return cached
-    conjugacy_classes(table)
     classes = table.classes
     n_cls = len(classes)
     n, field = table.n, table.field
@@ -71,7 +65,6 @@ def class_multiplication_tensor(table: GroupTable) -> list[list[list[int]]]:
         for idx in range(table.order):
             y = mat_mul(inverses[idx], gk, n, field)
             tk[class_of[idx]][class_of[index_of[y]]] += 1
-    table._class_tensor = tensor
     return tensor
 
 
@@ -165,7 +158,6 @@ def _kernel_vector(mat: list[list[int]], lam: int, ell: int) -> list[int] | None
 def character_table(table: GroupTable, arena: ModularArena,
                     seed: int = DEFAULT_SEED, attempts: int = 20) -> list[ClassFunction]:
     """All irreducible characters, sorted by (dimension, values)."""
-    conjugacy_classes(table)
     _check_arena(table, arena)
     classes = table.classes
     n_cls = len(classes)
@@ -203,7 +195,7 @@ def character_table(table: GroupTable, arena: ModularArena,
             continue
         chars = [_character_from_central(om, sizes, inv_map, table.order, arena) for om in omegas]
         chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
-        _verify_table(chars, table, arena)
+        verify_orthogonality(chars, table, arena)
         return chars
     raise EigenSplitFailure(f"class sums failed to split after {attempts} attempts")
 
@@ -246,13 +238,8 @@ def multiplicity(chi_model: ClassFunction, chi_irr: ClassFunction, table: GroupT
 
 
 def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: ModularArena) -> None:
-    """Re-check row and column orthogonality of a computed table;
-    raises InvariantViolation on any exact mismatch."""
-    _verify_table(chars, table, arena)
-
-
-def _verify_table(chars: list[ClassFunction], table: GroupTable, arena: ModularArena) -> None:
-    """Exact row/column orthogonality and the dimension identity."""
+    """Exact row/column orthogonality and the dimension identity of a
+    computed table; raises InvariantViolation on any mismatch."""
     ell = arena.ell
     n_cls = len(table.classes)
     if len(chars) != n_cls:
@@ -291,7 +278,6 @@ def induced_character(table: GroupTable, arena: ModularArena,
                       zeta: int = 1) -> ClassFunction:
     """Character induced from a subgroup given by its member list and
     character values zeta^exponent (class-sum evaluation)."""
-    conjugacy_classes(table)
     _check_arena(table, arena)
     ell = arena.ell
     n_cls = len(table.classes)
@@ -322,7 +308,7 @@ def induced_character(table: GroupTable, arena: ModularArena,
 
 
 def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
-                               arena: ModularArena, method: str = "class-sum") -> ClassFunction:
+                               arena: ModularArena) -> ClassFunction:
     """Character of the Klyachko model Ind_{H_{r,2k}}^{G}(psi_r)."""
     if spec.n != table.n:
         raise ArenaMismatch(f"spec is for n = {spec.n}, table has n = {table.n}")
@@ -332,34 +318,5 @@ def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
         raise ValueError("psi_generator must be nonzero mod p (psi nontrivial)")
     zeta = pow(arena.zeta_p, spec.psi_generator, arena.ell)
     members = enumerate_h(spec, field, ambient=table)
-    if method == "class-sum":
-        exps = [psi_r_exponent_flat(el, spec, field) for el in members]
-        return induced_character(table, arena, members, exps, zeta)
-    if method == "full-sum":
-        return _induced_full_sum(table, spec, arena, zeta, len(members))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _induced_full_sum(table: GroupTable, spec: KlyachkoSubgroupSpec,
-                      arena: ModularArena, zeta: int, h_size: int) -> ClassFunction:
-    """Literal Frobenius sum over all of G per class representative."""
-    conjugacy_classes(table)
-    ell = arena.ell
-    n, field = table.n, table.field
-    inverses = table.inverses()
-    zpow = [pow(zeta, e, ell) for e in range(field.p)]
-    vals = []
-    h_inv = pow(h_size, ell - 2, ell)
-    for cls in table.classes:
-        g = cls.representative
-        acc = 0
-        for idx, x in enumerate(table.elements):
-            y = mat_mul(mat_mul(x, g, n, field), inverses[idx], n, field)
-            if h_membership_flat(y, spec, field):
-                acc = (acc + zpow[psi_r_exponent_flat(y, spec, field)]) % ell
-        vals.append(acc * h_inv % ell)
-    cf = ClassFunction(arena, tuple(vals))
-    got = cf.dimension(table)
-    if got != table.order // h_size:
-        raise InvariantViolation(f"chi(e) lifted to {got}, expected index {table.order // h_size}")
-    return cf
+    exps = [psi_r_trace_flat(el, spec, field) for el in members]
+    return induced_character(table, arena, members, exps, zeta)

@@ -21,6 +21,7 @@ KLYACHKO_MAX_ELEMENTS (enumeration cap).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,6 +36,7 @@ from .errors import (
     KlyachkoError,
     ParseError,
     ResourceRefused,
+    UsageError,
 )
 from .gelfand import load_or_compute_table, verify_gelfand
 from .paramparse import parse_parameter
@@ -85,8 +87,6 @@ def _add_group_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="group table cache directory (default KLYACHKO_CACHE_DIR)")
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; the engine is single-threaded and deterministic")
 
 
 def _resolve_group_options(args) -> dict:
@@ -94,8 +94,6 @@ def _resolve_group_options(args) -> dict:
     if max_elements is None:
         max_elements = max_elements_from_env()
     cache_dir = None if args.no_cache else (args.cache_dir or cache_dir_from_env())
-    if args.threads < 1:
-        raise ValueError("--threads must be >= 1")
     return {"max_elements": max_elements, "cache_dir": cache_dir}
 
 
@@ -299,7 +297,9 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of all subcommands, built once per process."""
     parser = argparse.ArgumentParser(
         prog="klyachko",
         description="Exact computations around mixed Whittaker-symplectic models of GL_n",
@@ -358,8 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except ArenaTooSmall as exc:
-        # a rejected --ell override is bad usage, not an engine bug
+    except (ArenaTooSmall, UsageError) as exc:
+        # a rejected --ell override or environment value is bad usage,
+        # not an engine bug
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except InvariantViolation as exc:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import UsageError
+
 DEFAULT_MAX_Q = 16
 DEFAULT_MAX_ELEMENTS = 10**7
 
@@ -19,7 +21,10 @@ def max_elements_from_env(default: int = DEFAULT_MAX_ELEMENTS) -> int:
     raw = os.environ.get(ENV_MAX_ELEMENTS)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{ENV_MAX_ELEMENTS} must be an integer, got {raw!r}") from None
 
 
 def cache_dir_from_env() -> str | None:

@@ -71,6 +71,10 @@ class DegreeMismatch(KlyachkoError):
     pass
 
 
+class UsageError(KlyachkoError):
+    """Bad usage the argument parser cannot see, e.g. an environment value."""
+
+
 class ParseError(KlyachkoError):
     """Syntax error in a parameter expression; carries the offset."""
 

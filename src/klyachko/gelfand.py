@@ -26,9 +26,9 @@ from . import __version__
 from .arena import ModularArena, build_arena
 from .characters import DEFAULT_SEED, ClassFunction, character_table, induced_klyachko_character, multiplicity
 from .config import DEFAULT_MAX_ELEMENTS
-from .errors import CacheError
+from .errors import CacheError, InvariantViolation
 from .gf import field_from_q
-from .groups import GroupTable, KlyachkoSubgroupSpec, conjugacy_classes, gl_enumerate, h_order
+from .groups import GroupTable, KlyachkoSubgroupSpec, gl_enumerate, h_order
 from .tablecache import cache_path, load_table, save_table
 
 
@@ -103,12 +103,10 @@ def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
         path = cache_path(cache_dir, n, q)
         if path.exists():
             try:
-                cached = load_table(path, field, n)
-                if cached.classes is not None:
-                    return cached
+                return load_table(path, field, n)
             except CacheError:
-                pass  # fall through and recompute
-    table = conjugacy_classes(gl_enumerate(n, field, max_elements=max_elements))
+                pass  # fall through, recompute and overwrite
+    table = gl_enumerate(n, field, max_elements=max_elements)
     if cache_dir is not None:
         save_table(table, cache_path(cache_dir, n, q))
     return table
@@ -139,8 +137,6 @@ def verify_gelfand(n: int, q: int, *, ell: int | None = None, psi: int = 1,
     start = time.monotonic()
     if table is None:
         table = load_or_compute_table(n, q, cache_dir=cache_dir, max_elements=max_elements)
-    else:
-        conjugacy_classes(table)
     arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
     chars = character_table(table, arena, seed=seed)
     matrix, model_dims = model_multiplicity_matrix(table, arena, chars, psi=psi)
@@ -161,7 +157,8 @@ def verify_gelfand(n: int, q: int, *, ell: int | None = None, psi: int = 1,
     gelfand = all(row.total == 1 for row in rows)
     # independent dimension bookkeeping: index formula vs character dims
     for k, dim in enumerate(model_dims):
-        assert dim == table.order // h_order(n - 2 * k, k, q)
+        if dim != table.order // h_order(n - 2 * k, k, q):
+            raise InvariantViolation(f"model k={k} has dimension {dim}, not the index of H")
     return GelfandReport(
         n=n,
         q=q,

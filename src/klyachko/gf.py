@@ -16,7 +16,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .config import DEFAULT_MAX_Q
-from .errors import FieldTooLarge, NoIrreduciblePolynomial, NonPrimeP, SizeMismatch
+from .errors import (
+    FieldTooLarge,
+    InvariantViolation,
+    NoIrreduciblePolynomial,
+    NonPrimeP,
+    SizeMismatch,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -177,7 +183,7 @@ class FiniteField:
             acc = self.add[acc * self.q + frob]
             frob = self.pow(frob, self.p)
         if acc >= self.p:
-            raise AssertionError("trace landed outside the prime subfield")
+            raise InvariantViolation("trace landed outside the prime subfield")
         return acc
 
     def __eq__(self, other: object) -> bool:

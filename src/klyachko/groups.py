@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .config import DEFAULT_MAX_ELEMENTS
-from .errors import GroupTooLarge, NotInSubgroup, SizeMismatch
+from .errors import GroupTooLarge, InvariantViolation, NotInSubgroup, SizeMismatch
 from .fqpoly import Poly, invariant_factors
 from .gf import FiniteField, MatrixGF, mat_identity, mat_inv, mat_mul, mat_transpose
 
@@ -51,39 +51,42 @@ class ConjClass:
     size: int
     invariant_factors: tuple[Poly, ...]
     inverse_class: int
-    member_indices: tuple[int, ...] = dc_field(repr=False, default=())
 
 
+@dataclass(frozen=True, eq=False)
 class GroupTable:
-    """GL_n(F_q): element list, optional conjugacy data, lookups."""
+    """GL_n(F_q), complete at construction and never changed afterwards:
+    the elements in lex order, their conjugacy classes and lookups.
 
-    def __init__(self, field: FiniteField, n: int, elements: list[tuple[int, ...]]):
-        self.field = field
-        self.n = n
-        self.elements = elements
-        self.order = len(elements)
-        self.index_of = {el: i for i, el in enumerate(elements)}
-        self.classes: list[ConjClass] | None = None
-        self.class_of: list[int] | None = None  # aligned with elements
-        self._inverses: list[tuple[int, ...]] | None = None
-        self._exponent: int | None = None
+    Built only by `gl_enumerate` and `tablecache.load_table`.
+    """
+
+    field: FiniteField
+    n: int
+    elements: tuple[tuple[int, ...], ...]
+    classes: tuple[ConjClass, ...]
+    class_of: tuple[int, ...]  # aligned with elements
+    index_of: dict[tuple[int, ...], int] = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index_of", {el: i for i, el in enumerate(self.elements)})
 
     @property
     def q(self) -> int:
         return self.field.q
 
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
     def identity(self) -> tuple[int, ...]:
         return mat_identity(self.n)
 
     def inverses(self) -> list[tuple[int, ...]]:
-        if self._inverses is None:
-            n, f = self.n, self.field
-            self._inverses = [mat_inv(el, n, f) for el in self.elements]
-        return self._inverses
+        n, f = self.n, self.field
+        return [mat_inv(el, n, f) for el in self.elements]
 
     def class_index(self, el: tuple[int, ...]) -> int:
-        if self.class_of is None:
-            raise RuntimeError("conjugacy classes not computed")
         return self.class_of[self.index_of[el]]
 
     def identity_class(self) -> int:
@@ -100,18 +103,15 @@ class GroupTable:
     def exponent(self) -> int:
         """lcm of element orders; orders are class invariants so the
         lcm over class representatives suffices."""
-        if self._exponent is None:
-            if self.classes is None:
-                conjugacy_classes(self)
-            exp = 1
-            for cls in self.classes:
-                exp = math.lcm(exp, self.element_order(cls.representative))
-            self._exponent = exp
-        return self._exponent
+        exp = 1
+        for cls in self.classes:
+            exp = math.lcm(exp, self.element_order(cls.representative))
+        return exp
 
 
-def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
-    """Enumerate GL_n(F_q) in lexicographic (row-major) order."""
+def gl_elements(n: int, field: FiniteField,
+                max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[tuple[int, ...]]:
+    """The elements of GL_n(F_q) in lexicographic (row-major) order."""
     q = field.q
     expected = gl_order(n, q)
     if expected > max_elements:
@@ -141,45 +141,37 @@ def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELE
 
     extend((), {zero}, 0)
     if len(elements) != expected:
-        raise AssertionError(f"enumerated {len(elements)}, expected {expected}")
-    return GroupTable(field, n, elements)
+        raise InvariantViolation(f"enumerated {len(elements)}, expected {expected}")
+    return elements
 
 
-def conjugacy_classes(table: GroupTable) -> GroupTable:
-    """Fill in conjugacy classes keyed by invariant factors of xI - g."""
-    if table.classes is not None:
-        return table
-    n, field = table.n, table.field
-    keys = [invariant_factors(el, n, field) for el in table.elements]
-    by_key: dict[tuple[Poly, ...], list[int]] = {}
+def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
+    """GL_n(F_q) in lexicographic order, with its conjugacy classes."""
+    elements = gl_elements(n, field, max_elements)
+    classes, class_of = conjugacy_classes(elements, n, field)
+    return GroupTable(field, n, tuple(elements), classes, class_of)
+
+
+def conjugacy_classes(elements: list[tuple[int, ...]], n: int, field: FiniteField,
+                      ) -> tuple[tuple[ConjClass, ...], tuple[int, ...]]:
+    """Classes of a lex-ordered element list keyed by the invariant
+    factors of xI - g, and the class of each element."""
+    keys = [invariant_factors(el, n, field) for el in elements]
+    first: dict[tuple[Poly, ...], int] = {}
+    sizes: dict[tuple[Poly, ...], int] = {}
     for idx, key in enumerate(keys):
-        by_key.setdefault(key, []).append(idx)
+        first.setdefault(key, idx)
+        sizes[key] = sizes.get(key, 0) + 1
     # deterministic class order: by lex-least member, i.e. first index,
     # since elements are enumerated in lex order
-    ordered = sorted(by_key.items(), key=lambda kv: kv[1][0])
-    key_to_class = {key: c for c, (key, _) in enumerate(ordered)}
-    class_of = [0] * table.order
-    for key, members in by_key.items():
-        c = key_to_class[key]
-        for idx in members:
-            class_of[idx] = c
-    classes: list[ConjClass] = []
-    for key, members in ordered:
-        rep = table.elements[members[0]]
-        rep_inv = mat_inv(rep, n, field)
-        inv_cls = key_to_class[keys[table.index_of[rep_inv]]]
-        classes.append(
-            ConjClass(
-                representative=rep,
-                size=len(members),
-                invariant_factors=key,
-                inverse_class=inv_cls,
-                member_indices=tuple(members),
-            )
-        )
-    table.classes = classes
-    table.class_of = class_of
-    return table
+    key_to_class = {key: c for c, key in enumerate(first)}
+    class_of = tuple(key_to_class[key] for key in keys)
+    classes = []
+    for key, idx in first.items():
+        rep = elements[idx]
+        inv_key = invariant_factors(mat_inv(rep, n, field), n, field)
+        classes.append(ConjClass(rep, sizes[key], key, key_to_class[inv_key]))
+    return tuple(classes), class_of
 
 
 # -- symplectic and mixed subgroups --------------------------------------
@@ -217,14 +209,12 @@ class KlyachkoSubgroupSpec:
     """H_{r,2k} inside GL_{r+2k}: unipotent block over a symplectic one.
 
     psi_generator selects the primitive p-th root of unity used for
-    psi (the arena's zeta_p raised to this power).  primed selects the
-    mirrored family H'_{2k,r} with Sp(2k) in the upper-left corner.
+    psi (the arena's zeta_p raised to this power).
     """
 
     r: int
     k: int
     psi_generator: int = 1
-    primed: bool = False
 
     def __post_init__(self):
         if self.r < 0 or self.k < 0:
@@ -237,31 +227,24 @@ class KlyachkoSubgroupSpec:
 
 def h_membership_flat(g: tuple[int, ...], spec: KlyachkoSubgroupSpec, field: FiniteField) -> bool:
     r, k, n = spec.r, spec.k, spec.n
-    if spec.primed:
-        u_range = range(2 * k, n)   # U_r block lower-right
-        sp_off = 0
-    else:
-        u_range = range(0, r)       # U_r block upper-left
-        sp_off = r
     # block upper-triangular with zero lower-left
-    split = 2 * k if spec.primed else r
-    for i in range(split, n):
-        for j in range(0, split):
+    for i in range(r, n):
+        for j in range(0, r):
             if g[i * n + j]:
                 return False
     # unipotent upper-triangular on the U_r block
-    for ii, i in enumerate(u_range):
-        for jj, j in enumerate(u_range):
+    for i in range(r):
+        for j in range(r):
             v = g[i * n + j]
-            if ii == jj:
+            if i == j:
                 if v != 1:
                     return False
-            elif ii > jj and v:
+            elif i > j and v:
                 return False
     # symplectic on the Sp(2k) block
     if k:
         sp_block = tuple(
-            g[(sp_off + i) * n + (sp_off + j)] for i in range(2 * k) for j in range(2 * k)
+            g[(r + i) * n + (r + j)] for i in range(2 * k) for j in range(2 * k)
         )
         if not sp_membership_flat(sp_block, k, field):
             return False
@@ -274,16 +257,15 @@ def h_membership(g: MatrixGF, spec: KlyachkoSubgroupSpec) -> bool:
     return h_membership_flat(g.entries, spec, g.field)
 
 
-def psi_r_exponent_flat(g: tuple[int, ...], spec: KlyachkoSubgroupSpec, field: FiniteField) -> int:
+def psi_r_trace_flat(g: tuple[int, ...], spec: KlyachkoSubgroupSpec, field: FiniteField) -> int:
     """Tr_{F_q/F_p}(u_{1,2} + ... + u_{r-1,r}) in [0, p)."""
     r, n = spec.r, spec.n
     if r <= 1:
         return 0
-    off = 2 * spec.k if spec.primed else 0
     q, add = field.q, field.add
     s = 0
     for i in range(r - 1):
-        s = add[s * q + g[(off + i) * n + (off + i + 1)]]
+        s = add[s * q + g[i * n + (i + 1)]]
     return field.trace_to_prime(s)
 
 
@@ -293,29 +275,7 @@ def psi_r_value(g: MatrixGF, spec: KlyachkoSubgroupSpec) -> int:
         raise SizeMismatch(f"expected size {spec.n}, got {g.n}")
     if not h_membership(g, spec):
         raise NotInSubgroup(f"element not in H_{{{spec.r},{2 * spec.k}}}")
-    return psi_r_exponent_flat(g.entries, spec, g.field)
-
-
-def duality_involution(g: tuple[int, ...], r: int, k: int, field: FiniteField) -> tuple[int, ...]:
-    """tau(g) = w (t g^-1) w^-1 with w sending the unipotent coordinates
-    to the bottom, reversed, and the symplectic ones to the top.
-
-    Maps H_{r,2k} onto H'_{2k,r} with psi'_r(tau(h)) = -psi_r(h) mod p,
-    which lets the tests validate the primed orientation against the
-    standard one.  tau is an involution up to conjugation by w (t w)^-1.
-    """
-    n = r + 2 * k
-    if len(g) != n * n:
-        raise SizeMismatch(f"expected a {n}x{n} matrix")
-    w = [0] * (n * n)
-    for c in range(2 * k):
-        w[c * n + (r + c)] = 1
-    for j in range(r):
-        w[(2 * k + (r - 1 - j)) * n + j] = 1
-    w = tuple(w)
-    w_inv = mat_inv(w, n, field)
-    core = mat_transpose(mat_inv(g, n, field), n)
-    return mat_mul(mat_mul(w, core, n, field), w_inv, n, field)
+    return psi_r_trace_flat(g.entries, spec, g.field)
 
 
 # -- subgroup enumeration -------------------------------------------------
@@ -335,21 +295,21 @@ def enumerate_unipotent(r: int, field: FiniteField) -> list[tuple[int, ...]]:
 
 def enumerate_sp(k: int, field: FiniteField, ambient: GroupTable | None = None,
                  max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[tuple[int, ...]]:
-    """Sp(2k, F_q) by filtering GL_{2k}; reuses an ambient table if it
-    is exactly GL_{2k} over the same field."""
+    """Sp(2k, F_q) by filtering the elements of GL_{2k}; reuses an
+    ambient table if it is exactly GL_{2k} over the same field."""
     if k == 0:
         return [()]
     if ambient is not None and ambient.n == 2 * k and ambient.field == field:
         pool = ambient.elements
     else:
-        pool = gl_enumerate(2 * k, field, max_elements=max_elements).elements
+        pool = gl_elements(2 * k, field, max_elements=max_elements)
     return [g for g in pool if sp_membership_flat(g, k, field)]
 
 
 def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField,
                 ambient: GroupTable | None = None,
                 max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[tuple[int, ...]]:
-    """All of H_{r,2k}(F_q) (or H'_{2k,r} when spec.primed)."""
+    """All of H_{r,2k}(F_q)."""
     r, k, n = spec.r, spec.k, spec.n
     q = field.q
     total = h_order(r, k, q)
@@ -357,31 +317,22 @@ def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField,
         raise GroupTooLarge(f"|H_{{{r},{2 * k}}}| = {total} exceeds cap {max_elements}")
     unis = enumerate_unipotent(r, field)
     sps = enumerate_sp(k, field, ambient=ambient, max_elements=max_elements)
+    x_pos = [(i, r + j) for i in range(r) for j in range(2 * k)]
     out = []
     for u in unis:
         for h in sps:
             base = [0] * (n * n)
-            if spec.primed:
-                for i in range(2 * k):
-                    for j in range(2 * k):
-                        base[i * n + j] = h[i * 2 * k + j]
-                for i in range(r):
-                    for j in range(r):
-                        base[(2 * k + i) * n + (2 * k + j)] = u[i * r + j]
-                x_pos = [(i, 2 * k + j) for i in range(2 * k) for j in range(r)]
-            else:
-                for i in range(r):
-                    for j in range(r):
-                        base[i * n + j] = u[i * r + j]
-                for i in range(2 * k):
-                    for j in range(2 * k):
-                        base[(r + i) * n + (r + j)] = h[i * 2 * k + j]
-                x_pos = [(i, r + j) for i in range(r) for j in range(2 * k)]
+            for i in range(r):
+                for j in range(r):
+                    base[i * n + j] = u[i * r + j]
+            for i in range(2 * k):
+                for j in range(2 * k):
+                    base[(r + i) * n + (r + j)] = h[i * 2 * k + j]
             for xs in product(range(q), repeat=len(x_pos)):
                 m = list(base)
                 for (i, j), v in zip(x_pos, xs):
                     m[i * n + j] = v
                 out.append(tuple(m))
     if len(out) != total:
-        raise AssertionError(f"|H| came out {len(out)}, expected {total}")
+        raise InvariantViolation(f"|H| came out {len(out)}, expected {total}")
     return out

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .errors import InvariantViolation
+
 Rational = Fraction | int
 
 
@@ -186,7 +188,7 @@ def admissible_order(a: Multisegment) -> list[Segment]:
     for i, earlier in enumerate(ordered):
         for later in ordered[i + 1:]:
             if segment_precedes(earlier, later):
-                raise AssertionError("sort failed the non-precedence check")
+                raise InvariantViolation("sort failed the non-precedence check")
     return ordered
 
 

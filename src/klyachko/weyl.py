@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedComposition
+from .errors import InvariantViolation, UnsupportedComposition
 
 Vector = tuple  # of Fractions
 
@@ -216,12 +216,12 @@ def mu_q(m: int) -> Vector:
     moved = w_q.apply(lambda_vec(t))
     diff = tuple(a - b for a, b in zip(moved, lambda_blockwise((1, t - 1))))
     # the difference is constant on each block, so projecting is just
-    # reading one coordinate per block; assert rather than assume
+    # reading one coordinate per block; check rather than assume
     composition = (1, t - 1)
     pos = 0
     for size in composition:
         block = diff[pos:pos + size]
         if any(x != block[0] for x in block):
-            raise AssertionError("difference vector not constant on blocks")
+            raise InvariantViolation("difference vector not constant on blocks")
         pos += size
     return block_project(diff, composition)

@@ -2,7 +2,7 @@ import pytest
 
 from klyachko.arena import build_arena
 from klyachko.gf import field_make
-from klyachko.groups import conjugacy_classes, gl_enumerate
+from klyachko.groups import gl_enumerate
 
 
 @pytest.fixture(scope="session")
@@ -24,7 +24,7 @@ def table_store():
                     break
             if field is None:
                 raise ValueError(f"q = {q} not a prime power")
-            cache[(n, q)] = conjugacy_classes(gl_enumerate(n, field))
+            cache[(n, q)] = gl_enumerate(n, field)
         return cache[(n, q)]
 
     return get

@@ -14,7 +14,7 @@ from klyachko.arena import build_arena
 from klyachko.characters import character_table, verify_orthogonality
 from klyachko.gelfand import verify_gelfand
 from klyachko.gf import field_from_q
-from klyachko.groups import conjugacy_classes, gl_enumerate, gl_order, h_order
+from klyachko.groups import gl_enumerate, gl_order, h_order
 from klyachko.periods import evaluate_period, period_formula, zeta_assignment
 from klyachko.segments import CuspidalLabel
 from klyachko.speh import (
@@ -38,7 +38,7 @@ _reports = {}
 def _report(n, q):
     if (n, q) not in _reports:
         start = time.monotonic()
-        table = conjugacy_classes(gl_enumerate(n, field_from_q(q)))
+        table = gl_enumerate(n, field_from_q(q))
         report = verify_gelfand(n, q, table=table)
         _reports[(n, q)] = (report, table, time.monotonic() - start)
     return _reports[(n, q)]

@@ -2,6 +2,7 @@ import pytest
 
 from klyachko.arena import build_arena
 from klyachko.characters import (
+    ClassFunction,
     character_table,
     induced_character,
     induced_klyachko_character,
@@ -9,7 +10,27 @@ from klyachko.characters import (
     multiplicity,
 )
 from klyachko.errors import ArenaTooSmall, LiftOutOfRange
-from klyachko.groups import KlyachkoSubgroupSpec
+from klyachko.gf import mat_mul
+from klyachko.groups import KlyachkoSubgroupSpec, h_membership_flat, h_order, psi_r_trace_flat
+
+
+def _induced_full_sum(table, spec, arena):
+    """Oracle: the literal Frobenius sum over all of G per class
+    representative, chi(g) = |H|^-1 sum_x psi(x g x^-1) over x g x^-1 in H."""
+    ell = arena.ell
+    n, field = table.n, table.field
+    zeta = pow(arena.zeta_p, spec.psi_generator, ell)
+    h_inv = pow(h_order(spec.r, spec.k, field.q), ell - 2, ell)
+    inverses = table.inverses()
+    vals = []
+    for cls in table.classes:
+        acc = 0
+        for x, x_inv in zip(table.elements, inverses):
+            y = mat_mul(mat_mul(x, cls.representative, n, field), x_inv, n, field)
+            if h_membership_flat(y, spec, field):
+                acc += pow(zeta, psi_r_trace_flat(y, spec, field), ell)
+        vals.append(acc * h_inv % ell)
+    return ClassFunction(arena, tuple(vals))
 
 
 def test_arena_least_prime_for_s3(table_store):
@@ -146,7 +167,7 @@ def test_full_sum_method_agrees(table_store, arena_store):
         for k in range(n // 2 + 1):
             spec = KlyachkoSubgroupSpec(n - 2 * k, k)
             fast = induced_klyachko_character(table, spec, arena)
-            slow = induced_klyachko_character(table, spec, arena, method="full-sum")
+            slow = _induced_full_sum(table, spec, arena)
             assert fast == slow
 
 

@@ -1,6 +1,6 @@
 import json
 
-from klyachko.cli import main
+from klyachko.cli import build_parser, main
 from klyachko.paramparse import parse_parameter
 
 
@@ -59,6 +59,14 @@ def test_resource_refusal_env(capsys, monkeypatch):
     monkeypatch.setenv("KLYACHKO_MAX_ELEMENTS", "10")
     code, _, _ = run(capsys, "verify-gelfand", "--n", "2", "--q", "3", "--no-cache")
     assert code == 2
+
+
+def test_bad_max_elements_env_is_bad_usage(capsys, monkeypatch):
+    monkeypatch.setenv("KLYACHKO_MAX_ELEMENTS", "abc")
+    code, out, err = run(capsys, "verify-gelfand", "--n", "2", "--q", "2", "--no-cache")
+    assert code == 2
+    assert "KLYACHKO_MAX_ELEMENTS" in err and "'abc'" in err
+    assert out == ""
 
 
 def test_bad_ell_override_is_refused(capsys):
@@ -171,3 +179,23 @@ def test_round_trip_parameter_strings(capsys):
     assert code == 0
     rebuilt = parse_parameter(" x ".join(js["blocks"]))
     assert [str(e) for e in rebuilt.entries] == js["blocks"]
+
+
+PARSER_ARGVS = [
+    ["verify-gelfand", "--n", "2", "--q", "3", "--no-cache", "--format", "json"],
+    ["kappa", "U(rho:1,1,3)@0", "--n", "3"],
+    ["derive", "U(rho:2,2,1)@0", "--format", "json"],
+    ["period", "--t", "3", "--zeta", "--tol", "1e-6"],
+    ["residue-survival", "--t", "5"],
+    ["table", "--n", "2", "--q", "2", "--ell", "19", "--cache-dir", "d"],
+]
+
+
+def test_reused_parser_matches_fresh_parser():
+    shared = build_parser()
+    assert build_parser() is shared
+    order = list(range(len(PARSER_ARGVS)))
+    for index in order + order[::-1]:
+        argv = PARSER_ARGVS[index]
+        fresh = build_parser.__wrapped__().parse_args(argv)
+        assert vars(shared.parse_args(argv)) == vars(fresh)

@@ -4,17 +4,20 @@ from itertools import product
 import pytest
 
 from klyachko.errors import GroupTooLarge, NotInSubgroup, SizeMismatch
-from klyachko.gf import MatrixGF, field_make, mat_det, mat_identity, mat_inv, mat_mul
+from klyachko.gf import MatrixGF, field_make, mat_det, mat_identity, mat_inv, mat_mul, mat_transpose
 from klyachko.groups import (
     KlyachkoSubgroupSpec,
     enumerate_h,
     enumerate_sp,
+    gl_elements,
     gl_enumerate,
     gl_order,
     h_membership,
     h_order,
+    psi_r_trace_flat,
     psi_r_value,
     sp_membership,
+    sp_membership_flat,
     sp_order,
 )
 
@@ -27,28 +30,32 @@ def brute_force_gl(n, field):
 @pytest.mark.parametrize("n,p,e,count", [(2, 2, 1, 6), (2, 3, 1, 48), (3, 2, 1, 168)])
 def test_enumeration_matches_brute_force(n, p, e, count):
     field = field_make(p, e)
-    table = gl_enumerate(n, field)
+    elements = gl_elements(n, field)
     oracle = brute_force_gl(n, field)
-    assert table.order == count == len(oracle)
-    assert table.elements == sorted(oracle)
+    assert len(elements) == count == len(oracle)
+    assert elements == sorted(oracle)
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 3), (2, 7)])
 def test_order_formula(n, q):
     from klyachko.gf import field_from_q
 
-    table = gl_enumerate(n, field_from_q(q))
+    elements = gl_elements(n, field_from_q(q))
     qn = q**n
     expected = 1
     for i in range(n):
         expected *= qn - q**i
-    assert table.order == expected == gl_order(n, q)
+    assert len(elements) == expected == gl_order(n, q)
 
 
 def test_group_too_large_refused():
     field = field_make(2, 1)
     with pytest.raises(GroupTooLarge):
         gl_enumerate(4, field, max_elements=1000)
+
+
+def class_members(table, c):
+    return [el for el, label in zip(table.elements, table.class_of) if label == c]
 
 
 def brute_force_orbit_partition(table):
@@ -72,7 +79,7 @@ def brute_force_orbit_partition(table):
 def test_classes_match_orbit_oracle(n, q, num_classes, table_store):
     table = table_store(n, q)
     assert len(table.classes) == num_classes
-    ours = {frozenset(table.elements[i] for i in cls.member_indices) for cls in table.classes}
+    ours = {frozenset(class_members(table, c)) for c in range(len(table.classes))}
     assert ours == brute_force_orbit_partition(table)
     assert sum(cls.size for cls in table.classes) == table.order
 
@@ -91,9 +98,8 @@ def test_class_sizes_divide_order(table_store):
 
 def test_representative_is_lex_least(table_store):
     table = table_store(2, 3)
-    for cls in table.classes:
-        members = [table.elements[i] for i in cls.member_indices]
-        assert cls.representative == min(members)
+    for c, cls in enumerate(table.classes):
+        assert cls.representative == min(class_members(table, c))
 
 
 def test_inverse_class_is_involution_fixing_identity(table_store):
@@ -119,9 +125,9 @@ def test_class_key_agrees_on_every_member(table_store):
     from klyachko.fqpoly import invariant_factors
 
     table = table_store(3, 2)
-    for cls in table.classes:
-        for i in list(cls.member_indices)[:10]:
-            assert invariant_factors(table.elements[i], 3, table.field) == cls.invariant_factors
+    for c, cls in enumerate(table.classes):
+        for el in class_members(table, c)[:10]:
+            assert invariant_factors(el, 3, table.field) == cls.invariant_factors
 
 
 # -- symplectic groups ----------------------------------------------------
@@ -181,19 +187,6 @@ def test_h_closure_under_product_and_inverse():
         assert h_membership(MatrixGF(f3, n, mat_inv(a, n, f3)), spec)
 
 
-def test_h_primed_orientation():
-    f2 = field_make(2, 1)
-    spec = KlyachkoSubgroupSpec(1, 1, primed=True)
-    members = enumerate_h(spec, f2)
-    assert len(members) == h_order(1, 1, 2)
-    # primed family puts Sp in the upper-left: lower-left 1x2 block is zero
-    for g in members:
-        assert g[2 * 3 + 0] == 0 and g[2 * 3 + 1] == 0
-    # and the unprimed spec of the same shape is a genuinely different set
-    unprimed = set(enumerate_h(KlyachkoSubgroupSpec(1, 1), f2))
-    assert set(members) != unprimed
-
-
 def test_psi_identity_is_zero():
     f3 = field_make(3, 1)
     spec = KlyachkoSubgroupSpec(3, 0)
@@ -229,24 +222,63 @@ def test_psi_is_homomorphism():
             assert psi_r_value(ab, spec) == (va + vb) % p
 
 
+# -- the mirrored family H'_{2k,r} ----------------------------------------
+
+
+def duality_involution(g, r, k, field):
+    """tau(g) = w (t g^-1) w^-1 with w sending the unipotent coordinates
+    to the bottom, reversed, and the symplectic ones to the top.
+
+    Maps H_{r,2k} onto H'_{2k,r} with psi'_r(tau(h)) = -psi_r(h) mod p.
+    """
+    n = r + 2 * k
+    w = [0] * (n * n)
+    for c in range(2 * k):
+        w[c * n + (r + c)] = 1
+    for j in range(r):
+        w[(2 * k + (r - 1 - j)) * n + j] = 1
+    w = tuple(w)
+    core = mat_transpose(mat_inv(g, n, field), n)
+    return mat_mul(mat_mul(w, core, n, field), mat_inv(w, n, field), n, field)
+
+
+def mirrored_h_membership(g, r, k, field):
+    """Membership in H'_{2k,r}: Sp(2k) upper-left, U_r lower-right."""
+    n, s = r + 2 * k, 2 * k
+    if any(g[i * n + j] for i in range(s, n) for j in range(s)):
+        return False
+    for i in range(r):
+        for j in range(i + 1):
+            if g[(s + i) * n + (s + j)] != (1 if i == j else 0):
+                return False
+    return sp_membership_flat(tuple(g[i * n + j] for i in range(s) for j in range(s)), k, field)
+
+
+def mirrored_psi_trace(g, r, k, field):
+    """psi'_r on H'_{2k,r}: trace of the superdiagonal of the U_r block."""
+    n, s = r + 2 * k, 2 * k
+    acc = 0
+    for i in range(r - 1):
+        acc = field.add[acc * field.q + g[(s + i) * n + (s + i + 1)]]
+    return field.trace_to_prime(acc)
+
+
 def test_duality_involution_swaps_model_families():
     """tau carries H_{r,2k} onto H'_{2k,r} and conjugates psi."""
-    from klyachko.groups import duality_involution, h_membership_flat, psi_r_exponent_flat
-
     for p, e, r, k in ((2, 1, 2, 1), (3, 1, 2, 0), (3, 1, 1, 1), (2, 2, 2, 0)):
         field = field_make(p, e)
         spec = KlyachkoSubgroupSpec(r, k)
-        spec_p = KlyachkoSubgroupSpec(r, k, primed=True)
-        members = enumerate_h(spec, field)
         image = set()
-        for h in members:
+        for h in enumerate_h(spec, field):
             t = duality_involution(h, r, k, field)
             image.add(t)
-            assert h_membership_flat(t, spec_p, field)
-            e1 = psi_r_exponent_flat(h, spec, field)
-            e2 = psi_r_exponent_flat(t, spec_p, field)
+            e1 = psi_r_trace_flat(h, spec, field)
+            e2 = mirrored_psi_trace(t, r, k, field)
             assert (e1 + e2) % p == 0
-        assert image == set(enumerate_h(spec_p, field))
+        mirrored = {g for g in gl_elements(spec.n, field) if mirrored_h_membership(g, r, k, field)}
+        assert len(mirrored) == h_order(r, k, field.q)
+        assert image == mirrored
+
 
 
 def test_psi_rejects_non_members():
