@@ -1,11 +1,20 @@
 """Exact character theory of GL_n(F_q) in a mod-ell arena.
 
-The irreducible table comes from the classical class-sum method: the
-central characters are the common eigenvectors of the class
-multiplication matrices, which are split simultaneously by one random
-linear combination (seeded, retried on the rare split failure).  All
-linear algebra is over Z/ell, so every identity below is checked
-exactly, never to a tolerance.
+The irreducible table comes from the Dixon-Schneider class-sum method.
+The central characters omega(K_j) = |C_j| chi(g_j) / chi(1) are the
+common eigenvectors of the class matrices M_i, whose entries
+(M_i)_{jk} = a_{ij}^k are the structure constants of
+K_i K_j = sum_k a_{ij}^k K_k.  The split starts from the whole space
+and takes the non-identity classes in ascending (size, index) order.
+Each class splits every space that is not yet a line: only the rows of
+M_i at the space's pivot columns are computed, |C_i| products each,
+the d x d restriction of M_i to the space is diagonalised, and the
+kernel of each eigenvalue becomes a new space.  When every space is a
+line its vector is a central character.  Eigenvalues are the roots of
+the characteristic polynomial, found as gcd(x^ell - x, chi) and
+separated by Cantor-Zassenhaus equal-degree splitting with the shifts
+0, 1, 2, ...; nothing is random.  All linear algebra is over Z/ell, so
+every identity below is checked exactly, never to a tolerance.
 
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
@@ -18,8 +27,8 @@ of G.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from operator import mul
 
 from .arena import ModularArena
 from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
@@ -30,8 +39,6 @@ from .groups import (
     psi_r_trace_flat,
 )
 from .gf import mat_mul
-
-DEFAULT_SEED = 20259
 
 
 @dataclass(frozen=True)
@@ -46,26 +53,33 @@ class ClassFunction:
         return self.arena.lift_bounded(v, 0, self.arena.group_order, "dimension")
 
 
-def class_multiplication_tensor(table: GroupTable) -> list[list[list[int]]]:
-    """a[k][i][j] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps.
+def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int]) -> list[list[int]]:
+    """Rows j in `rows` of the class matrix M_i, a slice of the tensor
+    a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps.
 
-    One pass of |G| products per class k: y = x^-1 g_k always lands in a
-    unique class j, so each x contributes to exactly one (i, j) cell.
+    Conjugating y to g_j gives a[i][j][k] = |C_j| * #{x in C_i : x g_j in C_k} / |C_k|,
+    so a row costs |C_i| products and no inverses.
     """
     classes = table.classes
-    n_cls = len(classes)
     n, field = table.n, table.field
-    class_of = table.class_of
-    index_of = table.index_of
-    inverses = table.inverses()
-    tensor = [[[0] * n_cls for _ in range(n_cls)] for _ in range(n_cls)]
-    for k, cls in enumerate(classes):
-        gk = cls.representative
-        tk = tensor[k]
-        for idx in range(table.order):
-            y = mat_mul(inverses[idx], gk, n, field)
-            tk[class_of[idx]][class_of[index_of[y]]] += 1
-    return tensor
+    class_of, index_of = table.class_of, table.index_of
+    members = [el for el, c in zip(table.elements, class_of) if c == i]
+    out = []
+    for j in rows:
+        gj, size_j = classes[j].representative, classes[j].size
+        counts = [0] * len(classes)
+        for x in members:
+            counts[class_of[index_of[mat_mul(x, gj, n, field)]]] += 1
+        row = []
+        for k, cnt in enumerate(counts):
+            a, rem = divmod(size_j * cnt, classes[k].size)
+            if rem:
+                raise InvariantViolation(
+                    f"|C_{j}| * {cnt} is not divisible by |C_{k}| = {classes[k].size} (class {i})"
+                )
+            row.append(a)
+        out.append(row)
+    return out
 
 
 def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
@@ -111,93 +125,196 @@ def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
     return polys[n]
 
 
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: list[int], b: list[int], ell: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod ell; b is trimmed and nonzero."""
+    db = len(b) - 1
+    r = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    inv_lead = pow(b[-1], ell - 2, ell)
+    for s in range(len(a) - 1 - db, -1, -1):
+        c = r[s + db] * inv_lead % ell
+        if c:
+            quo[s] = c
+            for t, bt in enumerate(b):
+                r[s + t] = (r[s + t] - c * bt) % ell
+    return _poly_trim(quo), _poly_trim(r[:db])
+
+
+def _poly_mulmod(a: list[int], b: list[int], f: list[int], ell: int) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        if x:
+            for t, y in enumerate(b):
+                prod[s + t] += x * y
+    return _poly_divmod([c % ell for c in prod], f, ell)[1]
+
+
+def _poly_powmod(a: list[int], e: int, f: list[int], ell: int) -> list[int]:
+    out = [1]
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, f, ell)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(a, a, f, ell)
+    return out
+
+
+def _poly_gcd(a: list[int], b: list[int], ell: int) -> list[int]:
+    """Monic gcd mod ell of two trimmed polynomials, a nonzero."""
+    while b:
+        a, b = b, _poly_divmod(a, b, ell)[1]
+    inv_lead = pow(a[-1], ell - 2, ell)
+    return [c * inv_lead % ell for c in a]
+
+
+def _poly_sub(a: list[int], b: list[int], ell: int) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for s, c in enumerate(b):
+        out[s] = (out[s] - c) % ell
+    return _poly_trim(out)
+
+
 def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
-    """All roots in Z/ell by direct scan (ell is desk-scale here)."""
-    roots = []
-    rev = list(reversed([c % ell for c in coeffs]))
-    for x in range(ell):
-        acc = 0
-        for c in rev:
-            acc = (acc * x + c) % ell
-        if acc == 0:
-            roots.append(x)
-    return roots
+    """The distinct roots in Z/ell of a nonzero polynomial (ascending
+    coefficients), in ascending order.
+
+    g = gcd(x^ell - x, f) has one linear factor per root; Cantor-Zassenhaus
+    splits it with gcd(g, (x + a)^((ell - 1)/2) - 1) for a = 0, 1, 2, ...
+    (ell is an odd prime).
+    """
+    f = _poly_trim([c % ell for c in coeffs])
+    if len(f) < 2:
+        return []
+    roots: list[int] = []
+    pending = [_poly_gcd(f, _poly_sub(_poly_powmod([0, 1], ell, f, ell), [0, 1], ell), ell)]
+    half = (ell - 1) // 2
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % ell)  # g is monic: x + g_0
+            continue
+        if len(g) < 2:
+            continue
+        for a in range(ell):
+            h = _poly_gcd(g, _poly_sub(_poly_powmod([a, 1], half, g, ell), [1], ell), ell)
+            if 1 < len(h) < len(g):
+                pending += [h, _poly_divmod(g, h, ell)[0]]  # both monic
+                break
+        else:
+            raise InvariantViolation(f"no shift separates the roots of a degree {len(g) - 1} factor")
+    return sorted(roots)
 
 
-def _kernel_vector(mat: list[list[int]], lam: int, ell: int) -> list[int] | None:
-    """A basis vector of ker(mat - lam*I) if it is 1-dimensional."""
-    n = len(mat)
-    a = [[(mat[i][j] - (lam if i == j else 0)) % ell for j in range(n)] for i in range(n)]
-    pivot_row_of_col: dict[int, int] = {}
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
+def _rref(rows: list[list[int]], ell: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod ell of the span of `rows`: its
+    nonzero rows and their pivot columns."""
+    a = [[v % ell for v in row] for row in rows]
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    for col in range(n_cols):
+        r0 = len(pivots)
+        piv = next((r for r in range(r0, n_rows) if a[r][col]), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        inv_p = pow(a[row][col], ell - 2, ell)
-        a[row] = [v * inv_p % ell for v in a[row]]
-        arow = a[row]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [(a[r][j] - f * arow[j]) % ell for j in range(n)]
-        pivot_row_of_col[col] = row
-        row += 1
-    free = [c for c in range(n) if c not in pivot_row_of_col]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    v = [0] * n
-    v[fc] = 1
-    for c, r in pivot_row_of_col.items():
-        v[c] = -a[r][fc] % ell
-    return v
+        a[r0], a[piv] = a[piv], a[r0]
+        inv_p = pow(a[r0][col], ell - 2, ell)
+        prow = a[r0] = [v * inv_p % ell for v in a[r0]]
+        for r in range(n_rows):
+            f = a[r][col]
+            if r != r0 and f:
+                a[r] = [(x - f * y) % ell for x, y in zip(a[r], prow)]
+        pivots.append(col)
+        if len(pivots) == n_rows:
+            break
+    return a[:len(pivots)], pivots
 
 
-def character_table(table: GroupTable, arena: ModularArena,
-                    seed: int = DEFAULT_SEED, attempts: int = 20) -> list[ClassFunction]:
+def _kernel_basis(mat: list[list[int]], ell: int) -> list[list[int]]:
+    """A basis of {v : mat v = 0} mod ell, one vector per free column."""
+    n = len(mat[0])
+    red, pivots = _rref(mat, ell)
+    out = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[fc] = 1
+        for row, c in zip(red, pivots):
+            v[c] = -row[fc] % ell
+        out.append(v)
+    return out
+
+
+def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, list[int]],
+                 ell: int) -> list[tuple[list[list[int]], list[int]]]:
+    """The eigenspaces of a class matrix on the invariant space spanned by
+    `basis` (RREF, pivot columns `pivots`), each in RREF.
+
+    Coordinates of a vector of the space are its entries at the pivots,
+    so the restriction needs only the rows of M at the pivots.
+    """
+    d = len(basis)
+    restricted = [[sum(map(mul, m_rows[p], b)) % ell for b in basis] for p in pivots]
+    parts = []
+    for lam in _roots_mod(_charpoly_mod(restricted, ell), ell):
+        shifted = [[(v - lam) % ell if r == c else v for c, v in enumerate(row)]
+                   for r, row in enumerate(restricted)]
+        vectors = []
+        for coords in _kernel_basis(shifted, ell):
+            v = [0] * len(basis[0])
+            for cr, b in zip(coords, basis):
+                if cr:
+                    v = [x + cr * y for x, y in zip(v, b)]
+            vectors.append(v)
+        parts.append(_rref(vectors, ell))
+    if sum(len(b) for b, _ in parts) != d:
+        raise InvariantViolation(
+            f"eigenspaces of dimensions {[len(b) for b, _ in parts]} do not fill a space of dimension {d}"
+        )
+    return parts
+
+
+def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunction]:
     """All irreducible characters, sorted by (dimension, values)."""
     _check_arena(table, arena)
     classes = table.classes
     n_cls = len(classes)
     ell = arena.ell
+    e_idx = table.identity_class()
+    # invariant spaces as (RREF basis, pivot columns), from the whole space
+    spaces = [([[int(r == c) for c in range(n_cls)] for r in range(n_cls)], list(range(n_cls)))]
+    visit = iter(sorted((c for c in range(n_cls) if c != e_idx),
+                        key=lambda c: (classes[c].size, c)))
+    while any(len(basis) > 1 for basis, _ in spaces):
+        i = next(visit, None)
+        if i is None:
+            raise EigenSplitFailure(
+                f"class matrices leave eigenspaces of dimensions "
+                f"{sorted(len(b) for b, _ in spaces if len(b) > 1)} unsplit"
+            )
+        rows = [p for basis, pivots in spaces if len(basis) > 1 for p in pivots]
+        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows)))
+        spaces = [part for basis, pivots in spaces
+                  for part in (_split_space(basis, pivots, m_rows, ell) if len(basis) > 1
+                               else [(basis, pivots)])]
+    omegas = []
+    for (v,), _ in spaces:
+        if v[e_idx] == 0:
+            raise InvariantViolation("a central character vanishes on the identity class")
+        scale = pow(v[e_idx], ell - 2, ell)
+        omegas.append([x * scale % ell for x in v])
     sizes = [c.size for c in classes]
     inv_map = [c.inverse_class for c in classes]
-    e_idx = table.identity_class()
-    tensor = class_multiplication_tensor(table)
-
-    for attempt in range(attempts):
-        rng = random.Random(seed * 1000003 + attempt)
-        mix = [rng.randrange(ell) for _ in range(n_cls)]
-        b = [[0] * n_cls for _ in range(n_cls)]
-        for k in range(n_cls):
-            tk = tensor[k]
-            for i in range(n_cls):
-                ri = mix[i]
-                if ri:
-                    tki = tk[i]
-                    for j in range(n_cls):
-                        if tki[j]:
-                            b[j][k] = (b[j][k] + ri * tki[j]) % ell
-        roots = _roots_mod(_charpoly_mod(b, ell), ell)
-        if len(roots) != n_cls:
-            continue
-        omegas = []
-        for lam in roots:
-            v = _kernel_vector(b, lam, ell)
-            if v is None or v[e_idx] == 0:
-                omegas = None
-                break
-            scale = pow(v[e_idx], ell - 2, ell)
-            omegas.append([x * scale % ell for x in v])
-        if omegas is None:
-            continue
-        chars = [_character_from_central(om, sizes, inv_map, table.order, arena) for om in omegas]
-        chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
-        verify_orthogonality(chars, table, arena)
-        return chars
-    raise EigenSplitFailure(f"class sums failed to split after {attempts} attempts")
+    chars = [_character_from_central(om, sizes, inv_map, table.order, arena) for om in omegas]
+    chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
+    verify_orthogonality(chars, table, arena)
+    return chars
 
 
 def _character_from_central(omega: list[int], sizes: list[int], inv_map: list[int],

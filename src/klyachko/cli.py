@@ -79,8 +79,6 @@ def _add_group_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=int, required=True)
     parser.add_argument("--ell", type=int, default=None,
                         help="override the arena prime (validated)")
-    parser.add_argument("--psi", type=int, default=1,
-                        help="psi choice: exponent of the primitive p-th root (default 1)")
     parser.add_argument("--max-elements", type=int, default=None,
                         help=f"enumeration cap (default {DEFAULT_MAX_ELEMENTS} or "
                              "KLYACHKO_MAX_ELEMENTS)")
@@ -309,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-gelfand", help="verify the Gelfand-model property for GL_n(F_q)")
     _add_group_options(p)
+    p.add_argument("--psi", type=int, default=1,
+                   help="psi choice: exponent of the primitive p-th root (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_verify_gelfand)
 

@@ -95,7 +95,7 @@ class ArenaTooSmall(InvariantViolation):
 
 
 class EigenSplitFailure(InvariantViolation):
-    """Class-sum eigenspaces failed to split after retries."""
+    """Class-sum eigenspaces stayed unsplit after every class was used."""
 
 
 class LiftOutOfRange(InvariantViolation):

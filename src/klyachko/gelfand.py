@@ -24,11 +24,11 @@ from pathlib import Path
 
 from . import __version__
 from .arena import ModularArena, build_arena
-from .characters import DEFAULT_SEED, ClassFunction, character_table, induced_klyachko_character, multiplicity
+from .characters import ClassFunction, character_table, induced_klyachko_character, multiplicity
 from .config import DEFAULT_MAX_ELEMENTS
 from .errors import CacheError, InvariantViolation
 from .gf import field_from_q
-from .groups import GroupTable, KlyachkoSubgroupSpec, gl_enumerate, h_order
+from .groups import GroupTable, KlyachkoSubgroupSpec, check_group_cap, gl_enumerate, h_order
 from .tablecache import cache_path, load_table, save_table
 
 
@@ -92,13 +92,14 @@ class GelfandReport:
                 "irreducible_total": self.irreducible_dim_sum,
                 "equal": self.dim_check,
             },
-            "meta": {"version": __version__, "table_seed": DEFAULT_SEED},
+            "meta": {"version": __version__},
         }
 
 
 def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
                           max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
     field = field_from_q(q)
+    check_group_cap(n, q, max_elements)  # a cached table obeys the cap too
     if cache_dir is not None:
         path = cache_path(cache_dir, n, q)
         if path.exists():
@@ -131,14 +132,13 @@ def model_multiplicity_matrix(table: GroupTable, arena: ModularArena,
 def verify_gelfand(n: int, q: int, *, ell: int | None = None, psi: int = 1,
                    max_elements: int = DEFAULT_MAX_ELEMENTS,
                    cache_dir: str | Path | None = None,
-                   table: GroupTable | None = None,
-                   seed: int = DEFAULT_SEED) -> GelfandReport:
+                   table: GroupTable | None = None) -> GelfandReport:
     """Run the full verification for one (n, q)."""
     start = time.monotonic()
     if table is None:
         table = load_or_compute_table(n, q, cache_dir=cache_dir, max_elements=max_elements)
     arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
-    chars = character_table(table, arena, seed=seed)
+    chars = character_table(table, arena)
     matrix, model_dims = model_multiplicity_matrix(table, arena, chars, psi=psi)
     rows = []
     for i, cf in enumerate(chars):

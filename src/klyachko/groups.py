@@ -109,15 +109,19 @@ class GroupTable:
         return exp
 
 
+def check_group_cap(n: int, q: int, max_elements: int) -> int:
+    """|GL_n(F_q)|, or GroupTooLarge if it exceeds the element cap."""
+    order = gl_order(n, q)
+    if order > max_elements:
+        raise GroupTooLarge(f"|GL_{n}(F_{q})| = {order} exceeds cap {max_elements}")
+    return order
+
+
 def gl_elements(n: int, field: FiniteField,
                 max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[tuple[int, ...]]:
     """The elements of GL_n(F_q) in lexicographic (row-major) order."""
     q = field.q
-    expected = gl_order(n, q)
-    if expected > max_elements:
-        raise GroupTooLarge(
-            f"|GL_{n}(F_{q})| = {expected} exceeds cap {max_elements}"
-        )
+    expected = check_group_cap(n, q, max_elements)
     add, mul = field.add, field.mul
     vectors = list(product(range(q), repeat=n))
     elements: list[tuple[int, ...]] = []

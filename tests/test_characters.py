@@ -1,17 +1,34 @@
+import itertools
+import random
+
 import pytest
 
+from klyachko import characters
 from klyachko.arena import build_arena
 from klyachko.characters import (
     ClassFunction,
+    _character_from_central,
+    _charpoly_mod,
+    _roots_mod,
     character_table,
+    class_multiplication_tensor,
     induced_character,
     induced_klyachko_character,
     inner_product_residue,
     multiplicity,
+    verify_orthogonality,
 )
-from klyachko.errors import ArenaTooSmall, LiftOutOfRange
-from klyachko.gf import mat_mul
-from klyachko.groups import KlyachkoSubgroupSpec, h_membership_flat, h_order, psi_r_trace_flat
+from klyachko.errors import ArenaTooSmall, InvariantViolation, LiftOutOfRange
+from klyachko.gelfand import verify_gelfand
+from klyachko.gf import mat_inv, mat_mul
+from klyachko.groups import (
+    ConjClass,
+    GroupTable,
+    KlyachkoSubgroupSpec,
+    h_membership_flat,
+    h_order,
+    psi_r_trace_flat,
+)
 
 
 def _induced_full_sum(table, spec, arena):
@@ -123,11 +140,180 @@ def test_determinism(table_store, arena_store):
     assert character_table(table, arena) == character_table(table, arena)
 
 
-def test_eigen_split_failure_after_exhausted_attempts(table_store, arena_store):
-    from klyachko.errors import EigenSplitFailure
+# -- the Dixon-Schneider split against the full class tensor -------------
 
-    with pytest.raises(EigenSplitFailure):
-        character_table(table_store(2, 2), arena_store(2, 2), attempts=0)
+
+def _scan_roots(coeffs, ell):
+    """Oracle: every x in Z/ell with f(x) = 0, by Horner evaluation."""
+    return [x for x in range(ell)
+            if sum(c * pow(x, d, ell) for d, c in enumerate(coeffs)) % ell == 0]
+
+
+def _kernel_vector(mat, lam, ell):
+    """A basis vector of ker(mat - lam*I) if it is 1-dimensional."""
+    n = len(mat)
+    a = [[(mat[i][j] - (lam if i == j else 0)) % ell for j in range(n)] for i in range(n)]
+    pivot_row_of_col = {}
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, n) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv_p = pow(a[row][col], ell - 2, ell)
+        a[row] = [v * inv_p % ell for v in a[row]]
+        for r in range(n):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [(a[r][j] - f * a[row][j]) % ell for j in range(n)]
+        pivot_row_of_col[col] = row
+        row += 1
+    free = [c for c in range(n) if c not in pivot_row_of_col]
+    if len(free) != 1:
+        return None
+    v = [0] * n
+    v[free[0]] = 1
+    for c, r in pivot_row_of_col.items():
+        v[c] = -a[r][free[0]] % ell
+    return v
+
+
+def _tensor_character_table(table, arena, seed=20259, attempts=20):
+    """Oracle: the full class tensor split by one seeded random mix of all
+    class matrices, eigenvalues by a scan of Z/ell, one kernel vector per
+    eigenvalue."""
+    classes = table.classes
+    n_cls = len(classes)
+    ell = arena.ell
+    e_idx = table.identity_class()
+    m = [class_multiplication_tensor(table, i, list(range(n_cls))) for i in range(n_cls)]
+    for attempt in range(attempts):
+        rng = random.Random(seed * 1000003 + attempt)
+        mix = [rng.randrange(ell) for _ in range(n_cls)]
+        b = [[sum(mix[i] * m[i][j][k] for i in range(n_cls)) % ell for k in range(n_cls)]
+             for j in range(n_cls)]
+        roots = _scan_roots(_charpoly_mod(b, ell), ell)
+        if len(roots) != n_cls:
+            continue
+        vectors = [_kernel_vector(b, lam, ell) for lam in roots]
+        if any(v is None or v[e_idx] == 0 for v in vectors):
+            continue
+        omegas = [[x * pow(v[e_idx], ell - 2, ell) % ell for x in v] for v in vectors]
+        chars = [_character_from_central(om, [c.size for c in classes],
+                                         [c.inverse_class for c in classes], table.order, arena)
+                 for om in omegas]
+        chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
+        verify_orthogonality(chars, table, arena)
+        return chars
+    pytest.fail("the random mix never split")
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_split_matches_tensor_oracle(n, q, table_store, arena_store):
+    table, arena = table_store(n, q), arena_store(n, q)
+    assert character_table(table, arena) == _tensor_character_table(table, arena)
+
+
+def test_class_matrix_rows_are_pair_counts(table_store):
+    """a_{ij}^k from the pivot-side count equals #{(x, y) in C_i x C_j : xy = g_k}."""
+    table = table_store(2, 3)
+    n, field, n_cls = table.n, table.field, len(table.classes)
+    pairs = [[[0] * n_cls for _ in range(n_cls)] for _ in range(n_cls)]  # [i][j][k]
+    for k, cls in enumerate(table.classes):
+        for x, c in zip(table.elements, table.class_of):
+            y = mat_mul(mat_inv(x, n, field), cls.representative, n, field)
+            pairs[c][table.class_index(y)][k] += 1
+    for i in range(n_cls):
+        assert class_multiplication_tensor(table, i, list(range(n_cls))) == pairs[i]
+    assert class_multiplication_tensor(table, 3, [5, 1]) == [pairs[3][5], pairs[3][1]]
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
+def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_store, monkeypatch):
+    table, arena = table_store(n, q), arena_store(n, q)
+    calls = []
+
+    def counting_mat_mul(*args):
+        calls.append(1)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(characters, "mat_mul", counting_mat_mul)
+    character_table(table, arena)
+    assert 0 < len(calls) <= table.order * len(table.classes) // 5
+
+
+def _merge_classes(table, a, b):
+    """The table with class b folded into class a (a < b): a corrupt
+    classification that still partitions the group."""
+    remap = [c if c < b else (a if c == b else c - 1) for c in range(len(table.classes))]
+    classes = tuple(
+        ConjClass(cls.representative, cls.size + (table.classes[b].size if c == a else 0),
+                  cls.invariant_factors, remap[cls.inverse_class])
+        for c, cls in enumerate(table.classes) if c != b
+    )
+    return GroupTable(table.field, table.n, table.elements, classes,
+                      tuple(remap[c] for c in table.class_of))
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 2)])
+def test_merged_classes_raise_invariant_violation(n, q, table_store, arena_store):
+    table, arena = table_store(n, q), arena_store(n, q)
+    for a, b in itertools.combinations(range(len(table.classes)), 2):
+        with pytest.raises(InvariantViolation):
+            character_table(_merge_classes(table, a, b), arena)
+
+
+# -- roots mod ell -----------------------------------------------------------
+
+
+def _poly_from_roots(roots, lead, ell):
+    coeffs = [lead % ell]
+    for r in roots:
+        shifted = [0] + coeffs
+        for d, c in enumerate(coeffs):
+            shifted[d] = (shifted[d] - r * c) % ell
+        coeffs = shifted
+    return coeffs
+
+
+@pytest.mark.parametrize("ell", [97, 7057, 12241])
+def test_roots_match_scan(ell):
+    rng = random.Random(ell)
+    for degree in range(13):
+        pool = [rng.randrange(ell) for _ in range(max(1, degree // 2))]
+        roots = [rng.choice(pool) for _ in range(degree)]  # repeats on purpose
+        coeffs = _poly_from_roots(roots, rng.randrange(1, ell), ell)
+        assert _roots_mod(coeffs, ell) == _scan_roots(coeffs, ell) == sorted(set(roots))
+
+
+def test_roots_skip_irreducible_factor():
+    ell = 97
+    nonresidue = next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) != 1)
+    coeffs = _poly_from_roots([3, 3, 50], 1, ell)
+    product = [0] * (len(coeffs) + 2)  # times x^2 - nonresidue
+    for d, c in enumerate(coeffs):
+        product[d + 2] += c
+        product[d] -= nonresidue * c
+    assert _roots_mod(product, ell) == _scan_roots(product, ell) == [3, 50]
+
+
+def test_roots_large_ell():
+    ell = 364141
+    rng = random.Random(ell)
+    for degree in (1, 2, 5, 12, 24):
+        roots = [rng.randrange(ell) for _ in range(degree)] + [0, ell - 1]
+        coeffs = _poly_from_roots(roots, 7, ell)
+        assert _roots_mod(coeffs, ell) == sorted(set(roots))
+
+
+def test_billion_scale_ell_gives_same_report(table_store):
+    """1000000009 is prime and 1 mod 24 = lcm(exp GL_2(F_3), 3)."""
+    table = table_store(2, 3)
+    big = verify_gelfand(2, 3, table=table, ell=1000000009)
+    default = verify_gelfand(2, 3, table=table)
+    assert big.ell == 1000000009
+    assert sorted((r.dim, r.mults) for r in big.rows) == \
+        sorted((r.dim, r.mults) for r in default.rows)
 
 
 # -- induced Klyachko characters -------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from klyachko.cli import build_parser, main
 from klyachko.paramparse import parse_parameter
 
@@ -59,6 +61,23 @@ def test_resource_refusal_env(capsys, monkeypatch):
     monkeypatch.setenv("KLYACHKO_MAX_ELEMENTS", "10")
     code, _, _ = run(capsys, "verify-gelfand", "--n", "2", "--q", "3", "--no-cache")
     assert code == 2
+
+
+def test_cached_table_obeys_max_elements(capsys, tmp_path):
+    code, _, _ = run(capsys, "verify-gelfand", "--n", "2", "--q", "3", "--cache-dir", str(tmp_path))
+    assert code == 0 and (tmp_path / "gl2_q3.tbl").exists()
+    for source in (["--cache-dir", str(tmp_path)], ["--no-cache"]):
+        code, out, err = run(capsys, "verify-gelfand", "--n", "2", "--q", "3",
+                             "--max-elements", "10", *source)
+        assert code == 2
+        assert "exceeds cap 10" in err and out == ""
+
+
+def test_table_has_no_psi_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "2", "--q", "2", "--psi", "2", "--no-cache"])
+    assert exc.value.code == 2
+    assert "--psi" in capsys.readouterr().err
 
 
 def test_bad_max_elements_env_is_bad_usage(capsys, monkeypatch):

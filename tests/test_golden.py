@@ -1,8 +1,8 @@
 """Golden-file regression: shipped Gelfand reports reproduce exactly.
 
-The reports are fully deterministic (fixed table ordering, fixed mixing
-seed, canonically chosen ell), so everything except the run metadata is
-compared verbatim.
+The reports are fully deterministic (fixed table ordering, canonically
+chosen ell, no randomness in the character table), so everything except
+the run metadata is compared verbatim.
 """
 
 import json
