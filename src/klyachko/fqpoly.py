@@ -5,7 +5,8 @@ trailing zeros; the zero polynomial is ().  The conjugacy-class key of
 g in GL_n(F_q) is the tuple of non-constant invariant factors of the
 characteristic matrix xI - g, computed by Smith-form elimination over
 the Euclidean domain F_q[x].  Two matrices are conjugate iff their keys
-are equal.
+are equal; groups computes the key once per class representative and
+finds the class members by conjugation orbits.
 """
 
 from __future__ import annotations

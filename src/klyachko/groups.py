@@ -7,22 +7,30 @@ outside the span of the rows chosen so far, so exactly the
 prod_{i<n} (q^n - q^i) invertible matrices are produced, in
 lexicographic order.
 
-Conjugacy classes are keyed by the invariant factors of xI - g
-(see fqpoly); a brute-force orbit partition is kept only as a test
-oracle.  Class representatives are the lexicographically least members,
-which the lex enumeration order makes free.
+Conjugacy classes are the orbits of conjugation by three cheap
+generators of GL_n(F_q) (an n-cycle permutation matrix, the elementary
+matrix x_12(1) and, for q > 2, diag(w, 1, ..., 1) with w primitive),
+found in one sweep over the elements.  Each class is keyed by the
+invariant factors of xI - g (see fqpoly), computed once per class
+representative, not per element; two orbits with one key would mean the
+orbits were finer than the classes, and raise InvariantViolation.  Class
+representatives are the lexicographically least members, which the lex
+enumeration order makes free.  The Smith key of every element is kept
+only as a test oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import itemgetter
 
 from .config import DEFAULT_MAX_ELEMENTS
 from .errors import GroupTooLarge, InvariantViolation, NotInSubgroup, SizeMismatch
 from .fqpoly import Poly, invariant_factors
-from .gf import FiniteField, MatrixGF, mat_identity, mat_inv, mat_mul, mat_transpose
+from .gf import FiniteField, MatrixGF, mat_identity, mat_inv, mat_mul
 
 
 def gl_order(n: int, q: int) -> int:
@@ -66,10 +74,12 @@ class GroupTable:
     elements: tuple[tuple[int, ...], ...]
     classes: tuple[ConjClass, ...]
     class_of: tuple[int, ...]  # aligned with elements
-    index_of: dict[tuple[int, ...], int] = dc_field(init=False, repr=False)
+    # element -> position; derived from `elements` unless handed in
+    index_of: dict[tuple[int, ...], int] | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index_of", {el: i for i, el in enumerate(self.elements)})
+        if self.index_of is None:
+            object.__setattr__(self, "index_of", {el: i for i, el in enumerate(self.elements)})
 
     @property
     def q(self) -> int:
@@ -151,31 +161,107 @@ def gl_elements(n: int, field: FiniteField,
 
 def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
     """GL_n(F_q) in lexicographic order, with its conjugacy classes."""
-    elements = gl_elements(n, field, max_elements)
-    classes, class_of = conjugacy_classes(elements, n, field)
-    return GroupTable(field, n, tuple(elements), classes, class_of)
+    elements = tuple(gl_elements(n, field, max_elements))
+    index_of = {el: i for i, el in enumerate(elements)}
+    classes, class_of = conjugacy_classes(elements, n, field, index_of)
+    return GroupTable(field, n, elements, classes, class_of, index_of)
 
 
-def conjugacy_classes(elements: list[tuple[int, ...]], n: int, field: FiniteField,
+def _primitive_element(field: FiniteField) -> int:
+    """The least code generating the multiplicative group F_q^*."""
+    q, mul = field.q, field.mul
+    for w in range(1, q):
+        acc, order = w, 1
+        while acc != 1:
+            acc = mul[acc * q + w]
+            order += 1
+        if order == q - 1:
+            return w
+    raise InvariantViolation(f"F_{q}^* has no generator")
+
+
+def _conjugators(n: int, field: FiniteField) -> list:
+    """Maps g -> s g s^-1 on flat tuples, for s in a generating set of
+    GL_n(F_q): the n-cycle permutation matrix, x_12(1) = I + E_12 and,
+    when q > 2, diag(w, 1, ..., 1) with w primitive.  The cycle's
+    conjugates of x_12(1) are the x_{i,i+1}(1) and x_{n,1}(1), whose
+    commutators give every x_ij(1), hence SL_n(F_p); conjugating by
+    diag(w) adds the x_12(a) for all a (the powers of w span F_q) and
+    every determinant.  Empty for n = 1, where classes are singletons."""
+    if n == 1:
+        return []
+    q, add, sub, mul = field.q, field.add, field.sub, field.mul
+    cells = n * n
+    # entry (i, j) of P g P^-1 is entry (i + 1, j + 1) of g, indices mod n
+    cycle = itemgetter(*[(i + 1) % n * n + (j + 1) % n for i in range(n) for j in range(n)])
+
+    def transvection(g):
+        m = list(g)
+        for j in range(n):  # row 0 += row 1
+            m[j] = add[m[j] * q + m[n + j]]
+        for i in range(0, cells, n):  # col 1 -= col 0
+            m[i + 1] = sub[m[i + 1] * q + m[i]]
+        return tuple(m)
+
+    out = [cycle, transvection]
+    if q > 2:
+        w = _primitive_element(field)
+        w_inv = field.inv[w]
+
+        def scaling(g):
+            m = list(g)
+            for j in range(1, n):  # row 0 *= w
+                m[j] = mul[m[j] * q + w]
+            for i in range(n, cells, n):  # col 0 *= w^-1
+                m[i] = mul[m[i] * q + w_inv]
+            return tuple(m)
+
+        out.append(scaling)
+    return out
+
+
+def conjugacy_classes(elements: Sequence[tuple[int, ...]], n: int, field: FiniteField,
+                      index_of: dict[tuple[int, ...], int],
                       ) -> tuple[tuple[ConjClass, ...], tuple[int, ...]]:
-    """Classes of a lex-ordered element list keyed by the invariant
-    factors of xI - g, and the class of each element."""
-    keys = [invariant_factors(el, n, field) for el in elements]
-    first: dict[tuple[Poly, ...], int] = {}
-    sizes: dict[tuple[Poly, ...], int] = {}
-    for idx, key in enumerate(keys):
-        first.setdefault(key, idx)
-        sizes[key] = sizes.get(key, 0) + 1
-    # deterministic class order: by lex-least member, i.e. first index,
-    # since elements are enumerated in lex order
-    key_to_class = {key: c for c, key in enumerate(first)}
-    class_of = tuple(key_to_class[key] for key in keys)
-    classes = []
-    for key, idx in first.items():
-        rep = elements[idx]
-        inv_key = invariant_factors(mat_inv(rep, n, field), n, field)
-        classes.append(ConjClass(rep, sizes[key], key, key_to_class[inv_key]))
-    return tuple(classes), class_of
+    """Classes of a lex-ordered element list as conjugation orbits, and
+    the class of each element; `index_of` maps each element to its
+    position.
+
+    The first element not yet labelled is the lex-least member of a new
+    class, whose orbit is then labelled by a depth-first search over the
+    generators of `_conjugators`.  The invariant factors of xI - g are
+    computed once per representative; a key shared by two orbits raises
+    InvariantViolation.
+    """
+    conjugators = _conjugators(n, field)
+    labels = [-1] * len(elements)
+    reps: list[int] = []
+    sizes: list[int] = []
+    for start, label in enumerate(labels):
+        if label >= 0:
+            continue
+        c = len(reps)
+        labels[start] = c
+        stack = [start]
+        size = 0
+        while stack:
+            g = elements[stack.pop()]
+            size += 1
+            for conj in conjugators:
+                j = index_of[conj(g)]
+                if labels[j] < 0:
+                    labels[j] = c
+                    stack.append(j)
+        reps.append(start)
+        sizes.append(size)
+    keys = [invariant_factors(elements[r], n, field) for r in reps]
+    if len(set(keys)) != len(keys):
+        raise InvariantViolation("two conjugation orbits share invariant factors")
+    classes = tuple(
+        ConjClass(elements[r], size, key, labels[index_of[mat_inv(elements[r], n, field)]])
+        for r, size, key in zip(reps, sizes, keys)
+    )
+    return classes, tuple(labels)
 
 
 # -- symplectic and mixed subgroups --------------------------------------
@@ -192,13 +278,42 @@ def symplectic_form(k: int, field: FiniteField) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def sp_membership_flat(g: tuple[int, ...], k: int, field: FiniteField) -> bool:
+def _symplectic_test(k: int, field: FiniteField):
+    """The predicate g -> (t(g) J g == J) on flat 2k x 2k tuples, with J
+    built once.
+
+    Entry (a, b) of t(g) J g is omega(g_a, g_b) = t(g_a) J g_b for the
+    columns g_a, g_b of g.  J is a signed antidiagonal permutation, so
+    omega costs 2k products; omega is alternating, like J, so only the
+    pairs a < b are checked, stopping at the first mismatch.
+    """
     n = 2 * k
+    j = symplectic_form(k, field)
+    plus = [(r, c) for r in range(n) for c in range(n) if j[r * n + c] == 1]
+    minus = [(r, c) for r in range(n) for c in range(n) if j[r * n + c] not in (0, 1)]
+    pairs = [(a, b, j[a * n + b]) for a in range(n) for b in range(a + 1, n)]
+    q, add, sub, mul = field.q, field.add, field.sub, field.mul
+
+    def is_symplectic(g: tuple[int, ...]) -> bool:
+        cols = [g[a::n] for a in range(n)]
+        for a, b, want in pairs:
+            u, v = cols[a], cols[b]
+            s = 0
+            for r, c in plus:
+                s = add[s * q + mul[u[r] * q + v[c]]]
+            for r, c in minus:
+                s = sub[s * q + mul[u[r] * q + v[c]]]
+            if s != want:
+                return False
+        return True
+
+    return is_symplectic
+
+
+def sp_membership_flat(g: tuple[int, ...], k: int, field: FiniteField) -> bool:
     if k == 0:
         return g == ()
-    j = symplectic_form(k, field)
-    lhs = mat_mul(mat_mul(mat_transpose(g, n), j, n, field), g, n, field)
-    return lhs == j
+    return _symplectic_test(k, field)(g)
 
 
 def sp_membership(g: MatrixGF, k: int) -> bool:
@@ -307,7 +422,7 @@ def enumerate_sp(k: int, field: FiniteField, ambient: GroupTable | None = None,
         pool = ambient.elements
     else:
         pool = gl_elements(2 * k, field, max_elements=max_elements)
-    return [g for g in pool if sp_membership_flat(g, k, field)]
+    return list(filter(_symplectic_test(k, field), pool))
 
 
 def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField,

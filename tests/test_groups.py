@@ -3,10 +3,23 @@ from itertools import product
 
 import pytest
 
-from klyachko.errors import GroupTooLarge, NotInSubgroup, SizeMismatch
-from klyachko.gf import MatrixGF, field_make, mat_det, mat_identity, mat_inv, mat_mul, mat_transpose
+from klyachko import groups
+from klyachko.errors import GroupTooLarge, InvariantViolation, NotInSubgroup, SizeMismatch
+from klyachko.fqpoly import invariant_factors
+from klyachko.gf import (
+    MatrixGF,
+    field_from_q,
+    field_make,
+    mat_det,
+    mat_identity,
+    mat_inv,
+    mat_mul,
+    mat_transpose,
+)
 from klyachko.groups import (
+    ConjClass,
     KlyachkoSubgroupSpec,
+    conjugacy_classes,
     enumerate_h,
     enumerate_sp,
     gl_elements,
@@ -19,6 +32,7 @@ from klyachko.groups import (
     sp_membership,
     sp_membership_flat,
     sp_order,
+    symplectic_form,
 )
 
 
@@ -84,6 +98,76 @@ def test_classes_match_orbit_oracle(n, q, num_classes, table_store):
     assert sum(cls.size for cls in table.classes) == table.order
 
 
+def smith_key_classes(elements, n, field):
+    """Oracle: classes keyed by the invariant factors of xI - g, one
+    Smith form per element, ordered by lex-least member."""
+    keys = [invariant_factors(el, n, field) for el in elements]
+    first, sizes = {}, {}
+    for idx, key in enumerate(keys):
+        first.setdefault(key, idx)
+        sizes[key] = sizes.get(key, 0) + 1
+    key_to_class = {key: c for c, key in enumerate(first)}
+    class_of = tuple(key_to_class[key] for key in keys)
+    classes = []
+    for key, idx in first.items():
+        rep = elements[idx]
+        inv_key = invariant_factors(mat_inv(rep, n, field), n, field)
+        classes.append(ConjClass(rep, sizes[key], key, key_to_class[inv_key]))
+    return tuple(classes), class_of
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8),
+                                 (2, 9), (3, 2), (3, 3)])
+def test_orbit_classes_match_smith_key_oracle(n, q, table_store):
+    """Same class order, representatives, sizes, keys, inverse classes
+    and class_of as keying every element by its Smith form."""
+    table = table_store(n, q)
+    classes, class_of = smith_key_classes(table.elements, n, table.field)
+    assert table.classes == classes
+    assert table.class_of == class_of
+
+
+@pytest.mark.parametrize("drop", [0, 1, 2])
+def test_missing_conjugator_raises(drop, monkeypatch):
+    """Without one of the three generators the orbits are finer than the
+    classes, so two orbits share invariant factors."""
+    full = groups._conjugators
+    monkeypatch.setattr(groups, "_conjugators", lambda n, field: [
+        conj for i, conj in enumerate(full(n, field)) if i != drop])
+    field = field_make(5, 1)  # over F_3 the cycle's determinant -1 stands in for diag(w)
+    elements = gl_elements(2, field)
+    index_of = {el: i for i, el in enumerate(elements)}
+    with pytest.raises(InvariantViolation):
+        conjugacy_classes(elements, 2, field, index_of)
+
+
+def gl_class_count(n, q):
+    """Coefficient of x^n in prod_{k>=1} (1 - x^k) / (1 - q x^k), the
+    generating function of the class numbers of GL_n(F_q)."""
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):  # times (1 - x^k)
+            series[i] -= series[i - k]
+        for i in range(k, n + 1):  # divided by (1 - q x^k)
+            series[i] += q * series[i - k]
+    return series[n]
+
+
+def test_class_count_generating_function():
+    assert [gl_class_count(1, q) for q in (2, 3, 4)] == [1, 2, 3]
+    assert [gl_class_count(2, q) for q in (2, 3, 9)] == [3, 8, 80]
+    assert (gl_class_count(3, 3), gl_class_count(4, 2)) == (24, 14)
+
+
+def test_gl3_f4_classes():
+    """181 440 elements: 60 classes, as the generating function counts."""
+    table = gl_enumerate(3, field_from_q(4))
+    assert len(table.classes) == 60 == gl_class_count(3, 4)
+    assert sum(cls.size for cls in table.classes) == table.order == gl_order(3, 4)
+    assert len({cls.invariant_factors for cls in table.classes}) == 60
+    assert all(table.order % cls.size == 0 for cls in table.classes)
+
+
 def test_gl2_f2_class_sizes(table_store):
     table = table_store(2, 2)
     assert sorted(cls.size for cls in table.classes) == [1, 2, 3]
@@ -122,8 +206,6 @@ def test_inverse_class_consistent_on_all_elements(table_store):
 
 
 def test_class_key_agrees_on_every_member(table_store):
-    from klyachko.fqpoly import invariant_factors
-
     table = table_store(3, 2)
     for c, cls in enumerate(table.classes):
         for el in class_members(table, c)[:10]:
@@ -147,6 +229,61 @@ def test_sp_counts():
         assert mat_det(g, 2, f3) == 1
     f2 = field_make(2, 1)
     assert len(enumerate_sp(1, f2)) == 6  # all of GL_2(F_2)
+
+
+def two_product_sp_test(g, k, field):
+    """Oracle: t(g) J g == J by two matrix products."""
+    n = 2 * k
+    j = symplectic_form(k, field)
+    return mat_mul(mat_mul(mat_transpose(g, n), j, n, field), g, n, field) == j
+
+
+@pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (1, 4), (2, 2)])
+def test_enumerate_sp_matches_two_product_filter(k, q):
+    field = field_from_q(q)
+    oracle = [g for g in gl_elements(2 * k, field) if two_product_sp_test(g, k, field)]
+    assert enumerate_sp(k, field) == oracle
+    assert len(oracle) == sp_order(k, q)
+
+
+def random_symplectic(k, field, rng, steps=12):
+    """A product of random symplectic transvections x -> x + c w(v, x) v,
+    i.e. I + c v t(v) J with w(v, x) = t(v) J x."""
+    n, q = 2 * k, field.q
+    j = symplectic_form(k, field)
+    g = mat_identity(n)
+    for _ in range(steps):
+        v = [rng.randrange(q) for _ in range(n)]
+        c = rng.randrange(1, q)
+        vj = [0] * n  # t(v) J
+        for r in range(n):
+            for col in range(n):
+                vj[col] = field.add[vj[col] * q + field.mul[v[r] * q + j[r * n + col]]]
+        t = tuple(field.add[(1 if a == b else 0) * q + field.mul[field.mul[c * q + v[a]] * q + vj[b]]]
+                  for a in range(n) for b in range(n))
+        g = mat_mul(t, g, n, field)
+    return g
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_sp4_test_matches_two_product_filter(q):
+    """GL_4(F_3) and GL_4(F_4) are too large to filter whole, so compare
+    the predicates on random symplectic matrices and on one-entry changes
+    of them (mostly not symplectic)."""
+    rng = random.Random(q)
+    field = field_from_q(q)
+    hits = 0
+    for _ in range(300):
+        g = random_symplectic(2, field, rng)
+        assert two_product_sp_test(g, 2, field)
+        assert sp_membership_flat(g, 2, field)
+        m = list(g)
+        m[rng.randrange(16)] = rng.randrange(q)
+        m = tuple(m)
+        want = two_product_sp_test(m, 2, field)
+        assert sp_membership_flat(m, 2, field) == want
+        hits += want
+    assert hits < 300
 
 
 def test_sp_order_formula():

@@ -132,6 +132,21 @@ def test_zeta_value_against_series_oracle():
     assert abs(zeta_value(4) - math.pi**4 / 90) < 1e-8
 
 
+@pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-10, 1e-14, 1e-300])
+def test_zeta_value_within_tol_of_closed_forms(tol):
+    """zeta(2k) = (-1)^(k+1) B_2k (2 pi)^2k / (2 (2k)!), with B_2, B_4,
+    B_6 = 1/6, -1/30, 1/42; a few ulps of rounding come on top of tol."""
+    exact = {2: math.pi**2 / 6, 4: math.pi**4 / 90, 6: math.pi**6 / 945}
+    for s, want in exact.items():
+        assert abs(zeta_value(s, tol=tol) - want) <= tol + 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_zeta_value_rejects_nonpositive_tol(tol):
+    with pytest.raises(ValueError):
+        zeta_value(2, tol=tol)
+
+
 def test_period_zeta_instances():
     expr2 = period_formula(2)
     val2 = evaluate_period(expr2, zeta_assignment(expr2))
