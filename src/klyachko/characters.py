@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .arena import ModularArena
+from .arena import ModularArena, zpoly_divmod, zpoly_gcd, zpoly_powmod, zpoly_sub, zpoly_trim
 from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
 from .groups import (
     GroupTable,
@@ -125,62 +125,6 @@ def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
     return polys[n]
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[int], b: list[int], ell: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder mod ell; b is trimmed and nonzero."""
-    db = len(b) - 1
-    r = list(a)
-    quo = [0] * max(len(a) - db, 0)
-    inv_lead = pow(b[-1], ell - 2, ell)
-    for s in range(len(a) - 1 - db, -1, -1):
-        c = r[s + db] * inv_lead % ell
-        if c:
-            quo[s] = c
-            for t, bt in enumerate(b):
-                r[s + t] = (r[s + t] - c * bt) % ell
-    return _poly_trim(quo), _poly_trim(r[:db])
-
-
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], ell: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for s, x in enumerate(a):
-        if x:
-            for t, y in enumerate(b):
-                prod[s + t] += x * y
-    return _poly_divmod([c % ell for c in prod], f, ell)[1]
-
-
-def _poly_powmod(a: list[int], e: int, f: list[int], ell: int) -> list[int]:
-    out = [1]
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, a, f, ell)
-        e >>= 1
-        if e:
-            a = _poly_mulmod(a, a, f, ell)
-    return out
-
-
-def _poly_gcd(a: list[int], b: list[int], ell: int) -> list[int]:
-    """Monic gcd mod ell of two trimmed polynomials, a nonzero."""
-    while b:
-        a, b = b, _poly_divmod(a, b, ell)[1]
-    inv_lead = pow(a[-1], ell - 2, ell)
-    return [c * inv_lead % ell for c in a]
-
-
-def _poly_sub(a: list[int], b: list[int], ell: int) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for s, c in enumerate(b):
-        out[s] = (out[s] - c) % ell
-    return _poly_trim(out)
-
-
 def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
     """The distinct roots in Z/ell of a nonzero polynomial (ascending
     coefficients), in ascending order.
@@ -189,11 +133,11 @@ def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
     splits it with gcd(g, (x + a)^((ell - 1)/2) - 1) for a = 0, 1, 2, ...
     (ell is an odd prime).
     """
-    f = _poly_trim([c % ell for c in coeffs])
+    f = zpoly_trim([c % ell for c in coeffs])
     if len(f) < 2:
         return []
     roots: list[int] = []
-    pending = [_poly_gcd(f, _poly_sub(_poly_powmod([0, 1], ell, f, ell), [0, 1], ell), ell)]
+    pending = [zpoly_gcd(f, zpoly_sub(zpoly_powmod([0, 1], ell, f, ell), [0, 1], ell), ell)]
     half = (ell - 1) // 2
     while pending:
         g = pending.pop()
@@ -203,9 +147,9 @@ def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
         if len(g) < 2:
             continue
         for a in range(ell):
-            h = _poly_gcd(g, _poly_sub(_poly_powmod([a, 1], half, g, ell), [1], ell), ell)
+            h = zpoly_gcd(g, zpoly_sub(zpoly_powmod([a, 1], half, g, ell), [1], ell), ell)
             if 1 < len(h) < len(g):
-                pending += [h, _poly_divmod(g, h, ell)[0]]  # both monic
+                pending += [h, zpoly_divmod(g, h, ell)[0]]  # both monic
                 break
         else:
             raise InvariantViolation(f"no shift separates the roots of a degree {len(g) - 1} factor")

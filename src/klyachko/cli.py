@@ -23,12 +23,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__
 from .arena import build_arena
 from .characters import character_table
-from .config import DEFAULT_MAX_ELEMENTS, cache_dir_from_env, max_elements_from_env
 from .errors import (
     ArenaTooSmall,
     DegreeMismatch,
@@ -39,6 +39,7 @@ from .errors import (
     UsageError,
 )
 from .gelfand import load_or_compute_table, verify_gelfand
+from .groups import DEFAULT_MAX_ELEMENTS
 from .paramparse import parse_parameter
 from .periods import (
     evaluate_period,
@@ -57,6 +58,9 @@ EXIT_REFUSED = 2
 EXIT_INVARIANT = 3
 EXIT_PARSE = 4
 EXIT_DEGREE = 5
+
+ENV_CACHE_DIR = "KLYACHKO_CACHE_DIR"
+ENV_MAX_ELEMENTS = "KLYACHKO_MAX_ELEMENTS"
 
 
 def _meta() -> dict:
@@ -87,11 +91,21 @@ def _add_group_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true")
 
 
+def _max_elements_from_env() -> int:
+    raw = os.environ.get(ENV_MAX_ELEMENTS)
+    if raw is None:
+        return DEFAULT_MAX_ELEMENTS
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{ENV_MAX_ELEMENTS} must be an integer, got {raw!r}") from None
+
+
 def _resolve_group_options(args) -> dict:
     max_elements = args.max_elements
     if max_elements is None:
-        max_elements = max_elements_from_env()
-    cache_dir = None if args.no_cache else (args.cache_dir or cache_dir_from_env())
+        max_elements = _max_elements_from_env()
+    cache_dir = None if args.no_cache else (args.cache_dir or os.environ.get(ENV_CACHE_DIR))
     return {"max_elements": max_elements, "cache_dir": cache_dir}
 
 

@@ -85,20 +85,6 @@ def poly_monic(a: Poly, field: FiniteField) -> Poly:
     return poly_scale(a, field.inv[a[-1]], field)
 
 
-def poly_gcd(a: Poly, b: Poly, field: FiniteField) -> Poly:
-    while b:
-        _, r = poly_divmod(a, b, field)
-        a, b = b, r
-    return poly_monic(a, field)
-
-
-def poly_divides(a: Poly, b: Poly, field: FiniteField) -> bool:
-    """True iff a | b (with 0 | 0)."""
-    if not a:
-        return not b
-    return not poly_divmod(b, a, field)[1]
-
-
 def char_matrix(g: tuple[int, ...], n: int, field: FiniteField) -> list[list[Poly]]:
     """xI - g as an n x n matrix of polynomials."""
     neg = field.neg

@@ -25,10 +25,16 @@ from pathlib import Path
 from . import __version__
 from .arena import ModularArena, build_arena
 from .characters import ClassFunction, character_table, induced_klyachko_character, multiplicity
-from .config import DEFAULT_MAX_ELEMENTS
 from .errors import CacheError, InvariantViolation
 from .gf import field_from_q
-from .groups import GroupTable, KlyachkoSubgroupSpec, check_group_cap, gl_enumerate, h_order
+from .groups import (
+    DEFAULT_MAX_ELEMENTS,
+    GroupTable,
+    KlyachkoSubgroupSpec,
+    check_group_cap,
+    gl_enumerate,
+    h_order,
+)
 from .tablecache import cache_path, load_table, save_table
 
 

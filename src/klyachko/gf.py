@@ -1,11 +1,12 @@
-"""Arithmetic in small finite fields F_q, q = p^e <= 16 by default.
+"""Arithmetic in the small finite fields F_q, q = p^e <= MAX_Q = 16.
 
 Field elements are encoded as integers in [0, q): the element
 sum_i c_i * t^i (c_i in F_p, t the residue of x mod the modulus) has
-code sum_i c_i * p^i.  For e = 1 the modulus is x itself and codes are
-plain residues mod p.  For e > 1 the modulus is the irreducible monic
-polynomial of degree e with the least integer code, so element codes
-are reproducible across runs.
+code sum_i c_i * p^i.  The modulus is the irreducible monic polynomial
+of degree e over F_p with the least integer code (x itself for e = 1,
+where codes are plain residues mod p), so element codes are
+reproducible across runs.  Irreducibility is Ben-Or's test and products
+are reduced by the modulus with the prime-field polynomials of arena.
 
 Full q x q addition and multiplication tables are precomputed; all
 group-theoretic hot loops index into them directly.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .config import DEFAULT_MAX_Q
+from .arena import is_prime, prime_factors, zpoly_is_irreducible, zpoly_mulmod
 from .errors import (
     FieldTooLarge,
     InvariantViolation,
@@ -24,73 +25,22 @@ from .errors import (
     SizeMismatch,
 )
 
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+MAX_Q = 16  # desk-scale cap on the field size
 
 
-def _poly_from_code(code: int, p: int) -> tuple[int, ...]:
+def _poly_from_code(code: int, p: int) -> list[int]:
     coeffs = []
     while code:
         coeffs.append(code % p)
         code //= p
-    return tuple(coeffs)
-
-
-def _poly_mod_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # b monic
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - db
-            for i, cb in enumerate(b):
-                a[shift + i] = (a[shift + i] - lead * cb) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Exhaustive divisor check for a monic poly over F_p."""
-    e = len(poly) - 1
-    if e <= 0:
-        return False
-    for deg in range(1, e // 2 + 1):
-        for code in range(p**deg, 2 * p**deg):  # monic of degree deg
-            cand = _poly_from_code(code, p)
-            if len(cand) != deg + 1:
-                continue
-            if not _poly_rem(list(poly), cand, p):
-                return False
-    return True
+    return coeffs
 
 
 def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
-    for code in range(p**e, 2 * p**e):
+    for code in range(p**e, 2 * p**e):  # the monic polynomials of degree e
         poly = _poly_from_code(code, p)
-        if len(poly) == e + 1 and _is_irreducible(poly, p):
-            return poly
+        if zpoly_is_irreducible(poly, p):
+            return tuple(poly)
     raise NoIrreduciblePolynomial(f"no irreducible monic of degree {e} over F_{p}")
 
 
@@ -101,26 +51,24 @@ class FiniteField:
     a*q + b; `neg` and `inv` are length-q lists (inv[0] is unused).
     """
 
-    def __init__(self, p: int, e: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise NonPrimeP(f"p = {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
         q = p**e
-        if q > max_q:
-            raise FieldTooLarge(f"q = {q} exceeds cap {max_q}")
+        if q > MAX_Q:
+            raise FieldTooLarge(f"q = {q} exceeds cap {MAX_Q}")
         self.p = p
         self.e = e
         self.q = q
-        if e == 1:
-            self.modulus: tuple[int, ...] = (0, 1)  # x
-        else:
-            self.modulus = _least_irreducible(p, e)
+        self.modulus = _least_irreducible(p, e)
         self._build_tables()
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
         polys = [_poly_from_code(c, p) for c in range(q)]
+        modulus = list(self.modulus)
         add = [0] * (q * q)
         mul = [0] * (q * q)
         for a in range(q):
@@ -132,8 +80,7 @@ class FiniteField:
                         for i in range(e)
                     )
                 )
-                prod = _poly_mod_mul(polys[a], polys[b], p)
-                mul[a * q + b] = self._code(_poly_rem(list(prod), self.modulus, p))
+                mul[a * q + b] = self._code(zpoly_mulmod(polys[a], polys[b], modulus, p))
         self.add = add
         self.mul = mul
         neg = [0] * q
@@ -200,26 +147,25 @@ class FiniteField:
 
 
 @lru_cache(maxsize=None)
-def field_make(p: int, e: int, max_q: int = DEFAULT_MAX_Q) -> FiniteField:
+def field_make(p: int, e: int) -> FiniteField:
     """Construct (and memoize) F_{p^e} with the canonical modulus."""
-    return FiniteField(p, e, max_q=max_q)
+    return FiniteField(p, e)
 
 
-def field_from_q(q: int, max_q: int = DEFAULT_MAX_Q) -> FiniteField:
-    """Resolve a prime power q to its field; rejects non prime powers."""
+def field_from_q(q: int) -> FiniteField:
+    """Resolve a prime power q to its field; rejects non prime powers.
+    The cap is checked first, so a large q is never factored."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    p = 2
-    while q % p:
-        p += 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    if q > MAX_Q:
+        raise FieldTooLarge(f"q = {q} exceeds cap {MAX_Q}")
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    return field_make(p, e, max_q=max_q)
+    p, e = factors[0], 1
+    while p**e < q:
+        e += 1
+    return field_make(p, e)
 
 
 # -- matrices ----------------------------------------------------------
@@ -309,12 +255,6 @@ class MatrixGF:
         self.n = n
         self.entries = entries
 
-    @classmethod
-    def from_rows(cls, field: FiniteField, rows) -> "MatrixGF":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        return cls(field, n, tuple(c for r in rows for c in r))
-
     def rows(self) -> list[list[int]]:
         n = self.n
         return [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
@@ -332,9 +272,6 @@ class MatrixGF:
 
     def inverse(self) -> "MatrixGF":
         return MatrixGF(self.field, self.n, mat_inv(self.entries, self.n, self.field))
-
-    def is_invertible(self) -> bool:
-        return self.det() != 0
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -27,10 +27,12 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from operator import itemgetter
 
-from .config import DEFAULT_MAX_ELEMENTS
-from .errors import GroupTooLarge, InvariantViolation, NotInSubgroup, SizeMismatch
+from .arena import prime_factors
+from .errors import GroupTooLarge, InvariantViolation, NotInSubgroup, SizeMismatch, UsageError
 from .fqpoly import Poly, invariant_factors
 from .gf import FiniteField, MatrixGF, mat_identity, mat_inv, mat_mul
+
+DEFAULT_MAX_ELEMENTS = 10**7  # enumeration cap on |G| and |H|
 
 
 def gl_order(n: int, q: int) -> int:
@@ -120,10 +122,17 @@ class GroupTable:
 
 
 def check_group_cap(n: int, q: int, max_elements: int) -> int:
-    """|GL_n(F_q)|, or GroupTooLarge if it exceeds the element cap."""
-    order = gl_order(n, q)
-    if order > max_elements:
-        raise GroupTooLarge(f"|GL_{n}(F_{q})| = {order} exceeds cap {max_elements}")
+    """|GL_n(F_q)|, or GroupTooLarge if it exceeds the element cap; UsageError
+    for n < 1.  The product q^i (q^(i+1) - 1) over i < n stops as soon as
+    it passes the cap, so a huge n costs nothing."""
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n}")
+    order, qi = 1, 1
+    for _ in range(n):
+        order *= qi * (qi * q - 1)
+        qi *= q
+        if order > max_elements:
+            raise GroupTooLarge(f"|GL_{n}(F_{q})| >= {order} exceeds cap {max_elements}")
     return order
 
 
@@ -168,14 +177,12 @@ def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELE
 
 
 def _primitive_element(field: FiniteField) -> int:
-    """The least code generating the multiplicative group F_q^*."""
-    q, mul = field.q, field.mul
+    """The least code generating the multiplicative group F_q^*: the
+    least w with w^((q-1)/r) != 1 for each prime r dividing q - 1."""
+    q = field.q
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
     for w in range(1, q):
-        acc, order = w, 1
-        while acc != 1:
-            acc = mul[acc * q + w]
-            order += 1
-        if order == q - 1:
+        if all(field.pow(w, c) != 1 for c in cofactors):
             return w
     raise InvariantViolation(f"F_{q}^* has no generator")
 

@@ -53,10 +53,6 @@ class CuspidalLabel:
         flipped = self.dual if self.self_dual else not self.dual
         return replace(self, shift=-self.shift, dual=flipped)
 
-    def line_key(self) -> tuple:
-        """Segments compare along the same cuspidal line only."""
-        return (self.name, self.dual, self.degree)
-
     def __str__(self) -> str:
         base = self.name + ("~" if self.dual else "")
         if self.shift:
@@ -190,7 +186,3 @@ def admissible_order(a: Multisegment) -> list[Segment]:
             if segment_precedes(earlier, later):
                 raise InvariantViolation("sort failed the non-precedence check")
     return ordered
-
-
-def derivative_multisegment(a: Multisegment) -> Multisegment:
-    return a.derivative()

@@ -86,14 +86,6 @@ class SpehBlock:
         return f"U({name}:{self.rho.degree},{self.d},{self.t})@{self.alpha}"
 
 
-def speh_multisegment(block: SpehBlock) -> Multisegment:
-    return block.multisegment()
-
-
-def speh_highest_derivative(block: SpehBlock) -> SpehBlock:
-    return block.highest_derivative()
-
-
 def product_highest_derivative(blocks: list[SpehBlock]) -> tuple[int, list[SpehBlock]]:
     """One highest-derivative step of a product of Speh blocks.
 
@@ -198,10 +190,6 @@ class TadicParameter:
 
     def __str__(self) -> str:
         return " x ".join(str(e) for e in self.entries)
-
-
-def contragredient(param: TadicParameter) -> TadicParameter:
-    return param.contragredient()
 
 
 def kappa(param: TadicParameter) -> KlyachkoType:

@@ -182,16 +182,13 @@ def residue_survival(t: int) -> SurvivalReport:
     if t < 3 or t % 2 == 0:
         raise UnsupportedComposition(f"t must be odd and >= 3, got t = {t}")
     m = (t - 1) // 2
-    lam = lambda_vec(t)
+    lam2 = tuple(t - 1 - 2 * j for j in range(t))  # 2 Lambda_t, in integers: a step of 1 is 2
     inner = interior_indices((1, t - 1))
     terms = []
     for i, w in enumerate(coset_reps(t), start=1):
-        moved = w.apply(lam)
-        bookkeeping = set()
+        moved = w.apply(lam2)
         w_inv = w.inverse()
-        for j in inner:
-            if moved[j - 1] - moved[j] == 1:
-                bookkeeping.add(w_inv(j))
+        bookkeeping = {w_inv(j) for j in inner if moved[j - 1] - moved[j] == 2}
         descents = descent_set(w)
         terms.append(
             SurvivalTerm(

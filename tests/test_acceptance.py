@@ -21,10 +21,7 @@ from klyachko.speh import (
     ParamBlock,
     SpehBlock,
     TadicParameter,
-    contragredient,
     kappa,
-    speh_highest_derivative,
-    speh_multisegment,
 )
 from klyachko.segments import Multisegment
 from klyachko.weyl import mu_q, residue_survival
@@ -90,9 +87,9 @@ def test_criterion_4_derivative_coherence():
             rng.randrange(1, 7),
             rng.choice(alphas),
         )
-        stepped = speh_highest_derivative(block)
-        lhs = speh_multisegment(block).derivative()
-        rhs = Multisegment() if stepped.is_empty else speh_multisegment(stepped)
+        stepped = block.highest_derivative()
+        lhs = block.multisegment().derivative()
+        rhs = Multisegment() if stepped.is_empty else stepped.multisegment()
         assert lhs == rhs
     elapsed = time.monotonic() - start
     assert elapsed <= 1.0, f"took {elapsed:.2f}s, budget 1s"
@@ -119,7 +116,7 @@ def test_criterion_5_kappa_consistency():
                               Fraction(rng.randrange(-2, 3), 4))
             entries.append(ParamBlock(block, paired=rng.random() < 0.4))
         param = TadicParameter(entries)
-        assert kappa(contragredient(param)) == kappa(param)
+        assert kappa(param.contragredient()) == kappa(param)
     print("criterion 5: PASS - closed form exhaustive (r<=6, d<=4, t<=9) "
           "and kappa o contragredient = kappa on 1000 parameters")
 

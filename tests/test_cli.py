@@ -88,6 +88,15 @@ def test_bad_max_elements_env_is_bad_usage(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("n,q", [("0", "2"), ("-1", "2"), ("100000", "2"), ("2", "2147483647")])
+def test_bad_group_parameters_refused_at_once(capsys, n, q):
+    # bad input, not an engine bug; the last two must be refused before the
+    # group order is multiplied out and before q is factored
+    code, out, err = run(capsys, "verify-gelfand", "--n", n, "--q", q, "--no-cache")
+    assert code == 2
+    assert err.startswith("refused:") and out == ""
+
+
 def test_bad_ell_override_is_refused(capsys):
     code, _, err = run(capsys, "verify-gelfand", "--n", "2", "--q", "2",
                        "--ell", "7", "--no-cache")

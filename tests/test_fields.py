@@ -1,14 +1,96 @@
+import itertools
+
 import pytest
 
+from klyachko.arena import is_prime, zpoly_is_irreducible
 from klyachko.errors import FieldTooLarge, NonPrimeP
-from klyachko.gf import FiniteField, field_from_q, field_make, is_prime
+from klyachko.gf import FiniteField, field_from_q, field_make
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def trial_division_prime(n):
+    """Oracle for is_prime."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def poly_from_code(code, p):
+    coeffs = []
+    while code:
+        coeffs.append(code % p)
+        code //= p
+    return tuple(coeffs)
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_rem(a, b, p):
+    """a mod b over F_p, b monic."""
+    a = list(a)
+    db = len(b) - 1
+    while len(a) - 1 >= db and a:
+        lead = a[-1]
+        if lead:
+            shift = len(a) - 1 - db
+            for i, cb in enumerate(b):
+                a[shift + i] = (a[shift + i] - lead * cb) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def divisor_irreducible(poly, p):
+    """Oracle for Ben-Or's test: no monic divisor of degree 1..deg/2."""
+    e = len(poly) - 1
+    for deg in range(1, e // 2 + 1):
+        for code in range(p**deg, 2 * p**deg):  # monic of degree deg
+            if not poly_rem(poly, poly_from_code(code, p), p):
+                return False
+    return True
+
+
+def oracle_field(q):
+    """(modulus, add, sub, mul, neg, inv) of F_q built by exhaustive
+    divisor search for the least monic irreducible and by schoolbook
+    products reduced by it."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = len(poly_from_code(q, p)) - 1
+    modulus = next(poly_from_code(c, p) for c in range(p**e, 2 * p**e)
+                   if divisor_irreducible(poly_from_code(c, p), p))
+
+    def code(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    polys = [poly_from_code(c, p) for c in range(q)]
+    add = [code([(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+           for a in polys for b in polys]
+    mul = [code(poly_rem(poly_mul(a, b, p), modulus, p)) for a in polys for b in polys]
+    neg = [add[a * q:(a + 1) * q].index(0) for a in range(q)]
+    inv = [0] + [mul[a * q:(a + 1) * q].index(1) for a in range(1, q)]
+    sub = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
+    return modulus, add, sub, mul, neg, inv
 
 
 def brute_force_irreducible(coeffs, p):
     """Oracle: monic poly (ascending coeffs) has no monic divisor of
     degree 1..deg-1, checked by trial multiplication of all pairs."""
     deg = len(coeffs) - 1
-    import itertools
 
     def polys_of_degree(d):
         for tail in itertools.product(range(p), repeat=d):
@@ -104,8 +186,6 @@ def test_rejects_oversized_field():
         FiniteField(17, 1)
     with pytest.raises(FieldTooLarge):
         FiniteField(2, 5)
-    # explicit cap raise is honoured
-    assert FiniteField(2, 5, max_q=32).q == 32
 
 
 def test_field_from_q():
@@ -115,5 +195,32 @@ def test_field_from_q():
         field_from_q(12)
 
 
+def test_field_from_q_checks_cap_before_factoring():
+    # 2^31 - 1 is prime: finding p by trial division would take 2^31 steps
+    for q in (17, 18, 2**31 - 1, 10**30):
+        with pytest.raises(FieldTooLarge):
+            field_from_q(q)
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 4), (3, 4), (5, 2), (7, 2), (11, 2), (13, 2)])
+def test_ben_or_matches_divisor_oracle(p, max_deg):
+    for deg in range(1, max_deg + 1):
+        for code in range(p**deg, 2 * p**deg):
+            poly = poly_from_code(code, p)
+            assert zpoly_is_irreducible(list(poly), p) == divisor_irreducible(poly, p), poly
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_tables_match_oracle_construction(q):
+    f = field_from_q(q)
+    assert (f.modulus, f.add, f.sub, f.mul, f.neg, f.inv) == oracle_field(q)
+
+
 def test_is_prime_small():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if trial_division_prime(n)
+    ]

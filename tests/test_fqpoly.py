@@ -3,9 +3,7 @@ import random
 from klyachko.fqpoly import (
     char_matrix,
     invariant_factors,
-    poly_divides,
     poly_divmod,
-    poly_gcd,
     poly_monic,
     poly_mul,
     poly_sub,
@@ -32,14 +30,18 @@ def test_divmod_roundtrip_random():
 
 
 def test_gcd_divides_both():
+    """The last nonzero remainder of Euclid's chain divides both inputs."""
     rng = random.Random(11)
     field = field_make(3, 1)
     for _ in range(100):
         a = random_poly(rng, field, 4)
         b = random_poly(rng, field, 4)
-        g = poly_gcd(a, b, field)
-        assert poly_divides(g, a, field)
-        assert poly_divides(g, b, field)
+        g, r = a, b
+        while r:
+            g, r = r, poly_divmod(g, r, field)[1]
+        g = poly_monic(g, field)
+        assert poly_divmod(a, g, field)[1] == ()
+        assert poly_divmod(b, g, field)[1] == ()
 
 
 def test_invariant_factors_scalar_matrix():
@@ -91,7 +93,7 @@ def test_smith_diagonal_divisibility_and_charpoly():
         diag = smith_diagonal(char_matrix(g, n, field), field)
         assert sum(len(d) - 1 for d in diag) == n
         for a, b in zip(diag, diag[1:]):
-            assert poly_divides(a, b, field)
+            assert poly_divmod(b, a, field)[1] == ()
         prod = (1,)
         for d in diag:
             prod = poly_mul(prod, d, field)

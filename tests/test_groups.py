@@ -4,7 +4,13 @@ from itertools import product
 import pytest
 
 from klyachko import groups
-from klyachko.errors import GroupTooLarge, InvariantViolation, NotInSubgroup, SizeMismatch
+from klyachko.errors import (
+    GroupTooLarge,
+    InvariantViolation,
+    NotInSubgroup,
+    SizeMismatch,
+    UsageError,
+)
 from klyachko.fqpoly import invariant_factors
 from klyachko.gf import (
     MatrixGF,
@@ -66,6 +72,29 @@ def test_group_too_large_refused():
     field = field_make(2, 1)
     with pytest.raises(GroupTooLarge):
         gl_enumerate(4, field, max_elements=1000)
+
+
+def test_group_cap_refuses_huge_n_and_bad_n():
+    # the full order of GL_100000(F_2) has about 3 * 10^9 digits
+    with pytest.raises(GroupTooLarge):
+        groups.check_group_cap(100000, 2, 10**7)
+    for n in (0, -1):
+        with pytest.raises(UsageError):
+            groups.check_group_cap(n, 2, 10**7)
+    assert [groups.check_group_cap(n, 3, 10**7) for n in (1, 2, 3)] == [2, 48, 11232]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_primitive_element_is_least_of_full_order(q):
+    field = field_from_q(q)
+
+    def order(w):
+        acc, k = w, 1
+        while acc != 1:
+            acc, k = field.mul[acc * q + w], k + 1
+        return k
+
+    assert groups._primitive_element(field) == min(w for w in range(1, q) if order(w) == q - 1)
 
 
 def class_members(table, c):

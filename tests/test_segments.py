@@ -8,7 +8,6 @@ from klyachko.segments import (
     Multisegment,
     Segment,
     admissible_order,
-    derivative_multisegment,
     segment_precedes,
 )
 
@@ -100,16 +99,16 @@ def test_admissible_order_property_random():
 
 
 def test_derivative_shortens_right_end():
-    assert derivative_multisegment(Multisegment([seg(0, 2)])) == Multisegment([seg(0, 1)])
+    assert Multisegment([seg(0, 2)]).derivative() == Multisegment([seg(0, 1)])
 
 
 def test_derivative_deletes_singletons():
-    assert derivative_multisegment(Multisegment([seg(0, 0)])) == Multisegment()
+    assert Multisegment([seg(0, 0)]).derivative() == Multisegment()
 
 
 def test_derivative_degree_drop():
     ms = Multisegment([seg(0, 2), seg(1, 3), seg(5, 5)])
-    assert ms.degree - derivative_multisegment(ms).degree == 3
+    assert ms.degree - ms.derivative().degree == 3
 
 
 def test_multiset_semantics():

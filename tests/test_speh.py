@@ -10,12 +10,9 @@ from klyachko.speh import (
     ParamBlock,
     SpehBlock,
     TadicParameter,
-    contragredient,
     dual_model_type,
     kappa,
     product_highest_derivative,
-    speh_highest_derivative,
-    speh_multisegment,
     validate_unitary,
 )
 
@@ -24,7 +21,7 @@ RHO = CuspidalLabel("rho")
 
 def test_speh_single_point():
     block = SpehBlock(RHO, 1, 1)
-    assert speh_multisegment(block) == Multisegment([Segment(RHO, 0, 0)])
+    assert block.multisegment() == Multisegment([Segment(RHO, 0, 0)])
 
 
 def test_speh_d2_t2():
@@ -32,13 +29,13 @@ def test_speh_d2_t2():
     expected = Multisegment(
         [Segment(RHO, -1, 0), Segment(RHO, 0, 1)]
     )
-    assert speh_multisegment(block) == expected
+    assert block.multisegment() == expected
 
 
 def test_speh_twisted_strip():
     block = SpehBlock(RHO, 1, 3, Fraction(1, 4))
     expected = Multisegment([Segment(RHO, Fraction(-3, 4), Fraction(5, 4))])
-    got = speh_multisegment(block)
+    got = block.multisegment()
     assert got == expected
     assert got.degree == 3 * RHO.degree
 
@@ -48,29 +45,29 @@ def test_speh_block_degree():
     block = SpehBlock(tau, 3, 4)
     assert block.delta_degree == 6
     assert block.degree == 24
-    assert speh_multisegment(block).degree == 24
+    assert block.multisegment().degree == 24
 
 
 def test_empty_block_errors():
     empty = SpehBlock(RHO, 1, 0)
     with pytest.raises(EmptyBlock):
-        speh_multisegment(empty)
+        empty.multisegment()
     with pytest.raises(EmptyBlock):
-        speh_highest_derivative(empty)
+        empty.highest_derivative()
 
 
 def test_highest_derivative_step():
-    assert speh_highest_derivative(SpehBlock(RHO, 1, 4)) == SpehBlock(
+    assert SpehBlock(RHO, 1, 4).highest_derivative() == SpehBlock(
         RHO, 1, 3, Fraction(-1, 2)
     )
-    stepped = speh_highest_derivative(SpehBlock(RHO, 1, 1))
+    stepped = SpehBlock(RHO, 1, 1).highest_derivative()
     assert stepped.is_empty and stepped.alpha == Fraction(-1, 2)
 
 
 def test_derivative_degree_drop():
     tau = CuspidalLabel("tau", 3)
     block = SpehBlock(tau, 2, 5)
-    assert block.degree - speh_highest_derivative(block).degree == block.delta_degree == 6
+    assert block.degree - block.highest_derivative().degree == block.delta_degree == 6
 
 
 def test_derivative_coherence_random():
@@ -85,9 +82,9 @@ def test_derivative_coherence_random():
             rng.randrange(1, 7),
             rng.choice(alphas),
         )
-        stepped = speh_highest_derivative(block)
-        lhs = speh_multisegment(block).derivative()
-        rhs = Multisegment() if stepped.is_empty else speh_multisegment(stepped)
+        stepped = block.highest_derivative()
+        lhs = block.multisegment().derivative()
+        rhs = Multisegment() if stepped.is_empty else stepped.multisegment()
         assert lhs == rhs
 
 
@@ -195,8 +192,8 @@ def test_contragredient_involution_and_kappa_invariance():
                               Fraction(rng.randrange(-2, 3), 4))
             entries.append(ParamBlock(block, paired=rng.random() < 0.4))
         param = TadicParameter(entries)
-        dual = contragredient(param)
-        assert contragredient(dual) == param
+        dual = param.contragredient()
+        assert dual.contragredient() == param
         assert kappa(dual) == kappa(param)
         assert dual.n == param.n
 
@@ -204,12 +201,12 @@ def test_contragredient_involution_and_kappa_invariance():
 def test_contragredient_fixes_self_dual_plain_block():
     rho_sd = CuspidalLabel("rho", self_dual=True)
     param = TadicParameter([plain(rho_sd, 2, 3)])
-    assert contragredient(param) == param
+    assert param.contragredient() == param
 
 
 def test_contragredient_preserves_pair_representative():
     param = TadicParameter([paired(CuspidalLabel("rho", self_dual=True), 1, 2, Fraction(1, 4))])
-    dual = contragredient(param)
+    dual = param.contragredient()
     assert dual == param  # pair swap absorbed into the positive representative
 
 
