@@ -5,16 +5,26 @@ The central characters omega(K_j) = |C_j| chi(g_j) / chi(1) are the
 common eigenvectors of the class matrices M_i, whose entries
 (M_i)_{jk} = a_{ij}^k are the structure constants of
 K_i K_j = sum_k a_{ij}^k K_k.  The split starts from the whole space
-and takes the non-identity classes in ascending (size, index) order.
-Each class splits every space that is not yet a line: only the rows of
-M_i at the space's pivot columns are computed, |C_i| products each,
-the d x d restriction of M_i to the space is diagonalised, and the
-kernel of each eigenvalue becomes a new space.  When every space is a
-line its vector is a central character.  Eigenvalues are the roots of
-the characteristic polynomial, found as gcd(x^ell - x, chi) and
-separated by Cantor-Zassenhaus equal-degree splitting with the shifts
-0, 1, 2, ...; nothing is random.  All linear algebra is over Z/ell, so
-every identity below is checked exactly, never to a tolerance.
+and visits the non-identity classes rational classes first: the first
+class in ascending (size, index) order of each rational class (the
+classes of g^a, a prime to the order of g), then the other classes in
+the same order.  Over the complex numbers a class of a rational class
+already visited separates no characters that the visited one leaves
+together, because chi(g^a)/chi(1) is a Galois conjugate of
+chi(g)/chi(1); modulo ell that need not hold, so the class stays in
+the queue.  Each class splits every space that is not yet a line: only
+the rows of M_i at the space's pivot columns are computed, |C_i|
+products each, the d x d restriction of M_i to the space is
+diagonalised, and the kernel of each eigenvalue becomes a new space.
+A product x g_j is read row by row from a table of v g_j for all q^n
+row vectors v, built by linearity from the field tables, with the rows
+of x coded as base-q integers; then one index_of lookup gives its
+class.  When every space is a line its vector is a central character.
+Eigenvalues are the roots of the characteristic polynomial, found as
+gcd(x^ell - x, chi) and separated by Cantor-Zassenhaus equal-degree
+splitting with the shifts 0, 1, 2, ...; nothing is random.  All linear
+algebra is over Z/ell, so every identity below is checked exactly,
+never to a tolerance.
 
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
@@ -27,8 +37,11 @@ of G.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from operator import mul
+from functools import partial, reduce
+from itertools import chain, compress, product
+from operator import add, itemgetter, mul
 
 from .arena import ModularArena, zpoly_divmod, zpoly_gcd, zpoly_powmod, zpoly_sub, zpoly_trim
 from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
@@ -38,7 +51,7 @@ from .groups import (
     enumerate_h,
     psi_r_trace_flat,
 )
-from .gf import mat_mul
+from .gf import FiniteField, mat_mul
 
 
 @dataclass(frozen=True)
@@ -53,31 +66,55 @@ class ClassFunction:
         return self.arena.lift_bounded(v, 0, self.arena.group_order, "dimension")
 
 
+def _row_images(g: tuple[int, ...], n: int, field: FiniteField) -> list[tuple[int, ...]]:
+    """v g for every row vector v, indexed by the base-q code of v (first
+    entry most significant), each image as a tuple of entry codes.
+
+    Built by linearity, one column at a time: entry c of v g is the sum of
+    v_k g_kc, each step appending a digit v_k through the field's add table.
+    """
+    q = field.q
+    add_rows = [field.add[a * q:(a + 1) * q] for a in range(q)]
+    # times_b(row a of the add table) = (a + s b for s = 0, ..., q - 1)
+    times = [itemgetter(*field.mul[b::q]) for b in range(q)]
+    columns = []
+    for c in range(n):
+        col = [0]
+        for k in range(n):
+            col = list(chain.from_iterable(map(times[g[k * n + c]], map(add_rows.__getitem__, col))))
+        columns.append(col)
+    return list(zip(*columns))
+
+
 def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int]) -> list[list[int]]:
     """Rows j in `rows` of the class matrix M_i, a slice of the tensor
     a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps.
 
     Conjugating y to g_j gives a[i][j][k] = |C_j| * #{x in C_i : x g_j in C_k} / |C_k|,
-    so a row costs |C_i| products and no inverses.
+    so a row costs |C_i| products and no inverses.  Row r of x g_j is
+    (row r of x) g_j, so each member's rows are coded once as base-q
+    integers and a product is n lookups in the row images of g_j.
     """
     classes = table.classes
     n, field = table.n, table.field
     class_of, index_of = table.class_of, table.index_of
-    members = [el for el, c in zip(table.elements, class_of) if c == i]
+    members = list(compress(table.elements, map(i.__eq__, class_of)))
+    code_of = {row: c for c, row in enumerate(product(range(field.q), repeat=n))}
+    row_codes = [list(map(code_of.__getitem__, map(itemgetter(slice(r * n, (r + 1) * n)), members)))
+                 for r in range(n)]
     out = []
     for j in rows:
         gj, size_j = classes[j].representative, classes[j].size
-        counts = [0] * len(classes)
-        for x in members:
-            counts[class_of[index_of[mat_mul(x, gj, n, field)]]] += 1
-        row = []
-        for k, cnt in enumerate(counts):
-            a, rem = divmod(size_j * cnt, classes[k].size)
+        image = _row_images(gj, n, field).__getitem__
+        products = reduce(partial(map, add), [map(image, codes) for codes in row_codes])
+        counts = Counter(map(class_of.__getitem__, map(index_of.__getitem__, products)))
+        row = [0] * len(classes)
+        for k, cnt in counts.items():
+            row[k], rem = divmod(size_j * cnt, classes[k].size)
             if rem:
                 raise InvariantViolation(
                     f"|C_{j}| * {cnt} is not divisible by |C_{k}| = {classes[k].size} (class {i})"
                 )
-            row.append(a)
         out.append(row)
     return out
 
@@ -224,6 +261,33 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     return parts
 
 
+def _rational_class(table: GroupTable, c: int) -> set[int]:
+    """The classes of g^a for every a prime to the order of g, the
+    representative of class c."""
+    g, ident = table.classes[c].representative, table.identity()
+    powers = [g]
+    while powers[-1] != ident:
+        powers.append(mat_mul(powers[-1], g, table.n, table.field))
+    order = len(powers)
+    return {table.class_index(x) for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
+
+
+def _visit_order(table: GroupTable):
+    """The non-identity classes: one per rational class, then the rest,
+    each group in ascending (size, index) order."""
+    classes, e_idx = table.classes, table.identity_class()
+    seen: set[int] = set()
+    rest = []
+    for c in sorted((c for c in range(len(classes)) if c != e_idx),
+                    key=lambda c: (classes[c].size, c)):
+        if c in seen:
+            rest.append(c)
+        else:
+            seen |= _rational_class(table, c)
+            yield c
+    yield from rest
+
+
 def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunction]:
     """All irreducible characters, sorted by (dimension, values)."""
     _check_arena(table, arena)
@@ -233,8 +297,7 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     e_idx = table.identity_class()
     # invariant spaces as (RREF basis, pivot columns), from the whole space
     spaces = [([[int(r == c) for c in range(n_cls)] for r in range(n_cls)], list(range(n_cls)))]
-    visit = iter(sorted((c for c in range(n_cls) if c != e_idx),
-                        key=lambda c: (classes[c].size, c)))
+    visit = _visit_order(table)
     while any(len(basis) > 1 for basis, _ in spaces):
         i = next(visit, None)
         if i is None:

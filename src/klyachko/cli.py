@@ -39,6 +39,7 @@ from .errors import (
     UsageError,
 )
 from .gelfand import load_or_compute_table, verify_gelfand
+from .gf import field_from_q
 from .groups import DEFAULT_MAX_ELEMENTS
 from .paramparse import parse_parameter
 from .periods import (
@@ -96,15 +97,26 @@ def _max_elements_from_env() -> int:
     if raw is None:
         return DEFAULT_MAX_ELEMENTS
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise UsageError(f"{ENV_MAX_ELEMENTS} must be an integer, got {raw!r}") from None
+        value = 0
+    if value < 1:
+        raise UsageError(f"{ENV_MAX_ELEMENTS} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _resolve_group_options(args) -> dict:
+    """Cap and cache directory of a group command, after rejecting a bad
+    --q or a non-positive cap as bad usage."""
+    try:
+        field_from_q(args.q)
+    except ValueError as exc:  # FieldTooLarge, a refused resource, passes through
+        raise UsageError(f"--q: {exc}") from None
     max_elements = args.max_elements
     if max_elements is None:
         max_elements = _max_elements_from_env()
+    elif max_elements < 1:
+        raise UsageError(f"--max-elements must be positive, got {max_elements}")
     cache_dir = None if args.no_cache else (args.cache_dir or os.environ.get(ENV_CACHE_DIR))
     return {"max_elements": max_elements, "cache_dir": cache_dir}
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from klyachko.characters import (
     ClassFunction,
     _character_from_central,
     _charpoly_mod,
+    _rational_class,
     _roots_mod,
+    _row_images,
     character_table,
     class_multiplication_tensor,
     induced_character,
@@ -228,18 +231,83 @@ def test_class_matrix_rows_are_pair_counts(table_store):
     assert class_multiplication_tensor(table, 3, [5, 1]) == [pairs[3][5], pairs[3][1]]
 
 
-@pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
+def _mat_mul_tensor_rows(table, i, rows):
+    """Oracle: rows j of M_i by one mat_mul per product x g_j, x in C_i."""
+    n, field, classes = table.n, table.field, table.classes
+    members = [el for el, c in zip(table.elements, table.class_of) if c == i]
+    out = []
+    for j in rows:
+        counts = [0] * len(classes)
+        for x in members:
+            counts[table.class_index(mat_mul(x, classes[j].representative, n, field))] += 1
+        out.append([classes[j].size * cnt // cls.size for cnt, cls in zip(counts, classes)])
+    return out
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 2), (2, 5)])
+def test_class_matrix_rows_match_mat_mul_oracle(n, q, table_store):
+    table = table_store(n, q)
+    every = list(range(len(table.classes)))
+    for i in every:
+        assert class_multiplication_tensor(table, i, every) == _mat_mul_tensor_rows(table, i, every)
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 2)])
+def test_row_images_match_mat_mul(n, q, table_store):
+    table = table_store(n, q)
+    field = table.field
+    for cls in table.classes:
+        g = cls.representative
+        images = _row_images(g, n, field)
+        assert len(images) == q**n
+        for code, row in enumerate(itertools.product(range(q), repeat=n)):
+            x = row + (0,) * (n * n - n)  # row 0 of x is the row, the rest zero
+            assert images[code] == mat_mul(x, g, n, field)[:n]
+
+
+def _power_map_rational_classes(table):
+    """Oracle: for every class, the classes of x^a over every member x and
+    every a prime to the order of x."""
+    n, field, ident = table.n, table.field, table.identity()
+    found = [set() for _ in table.classes]
+    for x, c in zip(table.elements, table.class_of):
+        powers = [x]
+        while powers[-1] != ident:
+            powers.append(mat_mul(powers[-1], x, n, field))
+        found[c] |= {table.class_index(y) for a, y in enumerate(powers, 1)
+                     if math.gcd(a, len(powers)) == 1}
+    return found
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (2, 9), (3, 3)])
+def test_rational_class_matches_power_map(n, q, table_store):
+    table = table_store(n, q)
+    oracle = _power_map_rational_classes(table)
+    assert [_rational_class(table, c) for c in range(len(table.classes))] == oracle
+    # the rational classes partition the classes
+    assert all(oracle[d] == oracle[c] for c in range(len(oracle)) for d in oracle[c])
+
+
+# (classes visited, products) of the split, rational classes first
+SPLIT_WORK = {(3, 3): (10, 21730), (4, 2): (10, 37526), (2, 9): (21, 57656)}
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (2, 9)])
 def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_store, monkeypatch):
+    """Products are counted where they are done: |C_i| per requested row."""
     table, arena = table_store(n, q), arena_store(n, q)
-    calls = []
+    visited, products = [], []
 
-    def counting_mat_mul(*args):
-        calls.append(1)
-        return mat_mul(*args)
+    def counting_tensor(tab, i, rows):
+        visited.append(i)
+        products.append(tab.classes[i].size * len(rows))
+        return class_multiplication_tensor(tab, i, rows)
 
-    monkeypatch.setattr(characters, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(characters, "class_multiplication_tensor", counting_tensor)
     character_table(table, arena)
-    assert 0 < len(calls) <= table.order * len(table.classes) // 5
+    max_visited, max_products = SPLIT_WORK[(n, q)]
+    assert len(set(visited)) == len(visited) <= max_visited
+    assert 0 < sum(products) <= max_products <= table.order * len(table.classes) // 5
 
 
 def _merge_classes(table, a, b):

@@ -88,10 +88,24 @@ def test_bad_max_elements_env_is_bad_usage(capsys, monkeypatch):
     assert out == ""
 
 
-@pytest.mark.parametrize("n,q", [("0", "2"), ("-1", "2"), ("100000", "2"), ("2", "2147483647")])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_non_positive_max_elements_is_bad_usage(capsys, monkeypatch, value):
+    # a bad option value, not a cap that the group exceeds
+    code, out, err = run(capsys, "verify-gelfand", "--n", "2", "--q", "2",
+                         "--max-elements", value, "--no-cache")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: --max-elements") and "exceeds cap" not in err
+    monkeypatch.setenv("KLYACHKO_MAX_ELEMENTS", value)
+    code, out, err = run(capsys, "verify-gelfand", "--n", "2", "--q", "2", "--no-cache")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: KLYACHKO_MAX_ELEMENTS") and "exceeds cap" not in err
+
+
+@pytest.mark.parametrize("n,q", [("0", "2"), ("-1", "2"), ("100000", "2"), ("2", "2147483647"),
+                                 ("2", "12"), ("2", "1"), ("2", "0")])
 def test_bad_group_parameters_refused_at_once(capsys, n, q):
-    # bad input, not an engine bug; the last two must be refused before the
-    # group order is multiplied out and before q is factored
+    # bad input, not an engine bug; 100000 and 2147483647 must be refused
+    # before the group order is multiplied out and before q is factored
     code, out, err = run(capsys, "verify-gelfand", "--n", n, "--q", q, "--no-cache")
     assert code == 2
     assert err.startswith("refused:") and out == ""
