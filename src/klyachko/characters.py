@@ -20,11 +20,16 @@ A product x g_j is read row by row from a table of v g_j for all q^n
 row vectors v, built by linearity from the field tables, with the rows
 of x coded as base-q integers; then one index_of lookup gives its
 class.  When every space is a line its vector is a central character.
-Eigenvalues are the roots of the characteristic polynomial, found as
-gcd(x^ell - x, chi) and separated by Cantor-Zassenhaus equal-degree
-splitting with the shifts 0, 1, 2, ...; nothing is random.  All linear
-algebra is over Z/ell, so every identity below is checked exactly,
-never to a tolerance.
+A restriction that is a scalar leaves its space whole with no
+characteristic polynomial: class matrices act diagonalisably, so one
+eigenvalue means a scalar.  Otherwise the eigenvalues are the roots of
+the characteristic polynomial chi, found as gcd(x^ell - x, s) on its
+squarefree part s = chi / gcd(chi, chi') and separated by
+Cantor-Zassenhaus equal-degree splitting with the shifts 0, 1, 2, ...;
+nothing is random.  All linear algebra is over Z/ell, so every identity
+below is checked exactly, never to a tolerance; the row and column
+orthogonality of the finished table are one dot product mod ell per
+pair of characters and per pair of classes.
 
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
@@ -163,18 +168,27 @@ def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
 
 
 def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
-    """The distinct roots in Z/ell of a nonzero polynomial (ascending
-    coefficients), in ascending order.
+    """The distinct roots in Z/ell of a nonzero polynomial f (ascending
+    coefficients) of degree below ell, in ascending order.
 
-    g = gcd(x^ell - x, f) has one linear factor per root; Cantor-Zassenhaus
-    splits it with gcd(g, (x + a)^((ell - 1)/2) - 1) for a = 0, 1, 2, ...
-    (ell is an odd prime).
+    The squarefree part s = f / gcd(f, f') has the same roots, each once:
+    deg f < ell keeps every multiplicity m below ell, so f' holds each
+    factor of f exactly m - 1 times.  g = gcd(x^ell - x, s) has one
+    linear factor per root; the powering runs modulo s, whose degree is
+    the number of distinct roots when f splits into linear factors, as
+    the characteristic polynomial of a diagonalisable restriction does.
+    Cantor-Zassenhaus splits g with gcd(g, (x + a)^((ell - 1)/2) - 1) for
+    a = 0, 1, 2, ... (ell is an odd prime).
     """
     f = zpoly_trim([c % ell for c in coeffs])
+    if len(f) - 1 >= ell:
+        raise ValueError(f"degree {len(f) - 1} is not below ell = {ell}")
     if len(f) < 2:
         return []
+    derivative = zpoly_trim([d * c % ell for d, c in enumerate(f)][1:])
+    s = zpoly_divmod(f, zpoly_gcd(f, derivative, ell), ell)[0]
     roots: list[int] = []
-    pending = [zpoly_gcd(f, zpoly_sub(zpoly_powmod([0, 1], ell, f, ell), [0, 1], ell), ell)]
+    pending = [zpoly_gcd(s, zpoly_sub(zpoly_powmod([0, 1], ell, s, ell), [0, 1], ell), ell)]
     half = (ell - 1) // 2
     while pending:
         g = pending.pop()
@@ -238,10 +252,17 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     `basis` (RREF, pivot columns `pivots`), each in RREF.
 
     Coordinates of a vector of the space are its entries at the pivots,
-    so the restriction needs only the rows of M at the pivots.
+    so the restriction needs only the rows of M at the pivots.  A scalar
+    restriction leaves the space whole with no characteristic polynomial.
+    Class matrices act diagonalisably on an invariant space, so one with
+    a single eigenvalue that is not a scalar fails the dimension check.
     """
     d = len(basis)
     restricted = [[sum(map(mul, m_rows[p], b)) % ell for b in basis] for p in pivots]
+    lam = restricted[0][0]
+    if all(v == (lam if r == c else 0)
+           for r, row in enumerate(restricted) for c, v in enumerate(row)):
+        return [(basis, pivots)]
     parts = []
     for lam in _roots_mod(_charpoly_mod(restricted, ell), ell):
         shifted = [[(v - lam) % ell if r == c else v for c, v in enumerate(row)]
@@ -316,30 +337,28 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
             raise InvariantViolation("a central character vanishes on the identity class")
         scale = pow(v[e_idx], ell - 2, ell)
         omegas.append([x * scale % ell for x in v])
-    sizes = [c.size for c in classes]
+    inv_sizes = [pow(c.size, ell - 2, ell) for c in classes]
     inv_map = [c.inverse_class for c in classes]
-    chars = [_character_from_central(om, sizes, inv_map, table.order, arena) for om in omegas]
+    chars = [_character_from_central(om, inv_sizes, inv_map, table.order, arena) for om in omegas]
     chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
     verify_orthogonality(chars, table, arena)
     return chars
 
 
-def _character_from_central(omega: list[int], sizes: list[int], inv_map: list[int],
+def _character_from_central(omega: list[int], inv_sizes: list[int], inv_map: list[int],
                             order: int, arena: ModularArena) -> ClassFunction:
+    """The character d omega(K_c) / |c| of a central character omega,
+    with d^2 = |G| / sum_c omega(K_c) omega(K_c^-1) / |c|; `inv_sizes`
+    holds the 1 / |c| mod ell."""
     ell = arena.ell
-    s = 0
-    for i, w in enumerate(omega):
-        s = (s + w * omega[inv_map[i]] % ell * pow(sizes[i], ell - 2, ell)) % ell
+    s = sum(map(mul, map(mul, omega, map(omega.__getitem__, inv_map)), inv_sizes)) % ell
     if s == 0:
         raise InvariantViolation("degenerate central character")
     d_sq = arena.lift_bounded(order * pow(s, ell - 2, ell) % ell, 1, order, "squared dimension")
     d = math.isqrt(d_sq)
     if d * d != d_sq:
         raise InvariantViolation(f"dimension^2 = {d_sq} is not a perfect square")
-    vals = tuple(
-        omega[i] * d % ell * pow(sizes[i], ell - 2, ell) % ell for i in range(len(omega))
-    )
-    return ClassFunction(arena, vals)
+    return ClassFunction(arena, tuple(w * d * inv % ell for w, inv in zip(omega, inv_sizes)))
 
 
 def inner_product_residue(a: ClassFunction, b: ClassFunction, table: GroupTable) -> int:
@@ -363,27 +382,37 @@ def multiplicity(chi_model: ClassFunction, chi_irr: ClassFunction, table: GroupT
 
 def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: ModularArena) -> None:
     """Exact row/column orthogonality and the dimension identity of a
-    computed table; raises InvariantViolation on any mismatch."""
+    computed table; raises InvariantViolation on any mismatch.
+
+    Each check is one dot product mod ell: a row against the vector
+    |c| chi_b(c^-1) of the other, a column against the other column of
+    the transposed table.
+    """
     ell = arena.ell
-    n_cls = len(table.classes)
+    classes = table.classes
+    n_cls = len(classes)
+    if any(cf.arena != arena for cf in chars):
+        raise ArenaMismatch("class functions from different arenas")
     if len(chars) != n_cls:
         raise InvariantViolation(f"{len(chars)} characters for {n_cls} classes")
     dims = [cf.dimension(table) for cf in chars]
     if sum(d * d for d in dims) != table.order:
         raise InvariantViolation("sum of squared dimensions != |G|")
+    inv_map = [c.inverse_class for c in classes]
+    sizes = [c.size for c in classes]
+    inv_order = pow(table.order, ell - 2, ell)
+    weighted = [list(map(mul, sizes, map(cf.values.__getitem__, inv_map))) for cf in chars]
     for a in range(n_cls):
+        row = chars[a].values
         for b in range(a, n_cls):
             want = 1 if a == b else 0
-            if inner_product_residue(chars[a], chars[b], table) != want:
+            if sum(map(mul, row, weighted[b])) % ell * inv_order % ell != want:
                 raise InvariantViolation(f"row orthogonality failed at ({a}, {b})")
-    inv_map = [c.inverse_class for c in table.classes]
+    columns = list(zip(*(cf.values for cf in chars)))
     for c in range(n_cls):
+        col, want = columns[c], table.order // sizes[c] % ell
         for cp in range(n_cls):
-            acc = 0
-            for cf in chars:
-                acc = (acc + cf.values[c] * cf.values[inv_map[cp]]) % ell
-            want = table.order // table.classes[c].size if c == cp else 0
-            if acc != want % ell:
+            if sum(map(mul, col, columns[inv_map[cp]])) % ell != (want if c == cp else 0):
                 raise InvariantViolation(f"column orthogonality failed at ({c}, {cp})")
 
 

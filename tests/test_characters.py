@@ -5,7 +5,7 @@ import random
 import pytest
 
 from klyachko import characters
-from klyachko.arena import build_arena
+from klyachko.arena import build_arena, zpoly_powmod
 from klyachko.characters import (
     ClassFunction,
     _character_from_central,
@@ -13,6 +13,7 @@ from klyachko.characters import (
     _rational_class,
     _roots_mod,
     _row_images,
+    _split_space,
     character_table,
     class_multiplication_tensor,
     induced_character,
@@ -21,7 +22,7 @@ from klyachko.characters import (
     multiplicity,
     verify_orthogonality,
 )
-from klyachko.errors import ArenaTooSmall, InvariantViolation, LiftOutOfRange
+from klyachko.errors import ArenaMismatch, ArenaTooSmall, InvariantViolation, LiftOutOfRange
 from klyachko.gelfand import verify_gelfand
 from klyachko.gf import mat_inv, mat_mul
 from klyachko.groups import (
@@ -138,6 +139,62 @@ def test_row_orthogonality_explicit(table_store, arena_store):
             assert inner_product_residue(a, b, table) == (1 if i == j else 0)
 
 
+def _literal_orthogonality(chars, table, arena):
+    """Oracle: the row and column relations and the dimension identity,
+    one inner_product_residue per pair of characters and one loop over
+    the characters per pair of classes."""
+    ell = arena.ell
+    n_cls = len(table.classes)
+    if len(chars) != n_cls:
+        raise InvariantViolation(f"{len(chars)} characters for {n_cls} classes")
+    dims = [cf.dimension(table) for cf in chars]
+    if sum(d * d for d in dims) != table.order:
+        raise InvariantViolation("sum of squared dimensions != |G|")
+    for a in range(n_cls):
+        for b in range(a, n_cls):
+            want = 1 if a == b else 0
+            if inner_product_residue(chars[a], chars[b], table) != want:
+                raise InvariantViolation(f"row orthogonality failed at ({a}, {b})")
+    inv_map = [c.inverse_class for c in table.classes]
+    for c in range(n_cls):
+        for cp in range(n_cls):
+            acc = 0
+            for cf in chars:
+                acc = (acc + cf.values[c] * cf.values[inv_map[cp]]) % ell
+            want = table.order // table.classes[c].size if c == cp else 0
+            if acc != want % ell:
+                raise InvariantViolation(f"column orthogonality failed at ({c}, {cp})")
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 2)])
+def test_orthogonality_checkers_agree_on_perturbed_tables(n, q, table_store, arena_store):
+    """Both checkers pass the true table and reject every table with one
+    entry moved by +1 mod ell, and a table with one character dropped."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    chars = character_table(table, arena)
+    checkers = (verify_orthogonality, _literal_orthogonality)
+    for check in checkers:
+        check(chars, table, arena)
+        with pytest.raises(InvariantViolation):
+            check(chars[1:], table, arena)
+    for a, cf in enumerate(chars):
+        for c in range(len(table.classes)):
+            values = list(cf.values)
+            values[c] = (values[c] + 1) % arena.ell
+            perturbed = chars[:a] + [ClassFunction(arena, tuple(values))] + chars[a + 1:]
+            for check in checkers:
+                with pytest.raises(InvariantViolation):
+                    check(perturbed, table, arena)
+
+
+def test_orthogonality_rejects_characters_of_another_arena(table_store, arena_store):
+    table = table_store(2, 3)
+    chars = character_table(table, arena_store(2, 3))
+    other = build_arena(table.order, table.exponent(), 3, ell=1000000009)
+    with pytest.raises(ArenaMismatch):
+        verify_orthogonality(chars, table, other)
+
+
 def test_determinism(table_store, arena_store):
     table, arena = table_store(2, 3), arena_store(2, 3)
     assert character_table(table, arena) == character_table(table, arena)
@@ -202,7 +259,7 @@ def _tensor_character_table(table, arena, seed=20259, attempts=20):
         if any(v is None or v[e_idx] == 0 for v in vectors):
             continue
         omegas = [[x * pow(v[e_idx], ell - 2, ell) % ell for x in v] for v in vectors]
-        chars = [_character_from_central(om, [c.size for c in classes],
+        chars = [_character_from_central(om, [pow(c.size, ell - 2, ell) for c in classes],
                                          [c.inverse_class for c in classes], table.order, arena)
                  for om in omegas]
         chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
@@ -310,6 +367,45 @@ def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_stor
     assert 0 < sum(products) <= max_products <= table.order * len(table.classes) // 5
 
 
+# characteristic polynomials of the split: one per restriction that is not a scalar
+CHARPOLY_CALLS = {(3, 3): 9, (4, 2): 4, (2, 9): 59}
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (2, 9)])
+def test_split_skips_scalar_restrictions(n, q, table_store, arena_store, monkeypatch):
+    table, arena = table_store(n, q), arena_store(n, q)
+    calls = []
+
+    def counting_charpoly(mat, ell):
+        calls.append(len(mat))
+        return _charpoly_mod(mat, ell)
+
+    monkeypatch.setattr(characters, "_charpoly_mod", counting_charpoly)
+    character_table(table, arena)
+    assert 0 < len(calls) <= CHARPOLY_CALLS[(n, q)]
+
+
+def _refuse_charpoly(mat, ell):
+    raise AssertionError("a scalar restriction needs no characteristic polynomial")
+
+
+def test_split_space_returns_scalar_space_whole(monkeypatch):
+    ell = 97
+    basis, pivots = [[1, 0, 5, 0], [0, 1, 7, 0]], [0, 1]
+    m_rows = {0: [4, 0, 0, 9], 1: [0, 4, 0, 11]}  # M b = 4 b on the span
+    monkeypatch.setattr(characters, "_charpoly_mod", _refuse_charpoly)
+    assert _split_space(basis, pivots, m_rows, ell) == [(basis, pivots)]
+
+
+def test_split_space_rejects_jordan_block():
+    """One eigenvalue but not a scalar: the kernel is a line in a plane."""
+    ell = 97
+    basis, pivots = [[1, 0, 0], [0, 1, 0]], [0, 1]
+    m_rows = {0: [4, 1, 0], 1: [0, 4, 0]}
+    with pytest.raises(InvariantViolation, match="do not fill a space of dimension 2"):
+        _split_space(basis, pivots, m_rows, ell)
+
+
 def _merge_classes(table, a, b):
     """The table with class b folded into class a (a < b): a corrupt
     classification that still partitions the group."""
@@ -372,6 +468,36 @@ def test_roots_large_ell():
         roots = [rng.randrange(ell) for _ in range(degree)] + [0, ell - 1]
         coeffs = _poly_from_roots(roots, 7, ell)
         assert _roots_mod(coeffs, ell) == sorted(set(roots))
+
+
+@pytest.mark.parametrize("ell", [12241, 364141])
+def test_roots_of_high_multiplicity_power_modulo_the_squarefree_part(ell, monkeypatch):
+    """A degree-80 polynomial with two roots: x^ell is taken modulo a
+    polynomial of degree 2, not 80."""
+    coeffs = _poly_from_roots([5] * 40 + [ell - 9] * 40, 3, ell)
+    moduli = []
+
+    def recording_powmod(a, e, f, p):
+        moduli.append(len(f) - 1)
+        return zpoly_powmod(a, e, f, p)
+
+    monkeypatch.setattr(characters, "zpoly_powmod", recording_powmod)
+    assert _roots_mod(coeffs, ell) == [5, ell - 9]
+    assert moduli and max(moduli) <= 2
+
+
+def test_roots_skip_repeated_irreducible_factor():
+    ell = 97
+    nonresidue = next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) != 1)
+    coeffs = _poly_from_roots([3, 3, 3], 1, ell)
+    for _ in range(2):  # times x^2 - nonresidue
+        coeffs = [(a - nonresidue * b) % ell for a, b in zip([0, 0] + coeffs, coeffs + [0, 0])]
+    assert _roots_mod(coeffs, ell) == _scan_roots(coeffs, ell) == [3]
+
+
+def test_roots_need_degree_below_ell():
+    with pytest.raises(ValueError, match="not below ell"):
+        _roots_mod(_poly_from_roots([1] * 5, 1, 5), 5)
 
 
 def test_billion_scale_ell_gives_same_report(table_store):
