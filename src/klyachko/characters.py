@@ -56,7 +56,7 @@ from .groups import (
     enumerate_h,
     psi_r_trace_flat,
 )
-from .gf import FiniteField, mat_mul
+from .gf import FiniteField
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,17 @@ def _row_images(g: tuple[int, ...], n: int, field: FiniteField) -> list[tuple[in
     return list(zip(*columns))
 
 
-def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int]) -> list[list[int]]:
+def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
+                                images: dict | None = None) -> list[list[int]]:
     """Rows j in `rows` of the class matrix M_i, a slice of the tensor
     a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps.
 
     Conjugating y to g_j gives a[i][j][k] = |C_j| * #{x in C_i : x g_j in C_k} / |C_k|,
     so a row costs |C_i| products and no inverses.  Row r of x g_j is
     (row r of x) g_j, so each member's rows are coded once as base-q
-    integers and a product is n lookups in the row images of g_j.
+    integers and a product is n lookups in the row images of g_j.  The
+    row images of g_j are kept in `images` under j, so a caller that
+    passes one dict to several calls builds each at most once.
     """
     classes = table.classes
     n, field = table.n, table.field
@@ -107,10 +110,14 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int]) -> l
     code_of = {row: c for c, row in enumerate(product(range(field.q), repeat=n))}
     row_codes = [list(map(code_of.__getitem__, map(itemgetter(slice(r * n, (r + 1) * n)), members)))
                  for r in range(n)]
+    if images is None:
+        images = {}
     out = []
     for j in rows:
-        gj, size_j = classes[j].representative, classes[j].size
-        image = _row_images(gj, n, field).__getitem__
+        size_j = classes[j].size
+        image = images.get(j)
+        if image is None:
+            image = images[j] = _row_images(classes[j].representative, n, field).__getitem__
         products = reduce(partial(map, add), [map(image, codes) for codes in row_codes])
         counts = Counter(map(class_of.__getitem__, map(index_of.__getitem__, products)))
         row = [0] * len(classes)
@@ -285,10 +292,7 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
 def _rational_class(table: GroupTable, c: int) -> set[int]:
     """The classes of g^a for every a prime to the order of g, the
     representative of class c."""
-    g, ident = table.classes[c].representative, table.identity()
-    powers = [g]
-    while powers[-1] != ident:
-        powers.append(mat_mul(powers[-1], g, table.n, table.field))
+    powers = table.powers(table.classes[c].representative)
     order = len(powers)
     return {table.class_index(x) for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
 
@@ -319,6 +323,7 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     # invariant spaces as (RREF basis, pivot columns), from the whole space
     spaces = [([[int(r == c) for c in range(n_cls)] for r in range(n_cls)], list(range(n_cls)))]
     visit = _visit_order(table)
+    images: dict = {}  # row images of the class representatives, for this call only
     while any(len(basis) > 1 for basis, _ in spaces):
         i = next(visit, None)
         if i is None:
@@ -327,7 +332,7 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
                 f"{sorted(len(b) for b, _ in spaces if len(b) > 1)} unsplit"
             )
         rows = [p for basis, pivots in spaces if len(basis) > 1 for p in pivots]
-        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows)))
+        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, images)))
         spaces = [part for basis, pivots in spaces
                   for part in (_split_space(basis, pivots, m_rows, ell) if len(basis) > 1
                                else [(basis, pivots)])]
@@ -385,8 +390,10 @@ def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: M
     computed table; raises InvariantViolation on any mismatch.
 
     Each check is one dot product mod ell: a row against the vector
-    |c| chi_b(c^-1) of the other, a column against the other column of
-    the transposed table.
+    |c| chi_b(c^-1) of the other, a column against another column.
+    Columns c and c' have dot product |G| / |c| when c' is the inverse
+    class of c and 0 otherwise; both sides are symmetric in c and c', so
+    each pair is checked once.
     """
     ell = arena.ell
     classes = table.classes
@@ -411,9 +418,9 @@ def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: M
     columns = list(zip(*(cf.values for cf in chars)))
     for c in range(n_cls):
         col, want = columns[c], table.order // sizes[c] % ell
-        for cp in range(n_cls):
-            if sum(map(mul, col, columns[inv_map[cp]])) % ell != (want if c == cp else 0):
-                raise InvariantViolation(f"column orthogonality failed at ({c}, {cp})")
+        for c2 in range(c, n_cls):
+            if sum(map(mul, col, columns[c2])) % ell != (want if c2 == inv_map[c] else 0):
+                raise InvariantViolation(f"column orthogonality failed at ({c}, {c2})")
 
 
 def _check_arena(table: GroupTable, arena: ModularArena) -> None:

@@ -106,10 +106,10 @@ def _max_elements_from_env() -> int:
 
 
 def _resolve_group_options(args) -> dict:
-    """Cap and cache directory of a group command, after rejecting a bad
-    --q or a non-positive cap as bad usage."""
+    """Field, cap and cache directory of a group command, after rejecting
+    a bad --q or a non-positive cap as bad usage."""
     try:
-        field_from_q(args.q)
+        field = field_from_q(args.q)
     except ValueError as exc:  # FieldTooLarge, a refused resource, passes through
         raise UsageError(f"--q: {exc}") from None
     max_elements = args.max_elements
@@ -118,11 +118,14 @@ def _resolve_group_options(args) -> dict:
     elif max_elements < 1:
         raise UsageError(f"--max-elements must be positive, got {max_elements}")
     cache_dir = None if args.no_cache else (args.cache_dir or os.environ.get(ENV_CACHE_DIR))
-    return {"max_elements": max_elements, "cache_dir": cache_dir}
+    return {"field": field, "max_elements": max_elements, "cache_dir": cache_dir}
 
 
 def cmd_verify_gelfand(args) -> int:
     opts = _resolve_group_options(args)
+    p = opts["field"].p
+    if args.psi % p == 0:
+        raise UsageError(f"--psi must be nonzero mod p = {p} (psi nontrivial), got {args.psi}")
     report = verify_gelfand(
         args.n, args.q, ell=args.ell, psi=args.psi,
         max_elements=opts["max_elements"], cache_dir=opts["cache_dir"],

@@ -32,15 +32,7 @@ class NoIrreduciblePolynomial(KlyachkoError):
     """No irreducible modulus found; impossible for valid (p, e)."""
 
 
-# -- argument / membership errors ---------------------------------------
-
-
-class SizeMismatch(KlyachkoError):
-    pass
-
-
-class NotInSubgroup(KlyachkoError):
-    pass
+# -- argument errors -----------------------------------------------------
 
 
 class ArenaMismatch(KlyachkoError):

@@ -17,13 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arena import is_prime, prime_factors, zpoly_is_irreducible, zpoly_mulmod
-from .errors import (
-    FieldTooLarge,
-    InvariantViolation,
-    NoIrreduciblePolynomial,
-    NonPrimeP,
-    SizeMismatch,
-)
+from .errors import FieldTooLarge, InvariantViolation, NoIrreduciblePolynomial, NonPrimeP
 
 MAX_Q = 16  # desk-scale cap on the field size
 
@@ -170,8 +164,7 @@ def field_from_q(q: int) -> FiniteField:
 
 # -- matrices ----------------------------------------------------------
 #
-# Hot loops in groups.py / characters.py work on flat row-major tuples
-# of entry codes; MatrixGF is the user-facing wrapper.
+# A matrix is a flat row-major tuple of its n * n entry codes.
 
 
 def mat_identity(n: int) -> tuple[int, ...]:
@@ -189,33 +182,6 @@ def mat_mul(a: tuple[int, ...], b: tuple[int, ...], n: int, field: FiniteField) 
                 s = add[s * q + mul[row[k] * q + b[k * n + j]]]
             out.append(s)
     return tuple(out)
-
-
-def mat_transpose(a: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return tuple(a[j * n + i] for i in range(n) for j in range(n))
-
-
-def mat_det(a: tuple[int, ...], n: int, field: FiniteField) -> int:
-    q, mul, sub_, inv = field.q, field.mul, field.sub, field.inv
-    m = [list(a[i * n:(i + 1) * n]) for i in range(n)]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = field.neg[det]
-        pval = m[col][col]
-        det = mul[det * q + pval]
-        pinv = inv[pval]
-        for r in range(col + 1, n):
-            f = mul[m[r][col] * q + pinv]
-            if f:
-                mrow, crow = m[r], m[col]
-                for c in range(col, n):
-                    mrow[c] = sub_[mrow[c] * q + mul[f * q + crow[c]]]
-    return det
 
 
 def mat_inv(a: tuple[int, ...], n: int, field: FiniteField) -> tuple[int, ...]:
@@ -238,49 +204,3 @@ def mat_inv(a: tuple[int, ...], n: int, field: FiniteField) -> tuple[int, ...]:
                 for c in range(2 * n):
                     rrow[c] = sub_[rrow[c] * q + mul[f * q + crow[c]]]
     return tuple(m[i][n + j] for i in range(n) for j in range(n))
-
-
-class MatrixGF:
-    """An n x n matrix over a FiniteField; immutable value object."""
-
-    __slots__ = ("field", "n", "entries")
-
-    def __init__(self, field: FiniteField, n: int, entries):
-        entries = tuple(entries)
-        if len(entries) != n * n:
-            raise SizeMismatch(f"expected {n * n} entries, got {len(entries)}")
-        if any(not (0 <= c < field.q) for c in entries):
-            raise ValueError("entry code out of range")
-        self.field = field
-        self.n = n
-        self.entries = entries
-
-    def rows(self) -> list[list[int]]:
-        n = self.n
-        return [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
-
-    def __mul__(self, other: "MatrixGF") -> "MatrixGF":
-        if self.field != other.field or self.n != other.n:
-            raise SizeMismatch("matrix size/field mismatch")
-        return MatrixGF(self.field, self.n, mat_mul(self.entries, other.entries, self.n, self.field))
-
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.n, mat_transpose(self.entries, self.n))
-
-    def det(self) -> int:
-        return mat_det(self.entries, self.n, self.field)
-
-    def inverse(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.n, mat_inv(self.entries, self.n, self.field))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MatrixGF)
-            and (self.field, self.n, self.entries) == (other.field, other.n, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.entries))
-
-    def __repr__(self) -> str:
-        return f"MatrixGF({self.n}x{self.n}, q={self.field.q}, {self.entries})"

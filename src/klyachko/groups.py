@@ -10,37 +10,31 @@ lexicographic order.
 Conjugacy classes are the orbits of conjugation by three cheap
 generators of GL_n(F_q) (an n-cycle permutation matrix, the elementary
 matrix x_12(1) and, for q > 2, diag(w, 1, ..., 1) with w primitive),
-found in one sweep over the elements.  Each class is keyed by the
+found in one sweep over the elements that labels each element with its
+class.  `class_records` turns such labels into the class records, for
+the sweep and for a cached table alike.  Each class is keyed by the
 invariant factors of xI - g (see fqpoly), computed once per class
-representative, not per element; two orbits with one key would mean the
-orbits were finer than the classes, and raise InvariantViolation.  Class
+representative, not per element; two classes with one key would mean the
+labels were finer than the classes, and raise InvariantViolation.  Class
 representatives are the lexicographically least members, which the lex
-enumeration order makes free.  The Smith key of every element is kept
-only as a test oracle.
+enumeration order makes free.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 from operator import itemgetter
 
 from .arena import prime_factors
-from .errors import GroupTooLarge, InvariantViolation, NotInSubgroup, SizeMismatch, UsageError
+from .errors import GroupTooLarge, InvariantViolation, UsageError
 from .fqpoly import Poly, invariant_factors
-from .gf import FiniteField, MatrixGF, mat_identity, mat_inv, mat_mul
+from .gf import FiniteField, mat_identity, mat_inv, mat_mul
 
 DEFAULT_MAX_ELEMENTS = 10**7  # enumeration cap on |G| and |H|
-
-
-def gl_order(n: int, q: int) -> int:
-    qn = q**n
-    out = 1
-    for i in range(n):
-        out *= qn - q**i
-    return out
 
 
 def sp_order(k: int, q: int) -> int:
@@ -104,21 +98,18 @@ class GroupTable:
     def identity_class(self) -> int:
         return self.class_index(self.identity())
 
-    def element_order(self, el: tuple[int, ...]) -> int:
-        ident = self.identity()
-        acc, k = el, 1
-        while acc != ident:
-            acc = mat_mul(acc, el, self.n, self.field)
-            k += 1
-        return k
+    def powers(self, el: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """el, el^2, ... up to the identity: as many as the order of el."""
+        ident, n, f = self.identity(), self.n, self.field
+        out = [el]
+        while out[-1] != ident:
+            out.append(mat_mul(out[-1], el, n, f))
+        return out
 
     def exponent(self) -> int:
         """lcm of element orders; orders are class invariants so the
         lcm over class representatives suffices."""
-        exp = 1
-        for cls in self.classes:
-            exp = math.lcm(exp, self.element_order(cls.representative))
-        return exp
+        return math.lcm(*(len(self.powers(cls.representative)) for cls in self.classes))
 
 
 def check_group_cap(n: int, q: int, max_elements: int) -> int:
@@ -236,39 +227,51 @@ def conjugacy_classes(elements: Sequence[tuple[int, ...]], n: int, field: Finite
 
     The first element not yet labelled is the lex-least member of a new
     class, whose orbit is then labelled by a depth-first search over the
-    generators of `_conjugators`.  The invariant factors of xI - g are
-    computed once per representative; a key shared by two orbits raises
-    InvariantViolation.
+    generators of `_conjugators`; `class_records` builds the records.
     """
     conjugators = _conjugators(n, field)
     labels = [-1] * len(elements)
-    reps: list[int] = []
-    sizes: list[int] = []
+    c = 0
     for start, label in enumerate(labels):
         if label >= 0:
             continue
-        c = len(reps)
         labels[start] = c
         stack = [start]
-        size = 0
         while stack:
             g = elements[stack.pop()]
-            size += 1
             for conj in conjugators:
                 j = index_of[conj(g)]
                 if labels[j] < 0:
                     labels[j] = c
                     stack.append(j)
-        reps.append(start)
-        sizes.append(size)
-    keys = [invariant_factors(elements[r], n, field) for r in reps]
+        c += 1
+    class_of = tuple(labels)
+    return class_records(elements, class_of, n, field, index_of), class_of
+
+
+def class_records(elements: Sequence[tuple[int, ...]], class_of: Sequence[int], n: int,
+                  field: FiniteField, index_of: dict[tuple[int, ...], int],
+                  ) -> tuple[ConjClass, ...]:
+    """The records of the classes that `class_of` labels, one label per
+    element, numbered 0, 1, ... with none skipped (KeyError otherwise).
+
+    A class's representative is its first element, its size the count of
+    its label, its key the invariant factors of xI - g of the
+    representative, and its inverse class the label of the
+    representative's inverse.  A key shared by two classes raises
+    InvariantViolation.
+    """
+    # walking backwards, the last position stored for a label is its first
+    first = dict(zip(reversed(class_of), range(len(class_of) - 1, -1, -1)))
+    sizes = Counter(class_of)
+    reps = [elements[first[c]] for c in range(len(first))]
+    keys = [invariant_factors(g, n, field) for g in reps]
     if len(set(keys)) != len(keys):
-        raise InvariantViolation("two conjugation orbits share invariant factors")
-    classes = tuple(
-        ConjClass(elements[r], size, key, labels[index_of[mat_inv(elements[r], n, field)]])
-        for r, size, key in zip(reps, sizes, keys)
+        raise InvariantViolation("two classes share invariant factors")
+    return tuple(
+        ConjClass(g, sizes[c], key, class_of[index_of[mat_inv(g, n, field)]])
+        for c, (g, key) in enumerate(zip(reps, keys))
     )
-    return classes, tuple(labels)
 
 
 # -- symplectic and mixed subgroups --------------------------------------
@@ -317,19 +320,6 @@ def _symplectic_test(k: int, field: FiniteField):
     return is_symplectic
 
 
-def sp_membership_flat(g: tuple[int, ...], k: int, field: FiniteField) -> bool:
-    if k == 0:
-        return g == ()
-    return _symplectic_test(k, field)(g)
-
-
-def sp_membership(g: MatrixGF, k: int) -> bool:
-    """True iff t(g) J g = J for the standard form J."""
-    if g.n != 2 * k:
-        raise SizeMismatch(f"expected size {2 * k}, got {g.n}")
-    return sp_membership_flat(g.entries, k, g.field)
-
-
 @dataclass(frozen=True)
 class KlyachkoSubgroupSpec:
     """H_{r,2k} inside GL_{r+2k}: unipotent block over a symplectic one.
@@ -351,38 +341,6 @@ class KlyachkoSubgroupSpec:
         return self.r + 2 * self.k
 
 
-def h_membership_flat(g: tuple[int, ...], spec: KlyachkoSubgroupSpec, field: FiniteField) -> bool:
-    r, k, n = spec.r, spec.k, spec.n
-    # block upper-triangular with zero lower-left
-    for i in range(r, n):
-        for j in range(0, r):
-            if g[i * n + j]:
-                return False
-    # unipotent upper-triangular on the U_r block
-    for i in range(r):
-        for j in range(r):
-            v = g[i * n + j]
-            if i == j:
-                if v != 1:
-                    return False
-            elif i > j and v:
-                return False
-    # symplectic on the Sp(2k) block
-    if k:
-        sp_block = tuple(
-            g[(r + i) * n + (r + j)] for i in range(2 * k) for j in range(2 * k)
-        )
-        if not sp_membership_flat(sp_block, k, field):
-            return False
-    return True
-
-
-def h_membership(g: MatrixGF, spec: KlyachkoSubgroupSpec) -> bool:
-    if g.n != spec.n:
-        raise SizeMismatch(f"expected size {spec.n}, got {g.n}")
-    return h_membership_flat(g.entries, spec, g.field)
-
-
 def psi_r_trace_flat(g: tuple[int, ...], spec: KlyachkoSubgroupSpec, field: FiniteField) -> int:
     """Tr_{F_q/F_p}(u_{1,2} + ... + u_{r-1,r}) in [0, p)."""
     r, n = spec.r, spec.n
@@ -393,15 +351,6 @@ def psi_r_trace_flat(g: tuple[int, ...], spec: KlyachkoSubgroupSpec, field: Fini
     for i in range(r - 1):
         s = add[s * q + g[i * n + (i + 1)]]
     return field.trace_to_prime(s)
-
-
-def psi_r_value(g: MatrixGF, spec: KlyachkoSubgroupSpec) -> int:
-    """Exponent of the chosen primitive p-th root of unity at g."""
-    if g.n != spec.n:
-        raise SizeMismatch(f"expected size {spec.n}, got {g.n}")
-    if not h_membership(g, spec):
-        raise NotInSubgroup(f"element not in H_{{{spec.r},{2 * spec.k}}}")
-    return psi_r_trace_flat(g.entries, spec, g.field)
 
 
 # -- subgroup enumeration -------------------------------------------------

@@ -2,20 +2,19 @@
 
 Layout (little-endian):
 
-    magic     8 bytes  b"KLYGRP\\x00\\x02"  (includes format version)
+    magic     8 bytes  b"KLYGRP\\x00\\x03"  (includes format version)
     n, p, e   3 x u8
     reserved  u8       0
     count     u32      number of elements
     digest    32 bytes sha256 of every other byte of the file
     elements  count * n^2 bytes of entry codes
-    num_classes u16
-    per class: rep_index u32, size u32, inverse u16,
-               nfactors u8, then per factor: len u8 + coeff bytes
     class_of  count * u16
 
-Entry codes fit one byte since q <= 16 by default; the loader rejects
-anything whose version, (n, p, e) or digest does not match, and the
-caller then recomputes the table and overwrites the file.
+Entry codes fit one byte since q <= 16 by default.  The file holds no
+class records: `groups.class_records` derives them from the elements and
+class_of at load.  The loader rejects anything whose version, (n, p, e),
+length, digest or class labels do not match, and the caller then
+recomputes the table and overwrites the file.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ import os
 import struct
 from pathlib import Path
 
-from .errors import CacheError
+from .errors import CacheError, InvariantViolation
 from .gf import FiniteField
-from .groups import ConjClass, GroupTable
+from .groups import GroupTable, class_records
 
 # importing hashlib loads OpenSSL (about 3.5 MiB resident), so take the
 # lean builtin SHA-256 where it exists, as the stdlib's random does
@@ -35,7 +34,7 @@ try:
 except ImportError:  # Python >= 3.12 renamed it
     from hashlib import sha256
 
-MAGIC = b"KLYGRP\x00\x02"
+MAGIC = b"KLYGRP\x00\x03"
 HEADER = struct.Struct("<BBBBI")
 DIGEST_AT = len(MAGIC) + HEADER.size
 BODY_AT = DIGEST_AT + sha256().digest_size
@@ -59,14 +58,6 @@ def save_table(table: GroupTable, path: str | Path) -> None:
     body = bytearray()
     for el in table.elements:
         body += bytes(el)
-    body += struct.pack("<H", len(table.classes))
-    for cls in table.classes:
-        body += struct.pack(
-            "<IIH", table.index_of[cls.representative], cls.size, cls.inverse_class
-        )
-        body += struct.pack("<B", len(cls.invariant_factors))
-        for poly in cls.invariant_factors:
-            body += struct.pack("<B", len(poly)) + bytes(poly)
     body += struct.pack(f"<{table.order}H", *table.class_of)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -85,40 +76,28 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
     if raw[: len(MAGIC)] != MAGIC:
         raise CacheError(f"{path}: bad magic/version")
+    if len(raw) < BODY_AT:
+        raise CacheError(f"{path}: truncated cache")
+    fn, fp, fe, _, count = HEADER.unpack_from(raw, len(MAGIC))
+    if (fn, fp, fe) != (n, field.p, field.e):
+        raise CacheError(
+            f"{path}: cache is for (n={fn}, p={fp}, e={fe}), "
+            f"wanted (n={n}, p={field.p}, e={field.e})"
+        )
+    nsq = n * n
+    labels_at = BODY_AT + count * nsq
+    if len(raw) != labels_at + 2 * count:
+        raise CacheError(f"{path}: truncated or corrupt cache")
+    if raw[DIGEST_AT:BODY_AT] != _digest(raw[:DIGEST_AT], memoryview(raw)[BODY_AT:]):
+        raise CacheError(f"{path}: digest mismatch")
+    elements = tuple(zip(*[iter(raw[BODY_AT:labels_at])] * nsq))  # n^2 codes at a time
+    class_of = struct.unpack_from(f"<{count}H", raw, labels_at)
+    index_of = {el: i for i, el in enumerate(elements)}
     try:
-        fn, fp, fe, _, count = HEADER.unpack_from(raw, len(MAGIC))
-        if (fn, fp, fe) != (n, field.p, field.e):
-            raise CacheError(
-                f"{path}: cache is for (n={fn}, p={fp}, e={fe}), "
-                f"wanted (n={n}, p={field.p}, e={field.e})"
-            )
-        if raw[DIGEST_AT:BODY_AT] != _digest(raw[:DIGEST_AT], memoryview(raw)[BODY_AT:]):
-            raise CacheError(f"{path}: digest mismatch")
-        off = BODY_AT
-        nsq = n * n
-        elements = []
-        for _ in range(count):
-            elements.append(tuple(raw[off:off + nsq]))
-            off += nsq
-        (num_classes,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        classes = []
-        for _ in range(num_classes):
-            rep_idx, size, inverse = struct.unpack_from("<IIH", raw, off)
-            off += struct.calcsize("<IIH")
-            (nfac,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            factors = []
-            for _ in range(nfac):
-                (plen,) = struct.unpack_from("<B", raw, off)
-                off += 1
-                factors.append(tuple(raw[off:off + plen]))
-                off += plen
-            classes.append(ConjClass(elements[rep_idx], size, tuple(factors), inverse))
-        class_of = struct.unpack_from(f"<{count}H", raw, off)
-    except (struct.error, IndexError) as exc:
-        raise CacheError(f"{path}: truncated or corrupt cache") from exc
-    return GroupTable(field, n, tuple(elements), tuple(classes), class_of)
+        classes = class_records(elements, class_of, n, field, index_of)
+    except (KeyError, InvariantViolation) as exc:
+        raise CacheError(f"{path}: class labels do not name conjugacy classes") from exc
+    return GroupTable(field, n, elements, classes, class_of, index_of)
 
 
 def classes_to_json(table: GroupTable) -> dict:

@@ -14,7 +14,7 @@ from klyachko.arena import build_arena
 from klyachko.characters import character_table, verify_orthogonality
 from klyachko.gelfand import verify_gelfand
 from klyachko.gf import field_from_q
-from klyachko.groups import gl_enumerate, gl_order, h_order
+from klyachko.groups import gl_enumerate, h_order
 from klyachko.periods import evaluate_period, period_formula, zeta_assignment
 from klyachko.segments import CuspidalLabel
 from klyachko.speh import (
@@ -25,6 +25,7 @@ from klyachko.speh import (
 )
 from klyachko.segments import Multisegment
 from klyachko.weyl import mu_q, residue_survival
+from oracles import gl_order
 
 GELFAND_CASES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]
 RUNTIME_BUDGET = {(3, 3): 30.0, (4, 2): 600.0}  # seconds; 1 s for n = 2 cases

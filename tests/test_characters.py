@@ -29,10 +29,10 @@ from klyachko.groups import (
     ConjClass,
     GroupTable,
     KlyachkoSubgroupSpec,
-    h_membership_flat,
     h_order,
     psi_r_trace_flat,
 )
+from oracles import h_membership_flat
 
 
 def _induced_full_sum(table, spec, arena):
@@ -187,6 +187,23 @@ def test_orthogonality_checkers_agree_on_perturbed_tables(n, q, table_store, are
                     check(perturbed, table, arena)
 
 
+def test_orthogonality_takes_each_dot_product_once(table_store, arena_store, monkeypatch):
+    """N(N+1)/2 row and N(N+1)/2 column dot products, each one sum call,
+    plus the sum of squared dimensions."""
+    table, arena = table_store(2, 9), arena_store(2, 9)
+    chars = character_table(table, arena)
+    calls = []
+
+    def counting_sum(values, *start):
+        calls.append(1)
+        return sum(values, *start)
+
+    monkeypatch.setattr(characters, "sum", counting_sum, raising=False)
+    verify_orthogonality(chars, table, arena)
+    n_cls = len(table.classes)
+    assert len(calls) == 1 + 2 * (n_cls * n_cls + n_cls) // 2
+
+
 def test_orthogonality_rejects_characters_of_another_arena(table_store, arena_store):
     table = table_store(2, 3)
     chars = character_table(table, arena_store(2, 3))
@@ -309,6 +326,25 @@ def test_class_matrix_rows_match_mat_mul_oracle(n, q, table_store):
         assert class_multiplication_tensor(table, i, every) == _mat_mul_tensor_rows(table, i, every)
 
 
+def test_row_images_built_once_per_representative_and_call(table_store, arena_store, monkeypatch):
+    """On GL_2(F_9) one character_table call builds each class
+    representative's row images at most once; a second call builds them
+    again, since the tables are kept for one call only."""
+    table, arena = table_store(2, 9), arena_store(2, 9)
+    built = []
+
+    def counting_row_images(g, n, field):
+        built.append(g)
+        return _row_images(g, n, field)
+
+    monkeypatch.setattr(characters, "_row_images", counting_row_images)
+    character_table(table, arena)
+    first = list(built)
+    assert 0 < len(first) == len(set(first)) <= len(table.classes) == 80
+    character_table(table, arena)
+    assert built[len(first):] == first
+
+
 @pytest.mark.parametrize("n,q", [(2, 4), (3, 2)])
 def test_row_images_match_mat_mul(n, q, table_store):
     table = table_store(n, q)
@@ -355,10 +391,10 @@ def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_stor
     table, arena = table_store(n, q), arena_store(n, q)
     visited, products = [], []
 
-    def counting_tensor(tab, i, rows):
+    def counting_tensor(tab, i, rows, *images):
         visited.append(i)
         products.append(tab.classes[i].size * len(rows))
-        return class_multiplication_tensor(tab, i, rows)
+        return class_multiplication_tensor(tab, i, rows, *images)
 
     monkeypatch.setattr(characters, "class_multiplication_tensor", counting_tensor)
     character_table(table, arena)

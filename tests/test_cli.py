@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from klyachko import gelfand
 from klyachko.cli import build_parser, main
 from klyachko.paramparse import parse_parameter
 
@@ -109,6 +110,19 @@ def test_bad_group_parameters_refused_at_once(capsys, n, q):
     code, out, err = run(capsys, "verify-gelfand", "--n", n, "--q", q, "--no-cache")
     assert code == 2
     assert err.startswith("refused:") and out == ""
+
+
+@pytest.mark.parametrize("psi", ["0", "3", "-6"])
+def test_psi_zero_mod_p_is_bad_usage(capsys, monkeypatch, psi):
+    # refused before any table is loaded or computed
+    def no_work(*args, **kwargs):
+        raise AssertionError("group work started for a bad --psi")
+
+    monkeypatch.setattr(gelfand, "load_or_compute_table", no_work)
+    code, out, err = run(capsys, "verify-gelfand", "--n", "2", "--q", "3", "--psi", psi,
+                         "--no-cache")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: --psi")
 
 
 def test_bad_ell_override_is_refused(capsys):

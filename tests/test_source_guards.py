@@ -1,12 +1,16 @@
 """Guards on the library source itself."""
 
 import ast
+import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
 import klyachko
+from klyachko.groups import GroupTable
 
 SRC = Path(klyachko.__file__).parent
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
 def test_no_assert_or_assertion_error_in_library():
@@ -39,3 +43,44 @@ def test_library_imports_only_stdlib_and_itself():
                 if top not in sys.stdlib_module_names and top != "klyachko":
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def _resolves(name: str) -> bool:
+    """Whether `module.attr.attr...` names something under klyachko."""
+    module, *attrs = name.split(".")
+    try:
+        obj = importlib.import_module(f"klyachko.{module}")
+    except ModuleNotFoundError:
+        return False
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_benchmark_worker_names_resolve():
+    """Every name the benchmark worker takes from the package still
+    exists: the TRACED (module, attribute) pairs, the modules and names
+    it imports, and the GroupTable members it reads from a `table`.  The
+    worker is parsed, not imported."""
+    names, table_members = set(), set()
+    for node in ast.walk(ast.parse(WORKER.read_text(), str(WORKER))):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            names |= {f"{module}.{attr}" for module, attr in ast.literal_eval(node.value)}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("klyachko."):
+            module = node.module.removeprefix("klyachko.")
+            names |= {f"{module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("klyachko.") for alias in node.names
+                      if alias.name.startswith("klyachko.")}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "table":
+            table_members.add(node.attr)
+    assert {"cli", "gf.mat_mul", "fqpoly.invariant_factors", "groups.GroupTable.exponent"} <= names
+    assert "inverses" in table_members
+    assert sorted(name for name in names if not _resolves(name)) == []
+    members = set(dir(GroupTable)) | {f.name for f in dataclasses.fields(GroupTable)}
+    assert sorted(table_members - members) == []

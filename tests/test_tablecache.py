@@ -8,18 +8,19 @@ from klyachko.errors import CacheError
 from klyachko.gf import field_make
 from klyachko.tablecache import MAGIC, cache_path, classes_to_json, load_table, save_table
 
+RETIRED_MAGIC = b"KLYGRP\x00\x02"  # format 2 also stored a record per class
 
-def test_save_load_with_classes(tmp_path, table_store):
-    table = table_store(2, 3)
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_save_load_with_classes(n, q, tmp_path, table_store):
+    """The class records derived at load equal those of the orbit sweep."""
+    table = table_store(n, q)
     path = tmp_path / "t.tbl"
     save_table(table, path)
-    loaded = load_table(path, table.field, 2)
+    loaded = load_table(path, table.field, n)
+    assert loaded.elements == table.elements
     assert loaded.class_of == table.class_of
-    for ours, theirs in zip(table.classes, loaded.classes):
-        assert ours.representative == theirs.representative
-        assert ours.size == theirs.size
-        assert ours.invariant_factors == theirs.invariant_factors
-        assert ours.inverse_class == theirs.inverse_class
+    assert loaded.classes == table.classes
 
 
 def test_load_rejects_wrong_parameters(tmp_path, table_store):
@@ -52,17 +53,27 @@ def test_classes_json(table_store):
         assert all(len(row) == 2 for row in cls["representative"])
 
 
-def _swap_class_labels(path, i, j):
-    """Swap the class_of labels of elements i and j in place; class_of
-    is the file's trailing u16 array, the element count the u32 at 12."""
+def _rewrite_labels(path, relabel, redigest=False):
+    """Apply `relabel` to the class_of labels in place; class_of is the
+    file's trailing u16 array, the element count the u32 at 12.  With
+    `redigest` the digest is made to match, so only the labels are wrong."""
     raw = bytearray(path.read_bytes())
     (count,) = struct.unpack_from("<I", raw, 12)
     off = len(raw) - 2 * count
-    labels = list(struct.unpack_from(f"<{count}H", raw, off))
-    assert labels[i] != labels[j]
-    labels[i], labels[j] = labels[j], labels[i]
+    labels = relabel(list(struct.unpack_from(f"<{count}H", raw, off)))
     struct.pack_into(f"<{count}H", raw, off, *labels)
+    if redigest:
+        raw[16:48] = hashlib.sha256(raw[:16] + raw[48:]).digest()
     path.write_bytes(bytes(raw))
+
+
+def _swap_class_labels(path, i, j):
+    def swap(labels):
+        assert labels[i] != labels[j]
+        labels[i], labels[j] = labels[j], labels[i]
+        return labels
+
+    _rewrite_labels(path, swap)
 
 
 def test_digest_is_sha256_of_the_rest(tmp_path, table_store):
@@ -87,9 +98,42 @@ def test_load_rejects_old_version(tmp_path, table_store):
     save_table(table, path)
     raw = path.read_bytes()
     assert raw.startswith(MAGIC)
-    path.write_bytes(b"KLYGRP\x00\x01" + raw[len(MAGIC):])
+    path.write_bytes(RETIRED_MAGIC + raw[len(MAGIC):])
     with pytest.raises(CacheError, match="version"):
         load_table(path, table.field, 2)
+
+
+def _skip_label_1(labels):
+    return [c + (c > 0) for c in labels]
+
+
+def _split_a_class(labels):
+    """The last member of the first class with two members gets a label
+    of its own: two classes then share invariant factors."""
+    c = next(c for c in labels if labels.count(c) > 1)
+    labels[len(labels) - 1 - labels[::-1].index(c)] = max(labels) + 1
+    return labels
+
+
+@pytest.mark.parametrize("relabel", [_skip_label_1, _split_a_class])
+def test_load_rejects_labels_that_are_not_classes(tmp_path, table_store, relabel):
+    table = table_store(2, 3)
+    path = tmp_path / "t.tbl"
+    save_table(table, path)
+    _rewrite_labels(path, relabel, redigest=True)
+    with pytest.raises(CacheError, match="class labels"):
+        load_table(path, table.field, 2)
+
+
+def test_load_rejects_wrong_length(tmp_path, table_store):
+    table = table_store(2, 2)
+    path = tmp_path / "t.tbl"
+    save_table(table, path)
+    raw = path.read_bytes()
+    for cut in (raw[:40], raw[:-1], raw + b"\x00"):
+        path.write_bytes(cut)
+        with pytest.raises(CacheError, match="truncated"):
+            load_table(path, table.field, 2)
 
 
 def test_save_does_not_touch_another_writers_temp_file(tmp_path, table_store):
@@ -111,3 +155,14 @@ def test_corrupt_cache_is_recomputed_and_replaced(tmp_path, capsys):
     capsys.readouterr()
     table = load_table(path, field_make(3, 1), 2)
     assert table.order == 48 and len(table.classes) == 8
+
+
+def test_format_2_cache_is_recomputed_and_replaced(tmp_path, capsys):
+    d = str(tmp_path)
+    assert main(["verify-gelfand", "--n", "2", "--q", "3", "--cache-dir", d]) == 0
+    path = cache_path(tmp_path, 2, 3)
+    current = path.read_bytes()
+    path.write_bytes(RETIRED_MAGIC + current[len(MAGIC):])
+    assert main(["verify-gelfand", "--n", "2", "--q", "3", "--cache-dir", d]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == current
