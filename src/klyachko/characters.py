@@ -477,6 +477,6 @@ def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
     if spec.psi_generator % field.p == 0:
         raise ValueError("psi_generator must be nonzero mod p (psi nontrivial)")
     zeta = pow(arena.zeta_p, spec.psi_generator, arena.ell)
-    members = enumerate_h(spec, field, ambient=table)
+    members = enumerate_h(spec, field)
     exps = [psi_r_trace_flat(el, spec, field) for el in members]
     return induced_character(table, arena, members, exps, zeta)

@@ -117,7 +117,8 @@ def _resolve_group_options(args) -> dict:
         max_elements = _max_elements_from_env()
     elif max_elements < 1:
         raise UsageError(f"--max-elements must be positive, got {max_elements}")
-    cache_dir = None if args.no_cache else (args.cache_dir or os.environ.get(ENV_CACHE_DIR))
+    # an empty --cache-dir or KLYACHKO_CACHE_DIR means unset, not the current directory
+    cache_dir = None if args.no_cache else (args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None)
     return {"field": field, "max_elements": max_elements, "cache_dir": cache_dir}
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .arena import ModularArena, build_arena
 from .characters import ClassFunction, character_table, induced_klyachko_character, multiplicity
-from .errors import CacheError, InvariantViolation
+from .errors import CacheError, InvariantViolation, UsageError
 from .gf import field_from_q
 from .groups import (
     DEFAULT_MAX_ELEMENTS,
@@ -115,7 +115,11 @@ def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
                 pass  # fall through, recompute and overwrite
     table = gl_enumerate(n, field, max_elements=max_elements)
     if cache_dir is not None:
-        save_table(table, cache_path(cache_dir, n, q))
+        path = cache_path(cache_dir, n, q)
+        try:
+            save_table(table, path)
+        except OSError as exc:  # a bad --cache-dir is bad usage, not an engine bug
+            raise UsageError(f"cannot write the table cache {path}: {exc.strerror or exc}") from exc
     return table
 
 

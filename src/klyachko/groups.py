@@ -288,38 +288,6 @@ def symplectic_form(k: int, field: FiniteField) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def _symplectic_test(k: int, field: FiniteField):
-    """The predicate g -> (t(g) J g == J) on flat 2k x 2k tuples, with J
-    built once.
-
-    Entry (a, b) of t(g) J g is omega(g_a, g_b) = t(g_a) J g_b for the
-    columns g_a, g_b of g.  J is a signed antidiagonal permutation, so
-    omega costs 2k products; omega is alternating, like J, so only the
-    pairs a < b are checked, stopping at the first mismatch.
-    """
-    n = 2 * k
-    j = symplectic_form(k, field)
-    plus = [(r, c) for r in range(n) for c in range(n) if j[r * n + c] == 1]
-    minus = [(r, c) for r in range(n) for c in range(n) if j[r * n + c] not in (0, 1)]
-    pairs = [(a, b, j[a * n + b]) for a in range(n) for b in range(a + 1, n)]
-    q, add, sub, mul = field.q, field.add, field.sub, field.mul
-
-    def is_symplectic(g: tuple[int, ...]) -> bool:
-        cols = [g[a::n] for a in range(n)]
-        for a, b, want in pairs:
-            u, v = cols[a], cols[b]
-            s = 0
-            for r, c in plus:
-                s = add[s * q + mul[u[r] * q + v[c]]]
-            for r, c in minus:
-                s = sub[s * q + mul[u[r] * q + v[c]]]
-            if s != want:
-                return False
-        return True
-
-    return is_symplectic
-
-
 @dataclass(frozen=True)
 class KlyachkoSubgroupSpec:
     """H_{r,2k} inside GL_{r+2k}: unipotent block over a symplectic one.
@@ -356,58 +324,72 @@ def psi_r_trace_flat(g: tuple[int, ...], spec: KlyachkoSubgroupSpec, field: Fini
 # -- subgroup enumeration -------------------------------------------------
 
 
-def enumerate_unipotent(r: int, field: FiniteField) -> list[tuple[int, ...]]:
-    """All of U_r as flat r x r tuples (one element when r <= 1)."""
-    positions = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    out = []
-    for assign in product(range(field.q), repeat=len(positions)):
-        m = list(mat_identity(r))
-        for (i, j), v in zip(positions, assign):
-            m[i * r + j] = v
-        out.append(tuple(m))
+def enumerate_sp(k: int, field: FiniteField) -> list[tuple[int, ...]]:
+    """Sp(2k, F_q) in lexicographic order, built column by column.
+
+    g is symplectic exactly when omega(g_a, g_b) = J_ab for every pair of
+    its columns, where omega(u, v) = t(u) J v.  So the columns are chosen
+    one at a time, each from the nonzero vectors v with
+    omega(g_a, v) = J_ab for every column g_a already chosen.  Each chosen
+    column is kept as the functional t(g_a) J, one row of the
+    multiplication table per coordinate, so omega(g_a, v) costs 2k
+    lookups and additions.
+    """
+    if k == 0:
+        return [()]
+    n, q, add, mul = 2 * k, field.q, field.add, field.mul
+    j = symplectic_form(k, field)
+    vectors = list(product(range(q), repeat=n))[1:]  # the zero vector is never a column
+    out: list[tuple[int, ...]] = []
+
+    def functional(u: tuple[int, ...]) -> list[list[int]]:
+        rows = []
+        for c in range(n):
+            w = 0
+            for r in range(n):
+                w = add[w * q + mul[u[r] * q + j[r * n + c]]]
+            rows.append(mul[w * q:(w + 1) * q])
+        return rows
+
+    def extend(cols: list[tuple[int, ...]], funcs: list[list[list[int]]]) -> None:
+        b = len(cols)
+        if b == n:
+            out.append(tuple(x for row in zip(*cols) for x in row))
+            return
+        wants = [(rows, j[a * n + b]) for a, rows in enumerate(funcs)]
+        for v in vectors:
+            for rows, want in wants:
+                s = 0
+                for row, x in zip(rows, v):
+                    s = add[s * q + row[x]]
+                if s != want:
+                    break
+            else:
+                extend(cols + [v], funcs + [functional(v)])
+
+    extend([], [])
+    out.sort()
     return out
 
 
-def enumerate_sp(k: int, field: FiniteField, ambient: GroupTable | None = None,
-                 max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[tuple[int, ...]]:
-    """Sp(2k, F_q) by filtering the elements of GL_{2k}; reuses an
-    ambient table if it is exactly GL_{2k} over the same field."""
-    if k == 0:
-        return [()]
-    if ambient is not None and ambient.n == 2 * k and ambient.field == field:
-        pool = ambient.elements
-    else:
-        pool = gl_elements(2 * k, field, max_elements=max_elements)
-    return list(filter(_symplectic_test(k, field), pool))
+def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField) -> list[tuple[int, ...]]:
+    """All of H_{r,2k}(F_q), in lexicographic order.
 
-
-def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField,
-                ambient: GroupTable | None = None,
-                max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[tuple[int, ...]]:
-    """All of H_{r,2k}(F_q)."""
+    The top r rows range over one product of their entries: 1 on the
+    diagonal, 0 to its left and any field element to its right (the U_r
+    block together with the r x 2k block beside it).  Each is stacked
+    over [0 | s] for every s in Sp(2k) from `enumerate_sp`.
+    """
     r, k, n = spec.r, spec.k, spec.n
-    q = field.q
+    q, m = field.q, 2 * k
     total = h_order(r, k, q)
-    if total > max_elements:
-        raise GroupTooLarge(f"|H_{{{r},{2 * k}}}| = {total} exceeds cap {max_elements}")
-    unis = enumerate_unipotent(r, field)
-    sps = enumerate_sp(k, field, ambient=ambient, max_elements=max_elements)
-    x_pos = [(i, r + j) for i in range(r) for j in range(2 * k)]
-    out = []
-    for u in unis:
-        for h in sps:
-            base = [0] * (n * n)
-            for i in range(r):
-                for j in range(r):
-                    base[i * n + j] = u[i * r + j]
-            for i in range(2 * k):
-                for j in range(2 * k):
-                    base[(r + i) * n + (r + j)] = h[i * 2 * k + j]
-            for xs in product(range(q), repeat=len(x_pos)):
-                m = list(base)
-                for (i, j), v in zip(x_pos, xs):
-                    m[i * n + j] = v
-                out.append(tuple(m))
+    if total > DEFAULT_MAX_ELEMENTS:
+        raise GroupTooLarge(f"|H_{{{r},{m}}}| = {total} exceeds cap {DEFAULT_MAX_ELEMENTS}")
+    cells = [(1,) if j == i else (0,) if j < i else range(q) for i in range(r) for j in range(n)]
+    zeros = (0,) * r
+    bottoms = [tuple(x for i in range(m) for x in zeros + s[i * m:(i + 1) * m])
+               for s in enumerate_sp(k, field)]
+    out = [top + bottom for top in product(*cells) for bottom in bottoms]
     if len(out) != total:
         raise InvariantViolation(f"|H| came out {len(out)}, expected {total}")
     return out

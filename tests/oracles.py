@@ -1,8 +1,12 @@
 """Test oracles: matrix and subgroup helpers that the library itself
 does not need, written plainly so the tests can check it against them."""
 
+from collections import Counter
+
 from klyachko.gf import mat_mul
 from klyachko.groups import symplectic_form
+from klyachko.segments import CuspidalLabel
+from klyachko.speh import ParamBlock, SpehBlock, TadicParameter, kappa
 
 
 def gl_order(n, q):
@@ -64,3 +68,70 @@ def h_membership_flat(g, spec, field):
     s = 2 * k
     return sp_membership_flat(tuple(g[(r + i) * n + (r + j)] for i in range(s) for j in range(s)),
                               k, field)
+
+
+def _mobius(m):
+    out, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if m > 1 else out
+
+
+def irreducible_count(d, q):
+    """Monic irreducibles of degree d over F_q other than f = x, by
+    Gauss's formula (1/d) sum_{e | d} mu(e) q^(d/e)."""
+    total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+    return total - 1 if d == 1 else total
+
+
+def partitions(m, largest=None):
+    """The partitions of m as non-increasing tuples."""
+    largest = m if largest is None else largest
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest), 0, -1):
+        for rest in partitions(m - part, part):
+            yield (part,) + rest
+
+
+def green_parameters(n, q):
+    """Green's parametrisation of the irreducibles of GL_n(F_q): each
+    function lambda from the monic irreducibles f != x to partitions with
+    sum deg f * |lambda(f)| = n, as the Tadic parameter with one block
+    U(f:deg f,1,t) for each part t of lambda(f).  The f are labelled by
+    degree and a count; their coefficients play no part."""
+    polys = [(f"f{d}_{i}", d) for d in range(1, n + 1) for i in range(irreducible_count(d, q))]
+
+    def assign(start, left):
+        if left == 0:
+            yield []
+            return
+        for at in range(start, len(polys)):
+            name, d = polys[at]
+            for size in range(1, left // d + 1):
+                for lam in partitions(size):
+                    blocks = [ParamBlock(SpehBlock(CuspidalLabel(name, d), 1, t)) for t in lam]
+                    for rest in assign(at + 1, left - d * size):
+                        yield blocks + rest
+
+    for blocks in assign(0, n):
+        yield TadicParameter(blocks)
+
+
+def model_histogram(n, q):
+    """{k: number of irreducibles of GL_n(F_q) in the model H_{n-2k,2k}},
+    read from Green's parametrisation through kappa: odd parts t feed r,
+    and floor(t/2) deg f feeds k."""
+    return dict(Counter(kappa(param).k for param in green_parameters(n, q)))
+
+
+def model_columns(rows):
+    """{k: number of irreducibles with a nonzero multiplicity in column k}
+    of the rows of a Gelfand report in JSON form."""
+    return dict(Counter(k for row in rows for k, m in row["mults"] if m))

@@ -25,7 +25,7 @@ from klyachko.speh import (
 )
 from klyachko.segments import Multisegment
 from klyachko.weyl import mu_q, residue_survival
-from oracles import gl_order
+from oracles import gl_order, model_columns, model_histogram
 
 GELFAND_CASES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]
 RUNTIME_BUDGET = {(3, 3): 30.0, (4, 2): 600.0}  # seconds; 1 s for n = 2 cases
@@ -64,6 +64,19 @@ def test_criterion_2_dimension_cross_check(n, q):
     )
     assert index_side == report.irreducible_dim_sum == report.model_dim_sum
     print(f"criterion 2 ({n},{q}): PASS - sum of indices {index_side} = sum of dims")
+
+
+@pytest.mark.parametrize("n,q", GELFAND_CASES)
+def test_model_columns_match_green_parametrisation(n, q):
+    """The engine's model columns against Green's parametrisation read
+    through kappa: one kappa for both engines."""
+    report, _, _ = _report(n, q)
+    assert model_columns(report.to_json_dict()["rows"]) == model_histogram(n, q)
+
+
+def test_green_histogram_of_gl3_f4():
+    # the engine's columns for GL_3(F_4), too slow to recompute here
+    assert model_histogram(3, 4) == {0: 48, 1: 12}
 
 
 @pytest.mark.parametrize("n,q", GELFAND_CASES)

@@ -51,6 +51,42 @@ def test_verify_gelfand_env_cache(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "gl2_q2.tbl").exists()
 
 
+def test_empty_env_cache_dir_means_no_cache(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("KLYACHKO_CACHE_DIR", "")
+    code, _, _ = run_json(capsys, "verify-gelfand", "--n", "2", "--q", "2")
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def _file_as_cache_parent(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "x"  # NotADirectoryError
+
+
+def _file_as_cache_dir(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file"  # FileExistsError
+
+
+def _directory_as_cache_file(tmp_path):
+    (tmp_path / "gl2_q2.tbl").mkdir()
+    return tmp_path  # IsADirectoryError when the temp file is renamed onto it
+
+
+@pytest.mark.parametrize("command,make_dir", [
+    ("verify-gelfand", _file_as_cache_parent),
+    ("table", _file_as_cache_dir),
+    ("verify-gelfand", _directory_as_cache_file),
+])
+def test_unwritable_cache_dir_is_bad_usage(capsys, tmp_path, command, make_dir):
+    cache_dir = make_dir(tmp_path)
+    code, out, err = run(capsys, command, "--n", "2", "--q", "2", "--cache-dir", str(cache_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("refused: cannot write the table cache")
+    assert str(cache_dir / "gl2_q2.tbl") in err
+
+
 def test_resource_refusal_exit_2(capsys):
     code, _, err = run(capsys, "verify-gelfand", "--n", "4", "--q", "3",
                        "--max-elements", "1000", "--no-cache")

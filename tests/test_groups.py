@@ -225,11 +225,6 @@ def test_class_key_agrees_on_every_member(table_store):
 # -- symplectic groups ----------------------------------------------------
 
 
-def test_sp_identity():
-    field = field_make(3, 1)
-    assert groups._symplectic_test(1, field)(mat_identity(2))
-
-
 def test_sp_counts():
     f3 = field_make(3, 1)
     members = enumerate_sp(1, f3)
@@ -240,7 +235,7 @@ def test_sp_counts():
     assert len(enumerate_sp(1, f2)) == 6  # all of GL_2(F_2)
 
 
-@pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (1, 4), (2, 2)])
+@pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (1, 4), (1, 8), (1, 9), (2, 2)])
 def test_enumerate_sp_matches_two_product_filter(k, q):
     field = field_from_q(q)
     oracle = [g for g in gl_elements(2 * k, field) if sp_membership_flat(g, k, field)]
@@ -267,24 +262,25 @@ def random_symplectic(k, field, rng, steps=12):
     return g
 
 
-@pytest.mark.parametrize("q", [3, 4])
-def test_sp4_test_matches_two_product_filter(q):
-    """GL_4(F_3) and GL_4(F_4) are too large to filter whole, so compare
-    the predicates on random symplectic matrices and on one-entry changes
-    of them (mostly not symplectic)."""
-    rng = random.Random(q)
-    field = field_from_q(q)
-    is_symplectic = groups._symplectic_test(2, field)
+def test_enumerate_sp4_f3_against_two_product_test():
+    """GL_4(F_3) is too large to filter whole, so check Sp(4, F_3) by its
+    order, random symplectic matrices and one-entry changes of them
+    (mostly not symplectic)."""
+    rng = random.Random(3)
+    field = field_from_q(3)
+    members = enumerate_sp(2, field)
+    assert len(members) == sp_order(2, 3)
+    member_set = set(members)
     hits = 0
     for _ in range(300):
         g = random_symplectic(2, field, rng)
         assert sp_membership_flat(g, 2, field)
-        assert is_symplectic(g)
+        assert g in member_set
         m = list(g)
-        m[rng.randrange(16)] = rng.randrange(q)
+        m[rng.randrange(16)] = rng.randrange(3)
         m = tuple(m)
         want = sp_membership_flat(m, 2, field)
-        assert is_symplectic(m) == want
+        assert (m in member_set) == want
         hits += want
     assert hits < 300
 
@@ -305,6 +301,22 @@ def test_h_identity_and_sizes():
     f3 = field_make(3, 1)
     spec12 = KlyachkoSubgroupSpec(1, 1)
     assert len(enumerate_h(spec12, f3)) == 216 == h_order(1, 1, 3)
+
+
+@pytest.mark.parametrize("r,k,q", [(0, 2, 2), (1, 1, 3), (2, 1, 2)])
+def test_enumerate_h_is_built_without_gl(r, k, q, monkeypatch):
+    """H_{r,2k} is the lex-ordered filter of GL_n by membership, built
+    without enumerating any general linear group."""
+    field = field_from_q(q)
+    spec = KlyachkoSubgroupSpec(r, k)
+    oracle = [g for g in gl_elements(spec.n, field) if h_membership_flat(g, spec, field)]
+
+    def no_gl(*args, **kwargs):
+        raise AssertionError("gl_elements called")
+
+    monkeypatch.setattr(groups, "gl_elements", no_gl)
+    assert enumerate_h(spec, field) == oracle
+    assert len(oracle) == h_order(r, k, q)
 
 
 def test_h_closure_under_product_and_inverse():
