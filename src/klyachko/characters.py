@@ -18,18 +18,18 @@ products each, the d x d restriction of M_i to the space is
 diagonalised, and the kernel of each eigenvalue becomes a new space.
 A product x g_j is read row by row from a table of v g_j for all q^n
 row vectors v, built by linearity from the field tables, with the rows
-of x coded as base-q integers; then one index_of lookup gives its
-class.  When every space is a line its vector is a central character.
-A restriction that is a scalar leaves its space whole with no
-characteristic polynomial: class matrices act diagonalisably, so one
-eigenvalue means a scalar.  Otherwise the eigenvalues are the roots of
-the characteristic polynomial chi, found as gcd(x^ell - x, s) on its
-squarefree part s = chi / gcd(chi, chi') and separated by
-Cantor-Zassenhaus equal-degree splitting with the shifts 0, 1, 2, ...;
-nothing is random.  All linear algebra is over Z/ell, so every identity
-below is checked exactly, never to a tolerance; the row and column
-orthogonality of the finished table are one dot product mod ell per
-pair of characters and per pair of classes.
+of x coded as base-q integers; then one lookup in the table's
+element-to-class map gives its class.  When every space is a line its
+vector is a central character.  A restriction that is a scalar leaves
+its space whole with no characteristic polynomial: class matrices act
+diagonalisably, so one eigenvalue means a scalar.  Otherwise the
+eigenvalues are the roots of the characteristic polynomial chi, found
+as gcd(x^ell - x, s) on its squarefree part s = chi / gcd(chi, chi')
+and separated by Cantor-Zassenhaus equal-degree splitting with the
+shifts 0, 1, 2, ...; nothing is random.  All linear algebra is over
+Z/ell, so every identity below is checked exactly, never to a
+tolerance; the row and column orthogonality of the finished table are
+one dot product mod ell per pair of characters and per pair of classes.
 
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
@@ -105,8 +105,8 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
     """
     classes = table.classes
     n, field = table.n, table.field
-    class_of, index_of = table.class_of, table.index_of
-    members = list(compress(table.elements, map(i.__eq__, class_of)))
+    class_of = table.class_of
+    members = list(compress(class_of, map(i.__eq__, class_of.values())))
     code_of = {row: c for c, row in enumerate(product(range(field.q), repeat=n))}
     row_codes = [list(map(code_of.__getitem__, map(itemgetter(slice(r * n, (r + 1) * n)), members)))
                  for r in range(n)]
@@ -119,7 +119,7 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
         if image is None:
             image = images[j] = _row_images(classes[j].representative, n, field).__getitem__
         products = reduce(partial(map, add), [map(image, codes) for codes in row_codes])
-        counts = Counter(map(class_of.__getitem__, map(index_of.__getitem__, products)))
+        counts = Counter(map(class_of.__getitem__, products))
         row = [0] * len(classes)
         for k, cnt in counts.items():
             row[k], rem = divmod(size_j * cnt, classes[k].size)
@@ -294,7 +294,7 @@ def _rational_class(table: GroupTable, c: int) -> set[int]:
     representative of class c."""
     powers = table.powers(table.classes[c].representative)
     order = len(powers)
-    return {table.class_index(x) for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
+    return {table.class_of[x] for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
 
 
 def _visit_order(table: GroupTable):
@@ -442,7 +442,6 @@ def induced_character(table: GroupTable, arena: ModularArena,
     ell = arena.ell
     n_cls = len(table.classes)
     class_of = table.class_of
-    index_of = table.index_of
     zpow = {0: 1}
     sums = [0] * n_cls
     for pos, el in enumerate(members):
@@ -450,7 +449,7 @@ def induced_character(table: GroupTable, arena: ModularArena,
         zp = zpow.get(ex)
         if zp is None:
             zp = zpow[ex] = pow(zeta, ex, ell)
-        c = class_of[index_of[el]]
+        c = class_of[el]
         sums[c] = (sums[c] + zp) % ell
     h_size = len(members)
     if table.order % h_size:

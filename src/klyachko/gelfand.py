@@ -18,6 +18,8 @@ integers.
 
 from __future__ import annotations
 
+import errno
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -104,22 +106,27 @@ class GelfandReport:
 
 def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
                           max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
+    """The table of GL_n(F_q): read from `cache_dir` when it holds a good
+    one, otherwise computed and written there.  A cache directory that
+    cannot hold the file is refused before the group is enumerated."""
     field = field_from_q(q)
     check_group_cap(n, q, max_elements)  # a cached table obeys the cap too
-    if cache_dir is not None:
-        path = cache_path(cache_dir, n, q)
+    if cache_dir is None:
+        return gl_enumerate(n, field, max_elements=max_elements)
+    path = cache_path(cache_dir, n, q)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if path.exists():
             try:
                 return load_table(path, field, n)
             except CacheError:
                 pass  # fall through, recompute and overwrite
-    table = gl_enumerate(n, field, max_elements=max_elements)
-    if cache_dir is not None:
-        path = cache_path(cache_dir, n, q)
-        try:
-            save_table(table, path)
-        except OSError as exc:  # a bad --cache-dir is bad usage, not an engine bug
-            raise UsageError(f"cannot write the table cache {path}: {exc.strerror or exc}") from exc
+        table = gl_enumerate(n, field, max_elements=max_elements)
+        save_table(table, path)
+    except OSError as exc:  # a bad --cache-dir is bad usage, not an engine bug
+        raise UsageError(f"cannot write the table cache {path}: {exc.strerror or exc}") from exc
     return table
 
 

@@ -10,22 +10,22 @@ lexicographic order.
 Conjugacy classes are the orbits of conjugation by three cheap
 generators of GL_n(F_q) (an n-cycle permutation matrix, the elementary
 matrix x_12(1) and, for q > 2, diag(w, 1, ..., 1) with w primitive),
-found in one sweep over the elements that labels each element with its
-class.  `class_records` turns such labels into the class records, for
-the sweep and for a cached table alike.  Each class is keyed by the
-invariant factors of xI - g (see fqpoly), computed once per class
-representative, not per element; two classes with one key would mean the
-labels were finer than the classes, and raise InvariantViolation.  Class
-representatives are the lexicographically least members, which the lex
-enumeration order makes free.
+found in one sweep over the elements that fills the table's one map
+from element to class.  `class_records` turns that map into the class
+records, for the sweep and for a cached table alike.  Each class is
+keyed by the invariant factors of xI - g (see fqpoly), computed once per
+class representative, not per element; two classes with one key would
+mean the labels were finer than the classes, and raise
+InvariantViolation.  Class representatives are the lexicographically
+least members, which the lex enumeration order makes free.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
@@ -60,22 +60,16 @@ class ConjClass:
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """GL_n(F_q), complete at construction and never changed afterwards:
-    the elements in lex order, their conjugacy classes and lookups.
+    the map from each element to its conjugacy class, keys in lex order,
+    and the class records.
 
     Built only by `gl_enumerate` and `tablecache.load_table`.
     """
 
     field: FiniteField
     n: int
-    elements: tuple[tuple[int, ...], ...]
+    class_of: dict[tuple[int, ...], int]
     classes: tuple[ConjClass, ...]
-    class_of: tuple[int, ...]  # aligned with elements
-    # element -> position; derived from `elements` unless handed in
-    index_of: dict[tuple[int, ...], int] | None = dc_field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.index_of is None:
-            object.__setattr__(self, "index_of", {el: i for i, el in enumerate(self.elements)})
 
     @property
     def q(self) -> int:
@@ -83,20 +77,22 @@ class GroupTable:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.class_of)
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The elements in lex order: the keys of `class_of`."""
+        return tuple(self.class_of)
 
     def identity(self) -> tuple[int, ...]:
         return mat_identity(self.n)
 
     def inverses(self) -> list[tuple[int, ...]]:
         n, f = self.n, self.field
-        return [mat_inv(el, n, f) for el in self.elements]
-
-    def class_index(self, el: tuple[int, ...]) -> int:
-        return self.class_of[self.index_of[el]]
+        return [mat_inv(el, n, f) for el in self.class_of]
 
     def identity_class(self) -> int:
-        return self.class_index(self.identity())
+        return self.class_of[self.identity()]
 
     def powers(self, el: tuple[int, ...]) -> list[tuple[int, ...]]:
         """el, el^2, ... up to the identity: as many as the order of el."""
@@ -161,10 +157,8 @@ def gl_elements(n: int, field: FiniteField,
 
 def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
     """GL_n(F_q) in lexicographic order, with its conjugacy classes."""
-    elements = tuple(gl_elements(n, field, max_elements))
-    index_of = {el: i for i, el in enumerate(elements)}
-    classes, class_of = conjugacy_classes(elements, n, field, index_of)
-    return GroupTable(field, n, elements, classes, class_of, index_of)
+    classes, class_of = conjugacy_classes(gl_elements(n, field, max_elements), n, field)
+    return GroupTable(field, n, class_of, classes)
 
 
 def _primitive_element(field: FiniteField) -> int:
@@ -218,58 +212,53 @@ def _conjugators(n: int, field: FiniteField) -> list:
     return out
 
 
-def conjugacy_classes(elements: Sequence[tuple[int, ...]], n: int, field: FiniteField,
-                      index_of: dict[tuple[int, ...], int],
-                      ) -> tuple[tuple[ConjClass, ...], tuple[int, ...]]:
+def conjugacy_classes(elements: Iterable[tuple[int, ...]], n: int, field: FiniteField,
+                      ) -> tuple[tuple[ConjClass, ...], dict[tuple[int, ...], int]]:
     """Classes of a lex-ordered element list as conjugation orbits, and
-    the class of each element; `index_of` maps each element to its
-    position.
+    the map from each element to its class, keys in the list's order.
 
     The first element not yet labelled is the lex-least member of a new
     class, whose orbit is then labelled by a depth-first search over the
     generators of `_conjugators`; `class_records` builds the records.
     """
     conjugators = _conjugators(n, field)
-    labels = [-1] * len(elements)
+    class_of = dict.fromkeys(elements, -1)
     c = 0
-    for start, label in enumerate(labels):
+    for start, label in class_of.items():  # relabelling keeps the keys
         if label >= 0:
             continue
-        labels[start] = c
+        class_of[start] = c
         stack = [start]
         while stack:
-            g = elements[stack.pop()]
+            g = stack.pop()
             for conj in conjugators:
-                j = index_of[conj(g)]
-                if labels[j] < 0:
-                    labels[j] = c
-                    stack.append(j)
+                h = conj(g)
+                if class_of[h] < 0:
+                    class_of[h] = c
+                    stack.append(h)
         c += 1
-    class_of = tuple(labels)
-    return class_records(elements, class_of, n, field, index_of), class_of
+    return class_records(class_of, n, field), class_of
 
 
-def class_records(elements: Sequence[tuple[int, ...]], class_of: Sequence[int], n: int,
-                  field: FiniteField, index_of: dict[tuple[int, ...], int],
+def class_records(class_of: dict[tuple[int, ...], int], n: int, field: FiniteField,
                   ) -> tuple[ConjClass, ...]:
     """The records of the classes that `class_of` labels, one label per
     element, numbered 0, 1, ... with none skipped (KeyError otherwise).
 
-    A class's representative is its first element, its size the count of
-    its label, its key the invariant factors of xI - g of the
-    representative, and its inverse class the label of the
-    representative's inverse.  A key shared by two classes raises
-    InvariantViolation.
+    A class's representative is its first key, its size the count of its
+    label, its key the invariant factors of xI - g of the representative,
+    and its inverse class the label of the representative's inverse.  A
+    key shared by two classes raises InvariantViolation.
     """
-    # walking backwards, the last position stored for a label is its first
-    first = dict(zip(reversed(class_of), range(len(class_of) - 1, -1, -1)))
-    sizes = Counter(class_of)
-    reps = [elements[first[c]] for c in range(len(first))]
+    # walking backwards, the last key stored for a label is its first
+    first = dict(zip(reversed(class_of.values()), reversed(class_of.keys())))
+    sizes = Counter(class_of.values())
+    reps = [first[c] for c in range(len(first))]
     keys = [invariant_factors(g, n, field) for g in reps]
     if len(set(keys)) != len(keys):
         raise InvariantViolation("two classes share invariant factors")
     return tuple(
-        ConjClass(g, sizes[c], key, class_of[index_of[mat_inv(g, n, field)]])
+        ConjClass(g, sizes[c], key, class_of[mat_inv(g, n, field)])
         for c, (g, key) in enumerate(zip(reps, keys))
     )
 

@@ -7,18 +7,19 @@ Layout (little-endian):
     reserved  u8       0
     count     u32      number of elements
     digest    32 bytes sha256 of every other byte of the file
-    elements  count * n^2 bytes of entry codes
-    class_of  count * u16
+    elements  count * n^2 bytes of entry codes: the keys of class_of
+    labels    count * u16: the values of class_of, in the same order
 
-Entry codes fit one byte since q <= 16 by default.  The file holds no
-class records: `groups.class_records` derives them from the elements and
-class_of at load.  The loader rejects anything whose version, (n, p, e),
-length, digest or class labels do not match, and the caller then
-recomputes the table and overwrites the file.
+Entry codes fit one byte since q <= 16.  The file holds no class
+records: `groups.class_records` derives them from the map at load.  The
+loader rejects a file whose version, (n, p, e), length, digest or class
+labels do not match, or whose elements are not |GL_n(F_q)| distinct
+keys; the caller then recomputes the table and overwrites the file.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -56,9 +57,9 @@ def save_table(table: GroupTable, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     head = MAGIC + HEADER.pack(table.n, table.field.p, table.field.e, 0, table.order)
     body = bytearray()
-    for el in table.elements:
+    for el in table.class_of:
         body += bytes(el)
-    body += struct.pack(f"<{table.order}H", *table.class_of)
+    body += struct.pack(f"<{table.order}H", *table.class_of.values())
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(head + _digest(head, body) + body)
@@ -84,20 +85,23 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
             f"{path}: cache is for (n={fn}, p={fp}, e={fe}), "
             f"wanted (n={n}, p={field.p}, e={field.e})"
         )
+    if count != math.prod(field.q**n - field.q**i for i in range(n)):
+        raise CacheError(f"{path}: {count} elements is not the order of GL_{n}(F_{field.q})")
     nsq = n * n
     labels_at = BODY_AT + count * nsq
     if len(raw) != labels_at + 2 * count:
         raise CacheError(f"{path}: truncated or corrupt cache")
     if raw[DIGEST_AT:BODY_AT] != _digest(raw[:DIGEST_AT], memoryview(raw)[BODY_AT:]):
         raise CacheError(f"{path}: digest mismatch")
-    elements = tuple(zip(*[iter(raw[BODY_AT:labels_at])] * nsq))  # n^2 codes at a time
-    class_of = struct.unpack_from(f"<{count}H", raw, labels_at)
-    index_of = {el: i for i, el in enumerate(elements)}
+    elements = zip(*[iter(raw[BODY_AT:labels_at])] * nsq)  # n^2 codes at a time
+    class_of = dict(zip(elements, struct.unpack_from(f"<{count}H", raw, labels_at)))
+    if len(class_of) != count:
+        raise CacheError(f"{path}: an element is listed twice")
     try:
-        classes = class_records(elements, class_of, n, field, index_of)
+        classes = class_records(class_of, n, field)
     except (KeyError, InvariantViolation) as exc:
         raise CacheError(f"{path}: class labels do not name conjugacy classes") from exc
-    return GroupTable(field, n, elements, classes, class_of, index_of)
+    return GroupTable(field, n, class_of, classes)
 
 
 def classes_to_json(table: GroupTable) -> dict:

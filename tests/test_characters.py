@@ -297,9 +297,9 @@ def test_class_matrix_rows_are_pair_counts(table_store):
     n, field, n_cls = table.n, table.field, len(table.classes)
     pairs = [[[0] * n_cls for _ in range(n_cls)] for _ in range(n_cls)]  # [i][j][k]
     for k, cls in enumerate(table.classes):
-        for x, c in zip(table.elements, table.class_of):
+        for x, c in table.class_of.items():
             y = mat_mul(mat_inv(x, n, field), cls.representative, n, field)
-            pairs[c][table.class_index(y)][k] += 1
+            pairs[c][table.class_of[y]][k] += 1
     for i in range(n_cls):
         assert class_multiplication_tensor(table, i, list(range(n_cls))) == pairs[i]
     assert class_multiplication_tensor(table, 3, [5, 1]) == [pairs[3][5], pairs[3][1]]
@@ -308,12 +308,12 @@ def test_class_matrix_rows_are_pair_counts(table_store):
 def _mat_mul_tensor_rows(table, i, rows):
     """Oracle: rows j of M_i by one mat_mul per product x g_j, x in C_i."""
     n, field, classes = table.n, table.field, table.classes
-    members = [el for el, c in zip(table.elements, table.class_of) if c == i]
+    members = [el for el, c in table.class_of.items() if c == i]
     out = []
     for j in rows:
         counts = [0] * len(classes)
         for x in members:
-            counts[table.class_index(mat_mul(x, classes[j].representative, n, field))] += 1
+            counts[table.class_of[mat_mul(x, classes[j].representative, n, field)]] += 1
         out.append([classes[j].size * cnt // cls.size for cnt, cls in zip(counts, classes)])
     return out
 
@@ -363,11 +363,11 @@ def _power_map_rational_classes(table):
     every a prime to the order of x."""
     n, field, ident = table.n, table.field, table.identity()
     found = [set() for _ in table.classes]
-    for x, c in zip(table.elements, table.class_of):
+    for x, c in table.class_of.items():
         powers = [x]
         while powers[-1] != ident:
             powers.append(mat_mul(powers[-1], x, n, field))
-        found[c] |= {table.class_index(y) for a, y in enumerate(powers, 1)
+        found[c] |= {table.class_of[y] for a, y in enumerate(powers, 1)
                      if math.gcd(a, len(powers)) == 1}
     return found
 
@@ -451,8 +451,8 @@ def _merge_classes(table, a, b):
                   cls.invariant_factors, remap[cls.inverse_class])
         for c, cls in enumerate(table.classes) if c != b
     )
-    return GroupTable(table.field, table.n, table.elements, classes,
-                      tuple(remap[c] for c in table.class_of))
+    return GroupTable(table.field, table.n,
+                      {el: remap[c] for el, c in table.class_of.items()}, classes)
 
 
 @pytest.mark.parametrize("n,q", [(2, 5), (3, 2)])

@@ -74,17 +74,30 @@ def _directory_as_cache_file(tmp_path):
     return tmp_path  # IsADirectoryError when the temp file is renamed onto it
 
 
-@pytest.mark.parametrize("command,make_dir", [
+UNWRITABLE_CACHE_DIRS = pytest.mark.parametrize("command,make_dir", [
     ("verify-gelfand", _file_as_cache_parent),
     ("table", _file_as_cache_dir),
     ("verify-gelfand", _directory_as_cache_file),
 ])
+
+
+@UNWRITABLE_CACHE_DIRS
 def test_unwritable_cache_dir_is_bad_usage(capsys, tmp_path, command, make_dir):
     cache_dir = make_dir(tmp_path)
     code, out, err = run(capsys, command, "--n", "2", "--q", "2", "--cache-dir", str(cache_dir))
     assert code == 2 and out == ""
     assert err.startswith("refused: cannot write the table cache")
     assert str(cache_dir / "gl2_q2.tbl") in err
+
+
+@UNWRITABLE_CACHE_DIRS
+def test_unwritable_cache_dir_is_refused_before_enumerating(capsys, tmp_path, monkeypatch,
+                                                            command, make_dir):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(gelfand, "gl_enumerate", refuse)
+    test_unwritable_cache_dir_is_bad_usage(capsys, tmp_path, command, make_dir)
 
 
 def test_resource_refusal_exit_2(capsys):

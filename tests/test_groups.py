@@ -79,7 +79,7 @@ def test_primitive_element_is_least_of_full_order(q):
 
 
 def class_members(table, c):
-    return [el for el, label in zip(table.elements, table.class_of) if label == c]
+    return [el for el, label in table.class_of.items() if label == c]
 
 
 def brute_force_orbit_partition(table):
@@ -117,7 +117,7 @@ def smith_key_classes(elements, n, field):
         first.setdefault(key, idx)
         sizes[key] = sizes.get(key, 0) + 1
     key_to_class = {key: c for c, key in enumerate(first)}
-    class_of = tuple(key_to_class[key] for key in keys)
+    class_of = {el: key_to_class[key] for el, key in zip(elements, keys)}
     classes = []
     for key, idx in first.items():
         rep = elements[idx]
@@ -134,7 +134,7 @@ def test_orbit_classes_match_smith_key_oracle(n, q, table_store):
     table = table_store(n, q)
     classes, class_of = smith_key_classes(table.elements, n, table.field)
     assert table.classes == classes
-    assert table.class_of == class_of
+    assert list(table.class_of.items()) == list(class_of.items())
 
 
 @pytest.mark.parametrize("drop", [0, 1, 2])
@@ -145,10 +145,8 @@ def test_missing_conjugator_raises(drop, monkeypatch):
     monkeypatch.setattr(groups, "_conjugators", lambda n, field: [
         conj for i, conj in enumerate(full(n, field)) if i != drop])
     field = field_make(5, 1)  # over F_3 the cycle's determinant -1 stands in for diag(w)
-    elements = gl_elements(2, field)
-    index_of = {el: i for i, el in enumerate(elements)}
     with pytest.raises(InvariantViolation):
-        conjugacy_classes(elements, 2, field, index_of)
+        conjugacy_classes(gl_elements(2, field), 2, field)
 
 
 def gl_class_count(n, q):
@@ -203,16 +201,16 @@ def test_inverse_class_is_involution_fixing_identity(table_store):
         for c, cls in enumerate(table.classes):
             assert inv_map[inv_map[c]] == c
             g_inv = mat_inv(cls.representative, n, table.field)
-            assert table.class_of[table.index_of[g_inv]] == inv_map[c]
+            assert table.class_of[g_inv] == inv_map[c]
         assert inv_map[table.identity_class()] == table.identity_class()
 
 
 def test_inverse_class_consistent_on_all_elements(table_store):
     table = table_store(2, 3)
     inv_map = [cls.inverse_class for cls in table.classes]
-    for idx, el in enumerate(table.elements):
+    for el, c in table.class_of.items():
         g_inv = mat_inv(el, 2, table.field)
-        assert table.class_of[table.index_of[g_inv]] == inv_map[table.class_of[idx]]
+        assert table.class_of[g_inv] == inv_map[c]
 
 
 def test_class_key_agrees_on_every_member(table_store):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 
 import pytest
@@ -155,6 +156,65 @@ def test_corrupt_cache_is_recomputed_and_replaced(tmp_path, capsys):
     capsys.readouterr()
     table = load_table(path, field_make(3, 1), 2)
     assert table.order == 48 and len(table.classes) == 8
+
+
+def _rewrite_body(path, edit):
+    """Apply `edit` to the bytes after the digest and make the digest
+    match, so the file is well formed but its content is wrong; the count
+    at 12 is updated to the number of labels left."""
+    raw = bytearray(path.read_bytes())
+    n = raw[8]
+    (count,) = struct.unpack_from("<I", raw, 12)
+    elements, labels = raw[48:48 + count * n * n], raw[48 + count * n * n:]
+    elements, labels = edit(elements, labels, n * n)
+    struct.pack_into("<I", raw, 12, len(labels) // 2)
+    raw[48:] = elements + labels
+    raw[16:48] = hashlib.sha256(raw[:16] + raw[48:]).digest()
+    path.write_bytes(bytes(raw))
+
+
+def _repeat_element(i, j):
+    def edit(elements, labels, nsq):
+        elements[i * nsq:(i + 1) * nsq] = elements[j * nsq:(j + 1) * nsq]
+        return elements, labels
+
+    return edit
+
+
+def _drop_last_element(elements, labels, nsq):
+    return elements[:-nsq], labels[:-2]
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_repeat_element(47, 0), "listed twice"),
+    (_drop_last_element, "not the order"),
+])
+def test_load_rejects_elements_that_are_not_the_group(edit, match, tmp_path, table_store):
+    table = table_store(2, 3)
+    path = tmp_path / "t.tbl"
+    save_table(table, path)
+    _rewrite_body(path, edit)
+    with pytest.raises(CacheError, match=match):
+        load_table(path, table.field, 2)
+
+
+@pytest.mark.parametrize("n,q,i", [(2, 3, 47), (3, 2, 5), (2, 2, 3)])
+def test_repeated_element_cache_is_recomputed_and_replaced(n, q, i, tmp_path, capsys):
+    d = str(tmp_path)
+    argv = ["verify-gelfand", "--n", str(n), "--q", str(q), "--format", "json"]
+    assert main(argv + ["--no-cache"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--cache-dir", d]) == 0
+    capsys.readouterr()
+    path = cache_path(tmp_path, n, q)
+    current = path.read_bytes()
+    _rewrite_body(path, _repeat_element(i, 0))
+    assert main(argv + ["--cache-dir", d]) == 0
+    got = json.loads(capsys.readouterr().out)
+    for report in (want, got):
+        report.pop("meta")
+    assert got == want
+    assert path.read_bytes() == current
 
 
 def test_format_2_cache_is_recomputed_and_replaced(tmp_path, capsys):
