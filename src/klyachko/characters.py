@@ -432,50 +432,34 @@ def _check_arena(table: GroupTable, arena: ModularArena) -> None:
         raise ArenaMismatch(f"arena p = {arena.p}, field p = {table.field.p}")
 
 
-def induced_character(table: GroupTable, arena: ModularArena,
-                      members: list[tuple[int, ...]],
-                      exponents: list[int] | None = None,
-                      zeta: int = 1) -> ClassFunction:
-    """Character induced from a subgroup given by its member list and
-    character values zeta^exponent (class-sum evaluation)."""
+def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
+                               arena: ModularArena) -> ClassFunction:
+    """Character of the Klyachko model Ind_{H_{r,2k}}^{G}(psi_r), by the
+    class-sum evaluation over the members of H_{r,2k}."""
+    if spec.n != table.n:
+        raise ArenaMismatch(f"spec is for n = {spec.n}, table has n = {table.n}")
     _check_arena(table, arena)
-    ell = arena.ell
-    n_cls = len(table.classes)
+    field, ell = table.field, arena.ell
+    if spec.psi_generator % field.p == 0:
+        raise ValueError("psi_generator must be nonzero mod p (psi nontrivial)")
+    zeta = pow(arena.zeta_p, spec.psi_generator, ell)
+    psi_values = [pow(zeta, t, ell) for t in range(field.p)]  # psi of a trace in [0, p)
     class_of = table.class_of
-    zpow = {0: 1}
-    sums = [0] * n_cls
-    for pos, el in enumerate(members):
-        ex = exponents[pos] if exponents is not None else 0
-        zp = zpow.get(ex)
-        if zp is None:
-            zp = zpow[ex] = pow(zeta, ex, ell)
+    members = enumerate_h(spec, field)
+    sums = [0] * len(table.classes)
+    for el in members:
         c = class_of[el]
-        sums[c] = (sums[c] + zp) % ell
+        sums[c] = (sums[c] + psi_values[psi_r_trace_flat(el, spec, field)]) % ell
     h_size = len(members)
     if table.order % h_size:
         raise InvariantViolation("|H| does not divide |G|")
     vals = []
-    for c in range(n_cls):
-        denom_inv = pow(h_size * table.classes[c].size % ell, ell - 2, ell)
-        vals.append(table.order % ell * sums[c] % ell * denom_inv % ell)
+    for s_c, cls in zip(sums, table.classes):
+        denom_inv = pow(h_size * cls.size % ell, ell - 2, ell)
+        vals.append(table.order % ell * s_c % ell * denom_inv % ell)
     cf = ClassFunction(arena, tuple(vals))
     # induced dimension must lift to the exact index [G : H]
     got = cf.dimension(table)
     if got != table.order // h_size:
         raise InvariantViolation(f"chi(e) lifted to {got}, expected index {table.order // h_size}")
     return cf
-
-
-def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
-                               arena: ModularArena) -> ClassFunction:
-    """Character of the Klyachko model Ind_{H_{r,2k}}^{G}(psi_r)."""
-    if spec.n != table.n:
-        raise ArenaMismatch(f"spec is for n = {spec.n}, table has n = {table.n}")
-    _check_arena(table, arena)
-    field = table.field
-    if spec.psi_generator % field.p == 0:
-        raise ValueError("psi_generator must be nonzero mod p (psi nontrivial)")
-    zeta = pow(arena.zeta_p, spec.psi_generator, arena.ell)
-    members = enumerate_h(spec, field)
-    exps = [psi_r_trace_flat(el, spec, field) for el in members]
-    return induced_character(table, arena, members, exps, zeta)

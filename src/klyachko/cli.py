@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .arena import build_arena
@@ -50,7 +51,6 @@ from .periods import (
     zeta_assignment,
 )
 from .speh import TadicParameter, dual_model_type, kappa, product_highest_derivative, validate_unitary
-from .tablecache import classes_to_json
 from .weyl import residue_survival
 
 EXIT_OK = 0
@@ -123,16 +123,16 @@ def _resolve_group_options(args) -> dict:
 
 
 def cmd_verify_gelfand(args) -> int:
+    start = time.monotonic()
     opts = _resolve_group_options(args)
     p = opts["field"].p
     if args.psi % p == 0:
         raise UsageError(f"--psi must be nonzero mod p = {p} (psi nontrivial), got {args.psi}")
-    report = verify_gelfand(
-        args.n, args.q, ell=args.ell, psi=args.psi,
-        max_elements=opts["max_elements"], cache_dir=opts["cache_dir"],
-    )
+    table = load_or_compute_table(args.n, args.q, cache_dir=opts["cache_dir"],
+                                  max_elements=opts["max_elements"])
+    report = verify_gelfand(table, ell=args.ell, psi=args.psi)
     payload = report.to_json_dict()
-    payload["meta"]["seconds"] = round(report.seconds, 3)
+    payload["meta"]["seconds"] = round(time.monotonic() - start, 3)
 
     def render(js):
         print(f"GL_{js['n']}(F_{js['q']}): {js['class_count']} conjugacy classes, "
@@ -229,6 +229,11 @@ def _as_plain_param(blocks) -> TadicParameter:
 
 
 def cmd_period(args) -> int:
+    if args.tol is not None:
+        if not args.zeta:
+            raise UsageError("--tol applies only with --zeta")
+        if not args.tol > 0:  # false for nan as well
+            raise UsageError(f"--tol must be positive, got {args.tol}")
     expr = period_formula(args.t)
     payload = {
         "t": args.t,
@@ -243,7 +248,10 @@ def cmd_period(args) -> int:
     if args.t >= 3 and args.t % 2 == 1:
         payload["intertwining_eigenvalue"] = intertwining_eigenvalue(args.t).to_string()
     if args.zeta:
-        assignment = zeta_assignment(expr, tol=args.tol)
+        if args.tol is None:
+            assignment = zeta_assignment(expr)
+        else:
+            assignment = zeta_assignment(expr, tol=args.tol)
         payload["assignment"] = {k: v for k, v in sorted(assignment.items())}
         payload["value"] = evaluate_period(expr, assignment)
 
@@ -305,7 +313,18 @@ def cmd_table(args) -> int:
         "q": args.q,
         "order": table.order,
         "ell": arena.ell,
-        "classes": classes_to_json(table)["classes"],
+        "classes": [
+            {
+                "index": i,
+                "size": cls.size,
+                "representative": [
+                    list(cls.representative[r * args.n:(r + 1) * args.n]) for r in range(args.n)
+                ],
+                "invariant_factors": [list(f) for f in cls.invariant_factors],
+                "inverse_class": cls.inverse_class,
+            }
+            for i, cls in enumerate(table.classes)
+        ],
         "dims": [cf.dimension(table) for cf in chars],
         "characters": [list(cf.values) for cf in chars],
         "note": "character values are residues mod ell; no complex lifting",
@@ -357,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--zeta", action="store_true",
                    help="evaluate with L(j) = zeta(j), Res = 1, alpha = 1")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=None,
+                   help="error bound of each zeta value, with --zeta (default 1e-8)")
     _add_common(p)
     p.set_defaults(func=cmd_period)
 
@@ -385,12 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     except DegreeMismatch as exc:
         print(f"degree mismatch: {exc}", file=sys.stderr)
         return EXIT_DEGREE
-    except ResourceRefused as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (ArenaTooSmall, UsageError) as exc:
-        # a rejected --ell override or environment value is bad usage,
-        # not an engine bug
+    except (ResourceRefused, ArenaTooSmall, UsageError) as exc:
+        # a cap exceeded, or bad usage such as a rejected --ell override
+        # or environment value; ArenaTooSmall is caught before the
+        # InvariantViolation it subclasses, as it is not an engine bug
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except InvariantViolation as exc:

@@ -1,9 +1,10 @@
-"""Gelfand-model verification for GL_n(F_q).
+"""Gelfand-model verification for GL_n(F_q), from its group table.
 
-For every irreducible pi and every decomposition n = r + 2k this
-computes the multiplicity of pi in the Klyachko model
-Ind_{H_{r,2k}}^G(psi_r), assembles the full multiplicity matrix, and
-reports four flags:
+`load_or_compute_table` gives the table of GL_n(F_q), from the table
+cache or computed.  `verify_gelfand` reads n and q from that table and,
+for every irreducible pi and every decomposition n = r + 2k, computes
+the multiplicity of pi in the Klyachko model
+Ind_{H_{r,2k}}^G(psi_r).  It reports four flags:
 
 - existence:    every irreducible appears in some model,
 - disjointness: no irreducible appears in two different models,
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import errno
 import os
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .arena import ModularArena, build_arena
-from .characters import ClassFunction, character_table, induced_klyachko_character, multiplicity
+from .arena import build_arena
+from .characters import character_table, induced_klyachko_character, multiplicity
 from .errors import CacheError, InvariantViolation, UsageError
 from .gf import field_from_q
 from .groups import (
@@ -62,7 +62,6 @@ class GelfandReport:
     gelfand: bool
     model_dims: tuple[tuple[int, int], ...]  # (k, [G : H_{n-2k,2k}])
     irreducible_dim_sum: int
-    seconds: float = dc_field(compare=False, default=0.0)
 
     @property
     def model_dim_sum(self) -> int:
@@ -130,64 +129,39 @@ def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
     return table
 
 
-def model_multiplicity_matrix(table: GroupTable, arena: ModularArena,
-                              chars: list[ClassFunction], psi: int = 1,
-                              ) -> tuple[list[list[int]], list[int]]:
-    """Multiplicities [pi][k] over k = 0..floor(n/2), plus model dims."""
-    n = table.n
-    matrix: list[list[int]] = [[] for _ in chars]
-    dims = []
+def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1) -> GelfandReport:
+    """Run the full verification on the table of GL_n(F_q)."""
+    n, q = table.n, table.q
+    arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
+    chars = character_table(table, arena)
+    matrix: list[list[int]] = [[] for _ in chars]  # multiplicities [pi][k]
+    model_dims = []
     for k in range(n // 2 + 1):
         spec = KlyachkoSubgroupSpec(n - 2 * k, k, psi_generator=psi)
         chi_model = induced_klyachko_character(table, spec, arena)
-        dims.append(chi_model.dimension(table))
-        for i, cf in enumerate(chars):
-            matrix[i].append(multiplicity(chi_model, cf, table))
-    return matrix, dims
-
-
-def verify_gelfand(n: int, q: int, *, ell: int | None = None, psi: int = 1,
-                   max_elements: int = DEFAULT_MAX_ELEMENTS,
-                   cache_dir: str | Path | None = None,
-                   table: GroupTable | None = None) -> GelfandReport:
-    """Run the full verification for one (n, q)."""
-    start = time.monotonic()
-    if table is None:
-        table = load_or_compute_table(n, q, cache_dir=cache_dir, max_elements=max_elements)
-    arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
-    chars = character_table(table, arena)
-    matrix, model_dims = model_multiplicity_matrix(table, arena, chars, psi=psi)
-    rows = []
-    for i, cf in enumerate(chars):
-        mults = matrix[i]
-        rows.append(
-            GelfandRow(
-                index=i,
-                dim=cf.dimension(table),
-                mults=tuple((k, m) for k, m in enumerate(mults)),
-                total=sum(mults),
-            )
-        )
-    existence = all(row.total >= 1 for row in rows)
-    disjointness = all(sum(1 for _, m in row.mults if m) <= 1 for row in rows)
-    uniqueness = all(m <= 1 for row in rows for _, m in row.mults)
-    gelfand = all(row.total == 1 for row in rows)
-    # independent dimension bookkeeping: index formula vs character dims
-    for k, dim in enumerate(model_dims):
+        # independent dimension bookkeeping: index formula vs character dims
+        dim = chi_model.dimension(table)
         if dim != table.order // h_order(n - 2 * k, k, q):
             raise InvariantViolation(f"model k={k} has dimension {dim}, not the index of H")
+        model_dims.append(dim)
+        for mults, cf in zip(matrix, chars):
+            mults.append(multiplicity(chi_model, cf, table))
+    rows = tuple(
+        GelfandRow(index=i, dim=cf.dimension(table), mults=tuple(enumerate(mults)),
+                   total=sum(mults))
+        for i, (cf, mults) in enumerate(zip(chars, matrix))
+    )
     return GelfandReport(
         n=n,
         q=q,
         ell=arena.ell,
         psi_seed=psi,
         class_count=len(table.classes),
-        rows=tuple(rows),
-        existence=existence,
-        disjointness=disjointness,
-        uniqueness=uniqueness,
-        gelfand=gelfand,
-        model_dims=tuple((k, d) for k, d in enumerate(model_dims)),
-        irreducible_dim_sum=sum(cf.dimension(table) for cf in chars),
-        seconds=time.monotonic() - start,
+        rows=rows,
+        existence=all(row.total >= 1 for row in rows),
+        disjointness=all(sum(1 for _, m in row.mults if m) <= 1 for row in rows),
+        uniqueness=all(m <= 1 for row in rows for _, m in row.mults),
+        gelfand=all(row.total == 1 for row in rows),
+        model_dims=tuple(enumerate(model_dims)),
+        irreducible_dim_sum=sum(row.dim for row in rows),
     )

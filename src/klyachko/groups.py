@@ -103,9 +103,15 @@ class GroupTable:
         return out
 
     def exponent(self) -> int:
-        """lcm of element orders; orders are class invariants so the
-        lcm over class representatives suffices."""
-        return math.lcm(*(len(self.powers(cls.representative)) for cls in self.classes))
+        """The lcm of the element orders, p^a lcm(q - 1, q^2 - 1, ..., q^n - 1)
+        with p^a the least power of p that is >= n.  A unipotent Jordan
+        block of size b <= n has order the least p^a >= b; semisimple
+        orders divide the q^d - 1 for d <= n, and Singer cycles reach them."""
+        n, q = self.n, self.q
+        unipotent = 1
+        while unipotent < n:
+            unipotent *= self.field.p
+        return unipotent * math.lcm(*(q**d - 1 for d in range(1, n + 1)))
 
 
 def check_group_cap(n: int, q: int, max_elements: int) -> int:

@@ -1,4 +1,4 @@
-"""Versioned binary cache for group tables, plus JSON export of classes.
+"""Versioned binary cache for group tables.
 
 Layout (little-endian):
 
@@ -103,23 +103,3 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
         raise CacheError(f"{path}: class labels do not name conjugacy classes") from exc
     return GroupTable(field, n, class_of, classes)
 
-
-def classes_to_json(table: GroupTable) -> dict:
-    n = table.n
-    return {
-        "n": n,
-        "q": table.q,
-        "order": table.order,
-        "classes": [
-            {
-                "index": i,
-                "size": cls.size,
-                "representative": [
-                    list(cls.representative[r * n:(r + 1) * n]) for r in range(n)
-                ],
-                "invariant_factors": [list(p) for p in cls.invariant_factors],
-                "inverse_class": cls.inverse_class,
-            }
-            for i, cls in enumerate(table.classes)
-        ],
-    }

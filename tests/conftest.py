@@ -1,7 +1,7 @@
 import pytest
 
 from klyachko.arena import build_arena
-from klyachko.gf import field_make
+from klyachko.gf import field_from_q
 from klyachko.groups import gl_enumerate
 
 
@@ -12,19 +12,7 @@ def table_store():
 
     def get(n, q):
         if (n, q) not in cache:
-            field = None
-            for p in (2, 3, 5, 7, 11, 13):
-                e = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if m == 1 and e:
-                    field = field_make(p, e)
-                    break
-            if field is None:
-                raise ValueError(f"q = {q} not a prime power")
-            cache[(n, q)] = gl_enumerate(n, field)
+            cache[(n, q)] = gl_enumerate(n, field_from_q(q))
         return cache[(n, q)]
 
     return get

@@ -1,6 +1,7 @@
 """Test oracles: matrix and subgroup helpers that the library itself
 does not need, written plainly so the tests can check it against them."""
 
+import math
 from collections import Counter
 
 from klyachko.gf import mat_mul
@@ -16,6 +17,12 @@ def gl_order(n, q):
     for i in range(n):
         out *= qn - q**i
     return out
+
+
+def exponent_by_powers(table):
+    """The lcm of the orders of the class representatives, each order
+    found by multiplying the representative by itself up to the identity."""
+    return math.lcm(*(len(table.powers(cls.representative)) for cls in table.classes))
 
 
 def mat_transpose(a, n):

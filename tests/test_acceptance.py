@@ -37,7 +37,7 @@ def _report(n, q):
     if (n, q) not in _reports:
         start = time.monotonic()
         table = gl_enumerate(n, field_from_q(q))
-        report = verify_gelfand(n, q, table=table)
+        report = verify_gelfand(table)
         _reports[(n, q)] = (report, table, time.monotonic() - start)
     return _reports[(n, q)]
 

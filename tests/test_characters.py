@@ -16,7 +16,6 @@ from klyachko.characters import (
     _split_space,
     character_table,
     class_multiplication_tensor,
-    induced_character,
     induced_klyachko_character,
     inner_product_residue,
     multiplicity,
@@ -111,7 +110,9 @@ def test_gl2_f2_table_against_regular_decomposition(table_store, arena_store):
     representation is its dimension."""
     table, arena = table_store(2, 2), arena_store(2, 2)
     chars = character_table(table, arena)
-    regular = induced_character(table, arena, [table.identity()])
+    e_idx = table.identity_class()
+    regular = ClassFunction(arena, tuple(table.order % arena.ell if c == e_idx else 0
+                                         for c in range(len(table.classes))))
     assert regular.dimension(table) == table.order
     for cf in chars:
         assert multiplicity(regular, cf, table) == cf.dimension(table)
@@ -539,8 +540,8 @@ def test_roots_need_degree_below_ell():
 def test_billion_scale_ell_gives_same_report(table_store):
     """1000000009 is prime and 1 mod 24 = lcm(exp GL_2(F_3), 3)."""
     table = table_store(2, 3)
-    big = verify_gelfand(2, 3, table=table, ell=1000000009)
-    default = verify_gelfand(2, 3, table=table)
+    big = verify_gelfand(table, ell=1000000009)
+    default = verify_gelfand(table)
     assert big.ell == 1000000009
     assert sorted((r.dim, r.mults) for r in big.rows) == \
         sorted((r.dim, r.mults) for r in default.rows)

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from klyachko import gelfand
+from klyachko import cli, gelfand
 from klyachko.cli import build_parser, main
 from klyachko.paramparse import parse_parameter
 
@@ -42,6 +43,19 @@ def test_verify_gelfand_uses_cache(capsys, tmp_path):
     code2, js, _ = run_json(capsys, "verify-gelfand", "--n", "2", "--q", "3",
                             "--cache-dir", str(tmp_path))
     assert code2 == 0 and js["flags"]["gelfand"]
+
+
+def test_seconds_cover_the_table_load(capsys, monkeypatch):
+    load = cli.load_or_compute_table
+
+    def slow_load(*args, **kwargs):
+        time.sleep(0.2)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_or_compute_table", slow_load)
+    code, js, _ = run_json(capsys, "verify-gelfand", "--n", "2", "--q", "2", "--no-cache")
+    assert code == 0
+    assert js["meta"]["seconds"] >= 0.2
 
 
 def test_verify_gelfand_env_cache(capsys, tmp_path, monkeypatch):
@@ -167,7 +181,7 @@ def test_psi_zero_mod_p_is_bad_usage(capsys, monkeypatch, psi):
     def no_work(*args, **kwargs):
         raise AssertionError("group work started for a bad --psi")
 
-    monkeypatch.setattr(gelfand, "load_or_compute_table", no_work)
+    monkeypatch.setattr(cli, "load_or_compute_table", no_work)
     code, out, err = run(capsys, "verify-gelfand", "--n", "2", "--q", "3", "--psi", psi,
                          "--no-cache")
     assert code == 2 and out == ""
@@ -249,6 +263,19 @@ def test_period_json(capsys):
     assert abs(js["value"] - 1.3684327) < 1e-5
 
 
+def test_period_tol_without_zeta_is_bad_usage(capsys):
+    code, out, err = run(capsys, "period", "--t", "3", "--tol", "1e-6")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: --tol")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_period_non_positive_tol_is_bad_usage(capsys, tol):
+    code, out, err = run(capsys, "period", "--t", "3", "--zeta", "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.startswith("refused: --tol must be positive")
+
+
 def test_residue_survival_cmd(capsys):
     code, js, _ = run_json(capsys, "residue-survival", "--t", "5")
     assert code == 0
@@ -269,6 +296,18 @@ def test_table_dump(capsys):
     assert sorted(js["dims"]) == [1, 1, 2]
     assert len(js["characters"]) == 3
     assert len(js["classes"]) == 3
+
+
+def test_table_classes_json(capsys):
+    code, js, _ = run_json(capsys, "table", "--n", "2", "--q", "2", "--no-cache")
+    assert code == 0
+    assert js["order"] == 6 and js["n"] == 2 and js["q"] == 2
+    assert len(js["classes"]) == 3
+    sizes = sorted(c["size"] for c in js["classes"])
+    assert sizes == [1, 2, 3]
+    for cls in js["classes"]:
+        assert len(cls["representative"]) == 2
+        assert all(len(row) == 2 for row in cls["representative"])
 
 
 def test_verify_gelfand_gl2_f7(capsys):

@@ -6,7 +6,7 @@ from klyachko.gelfand import load_or_compute_table, verify_gelfand
 
 
 def test_gl2_f2_report(table_store):
-    report = verify_gelfand(2, 2, table=table_store(2, 2))
+    report = verify_gelfand(table_store(2, 2))
     assert report.gelfand and report.existence and report.disjointness and report.uniqueness
     assert [d for _, d in report.model_dims] == [3, 1]
     assert report.model_dim_sum == 4 == report.irreducible_dim_sum
@@ -15,14 +15,14 @@ def test_gl2_f2_report(table_store):
 
 
 def test_gl2_f3_report(table_store):
-    report = verify_gelfand(2, 3, table=table_store(2, 3))
+    report = verify_gelfand(table_store(2, 3))
     assert report.gelfand
     assert [d for _, d in report.model_dims] == [16, 2]
     assert report.model_dim_sum == 18 == report.irreducible_dim_sum
 
 
 def test_gl3_f2_report(table_store):
-    report = verify_gelfand(3, 2, table=table_store(3, 2))
+    report = verify_gelfand(table_store(3, 2))
     assert report.gelfand
     assert [d for _, d in report.model_dims] == [21, 7]
     assert report.model_dim_sum == 28 == report.irreducible_dim_sum
@@ -33,31 +33,38 @@ def test_gl3_f2_report(table_store):
         assert len(nonzero) == 1 and nonzero[0][1] == 1
 
 
+@pytest.mark.parametrize("n,q", [(1, 4), (2, 2), (2, 3), (3, 2)])
+def test_n_and_q_come_from_the_table(table_store, n, q):
+    report = verify_gelfand(table_store(n, q))
+    assert (report.n, report.q) == (n, q)
+    assert report.model_dim_sum == report.irreducible_dim_sum
+
+
 def test_gl1_regular_representation(table_store):
     # n = 1: the single model is induction from the trivial group,
     # i.e. the regular representation of the abelian GL_1
-    report = verify_gelfand(1, 3, table=table_store(1, 3))
+    report = verify_gelfand(table_store(1, 3))
     assert report.gelfand
     assert report.class_count == 2
     assert [d for _, d in report.model_dims] == [2]
 
 
 def test_report_deterministic(table_store):
-    a = verify_gelfand(2, 3, table=table_store(2, 3))
-    b = verify_gelfand(2, 3, table=table_store(2, 3))
+    a = verify_gelfand(table_store(2, 3))
+    b = verify_gelfand(table_store(2, 3))
     assert a == b
     assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_psi_choice_does_not_change_multiplicities(table_store):
-    base = verify_gelfand(2, 3, table=table_store(2, 3))
-    other = verify_gelfand(2, 3, table=table_store(2, 3), psi=2)
+    base = verify_gelfand(table_store(2, 3))
+    other = verify_gelfand(table_store(2, 3), psi=2)
     assert other.psi_seed == 2
     assert [row.mults for row in other.rows] == [row.mults for row in base.rows]
 
 
 def test_ell_override_flows_through(table_store):
-    report = verify_gelfand(2, 2, table=table_store(2, 2), ell=19)
+    report = verify_gelfand(table_store(2, 2), ell=19)
     assert report.ell == 19
     assert report.gelfand
 
@@ -73,7 +80,7 @@ def test_arena_mismatch_rejected(table_store, arena_store):
 
 
 def test_json_shape(table_store):
-    report = verify_gelfand(2, 2, table=table_store(2, 2))
+    report = verify_gelfand(table_store(2, 2))
     js = report.to_json_dict()
     assert set(js) == {
         "n", "q", "ell", "psi_seed", "class_count", "rows", "flags",
@@ -96,7 +103,7 @@ def test_cache_round_trip(tmp_path):
     assert [c.invariant_factors for c in second.classes] == [
         c.invariant_factors for c in first.classes
     ]
-    report = verify_gelfand(2, 3, cache_dir=tmp_path)
+    report = verify_gelfand(second)
     assert report.gelfand
 
 

@@ -27,7 +27,7 @@ def strip_meta(js):
 def test_gelfand_report_matches_golden(n, q, table_store):
     path = GOLDEN_DIR / f"gelfand_n{n}_q{q}.json"
     golden = json.loads(path.read_text())
-    live = verify_gelfand(n, q, table=table_store(n, q)).to_json_dict()
+    live = verify_gelfand(table_store(n, q)).to_json_dict()
     assert strip_meta(live) == strip_meta(golden)
 
 

@@ -20,7 +20,14 @@ from klyachko.groups import (
     sp_order,
     symplectic_form,
 )
-from oracles import gl_order, h_membership_flat, mat_det, mat_transpose, sp_membership_flat
+from oracles import (
+    exponent_by_powers,
+    gl_order,
+    h_membership_flat,
+    mat_det,
+    mat_transpose,
+    sp_membership_flat,
+)
 
 
 def brute_force_gl(n, field):
@@ -428,3 +435,11 @@ def test_exponent_small_groups(table_store):
     assert table_store(2, 2).exponent() == 6       # S_3
     assert table_store(2, 3).exponent() == 24      # lcm of orders in GL_2(F_3)
     assert table_store(3, 2).exponent() == 84      # lcm(1..4,7) orders in GL_3(F_2)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2),
+                                 (3, 3), (4, 2)])
+def test_exponent_is_lcm_of_element_orders(table_store, n, q):
+    """The closed form against the orders of the class representatives,
+    on the groups the acceptance suite verifies and two GL_1."""
+    assert table_store(n, q).exponent() == exponent_by_powers(table_store(n, q))

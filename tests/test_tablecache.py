@@ -7,7 +7,7 @@ import pytest
 from klyachko.cli import main
 from klyachko.errors import CacheError
 from klyachko.gf import field_make
-from klyachko.tablecache import MAGIC, cache_path, classes_to_json, load_table, save_table
+from klyachko.tablecache import MAGIC, cache_path, load_table, save_table
 
 RETIRED_MAGIC = b"KLYGRP\x00\x02"  # format 2 also stored a record per class
 
@@ -41,17 +41,6 @@ def test_load_rejects_corrupt(tmp_path):
         load_table(path, field_make(2, 1), 2)
     with pytest.raises(CacheError):
         load_table(tmp_path / "missing.tbl", field_make(2, 1), 2)
-
-
-def test_classes_json(table_store):
-    js = classes_to_json(table_store(2, 2))
-    assert js["order"] == 6 and js["n"] == 2 and js["q"] == 2
-    assert len(js["classes"]) == 3
-    sizes = sorted(c["size"] for c in js["classes"])
-    assert sizes == [1, 2, 3]
-    for cls in js["classes"]:
-        assert len(cls["representative"]) == 2
-        assert all(len(row) == 2 for row in cls["representative"])
 
 
 def _rewrite_labels(path, relabel, redigest=False):
