@@ -16,27 +16,29 @@ the queue.  Each class splits every space that is not yet a line: only
 the rows of M_i at the space's pivot columns are computed, |C_i|
 products each, the d x d restriction of M_i to the space is
 diagonalised, and the kernel of each eigenvalue becomes a new space.
-A product x g_j is read row by row from a table of v g_j for all q^n
-row vectors v, built by linearity from the field tables, with the rows
-of x coded as base-q integers; then one lookup in the table's
-element-to-class map gives its class.  When every space is a line its
-vector is a central character.  A restriction that is a scalar leaves
-its space whole with no characteristic polynomial: class matrices act
-diagonalisably, so one eigenvalue means a scalar.  Otherwise the
-eigenvalues are the roots of the characteristic polynomial chi, found
-as gcd(x^ell - x, s) on its squarefree part s = chi / gcd(chi, chi')
-and separated by Cantor-Zassenhaus equal-degree splitting with the
-shifts 0, 1, 2, ...; nothing is random.  All linear algebra is over
-Z/ell, so every identity below is checked exactly, never to a
-tolerance; the row and column orthogonality of the finished table are
-one dot product mod ell per pair of characters and per pair of classes.
+A product x g_j is read row by row: the table's elements are tuples of
+row codes, and row r of x g_j is the entry of `groups.row_images(g_j)`
+at row r of x; then one lookup in the table's element-to-class map
+gives its class.  When every space is a line its vector is a central
+character.  A restriction that is a scalar leaves its space whole with
+no characteristic polynomial: class matrices act diagonalisably, so one
+eigenvalue means a scalar.  Otherwise the eigenvalues are the roots of
+the characteristic polynomial chi, found as gcd(x^ell - x, s) on its
+squarefree part s = chi / gcd(chi, chi') and separated by
+Cantor-Zassenhaus equal-degree splitting with the shifts 0, 1, 2, ...;
+nothing is random.  All linear algebra is over Z/ell, so every
+identity below is checked exactly, never to a tolerance; the row and
+column orthogonality of the finished table are one dot product mod ell
+per pair of characters and per pair of classes.
 
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
 psi(xgx^-1) by conjugacy class gives
 chi(c) = |G| * S_c / (|H| * |c|) with S_c = sum over H-members in class
-c of psi.  The tests cross-check it against the literal sum over all
-of G.
+c of psi.  The members come from `groups.enumerate_h` as row codes, so
+each is a key of the table's class map as it is, and
+`groups.psi_r_trace` reads psi_r off its top rows.  The tests
+cross-check it against the literal sum over all of G.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import chain, compress, product
-from operator import add, itemgetter, mul
+from itertools import compress
+from operator import mul
 
 from .arena import ModularArena, zpoly_divmod, zpoly_gcd, zpoly_powmod, zpoly_sub, zpoly_trim
 from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
@@ -54,9 +55,9 @@ from .groups import (
     GroupTable,
     KlyachkoSubgroupSpec,
     enumerate_h,
-    psi_r_trace_flat,
+    psi_r_trace,
+    row_images,
 )
-from .gf import FiniteField
 
 
 @dataclass(frozen=True)
@@ -71,26 +72,6 @@ class ClassFunction:
         return self.arena.lift_bounded(v, 0, self.arena.group_order, "dimension")
 
 
-def _row_images(g: tuple[int, ...], n: int, field: FiniteField) -> list[tuple[int, ...]]:
-    """v g for every row vector v, indexed by the base-q code of v (first
-    entry most significant), each image as a tuple of entry codes.
-
-    Built by linearity, one column at a time: entry c of v g is the sum of
-    v_k g_kc, each step appending a digit v_k through the field's add table.
-    """
-    q = field.q
-    add_rows = [field.add[a * q:(a + 1) * q] for a in range(q)]
-    # times_b(row a of the add table) = (a + s b for s = 0, ..., q - 1)
-    times = [itemgetter(*field.mul[b::q]) for b in range(q)]
-    columns = []
-    for c in range(n):
-        col = [0]
-        for k in range(n):
-            col = list(chain.from_iterable(map(times[g[k * n + c]], map(add_rows.__getitem__, col))))
-        columns.append(col)
-    return list(zip(*columns))
-
-
 def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
                                 images: dict | None = None) -> list[list[int]]:
     """Rows j in `rows` of the class matrix M_i, a slice of the tensor
@@ -98,18 +79,15 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
 
     Conjugating y to g_j gives a[i][j][k] = |C_j| * #{x in C_i : x g_j in C_k} / |C_k|,
     so a row costs |C_i| products and no inverses.  Row r of x g_j is
-    (row r of x) g_j, so each member's rows are coded once as base-q
-    integers and a product is n lookups in the row images of g_j.  The
-    row images of g_j are kept in `images` under j, so a caller that
-    passes one dict to several calls builds each at most once.
+    (row r of x) g_j, so a product is n lookups in the row images of
+    g_j, one per row column of the members.  The row images of g_j are
+    kept in `images` under j, so a caller that passes one dict to
+    several calls builds each at most once.
     """
     classes = table.classes
     n, field = table.n, table.field
     class_of = table.class_of
-    members = list(compress(class_of, map(i.__eq__, class_of.values())))
-    code_of = {row: c for c, row in enumerate(product(range(field.q), repeat=n))}
-    row_codes = [list(map(code_of.__getitem__, map(itemgetter(slice(r * n, (r + 1) * n)), members)))
-                 for r in range(n)]
+    columns = list(zip(*compress(class_of, map(i.__eq__, class_of.values()))))
     if images is None:
         images = {}
     out = []
@@ -117,8 +95,8 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
         size_j = classes[j].size
         image = images.get(j)
         if image is None:
-            image = images[j] = _row_images(classes[j].representative, n, field).__getitem__
-        products = reduce(partial(map, add), [map(image, codes) for codes in row_codes])
+            image = images[j] = row_images(classes[j].representative, n, field).__getitem__
+        products = zip(*[map(image, col) for col in columns])
         counts = Counter(map(class_of.__getitem__, products))
         row = [0] * len(classes)
         for k, cnt in counts.items():
@@ -294,7 +272,7 @@ def _rational_class(table: GroupTable, c: int) -> set[int]:
     representative of class c."""
     powers = table.powers(table.classes[c].representative)
     order = len(powers)
-    return {table.class_of[x] for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
+    return {table.class_of_flat(x) for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
 
 
 def _visit_order(table: GroupTable):
@@ -449,7 +427,7 @@ def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
     sums = [0] * len(table.classes)
     for el in members:
         c = class_of[el]
-        sums[c] = (sums[c] + psi_values[psi_r_trace_flat(el, spec, field)]) % ell
+        sums[c] = (sums[c] + psi_values[psi_r_trace(el, spec, field)]) % ell
     h_size = len(members)
     if table.order % h_size:
         raise InvariantViolation("|H| does not divide |G|")

@@ -2,19 +2,20 @@
 
 Layout (little-endian):
 
-    magic     8 bytes  b"KLYGRP\\x00\\x03"  (includes format version)
+    magic     8 bytes  b"KLYGRP\\x00\\x04"  (includes format version)
     n, p, e   3 x u8
     reserved  u8       0
     count     u32      number of elements
     digest    32 bytes sha256 of every other byte of the file
-    elements  count * n^2 bytes of entry codes: the keys of class_of
-    labels    count * u16: the values of class_of, in the same order
+    labels    count * u16: the values of class_of, keys in lex order
 
-Entry codes fit one byte since q <= 16.  The file holds no class
-records: `groups.class_records` derives them from the map at load.  The
-loader rejects a file whose version, (n, p, e), length, digest or class
-labels do not match, or whose elements are not |GL_n(F_q)| distinct
-keys; the caller then recomputes the table and overwrites the file.
+The file holds no elements: the loader pairs the labels with a fresh
+`groups.gl_elements` enumeration, which gives the keys in the same lex
+order, and `groups.class_records` derives the class records from the
+map.  The loader rejects a file whose version, (n, p, e), count, length,
+digest or class labels do not match; the caller then recomputes the
+table and overwrites the file.  Files of earlier formats fail the
+version check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from .errors import CacheError, InvariantViolation
 from .gf import FiniteField
-from .groups import GroupTable, class_records
+from .groups import GroupTable, class_records, gl_elements
 
 # importing hashlib loads OpenSSL (about 3.5 MiB resident), so take the
 # lean builtin SHA-256 where it exists, as the stdlib's random does
@@ -35,7 +36,7 @@ try:
 except ImportError:  # Python >= 3.12 renamed it
     from hashlib import sha256
 
-MAGIC = b"KLYGRP\x00\x03"
+MAGIC = b"KLYGRP\x00\x04"
 HEADER = struct.Struct("<BBBBI")
 DIGEST_AT = len(MAGIC) + HEADER.size
 BODY_AT = DIGEST_AT + sha256().digest_size
@@ -56,10 +57,7 @@ def save_table(table: GroupTable, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     head = MAGIC + HEADER.pack(table.n, table.field.p, table.field.e, 0, table.order)
-    body = bytearray()
-    for el in table.class_of:
-        body += bytes(el)
-    body += struct.pack(f"<{table.order}H", *table.class_of.values())
+    body = struct.pack(f"<{table.order}H", *table.class_of.values())
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(head + _digest(head, body) + body)
@@ -87,16 +85,12 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
         )
     if count != math.prod(field.q**n - field.q**i for i in range(n)):
         raise CacheError(f"{path}: {count} elements is not the order of GL_{n}(F_{field.q})")
-    nsq = n * n
-    labels_at = BODY_AT + count * nsq
-    if len(raw) != labels_at + 2 * count:
+    if len(raw) != BODY_AT + 2 * count:
         raise CacheError(f"{path}: truncated or corrupt cache")
     if raw[DIGEST_AT:BODY_AT] != _digest(raw[:DIGEST_AT], memoryview(raw)[BODY_AT:]):
         raise CacheError(f"{path}: digest mismatch")
-    elements = zip(*[iter(raw[BODY_AT:labels_at])] * nsq)  # n^2 codes at a time
-    class_of = dict(zip(elements, struct.unpack_from(f"<{count}H", raw, labels_at)))
-    if len(class_of) != count:
-        raise CacheError(f"{path}: an element is listed twice")
+    labels = struct.unpack_from(f"<{count}H", raw, BODY_AT)
+    class_of = dict(zip(gl_elements(n, field, count), labels))
     try:
         classes = class_records(class_of, n, field)
     except (KeyError, InvariantViolation) as exc:

@@ -3,6 +3,8 @@ does not need, written plainly so the tests can check it against them."""
 
 import math
 from collections import Counter
+from fractions import Fraction
+from operator import itemgetter
 
 from klyachko.gf import mat_mul
 from klyachko.groups import symplectic_form
@@ -107,12 +109,13 @@ def partitions(m, largest=None):
             yield (part,) + rest
 
 
-def green_parameters(n, q):
-    """Green's parametrisation of the irreducibles of GL_n(F_q): each
-    function lambda from the monic irreducibles f != x to partitions with
-    sum deg f * |lambda(f)| = n, as the Tadic parameter with one block
-    U(f:deg f,1,t) for each part t of lambda(f).  The f are labelled by
-    degree and a count; their coefficients play no part."""
+def green_functions(n, q):
+    """Green's functions lambda from the monic irreducibles f != x over
+    F_q to partitions with sum deg f * |lambda(f)| = n, each as a list of
+    (f, deg f, lambda(f)) over the f with lambda(f) nonempty.  The f are
+    labelled by degree and a count; their coefficients play no part.
+    The same functions index the conjugacy classes and the irreducibles
+    of GL_n(F_q)."""
     polys = [(f"f{d}_{i}", d) for d in range(1, n + 1) for i in range(irreducible_count(d, q))]
 
     def assign(start, left):
@@ -123,12 +126,47 @@ def green_parameters(n, q):
             name, d = polys[at]
             for size in range(1, left // d + 1):
                 for lam in partitions(size):
-                    blocks = [ParamBlock(SpehBlock(CuspidalLabel(name, d), 1, t)) for t in lam]
                     for rest in assign(at + 1, left - d * size):
-                        yield blocks + rest
+                        yield [(name, d, lam)] + rest
 
-    for blocks in assign(0, n):
-        yield TadicParameter(blocks)
+    yield from assign(0, n)
+
+
+def green_parameters(n, q):
+    """Green's parametrisation of the irreducibles of GL_n(F_q): each
+    function of `green_functions` as the Tadic parameter with one block
+    U(f:deg f,1,t) for each part t of lambda(f)."""
+    for function in green_functions(n, q):
+        yield TadicParameter([ParamBlock(SpehBlock(CuspidalLabel(name, d), 1, t))
+                              for name, d, lam in function for t in lam])
+
+
+def centraliser_factor(lam, t):
+    """a_lambda(t) = t^(|lambda| + 2 n(lambda)) prod_i phi_{m_i}(1/t), with
+    n(lambda) = sum_i (i - 1) lambda_i, m_i the multiplicity of the part i
+    and phi_m(x) = (1 - x)(1 - x^2)...(1 - x^m) (Macdonald, ch. IV 2)."""
+    out = Fraction(t ** (sum(lam) + 2 * sum(i * part for i, part in enumerate(lam))))
+    for m in Counter(lam).values():
+        for j in range(1, m + 1):
+            out *= 1 - Fraction(1, t**j)
+    if out.denominator != 1:
+        raise ValueError(f"a_{lam}({t}) = {out} is not an integer")
+    return int(out)
+
+
+def green_class_sizes(n, q):
+    """The conjugacy class sizes of GL_n(F_q), in ascending order, from
+    Green's class data: the class of lambda has centraliser order
+    prod_f a_{lambda(f)}(q^deg f), so its size is |G| over that.  Their
+    number is the class count."""
+    order = gl_order(n, q)
+    sizes = []
+    for function in green_functions(n, q):
+        centraliser = math.prod(centraliser_factor(lam, q**d) for _, d, lam in function)
+        if order % centraliser:
+            raise ValueError(f"centraliser order {centraliser} does not divide {order}")
+        sizes.append(order // centraliser)
+    return sorted(sizes)
 
 
 def model_histogram(n, q):
@@ -142,3 +180,64 @@ def model_columns(rows):
     """{k: number of irreducibles with a nonzero multiplicity in column k}
     of the rows of a Gelfand report in JSON form."""
     return dict(Counter(k for row in rows for k, m in row["mults"] if m))
+
+
+def _flat_conjugators(n, field):
+    """Maps g -> s g s^-1 on flat entry tuples for the generators s of
+    GL_n(F_q) that the library conjugates by: the n-cycle permutation
+    matrix, x_12(1) and, when q > 2, diag(w, 1, ..., 1) with w a
+    primitive element."""
+    if n == 1:
+        return []
+    q, add, sub, mul = field.q, field.add, field.sub, field.mul
+    cells = n * n
+    # entry (i, j) of P g P^-1 is entry (i + 1, j + 1) of g, indices mod n
+    cycle = itemgetter(*[(i + 1) % n * n + (j + 1) % n for i in range(n) for j in range(n)])
+
+    def transvection(g):
+        m = list(g)
+        for j in range(n):  # row 0 += row 1
+            m[j] = add[m[j] * q + m[n + j]]
+        for i in range(0, cells, n):  # col 1 -= col 0
+            m[i + 1] = sub[m[i + 1] * q + m[i]]
+        return tuple(m)
+
+    out = [cycle, transvection]
+    if q > 2:
+        w = next(w for w in range(2, q) if len({field.pow(w, k) for k in range(q - 1)}) == q - 1)
+        w_inv = field.inv[w]
+
+        def scaling(g):
+            m = list(g)
+            for j in range(1, n):  # row 0 *= w
+                m[j] = mul[m[j] * q + w]
+            for i in range(n, cells, n):  # col 0 *= w^-1
+                m[i] = mul[m[i] * q + w_inv]
+            return tuple(m)
+
+        out.append(scaling)
+    return out
+
+
+def flat_orbit_classes(elements, n, field):
+    """The map from each flat entry tuple of a lex-ordered element list to
+    its class label, keys in the list's order, by a per-element sweep:
+    the first element not yet labelled starts a new class, whose orbit a
+    depth-first search labels one conjugate at a time."""
+    conjugators = _flat_conjugators(n, field)
+    class_of = dict.fromkeys(elements, -1)
+    c = 0
+    for start, label in class_of.items():  # relabelling keeps the keys
+        if label >= 0:
+            continue
+        class_of[start] = c
+        stack = [start]
+        while stack:
+            g = stack.pop()
+            for conj in conjugators:
+                h = conj(g)
+                if class_of[h] < 0:
+                    class_of[h] = c
+                    stack.append(h)
+        c += 1
+    return class_of

@@ -12,7 +12,6 @@ from klyachko.characters import (
     _charpoly_mod,
     _rational_class,
     _roots_mod,
-    _row_images,
     _split_space,
     character_table,
     class_multiplication_tensor,
@@ -28,8 +27,10 @@ from klyachko.groups import (
     ConjClass,
     GroupTable,
     KlyachkoSubgroupSpec,
+    encode_rows,
     h_order,
-    psi_r_trace_flat,
+    psi_r_trace,
+    row_images,
 )
 from oracles import h_membership_flat
 
@@ -41,14 +42,14 @@ def _induced_full_sum(table, spec, arena):
     n, field = table.n, table.field
     zeta = pow(arena.zeta_p, spec.psi_generator, ell)
     h_inv = pow(h_order(spec.r, spec.k, field.q), ell - 2, ell)
-    inverses = table.inverses()
+    elements, inverses = table.elements, table.inverses()
     vals = []
     for cls in table.classes:
         acc = 0
-        for x, x_inv in zip(table.elements, inverses):
+        for x, x_inv in zip(elements, inverses):
             y = mat_mul(mat_mul(x, cls.representative, n, field), x_inv, n, field)
             if h_membership_flat(y, spec, field):
-                acc += pow(zeta, psi_r_trace_flat(y, spec, field), ell)
+                acc += pow(zeta, psi_r_trace(encode_rows(y, n, field.q), spec, field), ell)
         vals.append(acc * h_inv % ell)
     return ClassFunction(arena, tuple(vals))
 
@@ -298,9 +299,9 @@ def test_class_matrix_rows_are_pair_counts(table_store):
     n, field, n_cls = table.n, table.field, len(table.classes)
     pairs = [[[0] * n_cls for _ in range(n_cls)] for _ in range(n_cls)]  # [i][j][k]
     for k, cls in enumerate(table.classes):
-        for x, c in table.class_of.items():
+        for x, c in zip(table.elements, table.class_of.values()):
             y = mat_mul(mat_inv(x, n, field), cls.representative, n, field)
-            pairs[c][table.class_of[y]][k] += 1
+            pairs[c][table.class_of_flat(y)][k] += 1
     for i in range(n_cls):
         assert class_multiplication_tensor(table, i, list(range(n_cls))) == pairs[i]
     assert class_multiplication_tensor(table, 3, [5, 1]) == [pairs[3][5], pairs[3][1]]
@@ -309,12 +310,12 @@ def test_class_matrix_rows_are_pair_counts(table_store):
 def _mat_mul_tensor_rows(table, i, rows):
     """Oracle: rows j of M_i by one mat_mul per product x g_j, x in C_i."""
     n, field, classes = table.n, table.field, table.classes
-    members = [el for el, c in table.class_of.items() if c == i]
+    members = [el for el, c in zip(table.elements, table.class_of.values()) if c == i]
     out = []
     for j in rows:
         counts = [0] * len(classes)
         for x in members:
-            counts[table.class_of[mat_mul(x, classes[j].representative, n, field)]] += 1
+            counts[table.class_of_flat(mat_mul(x, classes[j].representative, n, field))] += 1
         out.append([classes[j].size * cnt // cls.size for cnt, cls in zip(counts, classes)])
     return out
 
@@ -336,9 +337,9 @@ def test_row_images_built_once_per_representative_and_call(table_store, arena_st
 
     def counting_row_images(g, n, field):
         built.append(g)
-        return _row_images(g, n, field)
+        return row_images(g, n, field)
 
-    monkeypatch.setattr(characters, "_row_images", counting_row_images)
+    monkeypatch.setattr(characters, "row_images", counting_row_images)
     character_table(table, arena)
     first = list(built)
     assert 0 < len(first) == len(set(first)) <= len(table.classes) == 80
@@ -352,11 +353,11 @@ def test_row_images_match_mat_mul(n, q, table_store):
     field = table.field
     for cls in table.classes:
         g = cls.representative
-        images = _row_images(g, n, field)
+        images = row_images(g, n, field)
         assert len(images) == q**n
         for code, row in enumerate(itertools.product(range(q), repeat=n)):
             x = row + (0,) * (n * n - n)  # row 0 of x is the row, the rest zero
-            assert images[code] == mat_mul(x, g, n, field)[:n]
+            assert (images[code],) == encode_rows(mat_mul(x, g, n, field)[:n], n, q)
 
 
 def _power_map_rational_classes(table):
@@ -364,11 +365,11 @@ def _power_map_rational_classes(table):
     every a prime to the order of x."""
     n, field, ident = table.n, table.field, table.identity()
     found = [set() for _ in table.classes]
-    for x, c in table.class_of.items():
+    for x, c in zip(table.elements, table.class_of.values()):
         powers = [x]
         while powers[-1] != ident:
             powers.append(mat_mul(powers[-1], x, n, field))
-        found[c] |= {table.class_of[y] for a, y in enumerate(powers, 1)
+        found[c] |= {table.class_of_flat(y) for a, y in enumerate(powers, 1)
                      if math.gcd(a, len(powers)) == 1}
     return found
 

@@ -11,23 +11,34 @@ from klyachko.groups import (
     ConjClass,
     KlyachkoSubgroupSpec,
     conjugacy_classes,
+    decode_rows,
+    encode_rows,
     enumerate_h,
     enumerate_sp,
     gl_elements,
     gl_enumerate,
     h_order,
-    psi_r_trace_flat,
+    psi_r_trace,
     sp_order,
     symplectic_form,
 )
 from oracles import (
     exponent_by_powers,
+    flat_orbit_classes,
     gl_order,
+    green_class_sizes,
     h_membership_flat,
     mat_det,
     mat_transpose,
     sp_membership_flat,
 )
+
+# the groups whose classes are checked against Green's class data and the flat sweep
+CLASS_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (2, 8), (2, 9)]
+
+
+def decoded(elements, n, q):
+    return [decode_rows(g, n, q) for g in elements]
 
 
 def brute_force_gl(n, field):
@@ -41,7 +52,7 @@ def test_enumeration_matches_brute_force(n, p, e, count):
     elements = gl_elements(n, field)
     oracle = brute_force_gl(n, field)
     assert len(elements) == count == len(oracle)
-    assert elements == sorted(oracle)
+    assert decoded(elements, n, field.q) == sorted(oracle)
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 3), (2, 7)])
@@ -86,20 +97,21 @@ def test_primitive_element_is_least_of_full_order(q):
 
 
 def class_members(table, c):
-    return [el for el, label in table.class_of.items() if label == c]
+    """The members of class c as flat entry tuples."""
+    return [el for el, label in zip(table.elements, table.class_of.values()) if label == c]
 
 
 def brute_force_orbit_partition(table):
     """Oracle: conjugation orbits computed directly."""
     n, field = table.n, table.field
-    inverses = table.inverses()
+    elements, inverses = table.elements, table.inverses()
     seen = set()
     orbits = []
-    for g in table.elements:
+    for g in elements:
         if g in seen:
             continue
         orbit = set()
-        for idx, x in enumerate(table.elements):
+        for idx, x in enumerate(elements):
             orbit.add(mat_mul(mat_mul(x, g, n, field), inverses[idx], n, field))
         orbits.append(frozenset(orbit))
         seen |= orbit
@@ -141,7 +153,49 @@ def test_orbit_classes_match_smith_key_oracle(n, q, table_store):
     table = table_store(n, q)
     classes, class_of = smith_key_classes(table.elements, n, table.field)
     assert table.classes == classes
-    assert list(table.class_of.items()) == list(class_of.items())
+    assert list(zip(table.elements, table.class_of.values())) == list(class_of.items())
+
+
+@pytest.mark.parametrize("n,q", CLASS_GRID)
+def test_classes_match_green_class_data(n, q):
+    """The class count and the multiset of class sizes of the sweep equal
+    Green's, |G| / prod_f a_{lambda(f)}(q^deg f) over his class data."""
+    field = field_from_q(q)
+    classes, _ = conjugacy_classes(gl_elements(n, field), n, field)
+    assert sorted(cls.size for cls in classes) == green_class_sizes(n, q)
+
+
+@pytest.mark.parametrize("n,q", CLASS_GRID)
+def test_row_code_classes_match_flat_sweep(n, q, table_store):
+    """The decoded row-code map equals the per-element sweep on flat
+    entry tuples, label for label and in order."""
+    table = table_store(n, q)
+    flat = flat_orbit_classes(table.elements, n, table.field)
+    assert list(zip(table.elements, table.class_of.values())) == list(flat.items())
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 2)])
+def test_row_codes_round_trip(n, q):
+    """Decoding all of GL_n(F_q) gives every invertible matrix once, in
+    lex order, and encoding gives the row codes back."""
+    field = field_from_q(q)
+    elements = gl_elements(n, field)
+    flat = decoded(elements, n, q)
+    assert flat == brute_force_gl(n, field)
+    assert [encode_rows(g, n, q) for g in flat] == elements
+    assert all(0 <= code < q**n for g in elements for code in g)
+
+
+@pytest.mark.parametrize("n,q", CLASS_GRID)
+def test_enumerate_h_is_the_encoded_membership_filter(n, q):
+    """Every H_{r,2k} of GL_n(F_q) is the row-code encoding of the
+    lex-ordered flat elements that pass the membership oracle."""
+    field = field_from_q(q)
+    flat = decoded(gl_elements(n, field), n, q)
+    for k in range(n // 2 + 1):
+        spec = KlyachkoSubgroupSpec(n - 2 * k, k)
+        oracle = [encode_rows(g, n, q) for g in flat if h_membership_flat(g, spec, field)]
+        assert enumerate_h(spec, field) == oracle
 
 
 @pytest.mark.parametrize("drop", [0, 1, 2])
@@ -208,16 +262,16 @@ def test_inverse_class_is_involution_fixing_identity(table_store):
         for c, cls in enumerate(table.classes):
             assert inv_map[inv_map[c]] == c
             g_inv = mat_inv(cls.representative, n, table.field)
-            assert table.class_of[g_inv] == inv_map[c]
+            assert table.class_of_flat(g_inv) == inv_map[c]
         assert inv_map[table.identity_class()] == table.identity_class()
 
 
 def test_inverse_class_consistent_on_all_elements(table_store):
     table = table_store(2, 3)
     inv_map = [cls.inverse_class for cls in table.classes]
-    for el, c in table.class_of.items():
+    for el, c in zip(table.elements, table.class_of.values()):
         g_inv = mat_inv(el, 2, table.field)
-        assert table.class_of[g_inv] == inv_map[c]
+        assert table.class_of_flat(g_inv) == inv_map[c]
 
 
 def test_class_key_agrees_on_every_member(table_store):
@@ -234,7 +288,7 @@ def test_sp_counts():
     f3 = field_make(3, 1)
     members = enumerate_sp(1, f3)
     assert len(members) == 24 == sp_order(1, 3)  # Sp(2) = SL_2
-    for g in members:
+    for g in decoded(members, 2, 3):
         assert mat_det(g, 2, f3) == 1
     f2 = field_make(2, 1)
     assert len(enumerate_sp(1, f2)) == 6  # all of GL_2(F_2)
@@ -243,7 +297,8 @@ def test_sp_counts():
 @pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (1, 4), (1, 8), (1, 9), (2, 2)])
 def test_enumerate_sp_matches_two_product_filter(k, q):
     field = field_from_q(q)
-    oracle = [g for g in gl_elements(2 * k, field) if sp_membership_flat(g, k, field)]
+    oracle = [g for g in gl_elements(2 * k, field)
+              if sp_membership_flat(decode_rows(g, 2 * k, q), k, field)]
     assert enumerate_sp(k, field) == oracle
     assert len(oracle) == sp_order(k, q)
 
@@ -280,12 +335,12 @@ def test_enumerate_sp4_f3_against_two_product_test():
     for _ in range(300):
         g = random_symplectic(2, field, rng)
         assert sp_membership_flat(g, 2, field)
-        assert g in member_set
+        assert encode_rows(g, 4, 3) in member_set
         m = list(g)
         m[rng.randrange(16)] = rng.randrange(3)
         m = tuple(m)
         want = sp_membership_flat(m, 2, field)
-        assert (m in member_set) == want
+        assert (encode_rows(m, 4, 3) in member_set) == want
         hits += want
     assert hits < 300
 
@@ -314,7 +369,8 @@ def test_enumerate_h_is_built_without_gl(r, k, q, monkeypatch):
     without enumerating any general linear group."""
     field = field_from_q(q)
     spec = KlyachkoSubgroupSpec(r, k)
-    oracle = [g for g in gl_elements(spec.n, field) if h_membership_flat(g, spec, field)]
+    oracle = [g for g in gl_elements(spec.n, field)
+              if h_membership_flat(decode_rows(g, spec.n, q), spec, field)]
 
     def no_gl(*args, **kwargs):
         raise AssertionError("gl_elements called")
@@ -328,8 +384,8 @@ def test_h_closure_under_product_and_inverse():
     rng = random.Random(42)
     f3 = field_make(3, 1)
     spec = KlyachkoSubgroupSpec(1, 1)
-    members = enumerate_h(spec, f3)
     n = spec.n
+    members = decoded(enumerate_h(spec, f3), n, 3)
     for _ in range(1000):
         a, b = rng.choice(members), rng.choice(members)
         ab = mat_mul(a, b, n, f3)
@@ -340,20 +396,20 @@ def test_h_closure_under_product_and_inverse():
 def test_psi_identity_is_zero():
     f3 = field_make(3, 1)
     spec = KlyachkoSubgroupSpec(3, 0)
-    assert psi_r_trace_flat(mat_identity(3), spec, f3) == 0
+    assert psi_r_trace(encode_rows(mat_identity(3), 3, 3), spec, f3) == 0
 
 
 def test_psi_reads_superdiagonal():
     f3 = field_make(3, 1)
     spec = KlyachkoSubgroupSpec(2, 0)
-    assert psi_r_trace_flat((1, 2, 0, 1), spec, f3) == 2
+    assert psi_r_trace(encode_rows((1, 2, 0, 1), 2, 3), spec, f3) == 2
 
 
 def test_psi_trivial_for_small_r():
     f3 = field_make(3, 1)
     spec = KlyachkoSubgroupSpec(0, 1)
     for g in enumerate_sp(1, f3):
-        assert psi_r_trace_flat(g, spec, f3) == 0
+        assert psi_r_trace(g, spec, f3) == 0
 
 
 def test_psi_is_homomorphism():
@@ -361,15 +417,15 @@ def test_psi_is_homomorphism():
     for p, e, r, k in ((3, 1, 3, 0), (2, 1, 2, 1), (2, 2, 2, 0)):
         field = field_make(p, e)
         spec = KlyachkoSubgroupSpec(r, k)
-        members = enumerate_h(spec, field)
         n = spec.n
+        members = enumerate_h(spec, field)
         for _ in range(1000):
             a, b = rng.choice(members), rng.choice(members)
-            ab = mat_mul(a, b, n, field)
+            ab = mat_mul(decode_rows(a, n, field.q), decode_rows(b, n, field.q), n, field)
             assert h_membership_flat(ab, spec, field)
-            va = psi_r_trace_flat(a, spec, field)
-            vb = psi_r_trace_flat(b, spec, field)
-            assert psi_r_trace_flat(ab, spec, field) == (va + vb) % p
+            va = psi_r_trace(a, spec, field)
+            vb = psi_r_trace(b, spec, field)
+            assert psi_r_trace(encode_rows(ab, n, field.q), spec, field) == (va + vb) % p
 
 
 # -- the mirrored family H'_{2k,r} ----------------------------------------
@@ -420,12 +476,13 @@ def test_duality_involution_swaps_model_families():
         spec = KlyachkoSubgroupSpec(r, k)
         image = set()
         for h in enumerate_h(spec, field):
-            t = duality_involution(h, r, k, field)
+            t = duality_involution(decode_rows(h, spec.n, field.q), r, k, field)
             image.add(t)
-            e1 = psi_r_trace_flat(h, spec, field)
+            e1 = psi_r_trace(h, spec, field)
             e2 = mirrored_psi_trace(t, r, k, field)
             assert (e1 + e2) % p == 0
-        mirrored = {g for g in gl_elements(spec.n, field) if mirrored_h_membership(g, r, k, field)}
+        mirrored = {g for g in decoded(gl_elements(spec.n, field), spec.n, field.q)
+                    if mirrored_h_membership(g, r, k, field)}
         assert len(mirrored) == h_order(r, k, field.q)
         assert image == mirrored
 

@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +47,17 @@ def test_library_imports_only_stdlib_and_itself():
     assert found == []
 
 
+def test_only_groups_codes_rows():
+    """groups owns the row code: no other module lists the row vectors
+    of a length (`product(range(q), repeat=n)`) to code them itself."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and any(kw.arg == "repeat" for kw in node.keywords):
+                found.append(path.name)
+    assert found == ["groups.py"]
+
+
 def _resolves(name: str) -> bool:
     """Whether `module.attr.attr...` names something under klyachko."""
     module, *attrs = name.split(".")
@@ -84,3 +97,18 @@ def test_benchmark_worker_names_resolve():
     assert sorted(name for name in names if not _resolves(name)) == []
     members = set(dir(GroupTable)) | {f.name for f in dataclasses.fields(GroupTable)}
     assert sorted(table_members - members) == []
+
+
+def test_benchmark_worker_unit_costs_run_on_tables(table_store, monkeypatch):
+    """The benchmark worker, imported as it runs, times invariant_factors
+    and mat_mul on the elements, inverses and representatives of real
+    tables: a table API it cannot use fails here, not only in a
+    benchmark run."""
+    monkeypatch.syspath_prepend(str(WORKER.parent))  # the worker imports hostspeed
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    costs = worker.unit_costs({(2, 2): table_store(2, 2), (2, 3): table_store(2, 3)})
+    assert sorted(costs) == ["fqpoly.invariant_factors_us", "gf.mat_mul_us"]
+    assert all(math.isfinite(us) and us > 0 for us in costs.values())

@@ -10,6 +10,7 @@ from klyachko.gf import field_make
 from klyachko.tablecache import MAGIC, cache_path, load_table, save_table
 
 RETIRED_MAGIC = b"KLYGRP\x00\x02"  # format 2 also stored a record per class
+FORMAT_3_MAGIC = b"KLYGRP\x00\x03"  # format 3 also stored the elements
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
@@ -148,35 +149,29 @@ def test_corrupt_cache_is_recomputed_and_replaced(tmp_path, capsys):
 
 
 def _rewrite_body(path, edit):
-    """Apply `edit` to the bytes after the digest and make the digest
+    """Apply `edit` to the labels after the digest and make the digest
     match, so the file is well formed but its content is wrong; the count
     at 12 is updated to the number of labels left."""
     raw = bytearray(path.read_bytes())
-    n = raw[8]
     (count,) = struct.unpack_from("<I", raw, 12)
-    elements, labels = raw[48:48 + count * n * n], raw[48 + count * n * n:]
-    elements, labels = edit(elements, labels, n * n)
-    struct.pack_into("<I", raw, 12, len(labels) // 2)
-    raw[48:] = elements + labels
+    labels = edit(list(struct.unpack_from(f"<{count}H", raw, 48)))
+    struct.pack_into("<I", raw, 12, len(labels))
+    raw[48:] = struct.pack(f"<{len(labels)}H", *labels)
     raw[16:48] = hashlib.sha256(raw[:16] + raw[48:]).digest()
     path.write_bytes(bytes(raw))
 
 
-def _repeat_element(i, j):
-    def edit(elements, labels, nsq):
-        elements[i * nsq:(i + 1) * nsq] = elements[j * nsq:(j + 1) * nsq]
-        return elements, labels
-
-    return edit
+def _drop_last_element(labels):
+    return labels[:-1]
 
 
-def _drop_last_element(elements, labels, nsq):
-    return elements[:-nsq], labels[:-2]
+def _add_an_element(labels):
+    return labels + [0]
 
 
 @pytest.mark.parametrize("edit,match", [
-    (_repeat_element(47, 0), "listed twice"),
     (_drop_last_element, "not the order"),
+    (_add_an_element, "not the order"),
 ])
 def test_load_rejects_elements_that_are_not_the_group(edit, match, tmp_path, table_store):
     table = table_store(2, 3)
@@ -187,8 +182,36 @@ def test_load_rejects_elements_that_are_not_the_group(edit, match, tmp_path, tab
         load_table(path, table.field, 2)
 
 
-@pytest.mark.parametrize("n,q,i", [(2, 3, 47), (3, 2, 5), (2, 2, 3)])
-def test_repeated_element_cache_is_recomputed_and_replaced(n, q, i, tmp_path, capsys):
+def _format_3_bytes(table, edit):
+    """The table as a format-3 file, which stored every element as n^2
+    entry codes ahead of the labels, with `edit` applied to the element
+    bytes and the digest made to match."""
+    head = FORMAT_3_MAGIC + struct.pack("<BBBBI", table.n, table.field.p, table.field.e, 0,
+                                        table.order)
+    elements = bytearray(b"".join(bytes(el) for el in table.elements))
+    edit(elements, table.n * table.n)
+    body = bytes(elements) + struct.pack(f"<{table.order}H", *table.class_of.values())
+    return head + hashlib.sha256(head + body).digest() + body
+
+
+def _repeat_element(i, j):
+    def edit(elements, nsq):
+        elements[i * nsq:(i + 1) * nsq] = elements[j * nsq:(j + 1) * nsq]
+
+    return edit
+
+
+def _zero_element(i):
+    def edit(elements, nsq):
+        elements[i * nsq:(i + 1) * nsq] = bytes(nsq)
+
+    return edit
+
+
+def _verify_over_format_3(n, q, edit, tmp_path, capsys, table_store):
+    """verify-gelfand over a cache holding an edited format-3 file exits
+    0 with the report of --no-cache apart from meta, and leaves the
+    format-4 file a fresh run writes."""
     d = str(tmp_path)
     argv = ["verify-gelfand", "--n", str(n), "--q", str(q), "--format", "json"]
     assert main(argv + ["--no-cache"]) == 0
@@ -197,13 +220,37 @@ def test_repeated_element_cache_is_recomputed_and_replaced(n, q, i, tmp_path, ca
     capsys.readouterr()
     path = cache_path(tmp_path, n, q)
     current = path.read_bytes()
-    _rewrite_body(path, _repeat_element(i, 0))
+    assert current.startswith(MAGIC)
+    path.write_bytes(_format_3_bytes(table_store(n, q), edit))
     assert main(argv + ["--cache-dir", d]) == 0
     got = json.loads(capsys.readouterr().out)
     for report in (want, got):
         report.pop("meta")
     assert got == want
     assert path.read_bytes() == current
+
+
+@pytest.mark.parametrize("n,q,i", [(2, 3, 47), (3, 2, 5), (2, 2, 3)])
+def test_repeated_element_cache_is_recomputed_and_replaced(n, q, i, tmp_path, capsys, table_store):
+    _verify_over_format_3(n, q, _repeat_element(i, 0), tmp_path, capsys, table_store)
+
+
+def test_format_3_cache_with_a_non_member_is_recomputed_as_format_4(tmp_path, capsys, table_store):
+    """Element 47 of GL_2(F_3) zeroed, digest valid: format 3 could load
+    it, and a product then missed the map with a KeyError."""
+    _verify_over_format_3(2, 3, _zero_element(47), tmp_path, capsys, table_store)
+
+
+def test_save_writes_labels_only(tmp_path, table_store):
+    """Format 4: header, digest and one u16 label per element."""
+    for n, q in ((2, 3), (3, 2)):
+        table = table_store(n, q)
+        path = tmp_path / f"{n}_{q}.tbl"
+        save_table(table, path)
+        raw = path.read_bytes()
+        assert raw[:8] == MAGIC == b"KLYGRP\x00\x04"
+        assert len(raw) == 48 + 2 * table.order
+        assert list(struct.unpack_from(f"<{table.order}H", raw, 48)) == list(table.class_of.values())
 
 
 def test_format_2_cache_is_recomputed_and_replaced(tmp_path, capsys):
