@@ -7,12 +7,12 @@ common eigenvectors of the class matrices M_i, whose entries
 K_i K_j = sum_k a_{ij}^k K_k.  The split starts from the whole space
 and visits the non-identity classes rational classes first: the first
 class in ascending (size, index) order of each rational class (the
-classes of g^a, a prime to the order of g), then the other classes in
-the same order.  Over the complex numbers a class of a rational class
-already visited separates no characters that the visited one leaves
-together, because chi(g^a)/chi(1) is a Galois conjugate of
-chi(g)/chi(1); modulo ell that need not hold, so the class stays in
-the queue.  Each class splits every space that is not yet a line: only
+classes of g^a, a prime to the order of g, each power read through the
+row images of g), then the other classes in the same order.  Over the
+complex numbers a class of a rational class already visited separates
+no characters that the visited one leaves together, because
+chi(g^a)/chi(1) is a Galois conjugate of chi(g)/chi(1); modulo ell that
+need not hold, so the class stays in the queue.  Each class splits every space that is not yet a line: only
 the rows of M_i at the space's pivot columns are computed, |C_i|
 products each, the d x d restriction of M_i to the space is
 diagonalised, and the kernel of each eigenvalue becomes a new space.
@@ -54,6 +54,7 @@ from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
 from .groups import (
     GroupTable,
     KlyachkoSubgroupSpec,
+    encode_rows,
     enumerate_h,
     psi_r_trace,
     row_images,
@@ -85,7 +86,6 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
     several calls builds each at most once.
     """
     classes = table.classes
-    n, field = table.n, table.field
     class_of = table.class_of
     columns = list(zip(*compress(class_of, map(i.__eq__, class_of.values()))))
     if images is None:
@@ -93,9 +93,7 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
     out = []
     for j in rows:
         size_j = classes[j].size
-        image = images.get(j)
-        if image is None:
-            image = images[j] = row_images(classes[j].representative, n, field).__getitem__
+        image = _row_image(table, j, images)
         products = zip(*[map(image, col) for col in columns])
         counts = Counter(map(class_of.__getitem__, products))
         row = [0] * len(classes)
@@ -107,6 +105,16 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
                 )
         out.append(row)
     return out
+
+
+def _row_image(table: GroupTable, c: int, images: dict):
+    """The lookup v -> v g of the representative g of class c, kept in
+    `images` under c, so that each is built once per dict."""
+    image = images.get(c)
+    if image is None:
+        image = images[c] = row_images(table.classes[c].representative, table.n,
+                                       table.field).__getitem__
+    return image
 
 
 def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
@@ -267,15 +275,21 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     return parts
 
 
-def _rational_class(table: GroupTable, c: int) -> set[int]:
+def _rational_class(table: GroupTable, c: int, images: dict) -> set[int]:
     """The classes of g^a for every a prime to the order of g, the
-    representative of class c."""
-    powers = table.powers(table.classes[c].representative)
+    representative of class c; each power is the one before times g, its
+    rows mapped through the row images of g."""
+    n, q = table.n, table.q
+    image = _row_image(table, c, images)
+    ident = encode_rows(table.identity(), n, q)
+    powers = [encode_rows(table.classes[c].representative, n, q)]
+    while powers[-1] != ident:
+        powers.append(tuple(map(image, powers[-1])))
     order = len(powers)
-    return {table.class_of_flat(x) for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
+    return {table.class_of[x] for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
 
 
-def _visit_order(table: GroupTable):
+def _visit_order(table: GroupTable, images: dict):
     """The non-identity classes: one per rational class, then the rest,
     each group in ascending (size, index) order."""
     classes, e_idx = table.classes, table.identity_class()
@@ -286,7 +300,7 @@ def _visit_order(table: GroupTable):
         if c in seen:
             rest.append(c)
         else:
-            seen |= _rational_class(table, c)
+            seen |= _rational_class(table, c, images)
             yield c
     yield from rest
 
@@ -300,8 +314,8 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     e_idx = table.identity_class()
     # invariant spaces as (RREF basis, pivot columns), from the whole space
     spaces = [([[int(r == c) for c in range(n_cls)] for r in range(n_cls)], list(range(n_cls)))]
-    visit = _visit_order(table)
     images: dict = {}  # row images of the class representatives, for this call only
+    visit = _visit_order(table, images)
     while any(len(basis) > 1 for basis, _ in spaces):
         i = next(visit, None)
         if i is None:

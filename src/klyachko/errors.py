@@ -55,10 +55,6 @@ class DivisionByZero(KlyachkoError, ZeroDivisionError):
     pass
 
 
-class PoleAtEvaluationPoint(KlyachkoError):
-    pass
-
-
 class DegreeMismatch(KlyachkoError):
     pass
 

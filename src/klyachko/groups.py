@@ -22,11 +22,11 @@ positions labels the orbits, and the positions dict becomes the table's
 one map from element to class.  `class_records` turns that map into the
 class records, for the sweep and for a cached table alike.  Each class is
 keyed by the invariant factors of xI - g (see fqpoly), computed once per
-class representative, not per element; two classes with one key would
-mean the labels were finer than the classes, and raise
-InvariantViolation.  Class representatives, flat entry tuples, are the
-lexicographically least members, which the lex enumeration order makes
-free.
+class representative, not per element; labels whose number is not
+`class_count(n, q)`, or two classes with one key, would mean the labels
+were not the classes, and raise InvariantViolation.  Class
+representatives, flat entry tuples, are the lexicographically least
+members, which the lex enumeration order makes free.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from operator import add, itemgetter
 from .arena import prime_factors
 from .errors import GroupTooLarge, InvariantViolation, UsageError
 from .fqpoly import Poly, invariant_factors
-from .gf import FiniteField, mat_identity, mat_inv, mat_mul
+from .gf import FiniteField, mat_identity, mat_inv
 
 DEFAULT_MAX_ELEMENTS = 10**7  # enumeration cap on |G| and |H|
 
@@ -162,14 +162,6 @@ class GroupTable:
     def identity_class(self) -> int:
         return self.class_of_flat(self.identity())
 
-    def powers(self, el: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """el, el^2, ... up to the identity: as many as the order of el."""
-        ident, n, f = self.identity(), self.n, self.field
-        out = [el]
-        while out[-1] != ident:
-            out.append(mat_mul(out[-1], el, n, f))
-        return out
-
     def exponent(self) -> int:
         """The lcm of the element orders, p^a lcm(q - 1, q^2 - 1, ..., q^n - 1)
         with p^a the least power of p that is >= n.  A unipotent Jordan
@@ -180,6 +172,19 @@ class GroupTable:
         while unipotent < n:
             unipotent *= self.field.p
         return unipotent * math.lcm(*(q**d - 1 for d in range(1, n + 1)))
+
+
+def class_count(n: int, q: int) -> int:
+    """The number of conjugacy classes of GL_n(F_q): the coefficient of
+    t^n in prod_{k >= 1} (1 - t^k) / (1 - q t^k) (Macdonald, 1981), a
+    power series kept to degree n."""
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):  # times 1 - t^k
+            coeffs[i] -= coeffs[i - k]
+        for i in range(k, n + 1):  # over 1 - q t^k
+            coeffs[i] += q * coeffs[i - k]
+    return coeffs[n]
 
 
 def check_group_cap(n: int, q: int, max_elements: int) -> int:
@@ -345,12 +350,16 @@ def class_records(class_of: dict[tuple[int, ...], int], n: int, field: FiniteFie
     A class's representative is its first key as a flat entry tuple, its
     size the count of its label, its key the invariant factors of xI - g
     of the representative, and its inverse class the label of the
-    representative's inverse.  A key shared by two classes raises
-    InvariantViolation.
+    representative's inverse.  A number of labels other than
+    `class_count(n, q)` (labels that merge classes, say), or a key
+    shared by two classes, raises InvariantViolation.
     """
     q = field.q
     # walking backwards, the last key stored for a label is its first
     first = dict(zip(reversed(class_of.values()), reversed(class_of.keys())))
+    expected = class_count(n, q)
+    if len(first) != expected:
+        raise InvariantViolation(f"{len(first)} class labels, GL_{n}(F_{q}) has {expected} classes")
     sizes = Counter(class_of.values())
     reps = [decode_rows(first[c], n, q) for c in range(len(first))]
     keys = [invariant_factors(g, n, field) for g in reps]

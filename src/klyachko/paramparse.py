@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .segments import CuspidalLabel
-from .speh import ParamBlock, SpehBlock, TadicParameter
+from .speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter
 
 
 class _Tokens:

@@ -8,7 +8,7 @@ Expressions are immutable trees over four atoms:
   factors over the bad places,
 - exact rational numerals,
 
-combined by products, quotients, integer powers and absolute squares.
+combined by products, quotients and integer powers.
 Atoms are never computed analytically here; evaluation substitutes a
 user-supplied assignment, and every numeric output is defined only up
 to the global Haar-measure normalization.
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping
 
-from .errors import DivisionByZero, MissingAtom, PoleAtEvaluationPoint
+from .errors import DivisionByZero, MissingAtom
 
 
 class PeriodExpression:
@@ -183,24 +183,6 @@ class Power(PeriodExpression):
         return {"kind": "power", "exponent": self.exponent, "children": [self.base.to_json()]}
 
 
-@dataclass(frozen=True)
-class AbsSquare(PeriodExpression):
-    inner: PeriodExpression
-
-    def atoms(self) -> set[str]:
-        return self.inner.atoms()
-
-    def evaluate(self, assignment):
-        v = self.inner.evaluate(assignment)
-        return abs(v) ** 2
-
-    def to_string(self) -> str:
-        return f"|{self.inner.to_string()}|^2"
-
-    def to_json(self) -> dict:
-        return {"kind": "abs_square", "children": [self.inner.to_json()]}
-
-
 def _product(factors: list[PeriodExpression]) -> PeriodExpression:
     if not factors:
         return Numeral(Fraction(1))
@@ -313,55 +295,3 @@ def zeta_assignment(expr: PeriodExpression, tol: float = 1e-8) -> dict[str, floa
         else:
             raise MissingAtom(f"no zeta instantiation for atom {key}")
     return out
-
-
-# -- one unramified local factor -----------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalRSFactor:
-    """The local factor of L(s, sigma x sigma~) at one unramified place:
-    prod_{i,j} (1 - a_i / a_j * q^-s)^-1 over the Satake parameters."""
-
-    satake: tuple[complex, ...]
-    q: int
-
-    def __post_init__(self):
-        if not self.satake:
-            raise ValueError("need at least one Satake parameter")
-        if any(a == 0 for a in self.satake):
-            raise ValueError("Satake parameters must be nonzero")
-        if self.q < 2:
-            raise ValueError(f"residue cardinality must be >= 2, got {self.q}")
-
-    def denominator_coefficients(self) -> list[complex]:
-        """Coefficients (ascending) of prod_{i,j} (1 - a_i/a_j X) in
-        X = q^-s."""
-        coeffs: list[complex] = [1 + 0j]
-        for ai in self.satake:
-            for aj in self.satake:
-                ratio = ai / aj
-                nxt = [0j] * (len(coeffs) + 1)
-                for d, c in enumerate(coeffs):
-                    nxt[d] += c
-                    nxt[d + 1] -= c * ratio
-                coeffs = nxt
-        return coeffs
-
-    def value(self, s: complex) -> complex:
-        x = self.q ** (-complex(s))
-        out = 1.0 + 0j
-        for ai in self.satake:
-            for aj in self.satake:
-                factor = 1 - (ai / aj) * x
-                if abs(factor) < 1e-12:
-                    raise PoleAtEvaluationPoint(
-                        f"factor (1 - {ai}/{aj} q^-s) vanishes at s = {s}"
-                    )
-                out *= factor
-        return 1 / out
-
-
-def local_rs_factor(satake, q: int, s: complex) -> complex:
-    """Value of the unramified local Rankin-Selberg factor at s."""
-    return LocalRSFactor(tuple(satake), q).value(s)

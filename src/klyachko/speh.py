@@ -1,10 +1,15 @@
 """Speh blocks, Tadic parameters, highest derivatives, and the
 model-assignment map kappa.
 
-A SpehBlock (rho, d, t, alpha) names the twisted Speh representation
-U(delta, t)[alpha] where delta is the square-integrable representation
-built from d singleton segments of rho; its multisegment is the stack
-of d length-t segments centered at (1-d)/2 + alpha, ..., (d-1)/2 + alpha.
+A cuspidal label rho names an irreducible cuspidal of G_degree; dual
+marks the formal contragredient rho~, and nothing else about it is
+modeled.  A SpehBlock (rho, d, t, alpha) names the twisted Speh
+representation U(delta, t)[alpha], where delta is the square-integrable
+representation built from d singleton segments of rho.  Its highest
+derivative is read off the shape alone, (t, alpha) -> (t - 1,
+alpha - 1/2), of order the degree of delta; the tests check this
+against the segment calculus of the block's multisegment.
+
 A TadicParameter is a multiset of blocks, each either plain or paired
 (standing for U(delta,t)[alpha] x U(delta,t)[-alpha]); by Tadic's
 classification the unitary ones are exactly those with plain alpha = 0
@@ -22,7 +27,19 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import EmptyBlock
-from .segments import CuspidalLabel, Multisegment, Rational, Segment, _frac
+
+
+@dataclass(frozen=True)
+class CuspidalLabel:
+    """An opaque cuspidal representation of G_degree; dual marks rho~."""
+
+    name: str
+    degree: int = 1
+    dual: bool = False
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError(f"cuspidal degree must be >= 1, got {self.degree}")
 
 
 @dataclass(frozen=True)
@@ -33,13 +50,12 @@ class SpehBlock:
     alpha: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.rho.shift:
-            raise ValueError("block cuspidal label must carry shift 0")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
-        object.__setattr__(self, "alpha", _frac(self.alpha))
+        if not isinstance(self.alpha, Fraction):
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
 
     @property
     def delta_degree(self) -> int:
@@ -54,29 +70,11 @@ class SpehBlock:
     def is_empty(self) -> bool:
         return self.t == 0
 
-    def multisegment(self) -> Multisegment:
-        """d segments of length t centered at (1-d)/2+alpha .. (d-1)/2+alpha."""
-        if self.t == 0:
-            raise EmptyBlock("t = 0 block has no multisegment")
-        lo = Fraction(1 - self.t, 2)
-        hi = Fraction(self.t - 1, 2)
-        segs = []
-        for j in range(self.d):
-            center = Fraction(1 - self.d, 2) + j + self.alpha
-            segs.append(Segment(self.rho, lo + center, hi + center))
-        return Multisegment(segs)
-
     def highest_derivative(self) -> "SpehBlock":
         """(rho, d, t, alpha) -> (rho, d, t-1, alpha - 1/2)."""
         if self.t == 0:
             raise EmptyBlock("t = 0 block has no derivative")
         return replace(self, t=self.t - 1, alpha=self.alpha - Fraction(1, 2))
-
-    def dualized(self) -> "SpehBlock":
-        return SpehBlock(self.rho.dualized(), self.d, self.t, -self.alpha)
-
-    def shifted(self, y: Rational) -> "SpehBlock":
-        return replace(self, alpha=self.alpha + _frac(y))
 
     def sort_key(self) -> tuple:
         return (self.rho.name, self.rho.dual, self.rho.degree, self.d, self.t, self.alpha)
@@ -180,13 +178,6 @@ class TadicParameter:
         for e in self.entries:
             out.extend(e.expanded())
         return out
-
-    def contragredient(self) -> "TadicParameter":
-        """Blockwise delta -> dual delta, alpha -> -alpha; paired entries
-        renormalize back to the positive representative."""
-        return TadicParameter(
-            ParamBlock(e.block.dualized(), e.paired) for e in self.entries
-        )
 
     def __str__(self) -> str:
         return " x ".join(str(e) for e in self.entries)

@@ -14,40 +14,10 @@ Permutations act on exponent vectors by (w . v)_j = v_{w^-1(j)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InvariantViolation, UnsupportedComposition
+from .errors import UnsupportedComposition
 
-Vector = tuple  # of Fractions
-
-
-def lambda_vec(t: int) -> Vector:
-    """Lambda_t = ((t-1)/2, (t-3)/2, ..., (1-t)/2)."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return tuple(Fraction(t - 1 - 2 * i, 2) for i in range(t))
-
-
-def lambda_blockwise(composition: tuple[int, ...]) -> Vector:
-    """Lambda^Q assembled per block: (Lambda_{m_1}, ..., Lambda_{m_s})."""
-    out: list[Fraction] = []
-    for m in composition:
-        out.extend(lambda_vec(m))
-    return tuple(out)
-
-
-def block_project(vec: Vector, composition: tuple[int, ...]) -> Vector:
-    """Orthogonal projection to the composition's Levi coordinates:
-    one average per block."""
-    if sum(composition) != len(vec):
-        raise ValueError("composition does not match vector length")
-    out = []
-    pos = 0
-    for m in composition:
-        chunk = vec[pos:pos + m]
-        out.append(sum(chunk, Fraction(0)) / m)
-        pos += m
-    return tuple(out)
+Vector = tuple  # of exact rationals
 
 
 def interior_indices(composition: tuple[int, ...]) -> list[int]:
@@ -71,10 +41,6 @@ class WeylElement:
         t = len(self.images)
         if sorted(self.images) != list(range(1, t + 1)):
             raise ValueError(f"not a permutation of [1, {t}]: {self.images}")
-
-    @classmethod
-    def identity(cls, t: int) -> "WeylElement":
-        return cls(tuple(range(1, t + 1)))
 
     @classmethod
     def cycle(cls, t: int, i: int) -> "WeylElement":
@@ -201,24 +167,3 @@ def residue_survival(t: int) -> SurvivalReport:
             )
         )
     return SurvivalReport(t=t, m=m, terms=tuple(terms))
-
-
-def mu_q(m: int) -> Vector:
-    """w_Q Lambda_{2m+1} - Lambda^Q, projected to the (r, 2mr) Levi
-    coordinates; always comes out (-m, 1/2)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    t = 2 * m + 1
-    w_q = WeylElement.cycle(t, t)
-    moved = w_q.apply(lambda_vec(t))
-    diff = tuple(a - b for a, b in zip(moved, lambda_blockwise((1, t - 1))))
-    # the difference is constant on each block, so projecting is just
-    # reading one coordinate per block; check rather than assume
-    composition = (1, t - 1)
-    pos = 0
-    for size in composition:
-        block = diff[pos:pos + size]
-        if any(x != block[0] for x in block):
-            raise InvariantViolation("difference vector not constant on blocks")
-        pos += size
-    return block_project(diff, composition)

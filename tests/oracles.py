@@ -1,15 +1,19 @@
-"""Test oracles: matrix and subgroup helpers that the library itself
-does not need, written plainly so the tests can check it against them."""
+"""Test oracles: matrix and subgroup helpers, Green's class data, and
+the segment calculus, contragredients and mu_Q behind the symbolic
+commands.  The library itself does not need them; they are written
+plainly so the tests can check it against them."""
 
 import math
 from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
 
+from klyachko.errors import EmptyBlock, InvariantViolation
 from klyachko.gf import mat_mul
 from klyachko.groups import symplectic_form
-from klyachko.segments import CuspidalLabel
-from klyachko.speh import ParamBlock, SpehBlock, TadicParameter, kappa
+from klyachko.speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter, kappa
+from klyachko.weyl import WeylElement
 
 
 def gl_order(n, q):
@@ -24,7 +28,15 @@ def gl_order(n, q):
 def exponent_by_powers(table):
     """The lcm of the orders of the class representatives, each order
     found by multiplying the representative by itself up to the identity."""
-    return math.lcm(*(len(table.powers(cls.representative)) for cls in table.classes))
+    n, field, ident = table.n, table.field, table.identity()
+
+    def order(g):
+        x, k = g, 1
+        while x != ident:
+            x, k = mat_mul(x, g, n, field), k + 1
+        return k
+
+    return math.lcm(*(order(cls.representative) for cls in table.classes))
 
 
 def mat_transpose(a, n):
@@ -241,3 +253,121 @@ def flat_orbit_classes(elements, n, field):
                     stack.append(h)
         c += 1
     return class_of
+
+
+# -- the segment calculus behind the highest derivative of a Speh block ----
+
+
+@dataclass(frozen=True)
+class Segment:
+    """The Zelevinsky segment [a, b]^(rho) = {rho[a], rho[a + 1], ...,
+    rho[b]}, its endpoints exact rationals with b - a a nonnegative
+    integer."""
+
+    base: CuspidalLabel
+    a: Fraction
+    b: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        span = self.b - self.a
+        if span.denominator != 1 or span < 0:
+            raise ValueError(f"b - a must be a nonnegative integer, got {span}")
+
+    @property
+    def degree(self):
+        return self.base.degree * (int(self.b - self.a) + 1)
+
+    def sort_key(self):
+        return (self.base.name, self.base.dual, self.base.degree, self.a, self.b)
+
+
+@dataclass(frozen=True)
+class Multisegment:
+    """A finite multiset of segments, stored sorted."""
+
+    segments: tuple
+
+    def __init__(self, segments=()):
+        object.__setattr__(self, "segments", tuple(sorted(segments, key=Segment.sort_key)))
+
+    @property
+    def degree(self):
+        return sum(s.degree for s in self.segments)
+
+    def derivative(self):
+        """The multiset a^-: every segment loses its right endpoint and
+        emptied segments disappear (highest-derivative combinatorics)."""
+        return Multisegment(Segment(s.base, s.a, s.b - 1) for s in self.segments if s.b > s.a)
+
+
+def speh_multisegment(block):
+    """The multisegment of U(delta, t)[alpha], delta built from d
+    singleton segments of rho: d segments of length t centred at
+    (1 - d)/2 + alpha, ..., (d - 1)/2 + alpha.  This is the
+    subrepresentation convention for <a>; translate before comparing
+    with sources that use the Langlands-quotient convention."""
+    if block.t == 0:
+        raise EmptyBlock("t = 0 block has no multisegment")
+    half = Fraction(block.t - 1, 2)
+    centres = (Fraction(1 - block.d, 2) + j + block.alpha for j in range(block.d))
+    return Multisegment(Segment(block.rho, c - half, c + half) for c in centres)
+
+
+# -- contragredients -------------------------------------------------------
+
+
+def dual_label(rho, self_dual=frozenset()):
+    """rho~: the dual flag flipped, unless rho's name is self-dual."""
+    return rho if rho.name in self_dual else replace(rho, dual=not rho.dual)
+
+
+def contragredient(param, self_dual=frozenset()):
+    """The contragredient of a Tadic parameter: blockwise delta -> delta~
+    and alpha -> -alpha, with rho~ = rho for the names in `self_dual`;
+    paired entries go back to their positive representative."""
+    return TadicParameter(
+        ParamBlock(replace(e.block, rho=dual_label(e.block.rho, self_dual), alpha=-e.block.alpha),
+                   e.paired)
+        for e in param.entries
+    )
+
+
+# -- mu_Q ------------------------------------------------------------------
+
+
+def lambda_vec(t):
+    """Lambda_t = ((t-1)/2, (t-3)/2, ..., (1-t)/2)."""
+    return tuple(Fraction(t - 1 - 2 * i, 2) for i in range(t))
+
+
+def lambda_blockwise(composition):
+    """Lambda^Q assembled per block: (Lambda_{m_1}, ..., Lambda_{m_s})."""
+    return tuple(x for m in composition for x in lambda_vec(m))
+
+
+def block_project(vec, composition):
+    """Orthogonal projection to the composition's Levi coordinates: one
+    average per block."""
+    if sum(composition) != len(vec):
+        raise ValueError("composition does not match vector length")
+    out, pos = [], 0
+    for m in composition:
+        out.append(sum(vec[pos:pos + m], Fraction(0)) / m)
+        pos += m
+    return tuple(out)
+
+
+def mu_q(m):
+    """w_Q Lambda_{2m+1} - Lambda^Q projected to the (r, 2mr) Levi
+    coordinates, w_Q the long cycle (1, 2, ..., 2m+1); the difference is
+    checked to be constant on each block, so the projection loses
+    nothing."""
+    t = 2 * m + 1
+    composition = (1, t - 1)
+    moved = WeylElement.cycle(t, t).apply(lambda_vec(t))
+    diff = tuple(a - b for a, b in zip(moved, lambda_blockwise(composition)))
+    if len(set(diff[1:])) != 1:
+        raise InvariantViolation("difference vector not constant on blocks")
+    return block_project(diff, composition)

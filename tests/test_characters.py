@@ -378,7 +378,8 @@ def _power_map_rational_classes(table):
 def test_rational_class_matches_power_map(n, q, table_store):
     table = table_store(n, q)
     oracle = _power_map_rational_classes(table)
-    assert [_rational_class(table, c) for c in range(len(table.classes))] == oracle
+    images = {}
+    assert [_rational_class(table, c, images) for c in range(len(table.classes))] == oracle
     # the rational classes partition the classes
     assert all(oracle[d] == oracle[c] for c in range(len(oracle)) for d in oracle[c])
 

@@ -1,4 +1,5 @@
-"""Golden-file regression: shipped Gelfand reports reproduce exactly.
+"""Golden-file regression: shipped Gelfand reports and symbolic command
+outputs reproduce exactly.
 
 The reports are fully deterministic (fixed table ordering, canonically
 chosen ell, no randomness in the character table), so everything except
@@ -10,11 +11,25 @@ from pathlib import Path
 
 import pytest
 
+from klyachko.cli import main
 from klyachko.gelfand import verify_gelfand
 from oracles import model_columns, model_histogram
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
+
+# a dual label, a paired block, a negative shift and a product of three blocks
+EXPRESSIONS = {
+    "dual_label": "U(rho~:2,1,3) x U(sigma:1,2,2)",
+    "paired": "U(rho:1,1,3)@0 x P(U(rho~:1,2,2),1/4)",
+    "negative_shift": "U(tau:3,2,4)@-1/2",
+    "three_blocks": "U(a:1,1,1) x U(b:2,1,2) x U(c:1,3,5)@0",
+}
+SYMBOLIC_CASES = {
+    **{f"{command}_{name}": [command, expr]
+       for command in ("kappa", "derive") for name, expr in EXPRESSIONS.items()},
+    "residue_survival_t7": ["residue-survival", "--t", "7"],
+}
 
 
 def strip_meta(js):
@@ -35,3 +50,12 @@ def test_gelfand_report_matches_golden(n, q, table_store):
 def test_golden_model_columns_match_green_parametrisation(n, q):
     golden = json.loads((GOLDEN_DIR / f"gelfand_n{n}_q{q}.json").read_text())
     assert model_columns(golden["rows"]) == model_histogram(n, q)
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC_CASES))
+def test_symbolic_output_matches_golden(name, capsys):
+    """The JSON of the command, key order included, apart from meta."""
+    assert main(SYMBOLIC_CASES[name] + ["--format", "json"]) == 0
+    live = json.loads(capsys.readouterr().out)
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert json.dumps(strip_meta(live), indent=2) == json.dumps(strip_meta(golden), indent=2)

@@ -5,8 +5,7 @@ import pytest
 
 from klyachko.errors import ParseError
 from klyachko.paramparse import parse_parameter
-from klyachko.segments import CuspidalLabel
-from klyachko.speh import ParamBlock, SpehBlock, TadicParameter
+from klyachko.speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter
 
 
 def test_single_block():

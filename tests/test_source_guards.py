@@ -5,7 +5,9 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import klyachko
@@ -56,6 +58,24 @@ def test_only_groups_codes_rows():
             if isinstance(node, ast.Call) and any(kw.arg == "repeat" for kw in node.keywords):
                 found.append(path.name)
     assert found == ["groups.py"]
+
+
+def test_every_library_name_is_used():
+    """Every function, class and method the library defines, dunders
+    aside, is used by the library or the benchmark: its name occurs as a
+    word in src/klyachko or perfbench/ outside the def or class lines
+    that define it.  What only tests use belongs in tests/."""
+    words = Counter()
+    for path in sorted(SRC.glob("*.py")) + sorted(WORKER.parent.glob("*.py")):
+        words.update(re.findall(r"\w+", path.read_text()))
+    own = Counter()  # occurrences of each name on the lines defining it
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                own[node.name] += re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
+    assert sorted(name for name in own if words[name] <= own[name]) == []
 
 
 def _resolves(name: str) -> bool:

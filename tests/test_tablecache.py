@@ -106,7 +106,14 @@ def _split_a_class(labels):
     return labels
 
 
-@pytest.mark.parametrize("relabel", [_skip_label_1, _split_a_class])
+def _merge_label_2_into_1(labels):
+    """Class 2 joins class 1 and the labels above move down by one: no
+    label is skipped and no two classes share invariant factors, but
+    there is one label fewer than GL_n(F_q) has classes."""
+    return [c - (c >= 2) for c in labels]
+
+
+@pytest.mark.parametrize("relabel", [_skip_label_1, _split_a_class, _merge_label_2_into_1])
 def test_load_rejects_labels_that_are_not_classes(tmp_path, table_store, relabel):
     table = table_store(2, 3)
     path = tmp_path / "t.tbl"
@@ -208,8 +215,8 @@ def _zero_element(i):
     return edit
 
 
-def _verify_over_format_3(n, q, edit, tmp_path, capsys, table_store):
-    """verify-gelfand over a cache holding an edited format-3 file exits
+def _verify_over_corrupt_cache(n, q, corrupt, tmp_path, capsys):
+    """verify-gelfand over a cache file that `corrupt(path)` rewrote exits
     0 with the report of --no-cache apart from meta, and leaves the
     format-4 file a fresh run writes."""
     d = str(tmp_path)
@@ -221,13 +228,20 @@ def _verify_over_format_3(n, q, edit, tmp_path, capsys, table_store):
     path = cache_path(tmp_path, n, q)
     current = path.read_bytes()
     assert current.startswith(MAGIC)
-    path.write_bytes(_format_3_bytes(table_store(n, q), edit))
+    corrupt(path)
     assert main(argv + ["--cache-dir", d]) == 0
     got = json.loads(capsys.readouterr().out)
     for report in (want, got):
         report.pop("meta")
     assert got == want
     assert path.read_bytes() == current
+
+
+def _verify_over_format_3(n, q, edit, tmp_path, capsys, table_store):
+    """The same over an edited format-3 file."""
+    table = table_store(n, q)
+    _verify_over_corrupt_cache(n, q, lambda path: path.write_bytes(_format_3_bytes(table, edit)),
+                               tmp_path, capsys)
 
 
 @pytest.mark.parametrize("n,q,i", [(2, 3, 47), (3, 2, 5), (2, 2, 3)])
@@ -239,6 +253,15 @@ def test_format_3_cache_with_a_non_member_is_recomputed_as_format_4(tmp_path, ca
     """Element 47 of GL_2(F_3) zeroed, digest valid: format 3 could load
     it, and a product then missed the map with a KeyError."""
     _verify_over_format_3(2, 3, _zero_element(47), tmp_path, capsys, table_store)
+
+
+def test_merged_class_labels_are_recomputed_and_replaced(tmp_path, capsys):
+    """GL_2(F_3) with classes 1 and 2 merged and the digest made valid:
+    seven labels for eight classes, so the file is recomputed, not
+    handed to the split as a table."""
+    _verify_over_corrupt_cache(
+        2, 3, lambda path: _rewrite_labels(path, _merge_label_2_into_1, redigest=True),
+        tmp_path, capsys)
 
 
 def test_save_writes_labels_only(tmp_path, table_store):

@@ -5,15 +5,12 @@ import pytest
 from klyachko.errors import UnsupportedComposition
 from klyachko.weyl import (
     WeylElement,
-    block_project,
     coset_reps,
     descent_set,
     interior_indices,
-    lambda_blockwise,
-    lambda_vec,
-    mu_q,
     residue_survival,
 )
+from oracles import block_project, lambda_blockwise, lambda_vec, mu_q
 
 
 def test_lambda_small():
@@ -31,7 +28,7 @@ def test_lambda_invariants_up_to_50():
 
 
 def test_descent_sets():
-    assert descent_set(WeylElement.identity(5)) == set()
+    assert descent_set(WeylElement((1, 2, 3, 4, 5))) == set()
     for t in (3, 5, 9):
         for i in range(2, t + 1):
             assert descent_set(WeylElement.cycle(t, i)) == {i - 1}
