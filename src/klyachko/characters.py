@@ -4,17 +4,22 @@ The irreducible table comes from the Dixon-Schneider class-sum method.
 The central characters omega(K_j) = |C_j| chi(g_j) / chi(1) are the
 common eigenvectors of the class matrices M_i, whose entries
 (M_i)_{jk} = a_{ij}^k are the structure constants of
-K_i K_j = sum_k a_{ij}^k K_k.  The split starts from the whole space
-and visits the non-identity classes rational classes first: the first
-class in ascending (size, index) order of each rational class (the
-classes of g^a, a prime to the order of g, each power read through the
-row images of g), then the other classes in the same order.  Over the
-complex numbers a class of a rational class already visited separates
-no characters that the visited one leaves together, because
-chi(g^a)/chi(1) is a Galois conjugate of chi(g)/chi(1); modulo ell that
-need not hold, so the class stays in the queue.  Each class splits every space that is not yet a line: only
-the rows of M_i at the space's pivot columns are computed, |C_i|
-products each, the d x d restriction of M_i to the space is
+K_i K_j = sum_k a_{ij}^k K_k.  The split starts from the
+central-character spaces, the joint eigenspaces of the central class
+matrices, built in closed form: the scalar w I permutes the classes
+(`groups.scalar_class_map`), so M_{wI} is a permutation matrix and its
+eigenvectors are read off the orbits (see `_central_spaces`; Schneider,
+J. Symbolic Comput. 9, 1990).  It then visits only the non-central
+classes, rational classes first: the first class in ascending
+(size, index) order of each rational class (the classes of g^a, a
+prime to the order of g, each power read through the row images of g),
+then the other classes in the same order.  Over the complex numbers a
+class of a rational class already visited separates no characters that
+the visited one leaves together, because chi(g^a)/chi(1) is a Galois
+conjugate of chi(g)/chi(1); modulo ell that need not hold, so the class
+stays in the queue.  Each class splits every space that is not yet a
+line: only the rows of M_i at the space's pivot columns are computed,
+|C_i| products each, the d x d restriction of M_i to the space is
 diagonalised, and the kernel of each eigenvalue becomes a new space.
 A product x g_j is read row by row: the table's elements are tuples of
 row codes, and row r of x g_j is the entry of `groups.row_images(g_j)`
@@ -58,6 +63,7 @@ from .groups import (
     enumerate_h,
     psi_r_trace,
     row_images,
+    scalar_class_map,
 )
 
 
@@ -289,13 +295,62 @@ def _rational_class(table: GroupTable, c: int, images: dict) -> set[int]:
     return {table.class_of[x] for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
 
 
+def _central_spaces(table: GroupTable, arena: ModularArena,
+                    ) -> list[tuple[list[list[int]], list[int]]]:
+    """The joint eigenspaces of the central class matrices, each in RREF
+    with its pivot columns, written down with no linear algebra.
+
+    The central classes are the scalars w^a I, and K_{wI} K_j = K_{w g_j},
+    so M_{wI} is the permutation matrix of `scalar_class_map`, sigma, and
+    the other central M are its powers.  M_{wI} v = mu v reads
+    v_sigma(j) = mu v_j, so each orbit O of sigma with mu^|O| = 1 gives one
+    eigenvector: 1 at the least class of O and mu^t at its t-th class
+    along sigma.  The eigenvalues are the powers of zeta = zeta_m^(m/(q-1)),
+    and each orbit gives |O| vectors in all, so the dimensions add up to N.
+    The vectors of one eigenvalue have disjoint supports, so they are
+    already in RREF with the orbit minima as pivots.
+    """
+    shift = scalar_class_map(table)
+    n_cls, ell = len(shift), arena.ell
+    orbits, seen = [], [False] * n_cls
+    for start in range(n_cls):  # ascending, so each orbit starts at its least class
+        if seen[start]:
+            continue
+        orbit, c = [], start
+        while not seen[c]:
+            seen[c] = True
+            orbit.append(c)
+            c = shift[c]
+        orbits.append(orbit)
+    zeta = pow(arena.zeta_m, arena.m // (table.q - 1), ell)
+    spaces = []
+    for k in range(table.q - 1):
+        mu = pow(zeta, k, ell)
+        basis, pivots = [], []
+        for orbit in orbits:
+            if pow(mu, len(orbit), ell) != 1:
+                continue
+            v, x = [0] * n_cls, 1
+            for c in orbit:
+                v[c], x = x, x * mu % ell
+            basis.append(v)
+            pivots.append(orbit[0])
+        if basis:
+            spaces.append((basis, pivots))
+    if sum(len(basis) for basis, _ in spaces) != n_cls:
+        raise InvariantViolation(
+            f"central eigenspaces of dimensions {[len(b) for b, _ in spaces]} do not fill {n_cls}"
+        )
+    return spaces
+
+
 def _visit_order(table: GroupTable, images: dict):
-    """The non-identity classes: one per rational class, then the rest,
+    """The non-central classes: one per rational class, then the rest,
     each group in ascending (size, index) order."""
-    classes, e_idx = table.classes, table.identity_class()
+    classes = table.classes
     seen: set[int] = set()
     rest = []
-    for c in sorted((c for c in range(len(classes)) if c != e_idx),
+    for c in sorted((c for c in range(len(classes)) if classes[c].size > 1),
                     key=lambda c: (classes[c].size, c)):
         if c in seen:
             rest.append(c)
@@ -309,11 +364,10 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     """All irreducible characters, sorted by (dimension, values)."""
     _check_arena(table, arena)
     classes = table.classes
-    n_cls = len(classes)
     ell = arena.ell
     e_idx = table.identity_class()
-    # invariant spaces as (RREF basis, pivot columns), from the whole space
-    spaces = [([[int(r == c) for c in range(n_cls)] for r in range(n_cls)], list(range(n_cls)))]
+    # invariant spaces as (RREF basis, pivot columns), from the central ones
+    spaces = _central_spaces(table, arena)
     images: dict = {}  # row images of the class representatives, for this call only
     visit = _visit_order(table, images)
     while any(len(basis) > 1 for basis, _ in spaces):

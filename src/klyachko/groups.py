@@ -26,7 +26,9 @@ class representative, not per element; labels whose number is not
 `class_count(n, q)`, or two classes with one key, would mean the labels
 were not the classes, and raise InvariantViolation.  Class
 representatives, flat entry tuples, are the lexicographically least
-members, which the lex enumeration order makes free.
+members, which the lex enumeration order makes free.  The central
+scalar w I permutes the classes; `scalar_class_map` gives that
+permutation, from which the character table starts its split.
 """
 
 from __future__ import annotations
@@ -252,6 +254,27 @@ def _primitive_element(field: FiniteField) -> int:
         if all(field.pow(w, c) != 1 for c in cofactors):
             return w
     raise InvariantViolation(f"F_{q}^* has no generator")
+
+
+def scalar_class_map(table: GroupTable) -> list[int]:
+    """The class of w g_c for every class c, w I the scalar matrix of the
+    least primitive element w of F_q^* (w = 1 when q = 2).
+
+    w I is central, so it permutes the classes and keeps their sizes; one
+    row-image lookup per row of each representative and one class lookup
+    give the image.  A map that is not such a permutation means the
+    labels were not the classes, and raises InvariantViolation.
+    """
+    n, field, classes = table.n, table.field, table.classes
+    w = _primitive_element(field)
+    image = row_images(_diagonal([w] * n), n, field).__getitem__
+    out = [table.class_of[tuple(map(image, encode_rows(c.representative, n, field.q)))]
+           for c in classes]
+    if sorted(out) != list(range(len(classes))):
+        raise InvariantViolation("multiplying by a scalar does not permute the classes")
+    if any(classes[d].size != c.size for c, d in zip(classes, out)):
+        raise InvariantViolation("multiplying by a scalar changes a class size")
+    return out
 
 
 def _conjugators(n: int, field: FiniteField) -> list:

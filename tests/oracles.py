@@ -194,6 +194,46 @@ def model_columns(rows):
     return dict(Counter(k for row in rows for k, m in row["mults"] if m))
 
 
+def hook_lengths(lam):
+    """The hook lengths of the cells of the partition lam."""
+    conj = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
+    return [part - j + conj[j] - i - 1 for i, part in enumerate(lam) for j in range(part)]
+
+
+def green_degree(function, n, q):
+    """The degree of the irreducible of GL_n(F_q) with Green's function
+    lambda (a list as `green_functions` yields it): Green's formula
+    psi_n(q) prod_f q_f^n(lambda(f)) / H_lambda(f)(q_f), with
+    psi_n(q) = (q - 1)(q^2 - 1)...(q^n - 1), q_f = q^deg f,
+    n(lambda) = sum_i (i - 1) lambda_i and H_lambda(t) the product of
+    t^h - 1 over the hook lengths h (Macdonald, ch. IV (6.7), there
+    with lambda(f) transposed: here a one-part lambda(f) = (n) of a
+    degree-1 f is a character, as U(f:1,1,n) is in `green_parameters`)."""
+    numerator = math.prod(q**i - 1 for i in range(1, n + 1))
+    denominator = 1
+    for _, d, lam in function:
+        numerator *= q ** (d * sum(i * part for i, part in enumerate(lam)))
+        denominator *= math.prod(q ** (d * h) - 1 for h in hook_lengths(lam))
+    if numerator % denominator:
+        raise ValueError(f"Green's degree {numerator}/{denominator} is not an integer")
+    return numerator // denominator
+
+
+def degree_model_histogram(n, q):
+    """{(dim pi, k): number of irreducibles pi of GL_n(F_q) of that
+    dimension in the model H_{n-2k,2k}}, from Green's degree formula and
+    the parametrisation read through kappa."""
+    return dict(Counter((green_degree(function, n, q), kappa(param).k)
+                        for function, param in zip(green_functions(n, q),
+                                                   green_parameters(n, q))))
+
+
+def degree_model_columns(rows):
+    """{(dim, k): number of irreducibles of that dimension with a nonzero
+    multiplicity in column k} of the rows of a Gelfand report in JSON form."""
+    return dict(Counter((row["dim"], k) for row in rows for k, m in row["mults"] if m))
+
+
 def _flat_conjugators(n, field):
     """Maps g -> s g s^-1 on flat entry tuples for the generators s of
     GL_n(F_q) that the library conjugates by: the n-cycle permutation

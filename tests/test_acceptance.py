@@ -27,7 +27,11 @@ from klyachko.weyl import residue_survival
 from oracles import (
     Multisegment,
     contragredient,
+    degree_model_columns,
+    degree_model_histogram,
     gl_order,
+    green_degree,
+    green_functions,
     model_columns,
     model_histogram,
     mu_q,
@@ -79,6 +83,21 @@ def test_model_columns_match_green_parametrisation(n, q):
     through kappa: one kappa for both engines."""
     report, _, _ = _report(n, q)
     assert model_columns(report.to_json_dict()["rows"]) == model_histogram(n, q)
+
+
+@pytest.mark.parametrize("n,q", GELFAND_CASES)
+def test_dimensions_and_models_match_green_degrees(n, q):
+    """The joint (dim pi, k(pi)) histogram of the engine's rows against
+    Green's degree formula over the same parametrisation."""
+    report, _, _ = _report(n, q)
+    assert degree_model_columns(report.to_json_dict()["rows"]) == degree_model_histogram(n, q)
+
+
+@pytest.mark.parametrize("n,q", [(1, 5), (2, 9), (3, 4), (4, 3), (5, 2)])
+def test_green_degrees_square_sum_to_the_order(n, q):
+    """Green's degrees alone, one per parameter: sum d^2 = |G|."""
+    degrees = [green_degree(function, n, q) for function in green_functions(n, q)]
+    assert sum(d * d for d in degrees) == gl_order(n, q)
 
 
 def test_green_histogram_of_gl3_f4():

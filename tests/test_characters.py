@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,14 @@ from klyachko import characters
 from klyachko.arena import build_arena, zpoly_powmod
 from klyachko.characters import (
     ClassFunction,
+    _central_spaces,
     _character_from_central,
     _charpoly_mod,
     _rational_class,
     _roots_mod,
+    _rref,
     _split_space,
+    _visit_order,
     character_table,
     class_multiplication_tensor,
     induced_klyachko_character,
@@ -27,6 +32,7 @@ from klyachko.groups import (
     ConjClass,
     GroupTable,
     KlyachkoSubgroupSpec,
+    _primitive_element,
     encode_rows,
     h_order,
     psi_r_trace,
@@ -384,44 +390,166 @@ def test_rational_class_matches_power_map(n, q, table_store):
     assert all(oracle[d] == oracle[c] for c in range(len(oracle)) for d in oracle[c])
 
 
-# (classes visited, products) of the split, rational classes first
-SPLIT_WORK = {(3, 3): (10, 21730), (4, 2): (10, 37526), (2, 9): (21, 57656)}
+# (classes visited, products, characteristic polynomials, restrictions) of
+# the split, as the README's "Character table" section states them
+SPLIT_WORK = {(3, 3): (9, 21706, 8, 26), (4, 2): (10, 37526, 4, 16),
+              (2, 9): (18, 57416, 52, 272)}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (2, 9)])
-def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_store, monkeypatch):
-    """Products are counted where they are done: |C_i| per requested row."""
-    table, arena = table_store(n, q), arena_store(n, q)
-    visited, products = [], []
+def _count_split_work(table, arena, monkeypatch):
+    """One character_table call with its work counted where it is done:
+    the visited classes, |C_i| products per requested row, the
+    characteristic polynomials and the restrictions (_split_space calls).
+    The counting patches are undone before it returns."""
+    visited, products, charpolys, restrictions = [], [], [], []
 
     def counting_tensor(tab, i, rows, *images):
         visited.append(i)
         products.append(tab.classes[i].size * len(rows))
         return class_multiplication_tensor(tab, i, rows, *images)
 
+    def counting_charpoly(mat, ell):
+        charpolys.append(len(mat))
+        return _charpoly_mod(mat, ell)
+
+    def counting_split(*args):
+        restrictions.append(len(args[0]))
+        return _split_space(*args)
+
     monkeypatch.setattr(characters, "class_multiplication_tensor", counting_tensor)
+    monkeypatch.setattr(characters, "_charpoly_mod", counting_charpoly)
+    monkeypatch.setattr(characters, "_split_space", counting_split)
     character_table(table, arena)
-    max_visited, max_products = SPLIT_WORK[(n, q)]
+    monkeypatch.undo()
+    return visited, products, charpolys, restrictions
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (2, 9)])
+def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_store, monkeypatch):
+    """Products are counted where they are done: |C_i| per requested row."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    visited, products, _, _ = _count_split_work(table, arena, monkeypatch)
+    max_visited, max_products, _, _ = SPLIT_WORK[(n, q)]
     assert len(set(visited)) == len(visited) <= max_visited
     assert 0 < sum(products) <= max_products <= table.order * len(table.classes) // 5
 
 
-# characteristic polynomials of the split: one per restriction that is not a scalar
-CHARPOLY_CALLS = {(3, 3): 9, (4, 2): 4, (2, 9): 59}
-
-
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (2, 9)])
 def test_split_skips_scalar_restrictions(n, q, table_store, arena_store, monkeypatch):
+    """One characteristic polynomial per restriction that is not a scalar."""
     table, arena = table_store(n, q), arena_store(n, q)
-    calls = []
+    _, _, charpolys, _ = _count_split_work(table, arena, monkeypatch)
+    assert 0 < len(charpolys) <= SPLIT_WORK[(n, q)][2]
 
-    def counting_charpoly(mat, ell):
-        calls.append(len(mat))
-        return _charpoly_mod(mat, ell)
 
-    monkeypatch.setattr(characters, "_charpoly_mod", counting_charpoly)
-    character_table(table, arena)
-    assert 0 < len(calls) <= CHARPOLY_CALLS[(n, q)]
+def _listed(values):
+    """'a, b and c', thousands separated by a space."""
+    words = [f"{v:,}".replace(",", " ") for v in values]
+    return ", ".join(words[:-1]) + " and " + words[-1]
+
+
+def test_split_work_is_pinned_and_matches_readme(table_store, arena_store, monkeypatch):
+    """The split's work on GL_3(F_3), GL_4(F_2) and GL_2(F_9), exactly, and
+    the README sentences that state it."""
+    groups = list(SPLIT_WORK)
+    counted = {}
+    for n, q in groups:
+        visited, products, charpolys, restrictions = _count_split_work(
+            table_store(n, q), arena_store(n, q), monkeypatch)
+        counted[(n, q)] = (len(visited), sum(products), len(charpolys), len(restrictions))
+    assert counted == SPLIT_WORK
+    visits, products, charpolys, restrictions = zip(*(SPLIT_WORK[g] for g in groups))
+    text = " ".join(README.read_text().split())
+    assert f"the split visits {_listed(visits)} classes" in text
+    assert f"makes {_listed(products)} products" in text
+    assert f"computes {_listed(restrictions)} restrictions" in text
+    assert f"takes {_listed(charpolys)} characteristic polynomials" in text
+    _, _, charpolys_29, restrictions_29 = SPLIT_WORK[(2, 9)]
+    scalar_29 = restrictions_29 - charpolys_29  # a scalar restriction takes no polynomial
+    assert f"on GL_2(F_9) {scalar_29} of the {restrictions_29} restrictions" in text
+
+
+# -- the central pre-split -----------------------------------------------------
+
+PRESPLIT_GRID = [(1, 5), (2, 5), (2, 9), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,q", PRESPLIT_GRID)
+def test_central_spaces_are_eigenspaces_of_the_central_classes(n, q, table_store, arena_store):
+    """Space k holds eigenvectors of M_{wI} with eigenvalue mu = zeta^k,
+    hence of M_{w^a I} with eigenvalue mu^a, the class matrices taken row
+    by row from class_multiplication_tensor; each space is in RREF."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    field, ell, n_cls = table.field, arena.ell, len(table.classes)
+    zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
+    w = _primitive_element(field)
+    log = {field.pow(w, a): a for a in range(q - 1)}
+    spaces = _central_spaces(table, arena)
+    assert len(spaces) == q - 1  # every character of the centre occurs
+    every = list(range(n_cls))
+    central = [c for c, cls in enumerate(table.classes) if cls.size == 1]
+    assert len(central) == q - 1
+    for i in central:
+        a = log[table.classes[i].representative[0]]
+        m = class_multiplication_tensor(table, i, every)
+        for k, (basis, _) in enumerate(spaces):
+            lam = pow(zeta, k * a, ell)
+            for v in basis:
+                assert [sum(map(mul, row, v)) % ell for row in m] == [lam * x % ell for x in v]
+    for basis, pivots in spaces:
+        assert pivots == sorted(pivots)
+        assert [[v[p] for p in pivots] for v in basis] == [
+            [int(r == c) for c in range(len(pivots))] for r in range(len(pivots))]
+
+
+@pytest.mark.parametrize("n,q", PRESPLIT_GRID)
+def test_central_spaces_partition_the_class_space(n, q, table_store, arena_store):
+    table, arena = table_store(n, q), arena_store(n, q)
+    n_cls, ell = len(table.classes), arena.ell
+    spaces = _central_spaces(table, arena)
+    assert sum(len(basis) for basis, _ in spaces) == n_cls
+    assert len(_rref([v for basis, _ in spaces for v in basis], ell)[0]) == n_cls
+
+
+@pytest.mark.parametrize("n,q", PRESPLIT_GRID)
+def test_visit_order_skips_central_classes(n, q, table_store):
+    table = table_store(n, q)
+    order = list(_visit_order(table, {}))
+    assert len(order) == len(set(order))
+    assert sorted(order) == [c for c, cls in enumerate(table.classes) if cls.size > 1]
+
+
+def _refuse_tensor(*args):
+    raise AssertionError("no class matrix row is needed")
+
+
+def test_non_injective_scalar_map_raises_at_once(table_store, arena_store, monkeypatch):
+    """GL_2(F_5) with the classes of I and w I merged: I and w^-1 I both map
+    to the merged class.  The split raises before any class matrix row."""
+    table, arena = table_store(2, 5), arena_store(2, 5)
+    w = _primitive_element(table.field)
+    a, b = sorted({table.identity_class(), table.class_of_flat((w, 0, 0, w))})
+    monkeypatch.setattr(characters, "class_multiplication_tensor", _refuse_tensor)
+    with pytest.raises(InvariantViolation, match="does not permute the classes"):
+        character_table(_merge_classes(table, a, b), arena)
+
+
+def test_gl1_table_needs_no_visit(table_store, arena_store, monkeypatch):
+    """n = 1: every class is central, so the start spaces are lines."""
+    table, arena = table_store(1, 5), arena_store(1, 5)
+    monkeypatch.setattr(characters, "class_multiplication_tensor", _refuse_tensor)
+    chars = character_table(table, arena)
+    assert len(chars) == 4 and all(cf.dimension(table) == 1 for cf in chars)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_central_spaces_over_f2_are_the_whole_space(n, table_store, arena_store):
+    """q = 2: the scalar map is the identity, so the start is the whole space."""
+    table, arena = table_store(n, 2), arena_store(n, 2)
+    n_cls = len(table.classes)
+    assert _central_spaces(table, arena) == [
+        ([[int(r == c) for c in range(n_cls)] for r in range(n_cls)], list(range(n_cls)))]
 
 
 def _refuse_charpoly(mat, ell):

@@ -13,7 +13,7 @@ import pytest
 
 from klyachko.cli import main
 from klyachko.gelfand import verify_gelfand
-from oracles import model_columns, model_histogram
+from oracles import degree_model_columns, degree_model_histogram, model_columns, model_histogram
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
@@ -50,6 +50,12 @@ def test_gelfand_report_matches_golden(n, q, table_store):
 def test_golden_model_columns_match_green_parametrisation(n, q):
     golden = json.loads((GOLDEN_DIR / f"gelfand_n{n}_q{q}.json").read_text())
     assert model_columns(golden["rows"]) == model_histogram(n, q)
+
+
+@pytest.mark.parametrize("n,q", GOLDEN_CASES)
+def test_golden_dimensions_and_models_match_green_degrees(n, q):
+    golden = json.loads((GOLDEN_DIR / f"gelfand_n{n}_q{q}.json").read_text())
+    assert degree_model_columns(golden["rows"]) == degree_model_histogram(n, q)
 
 
 @pytest.mark.parametrize("name", sorted(SYMBOLIC_CASES))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from klyachko.groups import (
     gl_enumerate,
     h_order,
     psi_r_trace,
+    scalar_class_map,
     sp_order,
     symplectic_form,
 )
@@ -95,6 +97,38 @@ def test_primitive_element_is_least_of_full_order(q):
         return k
 
     assert groups._primitive_element(field) == min(w for w in range(1, q) if order(w) == q - 1)
+
+
+def _scalar(c, n):
+    return tuple(c if i == j else 0 for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 5), (2, 2), (2, 5), (2, 9), (3, 3), (4, 2)])
+def test_scalar_class_map_is_multiplication_by_w(n, q, table_store):
+    table = table_store(n, q)
+    field = table.field
+    w = _scalar(groups._primitive_element(field), n)
+    assert scalar_class_map(table) == [
+        table.class_of_flat(mat_mul(w, cls.representative, n, field)) for cls in table.classes
+    ]
+    if q == 2:
+        assert scalar_class_map(table) == list(range(len(table.classes)))
+
+
+def test_scalar_class_map_rejects_labels_that_are_not_classes(table_store):
+    table = table_store(2, 5)
+    e_idx = table.identity_class()
+    w = encode_rows(_scalar(groups._primitive_element(table.field), 2), 2, 5)
+    # w I labelled as the identity: I and w^-1 I both map to the identity's class
+    relabelled = groups.GroupTable(table.field, 2, {**table.class_of, w: e_idx}, table.classes)
+    with pytest.raises(InvariantViolation, match="does not permute the classes"):
+        scalar_class_map(relabelled)
+    # the identity class recorded with size 2: a permutation, but not of equal sizes
+    classes = list(table.classes)
+    classes[e_idx] = replace(classes[e_idx], size=2)
+    resized = groups.GroupTable(table.field, 2, table.class_of, tuple(classes))
+    with pytest.raises(InvariantViolation, match="changes a class size"):
+        scalar_class_map(resized)
 
 
 def class_members(table, c):

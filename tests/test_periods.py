@@ -114,7 +114,7 @@ def test_evaluate_division_by_zero():
         evaluate_period(period_formula(2), {"L(2)": 1.0, "Res": 0.0})
 
 
-def test_abs_square_and_power_and_numeral():
+def test_quotient_of_power_and_numeral():
     expr = Quotient(Numeral(Fraction(3, 2)), Power(Numeral(Fraction(1, 2)), 2))
     assert evaluate_period(expr, {}) == 6
     assert expr.to_string() == "3/2/(1/2^2)"

@@ -1,5 +1,6 @@
 """Every CLI JSON output validates against its shipped schema."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from klyachko import periods
 from klyachko.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "schemas"
@@ -50,6 +52,27 @@ def test_period_schema(capsys):
     for t in (1, 2, 3, 4, 7):
         js = cli_json(capsys, "period", "--t", str(t), "--zeta")
         jsonschema.validate(js, schema("period"))
+
+
+def _emitted_kinds():
+    """The "kind" constants in the to_json methods of the periods node classes."""
+    tree = ast.parse(Path(periods.__file__).read_text())
+    kinds = set()
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "to_json":
+                kinds |= {value.value for d in ast.walk(fn) if isinstance(d, ast.Dict)
+                          for key, value in zip(d.keys, d.values)
+                          if isinstance(key, ast.Constant) and key.value == "kind"}
+    return kinds
+
+
+def test_period_schema_kinds_are_the_emitted_kinds():
+    """The period tree schema accepts exactly the node kinds the code can emit."""
+    branches = schema("period")["$defs"]["expr"]["oneOf"]
+    kinds = [branch["properties"]["kind"]["const"] for branch in branches]
+    assert len(kinds) == len(set(kinds))
+    assert set(kinds) == _emitted_kinds() == {"atom", "number", "product", "quotient", "power"}
 
 
 def test_residue_survival_schema(capsys):

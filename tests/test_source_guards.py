@@ -49,6 +49,27 @@ def test_library_imports_only_stdlib_and_itself():
     assert found == []
 
 
+def test_no_private_names_cross_modules():
+    """A module lends out nothing private: no library module imports an
+    underscore-prefixed name (dunders such as __version__ aside) from
+    another klyachko module.  What another module needs gets a public
+    owner."""
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "klyachko"
+            ):
+                module_private = any(map(private, (node.module or "").split(".")))
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if module_private or private(alias.name)]
+    assert found == []
+
+
 def test_only_groups_codes_rows():
     """groups owns the row code: no other module lists the row vectors
     of a length (`product(range(q), repeat=n)`) to code them itself."""
