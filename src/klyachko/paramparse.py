@@ -5,6 +5,7 @@
               | "P(" "U(" name ":" degree "," d "," t ")" "," rational ")"
     shift    := "@" rational
     rational := ["-"] int [ "/" int ]
+    int      := [0-9]+
 
 Example: "U(rho:1,1,3)@0 x P(U(rho:1,2,2),1/4)".  Names are identifiers
 with an optional trailing "~" marking a dual label.  Errors carry the
@@ -60,7 +61,7 @@ class _Tokens:
         self.skip_ws()
         start = self.pos
         text = self.text
-        while self.pos < len(text) and text[self.pos].isdigit():
+        while self.pos < len(text) and "0" <= text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             found = text[self.pos] if self.pos < len(text) else "end of input"

@@ -1,14 +1,17 @@
 """Symbolic L-value period formulas and their numeric evaluation.
 
-Expressions are immutable trees over four atoms:
+A formula is one ratio of two monomials in three atoms:
 
 - L(j): the Rankin-Selberg value L_sigma(j) = L(j, sigma x sigma~),
 - Res:  the residue of L_sigma(s) at s = 1,
 - alpha: the opaque finite product of local Whittaker normalization
-  factors over the bad places,
-- exact rational numerals,
+  factors over the bad places.
 
-combined by products, quotients and integer powers.
+The numerator is a product of atoms and the denominator a product of
+atom powers, each side with at least one factor.  In JSON a formula is
+a "quotient" node over its two sides; a side of several factors is a
+"product" node, a factor an "atom" node, or a "power" node over its
+atom when the exponent is above 1.
 Atoms are never computed analytically here; evaluation substitutes a
 user-supplied assignment, and every numeric output is defined only up
 to the global Haar-measure normalization.
@@ -32,202 +35,91 @@ from typing import Mapping
 from .errors import DivisionByZero, MissingAtom
 
 
-class PeriodExpression:
-    """Base class; concrete nodes implement the small visitor surface."""
-
-    def atoms(self) -> set[str]:
-        raise NotImplementedError
-
-    def evaluate(self, assignment: Mapping[str, complex]):
-        raise NotImplementedError
-
-    def to_string(self) -> str:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def _needs_parens(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class Atom(PeriodExpression):
-    """One of "L(j)", "Res", "alpha" by canonical key."""
-
-    key: str
-
-    def atoms(self) -> set[str]:
-        return {self.key}
-
-    def evaluate(self, assignment):
-        if self.key not in assignment:
-            raise MissingAtom(f"no value supplied for atom {self.key}")
-        return assignment[self.key]
-
-    def to_string(self) -> str:
-        return self.key
-
-    def to_json(self) -> dict:
-        return {"kind": "atom", "atom": self.key}
-
-
-def lval(j: int) -> Atom:
+def lval(j: int) -> str:
     if j < 2:
         raise ValueError(f"L-value atoms require j >= 2, got {j}")
-    return Atom(f"L({j})")
+    return f"L({j})"
 
 
-RES = Atom("Res")
-ALPHA = Atom("alpha")
+RES = "Res"
+ALPHA = "alpha"
 
 
-@dataclass(frozen=True)
-class Numeral(PeriodExpression):
-    value: Fraction
+def _atom_json(atom: str) -> dict:
+    return {"kind": "atom", "atom": atom}
 
-    def atoms(self) -> set[str]:
-        return set()
 
-    def evaluate(self, assignment):
-        return self.value
-
-    def to_string(self) -> str:
-        return str(self.value)
-
-    def to_json(self) -> dict:
-        return {"kind": "number", "value": str(self.value)}
+def _side_json(factors: list[dict]) -> dict:
+    return factors[0] if len(factors) == 1 else {"kind": "product", "children": factors}
 
 
 @dataclass(frozen=True)
-class Product(PeriodExpression):
-    factors: tuple[PeriodExpression, ...]
+class PeriodFormula:
+    """prod(numerator) / prod(atom^exponent for (atom, exponent) in denominator)."""
+
+    numerator: tuple[str, ...]
+    denominator: tuple[tuple[str, int], ...]
 
     def atoms(self) -> set[str]:
-        out: set[str] = set()
-        for f in self.factors:
-            out |= f.atoms()
-        return out
+        return set(self.numerator) | {atom for atom, _ in self.denominator}
 
-    def evaluate(self, assignment):
-        out = 1
-        for f in self.factors:
-            out = out * f.evaluate(assignment)
-        return out
+    def _denominator_string(self) -> str:
+        return "*".join(atom if e == 1 else f"{atom}^{e}" for atom, e in self.denominator)
 
     def to_string(self) -> str:
-        return "*".join(
-            f"({f.to_string()})" if f._needs_parens() else f.to_string()
-            for f in self.factors
-        )
-
-    def to_json(self) -> dict:
-        return {"kind": "product", "children": [f.to_json() for f in self.factors]}
-
-    def _needs_parens(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class Quotient(PeriodExpression):
-    numerator: PeriodExpression
-    denominator: PeriodExpression
-
-    def atoms(self) -> set[str]:
-        return self.numerator.atoms() | self.denominator.atoms()
-
-    def evaluate(self, assignment):
-        den = self.denominator.evaluate(assignment)
-        if den == 0:
-            raise DivisionByZero(f"denominator {self.denominator.to_string()} evaluated to 0")
-        return self.numerator.evaluate(assignment) / den
-
-    def to_string(self) -> str:
-        num = self.numerator.to_string()
-        den = self.denominator.to_string()
-        if isinstance(self.denominator, Atom) or isinstance(self.denominator, Numeral):
+        num = "*".join(self.numerator)
+        den = self._denominator_string()
+        if len(self.denominator) == 1 and self.denominator[0][1] == 1:
             return f"{num}/{den}"
         return f"{num}/({den})"
 
     def to_json(self) -> dict:
-        return {
-            "kind": "quotient",
-            "children": [self.numerator.to_json(), self.denominator.to_json()],
-        }
-
-    def _needs_parens(self) -> bool:
-        return True
+        num = [_atom_json(atom) for atom in self.numerator]
+        den = [_atom_json(atom) if e == 1
+               else {"kind": "power", "exponent": e, "children": [_atom_json(atom)]}
+               for atom, e in self.denominator]
+        return {"kind": "quotient", "children": [_side_json(num), _side_json(den)]}
 
 
-@dataclass(frozen=True)
-class Power(PeriodExpression):
-    base: PeriodExpression
-    exponent: int
-
-    def atoms(self) -> set[str]:
-        return self.base.atoms()
-
-    def evaluate(self, assignment):
-        return self.base.evaluate(assignment) ** self.exponent
-
-    def to_string(self) -> str:
-        base = self.base.to_string()
-        if self.base._needs_parens():
-            base = f"({base})"
-        return f"{base}^{self.exponent}"
-
-    def to_json(self) -> dict:
-        return {"kind": "power", "exponent": self.exponent, "children": [self.base.to_json()]}
-
-
-def _product(factors: list[PeriodExpression]) -> PeriodExpression:
-    if not factors:
-        return Numeral(Fraction(1))
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
-
-
-def period_formula(t: int) -> PeriodExpression:
+def period_formula(t: int) -> PeriodFormula:
     """Squared mixed period of the normalized spherical vector of the
     discrete-spectrum representation built from t cuspidal blocks."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if t % 2 == 0:
-        m = t // 2
-        num = [lval(2 * j) for j in range(1, m + 1)]
-        den = [RES] + [lval(2 * j + 1) for j in range(1, m)]
-        return Quotient(_product(num), _product(den))
-    m = (t - 1) // 2
-    num = [ALPHA] + [lval(2 * j) for j in range(1, m + 1)]
-    den = [RES] + [lval(2 * j + 1) for j in range(1, m + 1)]
-    return Quotient(_product(num), _product(den))
+    num = [ALPHA] * (t % 2) + [lval(j) for j in range(2, t + 1, 2)]
+    den = [RES] + [lval(j) for j in range(3, t + 1, 2)]
+    return PeriodFormula(tuple(num), tuple((atom, 1) for atom in den))
 
 
-def norm_constant(t: int) -> PeriodExpression:
+def norm_constant(t: int) -> PeriodFormula:
     """Squared inverse L^2-norm of the spherical multi-residue vector:
     L(2) L(3) ... L(t) / Res^(t-1)."""
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
-    num = [lval(j) for j in range(2, t + 1)]
-    den = RES if t == 2 else Power(RES, t - 1)
-    return Quotient(_product(num), den)
+    return PeriodFormula(tuple(lval(j) for j in range(2, t + 1)), ((RES, t - 1),))
 
 
-def intertwining_eigenvalue(t: int) -> PeriodExpression:
+def intertwining_eigenvalue(t: int) -> PeriodFormula:
     """Eigenvalue of the residual intertwining operator at w_Q on the
     spherical vector: Res / L(t), t = 2m+1 odd."""
     if t < 3 or t % 2 == 0:
         raise ValueError(f"t must be odd and >= 3, got {t}")
-    return Quotient(RES, lval(t))
+    return PeriodFormula((RES,), ((lval(t), 1),))
 
 
-def evaluate_period(expr: PeriodExpression, assignment: Mapping[str, complex]):
-    """Evaluate under an atom assignment; exact when the values are exact."""
-    return expr.evaluate(assignment)
+def evaluate_period(expr: PeriodFormula, assignment: Mapping[str, complex]):
+    """Evaluate under an atom assignment; exact when the values are exact.
+    Each side multiplies its factors left to right, the denominator first."""
+
+    def value(atom: str):
+        if atom not in assignment:
+            raise MissingAtom(f"no value supplied for atom {atom}")
+        return assignment[atom]
+
+    den = math.prod(value(atom) ** e for atom, e in expr.denominator)
+    if den == 0:
+        raise DivisionByZero(f"denominator {expr._denominator_string()} evaluated to 0")
+    return math.prod(map(value, expr.numerator)) / den
 
 
 # -- numeric instantiation ------------------------------------------------
@@ -281,7 +173,7 @@ def zeta_value(s: int, tol: float = 1e-8) -> float:
         cutoff *= 2
 
 
-def zeta_assignment(expr: PeriodExpression, tol: float = 1e-8) -> dict[str, float]:
+def zeta_assignment(expr: PeriodFormula, tol: float = 1e-8) -> dict[str, float]:
     """The illustrative assignment for sigma trivial on GL_1 over Q:
     L(j) = zeta(j), Res = 1, alpha = 1."""
     out: dict[str, float] = {}

@@ -217,6 +217,15 @@ def test_kappa_parse_error_exit_4(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("argv", [["kappa", "U(rho:²,1,1)"], ["kappa", "U(rho:1,1,3)@1/²"],
+                                  ["derive", "U(rho:1,1,²)"], ["kappa", "U(rho:１,1,1)"]])
+def test_non_ascii_digit_is_parse_error_exit_4(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert err.startswith("parse error: expected an integer, found ")
+    assert "(at position " in err
+
+
 def test_kappa_degree_mismatch_exit_5(capsys):
     code, _, err = run(capsys, "kappa", "U(rho:1,1,3)@0", "--n", "5")
     assert code == 5

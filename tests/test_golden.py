@@ -29,6 +29,9 @@ SYMBOLIC_CASES = {
     **{f"{command}_{name}": [command, expr]
        for command in ("kappa", "derive") for name, expr in EXPRESSIONS.items()},
     "residue_survival_t7": ["residue-survival", "--t", "7"],
+    "period_t1": ["period", "--t", "1"],
+    "period_t4_zeta": ["period", "--t", "4", "--zeta"],
+    "period_t7_zeta_tol": ["period", "--t", "7", "--zeta", "--tol", "1e-10"],
 }
 
 

@@ -62,6 +62,12 @@ def test_parse_errors_carry_position():
         parse_parameter("U(rho:0,1,1)")
     with pytest.raises(ParseError):
         parse_parameter("U(rho:1,1,1)@1/0")
+    # only ASCII digits: "²" passes str.isdigit() and "１" (full width) int()
+    for text, position in [("U(rho:²,1,1)", 6), ("U(rho:1,1,3)@1/²", 15),
+                           ("U(rho:1,1,²)", 10), ("U(rho:１,1,1)", 6)]:
+        with pytest.raises(ParseError) as info:
+            parse_parameter(text)
+        assert info.value.position == position
 
 
 def test_round_trip_random():

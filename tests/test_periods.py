@@ -5,12 +5,6 @@ import pytest
 
 from klyachko.errors import DivisionByZero, MissingAtom
 from klyachko.periods import (
-    ALPHA,
-    RES,
-    Numeral,
-    Power,
-    Product,
-    Quotient,
     evaluate_period,
     intertwining_eigenvalue,
     lval,
@@ -45,10 +39,24 @@ GOLDEN_PERIOD_STRINGS = {
     8: "L(2)*L(4)*L(6)*L(8)/(Res*L(3)*L(5)*L(7))",
 }
 
+
+def atom(key):
+    return {"kind": "atom", "atom": key}
+
+
+def product(*keys):
+    return {"kind": "product", "children": [atom(key) for key in keys]}
+
+
+def quotient(num, den):
+    return {"kind": "quotient", "children": [num, den]}
+
+
 GOLDEN_PERIOD_TREES = {
-    2: Quotient(lval(2), RES),
-    3: Quotient(Product((ALPHA, lval(2))), Product((RES, lval(3)))),
-    4: Quotient(Product((lval(2), lval(4))), Product((RES, lval(3)))),
+    1: quotient(atom("alpha"), atom("Res")),
+    2: quotient(atom("L(2)"), atom("Res")),
+    3: quotient(product("alpha", "L(2)"), product("Res", "L(3)")),
+    4: quotient(product("L(2)", "L(4)"), product("Res", "L(3)")),
 }
 
 
@@ -59,7 +67,7 @@ def test_period_formula_strings_match_golden():
 
 def test_period_formula_trees_match_golden():
     for t, tree in GOLDEN_PERIOD_TREES.items():
-        assert period_formula(t) == tree
+        assert period_formula(t).to_json() == tree
 
 
 def test_even_case_has_no_alpha_atom():
@@ -72,6 +80,9 @@ def test_even_case_has_no_alpha_atom():
 def test_period_atom_multisets():
     expr = period_formula(6)
     assert expr.atoms() == {"L(2)", "L(4)", "L(6)", "Res", "L(3)", "L(5)"}
+    assert lval(5) == "L(5)"
+    with pytest.raises(ValueError):
+        lval(1)
 
 
 def test_norm_constant():
@@ -83,7 +94,8 @@ def test_norm_constant():
 def test_intertwining_eigenvalue():
     for t in (3, 5, 7):
         expr = intertwining_eigenvalue(t)
-        assert expr == Quotient(RES, lval(t))
+        assert expr.to_json() == quotient(atom("Res"), atom(f"L({t})"))
+        assert expr.to_string() == f"Res/L({t})"
     with pytest.raises(ValueError):
         intertwining_eigenvalue(4)
 
@@ -114,10 +126,15 @@ def test_evaluate_division_by_zero():
         evaluate_period(period_formula(2), {"L(2)": 1.0, "Res": 0.0})
 
 
-def test_quotient_of_power_and_numeral():
-    expr = Quotient(Numeral(Fraction(3, 2)), Power(Numeral(Fraction(1, 2)), 2))
-    assert evaluate_period(expr, {}) == 6
-    assert expr.to_string() == "3/2/(1/2^2)"
+def test_norm_constant_evaluates_denominator_power():
+    expr = norm_constant(3)
+    assert expr.to_json() == quotient(
+        product("L(2)", "L(3)"), {"kind": "power", "exponent": 2, "children": [atom("Res")]})
+    values = {"L(2)": Fraction(3, 2), "L(3)": 4, "Res": Fraction(1, 2)}
+    assert evaluate_period(expr, values) == 24
+    assert evaluate_period(norm_constant(4), {**values, "L(4)": 5, "Res": 2}) == Fraction(15, 4)
+    with pytest.raises(DivisionByZero, match=r"denominator Res\^2 evaluated to 0"):
+        evaluate_period(expr, {**values, "Res": 0})
 
 
 def test_zeta_value_against_series_oracle():
