@@ -4,17 +4,19 @@
     block    := "U(" name ":" degree "," d "," t ")" shift?
               | "P(" "U(" name ":" degree "," d "," t ")" "," rational ")"
     shift    := "@" rational
+    name     := [A-Za-z_] [A-Za-z0-9_]* ["~"]
     rational := ["-"] int [ "/" int ]
     int      := [0-9]+
 
-Example: "U(rho:1,1,3)@0 x P(U(rho:1,2,2),1/4)".  Names are identifiers
-with an optional trailing "~" marking a dual label.  Errors carry the
-character offset.  Printed parameters (TadicParameter.__str__) re-parse
-to equal values.
+Example: "U(rho:1,1,3)@0 x P(U(rho:1,2,2),1/4)".  Names are ASCII
+identifiers with an optional trailing "~" marking a dual label.  Errors
+carry the character offset.  Printed parameters
+(TadicParameter.__str__) re-parse to equal values.
 """
 
 from __future__ import annotations
 
+import string
 from fractions import Fraction
 
 from .errors import ParseError
@@ -22,7 +24,9 @@ from .speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter
 
 
 class _Tokens:
-    SYMBOLS = set("():,@/-")
+    # only ASCII: str.isalpha and str.isalnum also take "²" and full-width letters
+    NAME_START = frozenset(string.ascii_letters + "_")
+    NAME_CHARS = NAME_START | frozenset(string.digits)
 
     def __init__(self, text: str):
         self.text = text
@@ -49,9 +53,9 @@ class _Tokens:
         self.skip_ws()
         start = self.pos
         text = self.text
-        if self.pos >= len(text) or not (text[self.pos].isalpha() or text[self.pos] == "_"):
+        if self.pos >= len(text) or text[self.pos] not in self.NAME_START:
             raise ParseError("expected a name", self.pos)
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
+        while self.pos < len(text) and text[self.pos] in self.NAME_CHARS:
             self.pos += 1
         if self.pos < len(text) and text[self.pos] == "~":
             self.pos += 1

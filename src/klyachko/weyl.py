@@ -14,6 +14,8 @@ Permutations act on exponent vectors by (w . v)_j = v_{w^-1(j)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import gt, ne, sub
 
 from .errors import UnsupportedComposition
 
@@ -45,8 +47,7 @@ class WeylElement:
     @classmethod
     def cycle(cls, t: int, i: int) -> "WeylElement":
         """The cycle (1, 2, ..., i) inside S_t: j -> j+1 for j < i, i -> 1."""
-        images = [j + 2 for j in range(i - 1)] + [1] + list(range(i + 1, t + 1))
-        return cls(tuple(images))
+        return cls((*range(2, i + 1), 1, *range(i + 1, t + 1)))
 
     @property
     def t(self) -> int:
@@ -56,39 +57,43 @@ class WeylElement:
         return self.images[j - 1]
 
     def inverse(self) -> "WeylElement":
+        """w^-1 in one pass over the images (on CPython 3.11 this plain loop
+        is faster than a dict position map or a keyed sort)."""
         inv = [0] * self.t
         for j, img in enumerate(self.images, start=1):
             inv[img - 1] = j
         return WeylElement(tuple(inv))
 
     def apply(self, vec: Vector) -> Vector:
-        """(w . v)_j = v_{w^-1(j)}."""
+        """(w . v)_j = v_{w^-1(j)}: one lookup pass of w^-1's images into
+        the vector, padded so that the 1-based images index it."""
         if len(vec) != self.t:
             raise ValueError("vector length mismatch")
-        inv = self.inverse()
-        return tuple(vec[inv(j) - 1] for j in range(1, self.t + 1))
+        return tuple(map((None, *vec).__getitem__, self.inverse().images))
 
     def cycle_string(self) -> str:
-        seen = set()
+        """The disjoint cycles, each from its least point, walked on the
+        images from the moved points only; "e" for the identity."""
+        images = self.images
+        seen = [False] * (self.t + 1)
         parts = []
-        for start in range(1, self.t + 1):
-            if start in seen:
+        for start in compress(count(1), map(ne, images, count(1))):
+            if seen[start]:
                 continue
             orbit = [start]
-            seen.add(start)
-            nxt = self(start)
+            nxt = images[start - 1]
             while nxt != start:
                 orbit.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            if len(orbit) > 1:
-                parts.append("(" + " ".join(map(str, orbit)) + ")")
+                seen[nxt] = True
+                nxt = images[nxt - 1]
+            parts.append("(" + " ".join(map(str, orbit)) + ")")
         return "".join(parts) or "e"
 
 
 def descent_set(w: WeylElement) -> set[int]:
     """{i in [1, t-1] : w(i) > w(i+1)}."""
-    return {i for i in range(1, w.t) if w(i) > w(i + 1)}
+    images = w.images
+    return set(compress(count(1), map(gt, images, images[1:])))
 
 
 def coset_reps(t: int) -> list[WeylElement]:
@@ -149,19 +154,23 @@ def residue_survival(t: int) -> SurvivalReport:
         raise UnsupportedComposition(f"t must be odd and >= 3, got t = {t}")
     m = (t - 1) // 2
     lam2 = tuple(t - 1 - 2 * j for j in range(t))  # 2 Lambda_t, in integers: a step of 1 is 2
-    inner = interior_indices((1, t - 1))
+    inner = frozenset(interior_indices((1, t - 1)))
     terms = []
     for i, w in enumerate(coset_reps(t), start=1):
         moved = w.apply(lam2)
-        w_inv = w.inverse()
-        bookkeeping = {w_inv(j) for j in inner if moved[j - 1] - moved[j] == 2}
-        descents = descent_set(w)
+        # steps[j-1] = moved_j - moved_{j+1}; the residue hyperplanes through
+        # Lambda_t are the interior j with a step of exactly 2
+        steps = map(sub, moved, moved[1:])
+        through = inner.intersection(compress(count(1), map((2).__eq__, steps)))
+        # w^-1(through): the positions k with w(k) in through
+        bookkeeping = frozenset(compress(count(1), map(through.__contains__, w.images)))
+        descents = frozenset(descent_set(w))
         terms.append(
             SurvivalTerm(
                 i=i,
                 weyl=w,
-                descents=frozenset(descents),
-                bookkeeping=frozenset(bookkeeping),
+                descents=descents,
+                bookkeeping=bookkeeping,
                 pole_order=len(bookkeeping) + len(descents),
                 required_order=2 * m,
             )

@@ -1,7 +1,8 @@
-"""Test oracles: matrix and subgroup helpers, Green's class data, and
-the segment calculus, contragredients and mu_Q behind the symbolic
-commands.  The library itself does not need them; they are written
-plainly so the tests can check it against them."""
+"""Test oracles: matrix and subgroup helpers, Green's class data, the
+segment calculus, contragredients and mu_Q behind the symbolic
+commands, and per-index Weyl-element routines with the closed forms of
+the residue-survival count.  The library itself does not need them;
+they are written plainly so the tests can check it against them."""
 
 import math
 from collections import Counter
@@ -411,3 +412,65 @@ def mu_q(m):
     if len(set(diff[1:])) != 1:
         raise InvariantViolation("difference vector not constant on blocks")
     return block_project(diff, composition)
+
+
+# -- Weyl elements -----------------------------------------------------------
+
+
+def naive_inverse(w):
+    """The images of w^-1: for each k, the j with w(j) = k, found by search."""
+    return tuple(next(j for j in range(1, w.t + 1) if w(j) == k) for k in range(1, w.t + 1))
+
+
+def naive_apply(w, vec):
+    """(w . v)_j = v_{w^-1(j)}, one index at a time."""
+    if len(vec) != w.t:
+        raise ValueError("vector length mismatch")
+    inv = naive_inverse(w)
+    return tuple(vec[inv[j - 1] - 1] for j in range(1, w.t + 1))
+
+
+def naive_cycle_string(w):
+    """Disjoint cycles of w, each from its least point, fixed points left out."""
+    seen = set()
+    parts = []
+    for start in range(1, w.t + 1):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        nxt = w(start)
+        while nxt != start:
+            orbit.append(nxt)
+            seen.add(nxt)
+            nxt = w(nxt)
+        if len(orbit) > 1:
+            parts.append("(" + " ".join(map(str, orbit)) + ")")
+    return "".join(parts) or "e"
+
+
+def naive_descent_set(w):
+    """{i in [1, t-1] : w(i) > w(i+1)}."""
+    return {i for i in range(1, w.t) if w(i) > w(i + 1)}
+
+
+def residue_terms_closed_form(t):
+    """The residue-survival terms for t = 2m+1 in the JSON shape of
+    `residue-survival`, and the survivors, from the closed forms:
+    w^(i) = (1 2 ... i) has the descents {i-1} (none for i = 1), the
+    bookkeeping set [1, 2m] minus {i-1, i} (so [2, 2m] for i = 1), and
+    pole order 2m for i = t and 2m - 1 otherwise; only w_Q = w^(t)
+    survives."""
+    m = (t - 1) // 2
+    terms = [
+        {
+            "i": i,
+            "cycle": "(" + " ".join(map(str, range(1, i + 1))) + ")" if i > 1 else "e",
+            "descents": [i - 1] if i > 1 else [],
+            "bookkeeping": [j for j in range(1, 2 * m + 1) if j not in (i - 1, i)],
+            "pole_order": 2 * m if i == t else 2 * m - 1,
+            "survives": i == t,
+        }
+        for i in range(1, t + 1)
+    ]
+    return terms, [t]

@@ -3,9 +3,10 @@ import time
 
 import pytest
 
-from klyachko import cli, gelfand
+from klyachko import __version__, cli, gelfand
 from klyachko.cli import build_parser, main
 from klyachko.paramparse import parse_parameter
+from oracles import residue_terms_closed_form
 
 
 def run(capsys, *argv):
@@ -226,6 +227,15 @@ def test_non_ascii_digit_is_parse_error_exit_4(capsys, argv):
     assert "(at position " in err
 
 
+@pytest.mark.parametrize("name", ["rho²", "ｒho"])
+def test_non_ascii_name_is_parse_error_exit_4(capsys, name):
+    code, out, err = run(capsys, "kappa", f"U({name}:1,1,1)")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("parse error: ")
+    assert "(at position " in err
+
+
 def test_kappa_degree_mismatch_exit_5(capsys):
     code, _, err = run(capsys, "kappa", "U(rho:1,1,3)@0", "--n", "5")
     assert code == 5
@@ -291,6 +301,15 @@ def test_residue_survival_cmd(capsys):
     assert js["survivors"] == [5]
     assert js["terms"][1]["bookkeeping"] == [3, 4]
     assert js["terms"][1]["descents"] == [1]
+
+
+def test_residue_survival_json_bytes_match_closed_form(capsys):
+    terms, survivors = residue_terms_closed_form(101)
+    payload = {"t": 101, "m": 50, "required_order": 100, "terms": terms,
+               "survivors": survivors, "w_q_index": 101, "meta": {"version": __version__}}
+    code, out, _ = run(capsys, "residue-survival", "--t", "101", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_residue_survival_even_t_fails(capsys):

@@ -68,6 +68,11 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as info:
             parse_parameter(text)
         assert info.value.position == position
+    # only ASCII names: "²" passes str.isalnum() and "ｒ" (full width) str.isalpha()
+    for text, position in [("U(rho²:1,1,1)", 5), ("U(ｒho:1,1,1)", 2)]:
+        with pytest.raises(ParseError) as info:
+            parse_parameter(text)
+        assert info.value.position == position
 
 
 def test_round_trip_random():

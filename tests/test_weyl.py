@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,17 @@ from klyachko.weyl import (
     interior_indices,
     residue_survival,
 )
-from oracles import block_project, lambda_blockwise, lambda_vec, mu_q
+from oracles import (
+    block_project,
+    lambda_blockwise,
+    lambda_vec,
+    mu_q,
+    naive_apply,
+    naive_cycle_string,
+    naive_descent_set,
+    naive_inverse,
+    residue_terms_closed_form,
+)
 
 
 def test_lambda_small():
@@ -84,16 +95,42 @@ def test_residue_survival_t3_details():
     assert report.survivors == [3] == [report.w_q_index]
 
 
-@pytest.mark.parametrize("t", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("t", range(3, 102, 2))
 def test_residue_survival_bookkeeping_identity(t):
     report = residue_survival(t)
-    m = report.m
-    full = set(range(1, 2 * m + 1))
-    for term in report.terms:
-        if term.i == 1:
-            continue
-        assert set(term.bookkeeping) == full - {term.i - 1, term.i}
-    assert report.survivors == [t]
+    terms, survivors = residue_terms_closed_form(t)
+    assert report.m == (t - 1) // 2
+    assert all(term.required_order == 2 * report.m for term in report.terms)
+    assert [
+        {
+            "i": term.i,
+            "cycle": term.weyl.cycle_string(),
+            "descents": sorted(term.descents),
+            "bookkeeping": sorted(term.bookkeeping),
+            "pole_order": term.pole_order,
+            "survives": term.survives,
+        }
+        for term in report.terms
+    ] == terms
+    assert report.survivors == survivors
+
+
+def test_weyl_element_matches_naive_references():
+    rng = random.Random(16)
+    for t in range(1, 13):
+        for _ in range(40):
+            images = list(range(1, t + 1))
+            rng.shuffle(images)
+            w = WeylElement(tuple(images))
+            vec = tuple(rng.randrange(-50, 50) for _ in range(t))
+            assert w.inverse().images == naive_inverse(w)
+            assert w.apply(vec) == naive_apply(w, vec)
+            assert w.cycle_string() == naive_cycle_string(w)
+            assert descent_set(w) == naive_descent_set(w)
+    with pytest.raises(ValueError):
+        WeylElement((1, 1, 3))
+    with pytest.raises(ValueError):
+        WeylElement((2, 3, 1)).apply((1, 2))
 
 
 def test_residue_survival_rejects_bad_t():
