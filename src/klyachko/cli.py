@@ -44,13 +44,20 @@ from .gf import field_from_q
 from .groups import DEFAULT_MAX_ELEMENTS
 from .paramparse import parse_parameter
 from .periods import (
+    ZETA_TOL,
     evaluate_period,
     intertwining_eigenvalue,
     norm_constant,
     period_formula,
     zeta_assignment,
 )
-from .speh import TadicParameter, dual_model_type, kappa, product_highest_derivative, validate_unitary
+from .speh import (
+    ParamBlock,
+    TadicParameter,
+    kappa,
+    product_highest_derivative,
+    validate_unitary,
+)
 from .weyl import residue_survival
 
 EXIT_OK = 0
@@ -130,9 +137,8 @@ def cmd_verify_gelfand(args) -> int:
         raise UsageError(f"--psi must be nonzero mod p = {p} (psi nontrivial), got {args.psi}")
     table = load_or_compute_table(args.n, args.q, cache_dir=opts["cache_dir"],
                                   max_elements=opts["max_elements"])
-    report = verify_gelfand(table, ell=args.ell, psi=args.psi)
-    payload = report.to_json_dict()
-    payload["meta"]["seconds"] = round(time.monotonic() - start, 3)
+    payload = verify_gelfand(table, ell=args.ell, psi=args.psi)
+    payload["meta"] = {**_meta(), "seconds": round(time.monotonic() - start, 3)}
 
     def render(js):
         print(f"GL_{js['n']}(F_{js['q']}): {js['class_count']} conjugacy classes, "
@@ -150,12 +156,11 @@ def cmd_verify_gelfand(args) -> int:
         print(f"({payload['meta']['seconds']}s)")
 
     _emit(payload, args.format, render)
-    return EXIT_OK if report.gelfand else EXIT_FAIL
+    return EXIT_OK if payload["flags"]["gelfand"] else EXIT_FAIL
 
 
 def _kappa_payload(param: TadicParameter) -> dict:
     kt = kappa(param)
-    dual = dual_model_type(kt)
     return {
         "n": param.n,
         "blocks": [str(e) for e in param.entries],
@@ -163,9 +168,9 @@ def _kappa_payload(param: TadicParameter) -> dict:
         "model": kt.model,
         "unitary_valid": validate_unitary(param),
         "dual_model": {
-            "group": dual.group,
-            "character": dual.character,
-            "applies_to": dual.applies_to,
+            "group": kt.dual_group,
+            "character": kt.dual_character,
+            "applies_to": "contragredient",
         },
         "meta": _meta(),
     }
@@ -223,8 +228,6 @@ def cmd_derive(args) -> int:
 
 
 def _as_plain_param(blocks) -> TadicParameter:
-    from .speh import ParamBlock
-
     return TadicParameter([ParamBlock(b) for b in blocks])
 
 
@@ -248,10 +251,7 @@ def cmd_period(args) -> int:
     if args.t >= 3 and args.t % 2 == 1:
         payload["intertwining_eigenvalue"] = intertwining_eigenvalue(args.t).to_string()
     if args.zeta:
-        if args.tol is None:
-            assignment = zeta_assignment(expr)
-        else:
-            assignment = zeta_assignment(expr, tol=args.tol)
+        assignment = zeta_assignment(expr, tol=ZETA_TOL if args.tol is None else args.tol)
         payload["assignment"] = {k: v for k, v in sorted(assignment.items())}
         payload["value"] = evaluate_period(expr, assignment)
 
@@ -273,7 +273,7 @@ def cmd_residue_survival(args) -> int:
     payload = {
         "t": report.t,
         "m": report.m,
-        "required_order": 2 * report.m,
+        "required_order": report.required_order,
         "terms": [
             {
                 "i": term.i,
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", action="store_true",
                    help="evaluate with L(j) = zeta(j), Res = 1, alpha = 1")
     p.add_argument("--tol", type=float, default=None,
-                   help="error bound of each zeta value, with --zeta (default 1e-8)")
+                   help=f"error bound of each zeta value, with --zeta (default {ZETA_TOL})")
     _add_common(p)
     p.set_defaults(func=cmd_period)
 

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import errno
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
 from .arena import build_arena
 from .characters import character_table, induced_klyachko_character, multiplicity
 from .errors import CacheError, InvariantViolation, UsageError
@@ -40,74 +38,12 @@ from .groups import (
 from .tablecache import cache_path, load_table, save_table
 
 
-@dataclass(frozen=True)
-class GelfandRow:
-    index: int
-    dim: int
-    mults: tuple[tuple[int, int], ...]  # (k, multiplicity)
-    total: int
-
-
-@dataclass(frozen=True)
-class GelfandReport:
-    n: int
-    q: int
-    ell: int
-    psi_seed: int
-    class_count: int
-    rows: tuple[GelfandRow, ...]
-    existence: bool
-    disjointness: bool
-    uniqueness: bool
-    gelfand: bool
-    model_dims: tuple[tuple[int, int], ...]  # (k, [G : H_{n-2k,2k}])
-    irreducible_dim_sum: int
-
-    @property
-    def model_dim_sum(self) -> int:
-        return sum(d for _, d in self.model_dims)
-
-    @property
-    def dim_check(self) -> bool:
-        return self.model_dim_sum == self.irreducible_dim_sum
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "ell": self.ell,
-            "psi_seed": self.psi_seed,
-            "class_count": self.class_count,
-            "rows": [
-                {
-                    "index": row.index,
-                    "dim": row.dim,
-                    "mults": [list(pair) for pair in row.mults],
-                    "total": row.total,
-                }
-                for row in self.rows
-            ],
-            "flags": {
-                "existence": self.existence,
-                "disjointness": self.disjointness,
-                "uniqueness": self.uniqueness,
-                "gelfand": self.gelfand,
-            },
-            "model_dims": [list(pair) for pair in self.model_dims],
-            "dim_check": {
-                "model_total": self.model_dim_sum,
-                "irreducible_total": self.irreducible_dim_sum,
-                "equal": self.dim_check,
-            },
-            "meta": {"version": __version__},
-        }
-
-
 def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
                           max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
     """The table of GL_n(F_q): read from `cache_dir` when it holds a good
-    one, otherwise computed and written there.  A cache directory that
-    cannot hold the file is refused before the group is enumerated."""
+    one, otherwise computed and written there.  A cache path that cannot
+    be a directory, or whose table file is a directory, is refused before
+    the group is enumerated; a write that fails is refused after it."""
     field = field_from_q(q)
     check_group_cap(n, q, max_elements)  # a cached table obeys the cap too
     if cache_dir is None:
@@ -129,8 +65,9 @@ def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
     return table
 
 
-def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1) -> GelfandReport:
-    """Run the full verification on the table of GL_n(F_q)."""
+def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1) -> dict:
+    """Run the full verification on the table of GL_n(F_q); the result is
+    the gelfand-report schema's payload without `meta`."""
     n, q = table.n, table.q
     arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
     chars = character_table(table, arena)
@@ -146,22 +83,28 @@ def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1) -
         model_dims.append(dim)
         for mults, cf in zip(matrix, chars):
             mults.append(multiplicity(chi_model, cf, table))
-    rows = tuple(
-        GelfandRow(index=i, dim=cf.dimension(table), mults=tuple(enumerate(mults)),
-                   total=sum(mults))
-        for i, (cf, mults) in enumerate(zip(chars, matrix))
-    )
-    return GelfandReport(
-        n=n,
-        q=q,
-        ell=arena.ell,
-        psi_seed=psi,
-        class_count=len(table.classes),
-        rows=rows,
-        existence=all(row.total >= 1 for row in rows),
-        disjointness=all(sum(1 for _, m in row.mults if m) <= 1 for row in rows),
-        uniqueness=all(m <= 1 for row in rows for _, m in row.mults),
-        gelfand=all(row.total == 1 for row in rows),
-        model_dims=tuple(enumerate(model_dims)),
-        irreducible_dim_sum=sum(row.dim for row in rows),
-    )
+    rows = [{"index": i, "dim": cf.dimension(table),
+             "mults": [[k, m] for k, m in enumerate(mults)], "total": sum(mults)}
+            for i, (cf, mults) in enumerate(zip(chars, matrix))]
+    model_total = sum(model_dims)
+    irreducible_total = sum(row["dim"] for row in rows)
+    return {
+        "n": n,
+        "q": q,
+        "ell": arena.ell,
+        "psi_seed": psi,
+        "class_count": len(table.classes),
+        "rows": rows,
+        "flags": {
+            "existence": all(row["total"] >= 1 for row in rows),
+            "disjointness": all(sum(1 for m in mults if m) <= 1 for mults in matrix),
+            "uniqueness": all(m <= 1 for mults in matrix for m in mults),
+            "gelfand": all(row["total"] == 1 for row in rows),
+        },
+        "model_dims": [[k, d] for k, d in enumerate(model_dims)],
+        "dim_check": {
+            "model_total": model_total,
+            "irreducible_total": irreducible_total,
+            "equal": model_total == irreducible_total,
+        },
+    }

@@ -43,6 +43,7 @@ def lval(j: int) -> str:
 
 RES = "Res"
 ALPHA = "alpha"
+ZETA_TOL = 1e-8  # default error bound of each zeta value
 
 
 def _atom_json(atom: str) -> dict:
@@ -133,7 +134,7 @@ def _bernoulli(m: int) -> Fraction:
     return -sum(math.comb(m + 1, i) * _bernoulli(i) for i in range(m)) / (m + 1)
 
 
-def zeta_value(s: int, tol: float = 1e-8) -> float:
+def zeta_value(s: int, tol: float = ZETA_TOL) -> float:
     """zeta(s) by Euler-Maclaurin summation with a proven remainder bound.
 
     For f(x) = x^-s and a cut-off N,
@@ -173,14 +174,12 @@ def zeta_value(s: int, tol: float = 1e-8) -> float:
         cutoff *= 2
 
 
-def zeta_assignment(expr: PeriodFormula, tol: float = 1e-8) -> dict[str, float]:
+def zeta_assignment(expr: PeriodFormula, tol: float = ZETA_TOL) -> dict[str, float]:
     """The illustrative assignment for sigma trivial on GL_1 over Q:
     L(j) = zeta(j), Res = 1, alpha = 1."""
     out: dict[str, float] = {}
     for key in expr.atoms():
-        if key == "Res":
-            out[key] = 1.0
-        elif key == "alpha":
+        if key in (RES, ALPHA):
             out[key] = 1.0
         elif key.startswith("L(") and key.endswith(")"):
             out[key] = zeta_value(int(key[2:-1]), tol=tol)

@@ -113,20 +113,15 @@ class KlyachkoType:
     def model(self) -> str:
         return f"H_{{{self.r},{2 * self.k}}} with psi_{self.r}"
 
-    def __str__(self) -> str:
-        return f"(r, 2k) = ({self.r}, {2 * self.k})"
+    @property
+    def dual_group(self) -> str:
+        """The mirrored subgroup the contragredient's model lives on:
+        the primed family H'_{2k,r}."""
+        return f"H'_{{{2 * self.k},{self.r}}}"
 
-
-@dataclass(frozen=True)
-class DualModelType:
-    """The mirrored model the contragredient carries: same (r, k), the
-    primed family H'_{2k,r} with the conjugate character."""
-
-    r: int
-    k: int
-    group: str
-    character: str
-    applies_to: str = "contragredient"
+    @property
+    def dual_character(self) -> str:
+        return f"conjugate psi'_{self.r}"
 
 
 @dataclass(frozen=True)
@@ -204,12 +199,3 @@ def validate_unitary(param: TadicParameter) -> bool:
         elif e.block.alpha != 0:
             return False
     return True
-
-
-def dual_model_type(kt: KlyachkoType) -> DualModelType:
-    return DualModelType(
-        r=kt.r,
-        k=kt.k,
-        group=f"H'_{{{2 * kt.k},{kt.r}}}",
-        character=f"conjugate psi'_{kt.r}",
-    )

@@ -113,11 +113,7 @@ class SurvivalTerm:
     descents: frozenset[int]
     bookkeeping: frozenset[int]
     pole_order: int
-    required_order: int
-
-    @property
-    def survives(self) -> bool:
-        return self.pole_order >= self.required_order
+    survives: bool
 
 
 @dataclass(frozen=True)
@@ -125,6 +121,11 @@ class SurvivalReport:
     t: int
     m: int
     terms: tuple[SurvivalTerm, ...]
+
+    @property
+    def required_order(self) -> int:
+        """2m: the number of residue factors each term must cancel."""
+        return 2 * self.m
 
     @property
     def survivors(self) -> list[int]:
@@ -165,14 +166,15 @@ def residue_survival(t: int) -> SurvivalReport:
         # w^-1(through): the positions k with w(k) in through
         bookkeeping = frozenset(compress(count(1), map(through.__contains__, w.images)))
         descents = frozenset(descent_set(w))
+        pole_order = len(bookkeeping) + len(descents)
         terms.append(
             SurvivalTerm(
                 i=i,
                 weyl=w,
                 descents=descents,
                 bookkeeping=bookkeeping,
-                pole_order=len(bookkeeping) + len(descents),
-                required_order=2 * m,
+                pole_order=pole_order,
+                survives=pole_order >= 2 * m,
             )
         )
     return SurvivalReport(t=t, m=m, terms=tuple(terms))

@@ -672,9 +672,9 @@ def test_billion_scale_ell_gives_same_report(table_store):
     table = table_store(2, 3)
     big = verify_gelfand(table, ell=1000000009)
     default = verify_gelfand(table)
-    assert big.ell == 1000000009
-    assert sorted((r.dim, r.mults) for r in big.rows) == \
-        sorted((r.dim, r.mults) for r in default.rows)
+    assert big["ell"] == 1000000009
+    assert sorted((r["dim"], r["mults"]) for r in big["rows"]) == \
+        sorted((r["dim"], r["mults"]) for r in default["rows"])
 
 
 # -- induced Klyachko characters -------------------------------------------

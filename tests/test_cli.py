@@ -86,7 +86,7 @@ def _file_as_cache_dir(tmp_path):
 
 def _directory_as_cache_file(tmp_path):
     (tmp_path / "gl2_q2.tbl").mkdir()
-    return tmp_path  # IsADirectoryError when the temp file is renamed onto it
+    return tmp_path  # IsADirectoryError, raised before the group is enumerated
 
 
 UNWRITABLE_CACHE_DIRS = pytest.mark.parametrize("command,make_dir", [
@@ -113,6 +113,20 @@ def test_unwritable_cache_dir_is_refused_before_enumerating(capsys, tmp_path, mo
 
     monkeypatch.setattr(gelfand, "gl_enumerate", refuse)
     test_unwritable_cache_dir_is_bad_usage(capsys, tmp_path, command, make_dir)
+
+
+def test_failed_cache_write_is_bad_usage(capsys, tmp_path, monkeypatch):
+    """A directory whose write fails is refused after the enumeration,
+    when save_table raises (a chmod cannot stop root from writing)."""
+    def deny(table, path):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(gelfand, "save_table", deny)
+    code, out, err = run(capsys, "verify-gelfand", "--n", "2", "--q", "2",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("refused: cannot write the table cache")
+    assert str(tmp_path / "gl2_q2.tbl") in err
 
 
 def test_resource_refusal_exit_2(capsys):

@@ -10,7 +10,6 @@ from klyachko.speh import (
     ParamBlock,
     SpehBlock,
     TadicParameter,
-    dual_model_type,
     kappa,
     product_highest_derivative,
     validate_unitary,
@@ -220,12 +219,9 @@ def test_validate_unitary():
 
 def test_dual_model_type():
     kt = KlyachkoType(1, 2)
-    dual = dual_model_type(kt)
-    assert (dual.r, dual.k) == (1, 2)
-    assert dual.group == "H'_{4,1}"
-    assert dual.applies_to == "contragredient"
-    whitt = dual_model_type(KlyachkoType(3, 0))
-    assert whitt.group == "H'_{0,3}"
+    assert kt.dual_group == "H'_{4,1}"
+    assert kt.dual_character == "conjugate psi'_1"
+    assert KlyachkoType(3, 0).dual_group == "H'_{0,3}"
 
 
 def test_parameter_drops_empty_blocks():

@@ -100,7 +100,7 @@ def test_residue_survival_bookkeeping_identity(t):
     report = residue_survival(t)
     terms, survivors = residue_terms_closed_form(t)
     assert report.m == (t - 1) // 2
-    assert all(term.required_order == 2 * report.m for term in report.terms)
+    assert report.required_order == 2 * report.m
     assert [
         {
             "i": term.i,
