@@ -20,21 +20,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ArenaTooSmall, LiftOutOfRange
+from .errors import ArenaTooSmall, LiftOutOfRange, UsageError
+
+
+# the least strong pseudoprime to all of MR_BASES; with base 37 last the
+# least is 318665857834031151167461, so base 41 is needed above it
+MR_BOUND = 3317044064679887385961981
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3 * 10^24
+    # Miller-Rabin to the bases MR_BASES: proven deterministic for n < MR_BOUND
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -168,6 +174,8 @@ def build_arena(group_order: int, exponent: int, p: int, ell: int | None = None)
         while not is_prime(ell):
             ell += m
     else:
+        if ell >= MR_BOUND:
+            raise UsageError(f"ell = {ell} is at or above {MR_BOUND}, past the proven prime test")
         if ell <= 2 * group_order:
             raise ArenaTooSmall(f"ell = {ell} <= 2|G| = {2 * group_order}")
         if (ell - 1) % m:

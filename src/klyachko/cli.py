@@ -269,26 +269,8 @@ def cmd_period(args) -> int:
 
 
 def cmd_residue_survival(args) -> int:
-    report = residue_survival(args.t)
-    payload = {
-        "t": report.t,
-        "m": report.m,
-        "required_order": report.required_order,
-        "terms": [
-            {
-                "i": term.i,
-                "cycle": term.weyl.cycle_string(),
-                "descents": sorted(term.descents),
-                "bookkeeping": sorted(term.bookkeeping),
-                "pole_order": term.pole_order,
-                "survives": term.survives,
-            }
-            for term in report.terms
-        ],
-        "survivors": report.survivors,
-        "w_q_index": report.w_q_index,
-        "meta": _meta(),
-    }
+    payload = residue_survival(args.t)
+    payload["meta"] = _meta()
 
     def render(js):
         print(f"t = {js['t']} (m = {js['m']}), required pole order {js['required_order']}:")

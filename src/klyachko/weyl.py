@@ -90,10 +90,10 @@ class WeylElement:
         return "".join(parts) or "e"
 
 
-def descent_set(w: WeylElement) -> set[int]:
-    """{i in [1, t-1] : w(i) > w(i+1)}."""
+def descent_set(w: WeylElement) -> list[int]:
+    """{i in [1, t-1] : w(i) > w(i+1)}, ascending."""
     images = w.images
-    return set(compress(count(1), map(gt, images, images[1:])))
+    return list(compress(count(1), map(gt, images, images[1:])))
 
 
 def coset_reps(t: int) -> list[WeylElement]:
@@ -106,38 +106,9 @@ def coset_reps(t: int) -> list[WeylElement]:
     return [WeylElement.cycle(t, i) for i in range(1, t + 1)]
 
 
-@dataclass(frozen=True)
-class SurvivalTerm:
-    i: int
-    weyl: WeylElement
-    descents: frozenset[int]
-    bookkeeping: frozenset[int]
-    pole_order: int
-    survives: bool
-
-
-@dataclass(frozen=True)
-class SurvivalReport:
-    t: int
-    m: int
-    terms: tuple[SurvivalTerm, ...]
-
-    @property
-    def required_order(self) -> int:
-        """2m: the number of residue factors each term must cancel."""
-        return 2 * self.m
-
-    @property
-    def survivors(self) -> list[int]:
-        return [term.i for term in self.terms if term.survives]
-
-    @property
-    def w_q_index(self) -> int:
-        return self.t
-
-
-def residue_survival(t: int) -> SurvivalReport:
-    """Pole bookkeeping for each coset representative w^(i), t = 2m+1.
+def residue_survival(t: int) -> dict:
+    """Pole bookkeeping for each coset representative w^(i), t = 2m+1,
+    as the `residue-survival` payload without `meta`.
 
     The multi-residue multiplies by all 2m factors lambda_j - lambda_{j+1}
     - 1 vanishing at Lambda_t, so a term survives iff it supplies poles
@@ -163,18 +134,23 @@ def residue_survival(t: int) -> SurvivalReport:
         # Lambda_t are the interior j with a step of exactly 2
         steps = map(sub, moved, moved[1:])
         through = inner.intersection(compress(count(1), map((2).__eq__, steps)))
-        # w^-1(through): the positions k with w(k) in through
-        bookkeeping = frozenset(compress(count(1), map(through.__contains__, w.images)))
-        descents = frozenset(descent_set(w))
+        # w^-1(through): the positions k with w(k) in through, ascending
+        bookkeeping = list(compress(count(1), map(through.__contains__, w.images)))
+        descents = descent_set(w)
         pole_order = len(bookkeeping) + len(descents)
-        terms.append(
-            SurvivalTerm(
-                i=i,
-                weyl=w,
-                descents=descents,
-                bookkeeping=bookkeeping,
-                pole_order=pole_order,
-                survives=pole_order >= 2 * m,
-            )
-        )
-    return SurvivalReport(t=t, m=m, terms=tuple(terms))
+        terms.append({
+            "i": i,
+            "cycle": w.cycle_string(),
+            "descents": descents,
+            "bookkeeping": bookkeeping,
+            "pole_order": pole_order,
+            "survives": pole_order >= 2 * m,
+        })
+    return {
+        "t": t,
+        "m": m,
+        "required_order": 2 * m,
+        "terms": terms,
+        "survivors": [term["i"] for term in terms if term["survives"]],
+        "w_q_index": t,
+    }

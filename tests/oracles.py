@@ -450,17 +450,16 @@ def naive_cycle_string(w):
 
 
 def naive_descent_set(w):
-    """{i in [1, t-1] : w(i) > w(i+1)}."""
-    return {i for i in range(1, w.t) if w(i) > w(i + 1)}
+    """{i in [1, t-1] : w(i) > w(i+1)}, as an ascending list."""
+    return [i for i in range(1, w.t) if w(i) > w(i + 1)]
 
 
 def residue_terms_closed_form(t):
-    """The residue-survival terms for t = 2m+1 in the JSON shape of
-    `residue-survival`, and the survivors, from the closed forms:
-    w^(i) = (1 2 ... i) has the descents {i-1} (none for i = 1), the
-    bookkeeping set [1, 2m] minus {i-1, i} (so [2, 2m] for i = 1), and
-    pole order 2m for i = t and 2m - 1 otherwise; only w_Q = w^(t)
-    survives."""
+    """The `residue-survival` payload for t = 2m+1, without `meta`, from
+    the closed forms: w^(i) = (1 2 ... i) has the descents {i-1} (none
+    for i = 1), the bookkeeping set [1, 2m] minus {i-1, i} (so [2, 2m]
+    for i = 1), and pole order 2m for i = t and 2m - 1 otherwise; only
+    w_Q = w^(t) survives."""
     m = (t - 1) // 2
     terms = [
         {
@@ -473,4 +472,5 @@ def residue_terms_closed_form(t):
         }
         for i in range(1, t + 1)
     ]
-    return terms, [t]
+    return {"t": t, "m": m, "required_order": 2 * m, "terms": terms,
+            "survivors": [t], "w_q_index": t}

@@ -167,12 +167,12 @@ def test_criterion_6_residue_bookkeeping():
     start = time.monotonic()
     for t in (3, 5, 7, 9, 11):
         report = residue_survival(t)
-        m = report.m
+        m = report["m"]
         full = set(range(1, 2 * m + 1))
-        for term in report.terms:
-            if term.i > 1:
-                assert set(term.bookkeeping) == full - {term.i - 1, term.i}
-        assert report.survivors == [report.w_q_index] == [t]
+        for term in report["terms"]:
+            if term["i"] > 1:
+                assert set(term["bookkeeping"]) == full - {term["i"] - 1, term["i"]}
+        assert report["survivors"] == [report["w_q_index"]] == [t]
     elapsed = time.monotonic() - start
     assert elapsed <= 1.0, f"took {elapsed:.2f}s, budget 1s"
     print(f"criterion 6: PASS - bookkeeping sets and unique survivor w_Q for t in 3..11 "

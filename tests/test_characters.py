@@ -25,7 +25,13 @@ from klyachko.characters import (
     multiplicity,
     verify_orthogonality,
 )
-from klyachko.errors import ArenaMismatch, ArenaTooSmall, InvariantViolation, LiftOutOfRange
+from klyachko.errors import (
+    ArenaMismatch,
+    ArenaTooSmall,
+    InvariantViolation,
+    LiftOutOfRange,
+    UsageError,
+)
 from klyachko.gelfand import verify_gelfand
 from klyachko.gf import mat_inv, mat_mul
 from klyachko.groups import (
@@ -77,6 +83,10 @@ def test_arena_override_validation(table_store):
         build_arena(table.order, table.exponent(), 2, ell=7)       # too small
     with pytest.raises(ArenaTooSmall):
         build_arena(table.order, table.exponent(), 2, ell=17)      # not 1 mod 6
+    with pytest.raises(ArenaTooSmall):  # a strong pseudoprime to the bases up to 37
+        build_arena(table.order, table.exponent(), 2, ell=318665857834031151167461)
+    with pytest.raises(UsageError):  # past the proven range of is_prime
+        build_arena(table.order, table.exponent(), 2, ell=3317044064679887385961981)
     arena = build_arena(table.order, table.exponent(), 2, ell=19)
     assert arena.ell == 19
 

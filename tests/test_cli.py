@@ -136,6 +136,19 @@ def test_resource_refusal_exit_2(capsys):
     assert "refused" in err
 
 
+# the least strong pseudoprimes to the prime bases up to 37 and up to 41;
+# both are 1 mod 6, so they pass every other check for GL_2(F_2)
+PSEUDOPRIMES = ["318665857834031151167461", "3317044064679887385961981"]
+
+
+@pytest.mark.parametrize("command", ["verify-gelfand", "table"])
+@pytest.mark.parametrize("ell", PSEUDOPRIMES)
+def test_pseudoprime_ell_override_is_refused(capsys, command, ell):
+    code, out, err = run(capsys, command, "--n", "2", "--q", "2", "--ell", ell, "--no-cache")
+    assert code == 2 and out == ""
+    assert err.startswith(f"refused: ell = {ell} ")
+
+
 def test_resource_refusal_env(capsys, monkeypatch):
     monkeypatch.setenv("KLYACHKO_MAX_ELEMENTS", "10")
     code, _, _ = run(capsys, "verify-gelfand", "--n", "2", "--q", "3", "--no-cache")
@@ -318,12 +331,37 @@ def test_residue_survival_cmd(capsys):
 
 
 def test_residue_survival_json_bytes_match_closed_form(capsys):
-    terms, survivors = residue_terms_closed_form(101)
-    payload = {"t": 101, "m": 50, "required_order": 100, "terms": terms,
-               "survivors": survivors, "w_q_index": 101, "meta": {"version": __version__}}
+    payload = {**residue_terms_closed_form(101), "meta": {"version": __version__}}
     code, out, _ = run(capsys, "residue-survival", "--t", "101", "--format", "json")
     assert code == 0
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+RESIDUE_SURVIVAL_TEXT = {
+    3: """\
+t = 3 (m = 1), required pole order 2:
+  w^(1) =              e  descents []  set [2]  order 1  dies
+  w^(2) =          (1 2)  descents [1]  set []  order 1  dies
+  w^(3) =        (1 2 3)  descents [2]  set [1]  order 2  survives
+survivors: [3] (w_Q is i = 3)
+""",
+    7: """\
+t = 7 (m = 3), required pole order 6:
+  w^(1) =              e  descents []  set [2, 3, 4, 5, 6]  order 5  dies
+  w^(2) =          (1 2)  descents [1]  set [3, 4, 5, 6]  order 5  dies
+  w^(3) =        (1 2 3)  descents [2]  set [1, 4, 5, 6]  order 5  dies
+  w^(4) =      (1 2 3 4)  descents [3]  set [1, 2, 5, 6]  order 5  dies
+  w^(5) =    (1 2 3 4 5)  descents [4]  set [1, 2, 3, 6]  order 5  dies
+  w^(6) =  (1 2 3 4 5 6)  descents [5]  set [1, 2, 3, 4]  order 5  dies
+  w^(7) = (1 2 3 4 5 6 7)  descents [6]  set [1, 2, 3, 4, 5]  order 6  survives
+survivors: [7] (w_Q is i = 7)
+""",
+}
+
+
+@pytest.mark.parametrize("t", sorted(RESIDUE_SURVIVAL_TEXT))
+def test_residue_survival_text_output(capsys, t):
+    assert run(capsys, "residue-survival", "--t", str(t)) == (0, RESIDUE_SURVIVAL_TEXT[t], "")
 
 
 def test_residue_survival_even_t_fails(capsys):

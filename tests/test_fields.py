@@ -220,6 +220,11 @@ def test_is_prime_small():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def test_is_prime_rejects_the_base_37_pseudoprime():
+    # 399165290221 * 798330580441, a strong pseudoprime to every prime base up to 37
+    assert not is_prime(318665857834031151167461)
+
+
 def test_is_prime_matches_trial_division():
     assert [n for n in range(10**5) if is_prime(n)] == [
         n for n in range(10**5) if trial_division_prime(n)

@@ -39,12 +39,14 @@ def test_lambda_invariants_up_to_50():
 
 
 def test_descent_sets():
-    assert descent_set(WeylElement((1, 2, 3, 4, 5))) == set()
+    identity = WeylElement((1, 2, 3, 4, 5))
+    assert descent_set(identity) == [] == naive_descent_set(identity)
     for t in (3, 5, 9):
         for i in range(2, t + 1):
-            assert descent_set(WeylElement.cycle(t, i)) == {i - 1}
+            w = WeylElement.cycle(t, i)
+            assert descent_set(w) == [i - 1] == naive_descent_set(w)
     reversal = WeylElement(tuple(range(5, 0, -1)))
-    assert descent_set(reversal) == {1, 2, 3, 4}
+    assert descent_set(reversal) == [1, 2, 3, 4] == naive_descent_set(reversal)
 
 
 def test_weyl_action_convention():
@@ -84,35 +86,20 @@ def test_interior_indices():
 
 def test_residue_survival_t3_details():
     report = residue_survival(3)
-    assert report.m == 1
-    by_i = {term.i: term for term in report.terms}
+    assert report["m"] == 1
+    by_i = {term["i"]: term for term in report["terms"]}
     # i = 2: empty bookkeeping set, one descent: pole order 1 < 2, dies
-    assert by_i[2].bookkeeping == frozenset()
-    assert by_i[2].descents == frozenset({1})
-    assert by_i[2].pole_order == 1 and not by_i[2].survives
+    assert by_i[2]["bookkeeping"] == []
+    assert by_i[2]["descents"] == [1]
+    assert by_i[2]["pole_order"] == 1 and not by_i[2]["survives"]
     # i = 3 = w_Q: pole order 2 = 2m, survives
-    assert by_i[3].pole_order == 2 and by_i[3].survives
-    assert report.survivors == [3] == [report.w_q_index]
+    assert by_i[3]["pole_order"] == 2 and by_i[3]["survives"]
+    assert report["survivors"] == [3] == [report["w_q_index"]]
 
 
 @pytest.mark.parametrize("t", range(3, 102, 2))
 def test_residue_survival_bookkeeping_identity(t):
-    report = residue_survival(t)
-    terms, survivors = residue_terms_closed_form(t)
-    assert report.m == (t - 1) // 2
-    assert report.required_order == 2 * report.m
-    assert [
-        {
-            "i": term.i,
-            "cycle": term.weyl.cycle_string(),
-            "descents": sorted(term.descents),
-            "bookkeeping": sorted(term.bookkeeping),
-            "pole_order": term.pole_order,
-            "survives": term.survives,
-        }
-        for term in report.terms
-    ] == terms
-    assert report.survivors == survivors
+    assert residue_survival(t) == residue_terms_closed_form(t)
 
 
 def test_weyl_element_matches_naive_references():
