@@ -21,6 +21,8 @@ stays in the queue.  Each class splits every space that is not yet a
 line: only the rows of M_i at the space's pivot columns are computed,
 |C_i| products each, the d x d restriction of M_i to the space is
 diagonalised, and the kernel of each eigenvalue becomes a new space.
+The members of every class are bucketed in one pass over the class map
+when the first class is visited, so no visit scans the whole group.
 A product x g_j is read row by row: the table's elements are tuples of
 row codes, and row r of x g_j is the entry of `groups.row_images(g_j)`
 at row r of x; then one lookup in the table's element-to-class map
@@ -51,7 +53,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from operator import mul
 
 from .arena import ModularArena, zpoly_divmod, zpoly_gcd, zpoly_powmod, zpoly_sub, zpoly_trim
@@ -79,10 +80,21 @@ class ClassFunction:
         return self.arena.lift_bounded(v, 0, self.arena.group_order, "dimension")
 
 
+def class_members(table: GroupTable) -> list[list[tuple[int, ...]]]:
+    """The members of each class as row-code tuples, in lex order, indexed
+    by class: one pass over the table's class map."""
+    members: list[list[tuple[int, ...]]] = [[] for _ in table.classes]
+    for el, c in table.class_of.items():
+        members[c].append(el)
+    return members
+
+
 def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
+                                members: list[tuple[int, ...]],
                                 images: dict | None = None) -> list[list[int]]:
     """Rows j in `rows` of the class matrix M_i, a slice of the tensor
-    a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps.
+    a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps;
+    `members` are the members of C_i as row codes (`class_members`).
 
     Conjugating y to g_j gives a[i][j][k] = |C_j| * #{x in C_i : x g_j in C_k} / |C_k|,
     so a row costs |C_i| products and no inverses.  Row r of x g_j is
@@ -93,7 +105,7 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
     """
     classes = table.classes
     class_of = table.class_of
-    columns = list(zip(*compress(class_of, map(i.__eq__, class_of.values()))))
+    columns = list(zip(*members))
     if images is None:
         images = {}
     out = []
@@ -369,6 +381,7 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     # invariant spaces as (RREF basis, pivot columns), from the central ones
     spaces = _central_spaces(table, arena)
     images: dict = {}  # row images of the class representatives, for this call only
+    members = None  # the members of each class, bucketed at the first visit
     visit = _visit_order(table, images)
     while any(len(basis) > 1 for basis, _ in spaces):
         i = next(visit, None)
@@ -377,8 +390,10 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
                 f"class matrices leave eigenspaces of dimensions "
                 f"{sorted(len(b) for b, _ in spaces if len(b) > 1)} unsplit"
             )
+        if members is None:
+            members = class_members(table)
         rows = [p for basis, pivots in spaces if len(basis) > 1 for p in pivots]
-        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, images)))
+        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, members[i], images)))
         spaces = [part for basis, pivots in spaces
                   for part in (_split_space(basis, pivots, m_rows, ell) if len(basis) > 1
                                else [(basis, pivots)])]

@@ -14,7 +14,7 @@ true); 1 verification negative or generic failure; 2 refused (resource
 caps exceeded, or bad usage); 3 internal invariant violation; 4 parse
 error in a parameter expression; 5 degree mismatch.
 
-Environment: KLYACHKO_CACHE_DIR (table cache location),
+Environment: KLYACHKO_CACHE_DIR (group and character table cache location),
 KLYACHKO_MAX_ELEMENTS (enumeration cap).
 """
 
@@ -29,7 +29,6 @@ import time
 
 from . import __version__
 from .arena import build_arena
-from .characters import character_table
 from .errors import (
     ArenaTooSmall,
     DegreeMismatch,
@@ -39,7 +38,7 @@ from .errors import (
     ResourceRefused,
     UsageError,
 )
-from .gelfand import load_or_compute_table, verify_gelfand
+from .gelfand import load_or_compute_characters, load_or_compute_table, verify_gelfand
 from .gf import field_from_q
 from .groups import DEFAULT_MAX_ELEMENTS
 from .paramparse import parse_parameter
@@ -137,7 +136,7 @@ def cmd_verify_gelfand(args) -> int:
         raise UsageError(f"--psi must be nonzero mod p = {p} (psi nontrivial), got {args.psi}")
     table = load_or_compute_table(args.n, args.q, cache_dir=opts["cache_dir"],
                                   max_elements=opts["max_elements"])
-    payload = verify_gelfand(table, ell=args.ell, psi=args.psi)
+    payload = verify_gelfand(table, ell=args.ell, psi=args.psi, cache_dir=opts["cache_dir"])
     payload["meta"] = {**_meta(), "seconds": round(time.monotonic() - start, 3)}
 
     def render(js):
@@ -289,7 +288,7 @@ def cmd_table(args) -> int:
     table = load_or_compute_table(args.n, args.q, cache_dir=opts["cache_dir"],
                                   max_elements=opts["max_elements"])
     arena = build_arena(table.order, table.exponent(), table.field.p, ell=args.ell)
-    chars = character_table(table, arena)
+    chars = load_or_compute_characters(table, arena, opts["cache_dir"])
     payload = {
         "n": args.n,
         "q": args.q,

@@ -1,9 +1,11 @@
 """Gelfand-model verification for GL_n(F_q), from its group table.
 
-`load_or_compute_table` gives the table of GL_n(F_q), from the table
-cache or computed.  `verify_gelfand` reads n and q from that table and,
-for every irreducible pi and every decomposition n = r + 2k, computes
-the multiplicity of pi in the Klyachko model
+`load_or_compute_table` gives the table of GL_n(F_q), and
+`load_or_compute_characters` its character table in one arena, each
+read from its cache file or computed and written there by one helper
+(see tablecache for the files).  `verify_gelfand` reads n and q from
+the table and, for every irreducible pi and every decomposition
+n = r + 2k, computes the multiplicity of pi in the Klyachko model
 Ind_{H_{r,2k}}^G(psi_r).  It reports four flags:
 
 - existence:    every irreducible appears in some model,
@@ -23,8 +25,8 @@ import errno
 import os
 from pathlib import Path
 
-from .arena import build_arena
-from .characters import character_table, induced_klyachko_character, multiplicity
+from .arena import ModularArena, build_arena
+from .characters import ClassFunction, character_table, induced_klyachko_character, multiplicity
 from .errors import CacheError, InvariantViolation, UsageError
 from .gf import field_from_q
 from .groups import (
@@ -35,42 +37,72 @@ from .groups import (
     gl_enumerate,
     h_order,
 )
-from .tablecache import cache_path, load_table, save_table
+from .tablecache import (
+    cache_path,
+    characters_path,
+    load_characters,
+    load_table,
+    save_characters,
+    save_table,
+)
 
 
-def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
-                          max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
-    """The table of GL_n(F_q): read from `cache_dir` when it holds a good
-    one, otherwise computed and written there.  A cache path that cannot
-    be a directory, or whose table file is a directory, is refused before
-    the group is enumerated; a write that fails is refused after it."""
-    field = field_from_q(q)
-    check_group_cap(n, q, max_elements)  # a cached table obeys the cap too
-    if cache_dir is None:
-        return gl_enumerate(n, field, max_elements=max_elements)
-    path = cache_path(cache_dir, n, q)
+def _load_or_compute(path: Path, load, compute, save):
+    """`load(path)` when the file at `path` is a good cache, otherwise
+    `compute()`, written to `path` by `save(value, path)`.  A path that
+    cannot be in a directory, or that is a directory, is refused before
+    computing; a write that fails is refused after it."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if path.exists():
             try:
-                return load_table(path, field, n)
+                return load(path)
             except CacheError:
                 pass  # fall through, recompute and overwrite
-        table = gl_enumerate(n, field, max_elements=max_elements)
-        save_table(table, path)
+        value = compute()
+        save(value, path)
     except OSError as exc:  # a bad --cache-dir is bad usage, not an engine bug
         raise UsageError(f"cannot write the table cache {path}: {exc.strerror or exc}") from exc
-    return table
+    return value
 
 
-def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1) -> dict:
-    """Run the full verification on the table of GL_n(F_q); the result is
-    the gelfand-report schema's payload without `meta`."""
+def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
+                          max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
+    """The table of GL_n(F_q): read from `cache_dir` when it holds a good
+    one, otherwise computed and written there."""
+    field = field_from_q(q)
+    check_group_cap(n, q, max_elements)  # a cached table obeys the cap too
+    if cache_dir is None:
+        return gl_enumerate(n, field, max_elements=max_elements)
+    return _load_or_compute(cache_path(cache_dir, n, q),
+                            lambda path: load_table(path, field, n),
+                            lambda: gl_enumerate(n, field, max_elements=max_elements),
+                            save_table)
+
+
+def load_or_compute_characters(table: GroupTable, arena: ModularArena,
+                               cache_dir: str | Path | None = None) -> list[ClassFunction]:
+    """The character table of `table` in `arena`: read from `cache_dir`
+    when it holds a good one for this ell, otherwise computed and written
+    there, beside the group table."""
+    if cache_dir is None:
+        return character_table(table, arena)
+    return _load_or_compute(characters_path(cache_dir, table.n, table.q, arena.ell),
+                            lambda path: load_characters(path, table, arena),
+                            lambda: character_table(table, arena),
+                            lambda chars, path: save_characters(chars, table, path))
+
+
+def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1,
+                   cache_dir: str | Path | None = None) -> dict:
+    """Run the full verification on the table of GL_n(F_q), with its
+    character table cached in `cache_dir`; the result is the
+    gelfand-report schema's payload without `meta`."""
     n, q = table.n, table.q
     arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
-    chars = character_table(table, arena)
+    chars = load_or_compute_characters(table, arena, cache_dir)
     matrix: list[list[int]] = [[] for _ in chars]  # multiplicities [pi][k]
     model_dims = []
     for k in range(n // 2 + 1):

@@ -19,6 +19,7 @@ from klyachko.characters import (
     _split_space,
     _visit_order,
     character_table,
+    class_members,
     class_multiplication_tensor,
     induced_klyachko_character,
     inner_product_residue,
@@ -281,7 +282,9 @@ def _tensor_character_table(table, arena, seed=20259, attempts=20):
     n_cls = len(classes)
     ell = arena.ell
     e_idx = table.identity_class()
-    m = [class_multiplication_tensor(table, i, list(range(n_cls))) for i in range(n_cls)]
+    members = class_members(table)
+    m = [class_multiplication_tensor(table, i, list(range(n_cls)), members[i])
+         for i in range(n_cls)]
     for attempt in range(attempts):
         rng = random.Random(seed * 1000003 + attempt)
         mix = [rng.randrange(ell) for _ in range(n_cls)]
@@ -318,9 +321,10 @@ def test_class_matrix_rows_are_pair_counts(table_store):
         for x, c in zip(table.elements, table.class_of.values()):
             y = mat_mul(mat_inv(x, n, field), cls.representative, n, field)
             pairs[c][table.class_of_flat(y)][k] += 1
+    members = class_members(table)
     for i in range(n_cls):
-        assert class_multiplication_tensor(table, i, list(range(n_cls))) == pairs[i]
-    assert class_multiplication_tensor(table, 3, [5, 1]) == [pairs[3][5], pairs[3][1]]
+        assert class_multiplication_tensor(table, i, list(range(n_cls)), members[i]) == pairs[i]
+    assert class_multiplication_tensor(table, 3, [5, 1], members[3]) == [pairs[3][5], pairs[3][1]]
 
 
 def _mat_mul_tensor_rows(table, i, rows):
@@ -340,8 +344,10 @@ def _mat_mul_tensor_rows(table, i, rows):
 def test_class_matrix_rows_match_mat_mul_oracle(n, q, table_store):
     table = table_store(n, q)
     every = list(range(len(table.classes)))
+    members = class_members(table)
     for i in every:
-        assert class_multiplication_tensor(table, i, every) == _mat_mul_tensor_rows(table, i, every)
+        assert class_multiplication_tensor(table, i, every, members[i]) == \
+            _mat_mul_tensor_rows(table, i, every)
 
 
 def test_row_images_built_once_per_representative_and_call(table_store, arena_store, monkeypatch):
@@ -361,6 +367,30 @@ def test_row_images_built_once_per_representative_and_call(table_store, arena_st
     assert 0 < len(first) == len(set(first)) <= len(table.classes) == 80
     character_table(table, arena)
     assert built[len(first):] == first
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_class_members_are_the_classes_in_lex_order(n, q, table_store):
+    table = table_store(n, q)
+    members = class_members(table)
+    assert [len(m) for m in members] == [cls.size for cls in table.classes]
+    for c, m in enumerate(members):
+        assert m == [el for el, label in table.class_of.items() if label == c]
+
+
+def test_class_members_bucketed_once_per_call(table_store, arena_store, monkeypatch):
+    """The split buckets the members of the classes once, however many
+    classes it visits."""
+    table, arena = table_store(3, 3), arena_store(3, 3)
+    calls = []
+
+    def counting_members(tab):
+        calls.append(tab)
+        return class_members(tab)
+
+    monkeypatch.setattr(characters, "class_members", counting_members)
+    character_table(table, arena)
+    assert calls == [table]
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (3, 2)])
@@ -502,7 +532,7 @@ def test_central_spaces_are_eigenspaces_of_the_central_classes(n, q, table_store
     assert len(central) == q - 1
     for i in central:
         a = log[table.classes[i].representative[0]]
-        m = class_multiplication_tensor(table, i, every)
+        m = class_multiplication_tensor(table, i, every, class_members(table)[i])
         for k, (basis, _) in enumerate(spaces):
             lam = pow(zeta, k * a, ell)
             for v in basis:
@@ -546,9 +576,11 @@ def test_non_injective_scalar_map_raises_at_once(table_store, arena_store, monke
 
 
 def test_gl1_table_needs_no_visit(table_store, arena_store, monkeypatch):
-    """n = 1: every class is central, so the start spaces are lines."""
+    """n = 1: every class is central, so the start spaces are lines and
+    no class members are bucketed."""
     table, arena = table_store(1, 5), arena_store(1, 5)
     monkeypatch.setattr(characters, "class_multiplication_tensor", _refuse_tensor)
+    monkeypatch.setattr(characters, "class_members", _refuse_tensor)
     chars = character_table(table, arena)
     assert len(chars) == 4 and all(cf.dimension(table) == 1 for cf in chars)
 

@@ -1,13 +1,28 @@
 import hashlib
 import json
+import shutil
 import struct
 
 import pytest
 
+from klyachko import gelfand
+from klyachko.arena import build_arena, is_prime
+from klyachko.characters import character_table
 from klyachko.cli import main
 from klyachko.errors import CacheError
+from klyachko.gelfand import load_or_compute_table
 from klyachko.gf import field_make
-from klyachko.tablecache import MAGIC, cache_path, load_table, save_table
+from klyachko.tablecache import (
+    CHARS_MAGIC,
+    MAGIC,
+    cache_path,
+    characters_path,
+    class_fingerprint,
+    load_characters,
+    load_table,
+    save_characters,
+    save_table,
+)
 
 RETIRED_MAGIC = b"KLYGRP\x00\x02"  # format 2 also stored a record per class
 FORMAT_3_MAGIC = b"KLYGRP\x00\x03"  # format 3 also stored the elements
@@ -285,3 +300,243 @@ def test_format_2_cache_is_recomputed_and_replaced(tmp_path, capsys):
     assert main(["verify-gelfand", "--n", "2", "--q", "3", "--cache-dir", d]) == 0
     capsys.readouterr()
     assert path.read_bytes() == current
+
+
+# -- the character table cache -------------------------------------------------
+
+PARENT_TBL_SHA256 = {  # the format-4 files, unchanged by the character cache
+    (2, 3): "dd2818ed7fe38e00da4b71486c27116c6b8819dcacc75471642cf0ab96182d88",
+    (3, 3): "8ef19e5231339bc459aa3345692cefa4a9a1876c959742e04ad6c9fb6a326418",
+    (4, 2): "ae0c5acef39b986a90f838c75976d6faa4ca6fb4ea68b4483f1e445464bd7e7b",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(PARENT_TBL_SHA256))
+def test_table_file_bytes_are_unchanged(n, q, tmp_path):
+    load_or_compute_table(n, q, cache_dir=tmp_path)
+    assert hashlib.sha256(cache_path(tmp_path, n, q).read_bytes()).hexdigest() == \
+        PARENT_TBL_SHA256[(n, q)]
+
+
+def _next_ell(arena):
+    """The least valid arena prime above the default one."""
+    ell = arena.ell + arena.m
+    while not is_prime(ell):
+        ell += arena.m
+    return ell
+
+
+def _chr_layout(raw):
+    """(width, ell offset, fingerprint offset, digest offset, body offset)
+    of a .chr file: the value width is the u8 at 15, ell follows it."""
+    width = raw[15]
+    return width, 16, 16 + width, 48 + width, 80 + width
+
+
+def _chr_values(raw):
+    width, _, _, _, body = _chr_layout(raw)
+    return [int.from_bytes(raw[at:at + width], "little") for at in range(body, len(raw), width)]
+
+
+def _chr_rewrite(path, edit_head=None, edit_values=None):
+    """Apply the edits to a .chr file and make its digest match, so only
+    the content is wrong."""
+    raw = bytearray(path.read_bytes())
+    width, _, _, digest, body = _chr_layout(raw)
+    if edit_head:
+        edit_head(raw)
+    if edit_values:
+        values = edit_values(_chr_values(raw))
+        raw[body:] = b"".join(v.to_bytes(width, "little") for v in values)
+    raw[digest:body] = hashlib.sha256(raw[:digest] + raw[body:]).digest()
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("n,q", [(1, 5), (2, 2), (2, 3), (3, 2), (2, 5)])
+def test_characters_round_trip(n, q, tmp_path, table_store, arena_store):
+    table, arena = table_store(n, q), arena_store(n, q)
+    chars = character_table(table, arena)
+    path = characters_path(tmp_path, n, q, arena.ell)
+    save_characters(chars, table, path)
+    assert path.name == f"gl{n}_q{q}_ell{arena.ell}.chr"
+    assert load_characters(path, table, arena) == chars
+
+
+def test_characters_file_layout(tmp_path, table_store, arena_store):
+    table, arena = table_store(2, 3), arena_store(2, 3)
+    chars = character_table(table, arena)
+    path = tmp_path / "t.chr"
+    save_characters(chars, table, path)
+    raw = path.read_bytes()
+    width, ell_at, fingerprint, digest, body = _chr_layout(raw)
+    n_cls = len(table.classes)
+    assert raw[:8] == CHARS_MAGIC == b"KLYCHR\x00\x01"
+    assert struct.unpack_from("<BBBIB", raw, 8) == (2, 3, 1, n_cls, width)
+    assert width == (arena.ell.bit_length() + 7) // 8
+    assert int.from_bytes(raw[ell_at:fingerprint], "little") == arena.ell
+    assert raw[fingerprint:digest] == class_fingerprint(table)
+    assert raw[digest:body] == hashlib.sha256(raw[:digest] + raw[body:]).digest()
+    assert len(raw) == body + n_cls * n_cls * width
+    assert _chr_values(raw) == [v for cf in chars for v in cf.values]
+
+
+def _other_fingerprint(raw):
+    _, _, fingerprint, _, _ = _chr_layout(raw)
+    raw[fingerprint] ^= 0xFF
+
+
+def _swap_rows(values, n_cls):
+    return values[n_cls:2 * n_cls] + values[:n_cls] + values[2 * n_cls:]
+
+
+def _swap_columns(values, n_cls, a, b, e_idx):
+    """Columns a and b swapped, the rows sorted again as character_table
+    sorts them, so only the orthogonality check can see it."""
+    rows = [values[at:at + n_cls] for at in range(0, len(values), n_cls)]
+    for row in rows:
+        row[a], row[b] = row[b], row[a]
+    return [v for row in sorted(rows, key=lambda r: (r[e_idx], r)) for v in row]
+
+
+def _chr_corruptions(table, arena):
+    """name -> (corrupt(path), message of load_characters)."""
+    n_cls, ell = len(table.classes), arena.ell
+    a = next(c for c, cls in enumerate(table.classes) if cls.size > 1)
+    b = next(c for c, cls in enumerate(table.classes) if cls.size not in (1, table.classes[a].size))
+    e_idx = table.identity_class()
+
+    def rewrite(**edits):
+        return lambda path: _chr_rewrite(path, **edits)
+
+    def write(data):
+        return lambda path: path.write_bytes(data(path.read_bytes()))
+
+    return {
+        # the last value byte flipped, the digest not made to match
+        "digest": (write(lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])), "digest"),
+        "fingerprint": (rewrite(edit_head=_other_fingerprint), "other class records"),
+        "columns permuted": (rewrite(edit_values=lambda v: _swap_columns(v, n_cls, a, b, e_idx)),
+                             "not a character table"),
+        "rows permuted": (rewrite(edit_values=lambda v: _swap_rows(v, n_cls)), "out of order"),
+        "value >= ell": (rewrite(edit_values=lambda v: v[:-1] + [v[-1] + ell]), "not below ell"),
+        "truncated": (write(lambda raw: raw[:-1]), "truncated"),
+        "version": (write(lambda raw: b"KLYCHR\x00\x00" + raw[8:]), "version"),
+    }
+
+
+CORRUPTIONS = ["digest", "fingerprint", "columns permuted", "rows permuted", "value >= ell",
+               "truncated", "version"]
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_load_characters_rejects(kind, tmp_path, table_store, arena_store):
+    table, arena = table_store(2, 3), arena_store(2, 3)
+    path = tmp_path / "t.chr"
+    save_characters(character_table(table, arena), table, path)
+    corrupt, message = _chr_corruptions(table, arena)[kind]
+    corrupt(path)
+    with pytest.raises(CacheError, match=message):
+        load_characters(path, table, arena)
+
+
+def test_load_characters_rejects_other_ell_and_other_group(tmp_path, table_store, arena_store):
+    table, arena = table_store(2, 3), arena_store(2, 3)
+    path = tmp_path / "t.chr"
+    save_characters(character_table(table, arena), table, path)
+    other = build_arena(table.order, table.exponent(), 3, ell=_next_ell(arena))
+    with pytest.raises(CacheError, match="ell"):
+        load_characters(path, table, other)
+    with pytest.raises(CacheError, match="cache is for"):
+        load_characters(path, table_store(3, 3), arena_store(3, 3))
+
+
+def _gelfand_json(argv, capsys):
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    report["meta"].pop("seconds", None)
+    return report
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS + ["another ell"])
+def test_corrupt_characters_are_recomputed_and_replaced(kind, tmp_path, capsys, table_store,
+                                                        arena_store):
+    """verify-gelfand over a corrupt .chr exits 0 with the report of
+    --no-cache and leaves the file a fresh run writes."""
+    table, arena = table_store(2, 3), arena_store(2, 3)
+    argv = ["verify-gelfand", "--n", "2", "--q", "3", "--format", "json"]
+    want = _gelfand_json(argv + ["--no-cache"], capsys)
+    d = str(tmp_path)
+    assert _gelfand_json(argv + ["--cache-dir", d], capsys) == want
+    path = characters_path(tmp_path, 2, 3, arena.ell)
+    good = path.read_bytes()
+    if kind == "another ell":
+        other = _next_ell(arena)
+        _gelfand_json(argv + ["--cache-dir", d, "--ell", str(other)], capsys)
+        shutil.copyfile(characters_path(tmp_path, 2, 3, other), path)
+        with pytest.raises(CacheError, match="ell"):
+            load_characters(path, table, arena)
+    else:
+        _chr_corruptions(table, arena)[kind][0](path)
+    assert path.read_bytes() != good
+    assert _gelfand_json(argv + ["--cache-dir", d], capsys) == want
+    assert path.read_bytes() == good
+
+
+def test_no_cache_writes_no_character_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KLYACHKO_CACHE_DIR", str(tmp_path / "env"))
+    monkeypatch.chdir(tmp_path)
+    for command in ("verify-gelfand", "table"):
+        assert main([command, "--n", "2", "--q", "3", "--no-cache"]) == 0
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+
+
+def _refuse_character_table(*args):
+    raise AssertionError("the character table was computed")
+
+
+WARM_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("n,q", WARM_GROUPS)
+def test_warm_character_cache_gives_the_no_cache_json(n, q, tmp_path, capsys, monkeypatch,
+                                                      arena_store):
+    """verify-gelfand with a non-default psi, verify-gelfand with an --ell
+    override, and table: a run that reads the .chr file (character_table
+    is not called) prints the JSON of --no-cache, meta.seconds aside."""
+    psi = "2" if q % 2 else "3"  # nontrivial mod p
+    group = ["--n", str(n), "--q", str(q), "--format", "json"]
+    commands = [
+        ["verify-gelfand", *group, "--psi", psi],
+        ["verify-gelfand", *group, "--ell", str(_next_ell(arena_store(n, q)))],
+        ["table", *group],
+    ]
+    d = str(tmp_path)
+    for argv in commands:
+        want = _gelfand_json(argv + ["--no-cache"], capsys)
+        assert _gelfand_json(argv + ["--cache-dir", d], capsys) == want  # writes the .chr
+        with monkeypatch.context() as patch:
+            patch.setattr(gelfand, "character_table", _refuse_character_table)
+            assert _gelfand_json(argv + ["--cache-dir", d], capsys) == want
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted([f"gl{n}_q{q}.tbl", f"gl{n}_q{q}_ell{arena_store(n, q).ell}.chr",
+                            f"gl{n}_q{q}_ell{_next_ell(arena_store(n, q))}.chr"])
+
+
+def test_character_file_that_is_a_directory_is_bad_usage(tmp_path, capsys, arena_store):
+    path = characters_path(tmp_path, 2, 2, arena_store(2, 2).ell)
+    path.mkdir()
+    assert main(["verify-gelfand", "--n", "2", "--q", "2", "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: cannot write the table cache") and str(path) in err
+
+
+def test_failed_character_write_is_bad_usage(tmp_path, capsys, monkeypatch, arena_store):
+    def deny(chars, table, path):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(gelfand, "save_characters", deny)
+    assert main(["table", "--n", "2", "--q", "2", "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: cannot write the table cache")
+    assert str(characters_path(tmp_path, 2, 2, arena_store(2, 2).ell)) in err
