@@ -21,16 +21,18 @@ stays in the queue.  Each class splits every space that is not yet a
 line: only the rows of M_i at the space's pivot columns are computed,
 |C_i| products each, the d x d restriction of M_i to the space is
 diagonalised, and the kernel of each eigenvalue becomes a new space.
-The members of every class are bucketed in one pass over the class map
-when the first class is visited, so no visit scans the whole group.
-A product x g_j is read row by row: the table's elements are tuples of
-row codes, and row r of x g_j is the entry of `groups.row_images(g_j)`
-at row r of x; then one lookup in the table's element-to-class map
-gives its class.  When every space is a line its vector is a central
-character.  A restriction that is a scalar leaves its space whole with
-no characteristic polynomial: class matrices act diagonalisably, so one
-eigenvalue means a scalar.  Otherwise the eigenvalues are the roots of
-the characteristic polynomial chi, found as gcd(x^ell - x, s) on its
+The members of every class are bucketed in one pass over the element
+codes when the first class is visited, so no visit scans the whole
+group.  A product x g_j is read row by row: row r of x g_j is the entry
+of `groups.row_images(g_j)` at row r of x, so with tables of the rows of
+each chunk of rows at their places the code of x g_j is a sum of one
+lookup per chunk (`groups.products`, for all of C_i at once), and one
+index into the table's label array gives its class.  When every space
+is a line its vector is a central character.  A restriction that is a
+scalar leaves its space whole with no characteristic polynomial: class
+matrices act diagonalisably, so one eigenvalue means a scalar.
+Otherwise the eigenvalues are the roots of the characteristic
+polynomial chi, found as gcd(x^ell - x, s) on its
 squarefree part s = chi / gcd(chi, chi') and separated by
 Cantor-Zassenhaus equal-degree splitting with the shifts 0, 1, 2, ...;
 nothing is random.  All linear algebra is over Z/ell, so every
@@ -42,15 +44,16 @@ Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
 psi(xgx^-1) by conjugacy class gives
 chi(c) = |G| * S_c / (|H| * |c|) with S_c = sum over H-members in class
-c of psi.  The members come from `groups.enumerate_h` as row codes, so
-each is a key of the table's class map as it is, and
-`groups.psi_r_trace` reads psi_r off its top rows.  The tests
+c of psi.  The members come from `groups.enumerate_h` as element codes,
+so each is an index into the table's label array as it is, and
+`groups.psi_r_trace` reads psi_r off its digits.  The tests
 cross-check it against the literal sum over all of G.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
@@ -60,10 +63,12 @@ from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
 from .groups import (
     GroupTable,
     KlyachkoSubgroupSpec,
-    encode_rows,
+    chunk_columns,
+    chunk_images,
+    encode,
     enumerate_h,
+    products,
     psi_r_trace,
-    row_images,
     scalar_class_map,
 )
 
@@ -80,40 +85,38 @@ class ClassFunction:
         return self.arena.lift_bounded(v, 0, self.arena.group_order, "dimension")
 
 
-def class_members(table: GroupTable) -> list[list[tuple[int, ...]]]:
-    """The members of each class as row-code tuples, in lex order, indexed
-    by class: one pass over the table's class map."""
-    members: list[list[tuple[int, ...]]] = [[] for _ in table.classes]
-    for el, c in table.class_of.items():
-        members[c].append(el)
+def class_members(table: GroupTable) -> list[array]:
+    """The codes of the members of each class, in increasing order,
+    indexed by class: one pass over the element codes."""
+    members = [array("I") for _ in table.classes]
+    labels = table.labels
+    for code in table.codes:
+        members[labels[code]].append(code)
     return members
 
 
 def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
-                                members: list[tuple[int, ...]],
-                                images: dict | None = None) -> list[list[int]]:
+                                members: array, images: dict | None = None) -> list[list[int]]:
     """Rows j in `rows` of the class matrix M_i, a slice of the tensor
     a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps;
-    `members` are the members of C_i as row codes (`class_members`).
+    `members` are the codes of the members of C_i (`class_members`).
 
     Conjugating y to g_j gives a[i][j][k] = |C_j| * #{x in C_i : x g_j in C_k} / |C_k|,
     so a row costs |C_i| products and no inverses.  Row r of x g_j is
-    (row r of x) g_j, so a product is n lookups in the row images of
-    g_j, one per row column of the members.  The row images of g_j are
-    kept in `images` under j, so a caller that passes one dict to
-    several calls builds each at most once.
+    (row r of x) g_j, so a product is one lookup per chunk of rows in the
+    chunk images of g_j, summed (`groups.products`).  The chunk images
+    of g_j are kept in `images` under j, so a caller that passes one
+    dict to several calls builds each at most once.
     """
     classes = table.classes
-    class_of = table.class_of
-    columns = list(zip(*members))
+    labels = table.labels
+    columns = chunk_columns(members, table.n, table.q)
     if images is None:
         images = {}
     out = []
     for j in rows:
         size_j = classes[j].size
-        image = _row_image(table, j, images)
-        products = zip(*[map(image, col) for col in columns])
-        counts = Counter(map(class_of.__getitem__, products))
+        counts = Counter(map(labels.__getitem__, products(columns, _images(table, j, images))))
         row = [0] * len(classes)
         for k, cnt in counts.items():
             row[k], rem = divmod(size_j * cnt, classes[k].size)
@@ -125,14 +128,13 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
     return out
 
 
-def _row_image(table: GroupTable, c: int, images: dict):
-    """The lookup v -> v g of the representative g of class c, kept in
+def _images(table: GroupTable, c: int, images: dict) -> list[list[int]]:
+    """The chunk images of the representative of class c, kept in
     `images` under c, so that each is built once per dict."""
-    image = images.get(c)
-    if image is None:
-        image = images[c] = row_images(table.classes[c].representative, table.n,
-                                       table.field).__getitem__
-    return image
+    tables = images.get(c)
+    if tables is None:
+        tables = images[c] = chunk_images(table.classes[c].representative, table.n, table.field)
+    return tables
 
 
 def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
@@ -295,16 +297,16 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
 
 def _rational_class(table: GroupTable, c: int, images: dict) -> set[int]:
     """The classes of g^a for every a prime to the order of g, the
-    representative of class c; each power is the one before times g, its
-    rows mapped through the row images of g."""
+    representative of class c; each power is the one before times g,
+    read through the chunk images of g."""
     n, q = table.n, table.q
-    image = _row_image(table, c, images)
-    ident = encode_rows(table.identity(), n, q)
-    powers = [encode_rows(table.classes[c].representative, n, q)]
+    tables = _images(table, c, images)
+    ident = encode(table.identity(), q)
+    powers = [encode(table.classes[c].representative, q)]
     while powers[-1] != ident:
-        powers.append(tuple(map(image, powers[-1])))
+        powers.extend(products(chunk_columns(powers[-1:], n, q), tables))
     order = len(powers)
-    return {table.class_of[x] for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
+    return {table.labels[x] for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
 
 
 def _central_spaces(table: GroupTable, arena: ModularArena,
@@ -380,7 +382,7 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     e_idx = table.identity_class()
     # invariant spaces as (RREF basis, pivot columns), from the central ones
     spaces = _central_spaces(table, arena)
-    images: dict = {}  # row images of the class representatives, for this call only
+    images: dict = {}  # chunk images of the class representatives, for this call only
     members = None  # the members of each class, bucketed at the first visit
     visit = _visit_order(table, images)
     while any(len(basis) > 1 for basis, _ in spaces):
@@ -505,11 +507,11 @@ def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
         raise ValueError("psi_generator must be nonzero mod p (psi nontrivial)")
     zeta = pow(arena.zeta_p, spec.psi_generator, ell)
     psi_values = [pow(zeta, t, ell) for t in range(field.p)]  # psi of a trace in [0, p)
-    class_of = table.class_of
+    labels = table.labels
     members = enumerate_h(spec, field)
     sums = [0] * len(table.classes)
     for el in members:
-        c = class_of[el]
+        c = labels[el]
         sums[c] = (sums[c] + psi_values[psi_r_trace(el, spec, field)]) % ell
     h_size = len(members)
     if table.order % h_size:

@@ -1,54 +1,75 @@
 """Enumeration of GL_n(F_q), its conjugacy classes, and the subgroups
 H_{r,2k} with their character psi_r.
 
-This module owns the row code, the one element encoding of the group
+This module owns the element code, the one element encoding of the group
 layer.  The row code of a row vector is the base-q integer of its entry
-codes, first entry most significant, and an element is the n-tuple of
-the row codes of its rows.  Lex order of row-code tuples is lex order of
-the flat row-major entry tuples, which `decode_rows` and `encode_rows`
-convert to and from.  A product x g is read row by row from the table
+codes, first entry most significant, and the code of an n x n matrix
+packs its row codes base q^n, row 0 most significant:
+sum_i rowcode_i q^(n(n-1-i)), the base-q integer of its flat row-major
+entry tuple (`encode`, `decode`).  Numeric order of codes is lex order
+of matrices.  A product x g is read row by row from the table
 `row_images(g)` of v g for every row vector v, built by linearity from
-the field tables.  The enumeration builds matrices row by row, only
-extending with rows outside the span of the rows chosen so far, so
-exactly the prod_{i<n} (q^n - q^i) invertible matrices are produced, in
-lexicographic order.
+the field tables.  Rows of x g depend only on the same rows of x, so
+with the rows cut into chunks (pairs of rows when n > 2,
+`chunk_columns`) and one table per chunk of the image rows at their
+places (`chunk_images`), the code of x g is a sum of one lookup per
+chunk; `products` forms it for a whole list of x at once.
+
+`gl_elements` lists the codes of GL_n(F_q) in increasing order.  It
+chooses the first n - 2 rows depth first, each outside the span S of
+the rows before it, and takes the last two rows from the q + 1
+hyperplanes through S: a row v outside S spans the hyperplane S + <v>
+with S, and the last row is any vector outside that hyperplane.  Each
+hyperplane's complement is built once per S and shared by every v that
+spans it, so exactly the prod_{i<n} (q^n - q^i) invertible matrices
+are produced.
 
 Conjugacy classes are the orbits of conjugation by three cheap
 generators of GL_n(F_q) (an n-cycle permutation matrix, the elementary
 matrix x_12(1) and, for q > 2, diag(w, 1, ..., 1) with w primitive).
-Each generator conjugates the whole element list at once, one
-row-image table lookup per row; a depth-first search over the element
-positions labels the orbits, and the positions dict becomes the table's
-one map from element to class.  `class_records` turns that map into the
-class records, for the sweep and for a cached table alike.  Each class is
-keyed by the invariant factors of xI - g (see fqpoly), computed once per
-class representative, not per element; labels whose number is not
-`class_count(n, q)`, or two classes with one key, would mean the labels
-were not the classes, and raise InvariantViolation.  Class
-representatives, flat entry tuples, are the lexicographically least
-members, which the lex enumeration order makes free.  The central
-scalar w I permutes the classes; `scalar_class_map` gives that
-permutation, from which the character table starts its split.
+Each generator conjugates the whole element list at once, one lookup
+per chunk of rows in a table the generator builds, and a depth-first
+search over the element positions labels the orbits in the order of
+their least members.  The
+table keeps the element codes and one label array indexed by code,
+holding `SINGULAR` at the codes of singular matrices, so a class lookup
+is one index.  `class_records` builds the array and the class records
+from the labels of the elements in code order, for the sweep and for a
+cached table alike.  Each class is keyed by the invariant factors of
+xI - g (see fqpoly), computed once per class representative, not per
+element.  Labels other than 0, ..., class_count(n, q) - 1, least members
+that do not increase with the label, or two classes with one key would
+mean the labels were not the classes in their canonical order, and
+raise InvariantViolation.  Class representatives, flat entry tuples,
+are the least members.  The central scalar w I permutes the classes;
+`scalar_class_map` gives that permutation, from which the character
+table starts its split.
+
+Sp(2k, F_q) is the closure of the identity under right multiplication
+by a generating set of symplectic transvections (`enumerate_sp`), and
+H_{r,2k} stacks its unipotent top rows over it (`enumerate_h`).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, filterfalse, product, repeat
 from operator import add, itemgetter
 
 from .arena import prime_factors
 from .errors import GroupTooLarge, InvariantViolation, UsageError
 from .fqpoly import Poly, invariant_factors
-from .gf import FiniteField, mat_identity, mat_inv
+from .gf import FiniteField, mat_identity, mat_inv, mat_mul
 
 DEFAULT_MAX_ELEMENTS = 10**7  # enumeration cap on |G| and |H|
+SINGULAR = 0xFFFF  # the label at the code of a singular matrix
 
 
-# -- row codes -------------------------------------------------------------
+# -- element codes -----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -57,20 +78,52 @@ def _row_vectors(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(q), repeat=n))
 
 
-def encode_rows(g: tuple[int, ...], n: int, q: int) -> tuple[int, ...]:
-    """The row codes of a flat row-major tuple of n-entry rows."""
-    out = []
-    for i in range(0, len(g), n):
-        code = 0
-        for x in g[i:i + n]:
-            code = code * q + x
-        out.append(code)
-    return tuple(out)
+def encode(g: tuple[int, ...], q: int) -> int:
+    """The code of a matrix given as its flat row-major entry tuple."""
+    code = 0
+    for x in g:
+        code = code * q + x
+    return code
 
 
-def decode_rows(codes: tuple[int, ...], n: int, q: int) -> tuple[int, ...]:
-    """The flat row-major entry tuple of rows given by their row codes."""
-    return tuple(chain.from_iterable(map(_row_vectors(n, q).__getitem__, codes)))
+def row_codes(code: int, n: int, q: int) -> list[int]:
+    """The row codes of the n x n matrix with this code, row 0 first."""
+    size = q**n
+    return [code // size ** (n - 1 - r) % size for r in range(n)]
+
+
+def decode(code: int, n: int, q: int) -> tuple[int, ...]:
+    """The flat row-major entry tuple of the n x n matrix with this code."""
+    return tuple(chain.from_iterable(map(_row_vectors(n, q).__getitem__, row_codes(code, n, q))))
+
+
+def chunk_rows(n: int) -> int:
+    """The rows per chunk of an n x n matrix: pairs of rows when n > 2,
+    single rows when n <= 2, where a pair's table of all q^(2n) values
+    would be as long as the group."""
+    return 2 if n > 2 else 1
+
+
+def chunk_columns(codes, n: int, q: int) -> list[array]:
+    """The rows of the matrix of every code in chunks of `chunk_rows(n)`
+    rows (the last chunk may be shorter), each chunk as the number its
+    row codes make base q^n: one array('I') per chunk, row 0 first."""
+    size, width = q**n, chunk_rows(n)
+    columns = []
+    for a in range(0, n, width):
+        b = min(a + width, n)
+        col = codes if b == n else map((size ** (n - b)).__rfloordiv__, codes)
+        columns.append(array("I", col if a == 0 else map((size ** (b - a)).__rmod__, col)))
+    return columns
+
+
+def _pack_rows(columns: list, size: int):
+    """The codes, as an iterator, of the matrices whose rows are given by
+    the columns (row r of every matrix in column r), base `size` per row."""
+    codes = iter(columns[0])
+    for col in columns[1:]:
+        codes = map(add, map(size.__mul__, codes), col)
+    return codes
 
 
 def _diagonal(entries: list[int]) -> tuple[int, ...]:
@@ -100,6 +153,36 @@ def row_images(g: tuple[int, ...], n: int, field: FiniteField) -> list[int]:
     return codes
 
 
+def chunk_images(g: tuple[int, ...], n: int, field: FiniteField) -> list[list[int]]:
+    """One table per chunk of rows (`chunk_columns`): entry v of a chunk's
+    table is the code, at their places in x g, of the rows of x g that
+    the chunk's rows of x give when they make the number v.  Each row's
+    `row_images(g)` is moved to the row's place, q^(n(n-1-r)), and the
+    chunk's rows are summed over all their values."""
+    images = row_images(g, n, field)
+    size, width = field.q**n, chunk_rows(n)
+    tables = []
+    for a in range(0, n, width):
+        table = [0]
+        for r in range(a, min(a + width, n)):
+            shifted = list(map((size ** (n - 1 - r)).__mul__, images))
+            table = list(map(add, chain.from_iterable(map(repeat, table, repeat(size))),
+                             shifted * len(table)))
+        tables.append(table)
+    return tables
+
+
+def products(columns: list[array], tables: list[list[int]]):
+    """The codes of x g, as an iterator, for the matrices x with the
+    chunk columns `columns` and g with the `chunk_images` `tables`: rows
+    of x g depend only on the same rows of x, so the code is one lookup
+    per chunk, summed."""
+    codes = map(tables[0].__getitem__, columns[0])
+    for table, col in zip(tables[1:], columns[1:]):
+        codes = map(add, codes, map(table.__getitem__, col))
+    return codes
+
+
 def sp_order(k: int, q: int) -> int:
     """|Sp(2k, F_q)| = q^{k^2} * prod_{i=1}^{k} (q^{2i} - 1)."""
     out = q ** (k * k)
@@ -123,15 +206,18 @@ class ConjClass:
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """GL_n(F_q), complete at construction and never changed afterwards:
-    the map from each element, as its tuple of row codes, to its
-    conjugacy class, keys in lex order, and the class records.
+    the codes of its elements in increasing order (an array('I')), the
+    class label at every code below q^(n^2) (an array('H'), `SINGULAR` at
+    singular matrices), and the class records.
 
-    Built only by `gl_enumerate` and `tablecache.load_table`.
+    Built only by `gl_enumerate` and `tablecache.load_table`, both
+    through `class_records`.
     """
 
     field: FiniteField
     n: int
-    class_of: dict[tuple[int, ...], int]
+    codes: array
+    labels: array
     classes: tuple[ConjClass, ...]
 
     @property
@@ -140,18 +226,20 @@ class GroupTable:
 
     @property
     def order(self) -> int:
-        return len(self.class_of)
+        return len(self.codes)
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        """The elements in lex order as flat entry tuples: the keys of
-        `class_of`, decoded."""
+        """The elements in lex order as flat entry tuples: the codes, decoded."""
         n, q = self.n, self.q
-        return tuple(decode_rows(g, n, q) for g in self.class_of)
+        return tuple(decode(code, n, q) for code in self.codes)
 
     def class_of_flat(self, el: tuple[int, ...]) -> int:
         """The class of an element given as a flat entry tuple."""
-        return self.class_of[encode_rows(el, self.n, self.q)]
+        label = self.labels[encode(el, self.q)]
+        if label == SINGULAR:
+            raise KeyError(f"{el} is singular")
+        return label
 
     def identity(self) -> tuple[int, ...]:
         return mat_identity(self.n)
@@ -204,45 +292,75 @@ def check_group_cap(n: int, q: int, max_elements: int) -> int:
     return order
 
 
-def gl_elements(n: int, field: FiniteField,
-                max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[tuple[int, ...]]:
-    """The elements of GL_n(F_q) as row-code tuples, in lexicographic order.
+def gl_elements(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEMENTS) -> array:
+    """The codes of GL_n(F_q) in increasing order, as an array('I').
 
-    The span of the rows chosen so far is a set of row codes; adding a
-    row v adds the multiples c v to each of its members through a table
-    of the sums of two row codes.
+    A span is a set of row codes; adding a row v adds the multiples c v to
+    each of its members through a table of the sums of two row codes.
+    The last two rows come from the hyperplanes through the span of the
+    others, as the module docstring says.
     """
     q = field.q
     expected = check_group_cap(n, q, max_elements)
+    codes = array("I")
+    if n == 1:
+        codes.extend(range(1, q))
+    else:
+        _extend_by_hyperplanes(codes, n, field)
+    if len(codes) != expected:
+        raise InvariantViolation(f"enumerated {len(codes)}, expected {expected}")
+    return codes
+
+
+def _extend_by_hyperplanes(codes: array, n: int, field: FiniteField) -> None:
+    """Append the codes of GL_n(F_q), n >= 2, in increasing order."""
+    q = field.q
     size = q**n
     ident = mat_identity(n)
     plus = row_images(ident + ident, n, field)  # the code of a + b at a * size + b
     sums = [plus[a * size:(a + 1) * size] for a in range(size)]
     multiples = [row_images(_diagonal([c] * n), n, field) for c in range(1, q)]
-    elements: list[tuple[int, ...]] = []
+    vectors = range(size)
 
-    def extend(rows: tuple[int, ...], span: set[int], depth: int) -> None:
-        if depth == n - 1:
-            elements.extend([rows + (v,) for v in range(size) if v not in span])
+    def span_with(span: set[int], v: int) -> set[int]:
+        out = set(span)
+        for times in multiples:
+            out.update(map(sums[times[v]].__getitem__, span))
+        return out
+
+    def last_two(span: set[int]) -> list[int]:
+        """Row n-2 times q^n plus row n-1, in increasing order, for every
+        choice of the last two rows over first rows with span `span`."""
+        complements: dict[int, list[int]] = {}  # v outside span -> outside span + <v>
+        for v in filterfalse(span.__contains__, vectors):
+            if v not in complements:
+                hyperplane = span_with(span, v)
+                complements.update(dict.fromkeys(
+                    hyperplane - span, list(filterfalse(hyperplane.__contains__, vectors))))
+        return list(chain.from_iterable(map((v * size).__add__, outside)
+                                        for v, outside in sorted(complements.items())))
+
+    tails: dict[frozenset[int], list[int]] = {}  # by span: prefixes with one span share it
+
+    def extend(prefix: int, span: set[int], depth: int) -> None:
+        if depth == n - 2:
+            key = frozenset(span)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = last_two(span)
+            codes.extend(map((prefix * size * size).__add__, tail))
             return
-        for v in range(size):
-            if v in span:
-                continue
-            new_span = set(span)
-            for times in multiples:
-                new_span.update(map(sums[times[v]].__getitem__, span))
-            extend(rows + (v,), new_span, depth + 1)
+        for v in filterfalse(span.__contains__, vectors):
+            extend(prefix * size + v, span_with(span, v), depth + 1)
 
-    extend((), {0}, 0)
-    if len(elements) != expected:
-        raise InvariantViolation(f"enumerated {len(elements)}, expected {expected}")
-    return elements
+    extend(0, {0}, 0)
 
 
 def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
     """GL_n(F_q) in lexicographic order, with its conjugacy classes."""
-    classes, class_of = conjugacy_classes(gl_elements(n, field, max_elements), n, field)
-    return GroupTable(field, n, class_of, classes)
+    codes = gl_elements(n, field, max_elements)
+    classes, labels = conjugacy_classes(codes, n, field)
+    return GroupTable(field, n, codes, labels, classes)
 
 
 def _primitive_element(field: FiniteField) -> int:
@@ -261,15 +379,14 @@ def scalar_class_map(table: GroupTable) -> list[int]:
     least primitive element w of F_q^* (w = 1 when q = 2).
 
     w I is central, so it permutes the classes and keeps their sizes; one
-    row-image lookup per row of each representative and one class lookup
-    give the image.  A map that is not such a permutation means the
-    labels were not the classes, and raises InvariantViolation.
+    product per entry of each representative and one label lookup give
+    the image.  A map that is not such a permutation means the labels
+    were not the classes, and raises InvariantViolation.
     """
-    n, field, classes = table.n, table.field, table.classes
-    w = _primitive_element(field)
-    image = row_images(_diagonal([w] * n), n, field).__getitem__
-    out = [table.class_of[tuple(map(image, encode_rows(c.representative, n, field.q)))]
-           for c in classes]
+    field, classes, labels = table.field, table.classes, table.labels
+    q = field.q
+    times_w = field.mul[_primitive_element(field)::q]  # x -> x w
+    out = [labels[encode(map(times_w.__getitem__, c.representative), q)] for c in classes]
     if sorted(out) != list(range(len(classes))):
         raise InvariantViolation("multiplying by a scalar does not permute the classes")
     if any(classes[d].size != c.size for c, d in zip(classes, out)):
@@ -328,24 +445,42 @@ def _conjugators(n: int, field: FiniteField) -> list:
     return out
 
 
-def conjugacy_classes(elements: list[tuple[int, ...]], n: int, field: FiniteField,
-                      ) -> tuple[tuple[ConjClass, ...], dict[tuple[int, ...], int]]:
-    """Classes of a lex-ordered list of row-code elements as conjugation
-    orbits, and the map from each element to its class, keys in the
-    list's order.
+def conjugacy_classes(codes: array, n: int, field: FiniteField,
+                      ) -> tuple[tuple[ConjClass, ...], array]:
+    """The classes of GL_n(F_q) as conjugation orbits, from the codes of
+    its elements in increasing order: the class records and the label
+    array, as `class_records` gives them.
 
-    Each generator of `_conjugators` maps the whole list at once, and its
-    conjugates become positions in the list.  The first position not yet
-    labelled is the lex-least member of a new class, whose orbit is then
-    labelled by a depth-first search over the positions; the dict from
-    element to position is relabelled into the map in place, and
-    `class_records` builds the records.
+    Each generator of `_conjugators` conjugates the whole list at once
+    from its chunk columns, and the codes of the conjugates become
+    positions in the list through an array indexed by code.  The first
+    position not yet labelled is the least member of a new class, whose
+    orbit is then labelled by a depth-first search over the positions.
     """
-    class_of = {g: i for i, g in enumerate(elements)}
-    columns = [list(map(itemgetter(r), elements)) for r in range(n)]
-    neighbours = [list(map(class_of.__getitem__, zip(*conj(columns))))
-                  for conj in _conjugators(n, field)]
-    labels = [-1] * len(elements)
+    q, size = field.q, field.q**n
+    position = array("I", [0]) * q ** (n * n)
+    for i, code in enumerate(codes):
+        position[code] = i
+    conjugators = _conjugators(n, field)
+    columns = chunk_columns(codes, n, q)
+    if chunk_rows(n) == 1:  # n <= 2: the conjugators map the rows themselves
+        conjugates = [_pack_rows(conj(columns), size) for conj in conjugators]
+    else:
+        # A conjugator maps each output row from input rows of one pair
+        # (rows 2m and 2m + 1), so the code of a conjugate is a sum of one
+        # lookup per pair, in a table the conjugator builds from the
+        # matrices that are zero outside the pair.
+        rows = range(size)
+        pair = [list(chain.from_iterable(map(repeat, rows, repeat(size)))), list(rows) * size]
+        blocks = [[[0] * size**2] * a + pair + [[0] * size**2] * (n - a - 2)
+                  for a in range(0, n - 1, 2)]
+        if n % 2:
+            blocks.append([[0] * size] * (n - 1) + [list(rows)])
+        conjugates = [products(columns, [list(_pack_rows(conj(block), size)) for block in blocks])
+                      for conj in conjugators]
+    neighbours = [array("I", map(position.__getitem__, images)) for images in conjugates]
+    del position, columns, conjugates
+    labels = [-1] * len(codes)
     c = 0
     for start, label in enumerate(labels):  # reads the labels the search sets
         if label >= 0:
@@ -360,38 +495,48 @@ def conjugacy_classes(elements: list[tuple[int, ...]], n: int, field: FiniteFiel
                     labels[h] = c
                     stack.append(h)
         c += 1
-    class_of.update(zip(elements, labels))
-    return class_records(class_of, n, field), class_of
+    return class_records(codes, array("H", labels), n, field)
 
 
-def class_records(class_of: dict[tuple[int, ...], int], n: int, field: FiniteField,
-                  ) -> tuple[ConjClass, ...]:
-    """The records of the classes that `class_of` labels, one label per
-    row-code element, numbered 0, 1, ... with none skipped (KeyError
-    otherwise).
+def class_records(codes: array, code_labels, n: int, field: FiniteField,
+                  ) -> tuple[tuple[ConjClass, ...], array]:
+    """The class records and the label array of GL_n(F_q) whose element
+    `codes[i]` (the codes in increasing order) has the class label
+    `code_labels[i]`.
 
-    A class's representative is its first key as a flat entry tuple, its
-    size the count of its label, its key the invariant factors of xI - g
-    of the representative, and its inverse class the label of the
-    representative's inverse.  A number of labels other than
-    `class_count(n, q)` (labels that merge classes, say), or a key
-    shared by two classes, raises InvariantViolation.
+    The labels must be 0, 1, ..., class_count(n, q) - 1, numbered in the
+    order of their least members, which the depth-first search of
+    `conjugacy_classes` gives.  A class's representative is its least
+    member as a flat entry tuple, its size the count of its label, its
+    key the invariant factors of xI - g of the representative, and its
+    inverse class the label at the representative's inverse.  Labels
+    that are not so numbered (labels that merge classes, skip a number
+    or permute the classes, say), or a key shared by two classes, raise
+    InvariantViolation.
     """
     q = field.q
-    # walking backwards, the last key stored for a label is its first
-    first = dict(zip(reversed(class_of.values()), reversed(class_of.keys())))
     expected = class_count(n, q)
-    if len(first) != expected:
-        raise InvariantViolation(f"{len(first)} class labels, GL_{n}(F_{q}) has {expected} classes")
-    sizes = Counter(class_of.values())
-    reps = [decode_rows(first[c], n, q) for c in range(len(first))]
+    sizes = Counter(code_labels)
+    if sorted(sizes) != list(range(expected)):
+        raise InvariantViolation(
+            f"{len(sizes)} class labels, up to {max(sizes)}; GL_{n}(F_{q}) has {expected} classes")
+    labels = array("H", [SINGULAR]) * q ** (n * n)
+    for code, label in zip(codes, code_labels):
+        labels[code] = label
+    reps, at = [], -1
+    for c in range(expected):
+        start, at = at + 1, code_labels.index(c, at + 1)
+        if max(code_labels[start:at], default=0) > c:
+            raise InvariantViolation(f"class labels out of order: a later class precedes class {c}")
+        reps.append(decode(codes[at], n, q))
     keys = [invariant_factors(g, n, field) for g in reps]
     if len(set(keys)) != len(keys):
         raise InvariantViolation("two classes share invariant factors")
-    return tuple(
-        ConjClass(g, sizes[c], key, class_of[encode_rows(mat_inv(g, n, field), n, q)])
+    classes = tuple(
+        ConjClass(g, sizes[c], key, labels[encode(mat_inv(g, n, field), q)])
         for c, (g, key) in enumerate(zip(reps, keys))
     )
+    return classes, labels
 
 
 # -- symplectic and mixed subgroups --------------------------------------
@@ -429,74 +574,94 @@ class KlyachkoSubgroupSpec:
         return self.r + 2 * self.k
 
 
-def psi_r_trace(g: tuple[int, ...], spec: KlyachkoSubgroupSpec, field: FiniteField) -> int:
-    """Tr_{F_q/F_p}(u_{1,2} + ... + u_{r-1,r}) in [0, p) of a row-code
-    element: u_{i,i+1} is digit i + 1 of row code i."""
+def psi_r_trace(g: int, spec: KlyachkoSubgroupSpec, field: FiniteField) -> int:
+    """Tr_{F_q/F_p}(u_{1,2} + ... + u_{r-1,r}) in [0, p) of an element
+    code: u_{i,i+1} is entry (i, i + 1), base-q digit n^2 - 2 - i (n + 1)
+    of the code."""
     r, n = spec.r, spec.n
     if r <= 1:
         return 0
     q, add = field.q, field.add
     s = 0
     for i in range(r - 1):
-        s = add[s * q + g[i] // q ** (n - 2 - i) % q]
+        s = add[s * q + g // q ** (n * n - 2 - i * (n + 1)) % q]
     return field.trace_to_prime(s)
 
 
 # -- subgroup enumeration -------------------------------------------------
 
 
-def enumerate_sp(k: int, field: FiniteField) -> list[tuple[int, ...]]:
-    """Sp(2k, F_q) as row-code tuples in lexicographic order, built row
-    by row.
+def _symplectic_generators(k: int, field: FiniteField) -> list[tuple[int, ...]]:
+    """Symplectic transvections x -> x + t omega(x, v) v that generate
+    Sp(2k, F_q), k >= 1, as flat matrices I + t (J t(v)) v; omega(x, v)
+    = x J t(v).  With e_a = row a of I and f_a = row 2k - 1 - a, so that
+    omega(e_a, f_b) = [a = b], v runs over every e_a and f_a and, for
+    a < k - 1, over e_a + f_{a+1} and e_{a+1} + f_a; t runs over the
+    F_p-basis 1, w, ..., w^(e-1) of F_q, w primitive.
 
-    g is symplectic exactly when g J t(g) = J (its transpose is
-    symplectic too), that is when omega(g_a, g_b) = J_ab for every pair
-    of its rows, where omega(u, v) = u J t(v).  So the rows are chosen one
-    at a time, each from the nonzero vectors v with omega(g_a, v) = J_ab
-    for every row g_a already chosen.  Each chosen row is kept as the
-    functional g_a J, one row of the multiplication table per
-    coordinate, so omega(g_a, v) costs 2k lookups and additions.
+    Why they generate: T_{v,s} T_{v,t} = T_{v,s+t}, so every T_{v,t} is
+    reached.  The T_{e_a,t} and T_{f_a,t} are the long root groups
+    X_{2 eps_a} and X_{-2 eps_a}.  For u, v with omega(u, v) = 0,
+    T_{u+v,t} T_{u,-t} T_{v,-t} is x -> x + t (omega(x, u) v + omega(x, v) u),
+    which for (e_a, f_{a+1}) and (e_{a+1}, f_a) gives the short root groups
+    X_{eps_a - eps_{a+1}} and X_{eps_{a+1} - eps_a}.  The root groups of
+    the simple roots of C_k and of their negatives generate Sp(2k, F_q)
+    (Steinberg, Lectures on Chevalley Groups, sections 3 and 6).
+    A generator that is not symplectic (g J t(g) != J) raises
+    InvariantViolation.
     """
-    if k == 0:
-        return [()]
     n, q, add, mul = 2 * k, field.q, field.add, field.mul
     j = symplectic_form(k, field)
-    # the nonzero vectors with their row codes; the zero vector is never a row
-    vectors = list(enumerate(_row_vectors(n, q)))[1:]
-    out: list[tuple[int, ...]] = []
-
-    def functional(u: tuple[int, ...]) -> list[list[int]]:
-        rows = []
-        for c in range(n):
-            w = 0
-            for r in range(n):
-                w = add[w * q + mul[u[r] * q + j[r * n + c]]]
-            rows.append(mul[w * q:(w + 1) * q])
-        return rows
-
-    def extend(codes: tuple[int, ...], funcs: list[list[list[int]]]) -> None:
-        b = len(codes)
-        if b == n:
-            out.append(codes)
-            return
-        wants = [(rows, j[a * n + b]) for a, rows in enumerate(funcs)]
-        for code, v in vectors:
-            for rows, want in wants:
-                s = 0
-                for row, x in zip(rows, v):
-                    s = add[s * q + row[x]]
-                if s != want:
-                    break
-            else:
-                extend(codes + (code,), funcs + [functional(v)])
-
-    extend((), [])
-    out.sort()
+    basis = [tuple(int(b == a) for b in range(n)) for a in range(n)]
+    vectors = basis + [tuple(map(max, basis[a], basis[n - 2 - a])) for a in range(k - 1)] \
+        + [tuple(map(max, basis[a + 1], basis[n - 1 - a])) for a in range(k - 1)]
+    w = _primitive_element(field)
+    scalars = [field.pow(w, i) for i in range(field.e)]
+    out = []
+    for v in vectors:
+        jv = []  # J t(v)
+        for a in range(n):
+            s = 0
+            for c in range(n):
+                s = add[s * q + mul[j[a * n + c] * q + v[c]]]
+            jv.append(s)
+        for t in scalars:
+            g = tuple(add[int(a == b) * q + mul[mul[t * q + jv[a]] * q + v[b]]]
+                      for a in range(n) for b in range(n))
+            gt = tuple(g[b * n + a] for a in range(n) for b in range(n))
+            if mat_mul(mat_mul(g, j, n, field), gt, n, field) != j:
+                raise InvariantViolation(f"the transvection along {v} is not symplectic")
+            out.append(g)
     return out
 
 
-def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField) -> list[tuple[int, ...]]:
-    """All of H_{r,2k}(F_q) as row-code tuples, in lexicographic order.
+def enumerate_sp(k: int, field: FiniteField) -> list[int]:
+    """The codes of Sp(2k, F_q) in increasing order: the closure of the
+    identity under right multiplication by `_symplectic_generators`,
+    frontier by frontier.  Each generator multiplies the whole frontier
+    at once through its `chunk_images`, one lookup per chunk of rows.  A
+    closure whose size is not |Sp(2k, F_q)| raises InvariantViolation.
+    """
+    if k == 0:
+        return [0]  # the empty matrix
+    n, q = 2 * k, field.q
+    generators = [chunk_images(g, n, field) for g in _symplectic_generators(k, field)]
+    seen = frontier = {encode(mat_identity(n), q)}
+    while frontier:
+        columns = chunk_columns(frontier, n, q)
+        found: set[int] = set()
+        for tables in generators:
+            found.update(products(columns, tables))
+        frontier = found - seen
+        seen |= frontier
+    if len(seen) != sp_order(k, q):
+        raise InvariantViolation(
+            f"|Sp({n}, F_{q})| came out {len(seen)}, expected {sp_order(k, q)}")
+    return sorted(seen)
+
+
+def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField) -> list[int]:
+    """The codes of H_{r,2k}(F_q), in increasing order.
 
     Top row i has 1 on the diagonal, 0 to its left and any field element
     to its right (the U_r block together with the r x 2k block beside
@@ -510,9 +675,18 @@ def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField) -> list[tuple[in
     total = h_order(r, k, q)
     if total > DEFAULT_MAX_ELEMENTS:
         raise GroupTooLarge(f"|H_{{{r},{2 * k}}}| = {total} exceeds cap {DEFAULT_MAX_ELEMENTS}")
-    tops = product(*(range(q ** (n - 1 - i), 2 * q ** (n - 1 - i)) for i in range(r)))
+    size = q**n
     bottoms = enumerate_sp(k, field)
-    out = [top + bottom for top in tops for bottom in bottoms]
+    if r and k:  # the rows of s, re-packed as rows of length n
+        bottoms = [sum(row * size ** (2 * k - 1 - j)
+                       for j, row in enumerate(row_codes(s, 2 * k, q))) for s in bottoms]
+    out: list[int] = []
+    for top in product(*(range(q ** (n - 1 - i), 2 * q ** (n - 1 - i)) for i in range(r))):
+        start = 0
+        for row in top:
+            start = start * size + row
+        start *= size ** (2 * k)
+        out.extend(map(start.__add__, bottoms))
     if len(out) != total:
         raise InvariantViolation(f"|H| came out {len(out)}, expected {total}")
     return out

@@ -7,15 +7,18 @@ Group table `gl{n}_q{q}.tbl` (little-endian):
     reserved  u8       0
     count     u32      number of elements
     digest    32 bytes sha256 of every other byte of the file
-    labels    count * u16: the values of class_of, keys in lex order
+    labels    count * u16: the class label of every element, in
+                       increasing order of element codes (lex order)
 
 The file holds no elements: the loader pairs the labels with a fresh
-`groups.gl_elements` enumeration, which gives the keys in the same lex
-order, and `groups.class_records` derives the class records from the
-map.  The loader rejects a file whose version, (n, p, e), count, length,
-digest or class labels do not match; the caller then recomputes the
-table and overwrites the file.  Files of earlier formats fail the
-version check.
+`groups.gl_elements` enumeration, which gives the element codes in the
+same order, and `groups.class_records` scatters them into the table's
+label array and derives the class records, with no tuple or dict per
+element.  The loader rejects a file whose version, (n, p, e), count,
+length, digest or class labels do not match (labels that are not the
+classes numbered in the order of their least members); the caller then
+recomputes the table and overwrites the file.  Files of earlier formats
+fail the version check.
 
 Character table `gl{n}_q{q}_ell{ell}.chr`, one per arena prime
 (little-endian):
@@ -107,7 +110,7 @@ def _read(path: Path) -> bytes:
 
 def save_table(table: GroupTable, path: str | Path) -> None:
     head = MAGIC + HEADER.pack(table.n, table.field.p, table.field.e, 0, table.order)
-    body = struct.pack(f"<{table.order}H", *table.class_of.values())
+    body = struct.pack(f"<{table.order}H", *map(table.labels.__getitem__, table.codes))
     _write(Path(path), head + _digest(head, body) + body)
 
 
@@ -130,13 +133,13 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
         raise CacheError(f"{path}: truncated or corrupt cache")
     if raw[DIGEST_AT:BODY_AT] != _digest(raw[:DIGEST_AT], memoryview(raw)[BODY_AT:]):
         raise CacheError(f"{path}: digest mismatch")
-    labels = struct.unpack_from(f"<{count}H", raw, BODY_AT)
-    class_of = dict(zip(gl_elements(n, field, count), labels))
+    codes = gl_elements(n, field, count)
     try:
-        classes = class_records(class_of, n, field)
-    except (KeyError, InvariantViolation) as exc:
+        classes, labels = class_records(codes, struct.unpack_from(f"<{count}H", raw, BODY_AT),
+                                        n, field)
+    except InvariantViolation as exc:
         raise CacheError(f"{path}: class labels do not name conjugacy classes") from exc
-    return GroupTable(field, n, class_of, classes)
+    return GroupTable(field, n, codes, labels, classes)
 
 
 def class_fingerprint(table: GroupTable) -> bytes:

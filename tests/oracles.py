@@ -1,13 +1,15 @@
-"""Test oracles: matrix and subgroup helpers, Green's class data, the
-segment calculus, contragredients and mu_Q behind the symbolic
-commands, and per-index Weyl-element routines with the closed forms of
-the residue-survival count.  The library itself does not need them;
-they are written plainly so the tests can check it against them."""
+"""Test oracles: matrix and subgroup helpers, the row-by-row search for
+Sp(2k, F_q), Green's class data, the segment calculus, contragredients
+and mu_Q behind the symbolic commands, and per-index Weyl-element
+routines with the closed forms of the residue-survival count.  The
+library itself does not need them; they are written plainly so the
+tests can check it against them."""
 
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 
 from klyachko.errors import EmptyBlock, InvariantViolation
@@ -38,6 +40,12 @@ def exponent_by_powers(table):
         return k
 
     return math.lcm(*(order(cls.representative) for cls in table.classes))
+
+
+def element_labels(table):
+    """The class label of every element of a group table, in the order
+    of `table.elements` (increasing codes)."""
+    return [table.labels[code] for code in table.codes]
 
 
 def mat_transpose(a, n):
@@ -75,6 +83,49 @@ def sp_membership_flat(g, k, field):
     n = 2 * k
     j = symplectic_form(k, field)
     return mat_mul(mat_mul(mat_transpose(g, n), j, n, field), g, n, field) == j
+
+
+def sp_by_search(k, field):
+    """Sp(2k, F_q) as row-code tuples in lexicographic order, built row
+    by row: g is symplectic exactly when omega(g_a, g_b) = J_ab for every
+    pair of its rows, omega(u, v) = u J t(v), so each row is chosen from
+    the nonzero vectors v with omega(g_a, v) = J_ab for every row g_a
+    already chosen.  Each chosen row is kept as the functional g_a J, one
+    row of the multiplication table per coordinate."""
+    if k == 0:
+        return [()]
+    n, q, add, mul = 2 * k, field.q, field.add, field.mul
+    j = symplectic_form(k, field)
+    vectors = list(enumerate(product(range(q), repeat=n)))[1:]  # the zero vector is never a row
+    out = []
+
+    def functional(u):
+        rows = []
+        for c in range(n):
+            w = 0
+            for r in range(n):
+                w = add[w * q + mul[u[r] * q + j[r * n + c]]]
+            rows.append(mul[w * q:(w + 1) * q])
+        return rows
+
+    def extend(codes, funcs):
+        b = len(codes)
+        if b == n:
+            out.append(codes)
+            return
+        wants = [(rows, j[a * n + b]) for a, rows in enumerate(funcs)]
+        for code, v in vectors:
+            for rows, want in wants:
+                s = 0
+                for row, x in zip(rows, v):
+                    s = add[s * q + row[x]]
+                if s != want:
+                    break
+            else:
+                extend(codes + (code,), funcs + [functional(v)])
+
+    extend((), [])
+    return sorted(out)
 
 
 def h_membership_flat(g, spec, field):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from array import array
 from operator import mul
 from pathlib import Path
 
@@ -36,16 +37,18 @@ from klyachko.errors import (
 from klyachko.gelfand import verify_gelfand
 from klyachko.gf import mat_inv, mat_mul
 from klyachko.groups import (
+    SINGULAR,
     ConjClass,
     GroupTable,
     KlyachkoSubgroupSpec,
     _primitive_element,
-    encode_rows,
+    chunk_images,
+    encode,
     h_order,
     psi_r_trace,
     row_images,
 )
-from oracles import h_membership_flat
+from oracles import element_labels, h_membership_flat
 
 
 def _induced_full_sum(table, spec, arena):
@@ -62,7 +65,7 @@ def _induced_full_sum(table, spec, arena):
         for x, x_inv in zip(elements, inverses):
             y = mat_mul(mat_mul(x, cls.representative, n, field), x_inv, n, field)
             if h_membership_flat(y, spec, field):
-                acc += pow(zeta, psi_r_trace(encode_rows(y, n, field.q), spec, field), ell)
+                acc += pow(zeta, psi_r_trace(encode(y, field.q), spec, field), ell)
         vals.append(acc * h_inv % ell)
     return ClassFunction(arena, tuple(vals))
 
@@ -318,7 +321,7 @@ def test_class_matrix_rows_are_pair_counts(table_store):
     n, field, n_cls = table.n, table.field, len(table.classes)
     pairs = [[[0] * n_cls for _ in range(n_cls)] for _ in range(n_cls)]  # [i][j][k]
     for k, cls in enumerate(table.classes):
-        for x, c in zip(table.elements, table.class_of.values()):
+        for x, c in zip(table.elements, element_labels(table)):
             y = mat_mul(mat_inv(x, n, field), cls.representative, n, field)
             pairs[c][table.class_of_flat(y)][k] += 1
     members = class_members(table)
@@ -330,7 +333,7 @@ def test_class_matrix_rows_are_pair_counts(table_store):
 def _mat_mul_tensor_rows(table, i, rows):
     """Oracle: rows j of M_i by one mat_mul per product x g_j, x in C_i."""
     n, field, classes = table.n, table.field, table.classes
-    members = [el for el, c in zip(table.elements, table.class_of.values()) if c == i]
+    members = [el for el, c in zip(table.elements, element_labels(table)) if c == i]
     out = []
     for j in rows:
         counts = [0] * len(classes)
@@ -352,16 +355,16 @@ def test_class_matrix_rows_match_mat_mul_oracle(n, q, table_store):
 
 def test_row_images_built_once_per_representative_and_call(table_store, arena_store, monkeypatch):
     """On GL_2(F_9) one character_table call builds each class
-    representative's row images at most once; a second call builds them
-    again, since the tables are kept for one call only."""
+    representative's chunk images at most once; a second call
+    builds them again, since the tables are kept for one call only."""
     table, arena = table_store(2, 9), arena_store(2, 9)
     built = []
 
     def counting_row_images(g, n, field):
         built.append(g)
-        return row_images(g, n, field)
+        return chunk_images(g, n, field)
 
-    monkeypatch.setattr(characters, "row_images", counting_row_images)
+    monkeypatch.setattr(characters, "chunk_images", counting_row_images)
     character_table(table, arena)
     first = list(built)
     assert 0 < len(first) == len(set(first)) <= len(table.classes) == 80
@@ -375,7 +378,7 @@ def test_class_members_are_the_classes_in_lex_order(n, q, table_store):
     members = class_members(table)
     assert [len(m) for m in members] == [cls.size for cls in table.classes]
     for c, m in enumerate(members):
-        assert m == [el for el, label in table.class_of.items() if label == c]
+        assert list(m) == [code for code in table.codes if table.labels[code] == c]
 
 
 def test_class_members_bucketed_once_per_call(table_store, arena_store, monkeypatch):
@@ -403,7 +406,7 @@ def test_row_images_match_mat_mul(n, q, table_store):
         assert len(images) == q**n
         for code, row in enumerate(itertools.product(range(q), repeat=n)):
             x = row + (0,) * (n * n - n)  # row 0 of x is the row, the rest zero
-            assert (images[code],) == encode_rows(mat_mul(x, g, n, field)[:n], n, q)
+            assert images[code] == encode(mat_mul(x, g, n, field)[:n], q)
 
 
 def _power_map_rational_classes(table):
@@ -411,7 +414,7 @@ def _power_map_rational_classes(table):
     every a prime to the order of x."""
     n, field, ident = table.n, table.field, table.identity()
     found = [set() for _ in table.classes]
-    for x, c in zip(table.elements, table.class_of.values()):
+    for x, c in zip(table.elements, element_labels(table)):
         powers = [x]
         while powers[-1] != ident:
             powers.append(mat_mul(powers[-1], x, n, field))
@@ -624,8 +627,8 @@ def _merge_classes(table, a, b):
                   cls.invariant_factors, remap[cls.inverse_class])
         for c, cls in enumerate(table.classes) if c != b
     )
-    return GroupTable(table.field, table.n,
-                      {el: remap[c] for el, c in table.class_of.items()}, classes)
+    labels = array("H", (c if c == SINGULAR else remap[c] for c in table.labels))
+    return GroupTable(table.field, table.n, table.codes, labels, classes)
 
 
 @pytest.mark.parametrize("n,q", [(2, 5), (3, 2)])

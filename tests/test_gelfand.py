@@ -99,7 +99,7 @@ def test_cache_round_trip(tmp_path):
     assert (tmp_path / "gl2_q3.tbl").exists()
     second = load_or_compute_table(2, 3, cache_dir=tmp_path)
     assert second.elements == first.elements
-    assert second.class_of == first.class_of
+    assert second.labels == first.labels
     assert [c.invariant_factors for c in second.classes] == [
         c.invariant_factors for c in first.classes
     ]

@@ -1,4 +1,5 @@
 import random
+from array import array
 from dataclasses import replace
 from itertools import product
 
@@ -11,21 +12,27 @@ from klyachko.gf import field_from_q, field_make, mat_identity, mat_inv, mat_mul
 from klyachko.groups import (
     ConjClass,
     KlyachkoSubgroupSpec,
+    chunk_columns,
+    chunk_images,
+    chunk_rows,
     class_count,
     conjugacy_classes,
-    decode_rows,
-    encode_rows,
+    decode,
+    encode,
     enumerate_h,
     enumerate_sp,
     gl_elements,
     gl_enumerate,
     h_order,
+    products,
     psi_r_trace,
+    row_codes,
     scalar_class_map,
     sp_order,
     symplectic_form,
 )
 from oracles import (
+    element_labels,
     exponent_by_powers,
     flat_orbit_classes,
     gl_order,
@@ -33,6 +40,7 @@ from oracles import (
     h_membership_flat,
     mat_det,
     mat_transpose,
+    sp_by_search,
     sp_membership_flat,
 )
 
@@ -41,7 +49,7 @@ CLASS_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (2, 8), (2, 9)]
 
 
 def decoded(elements, n, q):
-    return [decode_rows(g, n, q) for g in elements]
+    return [decode(g, n, q) for g in elements]
 
 
 def brute_force_gl(n, field):
@@ -56,6 +64,16 @@ def test_enumeration_matches_brute_force(n, p, e, count):
     oracle = brute_force_gl(n, field)
     assert len(elements) == count == len(oracle)
     assert decoded(elements, n, field.q) == sorted(oracle)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 5), (2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_gl_elements_are_the_codes_of_the_lex_enumeration(n, q):
+    """Strictly increasing codes that decode to the flat lex enumeration;
+    for n = 1 and n = 2 the hyperplane step starts at the root."""
+    field = field_from_q(q)
+    elements = gl_elements(n, field)
+    assert all(a < b for a, b in zip(elements, elements[1:]))
+    assert decoded(elements, n, q) == brute_force_gl(n, field)
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 3), (2, 7)])
@@ -118,22 +136,23 @@ def test_scalar_class_map_is_multiplication_by_w(n, q, table_store):
 def test_scalar_class_map_rejects_labels_that_are_not_classes(table_store):
     table = table_store(2, 5)
     e_idx = table.identity_class()
-    w = encode_rows(_scalar(groups._primitive_element(table.field), 2), 2, 5)
+    labels = array("H", table.labels)
     # w I labelled as the identity: I and w^-1 I both map to the identity's class
-    relabelled = groups.GroupTable(table.field, 2, {**table.class_of, w: e_idx}, table.classes)
+    labels[encode(_scalar(groups._primitive_element(table.field), 2), 5)] = e_idx
+    relabelled = groups.GroupTable(table.field, 2, table.codes, labels, table.classes)
     with pytest.raises(InvariantViolation, match="does not permute the classes"):
         scalar_class_map(relabelled)
     # the identity class recorded with size 2: a permutation, but not of equal sizes
     classes = list(table.classes)
     classes[e_idx] = replace(classes[e_idx], size=2)
-    resized = groups.GroupTable(table.field, 2, table.class_of, tuple(classes))
+    resized = groups.GroupTable(table.field, 2, table.codes, table.labels, tuple(classes))
     with pytest.raises(InvariantViolation, match="changes a class size"):
         scalar_class_map(resized)
 
 
 def class_members(table, c):
     """The members of class c as flat entry tuples."""
-    return [el for el, label in zip(table.elements, table.class_of.values()) if label == c]
+    return [el for el, label in zip(table.elements, element_labels(table)) if label == c]
 
 
 def brute_force_orbit_partition(table):
@@ -184,11 +203,11 @@ def smith_key_classes(elements, n, field):
                                  (2, 9), (3, 2), (3, 3)])
 def test_orbit_classes_match_smith_key_oracle(n, q, table_store):
     """Same class order, representatives, sizes, keys, inverse classes
-    and class_of as keying every element by its Smith form."""
+    and element labels as keying every element by its Smith form."""
     table = table_store(n, q)
     classes, class_of = smith_key_classes(table.elements, n, table.field)
     assert table.classes == classes
-    assert list(zip(table.elements, table.class_of.values())) == list(class_of.items())
+    assert list(zip(table.elements, element_labels(table))) == list(class_of.items())
 
 
 @pytest.mark.parametrize("n,q", CLASS_GRID)
@@ -204,23 +223,40 @@ def test_classes_match_green_class_data(n, q):
 
 @pytest.mark.parametrize("n,q", CLASS_GRID)
 def test_row_code_classes_match_flat_sweep(n, q, table_store):
-    """The decoded row-code map equals the per-element sweep on flat
-    entry tuples, label for label and in order."""
+    """The labels of the decoded elements equal the per-element sweep on
+    flat entry tuples, label for label and in order."""
     table = table_store(n, q)
     flat = flat_orbit_classes(table.elements, n, table.field)
-    assert list(zip(table.elements, table.class_of.values())) == list(flat.items())
+    assert list(zip(table.elements, element_labels(table))) == list(flat.items())
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (3, 2)])
 def test_row_codes_round_trip(n, q):
     """Decoding all of GL_n(F_q) gives every invertible matrix once, in
-    lex order, and encoding gives the row codes back."""
+    lex order, encoding gives the codes back, and the row codes are the
+    base-q^n digits of the code."""
     field = field_from_q(q)
     elements = gl_elements(n, field)
     flat = decoded(elements, n, q)
     assert flat == brute_force_gl(n, field)
-    assert [encode_rows(g, n, q) for g in flat] == elements
-    assert all(0 <= code < q**n for g in elements for code in g)
+    assert [encode(g, q) for g in flat] == list(elements)
+    for code, g in zip(elements, flat):
+        rows = row_codes(code, n, q)
+        assert rows == [encode(g[r * n:(r + 1) * n], q) for r in range(n)]
+        assert sum(row * q ** (n * (n - 1 - r)) for r, row in enumerate(rows)) == code
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_products_match_mat_mul(n, q, table_store):
+    """x g for every element x, by one chunk-image lookup per chunk of
+    rows (pairs of rows when n > 2), equals the matrix product."""
+    table = table_store(n, q)
+    columns = chunk_columns(table.codes, n, q)
+    assert len(columns) == -(-n // chunk_rows(n))
+    for cls in table.classes[:4]:
+        g = cls.representative
+        assert list(products(columns, chunk_images(g, n, table.field))) == \
+            [encode(mat_mul(x, g, n, table.field), q) for x in table.elements]
 
 
 @pytest.mark.parametrize("n,q", CLASS_GRID)
@@ -231,7 +267,7 @@ def test_enumerate_h_is_the_encoded_membership_filter(n, q):
     flat = decoded(gl_elements(n, field), n, q)
     for k in range(n // 2 + 1):
         spec = KlyachkoSubgroupSpec(n - 2 * k, k)
-        oracle = [encode_rows(g, n, q) for g in flat if h_membership_flat(g, spec, field)]
+        oracle = [encode(g, q) for g in flat if h_membership_flat(g, spec, field)]
         assert enumerate_h(spec, field) == oracle
 
 
@@ -294,7 +330,7 @@ def test_inverse_class_is_involution_fixing_identity(table_store):
 def test_inverse_class_consistent_on_all_elements(table_store):
     table = table_store(2, 3)
     inv_map = [cls.inverse_class for cls in table.classes]
-    for el, c in zip(table.elements, table.class_of.values()):
+    for el, c in zip(table.elements, element_labels(table)):
         g_inv = mat_inv(el, 2, table.field)
         assert table.class_of_flat(g_inv) == inv_map[c]
 
@@ -323,7 +359,7 @@ def test_sp_counts():
 def test_enumerate_sp_matches_two_product_filter(k, q):
     field = field_from_q(q)
     oracle = [g for g in gl_elements(2 * k, field)
-              if sp_membership_flat(decode_rows(g, 2 * k, q), k, field)]
+              if sp_membership_flat(decode(g, 2 * k, q), k, field)]
     assert enumerate_sp(k, field) == oracle
     assert len(oracle) == sp_order(k, q)
 
@@ -347,6 +383,30 @@ def random_symplectic(k, field, rng, steps=12):
     return g
 
 
+@pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3)])
+def test_enumerate_sp_closure_matches_search(k, q):
+    """The transvection closure equals the row-by-row search it replaced."""
+    field = field_from_q(q)
+    closure = enumerate_sp(k, field)
+    assert [tuple(row_codes(code, 2 * k, q)) for code in closure] == sp_by_search(k, field)
+    assert closure == sorted(closure) and len(closure) == sp_order(k, q)
+
+
+def test_enumerate_sp_checks_its_generators(monkeypatch):
+    """Too few generators give a closure smaller than Sp(4, F_3), and a
+    transvection built on a symmetric form, the antidiagonal of ones, is
+    not symplectic: both raise."""
+    field = field_from_q(3)
+    full = groups._symplectic_generators
+    monkeypatch.setattr(groups, "_symplectic_generators", lambda k, f: full(k, f)[:1])
+    with pytest.raises(InvariantViolation, match="came out"):
+        enumerate_sp(2, field)
+    monkeypatch.setattr(groups, "_symplectic_generators", full)
+    monkeypatch.setattr(groups, "symplectic_form", lambda k, f: (0, 1, 1, 0))
+    with pytest.raises(InvariantViolation, match="not symplectic"):
+        enumerate_sp(1, field)
+
+
 def test_enumerate_sp4_f3_against_two_product_test():
     """GL_4(F_3) is too large to filter whole, so check Sp(4, F_3) by its
     order, random symplectic matrices and one-entry changes of them
@@ -360,12 +420,12 @@ def test_enumerate_sp4_f3_against_two_product_test():
     for _ in range(300):
         g = random_symplectic(2, field, rng)
         assert sp_membership_flat(g, 2, field)
-        assert encode_rows(g, 4, 3) in member_set
+        assert encode(g, 3) in member_set
         m = list(g)
         m[rng.randrange(16)] = rng.randrange(3)
         m = tuple(m)
         want = sp_membership_flat(m, 2, field)
-        assert (encode_rows(m, 4, 3) in member_set) == want
+        assert (encode(m, 3) in member_set) == want
         hits += want
     assert hits < 300
 
@@ -395,7 +455,7 @@ def test_enumerate_h_is_built_without_gl(r, k, q, monkeypatch):
     field = field_from_q(q)
     spec = KlyachkoSubgroupSpec(r, k)
     oracle = [g for g in gl_elements(spec.n, field)
-              if h_membership_flat(decode_rows(g, spec.n, q), spec, field)]
+              if h_membership_flat(decode(g, spec.n, q), spec, field)]
 
     def no_gl(*args, **kwargs):
         raise AssertionError("gl_elements called")
@@ -421,13 +481,13 @@ def test_h_closure_under_product_and_inverse():
 def test_psi_identity_is_zero():
     f3 = field_make(3, 1)
     spec = KlyachkoSubgroupSpec(3, 0)
-    assert psi_r_trace(encode_rows(mat_identity(3), 3, 3), spec, f3) == 0
+    assert psi_r_trace(encode(mat_identity(3), 3), spec, f3) == 0
 
 
 def test_psi_reads_superdiagonal():
     f3 = field_make(3, 1)
     spec = KlyachkoSubgroupSpec(2, 0)
-    assert psi_r_trace(encode_rows((1, 2, 0, 1), 2, 3), spec, f3) == 2
+    assert psi_r_trace(encode((1, 2, 0, 1), 3), spec, f3) == 2
 
 
 def test_psi_trivial_for_small_r():
@@ -446,11 +506,11 @@ def test_psi_is_homomorphism():
         members = enumerate_h(spec, field)
         for _ in range(1000):
             a, b = rng.choice(members), rng.choice(members)
-            ab = mat_mul(decode_rows(a, n, field.q), decode_rows(b, n, field.q), n, field)
+            ab = mat_mul(decode(a, n, field.q), decode(b, n, field.q), n, field)
             assert h_membership_flat(ab, spec, field)
             va = psi_r_trace(a, spec, field)
             vb = psi_r_trace(b, spec, field)
-            assert psi_r_trace(encode_rows(ab, n, field.q), spec, field) == (va + vb) % p
+            assert psi_r_trace(encode(ab, field.q), spec, field) == (va + vb) % p
 
 
 # -- the mirrored family H'_{2k,r} ----------------------------------------
@@ -501,7 +561,7 @@ def test_duality_involution_swaps_model_families():
         spec = KlyachkoSubgroupSpec(r, k)
         image = set()
         for h in enumerate_h(spec, field):
-            t = duality_involution(decode_rows(h, spec.n, field.q), r, k, field)
+            t = duality_involution(decode(h, spec.n, field.q), r, k, field)
             image.add(t)
             e1 = psi_r_trace(h, spec, field)
             e2 = mirrored_psi_trace(t, r, k, field)

@@ -81,6 +81,15 @@ def test_only_groups_codes_rows():
     assert found == ["groups.py"]
 
 
+def test_no_class_of_dict_in_library():
+    """One class-lookup path: the label array indexed by element code.
+    No module keeps a `class_of` map from elements to classes."""
+    found = [f"{path.name}:{lineno}" for path in sorted(SRC.glob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\bclass_of\b", line)]
+    assert found == []
+
+
 def test_every_library_name_is_used():
     """Every function, class and method the library defines, dunders
     aside, is used by the library or the benchmark: its name occurs as a

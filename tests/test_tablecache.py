@@ -23,6 +23,7 @@ from klyachko.tablecache import (
     save_characters,
     save_table,
 )
+from oracles import element_labels
 
 RETIRED_MAGIC = b"KLYGRP\x00\x02"  # format 2 also stored a record per class
 FORMAT_3_MAGIC = b"KLYGRP\x00\x03"  # format 3 also stored the elements
@@ -30,14 +31,19 @@ FORMAT_3_MAGIC = b"KLYGRP\x00\x03"  # format 3 also stored the elements
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_save_load_with_classes(n, q, tmp_path, table_store):
-    """The class records derived at load equal those of the orbit sweep."""
+    """The table loaded from a file equals the orbit sweep's in its
+    label array, element codes, class records, order, elements and
+    inverses."""
     table = table_store(n, q)
     path = tmp_path / "t.tbl"
     save_table(table, path)
     loaded = load_table(path, table.field, n)
-    assert loaded.elements == table.elements
-    assert loaded.class_of == table.class_of
+    assert loaded.labels == table.labels
+    assert loaded.codes == table.codes
     assert loaded.classes == table.classes
+    assert loaded.order == table.order
+    assert loaded.elements == table.elements
+    assert loaded.inverses() == table.inverses()
 
 
 def test_load_rejects_wrong_parameters(tmp_path, table_store):
@@ -60,8 +66,8 @@ def test_load_rejects_corrupt(tmp_path):
 
 
 def _rewrite_labels(path, relabel, redigest=False):
-    """Apply `relabel` to the class_of labels in place; class_of is the
-    file's trailing u16 array, the element count the u32 at 12.  With
+    """Apply `relabel` to the class labels in place, the file's trailing
+    u16 array, one per element; the element count is the u32 at 12.  With
     `redigest` the digest is made to match, so only the labels are wrong."""
     raw = bytearray(path.read_bytes())
     (count,) = struct.unpack_from("<I", raw, 12)
@@ -128,7 +134,15 @@ def _merge_label_2_into_1(labels):
     return [c - (c >= 2) for c in labels]
 
 
-@pytest.mark.parametrize("relabel", [_skip_label_1, _split_a_class, _merge_label_2_into_1])
+def _swap_labels_1_and_2(labels):
+    """Classes 1 and 2 trade labels everywhere: the labels are still the
+    classes, but class 2's least member now comes first, so the class
+    order differs from the sweep's."""
+    return [{1: 2, 2: 1}.get(c, c) for c in labels]
+
+
+@pytest.mark.parametrize("relabel", [_skip_label_1, _split_a_class, _merge_label_2_into_1,
+                                     _swap_labels_1_and_2])
 def test_load_rejects_labels_that_are_not_classes(tmp_path, table_store, relabel):
     table = table_store(2, 3)
     path = tmp_path / "t.tbl"
@@ -156,7 +170,7 @@ def test_save_does_not_touch_another_writers_temp_file(tmp_path, table_store):
     save_table(table, tmp_path / "gl2_q2.tbl")
     assert other.read_bytes() == b"half-written by another process"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gl2_q2.tbl", "gl2_q2.tmp"]
-    assert load_table(tmp_path / "gl2_q2.tbl", table.field, 2).class_of == table.class_of
+    assert load_table(tmp_path / "gl2_q2.tbl", table.field, 2).labels == table.labels
 
 
 def test_corrupt_cache_is_recomputed_and_replaced(tmp_path, capsys):
@@ -212,7 +226,7 @@ def _format_3_bytes(table, edit):
                                         table.order)
     elements = bytearray(b"".join(bytes(el) for el in table.elements))
     edit(elements, table.n * table.n)
-    body = bytes(elements) + struct.pack(f"<{table.order}H", *table.class_of.values())
+    body = bytes(elements) + struct.pack(f"<{table.order}H", *element_labels(table))
     return head + hashlib.sha256(head + body).digest() + body
 
 
@@ -288,7 +302,29 @@ def test_save_writes_labels_only(tmp_path, table_store):
         raw = path.read_bytes()
         assert raw[:8] == MAGIC == b"KLYGRP\x00\x04"
         assert len(raw) == 48 + 2 * table.order
-        assert list(struct.unpack_from(f"<{table.order}H", raw, 48)) == list(table.class_of.values())
+        assert list(struct.unpack_from(f"<{table.order}H", raw, 48)) == element_labels(table)
+
+
+def test_permuted_class_labels_are_recomputed_and_replaced(tmp_path, capsys):
+    """GL_2(F_3) with labels 1 and 2 swapped and the digest made valid,
+    the character file removed: `table` recomputes and rewrites the
+    table file and prints the classes in the order of --no-cache."""
+    argv = ["table", "--n", "2", "--q", "3", "--format", "json"]
+    assert main(argv + ["--no-cache"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = cache_path(tmp_path, 2, 3)
+    good = path.read_bytes()
+    _rewrite_labels(path, _swap_labels_1_and_2, redigest=True)
+    for chars in tmp_path.glob("*.chr"):
+        chars.unlink()
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    for report in (want, got):
+        report.pop("meta")
+    assert got == want
+    assert path.read_bytes() == good
 
 
 def test_format_2_cache_is_recomputed_and_replaced(tmp_path, capsys):
