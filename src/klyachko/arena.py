@@ -103,14 +103,14 @@ def zpoly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
 
 
 def zpoly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod (f, p), e >= 0."""
+    """a^e mod (f, p), e >= 0, by square-and-multiply from the top bit of
+    e: every multiply is by a itself, so for a linear a it is one
+    O(deg f) pass, not a product by a squared base."""
     out = [1]
-    while e:
-        if e & 1:
+    for bit in f"{e:b}":
+        out = zpoly_mulmod(out, out, f, p)
+        if bit == "1":
             out = zpoly_mulmod(out, a, f, p)
-        e >>= 1
-        if e:
-            a = zpoly_mulmod(a, a, f, p)
     return out
 
 

@@ -32,13 +32,16 @@ is a line its vector is a central character.  A restriction that is a
 scalar leaves its space whole with no characteristic polynomial: class
 matrices act diagonalisably, so one eigenvalue means a scalar.
 Otherwise the eigenvalues are the roots of the characteristic
-polynomial chi, found as gcd(x^ell - x, s) on its
-squarefree part s = chi / gcd(chi, chi') and separated by
-Cantor-Zassenhaus equal-degree splitting with the shifts 0, 1, 2, ...;
-nothing is random.  All linear algebra is over Z/ell, so every
-identity below is checked exactly, never to a tolerance; the row and
-column orthogonality of the finished table are one dot product mod ell
-per pair of characters and per pair of classes.
+polynomial chi, on its squarefree part s = chi / gcd(chi, chi'): one
+powering h = x^((ell - 1)/2) mod s gives both the linear part
+gcd(s, x h^2 - x) = gcd(s, x^ell - x) and its first Cantor-Zassenhaus
+split, and the factors are split further with the shifts 1, 2, ...,
+each factor resuming after the shift that made it; nothing is random.
+All linear algebra is over Z/ell, so every identity below is checked
+exactly, never to a tolerance.  The row orthogonality of the finished
+table is one packed sum per character, holding its relations with all
+N characters; over Z/ell the row relations imply the column relations
+(see `verify_orthogonality`).
 
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
@@ -58,7 +61,15 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 
-from .arena import ModularArena, zpoly_divmod, zpoly_gcd, zpoly_powmod, zpoly_sub, zpoly_trim
+from .arena import (
+    ModularArena,
+    zpoly_divmod,
+    zpoly_gcd,
+    zpoly_mulmod,
+    zpoly_powmod,
+    zpoly_sub,
+    zpoly_trim,
+)
 from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
 from .groups import (
     GroupTable,
@@ -186,12 +197,20 @@ def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
 
     The squarefree part s = f / gcd(f, f') has the same roots, each once:
     deg f < ell keeps every multiplicity m below ell, so f' holds each
-    factor of f exactly m - 1 times.  g = gcd(x^ell - x, s) has one
-    linear factor per root; the powering runs modulo s, whose degree is
-    the number of distinct roots when f splits into linear factors, as
-    the characteristic polynomial of a diagonalisable restriction does.
-    Cantor-Zassenhaus splits g with gcd(g, (x + a)^((ell - 1)/2) - 1) for
-    a = 0, 1, 2, ... (ell is an odd prime).
+    factor of f exactly m - 1 times.  One powering, h = x^((ell - 1)/2)
+    mod s, does two jobs (ell is an odd prime).  x^ell - x = x h^2 - x
+    mod s, so g = gcd(s, x h^2 - x) has one linear factor per root and
+    none of the irreducible factors of higher degree; and h mod g is
+    the power of the shift a = 0 in the Cantor-Zassenhaus split of g,
+    gcd(g, (x + a)^((ell - 1)/2) - 1) for a = 0, 1, 2, ..., each power
+    taken modulo the factor being split.  Every factor carries the next
+    shift to try: a shift that failed on a factor, or that split its
+    parent, gives the same answer to "(r + a)^((ell - 1)/2) = 1?" at
+    every root r of it, so a child resumes at a + 1 and no shift is
+    applied twice to a factor or to a divisor of it.  The powering runs
+    modulo s, whose degree is the number of distinct roots when f splits
+    into linear factors, as the characteristic polynomial of a
+    diagonalisable restriction does.  Nothing is random.
     """
     f = zpoly_trim([c % ell for c in coeffs])
     if len(f) - 1 >= ell:
@@ -200,20 +219,23 @@ def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
         return []
     derivative = zpoly_trim([d * c % ell for d, c in enumerate(f)][1:])
     s = zpoly_divmod(f, zpoly_gcd(f, derivative, ell), ell)[0]
-    roots: list[int] = []
-    pending = [zpoly_gcd(s, zpoly_sub(zpoly_powmod([0, 1], ell, s, ell), [0, 1], ell), ell)]
     half = (ell - 1) // 2
+    h = zpoly_powmod([0, 1], half, s, ell)
+    x_ell = zpoly_mulmod(zpoly_mulmod(h, h, s, ell), [0, 1], s, ell)
+    roots: list[int] = []
+    pending = [(zpoly_gcd(s, zpoly_sub(x_ell, [0, 1], ell), ell), 0)]
     while pending:
-        g = pending.pop()
+        g, first = pending.pop()
         if len(g) == 2:
             roots.append(-g[0] % ell)  # g is monic: x + g_0
             continue
         if len(g) < 2:
             continue
-        for a in range(ell):
-            h = zpoly_gcd(g, zpoly_sub(zpoly_powmod([a, 1], half, g, ell), [1], ell), ell)
-            if 1 < len(h) < len(g):
-                pending += [h, zpoly_divmod(g, h, ell)[0]]  # both monic
+        for a in range(first, ell):
+            power = zpoly_divmod(h, g, ell)[1] if a == 0 else zpoly_powmod([a, 1], half, g, ell)
+            k = zpoly_gcd(g, zpoly_sub(power, [1], ell), ell)
+            if 1 < len(k) < len(g):
+                pending += [(k, a + 1), (zpoly_divmod(g, k, ell)[0], a + 1)]  # both monic
                 break
         else:
             raise InvariantViolation(f"no shift separates the roots of a degree {len(g) - 1} factor")
@@ -435,10 +457,9 @@ def inner_product_residue(a: ClassFunction, b: ClassFunction, table: GroupTable)
     if arena != b.arena:
         raise ArenaMismatch("class functions from different arenas")
     ell = arena.ell
-    acc = 0
-    for c, cls in enumerate(table.classes):
-        acc = (acc + cls.size * a.values[c] % ell * b.values[cls.inverse_class]) % ell
-    return acc * pow(table.order, ell - 2, ell) % ell
+    b_values = b.values
+    acc = sum(c.size * x * b_values[c.inverse_class] for c, x in zip(table.classes, a.values))
+    return acc % ell * pow(table.order, ell - 2, ell) % ell
 
 
 def multiplicity(chi_model: ClassFunction, chi_irr: ClassFunction, table: GroupTable) -> int:
@@ -449,14 +470,26 @@ def multiplicity(chi_model: ClassFunction, chi_irr: ClassFunction, table: GroupT
 
 
 def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: ModularArena) -> None:
-    """Exact row/column orthogonality and the dimension identity of a
+    """Exact row and column orthogonality and the dimension identity of a
     computed table; raises InvariantViolation on any mismatch.
 
-    Each check is one dot product mod ell: a row against the vector
-    |c| chi_b(c^-1) of the other, a column against another column.
-    Columns c and c' have dot product |G| / |c| when c' is the inverse
-    class of c and 0 otherwise; both sides are symmetric in c and c', so
-    each pair is checked once.
+    Let X be the N x N table, X[a][c] = chi_a(c), and B the matrix
+    B[c][b] = |c| chi_b(c^-1) / |G|.  The row relations for all N^2 pairs
+    (a, b) say X B = I.  Column c of B times |G| is packed into one
+    integer with a slot of `width` bits per character b, holding
+    |c| chi_b(c^-1) mod ell.  With every chi_a(c) in [0, ell) (a row
+    with a value outside is reduced first) a slot of row a's sum over c
+    of chi_a(c) times the packed column is at most N (ell - 1)^2 <
+    2^width, so one sum per row gives all N of its products
+    |G| <chi_a, chi_b>, each checked mod ell against |G| delta_ab.
+
+    The column relations follow.  Over the field Z/ell a one-sided
+    inverse of a square matrix is two-sided, so X B = I gives B X = I,
+    whose entry (c, c') is sum_b |c| chi_b(c^-1) chi_b(c') / |G|.  When
+    inverse_class is an involution keeping class sizes and every size
+    divides |G| (checked first), putting c^-1 for c makes B X = I read:
+    columns c and c' have dot product |G| / |c| when c' is the inverse
+    class of c and 0 otherwise, the column relation for every pair.
     """
     ell = arena.ell
     classes = table.classes
@@ -470,20 +503,23 @@ def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: M
         raise InvariantViolation("sum of squared dimensions != |G|")
     inv_map = [c.inverse_class for c in classes]
     sizes = [c.size for c in classes]
-    inv_order = pow(table.order, ell - 2, ell)
-    weighted = [list(map(mul, sizes, map(cf.values.__getitem__, inv_map))) for cf in chars]
-    for a in range(n_cls):
-        row = chars[a].values
-        for b in range(a, n_cls):
-            want = 1 if a == b else 0
-            if sum(map(mul, row, weighted[b])) % ell * inv_order % ell != want:
+    for c, i in enumerate(inv_map):
+        if not 0 <= i < n_cls or inv_map[i] != c or sizes[i] != sizes[c] or table.order % sizes[c]:
+            raise InvariantViolation(f"class {c} and its inverse class {i} do not pair up")
+    rows = [cf.values if 0 <= min(cf.values) and max(cf.values) < ell
+            else [v % ell for v in cf.values] for cf in chars]
+    width = (n_cls * (ell - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    packed = [0] * n_cls  # slot b of packed[c] at bits [b width, (b + 1) width)
+    for row in reversed(rows):
+        packed = [col << width | size * row[i] % ell for col, size, i in zip(packed, sizes, inv_map)]
+    order = table.order % ell
+    for a, row in enumerate(rows):
+        total = sum(map(mul, row, packed))
+        for b in range(n_cls):
+            if (total & mask) % ell != (order if a == b else 0):
                 raise InvariantViolation(f"row orthogonality failed at ({a}, {b})")
-    columns = list(zip(*(cf.values for cf in chars)))
-    for c in range(n_cls):
-        col, want = columns[c], table.order // sizes[c] % ell
-        for c2 in range(c, n_cls):
-            if sum(map(mul, col, columns[c2])) % ell != (want if c2 == inv_map[c] else 0):
-                raise InvariantViolation(f"column orthogonality failed at ({c}, {c2})")
+            total >>= width
 
 
 def _check_arena(table: GroupTable, arena: ModularArena) -> None:

@@ -38,9 +38,10 @@ class, in class order, so a file written for other class records is not
 read.  The loader rejects a file whose version, (n, p, e), class count,
 width, ell, length, digest or fingerprint do not match, with a value
 >= ell, with rows out of `character_table`'s order, or that fails
-`verify_orthogonality` (row and column orthogonality and the dimension
-identity), which runs on every load; the caller then recomputes the
-characters and overwrites the file.
+`verify_orthogonality` (row orthogonality, which implies column
+orthogonality over Z/ell, and the dimension identity), which runs on
+every load; the caller then recomputes the characters and overwrites
+the file.
 """
 
 from __future__ import annotations

@@ -113,7 +113,8 @@ def test_criterion_3_orthogonality_exact(n, q):
     arena = build_arena(table.order, table.exponent(), table.field.p)
     chars = character_table(table, arena)
     verify_orthogonality(chars, table, arena)  # raises on any exact mismatch
-    print(f"criterion 3 ({n},{q}): PASS - row and column orthogonality exact mod {arena.ell}")
+    print(f"criterion 3 ({n},{q}): PASS - row orthogonality exact mod {arena.ell} for every pair,"
+          " column orthogonality implied")
 
 
 def test_criterion_4_derivative_coherence():

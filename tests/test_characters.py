@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from klyachko import characters
-from klyachko.arena import build_arena, zpoly_powmod
+from klyachko.arena import build_arena, zpoly_divmod, zpoly_powmod
 from klyachko.characters import (
     ClassFunction,
     _central_spaces,
@@ -210,8 +211,9 @@ def test_orthogonality_checkers_agree_on_perturbed_tables(n, q, table_store, are
 
 
 def test_orthogonality_takes_each_dot_product_once(table_store, arena_store, monkeypatch):
-    """N(N+1)/2 row and N(N+1)/2 column dot products, each one sum call,
-    plus the sum of squared dimensions."""
+    """One packed sum per character, holding its N row relations, plus
+    the sum of squared dimensions: N + 1 sum calls.  The column relations
+    are implied by the row relations over Z/ell, not computed."""
     table, arena = table_store(2, 9), arena_store(2, 9)
     chars = character_table(table, arena)
     calls = []
@@ -222,8 +224,52 @@ def test_orthogonality_takes_each_dot_product_once(table_store, arena_store, mon
 
     monkeypatch.setattr(characters, "sum", counting_sum, raising=False)
     verify_orthogonality(chars, table, arena)
-    n_cls = len(table.classes)
-    assert len(calls) == 1 + 2 * (n_cls * n_cls + n_cls) // 2
+    assert len(calls) == len(table.classes) + 1
+
+
+def test_orthogonality_reduces_values_outside_the_residue_range(table_store, arena_store):
+    """A table whose rows hold other representatives of the same
+    residues passes: the slot bound is kept by reducing them first."""
+    table, arena = table_store(2, 5), arena_store(2, 5)
+    chars = character_table(table, arena)
+    ell = arena.ell
+    for shift in (ell, -ell, 3 * ell * ell):
+        shifted = [ClassFunction(arena, tuple(v + shift for v in cf.values)) for cf in chars]
+        verify_orthogonality(shifted, table, arena)
+        _literal_orthogonality(shifted, table, arena)
+
+
+def _with_inverse_classes(table, pairs):
+    """The table with class c's inverse_class set to i for each (c, i)."""
+    classes = list(table.classes)
+    for c, i in pairs:
+        classes[c] = dataclasses.replace(classes[c], inverse_class=i)
+    return dataclasses.replace(table, classes=tuple(classes))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5)])
+def test_orthogonality_rejects_inverse_classes_that_do_not_pair_up(n, q, table_store, arena_store):
+    """The column relations follow from the row relations only when
+    inverse_class is an involution keeping class sizes: a map that is
+    not an involution, or that pairs classes of different sizes, or that
+    leaves the classes, is refused before the row pass."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    chars = character_table(table, arena)
+    classes = table.classes
+    inv = [c.inverse_class for c in classes]
+    c0 = next(c for c in range(len(classes)) if inv[c] != c)  # a class of non-real elements
+    e_idx = table.identity_class()
+    other = next(c for c in range(len(classes)) if inv[c] == c and classes[c].size > 1)
+    assert classes[other].size != classes[e_idx].size
+    broken = [
+        _with_inverse_classes(table, [(c0, c0)]),  # its old inverse class still points at c0
+        _with_inverse_classes(table, [(e_idx, other), (other, e_idx)]),  # an involution, sizes 1 and > 1
+        _with_inverse_classes(table, [(c0, len(classes))]),
+    ]
+    for bad in broken:
+        with pytest.raises(InvariantViolation, match="do not pair up"):
+            verify_orthogonality(chars, bad, arena)
+    verify_orthogonality(chars, table, arena)
 
 
 def test_orthogonality_rejects_characters_of_another_arena(table_store, arena_store):
@@ -513,6 +559,32 @@ def test_split_work_is_pinned_and_matches_readme(table_store, arena_store, monke
     assert f"on GL_2(F_9) {scalar_29} of the {restrictions_29} restrictions" in text
 
 
+ROOT_POWERINGS = {(2, 8): 77, (2, 9): 180, (3, 3): 37, (4, 2): 23}
+
+
+def test_root_search_powerings_are_pinned_and_match_readme(table_store, arena_store, monkeypatch):
+    """The zpoly_powmod calls of one character_table call, exactly, and
+    the README sentence that states them: one x^((ell - 1)/2) per
+    characteristic polynomial and one (x + a)^((ell - 1)/2) per shift
+    a > 0 tried on a factor."""
+    counted = {}
+    for n, q in ROOT_POWERINGS:
+        calls = []
+
+        def recording_powmod(a, e, f, p):
+            calls.append(1)
+            return zpoly_powmod(a, e, f, p)
+
+        monkeypatch.setattr(characters, "zpoly_powmod", recording_powmod)
+        character_table(table_store(n, q), arena_store(n, q))
+        monkeypatch.undo()
+        counted[(n, q)] = len(calls)
+    assert counted == ROOT_POWERINGS
+    text = " ".join(README.read_text().split())
+    groups = "GL_2(F_8), GL_2(F_9), GL_3(F_3) and GL_4(F_2)"
+    assert f"On {groups} the root search makes {_listed(ROOT_POWERINGS.values())} powerings" in text
+
+
 # -- the central pre-split -----------------------------------------------------
 
 PRESPLIT_GRID = [(1, 5), (2, 5), (2, 9), (3, 3), (4, 2)]
@@ -696,6 +768,27 @@ def test_roots_of_high_multiplicity_power_modulo_the_squarefree_part(ell, monkey
     monkeypatch.setattr(characters, "zpoly_powmod", recording_powmod)
     assert _roots_mod(coeffs, ell) == [5, ell - 9]
     assert moduli and max(moduli) <= 2
+
+
+def test_roots_apply_no_shift_twice_to_a_factor_or_a_divisor_of_it(monkeypatch):
+    """Twelve distinct roots: every powering is of a linear x + a, and two
+    powerings with the same shift a are modulo factors neither of which
+    divides the other."""
+    ell = 97
+    roots = sorted(random.Random(12).sample(range(ell), 12))
+    applied = []
+
+    def recording_powmod(a, e, f, p):
+        assert len(a) == 2 and a[1] == 1
+        applied.append((a[0], f))
+        return zpoly_powmod(a, e, f, p)
+
+    monkeypatch.setattr(characters, "zpoly_powmod", recording_powmod)
+    assert _roots_mod(_poly_from_roots(roots, 5, ell), ell) == roots
+    assert len({shift for shift, _ in applied}) > 2  # the split goes past the first shifts
+    for (s1, f1), (s2, f2) in itertools.combinations(applied, 2):
+        if s1 == s2:
+            assert zpoly_divmod(f1, f2, ell)[1] and zpoly_divmod(f2, f1, ell)[1], s1
 
 
 def test_roots_skip_repeated_irreducible_factor():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from klyachko.arena import is_prime, zpoly_is_irreducible
+from klyachko.arena import is_prime, zpoly_is_irreducible, zpoly_mulmod, zpoly_powmod
 from klyachko.errors import FieldTooLarge, NonPrimeP
 from klyachko.gf import FiniteField, field_from_q, field_make
 
@@ -208,6 +208,18 @@ def test_ben_or_matches_divisor_oracle(p, max_deg):
         for code in range(p**deg, 2 * p**deg):
             poly = poly_from_code(code, p)
             assert zpoly_is_irreducible(list(poly), p) == divisor_irreducible(poly, p), poly
+
+
+@pytest.mark.parametrize("p", [2, 3, 7057])
+def test_powmod_matches_repeated_mulmod(p):
+    """a^e mod (f, p) for e = 0..70 equals e products by a, for a linear
+    base and for a base of degree deg f - 1."""
+    f = [1, 0, p - 1, 1, 0, 1]  # monic of degree 5
+    for a in ([p - 1, 1], [2 % p, 1, 0, p - 1, 1]):
+        expected = [1]
+        for e in range(71):
+            assert zpoly_powmod(a, e, f, p) == expected, (a, e)
+            expected = zpoly_mulmod(expected, a, f, p)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
