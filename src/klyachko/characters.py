@@ -32,16 +32,20 @@ is a line its vector is a central character.  A restriction that is a
 scalar leaves its space whole with no characteristic polynomial: class
 matrices act diagonalisably, so one eigenvalue means a scalar.
 Otherwise the eigenvalues are the roots of the characteristic
-polynomial chi, on its squarefree part s = chi / gcd(chi, chi'): one
+polynomial chi, on its squarefree part s = chi / gcd(chi, chi').  A
+squarefree factor of degree 1 or 2 is solved by formula, the square
+root of its discriminant by Tonelli-Shanks.  For a larger s one
 powering h = x^((ell - 1)/2) mod s gives both the linear part
 gcd(s, x h^2 - x) = gcd(s, x^ell - x) and its first Cantor-Zassenhaus
-split, and the factors are split further with the shifts 1, 2, ...,
-each factor resuming after the shift that made it; nothing is random.
-All linear algebra is over Z/ell, so every identity below is checked
-exactly, never to a tolerance.  The row orthogonality of the finished
-table is one packed sum per character, holding its relations with all
-N characters; over Z/ell the row relations imply the column relations
-(see `verify_orthogonality`).
+split (Math. Comp. 36, 1981), and the factors of degree above 2 are
+split further with the shifts 1, 2, ..., each factor resuming after the
+shift that made it; nothing is random.  Each eigenspace is reduced in
+the d coordinates of its parent space and mapped back already in RREF
+(see `_split_space`).  All linear algebra is over Z/ell, so every
+identity below is checked exactly, never to a tolerance.  The row
+orthogonality of the finished table is one packed sum per character,
+holding its relations with all N characters; over Z/ell the row
+relations imply the column relations (see `verify_orthogonality`).
 
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
@@ -50,7 +54,10 @@ chi(c) = |G| * S_c / (|H| * |c|) with S_c = sum over H-members in class
 c of psi.  The members come from `groups.enumerate_h` as element codes,
 so each is an index into the table's label array as it is, and
 `groups.psi_r_trace` reads psi_r off its digits.  The tests
-cross-check it against the literal sum over all of G.
+cross-check it against the literal sum over all of G.  The
+multiplicities of all N irreducibles in one model come from one weight
+vector over the classes, one weighted sum per irreducible
+(`multiplicity`).
 """
 
 from __future__ import annotations
@@ -197,15 +204,18 @@ def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
 
     The squarefree part s = f / gcd(f, f') has the same roots, each once:
     deg f < ell keeps every multiplicity m below ell, so f' holds each
-    factor of f exactly m - 1 times.  One powering, h = x^((ell - 1)/2)
-    mod s, does two jobs (ell is an odd prime).  x^ell - x = x h^2 - x
-    mod s, so g = gcd(s, x h^2 - x) has one linear factor per root and
-    none of the irreducible factors of higher degree; and h mod g is
-    the power of the shift a = 0 in the Cantor-Zassenhaus split of g,
-    gcd(g, (x + a)^((ell - 1)/2) - 1) for a = 0, 1, 2, ..., each power
-    taken modulo the factor being split.  Every factor carries the next
-    shift to try: a shift that failed on a factor, or that split its
-    parent, gives the same answer to "(r + a)^((ell - 1)/2) = 1?" at
+    factor of f exactly m - 1 times.  A squarefree factor of degree 1 or
+    2 is solved by formula (`_small_roots`), so an s of degree at most 2
+    needs no powering at all.  Otherwise one powering,
+    h = x^((ell - 1)/2) mod s, does two jobs (ell is an odd prime).
+    x^ell - x = x h^2 - x mod s, so g = gcd(s, x h^2 - x) has one linear
+    factor per root and none of the irreducible factors of higher
+    degree; and h mod g is the power of the shift a = 0 in the
+    Cantor-Zassenhaus split of g, gcd(g, (x + a)^((ell - 1)/2) - 1) for
+    a = 0, 1, 2, ..., each power taken modulo the factor being split,
+    until every factor has degree at most 2.  Every factor carries the
+    next shift to try: a shift that failed on a factor, or that split
+    its parent, gives the same answer to "(r + a)^((ell - 1)/2) = 1?" at
     every root r of it, so a child resumes at a + 1 and no shift is
     applied twice to a factor or to a divisor of it.  The powering runs
     modulo s, whose degree is the number of distinct roots when f splits
@@ -219,6 +229,8 @@ def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
         return []
     derivative = zpoly_trim([d * c % ell for d, c in enumerate(f)][1:])
     s = zpoly_divmod(f, zpoly_gcd(f, derivative, ell), ell)[0]
+    if len(s) <= 3:
+        return sorted(_small_roots(s, ell))
     half = (ell - 1) // 2
     h = zpoly_powmod([0, 1], half, s, ell)
     x_ell = zpoly_mulmod(zpoly_mulmod(h, h, s, ell), [0, 1], s, ell)
@@ -226,10 +238,8 @@ def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
     pending = [(zpoly_gcd(s, zpoly_sub(x_ell, [0, 1], ell), ell), 0)]
     while pending:
         g, first = pending.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % ell)  # g is monic: x + g_0
-            continue
-        if len(g) < 2:
+        if len(g) <= 3:
+            roots += _small_roots(g, ell)
             continue
         for a in range(first, ell):
             power = zpoly_divmod(h, g, ell)[1] if a == 0 else zpoly_powmod([a, 1], half, g, ell)
@@ -240,6 +250,53 @@ def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
         else:
             raise InvariantViolation(f"no shift separates the roots of a degree {len(g) - 1} factor")
     return sorted(roots)
+
+
+def _small_roots(s: list[int], ell: int) -> list[int]:
+    """The roots in Z/ell of a squarefree s of degree at most 2, not
+    necessarily monic: -c/b for b x + c, and for a x^2 + b x + c, with
+    disc = b^2 - 4ac, (-b +- sqrt(disc)) / 2a when disc is a square and
+    none when it is not (s is then irreducible)."""
+    if len(s) < 2:
+        return []
+    inv_lead = pow(s[-1], ell - 2, ell)
+    if len(s) == 2:
+        return [-s[0] * inv_lead % ell]
+    c, b = s[0] * inv_lead % ell, s[1] * inv_lead % ell
+    root = _sqrt_mod(b * b - 4 * c, ell)
+    if root is None:
+        return []
+    inv_two = (ell + 1) // 2
+    return [(-b + root) * inv_two % ell, (-b - root) * inv_two % ell]
+
+
+def _sqrt_mod(a: int, ell: int) -> int | None:
+    """A square root of a modulo the odd prime ell, or None when a is not
+    a square, by Tonelli-Shanks.  The nonresidue it needs is the least
+    one, so the root returned is always the same."""
+    a %= ell
+    if a == 0:
+        return 0
+    if pow(a, (ell - 1) // 2, ell) != 1:
+        return None
+    odd, m = ell - 1, 0  # ell - 1 = odd * 2^m
+    while odd % 2 == 0:
+        odd //= 2
+        m += 1
+    root, t = pow(a, (odd + 1) // 2, ell), pow(a, odd, ell)  # root^2 = a t
+    if t == 1:
+        return root
+    z = next(z for z in range(2, ell) if pow(z, (ell - 1) // 2, ell) != 1)
+    c = pow(z, odd, ell)  # of order exactly 2^m
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:  # t has order 2^i
+            t2 = t2 * t2 % ell
+            i += 1
+        b = pow(c, 1 << (m - i - 1), ell)
+        m, c = i, b * b % ell
+        root, t = root * b % ell, t * c % ell
+    return root
 
 
 def _rref(rows: list[list[int]], ell: int) -> tuple[list[list[int]], list[int]]:
@@ -291,6 +348,12 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     restriction leaves the space whole with no characteristic polynomial.
     Class matrices act diagonalisably on an invariant space, so one with
     a single eigenvalue that is not a scalar fails the dimension check.
+
+    Each eigenspace is reduced in the d coordinates and only then mapped
+    back: a combination of the basis with coordinates u has its first
+    nonzero entry at pivots[j], j the first nonzero coordinate of u, and
+    its entries at the pivots are u.  So coordinate vectors in RREF with
+    pivots J map to vectors in RREF with pivots [pivots[j] for j in J].
     """
     d = len(basis)
     restricted = [[sum(map(mul, m_rows[p], b)) % ell for b in basis] for p in pivots]
@@ -302,14 +365,15 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     for lam in _roots_mod(_charpoly_mod(restricted, ell), ell):
         shifted = [[(v - lam) % ell if r == c else v for c, v in enumerate(row)]
                    for r, row in enumerate(restricted)]
+        reduced, coord_pivots = _rref(_kernel_basis(shifted, ell), ell)
         vectors = []
-        for coords in _kernel_basis(shifted, ell):
+        for coords in reduced:
             v = [0] * len(basis[0])
             for cr, b in zip(coords, basis):
                 if cr:
                     v = [x + cr * y for x, y in zip(v, b)]
-            vectors.append(v)
-        parts.append(_rref(vectors, ell))
+            vectors.append([x % ell for x in v])
+        parts.append((vectors, [pivots[j] for j in coord_pivots]))
     if sum(len(b) for b, _ in parts) != d:
         raise InvariantViolation(
             f"eigenspaces of dimensions {[len(b) for b, _ in parts]} do not fill a space of dimension {d}"
@@ -451,22 +515,24 @@ def _character_from_central(omega: list[int], inv_sizes: list[int], inv_map: lis
     return ClassFunction(arena, tuple(w * d * inv % ell for w, inv in zip(omega, inv_sizes)))
 
 
-def inner_product_residue(a: ClassFunction, b: ClassFunction, table: GroupTable) -> int:
-    """<a, b> = |G|^-1 sum_c |c| a(c) b(c^-1), as a residue mod ell."""
-    arena = a.arena
-    if arena != b.arena:
+def multiplicity(chi_model: ClassFunction, chars: list[ClassFunction], table: GroupTable) -> list[int]:
+    """The multiplicities <chi_model, chi> of every chi in `chars`, each
+    lifted to an integer in [0, dim chi_model].
+
+    <chi_model, chi> = |G|^-1 sum_c |c| chi_model(c) chi(c^-1), so with
+    the weights w[c^-1] = |c| chi_model(c) / |G| mod ell, built once, each
+    character costs one weighted sum of its values."""
+    arena = chi_model.arena
+    if any(cf.arena != arena for cf in chars):
         raise ArenaMismatch("class functions from different arenas")
     ell = arena.ell
-    b_values = b.values
-    acc = sum(c.size * x * b_values[c.inverse_class] for c, x in zip(table.classes, a.values))
-    return acc % ell * pow(table.order, ell - 2, ell) % ell
-
-
-def multiplicity(chi_model: ClassFunction, chi_irr: ClassFunction, table: GroupTable) -> int:
-    """<chi_model, chi_irr> lifted to an integer in [0, dim chi_model]."""
-    res = inner_product_residue(chi_model, chi_irr, table)
+    inv_order = pow(table.order, ell - 2, ell)
+    weights = [0] * len(table.classes)
+    for c, x in zip(table.classes, chi_model.values):
+        weights[c.inverse_class] = c.size * x % ell * inv_order % ell
     bound = chi_model.dimension(table)
-    return chi_model.arena.lift_bounded(res, 0, bound, "multiplicity")
+    return [arena.lift_bounded(sum(map(mul, weights, cf.values)), 0, bound, "multiplicity")
+            for cf in chars]
 
 
 def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: ModularArena) -> None:

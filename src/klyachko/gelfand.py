@@ -113,8 +113,8 @@ def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1,
         if dim != table.order // h_order(n - 2 * k, k, q):
             raise InvariantViolation(f"model k={k} has dimension {dim}, not the index of H")
         model_dims.append(dim)
-        for mults, cf in zip(matrix, chars):
-            mults.append(multiplicity(chi_model, cf, table))
+        for mults, m in zip(matrix, multiplicity(chi_model, chars, table)):
+            mults.append(m)
     rows = [{"index": i, "dim": cf.dimension(table),
              "mults": [[k, m] for k, m in enumerate(mults)], "total": sum(mults)}
             for i, (cf, mults) in enumerate(zip(chars, matrix))]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
-from klyachko.errors import EmptyBlock, InvariantViolation
+from klyachko.errors import ArenaMismatch, EmptyBlock, InvariantViolation
 from klyachko.gf import mat_mul
 from klyachko.groups import symplectic_form
 from klyachko.speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter, kappa
@@ -46,6 +46,18 @@ def element_labels(table):
     """The class label of every element of a group table, in the order
     of `table.elements` (increasing codes)."""
     return [table.labels[code] for code in table.codes]
+
+
+def inner_product_residue(a, b, table):
+    """<a, b> = |G|^-1 sum_c |c| a(c) b(c^-1) of two class functions, as
+    a residue mod ell, one pair at a time."""
+    arena = a.arena
+    if arena != b.arena:
+        raise ArenaMismatch("class functions from different arenas")
+    ell = arena.ell
+    b_values = b.values
+    acc = sum(c.size * x * b_values[c.inverse_class] for c, x in zip(table.classes, a.values))
+    return acc % ell * pow(table.order, ell - 2, ell) % ell
 
 
 def mat_transpose(a, n):

@@ -19,12 +19,12 @@ from klyachko.characters import (
     _roots_mod,
     _rref,
     _split_space,
+    _sqrt_mod,
     _visit_order,
     character_table,
     class_members,
     class_multiplication_tensor,
     induced_klyachko_character,
-    inner_product_residue,
     multiplicity,
     verify_orthogonality,
 )
@@ -49,7 +49,7 @@ from klyachko.groups import (
     psi_r_trace,
     row_images,
 )
-from oracles import element_labels, h_membership_flat
+from oracles import element_labels, h_membership_flat, inner_product_residue
 
 
 def _induced_full_sum(table, spec, arena):
@@ -136,8 +136,7 @@ def test_gl2_f2_table_against_regular_decomposition(table_store, arena_store):
     regular = ClassFunction(arena, tuple(table.order % arena.ell if c == e_idx else 0
                                          for c in range(len(table.classes))))
     assert regular.dimension(table) == table.order
-    for cf in chars:
-        assert multiplicity(regular, cf, table) == cf.dimension(table)
+    assert multiplicity(regular, chars, table) == [cf.dimension(table) for cf in chars]
 
 
 def test_gl2_f3_dimensions(table_store, arena_store):
@@ -559,14 +558,15 @@ def test_split_work_is_pinned_and_matches_readme(table_store, arena_store, monke
     assert f"on GL_2(F_9) {scalar_29} of the {restrictions_29} restrictions" in text
 
 
-ROOT_POWERINGS = {(2, 8): 77, (2, 9): 180, (3, 3): 37, (4, 2): 23}
+ROOT_POWERINGS = {(2, 8): 28, (2, 9): 20, (3, 3): 12, (4, 2): 9}
 
 
 def test_root_search_powerings_are_pinned_and_match_readme(table_store, arena_store, monkeypatch):
     """The zpoly_powmod calls of one character_table call, exactly, and
     the README sentence that states them: one x^((ell - 1)/2) per
-    characteristic polynomial and one (x + a)^((ell - 1)/2) per shift
-    a > 0 tried on a factor."""
+    characteristic polynomial whose squarefree part has degree above 2,
+    and one (x + a)^((ell - 1)/2) per shift a > 0 tried on a factor of
+    degree above 2."""
     counted = {}
     for n, q in ROOT_POWERINGS:
         calls = []
@@ -681,6 +681,37 @@ def test_split_space_returns_scalar_space_whole(monkeypatch):
     assert _split_space(basis, pivots, m_rows, ell) == [(basis, pivots)]
 
 
+ACCEPTANCE_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,q", ACCEPTANCE_GRID)
+def test_split_parts_are_in_rref_with_pivots_from_their_parent(n, q, table_store, arena_store,
+                                                               monkeypatch):
+    """Every space of the split, from the central spaces on, is in RREF
+    over all N columns: each part _split_space returns equals _rref of
+    itself, though it was reduced in coordinates only, and its pivots
+    are among its parent's."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    ell = arena.ell
+    splits = []
+
+    def recording_split(basis, pivots, m_rows, ell):
+        parts = _split_space(basis, pivots, m_rows, ell)
+        splits.append((pivots, parts))
+        return parts
+
+    monkeypatch.setattr(characters, "_split_space", recording_split)
+    character_table(table, arena)
+    monkeypatch.undo()
+    for basis, pivots in _central_spaces(table, arena):
+        assert _rref(basis, ell) == (basis, pivots)
+    assert any(len(parts) > 1 for _, parts in splits)
+    for parent_pivots, parts in splits:
+        for basis, pivots in parts:
+            assert _rref(basis, ell) == (basis, pivots)
+            assert set(pivots) <= set(parent_pivots)
+
+
 def test_split_space_rejects_jordan_block():
     """One eigenvalue but not a scalar: the kernel is a line in a plane."""
     ell = 97
@@ -756,9 +787,10 @@ def test_roots_large_ell():
 
 @pytest.mark.parametrize("ell", [12241, 364141])
 def test_roots_of_high_multiplicity_power_modulo_the_squarefree_part(ell, monkeypatch):
-    """A degree-80 polynomial with two roots: x^ell is taken modulo a
-    polynomial of degree 2, not 80."""
-    coeffs = _poly_from_roots([5] * 40 + [ell - 9] * 40, 3, ell)
+    """The search works on the squarefree part, not on f: a degree-80
+    polynomial with two roots has a quadratic squarefree part, solved by
+    formula with no powering, and a degree-90 one with three roots takes
+    its powers modulo polynomials of degree at most 3, not 90."""
     moduli = []
 
     def recording_powmod(a, e, f, p):
@@ -766,8 +798,12 @@ def test_roots_of_high_multiplicity_power_modulo_the_squarefree_part(ell, monkey
         return zpoly_powmod(a, e, f, p)
 
     monkeypatch.setattr(characters, "zpoly_powmod", recording_powmod)
+    coeffs = _poly_from_roots([5] * 40 + [ell - 9] * 40, 3, ell)
     assert _roots_mod(coeffs, ell) == [5, ell - 9]
-    assert moduli and max(moduli) <= 2
+    assert moduli == []
+    coeffs = _poly_from_roots([5] * 40 + [ell - 9] * 40 + [17] * 10, 3, ell)
+    assert _roots_mod(coeffs, ell) == [5, 17, ell - 9]
+    assert moduli and max(moduli) <= 3
 
 
 def test_roots_apply_no_shift_twice_to_a_factor_or_a_divisor_of_it(monkeypatch):
@@ -798,6 +834,87 @@ def test_roots_skip_repeated_irreducible_factor():
     for _ in range(2):  # times x^2 - nonresidue
         coeffs = [(a - nonresidue * b) % ell for a, b in zip([0, 0] + coeffs, coeffs + [0, 0])]
     assert _roots_mod(coeffs, ell) == _scan_roots(coeffs, ell) == [3]
+
+
+def _least_nonresidue(ell):
+    return next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) != 1)
+
+
+def _refuse_powmod(a, e, f, p):
+    raise AssertionError("a squarefree part of degree at most 2 needs no powering")
+
+
+@pytest.mark.parametrize("ell", [97, 7681, 12289, 65537])
+def test_roots_of_non_monic_squarefree_parts_of_degree_one_and_two(ell, monkeypatch):
+    """The squarefree part s = f / gcd(f, f') keeps the leading
+    coefficient of f, so the closed forms divide by it: lead (x - r)^3
+    has the part lead (x - r), and lead (x - r)^2 (x - t) the part
+    lead (x - r)(x - t).  Neither takes a powering."""
+    rng = random.Random(ell)
+    monkeypatch.setattr(characters, "zpoly_powmod", _refuse_powmod)
+    for _ in range(20):
+        lead, r, t = rng.randrange(2, ell), rng.randrange(ell), rng.randrange(ell)
+        for roots in ([r], [r] * 3, [r, t], [r, r, t], [r, t, t, t]):
+            coeffs = _poly_from_roots(roots, lead, ell)
+            assert _roots_mod(coeffs, ell) == sorted(set(roots))
+            if ell == 97:
+                assert _roots_mod(coeffs, ell) == _scan_roots(coeffs, ell)
+
+
+@pytest.mark.parametrize("ell", [97, 7681, 12289, 65537])
+def test_irreducible_quadratic_has_no_roots(ell, monkeypatch):
+    """lead ((x - r)^2 - c), c a nonresidue, is irreducible: its
+    discriminant 4c is not a square, so it has no root, alone or squared,
+    and the closed form finds none without a powering."""
+    c = _least_nonresidue(ell)
+    monkeypatch.setattr(characters, "zpoly_powmod", _refuse_powmod)
+    for lead in (1, 2, ell - 1):
+        for r in (0, 1, ell // 3):
+            quad = [(r * r - c) * lead % ell, -2 * r * lead % ell, lead % ell]
+            squared = [sum(quad[i] * quad[d - i] for i in range(3) if 0 <= d - i < 3) % ell
+                       for d in range(5)]
+            assert _roots_mod(quad, ell) == _roots_mod(squared, ell) == []
+            if ell == 97:
+                assert _scan_roots(quad, ell) == _scan_roots(squared, ell) == []
+
+
+@pytest.mark.parametrize("ell", [7681, 12289, 65537])
+def test_square_roots_where_ell_minus_one_has_a_large_power_of_two(ell):
+    """ell - 1 = 15 * 2^9, 3 * 2^12 and 2^16, so Tonelli-Shanks loops up
+    to 9, 12 and 16 times: every square gets a root (the same on every
+    call), every nonsquare None, and quadratics with two roots are
+    solved."""
+    half = (ell - 1) // 2
+    rng = random.Random(ell)
+    for a in itertools.chain(range(3000), (rng.randrange(ell) for _ in range(3000))):
+        root = _sqrt_mod(a, ell)
+        if a % ell == 0 or pow(a, half, ell) == 1:
+            assert root is not None and root * root % ell == a % ell
+            assert _sqrt_mod(a, ell) == root
+        else:
+            assert root is None
+    for _ in range(200):
+        r, t = rng.sample(range(ell), 2)
+        assert _roots_mod(_poly_from_roots([r, t], rng.randrange(1, ell), ell), ell) == sorted([r, t])
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (2, 5), (3, 2), (2, 7)])
+def test_every_root_search_of_the_split_matches_scan(n, q, table_store, arena_store, monkeypatch):
+    """Each _roots_mod call of character_table, closed forms included,
+    finds exactly the roots a scan of Z/ell finds."""
+    calls = []
+
+    def recording_roots(coeffs, ell):
+        roots = _roots_mod(coeffs, ell)
+        calls.append((coeffs, ell, roots))
+        return roots
+
+    monkeypatch.setattr(characters, "_roots_mod", recording_roots)
+    character_table(table_store(n, q), arena_store(n, q))
+    monkeypatch.undo()
+    assert calls
+    for coeffs, ell, roots in calls:
+        assert roots == _scan_roots(coeffs, ell)
 
 
 def test_roots_need_degree_below_ell():
@@ -862,8 +979,42 @@ def test_multiplicity_examples(table_store, arena_store):
     trivial = next(cf for cf in chars if set(cf.values) == {1})
     m_symp = induced_klyachko_character(table, KlyachkoSubgroupSpec(0, 1), arena)
     m_whit = induced_klyachko_character(table, KlyachkoSubgroupSpec(2, 0), arena)
-    assert multiplicity(m_symp, trivial, table) == 1
-    assert multiplicity(m_whit, trivial, table) == 0
+    assert multiplicity(m_symp, [trivial], table) == [1]
+    assert multiplicity(m_whit, [trivial], table) == [0]
+
+
+@pytest.mark.parametrize("n,q", ACCEPTANCE_GRID)
+def test_multiplicities_match_the_per_pair_inner_product(n, q, table_store, arena_store):
+    """One weighted pass per model gives, for every irreducible, the
+    per-pair inner product lifted to [0, dim of the model]."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    chars = character_table(table, arena)
+    for k in range(n // 2 + 1):
+        chi_model = induced_klyachko_character(table, KlyachkoSubgroupSpec(n - 2 * k, k), arena)
+        bound = chi_model.dimension(table)
+        assert multiplicity(chi_model, chars, table) == [
+            arena.lift_bounded(inner_product_residue(chi_model, cf, table), 0, bound)
+            for cf in chars]
+
+
+def test_multiplicity_rejects_a_perturbed_model_and_another_arena(table_store, arena_store):
+    """A model character with one value moved by +1 has an inner product
+    with the trivial character that lifts outside [0, dim]; characters of
+    another arena are refused."""
+    table, arena = table_store(2, 3), arena_store(2, 3)
+    chars = character_table(table, arena)
+    chi_model = induced_klyachko_character(table, KlyachkoSubgroupSpec(2, 0), arena)
+    e_idx = table.identity_class()
+    for c in range(len(table.classes)):
+        if c == e_idx:
+            continue
+        values = list(chi_model.values)
+        values[c] = (values[c] + 1) % arena.ell
+        with pytest.raises(LiftOutOfRange, match="multiplicity"):
+            multiplicity(ClassFunction(arena, tuple(values)), chars, table)
+    other = build_arena(table.order, table.exponent(), 3, ell=1000000009)
+    with pytest.raises(ArenaMismatch):
+        multiplicity(chi_model, [ClassFunction(other, cf.values) for cf in chars], table)
 
 
 def test_psi_generator_changes_character_not_multiplicities(table_store, arena_store):
@@ -873,6 +1024,6 @@ def test_psi_generator_changes_character_not_multiplicities(table_store, arena_s
     spec2 = KlyachkoSubgroupSpec(2, 0, psi_generator=2)
     chi1 = induced_klyachko_character(table, spec1, arena)
     chi2 = induced_klyachko_character(table, spec2, arena)
-    mults1 = [multiplicity(chi1, cf, table) for cf in chars]
-    mults2 = [multiplicity(chi2, cf, table) for cf in chars]
+    mults1 = multiplicity(chi1, chars, table)
+    mults2 = multiplicity(chi2, chars, table)
     assert mults1 == mults2
