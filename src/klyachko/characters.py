@@ -9,7 +9,7 @@ central-character spaces, the joint eigenspaces of the central class
 matrices, built in closed form: the scalar w I permutes the classes
 (`groups.scalar_class_map`), so M_{wI} is a permutation matrix and its
 eigenvectors are read off the orbits (see `_central_spaces`; Schneider,
-J. Symbolic Comput. 9, 1990).  It then visits only the non-central
+J. Symbolic Comput. 9, 1990).  It then queues only the non-central
 classes, rational classes first: the first class in ascending
 (size, index) order of each rational class (the classes of g^a, a
 prime to the order of g, each power read through the row images of g),
@@ -17,20 +17,30 @@ then the other classes in the same order.  Over the complex numbers a
 class of a rational class already visited separates no characters that
 the visited one leaves together, because chi(g^a)/chi(1) is a Galois
 conjugate of chi(g)/chi(1); modulo ell that need not hold, so the class
-stays in the queue.  Each class splits every space that is not yet a
-line: only the rows of M_i at the space's pivot columns are computed,
-|C_i| products each, the d x d restriction of M_i to the space is
-diagonalised, and the kernel of each eigenvalue becomes a new space.
-The members of every class are bucketed in one pass over the element
-codes when the first class is visited, so no visit scans the whole
-group.  A product x g_j is read row by row: row r of x g_j is the entry
-of `groups.row_images(g_j)` at row r of x, so with tables of the rows of
-each chunk of rows at their places the code of x g_j is a sum of one
-lookup per chunk (`groups.products`, for all of C_i at once), and one
-index into the table's label array gives its class.  When every space
-is a line its vector is a central character.  A restriction that is a
-scalar leaves its space whole with no characteristic polynomial: class
-matrices act diagonalisably, so one eigenvalue means a scalar.
+stays in the queue.  Two exact rules skip what cannot split anything.
+(1) M_sigma^t(j) = M_{wI}^t M_j acts as mu^t M_j on every space, so
+the queue keeps one class per orbit of sigma (`_visit_order`).
+(2) chibar(g) = chi(g^-1), so a real class takes one value on chi and
+chibar and acts as a scalar on the plane of omega_chi and
+omega_chibar; a real class requests no rows for such a plane
+(`_conjugate_pair`), and a visit with no rows left computes nothing.
+A wrong skip could at worst leave a space unsplit, which raises
+EigenSplitFailure.  Each visited class splits every other space that
+is not yet a line: only the rows of M_i at the space's pivot columns
+are computed, each counted over the smaller of C_i and C_j
+(a_ij^k = a_ji^k, as class sums are central), the d x d restriction of
+M_i to the space is diagonalised, and the kernel of each eigenvalue
+becomes a new space.  The members of every class are bucketed in one
+pass over the element codes when the first row is requested, so no
+visit scans the whole group.  A product x g is read row by row: row r
+of x g is the entry of `groups.row_images(g)` at row r of x, so with
+tables of the rows of each chunk of rows at their places the code of
+x g is a sum of one lookup per chunk (`groups.products`, for all of a
+class at once), and one index into the table's label array gives its
+class.  When every space is a line its vector is a central character.
+A restriction that is a scalar leaves its space whole with no
+characteristic polynomial: class matrices act diagonalisably, so one
+eigenvalue means a scalar.
 Otherwise the eigenvalues are the roots of the characteristic
 polynomial chi, on its squarefree part s = chi / gcd(chi, chi').  A
 squarefree factor of degree 1 or 2 is solved by formula, the square
@@ -113,37 +123,57 @@ def class_members(table: GroupTable) -> list[array]:
     return members
 
 
-def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int],
-                                members: array, images: dict | None = None) -> list[list[int]]:
+def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int], members: list[array],
+                                images: dict | None = None,
+                                columns: dict | None = None) -> list[list[int]]:
     """Rows j in `rows` of the class matrix M_i, a slice of the tensor
     a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps;
-    `members` are the codes of the members of C_i (`class_members`).
+    `members` are the codes of the members of every class (`class_members`).
 
     Conjugating y to g_j gives a[i][j][k] = |C_j| * #{x in C_i : x g_j in C_k} / |C_k|,
-    so a row costs |C_i| products and no inverses.  Row r of x g_j is
-    (row r of x) g_j, so a product is one lookup per chunk of rows in the
-    chunk images of g_j, summed (`groups.products`).  The chunk images
-    of g_j are kept in `images` under j, so a caller that passes one
-    dict to several calls builds each at most once.
+    and class sums are central, so K_i K_j = K_j K_i and the same count
+    with i and j swapped, |C_i| * #{y in C_j : y g_i in C_k} / |C_k|, is
+    the same entry.  Each row is counted over the smaller of C_i and C_j
+    (C_i on a tie), so it costs min(|C_i|, |C_j|) products and no
+    inverses.  Row r of x g is (row r of x) g, so a product is one
+    lookup per chunk of rows in the chunk images of g, summed
+    (`groups.products`).  The chunk images of each representative are
+    kept in `images` and the chunk columns of each class's members in
+    `columns`, both under the class, so a caller that passes the same
+    dicts to several calls builds each at most once.
     """
     classes = table.classes
     labels = table.labels
-    columns = chunk_columns(members, table.n, table.q)
     if images is None:
         images = {}
+    if columns is None:
+        columns = {}
+    size_i = classes[i].size
     out = []
     for j in rows:
-        size_j = classes[j].size
-        counts = Counter(map(labels.__getitem__, products(columns, _images(table, j, images))))
+        small, other = (j, i) if classes[j].size < size_i else (i, j)
+        size = classes[other].size
+        counts = Counter(map(labels.__getitem__, products(
+            _columns(table, small, members, columns), _images(table, other, images))))
         row = [0] * len(classes)
         for k, cnt in counts.items():
-            row[k], rem = divmod(size_j * cnt, classes[k].size)
+            row[k], rem = divmod(size * cnt, classes[k].size)
             if rem:
                 raise InvariantViolation(
-                    f"|C_{j}| * {cnt} is not divisible by |C_{k}| = {classes[k].size} (class {i})"
+                    f"|C_{other}| * {cnt} is not divisible by |C_{k}| = {classes[k].size} "
+                    f"(row {j} of class {i})"
                 )
         out.append(row)
     return out
+
+
+def _columns(table: GroupTable, c: int, members: list[array], columns: dict) -> list[array]:
+    """The chunk columns of the members of class c, kept in `columns`
+    under c, so that each is built once per dict."""
+    cols = columns.get(c)
+    if cols is None:
+        cols = columns[c] = chunk_columns(members[c], table.n, table.q)
+    return cols
 
 
 def _images(table: GroupTable, c: int, images: dict) -> list[list[int]]:
@@ -395,14 +425,14 @@ def _rational_class(table: GroupTable, c: int, images: dict) -> set[int]:
     return {table.labels[x] for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
 
 
-def _central_spaces(table: GroupTable, arena: ModularArena,
+def _central_spaces(table: GroupTable, arena: ModularArena, shift: list[int],
                     ) -> list[tuple[list[list[int]], list[int]]]:
     """The joint eigenspaces of the central class matrices, each in RREF
     with its pivot columns, written down with no linear algebra.
 
     The central classes are the scalars w^a I, and K_{wI} K_j = K_{w g_j},
-    so M_{wI} is the permutation matrix of `scalar_class_map`, sigma, and
-    the other central M are its powers.  M_{wI} v = mu v reads
+    so M_{wI} is the permutation matrix of `shift`, the `scalar_class_map`
+    sigma, and the other central M are its powers.  M_{wI} v = mu v reads
     v_sigma(j) = mu v_j, so each orbit O of sigma with mu^|O| = 1 gives one
     eigenvector: 1 at the least class of O and mu^t at its t-th class
     along sigma.  The eigenvalues are the powers of zeta = zeta_m^(m/(q-1)),
@@ -410,7 +440,6 @@ def _central_spaces(table: GroupTable, arena: ModularArena,
     The vectors of one eigenvalue have disjoint supports, so they are
     already in RREF with the orbit minima as pivots.
     """
-    shift = scalar_class_map(table)
     n_cls, ell = len(shift), arena.ell
     orbits, seen = [], [False] * n_cls
     for start in range(n_cls):  # ascending, so each orbit starts at its least class
@@ -444,20 +473,59 @@ def _central_spaces(table: GroupTable, arena: ModularArena,
     return spaces
 
 
-def _visit_order(table: GroupTable, images: dict):
-    """The non-central classes: one per rational class, then the rest,
-    each group in ascending (size, index) order."""
+def _visit_order(table: GroupTable, images: dict, shift: list[int]):
+    """The non-central classes to visit: one per rational class, then the
+    rest, each group in ascending (size, index) order, keeping only the
+    first class of each orbit of `shift`, the scalar class map sigma.
+
+    K_{wI} K_j = K_sigma(j), so M_sigma^t(j) = M_{wI}^t M_j.  Every space
+    lies in one mu-eigenspace of M_{wI}, where M_sigma^t(j) acts as
+    mu^t M_j: once j is visited, no class of its orbit splits anything.
+    """
     classes = table.classes
-    seen: set[int] = set()
-    rest = []
-    for c in sorted((c for c in range(len(classes)) if classes[c].size > 1),
-                    key=lambda c: (classes[c].size, c)):
-        if c in seen:
-            rest.append(c)
-        else:
-            seen |= _rational_class(table, c, images)
-            yield c
-    yield from rest
+
+    def queue():
+        seen: set[int] = set()
+        rest = []
+        for c in sorted((c for c in range(len(classes)) if classes[c].size > 1),
+                        key=lambda c: (classes[c].size, c)):
+            if c in seen:
+                rest.append(c)
+            else:
+                seen |= _rational_class(table, c, images)
+                yield c
+        yield from rest
+
+    covered: set[int] = set()  # the orbits of the classes yielded
+    for c in queue():
+        if c in covered:
+            continue
+        d = c
+        while d not in covered:
+            covered.add(d)
+            d = shift[d]
+        yield c
+
+
+def _conjugate_pair(basis: list[list[int]], pivots: list[int], inv_map: list[int],
+                    ell: int) -> bool:
+    """Whether the space spanned by `basis` (RREF, pivot columns
+    `pivots`) is span{omega_chi, omega_chibar} with chi != chibar.
+
+    The column permutation P: v -> (v_{c^-1})_c maps omega_chi to
+    omega_chibar, as chibar(g) = chi(g^-1) and c, c^-1 have one size.  A
+    space of the split is spanned by the omega it holds, so a plane V
+    with P V = V and P|V != id holds exactly such a pair.  Each P b is
+    in V exactly when it is the combination of the basis with its own
+    entries at the pivots as coordinates.
+    """
+    if len(basis) != 2:
+        return False
+    permuted = [list(map(v.__getitem__, inv_map)) for v in basis]
+    if permuted == basis:
+        return False
+    (p0, p1), (b0, b1) = pivots, basis
+    return all(u == [(u[p0] * x + u[p1] * y) % ell for x, y in zip(b0, b1)] for u in permuted)
 
 
 def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunction]:
@@ -466,11 +534,14 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     classes = table.classes
     ell = arena.ell
     e_idx = table.identity_class()
+    inv_map = [c.inverse_class for c in classes]
+    shift = scalar_class_map(table)
     # invariant spaces as (RREF basis, pivot columns), from the central ones
-    spaces = _central_spaces(table, arena)
+    spaces = _central_spaces(table, arena, shift)
     images: dict = {}  # chunk images of the class representatives, for this call only
-    members = None  # the members of each class, bucketed at the first visit
-    visit = _visit_order(table, images)
+    columns: dict = {}  # chunk columns of the class members, for this call only
+    members = None  # the members of each class, bucketed at the first row requested
+    visit = _visit_order(table, images, shift)
     while any(len(basis) > 1 for basis, _ in spaces):
         i = next(visit, None)
         if i is None:
@@ -478,12 +549,18 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
                 f"class matrices leave eigenspaces of dimensions "
                 f"{sorted(len(b) for b, _ in spaces if len(b) > 1)} unsplit"
             )
+        real = inv_map[i] == i  # a scalar on every conjugate pair
+        split = [len(basis) > 1 and not (real and _conjugate_pair(basis, pivots, inv_map, ell))
+                 for basis, pivots in spaces]
+        rows = [p for (_, pivots), s in zip(spaces, split) if s for p in pivots]
+        if not rows:
+            continue
         if members is None:
             members = class_members(table)
-        rows = [p for basis, pivots in spaces if len(basis) > 1 for p in pivots]
-        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, members[i], images)))
-        spaces = [part for basis, pivots in spaces
-                  for part in (_split_space(basis, pivots, m_rows, ell) if len(basis) > 1
+        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, members, images,
+                                                            columns)))
+        spaces = [part for (basis, pivots), s in zip(spaces, split)
+                  for part in (_split_space(basis, pivots, m_rows, ell) if s
                                else [(basis, pivots)])]
     omegas = []
     for (v,), _ in spaces:
@@ -492,7 +569,6 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
         scale = pow(v[e_idx], ell - 2, ell)
         omegas.append([x * scale % ell for x in v])
     inv_sizes = [pow(c.size, ell - 2, ell) for c in classes]
-    inv_map = [c.inverse_class for c in classes]
     chars = [_character_from_central(om, inv_sizes, inv_map, table.order, arena) for om in omegas]
     chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
     verify_orthogonality(chars, table, arena)

@@ -1,9 +1,10 @@
 """Test oracles: matrix and subgroup helpers, the row-by-row search for
-Sp(2k, F_q), Green's class data, the segment calculus, contragredients
-and mu_Q behind the symbolic commands, and per-index Weyl-element
-routines with the closed forms of the residue-survival count.  The
-library itself does not need them; they are written plainly so the
-tests can check it against them."""
+Sp(2k, F_q), the character split's visit order over every non-central
+class and its class matrix rows counted over C_i, Green's class data,
+the segment calculus, contragredients and mu_Q behind the symbolic
+commands, and per-index Weyl-element routines with the closed forms of
+the residue-survival count.  The library itself does not need them;
+they are written plainly so the tests can check it against them."""
 
 import math
 from collections import Counter
@@ -12,9 +13,10 @@ from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
+from klyachko.characters import _rational_class
 from klyachko.errors import ArenaMismatch, EmptyBlock, InvariantViolation
 from klyachko.gf import mat_mul
-from klyachko.groups import symplectic_form
+from klyachko.groups import chunk_columns, chunk_images, products, symplectic_form
 from klyachko.speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter, kappa
 from klyachko.weyl import WeylElement
 
@@ -58,6 +60,42 @@ def inner_product_residue(a, b, table):
     b_values = b.values
     acc = sum(c.size * x * b_values[c.inverse_class] for c, x in zip(table.classes, a.values))
     return acc % ell * pow(table.order, ell - 2, ell) % ell
+
+
+def every_class_visit_order(table, images):
+    """The split's visit order with no class skipped: every non-central
+    class once, one per rational class first, then the rest, each group
+    in ascending (size, index) order."""
+    classes = table.classes
+    seen, first, rest = set(), [], []
+    for c in sorted((c for c in range(len(classes)) if classes[c].size > 1),
+                    key=lambda c: (classes[c].size, c)):
+        if c in seen:
+            rest.append(c)
+        else:
+            seen |= _rational_class(table, c, images)
+            first.append(c)
+    return first + rest
+
+
+def tensor_rows_over_c_i(table, i, rows, members):
+    """Rows j of the class matrix M_i, each counted over C_i:
+    a_ij^k = |C_j| #{x in C_i : x g_j in C_k} / |C_k|, a division that is
+    not exact an InvariantViolation; `members` are the codes of every
+    class's members."""
+    classes, labels = table.classes, table.labels
+    columns = chunk_columns(members[i], table.n, table.q)
+    out = []
+    for j in rows:
+        tables = chunk_images(classes[j].representative, table.n, table.field)
+        counts = Counter(labels[code] for code in products(columns, tables))
+        row = [0] * len(classes)
+        for k, cnt in counts.items():
+            row[k], rem = divmod(classes[j].size * cnt, classes[k].size)
+            if rem:
+                raise InvariantViolation(f"row {j} of class {i}: division by |C_{k}| not exact")
+        out.append(row)
+    return out
 
 
 def mat_transpose(a, n):

@@ -15,6 +15,7 @@ from klyachko.characters import (
     _central_spaces,
     _character_from_central,
     _charpoly_mod,
+    _conjugate_pair,
     _rational_class,
     _roots_mod,
     _rref,
@@ -28,9 +29,11 @@ from klyachko.characters import (
     multiplicity,
     verify_orthogonality,
 )
+from klyachko.cli import main
 from klyachko.errors import (
     ArenaMismatch,
     ArenaTooSmall,
+    EigenSplitFailure,
     InvariantViolation,
     LiftOutOfRange,
     UsageError,
@@ -43,13 +46,21 @@ from klyachko.groups import (
     GroupTable,
     KlyachkoSubgroupSpec,
     _primitive_element,
+    chunk_columns,
     chunk_images,
     encode,
     h_order,
     psi_r_trace,
     row_images,
+    scalar_class_map,
 )
-from oracles import element_labels, h_membership_flat, inner_product_residue
+from oracles import (
+    element_labels,
+    every_class_visit_order,
+    h_membership_flat,
+    inner_product_residue,
+    tensor_rows_over_c_i,
+)
 
 
 def _induced_full_sum(table, spec, arena):
@@ -331,7 +342,7 @@ def _tensor_character_table(table, arena, seed=20259, attempts=20):
     ell = arena.ell
     e_idx = table.identity_class()
     members = class_members(table)
-    m = [class_multiplication_tensor(table, i, list(range(n_cls)), members[i])
+    m = [class_multiplication_tensor(table, i, list(range(n_cls)), members)
          for i in range(n_cls)]
     for attempt in range(attempts):
         rng = random.Random(seed * 1000003 + attempt)
@@ -361,7 +372,7 @@ def test_split_matches_tensor_oracle(n, q, table_store, arena_store):
 
 
 def test_class_matrix_rows_are_pair_counts(table_store):
-    """a_{ij}^k from the pivot-side count equals #{(x, y) in C_i x C_j : xy = g_k}."""
+    """a_{ij}^k, counted over the smaller class, equals #{(x, y) in C_i x C_j : xy = g_k}."""
     table = table_store(2, 3)
     n, field, n_cls = table.n, table.field, len(table.classes)
     pairs = [[[0] * n_cls for _ in range(n_cls)] for _ in range(n_cls)]  # [i][j][k]
@@ -371,8 +382,8 @@ def test_class_matrix_rows_are_pair_counts(table_store):
             pairs[c][table.class_of_flat(y)][k] += 1
     members = class_members(table)
     for i in range(n_cls):
-        assert class_multiplication_tensor(table, i, list(range(n_cls)), members[i]) == pairs[i]
-    assert class_multiplication_tensor(table, 3, [5, 1], members[3]) == [pairs[3][5], pairs[3][1]]
+        assert class_multiplication_tensor(table, i, list(range(n_cls)), members) == pairs[i]
+    assert class_multiplication_tensor(table, 3, [5, 1], members) == [pairs[3][5], pairs[3][1]]
 
 
 def _mat_mul_tensor_rows(table, i, rows):
@@ -394,7 +405,7 @@ def test_class_matrix_rows_match_mat_mul_oracle(n, q, table_store):
     every = list(range(len(table.classes)))
     members = class_members(table)
     for i in every:
-        assert class_multiplication_tensor(table, i, every, members[i]) == \
+        assert class_multiplication_tensor(table, i, every, members) == \
             _mat_mul_tensor_rows(table, i, every)
 
 
@@ -415,6 +426,22 @@ def test_row_images_built_once_per_representative_and_call(table_store, arena_st
     assert 0 < len(first) == len(set(first)) <= len(table.classes) == 80
     character_table(table, arena)
     assert built[len(first):] == first
+
+
+def test_member_columns_built_once_per_class_and_call(table_store, arena_store, monkeypatch):
+    """On GL_3(F_3) one character_table call cuts the members of each class
+    into chunk columns at most once, whichever side of a row counts them."""
+    table, arena = table_store(3, 3), arena_store(3, 3)
+    cut = []
+
+    def counting_columns(codes, n, q):
+        if isinstance(codes, array):  # the members of a class, not a power of a representative
+            cut.append(codes[0])
+        return chunk_columns(codes, n, q)
+
+    monkeypatch.setattr(characters, "chunk_columns", counting_columns)
+    character_table(table, arena)
+    assert 1 < len(cut) == len(set(cut))
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
@@ -480,22 +507,23 @@ def test_rational_class_matches_power_map(n, q, table_store):
 
 # (classes visited, products, characteristic polynomials, restrictions) of
 # the split, as the README's "Character table" section states them
-SPLIT_WORK = {(3, 3): (9, 21706, 8, 26), (4, 2): (10, 37526, 4, 16),
-              (2, 9): (18, 57416, 52, 272)}
+SPLIT_WORK = {(3, 3): (4, 9438, 8, 12), (4, 2): (4, 8124, 4, 5),
+              (2, 9): (8, 27728, 52, 120)}
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _count_split_work(table, arena, monkeypatch):
     """One character_table call with its work counted where it is done:
-    the visited classes, |C_i| products per requested row, the
-    characteristic polynomials and the restrictions (_split_space calls).
-    The counting patches are undone before it returns."""
+    the classes whose rows are requested, min(|C_i|, |C_j|) products per
+    requested row j, the characteristic polynomials and the restrictions
+    (_split_space calls).  The counting patches are undone before it
+    returns."""
     visited, products, charpolys, restrictions = [], [], [], []
 
-    def counting_tensor(tab, i, rows, *images):
+    def counting_tensor(tab, i, rows, *rest):
         visited.append(i)
-        products.append(tab.classes[i].size * len(rows))
-        return class_multiplication_tensor(tab, i, rows, *images)
+        products.append(sum(min(tab.classes[i].size, tab.classes[j].size) for j in rows))
+        return class_multiplication_tensor(tab, i, rows, *rest)
 
     def counting_charpoly(mat, ell):
         charpolys.append(len(mat))
@@ -515,7 +543,7 @@ def _count_split_work(table, arena, monkeypatch):
 
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (2, 9)])
 def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_store, monkeypatch):
-    """Products are counted where they are done: |C_i| per requested row."""
+    """Products are counted where they are done: min(|C_i|, |C_j|) per requested row j."""
     table, arena = table_store(n, q), arena_store(n, q)
     visited, products, _, _ = _count_split_work(table, arena, monkeypatch)
     max_visited, max_products, _, _ = SPLIT_WORK[(n, q)]
@@ -600,14 +628,14 @@ def test_central_spaces_are_eigenspaces_of_the_central_classes(n, q, table_store
     zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
     w = _primitive_element(field)
     log = {field.pow(w, a): a for a in range(q - 1)}
-    spaces = _central_spaces(table, arena)
+    spaces = _central_spaces(table, arena, scalar_class_map(table))
     assert len(spaces) == q - 1  # every character of the centre occurs
     every = list(range(n_cls))
     central = [c for c, cls in enumerate(table.classes) if cls.size == 1]
     assert len(central) == q - 1
     for i in central:
         a = log[table.classes[i].representative[0]]
-        m = class_multiplication_tensor(table, i, every, class_members(table)[i])
+        m = class_multiplication_tensor(table, i, every, class_members(table))
         for k, (basis, _) in enumerate(spaces):
             lam = pow(zeta, k * a, ell)
             for v in basis:
@@ -622,17 +650,150 @@ def test_central_spaces_are_eigenspaces_of_the_central_classes(n, q, table_store
 def test_central_spaces_partition_the_class_space(n, q, table_store, arena_store):
     table, arena = table_store(n, q), arena_store(n, q)
     n_cls, ell = len(table.classes), arena.ell
-    spaces = _central_spaces(table, arena)
+    spaces = _central_spaces(table, arena, scalar_class_map(table))
     assert sum(len(basis) for basis, _ in spaces) == n_cls
     assert len(_rref([v for basis, _ in spaces for v in basis], ell)[0]) == n_cls
 
 
 @pytest.mark.parametrize("n,q", PRESPLIT_GRID)
 def test_visit_order_skips_central_classes(n, q, table_store):
+    """No repeats and no central class; the orbits of the scalar class
+    map through the visited classes partition the non-central classes,
+    and the order keeps the order of the every-class queue."""
     table = table_store(n, q)
-    order = list(_visit_order(table, {}))
+    shift = scalar_class_map(table)
+    order = list(_visit_order(table, {}, shift))
     assert len(order) == len(set(order))
-    assert sorted(order) == [c for c, cls in enumerate(table.classes) if cls.size > 1]
+    assert all(table.classes[c].size > 1 for c in order)
+    orbits = []
+    for c in order:
+        orbit, d = {c}, shift[c]
+        while d != c:
+            orbit.add(d)
+            d = shift[d]
+        orbits.append(orbit)
+    assert sum(map(len, orbits)) == len(set().union(*orbits))
+    assert set().union(*orbits) == {c for c, cls in enumerate(table.classes) if cls.size > 1}
+    full = every_class_visit_order(table, {})
+    assert order == [c for c in full if c in order]
+    if q == 2:
+        assert order == full
+
+
+# -- the classes and rows that cannot split ------------------------------------
+
+# the restrictions of the split with nothing skipped that each rule proves
+# scalar: (by a class the visit order omits, by a real class on a pair)
+SKIPPED = {(2, 3): (0, 0), (2, 4): (0, 0), (2, 5): (8, 0), (2, 7): (30, 0), (3, 2): (0, 0),
+           (3, 3): (12, 6), (4, 2): (0, 11), (2, 9): (148, 10)}
+
+
+@pytest.mark.parametrize("n,q", list(SKIPPED))
+def test_skipped_classes_and_planes_split_nothing(n, q, table_store, arena_store, monkeypatch):
+    """The split with nothing skipped, every non-central class queued and
+    every space requested, gives the same table; and at each class's turn
+    there, a class the visit order omits, and a real class on a conjugate
+    pair, restricts to a scalar on every space it meets."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    ell, inv_map = arena.ell, [cls.inverse_class for cls in table.classes]
+    expected = character_table(table, arena)
+    kept = set(_visit_order(table, {}, scalar_class_map(table)))
+    turns = []  # (class, [(basis, pivots, whether it split)]) in visit order
+
+    def every_class(tab, images, shift):
+        for c in every_class_visit_order(tab, images):
+            turns.append((c, []))
+            yield c
+
+    def recording_split(basis, pivots, m_rows, ell):
+        parts = _split_space(basis, pivots, m_rows, ell)
+        turns[-1][1].append((basis, pivots, len(parts) > 1))
+        return parts
+
+    monkeypatch.setattr(characters, "_visit_order", every_class)
+    monkeypatch.setattr(characters, "_conjugate_pair", lambda *args: False)
+    monkeypatch.setattr(characters, "_split_space", recording_split)
+    assert character_table(table, arena) == expected
+    monkeypatch.undo()
+    omitted = [split for c, spaces in turns if c not in kept for _, _, split in spaces]
+    pairs = [split for c, spaces in turns if inv_map[c] == c
+             for basis, pivots, split in spaces if _conjugate_pair(basis, pivots, inv_map, ell)]
+    assert not any(omitted) and not any(pairs)
+    assert (len(omitted), len(pairs)) == SKIPPED[(n, q)]
+
+
+def _omegas(chars, table, ell):
+    """The central character |c| chi(c) / chi(1) of every character."""
+    e_idx = table.identity_class()
+    return [[cls.size * v * pow(cf.values[e_idx], ell - 2, ell) % ell
+             for cls, v in zip(table.classes, cf.values)] for cf in chars]
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3), (4, 2), (2, 9)])
+def test_conjugate_pair_holds_exactly_for_a_character_and_its_conjugate(n, q, table_store,
+                                                                        arena_store):
+    """On the final table, the plane of omega_a and omega_b passes exactly
+    when chi_b = conj(chi_a) != chi_a: two real characters, or two that are
+    not conjugate, fail, and so does every span of a conjugate pair and a
+    third character."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    ell, inv_map = arena.ell, [cls.inverse_class for cls in table.classes]
+    chars = character_table(table, arena)
+    omegas = _omegas(chars, table, ell)
+    index = {cf.values: a for a, cf in enumerate(chars)}
+    conj = [index[tuple(map(cf.values.__getitem__, inv_map))] for cf in chars]
+    conjugate_pairs = [(a, b) for a, b in itertools.combinations(range(len(chars)), 2)
+                       if conj[a] == b]
+    real = [a for a in range(len(chars)) if conj[a] == a]
+    assert conjugate_pairs and len(real) >= 2
+    for a, b in itertools.combinations(range(len(chars)), 2):
+        basis, pivots = _rref([omegas[a], omegas[b]], ell)
+        assert _conjugate_pair(basis, pivots, inv_map, ell) == (conj[a] == b)
+    for (a, b), c in itertools.product(conjugate_pairs, range(len(chars))):
+        if c not in (a, b):
+            basis, pivots = _rref([omegas[a], omegas[b], omegas[c]], ell)
+            assert not _conjugate_pair(basis, pivots, inv_map, ell)
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 2), (3, 3)])
+def test_rows_over_the_smaller_class_match_rows_over_c_i(n, q, table_store):
+    table = table_store(n, q)
+    every = list(range(len(table.classes)))
+    members = class_members(table)
+    sizes = [cls.size for cls in table.classes]
+    assert any(sizes[j] < sizes[i] for i in every for j in every)
+    images, columns = {}, {}
+    for i in every:
+        assert class_multiplication_tensor(table, i, every, members, images, columns) == \
+            tensor_rows_over_c_i(table, i, every, members)
+
+
+def test_merged_classes_fail_the_division_when_counted_over_c_j(table_store):
+    """GL_2(F_5) with classes 0 and 1 merged (54 members, against 20 in
+    C_1 and 30 in C_14): row 1 of M_0 is counted over C_1, which is C_j,
+    and row 14 of M_1 over C_1, which is C_i; on both sides a division by
+    a class size is not exact."""
+    table = _merge_classes(table_store(2, 5), 0, 1)
+    members = class_members(table)
+    assert [table.classes[c].size for c in (0, 1, 14)] == [54, 20, 30]
+    with pytest.raises(InvariantViolation, match=r"\|C_0\| \* \d+ is not divisible"):
+        class_multiplication_tensor(table, 0, [1], members)
+    with pytest.raises(InvariantViolation, match=r"\|C_14\| \* \d+ is not divisible"):
+        class_multiplication_tensor(table, 1, [14], members)
+
+
+def test_classes_running_out_raise_eigen_split_failure(table_store, arena_store, monkeypatch,
+                                                      capsys):
+    """GL_2(F_3) with the visit order cut to nothing: the split raises
+    EigenSplitFailure naming the central spaces it leaves unsplit, and
+    the CLI maps it to exit 3."""
+    table, arena = table_store(2, 3), arena_store(2, 3)
+    monkeypatch.setattr(characters, "_visit_order", lambda *args: iter(()))
+    with pytest.raises(EigenSplitFailure, match=r"eigenspaces of dimensions \[3, 5\] unsplit"):
+        character_table(table, arena)
+    assert main(["verify-gelfand", "--n", "2", "--q", "3", "--no-cache"]) == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violation: class matrices leave eigenspaces" in err
 
 
 def _refuse_tensor(*args):
@@ -665,7 +826,7 @@ def test_central_spaces_over_f2_are_the_whole_space(n, table_store, arena_store)
     """q = 2: the scalar map is the identity, so the start is the whole space."""
     table, arena = table_store(n, 2), arena_store(n, 2)
     n_cls = len(table.classes)
-    assert _central_spaces(table, arena) == [
+    assert _central_spaces(table, arena, scalar_class_map(table)) == [
         ([[int(r == c) for c in range(n_cls)] for r in range(n_cls)], list(range(n_cls)))]
 
 
@@ -703,7 +864,7 @@ def test_split_parts_are_in_rref_with_pivots_from_their_parent(n, q, table_store
     monkeypatch.setattr(characters, "_split_space", recording_split)
     character_table(table, arena)
     monkeypatch.undo()
-    for basis, pivots in _central_spaces(table, arena):
+    for basis, pivots in _central_spaces(table, arena, scalar_class_map(table)):
         assert _rref(basis, ell) == (basis, pivots)
     assert any(len(parts) > 1 for _, parts in splits)
     for parent_pivots, parts in splits:
