@@ -57,6 +57,18 @@ orthogonality of the finished table is one packed sum per character,
 holding its relations with all N characters; over Z/ell the row
 relations imply the column relations (see `verify_orthogonality`).
 
+Only one central space per twist orbit is split.  Twisting by
+lambda(det) permutes the irreducibles and keeps degrees, and
+(chi lambda(det))(g) = lambda(det g) chi(g), so
+omega_{chi lambda(det)}(K_c) = lambda(det g_c) omega_chi(K_c) and the
+central character moves from mu to mu lambda(w^n).  With
+det g_c = w^(a_c) (`groups.det_class_map`) and lambda_j(w^a) = zeta^(j a),
+D_j = diag(zeta^(j a_c)) maps the lines of space k onto those of space
+k + n j mod (q - 1).  So the split keeps the spaces k < gcd(n, q - 1),
+one per orbit (`_twists`), and carries its final lines to the rest of
+each orbit, checking that each lands in its space and that each space
+gets its dimension in lines (`_carry`).
+
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
 psi(xgx^-1) by conjugacy class gives
@@ -93,6 +105,7 @@ from .groups import (
     KlyachkoSubgroupSpec,
     chunk_columns,
     chunk_images,
+    det_class_map,
     encode,
     enumerate_h,
     products,
@@ -438,7 +451,8 @@ def _central_spaces(table: GroupTable, arena: ModularArena, shift: list[int],
     along sigma.  The eigenvalues are the powers of zeta = zeta_m^(m/(q-1)),
     and each orbit gives |O| vectors in all, so the dimensions add up to N.
     The vectors of one eigenvalue have disjoint supports, so they are
-    already in RREF with the orbit minima as pivots.
+    already in RREF with the orbit minima as pivots.  Space k, the
+    zeta^k-eigenspace, is entry k of the list.
     """
     n_cls, ell = len(shift), arena.ell
     orbits, seen = [], [False] * n_cls
@@ -464,8 +478,7 @@ def _central_spaces(table: GroupTable, arena: ModularArena, shift: list[int],
                 v[c], x = x, x * mu % ell
             basis.append(v)
             pivots.append(orbit[0])
-        if basis:
-            spaces.append((basis, pivots))
+        spaces.append((basis, pivots))
     if sum(len(basis) for basis, _ in spaces) != n_cls:
         raise InvariantViolation(
             f"central eigenspaces of dimensions {[len(b) for b, _ in spaces]} do not fill {n_cls}"
@@ -528,6 +541,46 @@ def _conjugate_pair(basis: list[list[int]], pivots: list[int], inv_map: list[int
     return all(u == [(u[p0] * x + u[p1] * y) % ell for x, y in zip(b0, b1)] for u in permuted)
 
 
+def _twists(n: int, q: int) -> dict[int, list[tuple[int, int]]]:
+    """The central spaces the split keeps, k < gcd(n, q - 1), each with
+    the spaces (k + n j mod (q - 1), j) its lines are carried to by D_j,
+    for j = 1, ..., (q - 1)/gcd(n, q - 1) - 1.
+
+    n j runs over the multiples of g = gcd(n, q - 1) mod q - 1 as j does
+    over [0, (q - 1)/g), each once, so the orbit of space k is every
+    space k' = k mod g, reached from k by exactly one j.
+    """
+    g = math.gcd(n, q - 1)
+    return {k: [((k + n * j) % (q - 1), j) for j in range(1, (q - 1) // g)] for k in range(g)}
+
+
+def _carry(lines: list[tuple[list[int], int]], twists: dict, dims: list[int], dets: list[int],
+           shift: list[int], zeta: int, ell: int) -> list[list[int]]:
+    """The lines of every central space from the `lines` (vector, k) of
+    the kept spaces: each line v of space k, and D_j v,
+    (D_j v)_c = zeta^(j a_c) v_c with a_c = `dets`[c], in each space k'
+    of `twists`[k].  Each image must satisfy v_sigma(c) = zeta^k' v_c,
+    and each space must receive its dimension `dims`[k'] in lines;
+    InvariantViolation otherwise.
+    """
+    order = len(dims)
+    powers = [pow(zeta, t, ell) for t in range(order)]
+    out, got = [], [0] * order
+    for v, k in lines:
+        out.append(v)
+        got[k] += 1
+        for target, j in twists[k]:
+            u = [x * powers[j * a % order] % ell for x, a in zip(v, dets)]
+            mu = powers[target]
+            if any(u[d] != mu * x % ell for x, d in zip(u, shift)):
+                raise InvariantViolation(f"a line carried to central space {target} is not in it")
+            out.append(u)
+            got[target] += 1
+    if got != dims:
+        raise InvariantViolation(f"{got} lines carried to central spaces of dimensions {dims}")
+    return out
+
+
 def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunction]:
     """All irreducible characters, sorted by (dimension, values)."""
     _check_arena(table, arena)
@@ -536,34 +589,40 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     e_idx = table.identity_class()
     inv_map = [c.inverse_class for c in classes]
     shift = scalar_class_map(table)
-    # invariant spaces as (RREF basis, pivot columns), from the central ones
-    spaces = _central_spaces(table, arena, shift)
+    central = _central_spaces(table, arena, shift)
+    twists = _twists(table.n, table.q)
+    # invariant spaces as (RREF basis, pivot columns, central space), from the kept central ones
+    spaces = [(basis, pivots, k) for k, (basis, pivots) in enumerate(central)
+              if k in twists and basis]
     images: dict = {}  # chunk images of the class representatives, for this call only
     columns: dict = {}  # chunk columns of the class members, for this call only
     members = None  # the members of each class, bucketed at the first row requested
     visit = _visit_order(table, images, shift)
-    while any(len(basis) > 1 for basis, _ in spaces):
+    while any(len(basis) > 1 for basis, _, _ in spaces):
         i = next(visit, None)
         if i is None:
             raise EigenSplitFailure(
                 f"class matrices leave eigenspaces of dimensions "
-                f"{sorted(len(b) for b, _ in spaces if len(b) > 1)} unsplit"
+                f"{sorted(len(b) for b, _, _ in spaces if len(b) > 1)} unsplit"
             )
         real = inv_map[i] == i  # a scalar on every conjugate pair
         split = [len(basis) > 1 and not (real and _conjugate_pair(basis, pivots, inv_map, ell))
-                 for basis, pivots in spaces]
-        rows = [p for (_, pivots), s in zip(spaces, split) if s for p in pivots]
+                 for basis, pivots, _ in spaces]
+        rows = [p for (_, pivots, _), s in zip(spaces, split) if s for p in pivots]
         if not rows:
             continue
         if members is None:
             members = class_members(table)
         m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, members, images,
                                                             columns)))
-        spaces = [part for (basis, pivots), s in zip(spaces, split)
-                  for part in (_split_space(basis, pivots, m_rows, ell) if s
+        spaces = [(b, p, k) for (basis, pivots, k), s in zip(spaces, split)
+                  for b, p in (_split_space(basis, pivots, m_rows, ell) if s
                                else [(basis, pivots)])]
+    zeta = pow(arena.zeta_m, arena.m // (table.q - 1), ell)
+    lines = _carry([(v, k) for (v,), _, k in spaces], twists, [len(b) for b, _ in central],
+                   det_class_map(table), shift, zeta, ell)
     omegas = []
-    for (v,), _ in spaces:
+    for v in lines:  # det I = 1, so D_j keeps the identity entry
         if v[e_idx] == 0:
             raise InvariantViolation("a central character vanishes on the identity class")
         scale = pow(v[e_idx], ell - 2, ell)

@@ -43,7 +43,8 @@ mean the labels were not the classes in their canonical order, and
 raise InvariantViolation.  Class representatives, flat entry tuples,
 are the least members.  The central scalar w I permutes the classes;
 `scalar_class_map` gives that permutation, from which the character
-table starts its split.
+table starts its split, and `det_class_map` the determinant of each
+class as a power of w, by which it carries characters across twists.
 
 Sp(2k, F_q) is the closure of the identity under right multiplication
 by a generating set of symplectic transvections (`enumerate_sp`), and
@@ -391,6 +392,30 @@ def scalar_class_map(table: GroupTable) -> list[int]:
         raise InvariantViolation("multiplying by a scalar does not permute the classes")
     if any(classes[d].size != c.size for c, d in zip(classes, out)):
         raise InvariantViolation("multiplying by a scalar changes a class size")
+    return out
+
+
+def det_class_map(table: GroupTable) -> list[int]:
+    """The exponent a_c in [0, q - 1) with det g_c = w^(a_c) for every
+    class c, w the least primitive element, as in `scalar_class_map`.
+
+    The invariant factors of xI - g multiply to det(xI - g), whose value
+    at 0 is det(-g), so det g = (-1)^n prod f(0).  det(w g) = w^n det g,
+    so a_sigma(c) = a_c + n mod q - 1 for the scalar class map sigma; a
+    map that breaks this raises InvariantViolation.
+    """
+    field, n, q = table.field, table.n, table.q
+    w, log, x = _primitive_element(field), {}, 1
+    for a in range(q - 1):
+        log[x], x = a, field.mul[x * q + w]
+    out = []
+    for c in table.classes:
+        det = field.neg[1] if n % 2 else 1
+        for f in c.invariant_factors:
+            det = field.mul[det * q + f[0]]
+        out.append(log.get(det, -1))
+    if -1 in out or any((out[s] - a - n) % (q - 1) for a, s in zip(out, scalar_class_map(table))):
+        raise InvariantViolation("the class determinants do not follow multiplication by a scalar")
     return out
 
 

@@ -126,6 +126,25 @@ def mat_det(a, n, field):
     return det
 
 
+def det_exponents(table):
+    """The exponent a in [0, q - 1) with det g_c = w^a for every class
+    representative, w the least element of F_q^* of order q - 1: the
+    determinant by elimination (`mat_det`), its exponent by stepping
+    through the powers of w.  No invariant factor is used."""
+    field, n, q = table.field, table.n, table.q
+
+    def powers(w):
+        out, x = [], 1
+        for _ in range(q - 1):
+            out.append(x)
+            x = field.mul[x * q + w]
+        return out
+
+    w = next(w for w in range(1, q) if len(set(powers(w))) == q - 1)
+    log = powers(w)
+    return [log.index(mat_det(cls.representative, n, field)) for cls in table.classes]
+
+
 def sp_membership_flat(g, k, field):
     """t(g) J g == J by two matrix products (Sp(0) is the empty matrix)."""
     if k == 0:

@@ -14,6 +14,7 @@ from klyachko.characters import (
     ClassFunction,
     _central_spaces,
     _character_from_central,
+    _carry,
     _charpoly_mod,
     _conjugate_pair,
     _rational_class,
@@ -21,6 +22,7 @@ from klyachko.characters import (
     _rref,
     _split_space,
     _sqrt_mod,
+    _twists,
     _visit_order,
     character_table,
     class_members,
@@ -48,6 +50,7 @@ from klyachko.groups import (
     _primitive_element,
     chunk_columns,
     chunk_images,
+    det_class_map,
     encode,
     h_order,
     psi_r_trace,
@@ -505,20 +508,21 @@ def test_rational_class_matches_power_map(n, q, table_store):
     assert all(oracle[d] == oracle[c] for c in range(len(oracle)) for d in oracle[c])
 
 
-# (classes visited, products, characteristic polynomials, restrictions) of
-# the split, as the README's "Character table" section states them
-SPLIT_WORK = {(3, 3): (4, 9438, 8, 12), (4, 2): (4, 8124, 4, 5),
-              (2, 9): (8, 27728, 52, 120)}
+# (classes visited, products, characteristic polynomials, restrictions,
+# lines carried from the kept central spaces) of the split, as the
+# README's "Character table" section states them
+SPLIT_WORK = {(3, 3): (4, 4719, 4, 6, 12), (4, 2): (4, 8124, 4, 5, 0),
+              (2, 9): (8, 7076, 13, 31, 60)}
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _count_split_work(table, arena, monkeypatch):
     """One character_table call with its work counted where it is done:
     the classes whose rows are requested, min(|C_i|, |C_j|) products per
-    requested row j, the characteristic polynomials and the restrictions
-    (_split_space calls).  The counting patches are undone before it
-    returns."""
-    visited, products, charpolys, restrictions = [], [], [], []
+    requested row j, the characteristic polynomials, the restrictions
+    (_split_space calls) and the lines carried to the spaces not split.
+    The counting patches are undone before it returns."""
+    visited, products, charpolys, restrictions, carried = [], [], [], [], []
 
     def counting_tensor(tab, i, rows, *rest):
         visited.append(i)
@@ -533,20 +537,26 @@ def _count_split_work(table, arena, monkeypatch):
         restrictions.append(len(args[0]))
         return _split_space(*args)
 
+    def counting_carry(lines, *rest):
+        out = _carry(lines, *rest)
+        carried.append(len(out) - len(lines))
+        return out
+
     monkeypatch.setattr(characters, "class_multiplication_tensor", counting_tensor)
     monkeypatch.setattr(characters, "_charpoly_mod", counting_charpoly)
     monkeypatch.setattr(characters, "_split_space", counting_split)
+    monkeypatch.setattr(characters, "_carry", counting_carry)
     character_table(table, arena)
     monkeypatch.undo()
-    return visited, products, charpolys, restrictions
+    return visited, products, charpolys, restrictions, sum(carried)
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (2, 9)])
 def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_store, monkeypatch):
     """Products are counted where they are done: min(|C_i|, |C_j|) per requested row j."""
     table, arena = table_store(n, q), arena_store(n, q)
-    visited, products, _, _ = _count_split_work(table, arena, monkeypatch)
-    max_visited, max_products, _, _ = SPLIT_WORK[(n, q)]
+    visited, products, _, _, _ = _count_split_work(table, arena, monkeypatch)
+    max_visited, max_products = SPLIT_WORK[(n, q)][:2]
     assert len(set(visited)) == len(visited) <= max_visited
     assert 0 < sum(products) <= max_products <= table.order * len(table.classes) // 5
 
@@ -555,7 +565,7 @@ def test_split_uses_a_fifth_of_the_tensor_products(n, q, table_store, arena_stor
 def test_split_skips_scalar_restrictions(n, q, table_store, arena_store, monkeypatch):
     """One characteristic polynomial per restriction that is not a scalar."""
     table, arena = table_store(n, q), arena_store(n, q)
-    _, _, charpolys, _ = _count_split_work(table, arena, monkeypatch)
+    _, _, charpolys, _, _ = _count_split_work(table, arena, monkeypatch)
     assert 0 < len(charpolys) <= SPLIT_WORK[(n, q)][2]
 
 
@@ -571,22 +581,24 @@ def test_split_work_is_pinned_and_matches_readme(table_store, arena_store, monke
     groups = list(SPLIT_WORK)
     counted = {}
     for n, q in groups:
-        visited, products, charpolys, restrictions = _count_split_work(
+        visited, products, charpolys, restrictions, carried = _count_split_work(
             table_store(n, q), arena_store(n, q), monkeypatch)
-        counted[(n, q)] = (len(visited), sum(products), len(charpolys), len(restrictions))
+        counted[(n, q)] = (len(visited), sum(products), len(charpolys), len(restrictions), carried)
     assert counted == SPLIT_WORK
-    visits, products, charpolys, restrictions = zip(*(SPLIT_WORK[g] for g in groups))
+    visits, products, charpolys, restrictions, carried = zip(*(SPLIT_WORK[g] for g in groups))
     text = " ".join(README.read_text().split())
     assert f"the split visits {_listed(visits)} classes" in text
     assert f"makes {_listed(products)} products" in text
     assert f"computes {_listed(restrictions)} restrictions" in text
     assert f"takes {_listed(charpolys)} characteristic polynomials" in text
-    _, _, charpolys_29, restrictions_29 = SPLIT_WORK[(2, 9)]
+    classes = _listed(len(table_store(*g).classes) for g in groups)
+    assert f"carries {_listed(carried)} of their {classes} central characters" in text
+    _, _, charpolys_29, restrictions_29, _ = SPLIT_WORK[(2, 9)]
     scalar_29 = restrictions_29 - charpolys_29  # a scalar restriction takes no polynomial
     assert f"on GL_2(F_9) {scalar_29} of the {restrictions_29} restrictions" in text
 
 
-ROOT_POWERINGS = {(2, 8): 28, (2, 9): 20, (3, 3): 12, (4, 2): 9}
+ROOT_POWERINGS = {(2, 8): 4, (2, 9): 6, (3, 3): 6, (4, 2): 9}
 
 
 def test_root_search_powerings_are_pinned_and_match_readme(table_store, arena_store, monkeypatch):
@@ -688,12 +700,19 @@ SKIPPED = {(2, 3): (0, 0), (2, 4): (0, 0), (2, 5): (8, 0), (2, 7): (30, 0), (3, 
            (3, 3): (12, 6), (4, 2): (0, 11), (2, 9): (148, 10)}
 
 
+def _split_every_space(n, q):
+    """`_twists` with transport turned off: every central space is kept
+    and split, and none is carried to another."""
+    return {k: [] for k in range(q - 1)}
+
+
 @pytest.mark.parametrize("n,q", list(SKIPPED))
 def test_skipped_classes_and_planes_split_nothing(n, q, table_store, arena_store, monkeypatch):
-    """The split with nothing skipped, every non-central class queued and
-    every space requested, gives the same table; and at each class's turn
-    there, a class the visit order omits, and a real class on a conjugate
-    pair, restricts to a scalar on every space it meets."""
+    """The split with nothing skipped, every non-central class queued,
+    every space requested and every central space split (no transport),
+    gives the same table; and at each class's turn there, a class the
+    visit order omits, and a real class on a conjugate pair, restricts
+    to a scalar on every space it meets."""
     table, arena = table_store(n, q), arena_store(n, q)
     ell, inv_map = arena.ell, [cls.inverse_class for cls in table.classes]
     expected = character_table(table, arena)
@@ -713,6 +732,7 @@ def test_skipped_classes_and_planes_split_nothing(n, q, table_store, arena_store
     monkeypatch.setattr(characters, "_visit_order", every_class)
     monkeypatch.setattr(characters, "_conjugate_pair", lambda *args: False)
     monkeypatch.setattr(characters, "_split_space", recording_split)
+    monkeypatch.setattr(characters, "_twists", _split_every_space)
     assert character_table(table, arena) == expected
     monkeypatch.undo()
     omitted = [split for c, spaces in turns if c not in kept for _, _, split in spaces]
@@ -720,6 +740,115 @@ def test_skipped_classes_and_planes_split_nothing(n, q, table_store, arena_store
              for basis, pivots, split in spaces if _conjugate_pair(basis, pivots, inv_map, ell)]
     assert not any(omitted) and not any(pairs)
     assert (len(omitted), len(pairs)) == SKIPPED[(n, q)]
+
+
+# -- the twist transport -------------------------------------------------------
+
+TWIST_GRID = [(1, 5), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,q,kept", [(2, 2, 1), (2, 3, 2), (3, 4, 3), (2, 8, 1), (2, 9, 2),
+                                      (3, 3, 1), (3, 5, 1), (1, 5, 1), (4, 5, 4), (2, 7, 2)])
+def test_twists_reach_every_space_once(n, q, kept):
+    """The kept spaces are k < gcd(n, q - 1); the targets of space k are
+    the other spaces k' = k mod gcd, each reached by the one j with
+    k + n j = k' mod q - 1, so every space is kept or reached once."""
+    twists = _twists(n, q)
+    assert sorted(twists) == list(range(kept))
+    reached = list(twists) + [t for targets in twists.values() for t, _ in targets]
+    assert sorted(reached) == list(range(q - 1))
+    for k, targets in twists.items():
+        for target, j in targets:
+            assert 0 < j < (q - 1) // kept and (k + n * j - target) % (q - 1) == 0
+            assert target % kept == k
+
+
+@pytest.mark.parametrize("n,q", TWIST_GRID)
+def test_transport_changes_nothing(n, q, table_store, arena_store, monkeypatch):
+    """The table with every central space split equals the table with
+    one space per twist orbit split and the rest carried by D_j; with
+    transport off, the lines handed to _carry fill every space and it
+    carries none."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    carried = character_table(table, arena)
+    handed = []
+
+    def recording_carry(lines, *rest):
+        handed.append(sorted(k for _, k in lines))
+        return _carry(lines, *rest)
+
+    monkeypatch.setattr(characters, "_twists", _split_every_space)
+    monkeypatch.setattr(characters, "_carry", recording_carry)
+    assert character_table(table, arena) == carried
+    dims = [len(basis) for basis, _ in _central_spaces(table, arena, scalar_class_map(table))]
+    assert handed == [[k for k, d in enumerate(dims) for _ in range(d)]]
+
+
+def _det_off_by_one(c):
+    """det_class_map with the exponent of class c one too large."""
+    def wrong(table):
+        dets = det_class_map(table)
+        dets[c] = (dets[c] + 1) % (table.q - 1)
+        return dets
+    return wrong
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (2, 9), (3, 3)])
+def test_a_determinant_off_by_one_raises(n, q, table_store, arena_store, monkeypatch):
+    """A determinant map off by one on any one non-central class makes a
+    carried line leave its space: InvariantViolation, never a table."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    for c, cls in enumerate(table.classes):
+        if cls.size > 1:
+            monkeypatch.setattr(characters, "det_class_map", _det_off_by_one(c))
+            with pytest.raises(InvariantViolation, match="a line carried to central space"):
+                character_table(table, arena)
+
+
+def test_a_determinant_off_by_one_exits_3(table_store, monkeypatch, capsys):
+    table = table_store(2, 5)
+    c = next(c for c, cls in enumerate(table.classes) if cls.size > 1)
+    monkeypatch.setattr(characters, "det_class_map", _det_off_by_one(c))
+    assert main(["verify-gelfand", "--n", "2", "--q", "5", "--no-cache", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "a line carried to central space" in err
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (2, 9), (3, 3)])
+def test_a_line_carried_to_the_wrong_space_raises(n, q, table_store, arena_store, monkeypatch,
+                                                  capsys):
+    """Targets moved one space on, or reached with j + 1, which lands n
+    spaces on, raise InvariantViolation; verify-gelfand exits 3."""
+    table, arena = table_store(n, q), arena_store(n, q)
+
+    def moved(n, q):
+        return {k: [((t + 1) % (q - 1), j) for t, j in targets]
+                for k, targets in _twists(n, q).items()}
+
+    def next_j(n, q):
+        return {k: [(t, j + 1) for t, j in targets] for k, targets in _twists(n, q).items()}
+
+    for wrong in (moved, next_j):
+        monkeypatch.setattr(characters, "_twists", wrong)
+        with pytest.raises(InvariantViolation, match="a line carried to central space"):
+            character_table(table, arena)
+    assert main(["verify-gelfand", "--n", str(n), "--q", str(q), "--no-cache"]) == 3
+    assert "a line carried to central space" in capsys.readouterr().err
+
+
+def test_a_space_that_receives_too_few_lines_raises(table_store, arena_store, monkeypatch):
+    """GL_2(F_9) with one target dropped from the twists: every carried
+    line is in its space, but one space gets none of its lines."""
+    table, arena = table_store(2, 9), arena_store(2, 9)
+
+    def dropped(n, q):
+        twists = _twists(n, q)
+        twists[0] = twists[0][1:]
+        return twists
+
+    monkeypatch.setattr(characters, "_twists", dropped)
+    with pytest.raises(InvariantViolation, match="lines carried to central spaces of dimensions"):
+        character_table(table, arena)
 
 
 def _omegas(chars, table, ell):

@@ -16,7 +16,7 @@ from klyachko.gelfand import verify_gelfand
 from oracles import degree_model_columns, degree_model_histogram, model_columns, model_histogram
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_CASES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
+GOLDEN_CASES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (3, 3)]
 
 # a dual label, a paired block, a negative shift and a product of three blocks
 EXPRESSIONS = {
@@ -59,6 +59,15 @@ def test_golden_model_columns_match_green_parametrisation(n, q):
 def test_golden_dimensions_and_models_match_green_degrees(n, q):
     golden = json.loads((GOLDEN_DIR / f"gelfand_n{n}_q{q}.json").read_text())
     assert degree_model_columns(golden["rows"]) == degree_model_histogram(n, q)
+
+
+def test_table_output_matches_golden(capsys):
+    """The `table` JSON of GL_2(F_5), whose character values the Gelfand
+    reports do not carry, apart from meta."""
+    assert main(["table", "--n", "2", "--q", "5", "--format", "json", "--no-cache"]) == 0
+    live = json.loads(capsys.readouterr().out)
+    golden = json.loads((GOLDEN_DIR / "table_n2_q5.json").read_text())
+    assert json.dumps(strip_meta(live), indent=2) == json.dumps(strip_meta(golden), indent=2)
 
 
 @pytest.mark.parametrize("name", sorted(SYMBOLIC_CASES))

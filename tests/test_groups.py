@@ -18,6 +18,7 @@ from klyachko.groups import (
     class_count,
     conjugacy_classes,
     decode,
+    det_class_map,
     encode,
     enumerate_h,
     enumerate_sp,
@@ -32,6 +33,7 @@ from klyachko.groups import (
     symplectic_form,
 )
 from oracles import (
+    det_exponents,
     element_labels,
     exponent_by_powers,
     flat_orbit_classes,
@@ -148,6 +150,32 @@ def test_scalar_class_map_rejects_labels_that_are_not_classes(table_store):
     resized = groups.GroupTable(table.field, 2, table.codes, table.labels, tuple(classes))
     with pytest.raises(InvariantViolation, match="changes a class size"):
         scalar_class_map(resized)
+
+
+@pytest.mark.parametrize("n,q", [(1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2),
+                                 (2, 8), (2, 9)])
+def test_det_class_map_matches_elimination(n, q, table_store):
+    """The determinants read off the invariant factors equal those by
+    elimination, and multiplying by w I adds n to the exponent."""
+    table = table_store(n, q)
+    dets = det_class_map(table)
+    assert dets == det_exponents(table)
+    assert all((dets[s] - a - n) % (q - 1) == 0 for a, s in zip(dets, scalar_class_map(table)))
+    assert dets[table.identity_class()] == 0
+
+
+def test_det_class_map_rejects_a_key_of_another_determinant(table_store):
+    """GL_2(F_5) with one non-central class keyed as a class of another
+    determinant: the exponents no longer follow the scalar class map."""
+    table = table_store(2, 5)
+    dets = det_class_map(table)
+    c = next(c for c, cls in enumerate(table.classes) if cls.size > 1)
+    d = next(d for d in range(len(table.classes)) if dets[d] != dets[c])
+    classes = list(table.classes)
+    classes[c] = replace(classes[c], invariant_factors=classes[d].invariant_factors)
+    rekeyed = groups.GroupTable(table.field, 2, table.codes, table.labels, tuple(classes))
+    with pytest.raises(InvariantViolation, match="do not follow multiplication by a scalar"):
+        det_class_map(rekeyed)
 
 
 def class_members(table, c):

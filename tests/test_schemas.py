@@ -33,9 +33,10 @@ def test_golden_files_validate_too():
     sch = schema("gelfand-report")
     golden_dir = Path(__file__).parent / "golden"
     files = sorted(golden_dir.glob("gelfand_*.json"))
-    assert len(files) == 5
+    assert len(files) == 7
     for path in files:
         jsonschema.validate(json.loads(path.read_text()), sch)
+    jsonschema.validate(json.loads((golden_dir / "table_n2_q5.json").read_text()), schema("table"))
 
 
 def test_kappa_schema(capsys):
