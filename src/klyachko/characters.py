@@ -87,7 +87,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 
 from .arena import (
@@ -136,12 +138,13 @@ def class_members(table: GroupTable) -> list[array]:
     return members
 
 
-def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int], members: list[array],
-                                images: dict | None = None,
-                                columns: dict | None = None) -> list[list[int]]:
+def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int], columns: Callable,
+                                images: Callable) -> list[list[int]]:
     """Rows j in `rows` of the class matrix M_i, a slice of the tensor
     a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, g_k the class reps;
-    `members` are the codes of the members of every class (`class_members`).
+    `columns(c)` gives the chunk columns of the members of class c
+    (`groups.chunk_columns`) and `images(c)` the chunk images of its
+    representative (`groups.chunk_images`).
 
     Conjugating y to g_j gives a[i][j][k] = |C_j| * #{x in C_i : x g_j in C_k} / |C_k|,
     and class sums are central, so K_i K_j = K_j K_i and the same count
@@ -150,24 +153,17 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int], memb
     (C_i on a tie), so it costs min(|C_i|, |C_j|) products and no
     inverses.  Row r of x g is (row r of x) g, so a product is one
     lookup per chunk of rows in the chunk images of g, summed
-    (`groups.products`).  The chunk images of each representative are
-    kept in `images` and the chunk columns of each class's members in
-    `columns`, both under the class, so a caller that passes the same
-    dicts to several calls builds each at most once.
+    (`groups.products`).  A caller that memoizes `columns` and `images`
+    builds each at most once over several calls.
     """
     classes = table.classes
     labels = table.labels
-    if images is None:
-        images = {}
-    if columns is None:
-        columns = {}
     size_i = classes[i].size
     out = []
     for j in rows:
         small, other = (j, i) if classes[j].size < size_i else (i, j)
         size = classes[other].size
-        counts = Counter(map(labels.__getitem__, products(
-            _columns(table, small, members, columns), _images(table, other, images))))
+        counts = Counter(map(labels.__getitem__, products(columns(small), images(other))))
         row = [0] * len(classes)
         for k, cnt in counts.items():
             row[k], rem = divmod(size * cnt, classes[k].size)
@@ -178,24 +174,6 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int], memb
                 )
         out.append(row)
     return out
-
-
-def _columns(table: GroupTable, c: int, members: list[array], columns: dict) -> list[array]:
-    """The chunk columns of the members of class c, kept in `columns`
-    under c, so that each is built once per dict."""
-    cols = columns.get(c)
-    if cols is None:
-        cols = columns[c] = chunk_columns(members[c], table.n, table.q)
-    return cols
-
-
-def _images(table: GroupTable, c: int, images: dict) -> list[list[int]]:
-    """The chunk images of the representative of class c, kept in
-    `images` under c, so that each is built once per dict."""
-    tables = images.get(c)
-    if tables is None:
-        tables = images[c] = chunk_images(table.classes[c].representative, table.n, table.field)
-    return tables
 
 
 def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
@@ -424,12 +402,12 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     return parts
 
 
-def _rational_class(table: GroupTable, c: int, images: dict) -> set[int]:
+def _rational_class(table: GroupTable, c: int, images: Callable) -> set[int]:
     """The classes of g^a for every a prime to the order of g, the
     representative of class c; each power is the one before times g,
-    read through the chunk images of g."""
+    read through the chunk images of g, `images(c)`."""
     n, q = table.n, table.q
-    tables = _images(table, c, images)
+    tables = images(c)
     ident = encode(table.identity(), q)
     powers = [encode(table.classes[c].representative, q)]
     while powers[-1] != ident:
@@ -486,7 +464,7 @@ def _central_spaces(table: GroupTable, arena: ModularArena, shift: list[int],
     return spaces
 
 
-def _visit_order(table: GroupTable, images: dict, shift: list[int]):
+def _visit_order(table: GroupTable, images: Callable, shift: list[int]):
     """The non-central classes to visit: one per rational class, then the
     rest, each group in ascending (size, index) order, keeping only the
     first class of each orbit of `shift`, the scalar class map sigma.
@@ -584,19 +562,20 @@ def _carry(lines: list[tuple[list[int], int]], twists: dict, dims: list[int], de
 def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunction]:
     """All irreducible characters, sorted by (dimension, values)."""
     _check_arena(table, arena)
-    classes = table.classes
+    classes, n, q = table.classes, table.n, table.q
     ell = arena.ell
     e_idx = table.identity_class()
     inv_map = [c.inverse_class for c in classes]
     shift = scalar_class_map(table)
     central = _central_spaces(table, arena, shift)
-    twists = _twists(table.n, table.q)
+    twists = _twists(n, q)
     # invariant spaces as (RREF basis, pivot columns, central space), from the kept central ones
     spaces = [(basis, pivots, k) for k, (basis, pivots) in enumerate(central)
               if k in twists and basis]
-    images: dict = {}  # chunk images of the class representatives, for this call only
-    columns: dict = {}  # chunk columns of the class members, for this call only
-    members = None  # the members of each class, bucketed at the first row requested
+    # memos for this call only; the members are bucketed at the first row requested
+    members = cache(lambda: class_members(table))
+    columns = cache(lambda c: chunk_columns(members()[c], n, q))
+    images = cache(lambda c: chunk_images(classes[c].representative, n, table.field))
     visit = _visit_order(table, images, shift)
     while any(len(basis) > 1 for basis, _, _ in spaces):
         i = next(visit, None)
@@ -611,16 +590,13 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
         rows = [p for (_, pivots, _), s in zip(spaces, split) if s for p in pivots]
         if not rows:
             continue
-        if members is None:
-            members = class_members(table)
-        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, members, images,
-                                                            columns)))
+        m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, columns, images)))
         spaces = [(b, p, k) for (basis, pivots, k), s in zip(spaces, split)
                   for b, p in (_split_space(basis, pivots, m_rows, ell) if s
                                else [(basis, pivots)])]
-    zeta = pow(arena.zeta_m, arena.m // (table.q - 1), ell)
+    zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
     lines = _carry([(v, k) for (v,), _, k in spaces], twists, [len(b) for b, _ in central],
-                   det_class_map(table), shift, zeta, ell)
+                   det_class_map(table, shift), shift, zeta, ell)
     omegas = []
     for v in lines:  # det I = 1, so D_j keeps the identity entry
         if v[e_idx] == 0:

@@ -395,14 +395,14 @@ def scalar_class_map(table: GroupTable) -> list[int]:
     return out
 
 
-def det_class_map(table: GroupTable) -> list[int]:
+def det_class_map(table: GroupTable, shift: list[int]) -> list[int]:
     """The exponent a_c in [0, q - 1) with det g_c = w^(a_c) for every
     class c, w the least primitive element, as in `scalar_class_map`.
 
     The invariant factors of xI - g multiply to det(xI - g), whose value
     at 0 is det(-g), so det g = (-1)^n prod f(0).  det(w g) = w^n det g,
-    so a_sigma(c) = a_c + n mod q - 1 for the scalar class map sigma; a
-    map that breaks this raises InvariantViolation.
+    so a_sigma(c) = a_c + n mod q - 1 for `shift`, the scalar class map
+    sigma; a map that breaks this raises InvariantViolation.
     """
     field, n, q = table.field, table.n, table.q
     w, log, x = _primitive_element(field), {}, 1
@@ -414,7 +414,7 @@ def det_class_map(table: GroupTable) -> list[int]:
         for f in c.invariant_factors:
             det = field.mul[det * q + f[0]]
         out.append(log.get(det, -1))
-    if -1 in out or any((out[s] - a - n) % (q - 1) for a, s in zip(out, scalar_class_map(table))):
+    if -1 in out or any((out[s] - a - n) % (q - 1) for a, s in zip(out, shift)):
         raise InvariantViolation("the class determinants do not follow multiplication by a scalar")
     return out
 

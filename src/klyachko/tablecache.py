@@ -18,7 +18,11 @@ element.  The loader rejects a file whose version, (n, p, e), count,
 length, digest or class labels do not match (labels that are not the
 classes numbered in the order of their least members); the caller then
 recomputes the table and overwrites the file.  Files of earlier formats
-fail the version check.
+fail the version check.  The label checks cannot see two members of two
+classes of equal size, neither the least of its class, trading labels:
+the sizes, least members and keys stay the same.  So the digest guards
+against accidents, not against edits: a file edited so, with its digest
+made to match, loads as a wrong table.
 
 Character table `gl{n}_q{q}_ell{ell}.chr`, one per arena prime
 (little-endian):
@@ -42,6 +46,12 @@ width, ell, length, digest or fingerprint do not match, with a value
 orthogonality over Z/ell, and the dimension identity), which runs on
 every load; the caller then recomputes the characters and overwrites
 the file.
+
+Both formats are framed alike: magic, a header whose first fields are
+n, p, e, the bytes up to the digest (none in a `.tbl`), the digest, then
+the body.  One writer (`_write`) computes the digest and one reader
+(`_read`) checks the magic, the header length, (n, p, e), the total
+length and the digest, so each loader makes only its own checks.
 """
 
 from __future__ import annotations
@@ -67,13 +77,10 @@ except ImportError:  # Python >= 3.12 renamed it
 HASH_SIZE = sha256().digest_size
 
 MAGIC = b"KLYGRP\x00\x04"
-HEADER = struct.Struct("<BBBBI")
-DIGEST_AT = len(MAGIC) + HEADER.size
-BODY_AT = DIGEST_AT + HASH_SIZE
+HEADER = struct.Struct("<BBBBI")  # n, p, e, reserved, element count
 
 CHARS_MAGIC = b"KLYCHR\x00\x01"
 CHARS_HEADER = struct.Struct("<BBBIB")  # n, p, e, class count, value width
-ELL_AT = len(CHARS_MAGIC) + CHARS_HEADER.size
 
 
 def cache_path(cache_dir: str | Path, n: int, q: int) -> Path:
@@ -90,54 +97,67 @@ def _digest(head: bytes, body) -> bytes:
     return h.digest()
 
 
-def _write(path: Path, data: bytes) -> None:
-    """Write through a temp file of this process, then rename."""
+def _write(path: Path, head: bytes, body: bytes) -> None:
+    """Write `head`, the digest of `head` and `body`, then `body`, through
+    a temp file of this process, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        tmp.write_bytes(head + _digest(head, body) + body)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _read(path: Path) -> bytes:
+def _read(path: str | Path, magic: bytes, header: struct.Struct, n: int, field: FiniteField,
+          sizes) -> tuple[tuple, bytes, memoryview]:
+    """The header fields, the bytes between header and digest, and the
+    body of a file that `_write` wrote with `magic` and `header`, whose
+    first fields are n, p, e.  `sizes(*fields)` gives the byte lengths
+    of the part between header and digest and of the body.  Checks the
+    magic, the header length, (n, p, e), the total length and the
+    digest, raising CacheError."""
     try:
-        return path.read_bytes()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
+    if raw[: len(magic)] != magic:
+        raise CacheError(f"{path}: bad magic/version")
+    head_end = len(magic) + header.size
+    if len(raw) < head_end:
+        raise CacheError(f"{path}: truncated cache")
+    fields = header.unpack_from(raw, len(magic))
+    if fields[:3] != (n, field.p, field.e):
+        raise CacheError(
+            f"{path}: cache is for (n={fields[0]}, p={fields[1]}, e={fields[2]}), "
+            f"wanted (n={n}, p={field.p}, e={field.e})"
+        )
+    middle, body_size = sizes(*fields)
+    digest_at = head_end + middle
+    body_at = digest_at + HASH_SIZE
+    if len(raw) != body_at + body_size:
+        raise CacheError(f"{path}: truncated or corrupt cache")
+    body = memoryview(raw)[body_at:]
+    if raw[digest_at:body_at] != _digest(raw[:digest_at], body):
+        raise CacheError(f"{path}: digest mismatch")
+    return fields, raw[head_end:digest_at], body
 
 
 def save_table(table: GroupTable, path: str | Path) -> None:
     head = MAGIC + HEADER.pack(table.n, table.field.p, table.field.e, 0, table.order)
     body = struct.pack(f"<{table.order}H", *map(table.labels.__getitem__, table.codes))
-    _write(Path(path), head + _digest(head, body) + body)
+    _write(Path(path), head, body)
 
 
 def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
-    path = Path(path)
-    raw = _read(path)
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CacheError(f"{path}: bad magic/version")
-    if len(raw) < BODY_AT:
-        raise CacheError(f"{path}: truncated cache")
-    fn, fp, fe, _, count = HEADER.unpack_from(raw, len(MAGIC))
-    if (fn, fp, fe) != (n, field.p, field.e):
-        raise CacheError(
-            f"{path}: cache is for (n={fn}, p={fp}, e={fe}), "
-            f"wanted (n={n}, p={field.p}, e={field.e})"
-        )
+    (_, _, _, _, count), _, body = _read(path, MAGIC, HEADER, n, field,
+                                         lambda n, p, e, reserved, count: (0, 2 * count))
     if count != math.prod(field.q**n - field.q**i for i in range(n)):
         raise CacheError(f"{path}: {count} elements is not the order of GL_{n}(F_{field.q})")
-    if len(raw) != BODY_AT + 2 * count:
-        raise CacheError(f"{path}: truncated or corrupt cache")
-    if raw[DIGEST_AT:BODY_AT] != _digest(raw[:DIGEST_AT], memoryview(raw)[BODY_AT:]):
-        raise CacheError(f"{path}: digest mismatch")
     codes = gl_elements(n, field, count)
     try:
-        classes, labels = class_records(codes, struct.unpack_from(f"<{count}H", raw, BODY_AT),
-                                        n, field)
+        classes, labels = class_records(codes, struct.unpack(f"<{count}H", body), n, field)
     except InvariantViolation as exc:
         raise CacheError(f"{path}: class labels do not name conjugacy classes") from exc
     return GroupTable(field, n, codes, labels, classes)
@@ -164,44 +184,27 @@ def save_characters(chars: list[ClassFunction], table: GroupTable, path: str | P
             + CHARS_HEADER.pack(table.n, table.field.p, table.field.e, len(chars), width)
             + ell.to_bytes(width, "little") + class_fingerprint(table))
     body = b"".join(v.to_bytes(width, "little") for cf in chars for v in cf.values)
-    _write(Path(path), head + _digest(head, body) + body)
+    _write(Path(path), head, body)
 
 
 def load_characters(path: str | Path, table: GroupTable,
                     arena: ModularArena) -> list[ClassFunction]:
     """The character table of `table` in `arena` from a file that
     `save_characters` wrote, checked as the module docstring says."""
-    path = Path(path)
-    raw = _read(path)
-    if raw[: len(CHARS_MAGIC)] != CHARS_MAGIC:
-        raise CacheError(f"{path}: bad magic/version")
-    if len(raw) < ELL_AT:
-        raise CacheError(f"{path}: truncated cache")
-    fn, fp, fe, count, width = CHARS_HEADER.unpack_from(raw, len(CHARS_MAGIC))
-    field, ell = table.field, arena.ell
-    if (fn, fp, fe) != (table.n, field.p, field.e):
-        raise CacheError(
-            f"{path}: cache is for (n={fn}, p={fp}, e={fe}), "
-            f"wanted (n={table.n}, p={field.p}, e={field.e})"
-        )
+    (_, _, _, count, width), middle, body = _read(
+        path, CHARS_MAGIC, CHARS_HEADER, table.n, table.field,
+        lambda n, p, e, count, width: (width + HASH_SIZE, count * count * width))
+    ell = arena.ell
     if count != len(table.classes):
         raise CacheError(f"{path}: {count} classes, the table has {len(table.classes)}")
     if width != _width(ell):
         raise CacheError(f"{path}: values of {width} bytes, ell = {ell} needs {_width(ell)}")
-    fingerprint_at = ELL_AT + width
-    digest_at = fingerprint_at + HASH_SIZE
-    body_at = digest_at + HASH_SIZE
-    if len(raw) != body_at + count * count * width:
-        raise CacheError(f"{path}: truncated or corrupt cache")
-    if raw[digest_at:body_at] != _digest(raw[:digest_at], memoryview(raw)[body_at:]):
-        raise CacheError(f"{path}: digest mismatch")
-    file_ell = int.from_bytes(raw[ELL_AT:fingerprint_at], "little")
+    file_ell = int.from_bytes(middle[:width], "little")
     if file_ell != ell:
         raise CacheError(f"{path}: cache is for ell = {file_ell}, wanted {ell}")
-    if raw[fingerprint_at:digest_at] != class_fingerprint(table):
+    if middle[width:] != class_fingerprint(table):
         raise CacheError(f"{path}: written for other class records")
-    values = [int.from_bytes(raw[at:at + width], "little")
-              for at in range(body_at, len(raw), width)]
+    values = [int.from_bytes(body[at:at + width], "little") for at in range(0, len(body), width)]
     if max(values) >= ell:
         raise CacheError(f"{path}: a value is not below ell = {ell}")
     chars = [ClassFunction(arena, tuple(values[at:at + count]))

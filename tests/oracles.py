@@ -1,19 +1,21 @@
 """Test oracles: matrix and subgroup helpers, the row-by-row search for
 Sp(2k, F_q), the character split's visit order over every non-central
-class and its class matrix rows counted over C_i, Green's class data,
-the segment calculus, contragredients and mu_Q behind the symbolic
-commands, and per-index Weyl-element routines with the closed forms of
-the residue-survival count.  The library itself does not need them;
-they are written plainly so the tests can check it against them."""
+class, the sources of its class matrix rows and the rows counted over
+C_i, Green's class data, the segment calculus, contragredients and mu_Q
+behind the symbolic commands, and per-index Weyl-element routines with
+the closed forms of the residue-survival count.  The library itself
+does not need them; they are written plainly so the tests can check it
+against them."""
 
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import itemgetter
 
-from klyachko.characters import _rational_class
+from klyachko.characters import _rational_class, class_members
 from klyachko.errors import ArenaMismatch, EmptyBlock, InvariantViolation
 from klyachko.gf import mat_mul
 from klyachko.groups import chunk_columns, chunk_images, products, symplectic_form
@@ -76,6 +78,16 @@ def every_class_visit_order(table, images):
             seen |= _rational_class(table, c, images)
             first.append(c)
     return first + rest
+
+
+def tensor_sources(table):
+    """(columns, images) as `class_multiplication_tensor` takes them: the
+    chunk columns of the members of each class and the chunk images of
+    each representative, each built once."""
+    members = class_members(table)
+    columns = cache(lambda c: chunk_columns(members[c], table.n, table.q))
+    images = cache(lambda c: chunk_images(table.classes[c].representative, table.n, table.field))
+    return columns, images
 
 
 def tensor_rows_over_c_i(table, i, rows, members):

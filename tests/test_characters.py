@@ -63,6 +63,7 @@ from oracles import (
     h_membership_flat,
     inner_product_residue,
     tensor_rows_over_c_i,
+    tensor_sources,
 )
 
 
@@ -344,8 +345,8 @@ def _tensor_character_table(table, arena, seed=20259, attempts=20):
     n_cls = len(classes)
     ell = arena.ell
     e_idx = table.identity_class()
-    members = class_members(table)
-    m = [class_multiplication_tensor(table, i, list(range(n_cls)), members)
+    sources = tensor_sources(table)
+    m = [class_multiplication_tensor(table, i, list(range(n_cls)), *sources)
          for i in range(n_cls)]
     for attempt in range(attempts):
         rng = random.Random(seed * 1000003 + attempt)
@@ -383,10 +384,10 @@ def test_class_matrix_rows_are_pair_counts(table_store):
         for x, c in zip(table.elements, element_labels(table)):
             y = mat_mul(mat_inv(x, n, field), cls.representative, n, field)
             pairs[c][table.class_of_flat(y)][k] += 1
-    members = class_members(table)
+    sources = tensor_sources(table)
     for i in range(n_cls):
-        assert class_multiplication_tensor(table, i, list(range(n_cls)), members) == pairs[i]
-    assert class_multiplication_tensor(table, 3, [5, 1], members) == [pairs[3][5], pairs[3][1]]
+        assert class_multiplication_tensor(table, i, list(range(n_cls)), *sources) == pairs[i]
+    assert class_multiplication_tensor(table, 3, [5, 1], *sources) == [pairs[3][5], pairs[3][1]]
 
 
 def _mat_mul_tensor_rows(table, i, rows):
@@ -406,9 +407,9 @@ def _mat_mul_tensor_rows(table, i, rows):
 def test_class_matrix_rows_match_mat_mul_oracle(n, q, table_store):
     table = table_store(n, q)
     every = list(range(len(table.classes)))
-    members = class_members(table)
+    sources = tensor_sources(table)
     for i in every:
-        assert class_multiplication_tensor(table, i, every, members) == \
+        assert class_multiplication_tensor(table, i, every, *sources) == \
             _mat_mul_tensor_rows(table, i, every)
 
 
@@ -502,7 +503,7 @@ def _power_map_rational_classes(table):
 def test_rational_class_matches_power_map(n, q, table_store):
     table = table_store(n, q)
     oracle = _power_map_rational_classes(table)
-    images = {}
+    _, images = tensor_sources(table)
     assert [_rational_class(table, c, images) for c in range(len(table.classes))] == oracle
     # the rational classes partition the classes
     assert all(oracle[d] == oracle[c] for c in range(len(oracle)) for d in oracle[c])
@@ -647,7 +648,7 @@ def test_central_spaces_are_eigenspaces_of_the_central_classes(n, q, table_store
     assert len(central) == q - 1
     for i in central:
         a = log[table.classes[i].representative[0]]
-        m = class_multiplication_tensor(table, i, every, class_members(table))
+        m = class_multiplication_tensor(table, i, every, *tensor_sources(table))
         for k, (basis, _) in enumerate(spaces):
             lam = pow(zeta, k * a, ell)
             for v in basis:
@@ -674,7 +675,8 @@ def test_visit_order_skips_central_classes(n, q, table_store):
     and the order keeps the order of the every-class queue."""
     table = table_store(n, q)
     shift = scalar_class_map(table)
-    order = list(_visit_order(table, {}, shift))
+    _, images = tensor_sources(table)
+    order = list(_visit_order(table, images, shift))
     assert len(order) == len(set(order))
     assert all(table.classes[c].size > 1 for c in order)
     orbits = []
@@ -686,7 +688,7 @@ def test_visit_order_skips_central_classes(n, q, table_store):
         orbits.append(orbit)
     assert sum(map(len, orbits)) == len(set().union(*orbits))
     assert set().union(*orbits) == {c for c, cls in enumerate(table.classes) if cls.size > 1}
-    full = every_class_visit_order(table, {})
+    full = every_class_visit_order(table, images)
     assert order == [c for c in full if c in order]
     if q == 2:
         assert order == full
@@ -716,7 +718,7 @@ def test_skipped_classes_and_planes_split_nothing(n, q, table_store, arena_store
     table, arena = table_store(n, q), arena_store(n, q)
     ell, inv_map = arena.ell, [cls.inverse_class for cls in table.classes]
     expected = character_table(table, arena)
-    kept = set(_visit_order(table, {}, scalar_class_map(table)))
+    kept = set(_visit_order(table, tensor_sources(table)[1], scalar_class_map(table)))
     turns = []  # (class, [(basis, pivots, whether it split)]) in visit order
 
     def every_class(tab, images, shift):
@@ -786,8 +788,8 @@ def test_transport_changes_nothing(n, q, table_store, arena_store, monkeypatch):
 
 def _det_off_by_one(c):
     """det_class_map with the exponent of class c one too large."""
-    def wrong(table):
-        dets = det_class_map(table)
+    def wrong(table, shift):
+        dets = det_class_map(table, shift)
         dets[c] = (dets[c] + 1) % (table.q - 1)
         return dets
     return wrong
@@ -891,9 +893,9 @@ def test_rows_over_the_smaller_class_match_rows_over_c_i(n, q, table_store):
     members = class_members(table)
     sizes = [cls.size for cls in table.classes]
     assert any(sizes[j] < sizes[i] for i in every for j in every)
-    images, columns = {}, {}
+    columns, images = tensor_sources(table)
     for i in every:
-        assert class_multiplication_tensor(table, i, every, members, images, columns) == \
+        assert class_multiplication_tensor(table, i, every, columns, images) == \
             tensor_rows_over_c_i(table, i, every, members)
 
 
@@ -903,12 +905,12 @@ def test_merged_classes_fail_the_division_when_counted_over_c_j(table_store):
     and row 14 of M_1 over C_1, which is C_i; on both sides a division by
     a class size is not exact."""
     table = _merge_classes(table_store(2, 5), 0, 1)
-    members = class_members(table)
+    sources = tensor_sources(table)
     assert [table.classes[c].size for c in (0, 1, 14)] == [54, 20, 30]
     with pytest.raises(InvariantViolation, match=r"\|C_0\| \* \d+ is not divisible"):
-        class_multiplication_tensor(table, 0, [1], members)
+        class_multiplication_tensor(table, 0, [1], *sources)
     with pytest.raises(InvariantViolation, match=r"\|C_14\| \* \d+ is not divisible"):
-        class_multiplication_tensor(table, 1, [14], members)
+        class_multiplication_tensor(table, 1, [14], *sources)
 
 
 def test_classes_running_out_raise_eigen_split_failure(table_store, arena_store, monkeypatch,

@@ -81,6 +81,18 @@ def test_only_groups_codes_rows():
     assert found == ["groups.py"]
 
 
+def test_only_tablecache_reads_and_writes_files():
+    """tablecache owns the file framing: no other module calls
+    `read_bytes` or `write_bytes`, and tablecache calls each once, in
+    its one reader and its one writer."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("read_bytes", "write_bytes"):
+                found.append((path.name, node.attr))
+    assert sorted(found) == [("tablecache.py", "read_bytes"), ("tablecache.py", "write_bytes")]
+
+
 def test_no_class_of_dict_in_library():
     """One class-lookup path: the label array indexed by element code.
     No module keeps a `class_of` map from elements to classes."""

@@ -152,15 +152,19 @@ def test_load_rejects_labels_that_are_not_classes(tmp_path, table_store, relabel
         load_table(path, table.field, 2)
 
 
-def test_load_rejects_wrong_length(tmp_path, table_store):
+def test_load_rejects_wrong_length(tmp_path, table_store, capsys):
+    """Files cut inside the header (after the magic), inside the digest
+    or by one byte, or one byte too long: load_table raises, and
+    verify-gelfand recomputes and rewrites the file."""
     table = table_store(2, 2)
     path = tmp_path / "t.tbl"
     save_table(table, path)
     raw = path.read_bytes()
-    for cut in (raw[:40], raw[:-1], raw + b"\x00"):
+    for cut in (raw[:12], raw[:40], raw[:-1], raw + b"\x00"):
         path.write_bytes(cut)
         with pytest.raises(CacheError, match="truncated"):
             load_table(path, table.field, 2)
+        _verify_over_corrupt_cache(2, 2, lambda p: p.write_bytes(cut), tmp_path, capsys)
 
 
 def test_save_does_not_touch_another_writers_temp_file(tmp_path, table_store):
@@ -456,12 +460,18 @@ def _chr_corruptions(table, arena):
         "rows permuted": (rewrite(edit_values=lambda v: _swap_rows(v, n_cls)), "out of order"),
         "value >= ell": (rewrite(edit_values=lambda v: v[:-1] + [v[-1] + ell]), "not below ell"),
         "truncated": (write(lambda raw: raw[:-1]), "truncated"),
+        # cut after the magic, inside the header
+        "cut in header": (write(lambda raw: raw[:12]), "truncated"),
+        # cut after the header, before the last byte of ell
+        "cut in ell": (write(lambda raw: raw[:15 + raw[15]]), "truncated"),
+        # cut half way through the fingerprint
+        "cut in fingerprint": (write(lambda raw: raw[:32 + raw[15]]), "truncated"),
         "version": (write(lambda raw: b"KLYCHR\x00\x00" + raw[8:]), "version"),
     }
 
 
 CORRUPTIONS = ["digest", "fingerprint", "columns permuted", "rows permuted", "value >= ell",
-               "truncated", "version"]
+               "truncated", "cut in header", "cut in ell", "cut in fingerprint", "version"]
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
