@@ -27,24 +27,31 @@ are produced.
 Conjugacy classes are the orbits of conjugation by three cheap
 generators of GL_n(F_q) (an n-cycle permutation matrix, the elementary
 matrix x_12(1) and, for q > 2, diag(w, 1, ..., 1) with w primitive).
-Each generator conjugates the whole element list at once, one lookup
-per chunk of rows in a table the generator builds, and a depth-first
-search over the element positions labels the orbits in the order of
-their least members.  The
-table keeps the element codes and one label array indexed by code,
-holding `SINGULAR` at the codes of singular matrices, so a class lookup
-is one index.  `class_records` builds the array and the class records
-from the labels of the elements in code order, for the sweep and for a
-cached table alike.  Each class is keyed by the invariant factors of
-xI - g (see fqpoly), computed once per class representative, not per
-element.  Labels other than 0, ..., class_count(n, q) - 1, least members
-that do not increase with the label, or two classes with one key would
-mean the labels were not the classes in their canonical order, and
-raise InvariantViolation.  Class representatives, flat entry tuples,
-are the least members.  The central scalar w I permutes the classes;
-`scalar_class_map` gives that permutation, from which the character
-table starts its split, and `det_class_map` the determinant of each
-class as a power of w, by which it carries characters across twists.
+Conjugation by a generator s is linear in g, and it maps every row of
+s g s^-1 from rows of g of one pair (rows 2m and 2m + 1).  So the rows
+that rows 0 and 1 of g reach are disjoint from those the other rows
+reach, and with cut = q^(n(n-2)) the code of s g s^-1 is
+top[g // cut] + rest[g % cut], a sum with no carry of two tables that s
+builds: top over the q^(2n) matrices that are zero below row 1, rest
+over the q^(n(n-2)) matrices that are zero on rows 0 and 1 (only the
+zero matrix when n <= 2).  A depth-first search over the codes, with
+the label array as its visited set, labels the orbits in the order of
+their least members, and raises InvariantViolation as soon as an orbit
+past class_count(n, q) would start.  The table keeps the element codes
+and one label array indexed by code, holding `SINGULAR` at the codes of
+singular matrices, so a class lookup is one index.  `class_records`
+builds the array and the class records from the labels of the elements
+in code order, for the sweep and for a cached table alike.  Each class
+is keyed by the invariant factors of xI - g (see fqpoly), computed once
+per class representative, not per element.  Labels other than 0, ...,
+class_count(n, q) - 1, least members that do not increase with the
+label, or two classes with one key would mean the labels were not the
+classes in their canonical order, and raise InvariantViolation.  Class
+representatives, flat entry tuples, are the least members.  The central
+scalar w I permutes the classes; `scalar_class_map` gives that
+permutation, from which the character table starts its split, and
+`det_class_map` the determinant of each class as a power of w, by which
+it carries characters across twists.
 
 Sp(2k, F_q) is the closure of the identity under right multiplication
 by a generating set of symplectic transvections (`enumerate_sp`), and
@@ -470,57 +477,66 @@ def _conjugators(n: int, field: FiniteField) -> list:
     return out
 
 
+def _conjugation_tables(n: int, field: FiniteField) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """The cut q^(n(n-2)) (1 when n <= 2) and, for each generator s of
+    `_conjugators` in order, its tables (top, rest), with the code of
+    s g s^-1 equal to top[g // cut] + rest[g % cut] (see the module
+    docstring).  Each table applies the generator's row maps to the row
+    columns of its matrices, those zero below row 1 for top and those
+    zero on rows 0 and 1 for rest."""
+    size = field.q**n
+    cut = size ** max(n - 2, 0)
+
+    def all_rows(k: int) -> list[list[int]]:
+        """The row columns of the k-row matrices, in code order."""
+        return [list(chain.from_iterable(map(repeat, range(size), repeat(size ** (k - 1 - r)))))
+                * size**r for r in range(k)]
+
+    top = all_rows(min(n, 2)) + [[0] * size**2] * (n - 2)
+    rest = [[0] * cut] * 2 + all_rows(n - 2)
+    return cut, [(list(_pack_rows(conj(top), size)), list(_pack_rows(conj(rest), size)))
+                 for conj in _conjugators(n, field)]
+
+
 def conjugacy_classes(codes: array, n: int, field: FiniteField,
                       ) -> tuple[tuple[ConjClass, ...], array]:
     """The classes of GL_n(F_q) as conjugation orbits, from the codes of
     its elements in increasing order: the class records and the label
     array, as `class_records` gives them.
 
-    Each generator of `_conjugators` conjugates the whole list at once
-    from its chunk columns, and the codes of the conjugates become
-    positions in the list through an array indexed by code.  The first
-    position not yet labelled is the least member of a new class, whose
-    orbit is then labelled by a depth-first search over the positions.
+    A depth-first search runs over the codes, with one label array
+    indexed by code as its visited set: conjugates of invertible matrices
+    are invertible, so `SINGULAR` marks a code not yet reached.  The first
+    code in increasing order not yet reached is the least member of a new
+    class, and each conjugate of a code is two lookups in the generator's
+    `_conjugation_tables`.  More orbits than class_count(n, q) (too small
+    a generating set, say) raise InvariantViolation before the next
+    orbit starts, so the label counter never reaches `SINGULAR`.
     """
-    q, size = field.q, field.q**n
-    position = array("I", [0]) * q ** (n * n)
-    for i, code in enumerate(codes):
-        position[code] = i
-    conjugators = _conjugators(n, field)
-    columns = chunk_columns(codes, n, q)
-    if chunk_rows(n) == 1:  # n <= 2: the conjugators map the rows themselves
-        conjugates = [_pack_rows(conj(columns), size) for conj in conjugators]
-    else:
-        # A conjugator maps each output row from input rows of one pair
-        # (rows 2m and 2m + 1), so the code of a conjugate is a sum of one
-        # lookup per pair, in a table the conjugator builds from the
-        # matrices that are zero outside the pair.
-        rows = range(size)
-        pair = [list(chain.from_iterable(map(repeat, rows, repeat(size)))), list(rows) * size]
-        blocks = [[[0] * size**2] * a + pair + [[0] * size**2] * (n - a - 2)
-                  for a in range(0, n - 1, 2)]
-        if n % 2:
-            blocks.append([[0] * size] * (n - 1) + [list(rows)])
-        conjugates = [products(columns, [list(_pack_rows(conj(block), size)) for block in blocks])
-                      for conj in conjugators]
-    neighbours = [array("I", map(position.__getitem__, images)) for images in conjugates]
-    del position, columns, conjugates
-    labels = [-1] * len(codes)
+    q = field.q
+    expected = class_count(n, q)
+    cut, tables = _conjugation_tables(n, field)
+    labels = array("H", [SINGULAR]) * q ** (n * n)
     c = 0
-    for start, label in enumerate(labels):  # reads the labels the search sets
-        if label >= 0:
+    for start in codes:
+        if labels[start] != SINGULAR:
             continue
+        if c == expected:
+            raise InvariantViolation(f"more than {expected} conjugation orbits in GL_{n}(F_{q})")
         labels[start] = c
         stack = [start]
         while stack:
             g = stack.pop()
-            for conjugate in neighbours:
-                h = conjugate[g]
-                if labels[h] < 0:
+            hi, lo = g // cut, g % cut
+            for top, rest in tables:
+                h = top[hi] + rest[lo]
+                if labels[h] == SINGULAR:
                     labels[h] = c
                     stack.append(h)
         c += 1
-    return class_records(codes, array("H", labels), n, field)
+    code_labels = array("H", map(labels.__getitem__, codes))
+    del labels  # before class_records allocates its own array of q^(n^2) labels
+    return class_records(codes, code_labels, n, field)
 
 
 def class_records(codes: array, code_labels, n: int, field: FiniteField,

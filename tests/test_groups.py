@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from array import array
 from dataclasses import replace
 from itertools import product
@@ -12,6 +13,7 @@ from klyachko.gf import field_from_q, field_make, mat_identity, mat_inv, mat_mul
 from klyachko.groups import (
     ConjClass,
     KlyachkoSubgroupSpec,
+    _conjugation_tables,
     chunk_columns,
     chunk_images,
     chunk_rows,
@@ -33,6 +35,7 @@ from klyachko.groups import (
     symplectic_form,
 )
 from oracles import (
+    _flat_conjugators,
     det_exponents,
     element_labels,
     exponent_by_powers,
@@ -300,16 +303,57 @@ def test_enumerate_h_is_the_encoded_membership_filter(n, q):
         assert enumerate_h(spec, field) == oracle
 
 
-@pytest.mark.parametrize("drop", [0, 1, 2])
-def test_missing_conjugator_raises(drop, monkeypatch):
+@pytest.mark.parametrize("n,q,drop", [
+    # GL_2 over F_5: over F_3 the cycle's determinant -1 stands in for diag(w)
+    *(pytest.param(2, 5, drop, id=str(drop)) for drop in range(3)),
+    (3, 5, 0), (3, 4, 0), (3, 4, 1), (3, 4, 2)])
+def test_missing_conjugator_raises(n, q, drop, monkeypatch):
     """Without one of the three generators the orbits are finer than the
-    classes, so two orbits share invariant factors."""
+    classes, so the search finds more orbits than classes.  GL_3(F_5)
+    without the cycle has more than 65 535 orbits, which a 16-bit label
+    counter would reach `SINGULAR` on."""
     full = groups._conjugators
     monkeypatch.setattr(groups, "_conjugators", lambda n, field: [
         conj for i, conj in enumerate(full(n, field)) if i != drop])
-    field = field_make(5, 1)  # over F_3 the cycle's determinant -1 stands in for diag(w)
+    field = field_from_q(q)
     with pytest.raises(InvariantViolation):
-        conjugacy_classes(gl_elements(2, field), 2, field)
+        conjugacy_classes(gl_elements(n, field), n, field)
+
+
+@pytest.mark.parametrize("n,q", [(1, 5), (2, 9), (3, 5), (4, 2), (5, 2)])
+def test_conjugation_tables_match_flat_conjugators(n, q):
+    """top[g // cut] + rest[g % cut] is the code of s g s^-1 for each
+    generator s, in the order of the flat oracle's generators, on random
+    invertible matrices (n = 5 with no enumeration of GL_5(F_2))."""
+    field = field_from_q(q)
+    cut, tables = _conjugation_tables(n, field)
+    conjugators = _flat_conjugators(n, field)
+    assert len(tables) == len(conjugators)
+    rng = random.Random(n * 100 + q)
+    flats = []
+    while len(flats) < 200:
+        g = tuple(rng.randrange(q) for _ in range(n * n))
+        if mat_det(g, n, field):
+            flats.append(g)
+    for (top, rest), conj in zip(tables, conjugators):
+        for g in flats:
+            code = encode(g, q)
+            assert top[code // cut] + rest[code % cut] == encode(conj(g), q)
+
+
+def test_conjugacy_classes_memory():
+    """The search holds one label array indexed by code (4^9 codes) and
+    two tables per generator over at most 4^6 codes each: a traced peak
+    of about 1.5 MiB on GL_3(F_4), bounded here by 3 MiB."""
+    field = field_from_q(4)
+    codes = gl_elements(3, field)
+    tracemalloc.start()
+    try:
+        conjugacy_classes(codes, 3, field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_class_count_generating_function():
