@@ -3,7 +3,8 @@
 Subpackages:
 
 - gf, fqpoly, groups: finite fields, GL_n(F_q) enumeration, conjugacy
-  classes by invariant factors, the subgroups H_{r,2k} and psi_r;
+  classes as conjugation orbits keyed by invariant factors, the
+  subgroups H_{r,2k} and psi_r;
 - arena, characters, gelfand: exact mod-ell character theory, induced
   Klyachko characters, and the Gelfand-model verifier;
 - speh: Speh blocks and their highest derivatives, Tadic parameters,

@@ -28,7 +28,6 @@ import sys
 import time
 
 from . import __version__
-from .arena import build_arena
 from .errors import (
     ArenaTooSmall,
     DegreeMismatch,
@@ -287,8 +286,7 @@ def cmd_table(args) -> int:
     opts = _resolve_group_options(args)
     table = load_or_compute_table(args.n, args.q, cache_dir=opts["cache_dir"],
                                   max_elements=opts["max_elements"])
-    arena = build_arena(table.order, table.exponent(), table.field.p, ell=args.ell)
-    chars = load_or_compute_characters(table, arena, opts["cache_dir"])
+    arena, chars = load_or_compute_characters(table, args.ell, opts["cache_dir"])
     payload = {
         "n": args.n,
         "q": args.q,

@@ -1,12 +1,13 @@
 """Gelfand-model verification for GL_n(F_q), from its group table.
 
 `load_or_compute_table` gives the table of GL_n(F_q), and
-`load_or_compute_characters` its character table in one arena, each
-read from its cache file or computed and written there by one helper
-(see tablecache for the files).  `verify_gelfand` reads n and q from
-the table and, for every irreducible pi and every decomposition
-n = r + 2k, computes the multiplicity of pi in the Klyachko model
-Ind_{H_{r,2k}}^G(psi_r).  It reports four flags:
+`load_or_compute_characters` builds the arena for one ell and gives the
+character table in it; each table is read from its cache file or
+computed and written there by one helper (see tablecache for the
+files).  `verify_gelfand` reads n and q from the table and, for every
+irreducible pi and every decomposition n = r + 2k, computes the
+multiplicity of pi in the Klyachko model Ind_{H_{r,2k}}^G(psi_r).  It
+reports four flags:
 
 - existence:    every irreducible appears in some model,
 - disjointness: no irreducible appears in two different models,
@@ -82,17 +83,19 @@ def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
                             save_table)
 
 
-def load_or_compute_characters(table: GroupTable, arena: ModularArena,
-                               cache_dir: str | Path | None = None) -> list[ClassFunction]:
-    """The character table of `table` in `arena`: read from `cache_dir`
-    when it holds a good one for this ell, otherwise computed and written
-    there, beside the group table."""
+def load_or_compute_characters(table: GroupTable, ell: int | None, cache_dir: str | Path | None,
+                               ) -> tuple[ModularArena, list[ClassFunction]]:
+    """The arena of `table` for `ell` (the least valid prime when None)
+    and the character table in it: read from `cache_dir` when it holds a
+    good one for this ell, otherwise computed and written there, beside
+    the group table."""
+    arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
     if cache_dir is None:
-        return character_table(table, arena)
-    return _load_or_compute(characters_path(cache_dir, table.n, table.q, arena.ell),
-                            lambda path: load_characters(path, table, arena),
-                            lambda: character_table(table, arena),
-                            lambda chars, path: save_characters(chars, table, path))
+        return arena, character_table(table, arena)
+    return arena, _load_or_compute(characters_path(cache_dir, table.n, table.q, arena.ell),
+                                   lambda path: load_characters(path, table, arena),
+                                   lambda: character_table(table, arena),
+                                   lambda chars, path: save_characters(chars, table, path))
 
 
 def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1,
@@ -101,8 +104,7 @@ def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1,
     character table cached in `cache_dir`; the result is the
     gelfand-report schema's payload without `meta`."""
     n, q = table.n, table.q
-    arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
-    chars = load_or_compute_characters(table, arena, cache_dir)
+    arena, chars = load_or_compute_characters(table, ell, cache_dir)
     matrix: list[list[int]] = [[] for _ in chars]  # multiplicities [pi][k]
     model_dims = []
     for k in range(n // 2 + 1):

@@ -25,10 +25,14 @@ spans it, so exactly the prod_{i<n} (q^n - q^i) invertible matrices
 are produced.
 
 Conjugacy classes are the orbits of conjugation by three cheap
-generators of GL_n(F_q) (an n-cycle permutation matrix, the elementary
-matrix x_12(1) and, for q > 2, diag(w, 1, ..., 1) with w primitive).
-Conjugation by a generator s is linear in g, and it maps every row of
-s g s^-1 from rows of g of one pair (rows 2m and 2m + 1).  So the rows
+generators of GL_n(F_q) (`_gl_generators`: an n-cycle permutation
+matrix, the elementary matrix x_12(1) and, for q > 2, diag(w, 1, ...,
+1) with w primitive).  Conjugation by a generator s is linear in g, and
+every generator's tables come from its matrix by one rule: row i of
+s g s^-1 is sum_j s_ij (row j of g) s^-1, one `row_images` lookup over
+the rows j with s_ij != 0.  No row i may read rows on both sides of the
+cut between rows 0, 1 and rows 2, ..., n - 1: the tables check this for
+every generator and raise InvariantViolation if it fails.  So the rows
 that rows 0 and 1 of g reach are disjoint from those the other rows
 reach, and with cut = q^(n(n-2)) the code of s g s^-1 is
 top[g // cut] + rest[g % cut], a sum with no carry of two tables that s
@@ -64,7 +68,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, filterfalse, product, repeat
 from operator import add, itemgetter
 
@@ -426,14 +430,11 @@ def det_class_map(table: GroupTable, shift: list[int]) -> list[int]:
     return out
 
 
-def _conjugators(n: int, field: FiniteField) -> list:
-    """Maps from the n row columns of an element list (row r of every
-    element) to the row columns of the conjugates s g s^-1, for s in a
-    generating set of GL_n(F_q): the n-cycle permutation matrix,
+def _gl_generators(n: int, field: FiniteField) -> list[tuple[int, ...]]:
+    """A generating set of GL_n(F_q) as flat matrices: the n-cycle
+    permutation matrix P, whose row i is e_{i+1} (indices mod n),
     x_12(1) = I + E_12 and, when q > 2, diag(w, 1, ..., 1) with w
-    primitive.  Each conjugate row is one lookup in a `row_images` table:
-    s g puts rows of g, a row sum or a scaled row in each row, and
-    right multiplication by s^-1 maps every row v to v s^-1.
+    primitive.
 
     The cycle's conjugates of x_12(1) are the x_{i,i+1}(1) and
     x_{n,1}(1), whose commutators give every x_ij(1), hence SL_n(F_p);
@@ -442,49 +443,27 @@ def _conjugators(n: int, field: FiniteField) -> list:
     singletons."""
     if n == 1:
         return []
-    q, size = field.q, field.q**n
-    # entry (i, j) of P g P^-1 is entry (i + 1, j + 1) of g, indices mod n
-    rotate = row_images(tuple(int(k == (j + 1) % n) for k in range(n) for j in range(n)),
-                        n, field).__getitem__
-
-    def cycle(cols):
-        return [map(rotate, cols[(i + 1) % n]) for i in range(n)]
-
-    # row 0 += row 1, then col 1 -= col 0: v -> v (I - E_12) on every row,
-    # and on row 0 through the pair table (a, b) -> (a + b)(I - E_12)
-    shear = list(mat_identity(n))
-    shear[1] = field.neg[1]
-    shear = tuple(shear)
-    sheared = row_images(shear, n, field).__getitem__
-    pair = row_images(shear + shear, n, field).__getitem__
-
-    def transvection(cols):
-        return [map(pair, map(add, map(size.__mul__, cols[0]), cols[1])),
-                *(map(sheared, col) for col in cols[1:])]
-
-    out = [cycle, transvection]
-    if q > 2:
-        w = _primitive_element(field)
-        # row 0 *= w, then col 0 *= w^-1: row 0 keeps entry 0 and scales
-        # the rest by w, every other row scales entry 0 by w^-1
-        top = row_images(_diagonal([1] + [w] * (n - 1)), n, field).__getitem__
-        rest = row_images(_diagonal([field.inv[w]] + [1] * (n - 1)), n, field).__getitem__
-
-        def scaling(cols):
-            return [map(top, cols[0]), *(map(rest, col) for col in cols[1:])]
-
-        out.append(scaling)
+    ident = mat_identity(n)
+    out = [tuple(int(j == (i + 1) % n) for i in range(n) for j in range(n)),
+           ident[:1] + (1,) + ident[2:]]
+    if field.q > 2:
+        out.append(_diagonal([_primitive_element(field)] + [1] * (n - 1)))
     return out
 
 
 def _conjugation_tables(n: int, field: FiniteField) -> tuple[int, list[tuple[list[int], list[int]]]]:
     """The cut q^(n(n-2)) (1 when n <= 2) and, for each generator s of
-    `_conjugators` in order, its tables (top, rest), with the code of
+    `_gl_generators` in order, its tables (top, rest), with the code of
     s g s^-1 equal to top[g // cut] + rest[g % cut] (see the module
-    docstring).  Each table applies the generator's row maps to the row
-    columns of its matrices, those zero below row 1 for top and those
-    zero on rows 0 and 1 for rest."""
-    size = field.q**n
+    docstring): top over the matrices zero below row 1, rest over those
+    zero on rows 0 and 1.
+
+    Row i of s g s^-1 is sum_j s_ij (row j of g) s^-1 over the rows j
+    with s_ij != 0: those rows packed base q^n, looked up in the
+    `row_images` of the s_ij s^-1 stacked in order.  A row i whose rows j
+    lie on both sides of the cut (rows 0 and 1 against the others) would
+    make the sum carry, and raises InvariantViolation."""
+    q, size = field.q, field.q**n
     cut = size ** max(n - 2, 0)
 
     def all_rows(k: int) -> list[list[int]]:
@@ -494,8 +473,22 @@ def _conjugation_tables(n: int, field: FiniteField) -> tuple[int, list[tuple[lis
 
     top = all_rows(min(n, 2)) + [[0] * size**2] * (n - 2)
     rest = [[0] * cut] * 2 + all_rows(n - 2)
-    return cut, [(list(_pack_rows(conj(top), size)), list(_pack_rows(conj(rest), size)))
-                 for conj in _conjugators(n, field)]
+    lookup = cache(lambda stacked: row_images(stacked, n, field).__getitem__)  # the cycle shares one
+    out = []
+    for s in _gl_generators(n, field):
+        inverse = mat_inv(s, n, field)
+        rows = []  # (the rows j that row i reads, their row_images lookup)
+        for i in range(n):
+            sources = [j for j in range(n) if s[i * n + j]]
+            if sources[0] < 2 <= sources[-1]:
+                raise InvariantViolation(f"row {i} of a conjugate reads rows {sources}, across the cut")
+            rows.append((sources, lookup(tuple(
+                field.mul[s[i * n + j] * q + x] for j in sources for x in inverse))))
+        out.append(tuple(
+            list(_pack_rows([map(images, _pack_rows([cols[j] for j in sources], size))
+                             for sources, images in rows], size))
+            for cols in (top, rest)))
+    return cut, out
 
 
 def conjugacy_classes(codes: array, n: int, field: FiniteField,

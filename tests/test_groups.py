@@ -312,19 +312,36 @@ def test_missing_conjugator_raises(n, q, drop, monkeypatch):
     classes, so the search finds more orbits than classes.  GL_3(F_5)
     without the cycle has more than 65 535 orbits, which a 16-bit label
     counter would reach `SINGULAR` on."""
-    full = groups._conjugators
-    monkeypatch.setattr(groups, "_conjugators", lambda n, field: [
-        conj for i, conj in enumerate(full(n, field)) if i != drop])
+    full = groups._gl_generators
+    monkeypatch.setattr(groups, "_gl_generators", lambda n, field: [
+        s for i, s in enumerate(full(n, field)) if i != drop])
     field = field_from_q(q)
     with pytest.raises(InvariantViolation):
         conjugacy_classes(gl_elements(n, field), n, field)
 
 
-@pytest.mark.parametrize("n,q", [(1, 5), (2, 9), (3, 5), (4, 2), (5, 2)])
+def test_generator_across_the_cut_raises(monkeypatch):
+    """Row 1 of (I + E_23) g is row 1 plus row 2 of g (0-based), on both
+    sides of the cut after row 1, so top + rest could carry: building
+    the tables with I + E_23 among the generators raises."""
+    full = groups._gl_generators
+
+    def with_e23(n, field):
+        e23 = list(mat_identity(n))
+        e23[1 * n + 2] = 1
+        return full(n, field) + [tuple(e23)]
+
+    monkeypatch.setattr(groups, "_gl_generators", with_e23)
+    with pytest.raises(InvariantViolation, match="across the cut"):
+        _conjugation_tables(3, field_from_q(2))
+
+
+@pytest.mark.parametrize("n,q", [(1, 5), (2, 9), (2, 16), (3, 4), (3, 5), (4, 2), (5, 2)])
 def test_conjugation_tables_match_flat_conjugators(n, q):
     """top[g // cut] + rest[g % cut] is the code of s g s^-1 for each
     generator s, in the order of the flat oracle's generators, on random
-    invertible matrices (n = 5 with no enumeration of GL_5(F_2))."""
+    invertible matrices (n = 5 with no enumeration of GL_5(F_2); F_16
+    and F_4 with e > 1, GL_2(F_16) the largest n = 2 tables)."""
     field = field_from_q(q)
     cut, tables = _conjugation_tables(n, field)
     conjugators = _flat_conjugators(n, field)
