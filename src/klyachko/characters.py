@@ -30,14 +30,14 @@ is not yet a line: only the rows of M_i at the space's pivot columns
 are computed, each counted over the smaller of C_i and C_j
 (a_ij^k = a_ji^k, as class sums are central), the d x d restriction of
 M_i to the space is diagonalised, and the kernel of each eigenvalue
-becomes a new space.  The members of every class are bucketed in one
-pass over the element codes when the first row is requested, so no
-visit scans the whole group.  A product x g is read row by row: row r
-of x g is the entry of `groups.row_images(g)` at row r of x, so with
-tables of the rows of each chunk of rows at their places the code of
-x g is a sum of one lookup per chunk (`groups.products`, for all of a
-class at once), and one index into the table's label array gives its
-class.  When every space is a line its vector is a central character.
+becomes a new space.  The members of every class come with the table
+(`GroupTable.members`), so no visit scans the whole group.  A product
+x g is read row by row: row r of x g is the entry of
+`groups.row_images(g)` at row r of x, so with tables of the rows of
+each chunk of rows at their places the code of x g is a sum of one
+lookup per chunk (`groups.products`, for all of a class at once), and
+one index into the table's label array gives its class.  When every
+space is a line its vector is a central character.
 A restriction that is a scalar leaves its space whole with no
 characteristic polynomial: class matrices act diagonalisably, so one
 eigenvalue means a scalar.
@@ -85,7 +85,6 @@ vector over the classes, one weighted sum per irreducible
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -126,16 +125,6 @@ class ClassFunction:
     def dimension(self, table: GroupTable) -> int:
         v = self.values[table.identity_class()]
         return self.arena.lift_bounded(v, 0, self.arena.group_order, "dimension")
-
-
-def class_members(table: GroupTable) -> list[array]:
-    """The codes of the members of each class, in increasing order,
-    indexed by class: one pass over the element codes."""
-    members = [array("I") for _ in table.classes]
-    labels = table.labels
-    for code in table.codes:
-        members[labels[code]].append(code)
-    return members
 
 
 def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int], columns: Callable,
@@ -572,9 +561,8 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     # invariant spaces as (RREF basis, pivot columns, central space), from the kept central ones
     spaces = [(basis, pivots, k) for k, (basis, pivots) in enumerate(central)
               if k in twists and basis]
-    # memos for this call only; the members are bucketed at the first row requested
-    members = cache(lambda: class_members(table))
-    columns = cache(lambda c: chunk_columns(members()[c], n, q))
+    # memos for this call only: each class's chunk columns and its representative's chunk images
+    columns = cache(lambda c: chunk_columns(table.members[c], n, q))
     images = cache(lambda c: chunk_images(classes[c].representative, n, table.field))
     visit = _visit_order(table, images, shift)
     while any(len(basis) > 1 for basis, _, _ in spaces):

@@ -41,21 +41,24 @@ over the q^(n(n-2)) matrices that are zero on rows 0 and 1 (only the
 zero matrix when n <= 2).  A depth-first search over the codes, with
 the label array as its visited set, labels the orbits in the order of
 their least members, and raises InvariantViolation as soon as an orbit
-past class_count(n, q) would start.  The table keeps the element codes
-and one label array indexed by code, holding `SINGULAR` at the codes of
-singular matrices, so a class lookup is one index.  `class_records`
-builds the array and the class records from the labels of the elements
-in code order, for the sweep and for a cached table alike.  Each class
-is keyed by the invariant factors of xI - g (see fqpoly), computed once
-per class representative, not per element.  Labels other than 0, ...,
-class_count(n, q) - 1, least members that do not increase with the
-label, or two classes with one key would mean the labels were not the
-classes in their canonical order, and raise InvariantViolation.  Class
-representatives, flat entry tuples, are the least members.  The central
-scalar w I permutes the classes; `scalar_class_map` gives that
-permutation, from which the character table starts its split, and
-`det_class_map` the determinant of each class as a power of w, by which
-it carries characters across twists.
+past class_count(n, q) would start.  The table keeps the element codes,
+one label array indexed by code, holding `SINGULAR` at the codes of
+singular matrices, so a class lookup is one index, and the codes of the
+members of each class in increasing order.  `class_records` is the one
+builder of a table, for the search and for a cached table alike: from
+the labels of the elements in code order, one loop writes the label
+array and the members, and the class sizes and least members are read
+off the members.  Each class is keyed by the invariant factors of
+xI - g (see fqpoly), computed once per class representative, not per
+element.  Labels other than 0, ..., class_count(n, q) - 1, least
+members that do not increase with the label, or two classes with one
+key would mean the labels were not the classes in their canonical
+order, and raise InvariantViolation.  Class representatives, flat entry
+tuples, are the least members.  The central scalar w I permutes the
+classes; `scalar_class_map` gives that permutation, from which the
+character table starts its split, and `det_class_map` the determinant
+of each class as a power of w, by which it carries characters across
+twists.
 
 Sp(2k, F_q) is the closure of the identity under right multiplication
 by a generating set of symplectic transvections (`enumerate_sp`), and
@@ -66,7 +69,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, filterfalse, product, repeat
@@ -220,16 +222,18 @@ class GroupTable:
     """GL_n(F_q), complete at construction and never changed afterwards:
     the codes of its elements in increasing order (an array('I')), the
     class label at every code below q^(n^2) (an array('H'), `SINGULAR` at
-    singular matrices), and the class records.
+    singular matrices), the codes of the members of each class in
+    increasing order (an array('I') per class), and the class records.
 
-    Built only by `gl_enumerate` and `tablecache.load_table`, both
-    through `class_records`.
+    Built only by `class_records`, for `gl_enumerate` and
+    `tablecache.load_table` alike.
     """
 
     field: FiniteField
     n: int
     codes: array
     labels: array
+    members: tuple[array, ...]
     classes: tuple[ConjClass, ...]
 
     @property
@@ -370,9 +374,7 @@ def _extend_by_hyperplanes(codes: array, n: int, field: FiniteField) -> None:
 
 def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
     """GL_n(F_q) in lexicographic order, with its conjugacy classes."""
-    codes = gl_elements(n, field, max_elements)
-    classes, labels = conjugacy_classes(codes, n, field)
-    return GroupTable(field, n, codes, labels, classes)
+    return conjugacy_classes(gl_elements(n, field, max_elements), n, field)
 
 
 def _primitive_element(field: FiniteField) -> int:
@@ -491,11 +493,10 @@ def _conjugation_tables(n: int, field: FiniteField) -> tuple[int, list[tuple[lis
     return cut, out
 
 
-def conjugacy_classes(codes: array, n: int, field: FiniteField,
-                      ) -> tuple[tuple[ConjClass, ...], array]:
-    """The classes of GL_n(F_q) as conjugation orbits, from the codes of
-    its elements in increasing order: the class records and the label
-    array, as `class_records` gives them.
+def conjugacy_classes(codes: array, n: int, field: FiniteField) -> GroupTable:
+    """The table of GL_n(F_q) with its classes as conjugation orbits, from
+    the codes of its elements in increasing order, as `class_records`
+    builds it.
 
     A depth-first search runs over the codes, with one label array
     indexed by code as its visited set: conjugates of invertible matrices
@@ -504,7 +505,9 @@ def conjugacy_classes(codes: array, n: int, field: FiniteField,
     class, and each conjugate of a code is two lookups in the generator's
     `_conjugation_tables`.  More orbits than class_count(n, q) (too small
     a generating set, say) raise InvariantViolation before the next
-    orbit starts, so the label counter never reaches `SINGULAR`.
+    orbit starts, so the label counter never reaches `SINGULAR`.  The
+    search's array is the table's: `class_records` writes back the labels
+    it reads from it and collects the members of each class.
     """
     q = field.q
     expected = class_count(n, q)
@@ -527,50 +530,55 @@ def conjugacy_classes(codes: array, n: int, field: FiniteField,
                     labels[h] = c
                     stack.append(h)
         c += 1
-    code_labels = array("H", map(labels.__getitem__, codes))
-    del labels  # before class_records allocates its own array of q^(n^2) labels
-    return class_records(codes, code_labels, n, field)
+    return class_records(codes, map(labels.__getitem__, codes), labels, n, field)
 
 
-def class_records(codes: array, code_labels, n: int, field: FiniteField,
-                  ) -> tuple[tuple[ConjClass, ...], array]:
-    """The class records and the label array of GL_n(F_q) whose element
-    `codes[i]` (the codes in increasing order) has the class label
-    `code_labels[i]`.
+def class_records(codes: array, code_labels, labels: array, n: int, field: FiniteField,
+                  ) -> GroupTable:
+    """The table of GL_n(F_q) whose element `codes[i]` (the codes in
+    increasing order) has the class label `code_labels[i]`, written into
+    `labels`, the label array of q^(n^2) entries with `SINGULAR` at every
+    code that is not an element.
 
-    The labels must be 0, 1, ..., class_count(n, q) - 1, numbered in the
+    One loop writes each label at its code and appends the code to the
+    members of its class, so the members come in increasing order.  The
+    labels must be 0, 1, ..., class_count(n, q) - 1, numbered in the
     order of their least members, which the depth-first search of
-    `conjugacy_classes` gives.  A class's representative is its least
-    member as a flat entry tuple, its size the count of its label, its
-    key the invariant factors of xI - g of the representative, and its
-    inverse class the label at the representative's inverse.  Labels
-    that are not so numbered (labels that merge classes, skip a number
-    or permute the classes, say), or a key shared by two classes, raise
-    InvariantViolation.
+    `conjugacy_classes` gives.  A class's size is its count of members,
+    its representative its least member as a flat entry tuple, its key
+    the invariant factors of xI - g of the representative, and its
+    inverse class the label at the representative's inverse.  A label at
+    or above the class count (`SINGULAR` too), a class with no member
+    (labels that skip a number or merge classes, say), least members
+    that do not increase with the label (labels that permute the
+    classes) or a key shared by two classes (labels that split a class)
+    raise InvariantViolation.
     """
     q = field.q
     expected = class_count(n, q)
-    sizes = Counter(code_labels)
-    if sorted(sizes) != list(range(expected)):
+    members = tuple(array("I") for _ in range(expected))
+    append = [m.append for m in members]
+    try:
+        for code, label in zip(codes, code_labels):
+            labels[code] = label
+            append[label](code)
+    except IndexError:
         raise InvariantViolation(
-            f"{len(sizes)} class labels, up to {max(sizes)}; GL_{n}(F_{q}) has {expected} classes")
-    labels = array("H", [SINGULAR]) * q ** (n * n)
-    for code, label in zip(codes, code_labels):
-        labels[code] = label
-    reps, at = [], -1
-    for c in range(expected):
-        start, at = at + 1, code_labels.index(c, at + 1)
-        if max(code_labels[start:at], default=0) > c:
-            raise InvariantViolation(f"class labels out of order: a later class precedes class {c}")
-        reps.append(decode(codes[at], n, q))
+            f"a class label at or above {expected}, the class count of GL_{n}(F_{q})") from None
+    if not all(members):
+        raise InvariantViolation(f"a class label below {expected} names no element")
+    firsts = [m[0] for m in members]
+    if any(a > b for a, b in zip(firsts, firsts[1:])):
+        raise InvariantViolation("class labels out of order: a later class has a lesser member")
+    reps = [decode(code, n, q) for code in firsts]
     keys = [invariant_factors(g, n, field) for g in reps]
     if len(set(keys)) != len(keys):
         raise InvariantViolation("two classes share invariant factors")
     classes = tuple(
-        ConjClass(g, sizes[c], key, labels[encode(mat_inv(g, n, field), q)])
-        for c, (g, key) in enumerate(zip(reps, keys))
+        ConjClass(g, len(m), key, labels[encode(mat_inv(g, n, field), q)])
+        for g, key, m in zip(reps, keys, members)
     )
-    return classes, labels
+    return GroupTable(field, n, codes, labels, members, classes)
 
 
 # -- symplectic and mixed subgroups --------------------------------------

@@ -12,11 +12,13 @@ Group table `gl{n}_q{q}.tbl` (little-endian):
 
 The file holds no elements: the loader pairs the labels with a fresh
 `groups.gl_elements` enumeration, which gives the element codes in the
-same order, and `groups.class_records` scatters them into the table's
-label array and derives the class records, with no tuple or dict per
-element.  The loader rejects a file whose version, (n, p, e), count,
-length, digest or class labels do not match (labels that are not the
-classes numbered in the order of their least members); the caller then
+same order, and `groups.class_records` builds the table from them as it
+does for the search: one loop writes each label into a fresh label
+array and each code into the members of its class, with no tuple or
+dict per element, and the class records are read from the members.
+The loader rejects a file whose version, (n, p, e), count, length,
+digest or class labels do not match (labels that are not the classes
+numbered in the order of their least members); the caller then
 recomputes the table and overwrites the file.  Files of earlier formats
 fail the version check.  The label checks cannot see two members of two
 classes of equal size, neither the least of its class, trading labels:
@@ -59,13 +61,14 @@ from __future__ import annotations
 import math
 import os
 import struct
+from array import array
 from pathlib import Path
 
 from .arena import ModularArena
 from .characters import ClassFunction, verify_orthogonality
 from .errors import CacheError, InvariantViolation
 from .gf import FiniteField
-from .groups import GroupTable, class_records, gl_elements
+from .groups import SINGULAR, GroupTable, class_records, gl_elements
 
 # importing hashlib loads OpenSSL (about 3.5 MiB resident), so take the
 # lean builtin SHA-256 where it exists, as the stdlib's random does
@@ -156,11 +159,11 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
     if count != math.prod(field.q**n - field.q**i for i in range(n)):
         raise CacheError(f"{path}: {count} elements is not the order of GL_{n}(F_{field.q})")
     codes = gl_elements(n, field, count)
+    labels = array("H", [SINGULAR]) * field.q ** (n * n)
     try:
-        classes, labels = class_records(codes, struct.unpack(f"<{count}H", body), n, field)
+        return class_records(codes, struct.unpack(f"<{count}H", body), labels, n, field)
     except InvariantViolation as exc:
         raise CacheError(f"{path}: class labels do not name conjugacy classes") from exc
-    return GroupTable(field, n, codes, labels, classes)
 
 
 def class_fingerprint(table: GroupTable) -> bytes:

@@ -1,13 +1,14 @@
 """Test oracles: matrix and subgroup helpers, the row-by-row search for
-Sp(2k, F_q), the character split's visit order over every non-central
-class, the sources of its class matrix rows and the rows counted over
-C_i, Green's class data, the segment calculus, contragredients and mu_Q
-behind the symbolic commands, and per-index Weyl-element routines with
-the closed forms of the residue-survival count.  The library itself
-does not need them; they are written plainly so the tests can check it
-against them."""
+Sp(2k, F_q), the class members bucketed from the labels, the character
+split's visit order over every non-central class, the sources of its
+class matrix rows and the rows counted over C_i, Green's class data,
+the segment calculus, contragredients and mu_Q behind the symbolic
+commands, and per-index Weyl-element routines with the closed forms of
+the residue-survival count.  The library itself does not need them;
+they are written plainly so the tests can check it against them."""
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -15,7 +16,7 @@ from functools import cache
 from itertools import product
 from operator import itemgetter
 
-from klyachko.characters import _rational_class, class_members
+from klyachko.characters import _rational_class
 from klyachko.errors import ArenaMismatch, EmptyBlock, InvariantViolation
 from klyachko.gf import mat_mul
 from klyachko.groups import chunk_columns, chunk_images, products, symplectic_form
@@ -80,12 +81,28 @@ def every_class_visit_order(table, images):
     return first + rest
 
 
+def class_members(table):
+    """The codes of the members of each class, in increasing order,
+    indexed by class: the element codes bucketed by their labels."""
+    members = tuple(array("I") for _ in table.classes)
+    for code in table.codes:
+        members[table.labels[code]].append(code)
+    return members
+
+
+def relabelled(table, labels, classes):
+    """`table` with the label array `labels` and the class records
+    `classes`, and the members bucketed from those labels: a corrupt
+    classification whose members still match its labels."""
+    out = replace(table, labels=labels, classes=classes)
+    return replace(out, members=class_members(out))
+
+
 def tensor_sources(table):
     """(columns, images) as `class_multiplication_tensor` takes them: the
     chunk columns of the members of each class and the chunk images of
     each representative, each built once."""
-    members = class_members(table)
-    columns = cache(lambda c: chunk_columns(members[c], table.n, table.q))
+    columns = cache(lambda c: chunk_columns(table.members[c], table.n, table.q))
     images = cache(lambda c: chunk_images(table.classes[c].representative, table.n, table.field))
     return columns, images
 

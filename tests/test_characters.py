@@ -25,7 +25,6 @@ from klyachko.characters import (
     _twists,
     _visit_order,
     character_table,
-    class_members,
     class_multiplication_tensor,
     induced_klyachko_character,
     multiplicity,
@@ -45,7 +44,6 @@ from klyachko.gf import mat_inv, mat_mul
 from klyachko.groups import (
     SINGULAR,
     ConjClass,
-    GroupTable,
     KlyachkoSubgroupSpec,
     _primitive_element,
     chunk_columns,
@@ -57,11 +55,14 @@ from klyachko.groups import (
     row_images,
     scalar_class_map,
 )
+from klyachko.tablecache import load_table, save_table
 from oracles import (
+    class_members,
     element_labels,
     every_class_visit_order,
     h_membership_flat,
     inner_product_residue,
+    relabelled,
     tensor_rows_over_c_i,
     tensor_sources,
 )
@@ -449,27 +450,33 @@ def test_member_columns_built_once_per_class_and_call(table_store, arena_store, 
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
-def test_class_members_are_the_classes_in_lex_order(n, q, table_store):
+def test_class_members_are_the_classes_in_lex_order(n, q, table_store, tmp_path):
+    """The members a table holds, computed or loaded from its file, are
+    the element codes bucketed by label, each class in increasing order."""
     table = table_store(n, q)
-    members = class_members(table)
-    assert [len(m) for m in members] == [cls.size for cls in table.classes]
-    for c, m in enumerate(members):
-        assert list(m) == [code for code in table.codes if table.labels[code] == c]
+    path = tmp_path / "t.tbl"
+    save_table(table, path)
+    for tab in (table, load_table(path, table.field, n)):
+        assert tab.members == class_members(table)
+        assert [len(m) for m in tab.members] == [cls.size for cls in table.classes]
 
 
-def test_class_members_bucketed_once_per_call(table_store, arena_store, monkeypatch):
-    """The split buckets the members of the classes once, however many
-    classes it visits."""
+class _CountOnly:
+    """Element codes that have a length and nothing to iterate or index."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+
+def test_character_table_scans_no_element_list(table_store, arena_store):
+    """The split reads the members of each class from the table: with
+    element codes that cannot be scanned it gives the same characters."""
     table, arena = table_store(3, 3), arena_store(3, 3)
-    calls = []
-
-    def counting_members(tab):
-        calls.append(tab)
-        return class_members(tab)
-
-    monkeypatch.setattr(characters, "class_members", counting_members)
-    character_table(table, arena)
-    assert calls == [table]
+    unscannable = dataclasses.replace(table, codes=_CountOnly(table.order))
+    assert character_table(unscannable, arena) == character_table(table, arena)
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (3, 2)])
@@ -944,10 +951,10 @@ def test_non_injective_scalar_map_raises_at_once(table_store, arena_store, monke
 
 def test_gl1_table_needs_no_visit(table_store, arena_store, monkeypatch):
     """n = 1: every class is central, so the start spaces are lines and
-    no class members are bucketed."""
+    no class members are cut into chunk columns."""
     table, arena = table_store(1, 5), arena_store(1, 5)
     monkeypatch.setattr(characters, "class_multiplication_tensor", _refuse_tensor)
-    monkeypatch.setattr(characters, "class_members", _refuse_tensor)
+    monkeypatch.setattr(characters, "chunk_columns", _refuse_tensor)
     chars = character_table(table, arena)
     assert len(chars) == 4 and all(cf.dimension(table) == 1 for cf in chars)
 
@@ -1023,7 +1030,7 @@ def _merge_classes(table, a, b):
         for c, cls in enumerate(table.classes) if c != b
     )
     labels = array("H", (c if c == SINGULAR else remap[c] for c in table.labels))
-    return GroupTable(table.field, table.n, table.codes, labels, classes)
+    return relabelled(table, labels, classes)
 
 
 @pytest.mark.parametrize("n,q", [(2, 5), (3, 2)])

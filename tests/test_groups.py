@@ -45,6 +45,7 @@ from oracles import (
     h_membership_flat,
     mat_det,
     mat_transpose,
+    relabelled,
     sp_by_search,
     sp_membership_flat,
 )
@@ -144,13 +145,12 @@ def test_scalar_class_map_rejects_labels_that_are_not_classes(table_store):
     labels = array("H", table.labels)
     # w I labelled as the identity: I and w^-1 I both map to the identity's class
     labels[encode(_scalar(groups._primitive_element(table.field), 2), 5)] = e_idx
-    relabelled = groups.GroupTable(table.field, 2, table.codes, labels, table.classes)
     with pytest.raises(InvariantViolation, match="does not permute the classes"):
-        scalar_class_map(relabelled)
+        scalar_class_map(relabelled(table, labels, table.classes))
     # the identity class recorded with size 2: a permutation, but not of equal sizes
     classes = list(table.classes)
     classes[e_idx] = replace(classes[e_idx], size=2)
-    resized = groups.GroupTable(table.field, 2, table.codes, table.labels, tuple(classes))
+    resized = replace(table, classes=tuple(classes))
     with pytest.raises(InvariantViolation, match="changes a class size"):
         scalar_class_map(resized)
 
@@ -177,7 +177,7 @@ def test_det_class_map_rejects_a_key_of_another_determinant(table_store):
     d = next(d for d in range(len(table.classes)) if dets[d] != dets[c])
     classes = list(table.classes)
     classes[c] = replace(classes[c], invariant_factors=classes[d].invariant_factors)
-    rekeyed = groups.GroupTable(table.field, 2, table.codes, table.labels, tuple(classes))
+    rekeyed = replace(table, classes=tuple(classes))
     with pytest.raises(InvariantViolation, match="do not follow multiplication by a scalar"):
         det_class_map(rekeyed, scalar_class_map(rekeyed))
 
@@ -248,7 +248,7 @@ def test_classes_match_green_class_data(n, q):
     Green's, |G| / prod_f a_{lambda(f)}(q^deg f) over his class data, and
     the count is the generating function's."""
     field = field_from_q(q)
-    classes, _ = conjugacy_classes(gl_elements(n, field), n, field)
+    classes = conjugacy_classes(gl_elements(n, field), n, field).classes
     assert sorted(cls.size for cls in classes) == green_class_sizes(n, q)
     assert len(classes) == class_count(n, q)
 

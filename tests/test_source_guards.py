@@ -93,6 +93,27 @@ def test_only_tablecache_reads_and_writes_files():
     assert sorted(found) == [("tablecache.py", "read_bytes"), ("tablecache.py", "write_bytes")]
 
 
+def test_group_table_is_built_only_by_class_records():
+    """One builder of tables: `GroupTable(` is called at exactly one site
+    in the library, inside `groups.class_records`, so a computed table
+    and a loaded one get their labels, members and class records from
+    the same loop."""
+
+    def builds(node):
+        return isinstance(node, ast.Call) and "GroupTable" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    sites, owners = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if builds(node)]
+        owners += [f"{path.name}:{func.name}" for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and any(map(builds, ast.walk(func)))]
+    assert len(sites) == 1
+    assert owners == ["groups.py:class_records"]
+
+
 def test_no_class_of_dict_in_library():
     """One class-lookup path: the label array indexed by element code.
     No module keeps a `class_of` map from elements to classes."""

@@ -12,6 +12,7 @@ from klyachko.cli import main
 from klyachko.errors import CacheError
 from klyachko.gelfand import load_or_compute_table
 from klyachko.gf import field_make
+from klyachko.groups import SINGULAR
 from klyachko.tablecache import (
     CHARS_MAGIC,
     MAGIC,
@@ -32,14 +33,15 @@ FORMAT_3_MAGIC = b"KLYGRP\x00\x03"  # format 3 also stored the elements
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_save_load_with_classes(n, q, tmp_path, table_store):
     """The table loaded from a file equals the orbit sweep's in its
-    label array, element codes, class records, order, elements and
-    inverses."""
+    label array, element codes, class members, class records, order,
+    elements and inverses."""
     table = table_store(n, q)
     path = tmp_path / "t.tbl"
     save_table(table, path)
     loaded = load_table(path, table.field, n)
     assert loaded.labels == table.labels
     assert loaded.codes == table.codes
+    assert loaded.members == table.members
     assert loaded.classes == table.classes
     assert loaded.order == table.order
     assert loaded.elements == table.elements
@@ -141,8 +143,15 @@ def _swap_labels_1_and_2(labels):
     return [{1: 2, 2: 1}.get(c, c) for c in labels]
 
 
+def _singular_label(labels):
+    """The last element labelled `SINGULAR`, the label array's mark for a
+    code that is not an element: a label at or above the class count."""
+    labels[-1] = SINGULAR
+    return labels
+
+
 @pytest.mark.parametrize("relabel", [_skip_label_1, _split_a_class, _merge_label_2_into_1,
-                                     _swap_labels_1_and_2])
+                                     _swap_labels_1_and_2, _singular_label])
 def test_load_rejects_labels_that_are_not_classes(tmp_path, table_store, relabel):
     table = table_store(2, 3)
     path = tmp_path / "t.tbl"
