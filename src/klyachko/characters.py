@@ -49,9 +49,11 @@ powering h = x^((ell - 1)/2) mod s gives both the linear part
 gcd(s, x h^2 - x) = gcd(s, x^ell - x) and its first Cantor-Zassenhaus
 split (Math. Comp. 36, 1981), and the factors of degree above 2 are
 split further with the shifts 1, 2, ..., each factor resuming after the
-shift that made it; nothing is random.  Each eigenspace is reduced in
-the d coordinates of its parent space and mapped back already in RREF
-(see `_split_space`).  All linear algebra is over Z/ell, so every
+shift that made it; nothing is random.  Each eigenspace is the kernel
+of one d x d elimination in the coordinates of its parent space,
+eliminated from the last column back so that the kernel comes out in
+RREF (`_kernel_basis`), and is mapped back still in RREF (see
+`_split_space`).  All linear algebra is over Z/ell, so every
 identity below is checked exactly, never to a tolerance.  The row
 orthogonality of the finished table is one packed sum per character,
 holding its relations with all N characters; over Z/ell the row
@@ -65,9 +67,11 @@ central character moves from mu to mu lambda(w^n).  With
 det g_c = w^(a_c) (`groups.det_class_map`) and lambda_j(w^a) = zeta^(j a),
 D_j = diag(zeta^(j a_c)) maps the lines of space k onto those of space
 k + n j mod (q - 1).  So the split keeps the spaces k < gcd(n, q - 1),
-one per orbit (`_twists`), and carries its final lines to the rest of
-each orbit, checking that each lands in its space and that each space
-gets its dimension in lines (`_carry`).
+one per orbit (`_twists`), normalises only its final lines and turns
+only them into characters, and twists those characters to the rest of
+each orbit, c -> zeta^(j a_c) chi(c), checking that each lands in its
+space and that each space gets its dimension in lines (`_carry`).  The
+degree of a twist is not derived again: twisting keeps it.
 
 Induced characters of (H, psi) are evaluated from the subgroup side:
 grouping the Frobenius sum chi(g) = |H|^-1 sum_{x: xgx^-1 in H}
@@ -101,6 +105,7 @@ from .arena import (
     zpoly_trim,
 )
 from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
+from .gf import mat_identity
 from .groups import (
     GroupTable,
     KlyachkoSubgroupSpec,
@@ -334,18 +339,30 @@ def _rref(rows: list[list[int]], ell: int) -> tuple[list[list[int]], list[int]]:
     return a[:len(pivots)], pivots
 
 
-def _kernel_basis(mat: list[list[int]], ell: int) -> list[list[int]]:
-    """A basis of {v : mat v = 0} mod ell, one vector per free column."""
+def _kernel_basis(mat: list[list[int]], ell: int) -> tuple[list[list[int]], list[int]]:
+    """The null space {v : mat v = 0} mod ell in RREF: one vector per free
+    column, and the free columns, its pivots.
+
+    `mat` is eliminated from its last column back (the RREF of its rows
+    reversed), so a row's pivot column c is its last nonzero column and
+    the row is zero at every free column after c.  The vector of free
+    column fc is 1 at fc, 0 at the other free columns and -row[fc] at the
+    pivot column c of each row, nonzero only for c > fc.  In ascending
+    order of fc the vectors are therefore in RREF with the free columns
+    as pivots.
+    """
     n = len(mat[0])
-    red, pivots = _rref(mat, ell)
+    red, back = _rref([row[::-1] for row in mat], ell)
+    pivots = [n - 1 - c for c in back]
+    free = sorted(set(range(n)) - set(pivots))
     out = []
-    for fc in sorted(set(range(n)) - set(pivots)):
+    for fc in free:
         v = [0] * n
         v[fc] = 1
         for row, c in zip(red, pivots):
-            v[c] = -row[fc] % ell
+            v[c] = -row[n - 1 - fc] % ell
         out.append(v)
-    return out
+    return out, free
 
 
 def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, list[int]],
@@ -359,10 +376,11 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     Class matrices act diagonalisably on an invariant space, so one with
     a single eigenvalue that is not a scalar fails the dimension check.
 
-    Each eigenspace is reduced in the d coordinates and only then mapped
-    back: a combination of the basis with coordinates u has its first
-    nonzero entry at pivots[j], j the first nonzero coordinate of u, and
-    its entries at the pivots are u.  So coordinate vectors in RREF with
+    Each eigenspace is found in the d coordinates, already in RREF by
+    one elimination (`_kernel_basis`), and only then mapped back: a
+    combination of the basis with coordinates u has its first nonzero
+    entry at pivots[j], j the first nonzero coordinate of u, and its
+    entries at the pivots are u.  So coordinate vectors in RREF with
     pivots J map to vectors in RREF with pivots [pivots[j] for j in J].
     """
     d = len(basis)
@@ -375,7 +393,7 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     for lam in _roots_mod(_charpoly_mod(restricted, ell), ell):
         shifted = [[(v - lam) % ell if r == c else v for c, v in enumerate(row)]
                    for r, row in enumerate(restricted)]
-        reduced, coord_pivots = _rref(_kernel_basis(shifted, ell), ell)
+        reduced, coord_pivots = _kernel_basis(shifted, ell)
         vectors = []
         for coords in reduced:
             v = [0] * len(basis[0])
@@ -394,11 +412,12 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
 def _rational_class(table: GroupTable, c: int, images: Callable) -> set[int]:
     """The classes of g^a for every a prime to the order of g, the
     representative of class c; each power is the one before times g,
-    read through the chunk images of g, `images(c)`."""
+    read through the chunk images of g, `images(c)`, from the code of g
+    to the code of the identity."""
     n, q = table.n, table.q
     tables = images(c)
-    ident = encode(table.identity(), q)
-    powers = [encode(table.classes[c].representative, q)]
+    ident = encode(mat_identity(n), q)
+    powers = [table.members[c][0]]
     while powers[-1] != ident:
         powers.extend(products(chunk_columns(powers[-1:], n, q), tables))
     order = len(powers)
@@ -521,27 +540,33 @@ def _twists(n: int, q: int) -> dict[int, list[tuple[int, int]]]:
     return {k: [((k + n * j) % (q - 1), j) for j in range(1, (q - 1) // g)] for k in range(g)}
 
 
-def _carry(lines: list[tuple[list[int], int]], twists: dict, dims: list[int], dets: list[int],
-           shift: list[int], zeta: int, ell: int) -> list[list[int]]:
-    """The lines of every central space from the `lines` (vector, k) of
-    the kept spaces: each line v of space k, and D_j v,
-    (D_j v)_c = zeta^(j a_c) v_c with a_c = `dets`[c], in each space k'
-    of `twists`[k].  Each image must satisfy v_sigma(c) = zeta^k' v_c,
-    and each space must receive its dimension `dims`[k'] in lines;
-    InvariantViolation otherwise.
+def _carry(lines: list[tuple[ClassFunction, int]], twists: dict, dims: list[int], dets: list[int],
+           shift: list[int], zeta: int, ell: int) -> list[ClassFunction]:
+    """The characters of every central space from `lines`, the (chi, k)
+    of the lines of the kept spaces: each chi of space k, and its twist
+    (chi lambda_j(det))(c) = zeta^(j a_c) chi(c), a_c = `dets`[c], in
+    each space k' of `twists`[k].
+
+    A twist must satisfy chi(sigma(c)) = zeta^k' chi(c) for every c, the
+    line condition on omega(K_c) = |c| chi(c) / chi(1), as
+    |sigma(c)| = |c|; and each space must receive its dimension
+    `dims`[k'] in lines; InvariantViolation otherwise.  The degree is
+    not derived again, as twisting keeps it: a_{c^-1} = -a_c leaves every
+    omega(K_c) omega(K_c^-1), and so d^2 = |G| / sum_c omega(K_c)
+    omega(K_c^-1) / |c|.
     """
     order = len(dims)
     powers = [pow(zeta, t, ell) for t in range(order)]
     out, got = [], [0] * order
-    for v, k in lines:
-        out.append(v)
+    for chi, k in lines:
+        out.append(chi)
         got[k] += 1
         for target, j in twists[k]:
-            u = [x * powers[j * a % order] % ell for x, a in zip(v, dets)]
+            u = tuple(x * powers[j * a % order] % ell for x, a in zip(chi.values, dets))
             mu = powers[target]
             if any(u[d] != mu * x % ell for x, d in zip(u, shift)):
                 raise InvariantViolation(f"a line carried to central space {target} is not in it")
-            out.append(u)
+            out.append(ClassFunction(chi.arena, u))
             got[target] += 1
     if got != dims:
         raise InvariantViolation(f"{got} lines carried to central spaces of dimensions {dims}")
@@ -582,17 +607,17 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
         spaces = [(b, p, k) for (basis, pivots, k), s in zip(spaces, split)
                   for b, p in (_split_space(basis, pivots, m_rows, ell) if s
                                else [(basis, pivots)])]
-    zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
-    lines = _carry([(v, k) for (v,), _, k in spaces], twists, [len(b) for b, _ in central],
-                   det_class_map(table, shift), shift, zeta, ell)
-    omegas = []
-    for v in lines:  # det I = 1, so D_j keeps the identity entry
+    inv_sizes = [pow(c.size, ell - 2, ell) for c in classes]
+    lines = []
+    for (v,), _, k in spaces:
         if v[e_idx] == 0:
             raise InvariantViolation("a central character vanishes on the identity class")
         scale = pow(v[e_idx], ell - 2, ell)
-        omegas.append([x * scale % ell for x in v])
-    inv_sizes = [pow(c.size, ell - 2, ell) for c in classes]
-    chars = [_character_from_central(om, inv_sizes, inv_map, table.order, arena) for om in omegas]
+        omega = [x * scale % ell for x in v]
+        lines.append((_character_from_central(omega, inv_sizes, inv_map, table.order, arena), k))
+    zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
+    chars = _carry(lines, twists, [len(b) for b, _ in central], det_class_map(table, shift),
+                   shift, zeta, ell)
     chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
     verify_orthogonality(chars, table, arena)
     return chars

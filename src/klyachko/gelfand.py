@@ -15,9 +15,12 @@ reports four flags:
 - gelfand:      every total multiplicity is exactly one.
 
 Disjointness and uniqueness are empirical findings per (n, q); nothing
-here assumes them.  The dimension cross-check compares
-sum_k [G : H_{n-2k,2k}] with sum_pi dim(pi), two independently computed
-integers.
+here assumes them.  Each model's dimension is checked where it is
+computed: `characters.induced_klyachko_character` lifts chi(1) to the
+index |G| / |H|, with |H| the count of members that
+`groups.enumerate_h` checks against the closed form |H_{r,2k}|.  The
+dimension cross-check compares sum_k [G : H_{n-2k,2k}] with
+sum_pi dim(pi), two independently computed integers.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 
 from .arena import ModularArena, build_arena
 from .characters import ClassFunction, character_table, induced_klyachko_character, multiplicity
-from .errors import CacheError, InvariantViolation, UsageError
+from .errors import CacheError, UsageError
 from .gf import field_from_q
 from .groups import (
     DEFAULT_MAX_ELEMENTS,
@@ -36,7 +39,6 @@ from .groups import (
     KlyachkoSubgroupSpec,
     check_group_cap,
     gl_enumerate,
-    h_order,
 )
 from .tablecache import (
     cache_path,
@@ -48,11 +50,14 @@ from .tablecache import (
 )
 
 
-def _load_or_compute(path: Path, load, compute, save):
+def _load_or_compute(path: Path | None, load, compute, save):
     """`load(path)` when the file at `path` is a good cache, otherwise
-    `compute()`, written to `path` by `save(value, path)`.  A path that
-    cannot be in a directory, or that is a directory, is refused before
-    computing; a write that fails is refused after it."""
+    `compute()`, written to `path` by `save(value, path)`; only
+    `compute()` when `path` is None.  A path that cannot be in a
+    directory, or that is a directory, is refused before computing; a
+    write that fails is refused after it."""
+    if path is None:
+        return compute()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
@@ -72,12 +77,11 @@ def _load_or_compute(path: Path, load, compute, save):
 def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
                           max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
     """The table of GL_n(F_q): read from `cache_dir` when it holds a good
-    one, otherwise computed and written there."""
+    one, otherwise computed and written there; only computed when
+    `cache_dir` is None."""
     field = field_from_q(q)
     check_group_cap(n, q, max_elements)  # a cached table obeys the cap too
-    if cache_dir is None:
-        return gl_enumerate(n, field, max_elements=max_elements)
-    return _load_or_compute(cache_path(cache_dir, n, q),
+    return _load_or_compute(None if cache_dir is None else cache_path(cache_dir, n, q),
                             lambda path: load_table(path, field, n),
                             lambda: gl_enumerate(n, field, max_elements=max_elements),
                             save_table)
@@ -88,12 +92,10 @@ def load_or_compute_characters(table: GroupTable, ell: int | None, cache_dir: st
     """The arena of `table` for `ell` (the least valid prime when None)
     and the character table in it: read from `cache_dir` when it holds a
     good one for this ell, otherwise computed and written there, beside
-    the group table."""
+    the group table; only computed when `cache_dir` is None."""
     arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
-    if cache_dir is None:
-        return arena, character_table(table, arena)
-    return arena, _load_or_compute(characters_path(cache_dir, table.n, table.q, arena.ell),
-                                   lambda path: load_characters(path, table, arena),
+    path = None if cache_dir is None else characters_path(cache_dir, table.n, table.q, arena.ell)
+    return arena, _load_or_compute(path, lambda path: load_characters(path, table, arena),
                                    lambda: character_table(table, arena),
                                    lambda chars, path: save_characters(chars, table, path))
 
@@ -110,11 +112,7 @@ def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1,
     for k in range(n // 2 + 1):
         spec = KlyachkoSubgroupSpec(n - 2 * k, k, psi_generator=psi)
         chi_model = induced_klyachko_character(table, spec, arena)
-        # independent dimension bookkeeping: index formula vs character dims
-        dim = chi_model.dimension(table)
-        if dim != table.order // h_order(n - 2 * k, k, q):
-            raise InvariantViolation(f"model k={k} has dimension {dim}, not the index of H")
-        model_dims.append(dim)
+        model_dims.append(chi_model.dimension(table))
         for mults, m in zip(matrix, multiplicity(chi_model, chars, table)):
             mults.append(m)
     rows = [{"index": i, "dim": cf.dimension(table),

@@ -9,7 +9,9 @@ reproducible across runs.  Irreducibility is Ben-Or's test and products
 are reduced by the modulus with the prime-field polynomials of arena.
 
 Full q x q addition and multiplication tables are precomputed; all
-group-theoretic hot loops index into them directly.
+group-theoretic hot loops index into them directly.  `primitive`, the
+least code that generates F_q^*, is found once per field, and
+`field_make` memoizes the fields.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class FiniteField:
 
     Attributes `add`, `sub`, `mul` are flat q*q lookup lists indexed by
     a*q + b; `neg` and `inv` are length-q lists (inv[0] is unused).
+    `primitive` is the least code w generating F_q^* (1 for q = 2): the
+    least w with w^((q-1)/r) != 1 for each prime r dividing q - 1.
     """
 
     def __init__(self, p: int, e: int):
@@ -58,6 +62,11 @@ class FiniteField:
         self.q = q
         self.modulus = _least_irreducible(p, e)
         self._build_tables()
+        cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+        self.primitive = next(
+            (w for w in range(1, q) if all(self.pow(w, c) != 1 for c in cofactors)), None)
+        if self.primitive is None:
+            raise InvariantViolation(f"F_{q}^* has no generator")
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q

@@ -27,10 +27,10 @@ are produced.
 Conjugacy classes are the orbits of conjugation by three cheap
 generators of GL_n(F_q) (`_gl_generators`: an n-cycle permutation
 matrix, the elementary matrix x_12(1) and, for q > 2, diag(w, 1, ...,
-1) with w primitive).  Conjugation by a generator s is linear in g, and
-every generator's tables come from its matrix by one rule: row i of
-s g s^-1 is sum_j s_ij (row j of g) s^-1, one `row_images` lookup over
-the rows j with s_ij != 0.  No row i may read rows on both sides of the
+1) with w = `field.primitive`).  Conjugation by a generator s is linear
+in g, and every generator's tables come from its matrix by one rule:
+row i of s g s^-1 is sum_j s_ij (row j of g) s^-1, one `row_images`
+lookup over the rows j with s_ij != 0.  No row i may read rows on both sides of the
 cut between rows 0, 1 and rows 2, ..., n - 1: the tables check this for
 every generator and raise InvariantViolation if it fails.  So the rows
 that rows 0 and 1 of g reach are disjoint from those the other rows
@@ -43,22 +43,23 @@ the label array as its visited set, labels the orbits in the order of
 their least members, and raises InvariantViolation as soon as an orbit
 past class_count(n, q) would start.  The table keeps the element codes,
 one label array indexed by code, holding `SINGULAR` at the codes of
-singular matrices, so a class lookup is one index, and the codes of the
-members of each class in increasing order.  `class_records` is the one
-builder of a table, for the search and for a cached table alike: from
-the labels of the elements in code order, one loop writes the label
-array and the members, and the class sizes and least members are read
-off the members.  Each class is keyed by the invariant factors of
-xI - g (see fqpoly), computed once per class representative, not per
+singular matrices, so a class lookup is one index, labels[encode(g, q)]
+(`identity_class` is that index at the identity's code), and the codes
+of the members of each class in increasing order.  `class_records` is
+the one builder of a table, for the search and for a cached table
+alike: from the labels of the elements in code order, one loop writes
+the label array and the members, and the class sizes and least members
+are read off the members.  Each class is keyed by the invariant factors
+of xI - g (see fqpoly), computed once per class representative, not per
 element.  Labels other than 0, ..., class_count(n, q) - 1, least
 members that do not increase with the label, or two classes with one
 key would mean the labels were not the classes in their canonical
 order, and raise InvariantViolation.  Class representatives, flat entry
-tuples, are the least members.  The central scalar w I permutes the
-classes; `scalar_class_map` gives that permutation, from which the
-character table starts its split, and `det_class_map` the determinant
-of each class as a power of w, by which it carries characters across
-twists.
+tuples, are the least members.  The central scalar w I, w the least
+generator `field.primitive` of F_q^*, permutes the classes;
+`scalar_class_map` gives that permutation, from which the character
+table starts its split, and `det_class_map` the determinant of each
+class as a power of w, by which it carries characters across twists.
 
 Sp(2k, F_q) is the closure of the identity under right multiplication
 by a generating set of symplectic transvections (`enumerate_sp`), and
@@ -74,7 +75,6 @@ from functools import cache, lru_cache
 from itertools import chain, filterfalse, product, repeat
 from operator import add, itemgetter
 
-from .arena import prime_factors
 from .errors import GroupTooLarge, InvariantViolation, UsageError
 from .fqpoly import Poly, invariant_factors
 from .gf import FiniteField, mat_identity, mat_inv, mat_mul
@@ -224,6 +224,7 @@ class GroupTable:
     class label at every code below q^(n^2) (an array('H'), `SINGULAR` at
     singular matrices), the codes of the members of each class in
     increasing order (an array('I') per class), and the class records.
+    The class of a matrix g is labels[encode(g, q)].
 
     Built only by `class_records`, for `gl_enumerate` and
     `tablecache.load_table` alike.
@@ -250,23 +251,13 @@ class GroupTable:
         n, q = self.n, self.q
         return tuple(decode(code, n, q) for code in self.codes)
 
-    def class_of_flat(self, el: tuple[int, ...]) -> int:
-        """The class of an element given as a flat entry tuple."""
-        label = self.labels[encode(el, self.q)]
-        if label == SINGULAR:
-            raise KeyError(f"{el} is singular")
-        return label
-
-    def identity(self) -> tuple[int, ...]:
-        return mat_identity(self.n)
-
     def inverses(self) -> list[tuple[int, ...]]:
         """The inverses of `elements`, in the same order, as flat entry tuples."""
         n, f = self.n, self.field
         return [mat_inv(el, n, f) for el in self.elements]
 
     def identity_class(self) -> int:
-        return self.class_of_flat(self.identity())
+        return self.labels[encode(mat_identity(self.n), self.q)]
 
     def exponent(self) -> int:
         """The lcm of the element orders, p^a lcm(q - 1, q^2 - 1, ..., q^n - 1)
@@ -377,20 +368,9 @@ def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELE
     return conjugacy_classes(gl_elements(n, field, max_elements), n, field)
 
 
-def _primitive_element(field: FiniteField) -> int:
-    """The least code generating the multiplicative group F_q^*: the
-    least w with w^((q-1)/r) != 1 for each prime r dividing q - 1."""
-    q = field.q
-    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-    for w in range(1, q):
-        if all(field.pow(w, c) != 1 for c in cofactors):
-            return w
-    raise InvariantViolation(f"F_{q}^* has no generator")
-
-
 def scalar_class_map(table: GroupTable) -> list[int]:
-    """The class of w g_c for every class c, w I the scalar matrix of the
-    least primitive element w of F_q^* (w = 1 when q = 2).
+    """The class of w g_c for every class c, w I the scalar matrix of
+    `field.primitive`, the least generator w of F_q^* (w = 1 when q = 2).
 
     w I is central, so it permutes the classes and keeps their sizes; one
     product per entry of each representative and one label lookup give
@@ -399,7 +379,7 @@ def scalar_class_map(table: GroupTable) -> list[int]:
     """
     field, classes, labels = table.field, table.classes, table.labels
     q = field.q
-    times_w = field.mul[_primitive_element(field)::q]  # x -> x w
+    times_w = field.mul[field.primitive::q]  # x -> x w
     out = [labels[encode(map(times_w.__getitem__, c.representative), q)] for c in classes]
     if sorted(out) != list(range(len(classes))):
         raise InvariantViolation("multiplying by a scalar does not permute the classes")
@@ -410,7 +390,7 @@ def scalar_class_map(table: GroupTable) -> list[int]:
 
 def det_class_map(table: GroupTable, shift: list[int]) -> list[int]:
     """The exponent a_c in [0, q - 1) with det g_c = w^(a_c) for every
-    class c, w the least primitive element, as in `scalar_class_map`.
+    class c, w = `field.primitive`, as in `scalar_class_map`.
 
     The invariant factors of xI - g multiply to det(xI - g), whose value
     at 0 is det(-g), so det g = (-1)^n prod f(0).  det(w g) = w^n det g,
@@ -418,7 +398,7 @@ def det_class_map(table: GroupTable, shift: list[int]) -> list[int]:
     sigma; a map that breaks this raises InvariantViolation.
     """
     field, n, q = table.field, table.n, table.q
-    w, log, x = _primitive_element(field), {}, 1
+    w, log, x = field.primitive, {}, 1
     for a in range(q - 1):
         log[x], x = a, field.mul[x * q + w]
     out = []
@@ -435,8 +415,8 @@ def det_class_map(table: GroupTable, shift: list[int]) -> list[int]:
 def _gl_generators(n: int, field: FiniteField) -> list[tuple[int, ...]]:
     """A generating set of GL_n(F_q) as flat matrices: the n-cycle
     permutation matrix P, whose row i is e_{i+1} (indices mod n),
-    x_12(1) = I + E_12 and, when q > 2, diag(w, 1, ..., 1) with w
-    primitive.
+    x_12(1) = I + E_12 and, when q > 2, diag(w, 1, ..., 1) with w =
+    `field.primitive`.
 
     The cycle's conjugates of x_12(1) are the x_{i,i+1}(1) and
     x_{n,1}(1), whose commutators give every x_ij(1), hence SL_n(F_p);
@@ -449,7 +429,7 @@ def _gl_generators(n: int, field: FiniteField) -> list[tuple[int, ...]]:
     out = [tuple(int(j == (i + 1) % n) for i in range(n) for j in range(n)),
            ident[:1] + (1,) + ident[2:]]
     if field.q > 2:
-        out.append(_diagonal([_primitive_element(field)] + [1] * (n - 1)))
+        out.append(_diagonal([field.primitive] + [1] * (n - 1)))
     return out
 
 
@@ -639,7 +619,7 @@ def _symplectic_generators(k: int, field: FiniteField) -> list[tuple[int, ...]]:
     = x J t(v).  With e_a = row a of I and f_a = row 2k - 1 - a, so that
     omega(e_a, f_b) = [a = b], v runs over every e_a and f_a and, for
     a < k - 1, over e_a + f_{a+1} and e_{a+1} + f_a; t runs over the
-    F_p-basis 1, w, ..., w^(e-1) of F_q, w primitive.
+    F_p-basis 1, w, ..., w^(e-1) of F_q, w = `field.primitive`.
 
     Why they generate: T_{v,s} T_{v,t} = T_{v,s+t}, so every T_{v,t} is
     reached.  The T_{e_a,t} and T_{f_a,t} are the long root groups
@@ -657,8 +637,7 @@ def _symplectic_generators(k: int, field: FiniteField) -> list[tuple[int, ...]]:
     basis = [tuple(int(b == a) for b in range(n)) for a in range(n)]
     vectors = basis + [tuple(map(max, basis[a], basis[n - 2 - a])) for a in range(k - 1)] \
         + [tuple(map(max, basis[a + 1], basis[n - 1 - a])) for a in range(k - 1)]
-    w = _primitive_element(field)
-    scalars = [field.pow(w, i) for i in range(field.e)]
+    scalars = [field.pow(field.primitive, i) for i in range(field.e)]
     out = []
     for v in vectors:
         jv = []  # J t(v)

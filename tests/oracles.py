@@ -18,8 +18,15 @@ from operator import itemgetter
 
 from klyachko.characters import _rational_class
 from klyachko.errors import ArenaMismatch, EmptyBlock, InvariantViolation
-from klyachko.gf import mat_mul
-from klyachko.groups import chunk_columns, chunk_images, products, symplectic_form
+from klyachko.gf import mat_identity, mat_mul
+from klyachko.groups import (
+    SINGULAR,
+    chunk_columns,
+    chunk_images,
+    encode,
+    products,
+    symplectic_form,
+)
 from klyachko.speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter, kappa
 from klyachko.weyl import WeylElement
 
@@ -36,7 +43,7 @@ def gl_order(n, q):
 def exponent_by_powers(table):
     """The lcm of the orders of the class representatives, each order
     found by multiplying the representative by itself up to the identity."""
-    n, field, ident = table.n, table.field, table.identity()
+    n, field, ident = table.n, table.field, mat_identity(table.n)
 
     def order(g):
         x, k = g, 1
@@ -45,6 +52,15 @@ def exponent_by_powers(table):
         return k
 
     return math.lcm(*(order(cls.representative) for cls in table.classes))
+
+
+def label_of(table, el):
+    """The class label of a matrix given as its flat entry tuple: the
+    label at its code; KeyError at a singular matrix."""
+    label = table.labels[encode(el, table.q)]
+    if label == SINGULAR:
+        raise KeyError(f"{el} is singular")
+    return label
 
 
 def element_labels(table):

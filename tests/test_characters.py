@@ -17,6 +17,7 @@ from klyachko.characters import (
     _carry,
     _charpoly_mod,
     _conjugate_pair,
+    _kernel_basis,
     _rational_class,
     _roots_mod,
     _rref,
@@ -40,12 +41,11 @@ from klyachko.errors import (
     UsageError,
 )
 from klyachko.gelfand import verify_gelfand
-from klyachko.gf import mat_inv, mat_mul
+from klyachko.gf import mat_identity, mat_inv, mat_mul
 from klyachko.groups import (
     SINGULAR,
     ConjClass,
     KlyachkoSubgroupSpec,
-    _primitive_element,
     chunk_columns,
     chunk_images,
     det_class_map,
@@ -58,10 +58,12 @@ from klyachko.groups import (
 from klyachko.tablecache import load_table, save_table
 from oracles import (
     class_members,
+    det_exponents,
     element_labels,
     every_class_visit_order,
     h_membership_flat,
     inner_product_residue,
+    label_of,
     relabelled,
     tensor_rows_over_c_i,
     tensor_sources,
@@ -384,7 +386,7 @@ def test_class_matrix_rows_are_pair_counts(table_store):
     for k, cls in enumerate(table.classes):
         for x, c in zip(table.elements, element_labels(table)):
             y = mat_mul(mat_inv(x, n, field), cls.representative, n, field)
-            pairs[c][table.class_of_flat(y)][k] += 1
+            pairs[c][label_of(table, y)][k] += 1
     sources = tensor_sources(table)
     for i in range(n_cls):
         assert class_multiplication_tensor(table, i, list(range(n_cls)), *sources) == pairs[i]
@@ -399,7 +401,7 @@ def _mat_mul_tensor_rows(table, i, rows):
     for j in rows:
         counts = [0] * len(classes)
         for x in members:
-            counts[table.class_of_flat(mat_mul(x, classes[j].representative, n, field))] += 1
+            counts[label_of(table, mat_mul(x, classes[j].representative, n, field))] += 1
         out.append([classes[j].size * cnt // cls.size for cnt, cls in zip(counts, classes)])
     return out
 
@@ -495,13 +497,13 @@ def test_row_images_match_mat_mul(n, q, table_store):
 def _power_map_rational_classes(table):
     """Oracle: for every class, the classes of x^a over every member x and
     every a prime to the order of x."""
-    n, field, ident = table.n, table.field, table.identity()
+    n, field, ident = table.n, table.field, mat_identity(table.n)
     found = [set() for _ in table.classes]
     for x, c in zip(table.elements, element_labels(table)):
         powers = [x]
         while powers[-1] != ident:
             powers.append(mat_mul(powers[-1], x, n, field))
-        found[c] |= {table.class_of_flat(y) for a, y in enumerate(powers, 1)
+        found[c] |= {label_of(table, y) for a, y in enumerate(powers, 1)
                      if math.gcd(a, len(powers)) == 1}
     return found
 
@@ -646,7 +648,7 @@ def test_central_spaces_are_eigenspaces_of_the_central_classes(n, q, table_store
     table, arena = table_store(n, q), arena_store(n, q)
     field, ell, n_cls = table.field, arena.ell, len(table.classes)
     zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
-    w = _primitive_element(field)
+    w = field.primitive
     log = {field.pow(w, a): a for a in range(q - 1)}
     spaces = _central_spaces(table, arena, scalar_class_map(table))
     assert len(spaces) == q - 1  # every character of the centre occurs
@@ -791,6 +793,25 @@ def test_transport_changes_nothing(n, q, table_store, arena_store, monkeypatch):
     assert character_table(table, arena) == carried
     dims = [len(basis) for basis, _ in _central_spaces(table, arena, scalar_class_map(table))]
     assert handed == [[k for k, d in enumerate(dims) for _ in range(d)]]
+
+
+@pytest.mark.parametrize("n,q", TWIST_GRID)
+def test_every_twist_of_a_character_is_a_character(n, q, table_store, arena_store):
+    """For every character chi and j = 1, ..., q - 2 the class function
+    c -> zeta^(j a_c) chi(c), chi lambda_j(det), is a row of the table;
+    a_c is the exponent of det g_c by elimination (`det_exponents`),
+    which shares no code with det_class_map."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    ell = arena.ell
+    zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
+    chars = character_table(table, arena)
+    rows = {cf.values for cf in chars}
+    dets = det_exponents(table)
+    twists = [tuple(pow(zeta, j * a, ell) * x % ell for x, a in zip(cf.values, dets))
+              for cf in chars for j in range(1, q - 1)]
+    assert all(twist in rows for twist in twists)
+    if q > 2:  # twisting by lambda_1 moves some character
+        assert any(t != cf.values for cf, t in zip(chars, twists[::q - 2]))
 
 
 def _det_off_by_one(c):
@@ -942,8 +963,8 @@ def test_non_injective_scalar_map_raises_at_once(table_store, arena_store, monke
     """GL_2(F_5) with the classes of I and w I merged: I and w^-1 I both map
     to the merged class.  The split raises before any class matrix row."""
     table, arena = table_store(2, 5), arena_store(2, 5)
-    w = _primitive_element(table.field)
-    a, b = sorted({table.identity_class(), table.class_of_flat((w, 0, 0, w))})
+    w = table.field.primitive
+    a, b = sorted({table.identity_class(), label_of(table, (w, 0, 0, w))})
     monkeypatch.setattr(characters, "class_multiplication_tensor", _refuse_tensor)
     with pytest.raises(InvariantViolation, match="does not permute the classes"):
         character_table(_merge_classes(table, a, b), arena)
@@ -1018,6 +1039,66 @@ def test_split_space_rejects_jordan_block():
     m_rows = {0: [4, 1, 0], 1: [0, 4, 0]}
     with pytest.raises(InvariantViolation, match="do not fill a space of dimension 2"):
         _split_space(basis, pivots, m_rows, ell)
+
+
+def _low_rank(n, rank, p, rng):
+    """A random n x n matrix mod p of rank at most `rank`: an n x rank
+    factor times a rank x n one."""
+    a = [[rng.randrange(p) for _ in range(rank)] for _ in range(n)]
+    b = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
+    return [[sum(a[i][t] * b[t][j] for t in range(rank)) % p for j in range(n)] for i in range(n)]
+
+
+def _null_space_by_search(mat, p):
+    """Oracle: every v in F_p^n with mat v = 0."""
+    return {v for v in itertools.product(range(p), repeat=len(mat[0]))
+            if all(sum(map(mul, row, v)) % p == 0 for row in mat)}
+
+
+def _span(vectors, p, n):
+    """Every combination of `vectors` over F_p."""
+    out = set()
+    for coeffs in itertools.product(range(p), repeat=len(vectors)):
+        v = [0] * n
+        for c, u in zip(coeffs, vectors):
+            v = [(x + c * y) % p for x, y in zip(v, u)]
+        out.add(tuple(v))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_kernel_basis_is_the_null_space_in_rref(p):
+    """Square matrices up to 4 x 4 over F_p, from the zero matrix (the
+    whole space) through random ones of every rank to a full-rank one
+    (nothing): the vectors span the null space found by trying every
+    vector, one per dimension, already in RREF with their pivots."""
+    rng = random.Random(p)
+    for n in range(1, 5):
+        unitriangular = [[int(i == j) or (rng.randrange(p) if j > i else 0) for j in range(n)]
+                         for i in range(n)]
+        assert _kernel_basis([[0] * n for _ in range(n)], p) == (
+            [[int(i == j) for j in range(n)] for i in range(n)], list(range(n)))
+        assert _kernel_basis(unitriangular, p) == ([], [])
+        mats = [_low_rank(n, rank, p, rng) for rank in range(n + 1) for _ in range(3)]
+        for mat in mats + [unitriangular[::-1]]:
+            vectors, pivots = _kernel_basis(mat, p)
+            null = _null_space_by_search(mat, p)
+            assert len(null) == p ** len(vectors)
+            assert _span(vectors, p, n) == null
+            assert _rref(vectors, p) == (vectors, pivots)
+
+
+def test_kernel_basis_of_random_singular_matrices_mod_a_large_prime():
+    """Random singular matrices mod 10007, up to 8 x 8: every vector is in
+    the kernel, there are n - rank of them, and they are in RREF."""
+    ell, rng = 10007, random.Random(10007)
+    for _ in range(60):
+        n = rng.randrange(2, 9)
+        mat = _low_rank(n, rng.randrange(n), ell, rng)
+        vectors, pivots = _kernel_basis(mat, ell)
+        assert len(vectors) == n - len(_rref(mat, ell)[1]) > 0
+        assert all(sum(map(mul, row, v)) % ell == 0 for row in mat for v in vectors)
+        assert _rref(vectors, ell) == (vectors, pivots)
 
 
 def _merge_classes(table, a, b):
@@ -1260,6 +1341,31 @@ def test_induced_dimension_is_index(table_store, arena_store):
             spec = KlyachkoSubgroupSpec(n - 2 * k, k)
             chi = induced_klyachko_character(table, spec, arena)
             assert chi.dimension(table) == table.order // h_order(spec.r, spec.k, q)
+
+
+def test_a_model_of_the_wrong_dimension_raises(table_store, arena_store, monkeypatch, capsys):
+    """GL_2(F_3) with H listed with the identity in place of one other
+    member: |H| is the same, so it still divides |G|, but the identity is
+    counted twice and chi(1) lifts to twice the index.  Both models
+    raise, and verify-gelfand exits 3 with nothing on stdout."""
+    table, arena = table_store(2, 3), arena_store(2, 3)
+    listed = characters.enumerate_h
+
+    def identity_twice(spec, field):
+        members = listed(spec, field)
+        ident = encode(mat_identity(spec.n), field.q)
+        i = next(i for i, el in enumerate(members) if el != ident)
+        return members[:i] + [ident] + members[i + 1:]
+
+    monkeypatch.setattr(characters, "enumerate_h", identity_twice)
+    for spec in (KlyachkoSubgroupSpec(2, 0), KlyachkoSubgroupSpec(0, 1)):
+        index = table.order // h_order(spec.r, spec.k, 3)
+        with pytest.raises(InvariantViolation,
+                           match=f"chi\\(e\\) lifted to {2 * index}, expected index {index}"):
+            induced_klyachko_character(table, spec, arena)
+    assert main(["verify-gelfand", "--n", "2", "--q", "3", "--no-cache"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "expected index" in err
 
 
 def test_full_sum_method_agrees(table_store, arena_store):

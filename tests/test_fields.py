@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from klyachko import gf
 from klyachko.arena import is_prime, zpoly_is_irreducible, zpoly_mulmod, zpoly_powmod
-from klyachko.errors import FieldTooLarge, NonPrimeP
+from klyachko.errors import FieldTooLarge, InvariantViolation, NonPrimeP
 from klyachko.gf import FiniteField, field_from_q, field_make
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -186,6 +187,15 @@ def test_rejects_oversized_field():
         FiniteField(17, 1)
     with pytest.raises(FieldTooLarge):
         FiniteField(2, 5)
+
+
+def test_a_field_with_no_generator_raises(monkeypatch):
+    """With every prime of q - 1 taken as 1, w^(q-1) = 1 rules out every
+    w: the search for `primitive` raises InvariantViolation, not
+    StopIteration."""
+    monkeypatch.setattr(gf, "prime_factors", lambda m: [1])
+    with pytest.raises(InvariantViolation, match="F_5\\^\\* has no generator"):
+        FiniteField(5, 1)
 
 
 def test_field_from_q():

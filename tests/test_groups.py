@@ -43,6 +43,7 @@ from oracles import (
     gl_order,
     green_class_sizes,
     h_membership_flat,
+    label_of,
     mat_det,
     mat_transpose,
     relabelled,
@@ -120,7 +121,7 @@ def test_primitive_element_is_least_of_full_order(q):
             acc, k = field.mul[acc * q + w], k + 1
         return k
 
-    assert groups._primitive_element(field) == min(w for w in range(1, q) if order(w) == q - 1)
+    assert field.primitive == min(w for w in range(1, q) if order(w) == q - 1)
 
 
 def _scalar(c, n):
@@ -131,9 +132,9 @@ def _scalar(c, n):
 def test_scalar_class_map_is_multiplication_by_w(n, q, table_store):
     table = table_store(n, q)
     field = table.field
-    w = _scalar(groups._primitive_element(field), n)
+    w = _scalar(field.primitive, n)
     assert scalar_class_map(table) == [
-        table.class_of_flat(mat_mul(w, cls.representative, n, field)) for cls in table.classes
+        label_of(table, mat_mul(w, cls.representative, n, field)) for cls in table.classes
     ]
     if q == 2:
         assert scalar_class_map(table) == list(range(len(table.classes)))
@@ -144,7 +145,7 @@ def test_scalar_class_map_rejects_labels_that_are_not_classes(table_store):
     e_idx = table.identity_class()
     labels = array("H", table.labels)
     # w I labelled as the identity: I and w^-1 I both map to the identity's class
-    labels[encode(_scalar(groups._primitive_element(table.field), 2), 5)] = e_idx
+    labels[encode(_scalar(table.field.primitive, 2), 5)] = e_idx
     with pytest.raises(InvariantViolation, match="does not permute the classes"):
         scalar_class_map(relabelled(table, labels, table.classes))
     # the identity class recorded with size 2: a permutation, but not of equal sizes
@@ -413,7 +414,7 @@ def test_inverse_class_is_involution_fixing_identity(table_store):
         for c, cls in enumerate(table.classes):
             assert inv_map[inv_map[c]] == c
             g_inv = mat_inv(cls.representative, n, table.field)
-            assert table.class_of_flat(g_inv) == inv_map[c]
+            assert label_of(table, g_inv) == inv_map[c]
         assert inv_map[table.identity_class()] == table.identity_class()
 
 
@@ -422,7 +423,7 @@ def test_inverse_class_consistent_on_all_elements(table_store):
     inv_map = [cls.inverse_class for cls in table.classes]
     for el, c in zip(table.elements, element_labels(table)):
         g_inv = mat_inv(el, 2, table.field)
-        assert table.class_of_flat(g_inv) == inv_map[c]
+        assert label_of(table, g_inv) == inv_map[c]
 
 
 def test_class_key_agrees_on_every_member(table_store):
