@@ -24,10 +24,10 @@ hyperplane's complement is built once per S and shared by every v that
 spans it, so exactly the prod_{i<n} (q^n - q^i) invertible matrices
 are produced.
 
-Conjugacy classes are the orbits of conjugation by three cheap
-generators of GL_n(F_q) (`_gl_generators`: an n-cycle permutation
-matrix, the elementary matrix x_12(1) and, for q > 2, diag(w, 1, ...,
-1) with w = `field.primitive`).  Conjugation by a generator s is linear
+Conjugacy classes are the orbits of conjugation by two cheap matrices
+(`_gl_generators`: with P the n-cycle permutation matrix, P and x_12(1)
+when q = 2, and P x_12(1) and diag(w, 1, ..., 1) with w =
+`field.primitive` when q > 2).  Conjugation by a generator s is linear
 in g, and every generator's tables come from its matrix by one rule:
 row i of s g s^-1 is sum_j s_ij (row j of g) s^-1, one `row_images`
 lookup over the rows j with s_ij != 0.  No row i may read rows on both sides of the
@@ -38,25 +38,30 @@ reach, and with cut = q^(n(n-2)) the code of s g s^-1 is
 top[g // cut] + rest[g % cut], a sum with no carry of two tables that s
 builds: top over the q^(2n) matrices that are zero below row 1, rest
 over the q^(n(n-2)) matrices that are zero on rows 0 and 1 (only the
-zero matrix when n <= 2).  A depth-first search over the codes, with
-the label array as its visited set, labels the orbits in the order of
-their least members, and raises InvariantViolation as soon as an orbit
-past class_count(n, q) would start.  The table keeps the element codes,
-one label array indexed by code, holding `SINGULAR` at the codes of
-singular matrices, so a class lookup is one index, labels[encode(g, q)]
-(`identity_class` is that index at the identity's code), and the codes
-of the members of each class in increasing order.  `class_records` is
-the one builder of a table, for the search and for a cached table
-alike: from the labels of the elements in code order, one loop writes
-the label array and the members, and the class sizes and least members
-are read off the members.  Each class is keyed by the invariant factors
-of xI - g (see fqpoly), computed once per class representative, not per
-element.  Labels other than 0, ..., class_count(n, q) - 1, least
-members that do not increase with the label, or two classes with one
-key would mean the labels were not the classes in their canonical
-order, and raise InvariantViolation.  Class representatives, flat entry
-tuples, are the least members.  The central scalar w I, w the least
-generator `field.primitive` of F_q^*, permutes the classes;
+zero matrix when n <= 2).  The search scans the codes in increasing
+order, with the label array as its visited set: a code not yet reached
+is the least member of a new orbit, which is walked as a list that the
+loop reads while it appends to it, so the orbits are labelled in the
+order of their least members.  Orbits of conjugation by the group the
+two generators make refine the classes, so more or fewer orbits than
+class_count(n, q) raise InvariantViolation, and orbits that pass are
+the classes.  The table keeps the element codes, one label array
+indexed by code, holding `SINGULAR` at the codes of singular matrices,
+so a class lookup is one index, labels[encode(g, q)] (`identity_class`
+is that index at the identity's code), and the codes of the members of
+each class in increasing order.  One loop writes the label array and
+the members: the search's, each sorted orbit being the members of its
+class.  `class_records` is the one builder of a table, for the search
+and for a cached table alike, and does only per-class work: sizes and
+least members are read off the members, and each class is keyed by the
+invariant factors of xI - g (see fqpoly), computed once per class
+representative, not per element.  Other than class_count(n, q)
+classes, least members that do not increase with the label, or two
+classes with one key would mean the labels were not the classes in
+their canonical order, and raise InvariantViolation.  Class
+representatives, flat entry tuples, are the least members.  The
+central scalar w I, w the least generator `field.primitive` of F_q^*,
+permutes the classes;
 `scalar_class_map` gives that permutation, from which the character
 table starts its split, and `det_class_map` the determinant of each
 class as a power of w, by which it carries characters across twists.
@@ -413,24 +418,31 @@ def det_class_map(table: GroupTable, shift: list[int]) -> list[int]:
 
 
 def _gl_generators(n: int, field: FiniteField) -> list[tuple[int, ...]]:
-    """A generating set of GL_n(F_q) as flat matrices: the n-cycle
-    permutation matrix P, whose row i is e_{i+1} (indices mod n),
-    x_12(1) = I + E_12 and, when q > 2, diag(w, 1, ..., 1) with w =
-    `field.primitive`.
+    """Two matrices as flat tuples, whose conjugation orbits are the
+    classes of GL_n(F_q): with P the n-cycle permutation matrix, whose
+    row i is e_{i+1} (indices mod n), and x_12(1) = I + E_12, they are P
+    and x_12(1) when q = 2, and P x_12(1) and diag(w, 1, ..., 1) with w
+    = `field.primitive` when q > 2.
 
-    The cycle's conjugates of x_12(1) are the x_{i,i+1}(1) and
-    x_{n,1}(1), whose commutators give every x_ij(1), hence SL_n(F_p);
-    conjugating by diag(w) adds the x_12(a) for all a (the powers of w
-    span F_q) and every determinant.  Empty for n = 1, where classes are
-    singletons."""
+    P and x_12(1) generate GL_n(F_2) = SL_n(F_2): the cycle's conjugates
+    of x_12(1) are the x_{i,i+1}(1) and x_{n,1}(1), whose commutators
+    give every x_ij(1).  For q > 2, P, x_12(1) and diag(w) generate
+    GL_n(F_q) (conjugating by diag(w) adds the x_12(a) for all a, as the
+    powers of w span F_q, and every determinant), but whether P x_12(1)
+    and diag(w) alone do is not proved here.  It need not be: orbits of
+    conjugation by any subgroup refine the classes, so orbits that
+    number exactly class_count(n, q) are the classes.  The search
+    counts them and raises InvariantViolation on more or fewer; the pair
+    passes that count on every group the tests run and on GL_4(F_3).
+    Empty for n = 1, where classes are singletons."""
     if n == 1:
         return []
     ident = mat_identity(n)
-    out = [tuple(int(j == (i + 1) % n) for i in range(n) for j in range(n)),
-           ident[:1] + (1,) + ident[2:]]
-    if field.q > 2:
-        out.append(_diagonal([field.primitive] + [1] * (n - 1)))
-    return out
+    cycle = tuple(int(j == (i + 1) % n) for i in range(n) for j in range(n))
+    transvection = ident[:1] + (1,) + ident[2:]
+    if field.q == 2:
+        return [cycle, transvection]
+    return [mat_mul(cycle, transvection, n, field), _diagonal([field.primitive] + [1] * (n - 1))]
 
 
 def _conjugation_tables(n: int, field: FiniteField) -> tuple[int, list[tuple[list[int], list[int]]]]:
@@ -478,75 +490,74 @@ def conjugacy_classes(codes: array, n: int, field: FiniteField) -> GroupTable:
     the codes of its elements in increasing order, as `class_records`
     builds it.
 
-    A depth-first search runs over the codes, with one label array
-    indexed by code as its visited set: conjugates of invertible matrices
-    are invertible, so `SINGULAR` marks a code not yet reached.  The first
-    code in increasing order not yet reached is the least member of a new
-    class, and each conjugate of a code is two lookups in the generator's
-    `_conjugation_tables`.  More orbits than class_count(n, q) (too small
-    a generating set, say) raise InvariantViolation before the next
-    orbit starts, so the label counter never reaches `SINGULAR`.  The
-    search's array is the table's: `class_records` writes back the labels
-    it reads from it and collects the members of each class.
+    One label array indexed by code is the search's visited set:
+    conjugates of invertible matrices are invertible, so `SINGULAR`
+    marks a code not yet reached.  The first code in increasing order not
+    yet reached is the least member of a new orbit.  The orbit is a list
+    that the loop reads while it appends to it: each conjugate of a
+    member is two lookups in a generator's `_conjugation_tables`, and
+    one not yet reached is labelled and appended.  Each finished orbit,
+    sorted, is the members of its class, so the search visits each
+    element once and no pass over the group follows it.  More orbits
+    than class_count(n, q) raise InvariantViolation before the next
+    orbit starts, so the label counter never reaches `SINGULAR`; fewer
+    raise in `class_records`.
     """
     q = field.q
     expected = class_count(n, q)
     cut, tables = _conjugation_tables(n, field)
     labels = array("H", [SINGULAR]) * q ** (n * n)
-    c = 0
+    members = []
     for start in codes:
         if labels[start] != SINGULAR:
             continue
+        c = len(members)
         if c == expected:
             raise InvariantViolation(f"more than {expected} conjugation orbits in GL_{n}(F_{q})")
         labels[start] = c
-        stack = [start]
-        while stack:
-            g = stack.pop()
+        orbit = [start]
+        for g in orbit:
             hi, lo = g // cut, g % cut
             for top, rest in tables:
                 h = top[hi] + rest[lo]
                 if labels[h] == SINGULAR:
                     labels[h] = c
-                    stack.append(h)
-        c += 1
-    return class_records(codes, map(labels.__getitem__, codes), labels, n, field)
+                    orbit.append(h)
+        orbit.sort()
+        members.append(array("I", orbit))
+    return class_records(codes, tuple(members), labels, n, field)
 
 
-def class_records(codes: array, code_labels, labels: array, n: int, field: FiniteField,
-                  ) -> GroupTable:
-    """The table of GL_n(F_q) whose element `codes[i]` (the codes in
-    increasing order) has the class label `code_labels[i]`, written into
-    `labels`, the label array of q^(n^2) entries with `SINGULAR` at every
-    code that is not an element.
+def class_records(codes: array, members: tuple[array, ...], labels: array, n: int,
+                  field: FiniteField) -> GroupTable:
+    """The table of GL_n(F_q) with the element codes `codes` in increasing
+    order, the class members `members` (the codes of each class in
+    increasing order, class c at index c) and `labels`, the label array
+    of q^(n^2) entries holding c at the codes of class c and `SINGULAR`
+    at every code that is not an element.
 
-    One loop writes each label at its code and appends the code to the
-    members of its class, so the members come in increasing order.  The
-    labels must be 0, 1, ..., class_count(n, q) - 1, numbered in the
-    order of their least members, which the depth-first search of
-    `conjugacy_classes` gives.  A class's size is its count of members,
-    its representative its least member as a flat entry tuple, its key
-    the invariant factors of xI - g of the representative, and its
-    inverse class the label at the representative's inverse.  A label at
-    or above the class count (`SINGULAR` too), a class with no member
-    (labels that skip a number or merge classes, say), least members
-    that do not increase with the label (labels that permute the
-    classes) or a key shared by two classes (labels that split a class)
-    raise InvariantViolation.
+    Only per-class work is done here: the caller made the members and
+    wrote the labels, the search as it walks the orbits and
+    `tablecache.load_table` in its one loop over the file's labels.  The
+    classes must be the class_count(n, q) classes, numbered
+    in the order of their least members, as the search of
+    `conjugacy_classes` finds them.  A class's size is its count of
+    members, its representative its least member as a flat entry tuple,
+    its key the invariant factors of xI - g of the representative, and
+    its inverse class the label at the representative's inverse.  Other
+    than class_count(n, q) classes or an empty one (labels that skip a
+    number or merge classes, say), sizes that do not sum to the order,
+    least members that do not increase with the label (labels that
+    permute the classes) or a key shared by two classes (labels that
+    split a class) raise InvariantViolation.
     """
     q = field.q
     expected = class_count(n, q)
-    members = tuple(array("I") for _ in range(expected))
-    append = [m.append for m in members]
-    try:
-        for code, label in zip(codes, code_labels):
-            labels[code] = label
-            append[label](code)
-    except IndexError:
+    if len(members) != expected or not all(members):
         raise InvariantViolation(
-            f"a class label at or above {expected}, the class count of GL_{n}(F_{q})") from None
-    if not all(members):
-        raise InvariantViolation(f"a class label below {expected} names no element")
+            f"{sum(map(bool, members))} classes named, GL_{n}(F_{q}) has {expected}")
+    if sum(map(len, members)) != len(codes):
+        raise InvariantViolation("the class sizes do not sum to the group order")
     firsts = [m[0] for m in members]
     if any(a > b for a, b in zip(firsts, firsts[1:])):
         raise InvariantViolation("class labels out of order: a later class has a lesser member")

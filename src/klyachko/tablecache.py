@@ -12,13 +12,16 @@ Group table `gl{n}_q{q}.tbl` (little-endian):
 
 The file holds no elements: the loader pairs the labels with a fresh
 `groups.gl_elements` enumeration, which gives the element codes in the
-same order, and `groups.class_records` builds the table from them as it
-does for the search: one loop writes each label into a fresh label
-array and each code into the members of its class, with no tuple or
-dict per element, and the class records are read from the members.
-The loader rejects a file whose version, (n, p, e), count, length,
-digest or class labels do not match (labels that are not the classes
-numbered in the order of their least members); the caller then
+same order.  One loop writes each label into a fresh label array and
+each code into the members of its class, with no tuple or dict per
+element: the one per-element pass of a load, where the search's orbits
+give a computed table its members.  `groups.class_records` then builds
+the table from the members as it does for the search, reading the
+class records off them.  The loader rejects a file whose version,
+(n, p, e), count, length, digest or class labels do not match (a label
+at or above the class count, a class with no member, or labels that
+are otherwise not the classes numbered in the order of their least
+members, as `class_records` checks them); the caller then
 recomputes the table and overwrites the file.  Files of earlier formats
 fail the version check.  The label checks cannot see two members of two
 classes of equal size, neither the least of its class, trading labels:
@@ -68,7 +71,7 @@ from .arena import ModularArena
 from .characters import ClassFunction, verify_orthogonality
 from .errors import CacheError, InvariantViolation
 from .gf import FiniteField
-from .groups import SINGULAR, GroupTable, class_records, gl_elements
+from .groups import SINGULAR, GroupTable, class_count, class_records, gl_elements
 
 # importing hashlib loads OpenSSL (about 3.5 MiB resident), so take the
 # lean builtin SHA-256 where it exists, as the stdlib's random does
@@ -160,8 +163,16 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
         raise CacheError(f"{path}: {count} elements is not the order of GL_{n}(F_{field.q})")
     codes = gl_elements(n, field, count)
     labels = array("H", [SINGULAR]) * field.q ** (n * n)
+    members = tuple(array("I") for _ in range(class_count(n, field.q)))
+    append = [m.append for m in members]
     try:
-        return class_records(codes, struct.unpack(f"<{count}H", body), labels, n, field)
+        for code, label in zip(codes, struct.unpack(f"<{count}H", body)):
+            labels[code] = label
+            append[label](code)
+    except IndexError:  # a label at or above the class count, SINGULAR too
+        raise CacheError(f"{path}: class labels do not name conjugacy classes") from None
+    try:
+        return class_records(codes, members, labels, n, field)
     except InvariantViolation as exc:
         raise CacheError(f"{path}: class labels do not name conjugacy classes") from exc
 

@@ -1,7 +1,8 @@
 """Test oracles: matrix and subgroup helpers, the row-by-row search for
-Sp(2k, F_q), the class members bucketed from the labels, the character
-split's visit order over every non-central class, the sources of its
-class matrix rows and the rows counted over C_i, Green's class data,
+Sp(2k, F_q), three matrices that provably generate GL_n(F_q), the class
+members bucketed from the labels, the character split's visit order
+over every non-central class, the sources of its class matrix rows and
+the rows counted over C_i, Green's class data,
 the segment calculus, contragredients and mu_Q behind the symbolic
 commands, and per-index Weyl-element routines with the closed forms of
 the residue-survival count.  The library itself does not need them;
@@ -400,11 +401,31 @@ def degree_model_columns(rows):
     return dict(Counter((row["dim"], k) for row in rows for k, m in row["mults"] if m))
 
 
+def three_generators(n, field):
+    """P, x_12(1) and, when q > 2, diag(w, 1, ..., 1) as flat matrices,
+    with P the n-cycle permutation matrix (row i is e_{i+1}, indices mod
+    n) and w = `field.primitive`: a set that provably generates
+    GL_n(F_q), so its conjugation orbits are the classes with no count
+    to confirm it.  The cycle's conjugates of x_12(1) are the
+    x_{i,i+1}(1) and x_{n,1}(1), whose commutators give every x_ij(1);
+    conjugating by diag(w) adds the x_12(a) for all a and every
+    determinant."""
+    if n == 1:
+        return []
+    ident = mat_identity(n)
+    out = [tuple(int(j == (i + 1) % n) for i in range(n) for j in range(n)),
+           ident[:1] + (1,) + ident[2:]]
+    if field.q > 2:
+        out.append(tuple(field.primitive if i == j == 0 else int(i == j)
+                         for i in range(n) for j in range(n)))
+    return out
+
+
 def _flat_conjugators(n, field):
     """Maps g -> s g s^-1 on flat entry tuples for the generators s of
-    GL_n(F_q) that the library conjugates by: the n-cycle permutation
-    matrix, x_12(1) and, when q > 2, diag(w, 1, ..., 1) with w a
-    primitive element."""
+    GL_n(F_q) that the library conjugates by, in its order: with P the
+    n-cycle permutation matrix, P and x_12(1) when q = 2, and P x_12(1)
+    and diag(w, 1, ..., 1) with w a primitive element when q > 2."""
     if n == 1:
         return []
     q, add, sub, mul = field.q, field.add, field.sub, field.mul
@@ -420,21 +441,20 @@ def _flat_conjugators(n, field):
             m[i + 1] = sub[m[i + 1] * q + m[i]]
         return tuple(m)
 
-    out = [cycle, transvection]
-    if q > 2:
-        w = next(w for w in range(2, q) if len({field.pow(w, k) for k in range(q - 1)}) == q - 1)
-        w_inv = field.inv[w]
+    if q == 2:
+        return [cycle, transvection]
+    w = next(w for w in range(2, q) if len({field.pow(w, k) for k in range(q - 1)}) == q - 1)
+    w_inv = field.inv[w]
 
-        def scaling(g):
-            m = list(g)
-            for j in range(1, n):  # row 0 *= w
-                m[j] = mul[m[j] * q + w]
-            for i in range(n, cells, n):  # col 0 *= w^-1
-                m[i] = mul[m[i] * q + w_inv]
-            return tuple(m)
+    def scaling(g):
+        m = list(g)
+        for j in range(1, n):  # row 0 *= w
+            m[j] = mul[m[j] * q + w]
+        for i in range(n, cells, n):  # col 0 *= w^-1
+            m[i] = mul[m[i] * q + w_inv]
+        return tuple(m)
 
-        out.append(scaling)
-    return out
+    return [lambda g: cycle(transvection(g)), scaling]
 
 
 def flat_orbit_classes(elements, n, field):

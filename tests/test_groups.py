@@ -49,6 +49,7 @@ from oracles import (
     relabelled,
     sp_by_search,
     sp_membership_flat,
+    three_generators,
 )
 
 # the groups whose classes are checked against Green's class data and the flat sweep
@@ -305,20 +306,82 @@ def test_enumerate_h_is_the_encoded_membership_filter(n, q):
 
 
 @pytest.mark.parametrize("n,q,drop", [
-    # GL_2 over F_5: over F_3 the cycle's determinant -1 stands in for diag(w)
-    *(pytest.param(2, 5, drop, id=str(drop)) for drop in range(3)),
-    (3, 5, 0), (3, 4, 0), (3, 4, 1), (3, 4, 2)])
+    # either generator alone makes a cyclic group, whose orbits are finer than the classes
+    *(pytest.param(2, 5, drop, id=str(drop)) for drop in range(2)),
+    (3, 5, 0), (3, 5, 1), (3, 4, 0), (3, 4, 1)])
 def test_missing_conjugator_raises(n, q, drop, monkeypatch):
-    """Without one of the three generators the orbits are finer than the
+    """Without either of the two generators the orbits are finer than the
     classes, so the search finds more orbits than classes.  GL_3(F_5)
-    without the cycle has more than 65 535 orbits, which a 16-bit label
-    counter would reach `SINGULAR` on."""
+    without P x_12(1) is conjugated by diag(w) alone, whose orbits have at
+    most 4 members: more than 65 535 orbits, which a 16-bit label counter
+    would reach `SINGULAR` on."""
     full = groups._gl_generators
     monkeypatch.setattr(groups, "_gl_generators", lambda n, field: [
         s for i, s in enumerate(full(n, field)) if i != drop])
     field = field_from_q(q)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="more than"):
         conjugacy_classes(gl_elements(n, field), n, field)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (2, 9), (3, 2), (3, 3), (4, 2), (3, 4)])
+def test_generator_pair_matches_three_generators(n, q, monkeypatch):
+    """The search over the library's two generators gives the label
+    array, members and class records that the three generators of
+    `oracles.three_generators`, which provably generate GL_n(F_q), give."""
+    field = field_from_q(q)
+    codes = gl_elements(n, field)
+    pair = conjugacy_classes(codes, n, field)
+    monkeypatch.setattr(groups, "_gl_generators", three_generators)
+    assert len(_conjugation_tables(n, field)[1]) == (3 if q > 2 else 2)
+    three = conjugacy_classes(codes, n, field)
+    assert pair.labels == three.labels
+    assert pair.members == three.members
+    assert pair.classes == three.classes
+
+
+def _send_identity_to(dst, generator, field, monkeypatch):
+    """Patch one generator's GL_2 tables so that it sends the identity,
+    which every generator fixes, to the code `dst`.  With n = 2 the cut
+    is 1 and `top` is indexed by the whole code, so the patch moves that
+    one image and leaves every other as it was."""
+    ident = encode(mat_identity(2), field.q)
+    full = groups._conjugation_tables
+
+    def patched(n, field):
+        cut, tables = full(n, field)
+        top, rest = tables[generator]
+        assert cut == 1 and top[ident] + rest[0] == ident
+        top = list(top)
+        top[ident] = dst - rest[0]
+        return cut, [*tables[:generator], (top, rest), *tables[generator + 1:]]
+
+    monkeypatch.setattr(groups, "_conjugation_tables", patched)
+
+
+@pytest.mark.parametrize("q,generator", [(3, 0), (3, 1), (5, 0), (5, 1)])
+def test_generator_table_that_merges_classes_raises(q, generator, monkeypatch):
+    """A table that sends the identity to the least member of the next
+    class makes the identity's orbit take in that class, so the search
+    finds one orbit fewer than GL_2(F_q) has classes: it raises, and
+    returns no table."""
+    field = field_from_q(q)
+    table = conjugacy_classes(gl_elements(2, field), 2, field)
+    c = table.identity_class()
+    _send_identity_to(table.members[c + 1][0], generator, field, monkeypatch)
+    with pytest.raises(InvariantViolation, match=f"{len(table.classes) - 1} classes named"):
+        conjugacy_classes(table.codes, 2, field)
+
+
+@pytest.mark.parametrize("generator", [0, 1])
+def test_generator_table_that_reaches_a_singular_matrix_raises(generator, monkeypatch):
+    """A table that sends the identity to the zero matrix puts a code
+    that is not an element into the identity's class: the class count is
+    still right, but the sizes sum past |GL_2(F_3)|, and the search
+    raises."""
+    field = field_from_q(3)
+    _send_identity_to(0, generator, field, monkeypatch)
+    with pytest.raises(InvariantViolation, match="do not sum to the group order"):
+        conjugacy_classes(gl_elements(2, field), 2, field)
 
 
 def test_generator_across_the_cut_raises(monkeypatch):
@@ -360,9 +423,10 @@ def test_conjugation_tables_match_flat_conjugators(n, q):
 
 
 def test_conjugacy_classes_memory():
-    """The search holds one label array indexed by code (4^9 codes) and
-    two tables per generator over at most 4^6 codes each: a traced peak
-    of about 1.5 MiB on GL_3(F_4), bounded here by 3 MiB."""
+    """The search holds one label array indexed by code (4^9 codes), two
+    tables per generator over at most 4^6 codes each, the members found
+    so far and the orbit it walks: a traced peak of about 1.65 MiB on
+    GL_3(F_4), bounded here by 3 MiB."""
     field = field_from_q(4)
     codes = gl_elements(3, field)
     tracemalloc.start()

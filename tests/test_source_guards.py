@@ -96,8 +96,9 @@ def test_only_tablecache_reads_and_writes_files():
 def test_group_table_is_built_only_by_class_records():
     """One builder of tables: `GroupTable(` is called at exactly one site
     in the library, inside `groups.class_records`, so a computed table
-    and a loaded one get their labels, members and class records from
-    the same loop."""
+    and a loaded one get their class records from the same per-class
+    code, whether the search's orbits or the load's one bucketing loop
+    gave the labels and members."""
 
     def builds(node):
         return isinstance(node, ast.Call) and "GroupTable" in (

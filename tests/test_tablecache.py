@@ -157,7 +157,7 @@ def test_load_rejects_labels_that_are_not_classes(tmp_path, table_store, relabel
     path = tmp_path / "t.tbl"
     save_table(table, path)
     _rewrite_labels(path, relabel, redigest=True)
-    with pytest.raises(CacheError, match="class labels"):
+    with pytest.raises(CacheError, match="t.tbl: class labels do not name conjugacy classes$"):
         load_table(path, table.field, 2)
 
 
