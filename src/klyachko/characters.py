@@ -56,7 +56,8 @@ RREF (`_kernel_basis`), and is mapped back still in RREF (see
 `_split_space`).  All linear algebra is over Z/ell, so every
 identity below is checked exactly, never to a tolerance.  The row
 orthogonality of the finished table is one packed sum per character,
-holding its relations with all N characters; over Z/ell the row
+holding its relations with itself and every later character, which
+covers every pair as the relations are symmetric; over Z/ell the row
 relations imply the column relations (see `verify_orthogonality`).
 
 Only one central space per twist orbit is split.  Twisting by
@@ -89,6 +90,7 @@ vector over the classes, one weighted sum per irreducible
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -114,6 +116,7 @@ from .groups import (
     det_class_map,
     encode,
     enumerate_h,
+    product_code,
     products,
     psi_r_trace,
     scalar_class_map,
@@ -412,14 +415,14 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
 def _rational_class(table: GroupTable, c: int, images: Callable) -> set[int]:
     """The classes of g^a for every a prime to the order of g, the
     representative of class c; each power is the one before times g,
-    read through the chunk images of g, `images(c)`, from the code of g
-    to the code of the identity."""
+    read one code at a time through the chunk images of g, `images(c)`
+    (`groups.product_code`), from the code of g to the code of the identity."""
     n, q = table.n, table.q
     tables = images(c)
     ident = encode(mat_identity(n), q)
     powers = [table.members[c][0]]
     while powers[-1] != ident:
-        powers.extend(products(chunk_columns(powers[-1:], n, q), tables))
+        powers.append(product_code(powers[-1], tables, n, q))
     order = len(powers)
     return {table.labels[x] for a, x in enumerate(powers, 1) if math.gcd(a, order) == 1}
 
@@ -573,6 +576,23 @@ def _carry(lines: list[tuple[ClassFunction, int]], twists: dict, dims: list[int]
     return out
 
 
+SORT_BLOCK = 1 << 15  # codes per block in `_sorted_codes`
+
+
+def _sorted_codes(codes: array) -> array:
+    """The codes in increasing order, as an array('I'): each block of
+    `SORT_BLOCK` codes is sorted into an array of its own and the blocks
+    are merged, so no list of Python ints longer than a block is built.
+    A class of GL_4(F_3) holds up to 758 160 members, 27 MB as one list."""
+    blocks = [array("I", sorted(codes[at:at + SORT_BLOCK])) for at in range(0, len(codes), SORT_BLOCK)]
+    if len(blocks) == 1:
+        return blocks[0]
+    # imported only here: heapq adds about 0.15 MiB resident, which a group
+    # whose classes all fit in one block does not need
+    import heapq
+    return array("I", heapq.merge(*blocks))
+
+
 def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunction]:
     """All irreducible characters, sorted by (dimension, values)."""
     _check_arena(table, arena)
@@ -586,8 +606,10 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     # invariant spaces as (RREF basis, pivot columns, central space), from the kept central ones
     spaces = [(basis, pivots, k) for k, (basis, pivots) in enumerate(central)
               if k in twists and basis]
-    # memos for this call only: each class's chunk columns and its representative's chunk images
-    columns = cache(lambda c: chunk_columns(table.members[c], n, q))
+    # memos for this call only: each class's chunk columns, cut from its members in increasing
+    # order so that the tensor's lookups run through the tables in order, and its
+    # representative's chunk images
+    columns = cache(lambda c: chunk_columns(_sorted_codes(table.members[c]), n, q))
     images = cache(lambda c: chunk_images(classes[c].representative, n, table.field))
     visit = _visit_order(table, images, shift)
     while any(len(basis) > 1 for basis, _, _ in spaces):
@@ -665,13 +687,20 @@ def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: M
 
     Let X be the N x N table, X[a][c] = chi_a(c), and B the matrix
     B[c][b] = |c| chi_b(c^-1) / |G|.  The row relations for all N^2 pairs
-    (a, b) say X B = I.  Column c of B times |G| is packed into one
-    integer with a slot of `width` bits per character b, holding
-    |c| chi_b(c^-1) mod ell.  With every chi_a(c) in [0, ell) (a row
-    with a value outside is reduced first) a slot of row a's sum over c
-    of chi_a(c) times the packed column is at most N (ell - 1)^2 <
-    2^width, so one sum per row gives all N of its products
-    |G| <chi_a, chi_b>, each checked mod ell against |G| delta_ab.
+    (a, b) say X B = I.  The Gram matrix |G| X B is symmetric:
+    |G| <chi_a, chi_b> = sum_c |c| chi_a(c) chi_b(c^-1) turns into
+    |G| <chi_b, chi_a> when c runs over the inverse classes instead,
+    which an involution keeping class sizes allows (checked first).  So
+    the pairs b >= a are all the pairs.  Column c of B times |G|, over
+    the characters b >= a, is packed into one integer with a slot of
+    `width` bits per character, slot 0 for b = a, holding
+    |c| chi_b(c^-1) mod ell; the columns are built from the last row up,
+    one slot per row, in the loop that checks the rows.  With every
+    chi_a(c) in [0, ell) (a row with a value outside is reduced first) a
+    slot of row a's sum over c of chi_a(c) times the packed column is at
+    most N (ell - 1)^2 < 2^width, so one sum per row gives its products
+    |G| <chi_a, chi_b> for every b >= a, each checked mod ell against
+    |G| delta_ab.
 
     The column relations follow.  Over the field Z/ell a one-sided
     inverse of a square matrix is two-sided, so X B = I gives B X = I,
@@ -700,13 +729,13 @@ def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: M
             else [v % ell for v in cf.values] for cf in chars]
     width = (n_cls * (ell - 1) ** 2).bit_length()
     mask = (1 << width) - 1
-    packed = [0] * n_cls  # slot b of packed[c] at bits [b width, (b + 1) width)
-    for row in reversed(rows):
-        packed = [col << width | size * row[i] % ell for col, size, i in zip(packed, sizes, inv_map)]
     order = table.order % ell
-    for a, row in enumerate(rows):
+    packed = [0] * n_cls  # slot b - a of packed[c] at bits [(b - a) width, (b - a + 1) width)
+    for a in reversed(range(n_cls)):
+        row = rows[a]
+        packed = [col << width | size * row[i] % ell for col, size, i in zip(packed, sizes, inv_map)]
         total = sum(map(mul, row, packed))
-        for b in range(n_cls):
+        for b in range(a, n_cls):
             if (total & mask) % ell != (order if a == b else 0):
                 raise InvariantViolation(f"row orthogonality failed at ({a}, {b})")
             total >>= width

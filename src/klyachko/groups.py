@@ -13,7 +13,8 @@ the field tables.  Rows of x g depend only on the same rows of x, so
 with the rows cut into chunks (pairs of rows when n > 2,
 `chunk_columns`) and one table per chunk of the image rows at their
 places (`chunk_images`), the code of x g is a sum of one lookup per
-chunk; `products` forms it for a whole list of x at once.
+chunk; `products` forms it for a whole list of x at once, and
+`product_code` for one x.
 
 `gl_elements` lists the codes of GL_n(F_q) in increasing order.  It
 chooses the first n - 2 rows depth first, each outside the span S of
@@ -40,22 +41,25 @@ builds: top over the q^(2n) matrices that are zero below row 1, rest
 over the q^(n(n-2)) matrices that are zero on rows 0 and 1 (only the
 zero matrix when n <= 2).  The search scans the codes in increasing
 order, with the label array as its visited set: a code not yet reached
-is the least member of a new orbit, which is walked as a list that the
-loop reads while it appends to it, so the orbits are labelled in the
-order of their least members.  Orbits of conjugation by the group the
-two generators make refine the classes, so more or fewer orbits than
-class_count(n, q) raise InvariantViolation, and orbits that pass are
-the classes.  The table keeps the element codes, one label array
-indexed by code, holding `SINGULAR` at the codes of singular matrices,
-so a class lookup is one index, labels[encode(g, q)] (`identity_class`
-is that index at the identity's code), and the codes of the members of
-each class in increasing order.  One loop writes the label array and
-the members: the search's, each sorted orbit being the members of its
-class.  `class_records` is the one builder of a table, for the search
-and for a cached table alike, and does only per-class work: sizes and
-least members are read off the members, and each class is keyed by the
-invariant factors of xI - g (see fqpoly), computed once per class
-representative, not per element.  Other than class_count(n, q)
+is the least member of a new orbit, as every lesser code was labelled
+by an earlier orbit, and the orbit is walked as a list that the loop
+reads while it appends to it, its two lookups per generator written out
+for the pair, so the orbits are labelled in the order of their least
+members.  Orbits of conjugation by the group the two generators make
+refine the classes, so more or fewer orbits than class_count(n, q)
+raise InvariantViolation, and orbits that pass are the classes.  The
+table keeps the element codes, one label array indexed by code, holding
+`SINGULAR` at the codes of singular matrices, so a class lookup is one
+index, labels[encode(g, q)] (`identity_class` is that index at the
+identity's code), and the codes of the members of each class, least
+member first.  One loop writes the label array and the members: the
+search's, each orbit in the order the walk reached it being the members
+of its class, with no sort.  `class_records` is the one builder of a
+table, for the search and for a cached table alike, and does only
+per-class work: sizes and least members are read off the members (the
+first of each), and each class is keyed by the invariant factors of
+xI - g (see fqpoly), computed once per class representative, not per
+element.  Other than class_count(n, q)
 classes, least members that do not increase with the label, or two
 classes with one key would mean the labels were not the classes in
 their canonical order, and raise InvariantViolation.  Class
@@ -202,6 +206,18 @@ def products(columns: list[array], tables: list[list[int]]):
     return codes
 
 
+def product_code(code: int, tables: list[list[int]], n: int, q: int) -> int:
+    """The code of x g for the one matrix x with code `code` and g with
+    the `chunk_images` `tables`: `products` for a single code, its chunks
+    cut as `chunk_columns` cuts them, the last chunk first."""
+    size, width = q**n, chunk_rows(n)
+    out = 0
+    for a in reversed(range(0, n, width)):
+        code, chunk = divmod(code, size ** (min(a + width, n) - a))
+        out += tables[a // width][chunk]
+    return out
+
+
 def sp_order(k: int, q: int) -> int:
     """|Sp(2k, F_q)| = q^{k^2} * prod_{i=1}^{k} (q^{2i} - 1)."""
     out = q ** (k * k)
@@ -227,8 +243,9 @@ class GroupTable:
     """GL_n(F_q), complete at construction and never changed afterwards:
     the codes of its elements in increasing order (an array('I')), the
     class label at every code below q^(n^2) (an array('H'), `SINGULAR` at
-    singular matrices), the codes of the members of each class in
-    increasing order (an array('I') per class), and the class records.
+    singular matrices), the codes of the members of each class, least
+    member first and the rest in no set order (an array('I') per class),
+    and the class records.
     The class of a matrix g is labels[encode(g, q)].
 
     Built only by `class_records`, for `gl_enumerate` and
@@ -434,10 +451,11 @@ def _gl_generators(n: int, field: FiniteField) -> list[tuple[int, ...]]:
     number exactly class_count(n, q) are the classes.  The search
     counts them and raises InvariantViolation on more or fewer; the pair
     passes that count on every group the tests run and on GL_4(F_3).
-    Empty for n = 1, where classes are singletons."""
-    if n == 1:
-        return []
+    The identity twice for n = 1, where classes are singletons, so that
+    every n has a pair."""
     ident = mat_identity(n)
+    if n == 1:
+        return [ident, ident]
     cycle = tuple(int(j == (i + 1) % n) for i in range(n) for j in range(n))
     transvection = ident[:1] + (1,) + ident[2:]
     if field.q == 2:
@@ -445,12 +463,13 @@ def _gl_generators(n: int, field: FiniteField) -> list[tuple[int, ...]]:
     return [mat_mul(cycle, transvection, n, field), _diagonal([field.primitive] + [1] * (n - 1))]
 
 
-def _conjugation_tables(n: int, field: FiniteField) -> tuple[int, list[tuple[list[int], list[int]]]]:
-    """The cut q^(n(n-2)) (1 when n <= 2) and, for each generator s of
-    `_gl_generators` in order, its tables (top, rest), with the code of
-    s g s^-1 equal to top[g // cut] + rest[g % cut] (see the module
-    docstring): top over the matrices zero below row 1, rest over those
-    zero on rows 0 and 1.
+def _conjugation_tables(generators: list[tuple[int, ...]], n: int, field: FiniteField,
+                        ) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """The cut q^(n(n-2)) (1 when n <= 2) and, for each of the flat
+    invertible matrices s of `generators` in order, its tables
+    (top, rest), with the code of s g s^-1 equal to
+    top[g // cut] + rest[g % cut] (see the module docstring): top over
+    the matrices zero below row 1, rest over those zero on rows 0 and 1.
 
     Row i of s g s^-1 is sum_j s_ij (row j of g) s^-1 over the rows j
     with s_ij != 0: those rows packed base q^n, looked up in the
@@ -469,7 +488,7 @@ def _conjugation_tables(n: int, field: FiniteField) -> tuple[int, list[tuple[lis
     rest = [[0] * cut] * 2 + all_rows(n - 2)
     lookup = cache(lambda stacked: row_images(stacked, n, field).__getitem__)  # the cycle shares one
     out = []
-    for s in _gl_generators(n, field):
+    for s in generators:
         inverse = mat_inv(s, n, field)
         rows = []  # (the rows j that row i reads, their row_images lookup)
         for i in range(n):
@@ -493,19 +512,25 @@ def conjugacy_classes(codes: array, n: int, field: FiniteField) -> GroupTable:
     One label array indexed by code is the search's visited set:
     conjugates of invertible matrices are invertible, so `SINGULAR`
     marks a code not yet reached.  The first code in increasing order not
-    yet reached is the least member of a new orbit.  The orbit is a list
-    that the loop reads while it appends to it: each conjugate of a
-    member is two lookups in a generator's `_conjugation_tables`, and
-    one not yet reached is labelled and appended.  Each finished orbit,
-    sorted, is the members of its class, so the search visits each
-    element once and no pass over the group follows it.  More orbits
-    than class_count(n, q) raise InvariantViolation before the next
-    orbit starts, so the label counter never reaches `SINGULAR`; fewer
-    raise in `class_records`.
+    yet reached is the least member of a new orbit, as every lesser code
+    was labelled by an earlier one.  The orbit is a list that the loop
+    reads while it appends to it: each member's two conjugates are two
+    lookups each in the `_conjugation_tables` of the pair that
+    `_gl_generators` returns, written out for the two, and one not yet
+    reached is labelled and appended.  Each finished orbit, least member
+    first and the rest in the order the walk reached them, is the members
+    of its class, so the search visits each element once and no pass
+    over the group or sort follows it.  A generator count other than two
+    raises InvariantViolation.  More orbits than class_count(n, q) raise
+    InvariantViolation before the next orbit starts, so the label counter
+    never reaches `SINGULAR`; fewer raise in `class_records`.
     """
     q = field.q
     expected = class_count(n, q)
-    cut, tables = _conjugation_tables(n, field)
+    cut, tables = _conjugation_tables(_gl_generators(n, field), n, field)
+    if len(tables) != 2:
+        raise InvariantViolation(f"{len(tables)} conjugation generators, the search takes 2")
+    (top0, rest0), (top1, rest1) = tables
     labels = array("H", [SINGULAR]) * q ** (n * n)
     members = []
     for start in codes:
@@ -518,12 +543,14 @@ def conjugacy_classes(codes: array, n: int, field: FiniteField) -> GroupTable:
         orbit = [start]
         for g in orbit:
             hi, lo = g // cut, g % cut
-            for top, rest in tables:
-                h = top[hi] + rest[lo]
-                if labels[h] == SINGULAR:
-                    labels[h] = c
-                    orbit.append(h)
-        orbit.sort()
+            h = top0[hi] + rest0[lo]
+            if labels[h] == SINGULAR:
+                labels[h] = c
+                orbit.append(h)
+            h = top1[hi] + rest1[lo]
+            if labels[h] == SINGULAR:
+                labels[h] = c
+                orbit.append(h)
         members.append(array("I", orbit))
     return class_records(codes, tuple(members), labels, n, field)
 
@@ -531,20 +558,20 @@ def conjugacy_classes(codes: array, n: int, field: FiniteField) -> GroupTable:
 def class_records(codes: array, members: tuple[array, ...], labels: array, n: int,
                   field: FiniteField) -> GroupTable:
     """The table of GL_n(F_q) with the element codes `codes` in increasing
-    order, the class members `members` (the codes of each class in
-    increasing order, class c at index c) and `labels`, the label array
+    order, the class members `members` (the codes of each class, least
+    member first, class c at index c) and `labels`, the label array
     of q^(n^2) entries holding c at the codes of class c and `SINGULAR`
     at every code that is not an element.
 
     Only per-class work is done here: the caller made the members and
     wrote the labels, the search as it walks the orbits and
     `tablecache.load_table` in its one loop over the file's labels.  The
-    classes must be the class_count(n, q) classes, numbered
-    in the order of their least members, as the search of
-    `conjugacy_classes` finds them.  A class's size is its count of
-    members, its representative its least member as a flat entry tuple,
-    its key the invariant factors of xI - g of the representative, and
-    its inverse class the label at the representative's inverse.  Other
+    classes must be the class_count(n, q) classes, numbered in the order
+    of their least members, as the search of `conjugacy_classes` finds
+    them.  A class's size is its count of members, its representative
+    its least member, the first, as a flat entry tuple, its key the
+    invariant factors of xI - g of the representative, and its inverse
+    class the label at the representative's inverse.  Other
     than class_count(n, q) classes or an empty one (labels that skip a
     number or merge classes, say), sizes that do not sum to the order,
     least members that do not increase with the label (labels that

@@ -12,12 +12,15 @@ Group table `gl{n}_q{q}.tbl` (little-endian):
 
 The file holds no elements: the loader pairs the labels with a fresh
 `groups.gl_elements` enumeration, which gives the element codes in the
-same order.  One loop writes each label into a fresh label array and
-each code into the members of its class, with no tuple or dict per
-element: the one per-element pass of a load, where the search's orbits
-give a computed table its members.  `groups.class_records` then builds
-the table from the members as it does for the search, reading the
-class records off them.  The loader rejects a file whose version,
+same order.  The labels are read as one array('H') (byteswapped on a
+big-endian host), and one loop writes each label into a fresh label
+array and each code into the members of its class, with no tuple or
+dict per element: the one per-element pass of a load, where the
+search's orbits give a computed table its members.  A loaded class's
+members are in increasing order, so its least member is first, as in a
+computed table.  `groups.class_records` then builds the table from the
+members as it does for the search, reading the class records off them.
+The writer packs the labels `LABEL_CHUNK` at a time.  The loader rejects a file whose version,
 (n, p, e), count, length, digest or class labels do not match (a label
 at or above the class count, a class with no member, or labels that
 are otherwise not the classes numbered in the order of their least
@@ -64,6 +67,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from array import array
 from pathlib import Path
 
@@ -84,6 +88,8 @@ HASH_SIZE = sha256().digest_size
 
 MAGIC = b"KLYGRP\x00\x04"
 HEADER = struct.Struct("<BBBBI")  # n, p, e, reserved, element count
+
+LABEL_CHUNK = 1 << 16  # labels per struct.pack call in save_table
 
 CHARS_MAGIC = b"KLYCHR\x00\x01"
 CHARS_HEADER = struct.Struct("<BBBIB")  # n, p, e, class count, value width
@@ -151,8 +157,13 @@ def _read(path: str | Path, magic: bytes, header: struct.Struct, n: int, field: 
 
 
 def save_table(table: GroupTable, path: str | Path) -> None:
+    """Write the table's labels in increasing order of element codes,
+    `LABEL_CHUNK` elements per `struct.pack`, so no argument list as long
+    as the group is built."""
     head = MAGIC + HEADER.pack(table.n, table.field.p, table.field.e, 0, table.order)
-    body = struct.pack(f"<{table.order}H", *map(table.labels.__getitem__, table.codes))
+    labels, codes = table.labels, table.codes
+    parts = (codes[at:at + LABEL_CHUNK] for at in range(0, len(codes), LABEL_CHUNK))
+    body = b"".join(struct.pack(f"<{len(part)}H", *map(labels.__getitem__, part)) for part in parts)
     _write(Path(path), head, body)
 
 
@@ -165,8 +176,12 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
     labels = array("H", [SINGULAR]) * field.q ** (n * n)
     members = tuple(array("I") for _ in range(class_count(n, field.q)))
     append = [m.append for m in members]
+    file_labels = array("H")
+    file_labels.frombytes(body)
+    if sys.byteorder == "big":
+        file_labels.byteswap()
     try:
-        for code, label in zip(codes, struct.unpack(f"<{count}H", body)):
+        for code, label in zip(codes, file_labels):
             labels[code] = label
             append[label](code)
     except IndexError:  # a label at or above the class count, SINGULAR too

@@ -1,6 +1,7 @@
 """Test oracles: matrix and subgroup helpers, the row-by-row search for
-Sp(2k, F_q), three matrices that provably generate GL_n(F_q), the class
-members bucketed from the labels, the character split's visit order
+Sp(2k, F_q), three matrices that provably generate GL_n(F_q) and a
+search over their conjugation orbits, the class members bucketed from
+the labels, the character split's visit order
 over every non-central class, the sources of its class matrix rows and
 the rows counted over C_i, Green's class data,
 the segment calculus, contragredients and mu_Q behind the symbolic
@@ -22,6 +23,7 @@ from klyachko.errors import ArenaMismatch, EmptyBlock, InvariantViolation
 from klyachko.gf import mat_identity, mat_mul
 from klyachko.groups import (
     SINGULAR,
+    _conjugation_tables,
     chunk_columns,
     chunk_images,
     encode,
@@ -421,13 +423,41 @@ def three_generators(n, field):
     return out
 
 
+def three_generator_classes(codes, n, field):
+    """The label array and the members, each class in increasing order,
+    of the conjugation orbits of `three_generators`, from the codes of
+    GL_n(F_q) in increasing order: a stack search of its own, each
+    conjugate read from the generator's `groups._conjugation_tables`, the
+    orbits numbered in the order of their least members."""
+    cut, tables = _conjugation_tables(three_generators(n, field), n, field)
+    labels = array("H", [SINGULAR]) * field.q ** (n * n)
+    members = []
+    for start in codes:
+        if labels[start] != SINGULAR:
+            continue
+        c = len(members)
+        labels[start] = c
+        orbit, stack = [start], [start]
+        while stack:
+            g = stack.pop()
+            for top, rest in tables:
+                h = top[g // cut] + rest[g % cut]
+                if labels[h] == SINGULAR:
+                    labels[h] = c
+                    orbit.append(h)
+                    stack.append(h)
+        members.append(array("I", sorted(orbit)))
+    return labels, tuple(members)
+
+
 def _flat_conjugators(n, field):
     """Maps g -> s g s^-1 on flat entry tuples for the generators s of
     GL_n(F_q) that the library conjugates by, in its order: with P the
     n-cycle permutation matrix, P and x_12(1) when q = 2, and P x_12(1)
-    and diag(w, 1, ..., 1) with w a primitive element when q > 2."""
+    and diag(w, 1, ..., 1) with w a primitive element when q > 2; the
+    identity twice when n = 1."""
     if n == 1:
-        return []
+        return [tuple, tuple]
     q, add, sub, mul = field.q, field.add, field.sub, field.mul
     cells = n * n
     # entry (i, j) of P g P^-1 is entry (i + 1, j + 1) of g, indices mod n

@@ -11,6 +11,7 @@ import pytest
 from klyachko import characters
 from klyachko.arena import build_arena, zpoly_divmod, zpoly_powmod
 from klyachko.characters import (
+    SORT_BLOCK,
     ClassFunction,
     _central_spaces,
     _character_from_central,
@@ -21,6 +22,7 @@ from klyachko.characters import (
     _rational_class,
     _roots_mod,
     _rref,
+    _sorted_codes,
     _split_space,
     _sqrt_mod,
     _twists,
@@ -227,9 +229,25 @@ def test_orthogonality_checkers_agree_on_perturbed_tables(n, q, table_store, are
                     check(perturbed, table, arena)
 
 
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 3)])
+def test_orthogonality_rejects_a_perturbed_last_row(n, q, table_store, arena_store):
+    """The last row's pairs with the rows before it are checked only from
+    those rows' side, as the Gram matrix is symmetric: moving any one of
+    its values by +1 mod ell still raises."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    chars = character_table(table, arena)
+    *rest, last = chars
+    for c in range(len(table.classes)):
+        values = list(last.values)
+        values[c] = (values[c] + 1) % arena.ell
+        with pytest.raises(InvariantViolation):
+            verify_orthogonality(rest + [ClassFunction(arena, tuple(values))], table, arena)
+
+
 def test_orthogonality_takes_each_dot_product_once(table_store, arena_store, monkeypatch):
-    """One packed sum per character, holding its N row relations, plus
-    the sum of squared dimensions: N + 1 sum calls.  The column relations
+    """One packed sum per character, holding its row relations with
+    itself and every later character, plus the sum of squared
+    dimensions: N + 1 sum calls.  The column relations
     are implied by the row relations over Z/ell, not computed."""
     table, arena = table_store(2, 9), arena_store(2, 9)
     chars = character_table(table, arena)
@@ -435,15 +453,46 @@ def test_row_images_built_once_per_representative_and_call(table_store, arena_st
     assert built[len(first):] == first
 
 
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 3), (4, 2)])
+def test_character_table_ignores_the_order_of_members(n, q, table_store, arena_store):
+    """The members of each class reversed after the least one, and
+    shuffled so, give the same character table: only the least member of
+    a class is read for its position, and the tensor counts members."""
+    table, arena = table_store(n, q), arena_store(n, q)
+    want = character_table(table, arena)
+    rng = random.Random(n * 10 + q)
+    shuffled = [m[1:].tolist() for m in table.members]
+    for m in shuffled:
+        rng.shuffle(m)
+    for tail in ([m[:0:-1] for m in table.members], shuffled):
+        members = tuple(array("I", [m[0], *t]) for m, t in zip(table.members, tail))
+        assert [sorted(m) for m in members] == [sorted(m) for m in table.members]
+        permuted = dataclasses.replace(table, members=members)
+        assert character_table(permuted, arena) == want
+
+
+@pytest.mark.parametrize("length", [0, 1, 1000, SORT_BLOCK, 3 * SORT_BLOCK + 5])
+def test_sorted_codes_sorts_across_blocks(length):
+    """Codes in any order come back in increasing order, whether they fit
+    in one block or are merged from several."""
+    rng = random.Random(length)
+    codes = array("I", rng.sample(range(4**9), length))
+    got = _sorted_codes(codes)
+    assert isinstance(got, array) and got.typecode == "I"
+    assert list(got) == sorted(codes)
+
+
 def test_member_columns_built_once_per_class_and_call(table_store, arena_store, monkeypatch):
     """On GL_3(F_3) one character_table call cuts the members of each class
-    into chunk columns at most once, whichever side of a row counts them."""
+    into chunk columns at most once, whichever side of a row counts them,
+    and cuts them in increasing order; the powers of a representative are
+    walked one code at a time and cut no columns."""
     table, arena = table_store(3, 3), arena_store(3, 3)
     cut = []
 
     def counting_columns(codes, n, q):
-        if isinstance(codes, array):  # the members of a class, not a power of a representative
-            cut.append(codes[0])
+        assert list(codes) == sorted(codes)
+        cut.append(codes[0])
         return chunk_columns(codes, n, q)
 
     monkeypatch.setattr(characters, "chunk_columns", counting_columns)
@@ -454,12 +503,14 @@ def test_member_columns_built_once_per_class_and_call(table_store, arena_store, 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
 def test_class_members_are_the_classes_in_lex_order(n, q, table_store, tmp_path):
     """The members a table holds, computed or loaded from its file, are
-    the element codes bucketed by label, each class in increasing order."""
+    the element codes bucketed by label, each class with its least member
+    first: sorted, they are the buckets, each in increasing order."""
     table = table_store(n, q)
     path = tmp_path / "t.tbl"
     save_table(table, path)
     for tab in (table, load_table(path, table.field, n)):
-        assert tab.members == class_members(table)
+        assert [sorted(m) for m in tab.members] == [list(m) for m in class_members(table)]
+        assert all(m[0] == min(m) for m in tab.members)
         assert [len(m) for m in tab.members] == [cls.size for cls in table.classes]
 
 
@@ -508,7 +559,7 @@ def _power_map_rational_classes(table):
     return found
 
 
-@pytest.mark.parametrize("n,q", [(2, 5), (2, 9), (3, 3)])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (2, 9), (3, 3)])
 def test_rational_class_matches_power_map(n, q, table_store):
     table = table_store(n, q)
     oracle = _power_map_rational_classes(table)

@@ -18,6 +18,7 @@ from klyachko.groups import (
     chunk_images,
     chunk_rows,
     class_count,
+    class_records,
     conjugacy_classes,
     decode,
     det_class_map,
@@ -27,6 +28,7 @@ from klyachko.groups import (
     gl_elements,
     gl_enumerate,
     h_order,
+    product_code,
     products,
     psi_r_trace,
     row_codes,
@@ -49,6 +51,7 @@ from oracles import (
     relabelled,
     sp_by_search,
     sp_membership_flat,
+    three_generator_classes,
     three_generators,
 )
 
@@ -293,6 +296,28 @@ def test_products_match_mat_mul(n, q, table_store):
             [encode(mat_mul(x, g, n, table.field), q) for x in table.elements]
 
 
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_product_code_matches_products(n, q):
+    """x g for one code x, by one chunk-image lookup per chunk of rows
+    (a shorter last chunk when n is odd and above 2), equals `products`
+    on the one-code list and the matrix product, on random invertible
+    x and g (n = 5 with no enumeration of GL_5(F_2))."""
+    field = field_from_q(q)
+    rng = random.Random(n * 10 + q)
+    flats = []
+    while len(flats) < 40:
+        g = tuple(rng.randrange(q) for _ in range(n * n))
+        if mat_det(g, n, field):
+            flats.append(g)
+    for g in flats[:4]:
+        tables = chunk_images(g, n, field)
+        for x in flats:
+            code = encode(x, q)
+            want = encode(mat_mul(x, g, n, field), q)
+            assert product_code(code, tables, n, q) == want
+            assert list(products(chunk_columns([code], n, q), tables)) == [want]
+
+
 @pytest.mark.parametrize("n,q", CLASS_GRID)
 def test_enumerate_h_is_the_encoded_membership_filter(n, q):
     """Every H_{r,2k} of GL_n(F_q) is the row-code encoding of the
@@ -310,33 +335,61 @@ def test_enumerate_h_is_the_encoded_membership_filter(n, q):
     *(pytest.param(2, 5, drop, id=str(drop)) for drop in range(2)),
     (3, 5, 0), (3, 5, 1), (3, 4, 0), (3, 4, 1)])
 def test_missing_conjugator_raises(n, q, drop, monkeypatch):
-    """Without either of the two generators the orbits are finer than the
-    classes, so the search finds more orbits than classes.  GL_3(F_5)
-    without P x_12(1) is conjugated by diag(w) alone, whose orbits have at
-    most 4 members: more than 65 535 orbits, which a 16-bit label counter
-    would reach `SINGULAR` on."""
+    """With the kept generator in place of the dropped one the orbits are
+    those of one generator, finer than the classes, so the search finds
+    more orbits than classes.  GL_3(F_5) without P x_12(1) is conjugated
+    by diag(w) alone, whose orbits have at most 4 members: more than
+    65 535 orbits, which a 16-bit label counter would reach `SINGULAR`
+    on."""
     full = groups._gl_generators
-    monkeypatch.setattr(groups, "_gl_generators", lambda n, field: [
-        s for i, s in enumerate(full(n, field)) if i != drop])
+    monkeypatch.setattr(groups, "_gl_generators", lambda n, field: [full(n, field)[1 - drop]] * 2)
     field = field_from_q(q)
     with pytest.raises(InvariantViolation, match="more than"):
         conjugacy_classes(gl_elements(n, field), n, field)
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_generator_count_other_than_two_raises(count, monkeypatch):
+    """The search is written out for a pair of generators: any other
+    count raises InvariantViolation, not an unpacking error."""
+    field = field_from_q(3)
+    monkeypatch.setattr(groups, "_gl_generators",
+                        lambda n, field: (three_generators(n, field) * 2)[:count])
+    with pytest.raises(InvariantViolation, match=f"{count} conjugation generators"):
+        conjugacy_classes(gl_elements(2, field), 2, field)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_gl1_conjugates_by_the_identity_pair(q):
+    """GL_1(F_q) is abelian: its pair is the identity twice, and its q - 1
+    classes are the singletons, in increasing order."""
+    field = field_from_q(q)
+    assert groups._gl_generators(1, field) == [(1,), (1,)]
+    table = conjugacy_classes(gl_elements(1, field), 1, field)
+    assert [list(m) for m in table.members] == [[a] for a in range(1, q)]
+
+
+def _holds_the_members(got, want):
+    """Whether the members `got` are the classes of `want`, sorted, each
+    with its least member first."""
+    return ([sorted(m) for m in got] == [list(m) for m in want]
+            and all(m[0] == min(m) for m in got))
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (2, 9), (3, 2), (3, 3), (4, 2), (3, 4)])
-def test_generator_pair_matches_three_generators(n, q, monkeypatch):
+def test_generator_pair_matches_three_generators(n, q):
     """The search over the library's two generators gives the label
-    array, members and class records that the three generators of
-    `oracles.three_generators`, which provably generate GL_n(F_q), give."""
+    array, members (as sets, each least member first) and class records
+    that the search of `oracles.three_generator_classes` over the three
+    generators of `oracles.three_generators`, which provably generate
+    GL_n(F_q), gives."""
     field = field_from_q(q)
     codes = gl_elements(n, field)
     pair = conjugacy_classes(codes, n, field)
-    monkeypatch.setattr(groups, "_gl_generators", three_generators)
-    assert len(_conjugation_tables(n, field)[1]) == (3 if q > 2 else 2)
-    three = conjugacy_classes(codes, n, field)
-    assert pair.labels == three.labels
-    assert pair.members == three.members
-    assert pair.classes == three.classes
+    labels, members = three_generator_classes(codes, n, field)
+    assert pair.labels == labels
+    assert _holds_the_members(pair.members, members)
+    assert pair.classes == class_records(codes, members, labels, n, field).classes
 
 
 def _send_identity_to(dst, generator, field, monkeypatch):
@@ -347,8 +400,8 @@ def _send_identity_to(dst, generator, field, monkeypatch):
     ident = encode(mat_identity(2), field.q)
     full = groups._conjugation_tables
 
-    def patched(n, field):
-        cut, tables = full(n, field)
+    def patched(generators, n, field):
+        cut, tables = full(generators, n, field)
         top, rest = tables[generator]
         assert cut == 1 and top[ident] + rest[0] == ident
         top = list(top)
@@ -384,20 +437,15 @@ def test_generator_table_that_reaches_a_singular_matrix_raises(generator, monkey
         conjugacy_classes(gl_elements(2, field), 2, field)
 
 
-def test_generator_across_the_cut_raises(monkeypatch):
+def test_generator_across_the_cut_raises():
     """Row 1 of (I + E_23) g is row 1 plus row 2 of g (0-based), on both
     sides of the cut after row 1, so top + rest could carry: building
     the tables with I + E_23 among the generators raises."""
-    full = groups._gl_generators
-
-    def with_e23(n, field):
-        e23 = list(mat_identity(n))
-        e23[1 * n + 2] = 1
-        return full(n, field) + [tuple(e23)]
-
-    monkeypatch.setattr(groups, "_gl_generators", with_e23)
+    field = field_from_q(2)
+    e23 = list(mat_identity(3))
+    e23[1 * 3 + 2] = 1
     with pytest.raises(InvariantViolation, match="across the cut"):
-        _conjugation_tables(3, field_from_q(2))
+        _conjugation_tables(groups._gl_generators(3, field) + [tuple(e23)], 3, field)
 
 
 @pytest.mark.parametrize("n,q", [(1, 5), (2, 9), (2, 16), (3, 4), (3, 5), (4, 2), (5, 2)])
@@ -405,9 +453,10 @@ def test_conjugation_tables_match_flat_conjugators(n, q):
     """top[g // cut] + rest[g % cut] is the code of s g s^-1 for each
     generator s, in the order of the flat oracle's generators, on random
     invertible matrices (n = 5 with no enumeration of GL_5(F_2); F_16
-    and F_4 with e > 1, GL_2(F_16) the largest n = 2 tables)."""
+    and F_4 with e > 1, GL_2(F_16) the largest n = 2 tables; the
+    identity pair for n = 1)."""
     field = field_from_q(q)
-    cut, tables = _conjugation_tables(n, field)
+    cut, tables = _conjugation_tables(groups._gl_generators(n, field), n, field)
     conjugators = _flat_conjugators(n, field)
     assert len(tables) == len(conjugators)
     rng = random.Random(n * 100 + q)

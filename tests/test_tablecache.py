@@ -15,6 +15,7 @@ from klyachko.gf import field_make
 from klyachko.groups import SINGULAR
 from klyachko.tablecache import (
     CHARS_MAGIC,
+    LABEL_CHUNK,
     MAGIC,
     cache_path,
     characters_path,
@@ -33,19 +34,36 @@ FORMAT_3_MAGIC = b"KLYGRP\x00\x03"  # format 3 also stored the elements
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_save_load_with_classes(n, q, tmp_path, table_store):
     """The table loaded from a file equals the orbit sweep's in its
-    label array, element codes, class members, class records, order,
-    elements and inverses."""
+    label array, element codes, class members (as sets, each with its
+    least member first), class records, order, elements and inverses."""
     table = table_store(n, q)
     path = tmp_path / "t.tbl"
     save_table(table, path)
     loaded = load_table(path, table.field, n)
     assert loaded.labels == table.labels
     assert loaded.codes == table.codes
-    assert loaded.members == table.members
+    assert [sorted(m) for m in loaded.members] == [sorted(m) for m in table.members]
+    assert all(m[0] == min(m) for tab in (loaded, table) for m in tab.members)
     assert loaded.classes == table.classes
     assert loaded.order == table.order
     assert loaded.elements == table.elements
     assert loaded.inverses() == table.inverses()
+
+
+def test_round_trip_over_several_label_chunks(tmp_path, table_store):
+    """GL_3(F_4) has more elements than one `LABEL_CHUNK`: its file holds
+    one u16 label per element in code order, as one pack of them all
+    would, and loads back to the same labels, members and classes."""
+    table = table_store(3, 4)
+    assert table.order > 2 * LABEL_CHUNK
+    path = tmp_path / "t.tbl"
+    save_table(table, path)
+    raw = path.read_bytes()
+    assert raw[48:] == struct.pack(f"<{table.order}H", *element_labels(table))
+    loaded = load_table(path, table.field, 3)
+    assert loaded.labels == table.labels
+    assert [sorted(m) for m in loaded.members] == [sorted(m) for m in table.members]
+    assert loaded.classes == table.classes
 
 
 def test_load_rejects_wrong_parameters(tmp_path, table_store):
