@@ -104,14 +104,54 @@ def zpoly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
 
 def zpoly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     """a^e mod (f, p), e >= 0, by square-and-multiply from the top bit of
-    e: every multiply is by a itself, so for a linear a it is one
-    O(deg f) pass, not a product by a squared base."""
-    out = [1]
+    e, every multiply by a itself (reduced mod f once), on packed integers.
+
+    A polynomial of degree below d = deg f is held as the integer
+    sum_i c_i 2^(i w), one slot of w bits per coefficient, so a product
+    of two is one integer product.  Between products every coefficient
+    is below 2^c, with c = 2 bitlen(p) + L + 4 and 2d < 2^L, and
+    w = 2c + L.  The reduction by f stays packed: x^d = sum_i neg_i x^i,
+    neg_i = -f_i / lead(f) mod p, so from the top slot t >= d down, the
+    slot read mod p is added back times neg shifted to slot t - d, one
+    shift-and-add per high slot, and the slots from d up are then
+    dropped.  A slot sums at most d products below 2^(2c) and d - 1 of
+    the added ones below p^2, under 2d 2^(2c) <= 2^w, so no slot carries
+    into the next.  Two folds, v -> (v >> h) r + (v mod 2^h) in every
+    slot at once with h = c - 1 and r = 2^h mod p, keep each coefficient
+    mod p and bring it from below 2^w to below 2^(c + L + bitlen(p) + 2)
+    and then below 2^c.  Only the result is read out of its slots, mod p.
+    """
+    d = len(f) - 1
+    if d < 1:
+        return []
+    spread = (2 * d).bit_length()
+    c = 2 * p.bit_length() + spread + 4
+    w = 2 * c + spread
+    h = c - 1
+    r = pow(2, h, p)
+    slot = (1 << w) - 1
+    ones = ((1 << (d * w)) - 1) // slot  # 1 in each of the d slots
+    low, high = ones * ((1 << h) - 1), ones * ((1 << (w - h)) - 1)
+    inv_lead = pow(f[-1], p - 2, p)
+    neg = sum((-x * inv_lead % p) << (i * w) for i, x in enumerate(f[:-1]))
+    reads = [(t * w, (t - d) * w) for t in range(2 * d - 2, d - 1, -1)]  # top slot first
+
+    def mulmod(x: int, y: int) -> int:
+        prod = x * y
+        for at, to in reads[2 * d - 2 - (prod.bit_length() - 1) // w:]:
+            k = (prod >> at & slot) % p
+            if k:
+                prod += k * neg << to
+        prod = (prod >> h & high) * r + (prod & low)
+        return (prod >> h & high) * r + (prod & low)
+
+    base = sum(x << (i * w) for i, x in enumerate(zpoly_divmod(a, f, p)[1]))
+    out = 1
     for bit in f"{e:b}":
-        out = zpoly_mulmod(out, out, f, p)
+        out = mulmod(out, out)
         if bit == "1":
-            out = zpoly_mulmod(out, a, f, p)
-    return out
+            out = mulmod(out, base)
+    return zpoly_trim([(out >> (i * w) & slot) % p for i in range(d)])
 
 
 def zpoly_gcd(a: list[int], b: list[int], p: int) -> list[int]:

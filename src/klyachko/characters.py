@@ -41,19 +41,23 @@ space is a line its vector is a central character.
 A restriction that is a scalar leaves its space whole with no
 characteristic polynomial: class matrices act diagonalisably, so one
 eigenvalue means a scalar.
-Otherwise the eigenvalues are the roots of the characteristic
-polynomial chi, on its squarefree part s = chi / gcd(chi, chi').  A
-squarefree factor of degree 1 or 2 is solved by formula, the square
-root of its discriminant by Tonelli-Shanks.  For a larger s one
-powering h = x^((ell - 1)/2) mod s gives both the linear part
+Otherwise the restriction is brought to upper Hessenberg form H by one
+recorded similarity (`_hessenberg`), and the eigenvalues are the roots
+of its characteristic polynomial chi, read off H, on its squarefree
+part s = chi / gcd(chi, chi').  A squarefree factor of degree 1 or 2 is
+solved by formula, the square root of its discriminant by
+Tonelli-Shanks.  For a larger s one powering h = x^((ell - 1)/2) mod s,
+on packed integers (`arena.zpoly_powmod`), gives both the linear part
 gcd(s, x h^2 - x) = gcd(s, x^ell - x) and its first Cantor-Zassenhaus
 split (Math. Comp. 36, 1981), and the factors of degree above 2 are
 split further with the shifts 1, 2, ..., each factor resuming after the
 shift that made it; nothing is random.  Each eigenspace is the kernel
-of one d x d elimination in the coordinates of its parent space,
-eliminated from the last column back so that the kernel comes out in
-RREF (`_kernel_basis`), and is mapped back still in RREF (see
-`_split_space`).  All linear algebra is over Z/ell, so every
+of H - lambda I, where each column is eliminated only among the rows
+still without a pivot and the one row that starts there, O(d^2) where a
+dense elimination is O(d^3), mapped back through the recorded
+similarity and put in RREF in the coordinates of its parent space
+(`_eigenspace`); it is then mapped back to all N columns still in RREF
+(see `_split_space`).  All linear algebra is over Z/ell, so every
 identity below is checked exactly, never to a tolerance.  The row
 orthogonality of the finished table is one packed sum per character,
 holding its relations with itself and every later character, which
@@ -173,11 +177,20 @@ def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int], colu
     return out
 
 
-def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
-    """Characteristic polynomial mod ell (ascending coefficients),
-    via similarity reduction to upper Hessenberg form."""
+def _hessenberg(mat: list[list[int]], ell: int) -> tuple[list[list[int]], list]:
+    """An upper Hessenberg H = S^-1 mat S mod ell and the steps of S.
+
+    Column k is cleared below row k + 1 by one similarity: swap rows and
+    columns k + 1 and piv, the first row below row k with a nonzero entry
+    in column k, then subtract f_i times row k + 1 from each row i > k + 1
+    and add f_i times column i to column k + 1.  A column with nothing
+    to clear takes no step, so H may be reduced (a zero subdiagonal
+    entry).  Each step is (k + 1, piv, [(i, f_i), ...]); S u applies
+    them to u from the last: u_i += f_i u_(k+1), then swap entries
+    k + 1 and piv (`_eigenspace`)."""
     n = len(mat)
     h = [row[:] for row in mat]
+    steps = []
     for k in range(n - 2):
         piv = next((i for i in range(k + 1, n) if h[i][k] % ell), None)
         if piv is None:
@@ -187,6 +200,7 @@ def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
             for row in h:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
         inv_p = pow(h[k + 1][k], ell - 2, ell)
+        factors = []
         for i in range(k + 2, n):
             f = h[i][k] * inv_p % ell
             if f:
@@ -195,6 +209,16 @@ def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
                     hi[j] = (hi[j] - f * hk1[j]) % ell
                 for row in h:
                     row[k + 1] = (row[k + 1] + f * row[i]) % ell
+                factors.append((i, f))
+        steps.append((k + 1, piv, factors))
+    return h, steps
+
+
+def _charpoly_mod(h: list[list[int]], ell: int) -> list[int]:
+    """Characteristic polynomial mod ell (ascending coefficients) of an
+    upper Hessenberg matrix (`_hessenberg`), by the recurrence over its
+    leading principal blocks."""
+    n = len(h)
     polys: list[list[int]] = [[1]]
     for m in range(1, n + 1):
         prev = polys[m - 1]
@@ -214,6 +238,60 @@ def _charpoly_mod(mat: list[list[int]], ell: int) -> list[int]:
                     pm[d] = (pm[d] - coef * c) % ell
         polys.append(pm)
     return polys[n]
+
+
+def _eigenspace(h: list[list[int]], steps: list, lam: int, ell: int,
+                ) -> tuple[list[list[int]], list[int]]:
+    """The kernel {v : mat v = lam v} mod ell in RREF, and its pivots,
+    from H, steps = `_hessenberg(mat, ell)`.
+
+    Row r of H - lam I is zero before column r - 1, so at column c only
+    the rows left without a pivot and row c + 1 can be nonzero there:
+    each column is eliminated among those, at most two more than the
+    free columns so far, not among all d rows.  A reduced H (a zero
+    subdiagonal entry) or a repeated lam only leaves more rows waiting.
+    Back substitution gives each free column fc the kernel vector that
+    is 1 at fc and 0 at every other free column and after fc.  Mapped
+    through S (`_hessenberg`'s steps, the last first) these span the
+    kernel of mat - lam I, and one `_rref` of them gives its unique
+    RREF, the same basis whatever the elimination order."""
+    d = len(h)
+    waiting: list[list[int]] = []
+    pivot_rows: list[tuple[int, list[int]]] = []  # (c, the row from column c on, 1 at c)
+    free = []
+    for c in range(d):
+        for r in ((0, 1) if c == 0 else (c + 1,)):
+            if r < d:
+                row = h[r][:]
+                row[r] = (row[r] - lam) % ell
+                waiting.append(row)
+        at = next((t for t, row in enumerate(waiting) if row[c]), None)
+        if at is None:
+            free.append(c)
+            continue
+        row = waiting.pop(at)
+        inv_p = pow(row[c], ell - 2, ell)
+        tail = [x * inv_p % ell for x in row[c:]]
+        for other in waiting:
+            f = other[c]
+            if f:
+                other[c:] = [(x - f * y) % ell for x, y in zip(other[c:], tail)]
+        pivot_rows.append((c, tail))
+    vectors = []
+    for fc in free:
+        v = [0] * d
+        v[fc] = 1
+        for c, tail in reversed(pivot_rows):
+            if c < fc:
+                v[c] = -sum(map(mul, tail[1:fc + 1 - c], v[c + 1:fc + 1])) % ell
+        for k1, piv, factors in reversed(steps):
+            x = v[k1]
+            if x:
+                for i, f in factors:
+                    v[i] = (v[i] + f * x) % ell
+            v[k1], v[piv] = v[piv], v[k1]
+        vectors.append(v)
+    return _rref(vectors, ell)
 
 
 def _roots_mod(coeffs: list[int], ell: int) -> list[int]:
@@ -342,32 +420,6 @@ def _rref(rows: list[list[int]], ell: int) -> tuple[list[list[int]], list[int]]:
     return a[:len(pivots)], pivots
 
 
-def _kernel_basis(mat: list[list[int]], ell: int) -> tuple[list[list[int]], list[int]]:
-    """The null space {v : mat v = 0} mod ell in RREF: one vector per free
-    column, and the free columns, its pivots.
-
-    `mat` is eliminated from its last column back (the RREF of its rows
-    reversed), so a row's pivot column c is its last nonzero column and
-    the row is zero at every free column after c.  The vector of free
-    column fc is 1 at fc, 0 at the other free columns and -row[fc] at the
-    pivot column c of each row, nonzero only for c > fc.  In ascending
-    order of fc the vectors are therefore in RREF with the free columns
-    as pivots.
-    """
-    n = len(mat[0])
-    red, back = _rref([row[::-1] for row in mat], ell)
-    pivots = [n - 1 - c for c in back]
-    free = sorted(set(range(n)) - set(pivots))
-    out = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for row, c in zip(red, pivots):
-            v[c] = -row[n - 1 - fc] % ell
-        out.append(v)
-    return out, free
-
-
 def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, list[int]],
                  ell: int) -> list[tuple[list[list[int]], list[int]]]:
     """The eigenspaces of a class matrix on the invariant space spanned by
@@ -379,12 +431,14 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
     Class matrices act diagonalisably on an invariant space, so one with
     a single eigenvalue that is not a scalar fails the dimension check.
 
-    Each eigenspace is found in the d coordinates, already in RREF by
-    one elimination (`_kernel_basis`), and only then mapped back: a
-    combination of the basis with coordinates u has its first nonzero
-    entry at pivots[j], j the first nonzero coordinate of u, and its
-    entries at the pivots are u.  So coordinate vectors in RREF with
-    pivots J map to vectors in RREF with pivots [pivots[j] for j in J].
+    The restriction is brought to Hessenberg form once (`_hessenberg`),
+    which gives the characteristic polynomial and, for each root, the
+    eigenspace in the d coordinates, in RREF (`_eigenspace`).  Only then
+    is it mapped back: a combination of the basis with coordinates u has
+    its first nonzero entry at pivots[j], j the first nonzero coordinate
+    of u, and its entries at the pivots are u.  So coordinate vectors in
+    RREF with pivots J map to vectors in RREF with pivots
+    [pivots[j] for j in J].
     """
     d = len(basis)
     restricted = [[sum(map(mul, m_rows[p], b)) % ell for b in basis] for p in pivots]
@@ -393,10 +447,9 @@ def _split_space(basis: list[list[int]], pivots: list[int], m_rows: dict[int, li
            for r, row in enumerate(restricted) for c, v in enumerate(row)):
         return [(basis, pivots)]
     parts = []
-    for lam in _roots_mod(_charpoly_mod(restricted, ell), ell):
-        shifted = [[(v - lam) % ell if r == c else v for c, v in enumerate(row)]
-                   for r, row in enumerate(restricted)]
-        reduced, coord_pivots = _kernel_basis(shifted, ell)
+    h, steps = _hessenberg(restricted, ell)
+    for lam in _roots_mod(_charpoly_mod(h, ell), ell):
+        reduced, coord_pivots = _eigenspace(h, steps, lam, ell)
         vectors = []
         for coords in reduced:
             v = [0] * len(basis[0])

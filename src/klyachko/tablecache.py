@@ -20,7 +20,9 @@ search's orbits give a computed table its members.  A loaded class's
 members are in increasing order, so its least member is first, as in a
 computed table.  `groups.class_records` then builds the table from the
 members as it does for the search, reading the class records off them.
-The writer packs the labels `LABEL_CHUNK` at a time.  The loader rejects a file whose version,
+The writer takes the label array `LABEL_CHUNK` entries at a time as
+little-endian bytes and drops the `SINGULAR` ones, with no int per
+element (`save_table`).  The loader rejects a file whose version,
 (n, p, e), count, length, digest or class labels do not match (a label
 at or above the class count, a class with no member, or labels that
 are otherwise not the classes numbered in the order of their least
@@ -89,7 +91,7 @@ HASH_SIZE = sha256().digest_size
 MAGIC = b"KLYGRP\x00\x04"
 HEADER = struct.Struct("<BBBBI")  # n, p, e, reserved, element count
 
-LABEL_CHUNK = 1 << 16  # labels per struct.pack call in save_table
+LABEL_CHUNK = 1 << 16  # entries of the label array per bytes pass in save_table
 
 CHARS_MAGIC = b"KLYCHR\x00\x01"
 CHARS_HEADER = struct.Struct("<BBBIB")  # n, p, e, class count, value width
@@ -104,18 +106,24 @@ def characters_path(cache_dir: str | Path, n: int, q: int, ell: int) -> Path:
 
 
 def _digest(head: bytes, body) -> bytes:
+    """SHA-256 of `head` and then each part of `body`."""
     h = sha256(head)
-    h.update(body)
+    for part in body:
+        h.update(part)
     return h.digest()
 
 
-def _write(path: Path, head: bytes, body: bytes) -> None:
-    """Write `head`, the digest of `head` and `body`, then `body`, through
-    a temp file of this process, then rename."""
+def _write(path: Path, head: bytes, body: list[bytes]) -> None:
+    """Write `head`, the digest of `head` and the parts of `body`, then
+    the parts, through a temp file of this process, then rename; the
+    parts are never joined, so the body is held once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(head + _digest(head, body) + body)
+        with tmp.open("wb") as out:
+            out.write(head)
+            out.write(_digest(head, body))
+            out.writelines(body)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -151,19 +159,35 @@ def _read(path: str | Path, magic: bytes, header: struct.Struct, n: int, field: 
     if len(raw) != body_at + body_size:
         raise CacheError(f"{path}: truncated or corrupt cache")
     body = memoryview(raw)[body_at:]
-    if raw[digest_at:body_at] != _digest(raw[:digest_at], body):
+    if raw[digest_at:body_at] != _digest(raw[:digest_at], [body]):
         raise CacheError(f"{path}: digest mismatch")
     return fields, raw[head_end:digest_at], body
 
 
 def save_table(table: GroupTable, path: str | Path) -> None:
-    """Write the table's labels in increasing order of element codes,
-    `LABEL_CHUNK` elements per `struct.pack`, so no argument list as long
-    as the group is built."""
+    """Write the table's labels in increasing order of element codes: the
+    label array, `LABEL_CHUNK` entries at a time, as little-endian bytes
+    (a byteswapped copy of each chunk on a big-endian host) with every
+    b"\\xff\\xff" removed.
+
+    That removes exactly the `SINGULAR` entries.  Every other label is
+    below the class count, under 0xFF00, so `SINGULAR` is the only label
+    whose high byte is 0xff.  A match found from the left, at or after
+    an even offset, therefore starts at an even offset: one at an odd
+    offset would begin at the high byte of a `SINGULAR` entry, whose low
+    byte, one before, is 0xff too and would have matched first.  So the
+    matches are the `SINGULAR` entries themselves.  A table with 0xFF00
+    classes or more raises InvariantViolation."""
+    if len(table.classes) >= 0xFF00:
+        raise InvariantViolation(f"{len(table.classes)} classes do not fit below 0xFF00")
     head = MAGIC + HEADER.pack(table.n, table.field.p, table.field.e, 0, table.order)
-    labels, codes = table.labels, table.codes
-    parts = (codes[at:at + LABEL_CHUNK] for at in range(0, len(codes), LABEL_CHUNK))
-    body = b"".join(struct.pack(f"<{len(part)}H", *map(labels.__getitem__, part)) for part in parts)
+    labels = table.labels
+    body = []
+    for at in range(0, len(labels), LABEL_CHUNK):
+        chunk = labels[at:at + LABEL_CHUNK]
+        if sys.byteorder == "big":
+            chunk.byteswap()
+        body.append(chunk.tobytes().replace(b"\xff\xff", b""))
     _write(Path(path), head, body)
 
 
@@ -213,7 +237,7 @@ def save_characters(chars: list[ClassFunction], table: GroupTable, path: str | P
             + CHARS_HEADER.pack(table.n, table.field.p, table.field.e, len(chars), width)
             + ell.to_bytes(width, "little") + class_fingerprint(table))
     body = b"".join(v.to_bytes(width, "little") for cf in chars for v in cf.values)
-    _write(Path(path), head, body)
+    _write(Path(path), head, [body])
 
 
 def load_characters(path: str | Path, table: GroupTable,

@@ -1,9 +1,9 @@
 """Test oracles: matrix and subgroup helpers, the row-by-row search for
 Sp(2k, F_q), three matrices that provably generate GL_n(F_q) and a
 search over their conjugation orbits, the class members bucketed from
-the labels, the character split's visit order
-over every non-central class, the sources of its class matrix rows and
-the rows counted over C_i, Green's class data,
+the labels, the dense kernel of a matrix in RREF, the character
+split's visit order over every non-central class, the sources of its
+class matrix rows and the rows counted over C_i, Green's class data,
 the segment calculus, contragredients and mu_Q behind the symbolic
 commands, and per-index Weyl-element routines with the closed forms of
 the residue-survival count.  The library itself does not need them;
@@ -18,7 +18,7 @@ from functools import cache
 from itertools import product
 from operator import itemgetter
 
-from klyachko.characters import _rational_class
+from klyachko.characters import _rational_class, _rref
 from klyachko.errors import ArenaMismatch, EmptyBlock, InvariantViolation
 from klyachko.gf import mat_identity, mat_mul
 from klyachko.groups import (
@@ -115,6 +115,32 @@ def relabelled(table, labels, classes):
     classification whose members still match its labels."""
     out = replace(table, labels=labels, classes=classes)
     return replace(out, members=class_members(out))
+
+
+def kernel_basis(mat, ell):
+    """The null space {v : mat v = 0} mod ell in RREF: one vector per free
+    column, and the free columns, its pivots, by one dense elimination.
+
+    `mat` is eliminated from its last column back (the RREF of its rows
+    reversed), so a row's pivot column c is its last nonzero column and
+    the row is zero at every free column after c.  The vector of free
+    column fc is 1 at fc, 0 at the other free columns and -row[fc] at the
+    pivot column c of each row, nonzero only for c > fc.  In ascending
+    order of fc the vectors are therefore in RREF with the free columns
+    as pivots.
+    """
+    n = len(mat[0])
+    red, back = _rref([row[::-1] for row in mat], ell)
+    pivots = [n - 1 - c for c in back]
+    free = sorted(set(range(n)) - set(pivots))
+    out = []
+    for fc in free:
+        v = [0] * n
+        v[fc] = 1
+        for row, c in zip(red, pivots):
+            v[c] = -row[n - 1 - fc] % ell
+        out.append(v)
+    return out, free
 
 
 def tensor_sources(table):

@@ -18,7 +18,8 @@ from klyachko.characters import (
     _carry,
     _charpoly_mod,
     _conjugate_pair,
-    _kernel_basis,
+    _eigenspace,
+    _hessenberg,
     _rational_class,
     _roots_mod,
     _rref,
@@ -65,6 +66,7 @@ from oracles import (
     every_class_visit_order,
     h_membership_flat,
     inner_product_residue,
+    kernel_basis,
     label_of,
     relabelled,
     tensor_rows_over_c_i,
@@ -374,7 +376,7 @@ def _tensor_character_table(table, arena, seed=20259, attempts=20):
         mix = [rng.randrange(ell) for _ in range(n_cls)]
         b = [[sum(mix[i] * m[i][j][k] for i in range(n_cls)) % ell for k in range(n_cls)]
              for j in range(n_cls)]
-        roots = _scan_roots(_charpoly_mod(b, ell), ell)
+        roots = _scan_roots(_charpoly_mod(_hessenberg(b, ell)[0], ell), ell)
         if len(roots) != n_cls:
             continue
         vectors = [_kernel_vector(b, lam, ell) for lam in roots]
@@ -1117,26 +1119,34 @@ def _span(vectors, p, n):
     return out
 
 
+def _kernel(mat, p):
+    """The null space of mat by the split's path: the kernel of H - 0 I
+    for the Hessenberg form H of mat, mapped back and put in RREF."""
+    return _eigenspace(*_hessenberg(mat, p), 0, p)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_kernel_basis_is_the_null_space_in_rref(p):
     """Square matrices up to 4 x 4 over F_p, from the zero matrix (the
     whole space) through random ones of every rank to a full-rank one
     (nothing): the vectors span the null space found by trying every
-    vector, one per dimension, already in RREF with their pivots."""
+    vector, one per dimension, already in RREF with their pivots, and
+    equal the dense elimination's."""
     rng = random.Random(p)
     for n in range(1, 5):
         unitriangular = [[int(i == j) or (rng.randrange(p) if j > i else 0) for j in range(n)]
                          for i in range(n)]
-        assert _kernel_basis([[0] * n for _ in range(n)], p) == (
+        assert _kernel([[0] * n for _ in range(n)], p) == (
             [[int(i == j) for j in range(n)] for i in range(n)], list(range(n)))
-        assert _kernel_basis(unitriangular, p) == ([], [])
+        assert _kernel(unitriangular, p) == ([], [])
         mats = [_low_rank(n, rank, p, rng) for rank in range(n + 1) for _ in range(3)]
         for mat in mats + [unitriangular[::-1]]:
-            vectors, pivots = _kernel_basis(mat, p)
+            vectors, pivots = _kernel(mat, p)
             null = _null_space_by_search(mat, p)
             assert len(null) == p ** len(vectors)
             assert _span(vectors, p, n) == null
             assert _rref(vectors, p) == (vectors, pivots)
+            assert (vectors, pivots) == kernel_basis(mat, p)
 
 
 def test_kernel_basis_of_random_singular_matrices_mod_a_large_prime():
@@ -1146,10 +1156,124 @@ def test_kernel_basis_of_random_singular_matrices_mod_a_large_prime():
     for _ in range(60):
         n = rng.randrange(2, 9)
         mat = _low_rank(n, rng.randrange(n), ell, rng)
-        vectors, pivots = _kernel_basis(mat, ell)
+        vectors, pivots = _kernel(mat, ell)
         assert len(vectors) == n - len(_rref(mat, ell)[1]) > 0
         assert all(sum(map(mul, row, v)) % ell == 0 for row in mat for v in vectors)
         assert _rref(vectors, ell) == (vectors, pivots)
+        assert (vectors, pivots) == kernel_basis(mat, ell)
+
+
+def _shifted(mat, lam, ell):
+    return [[(v - lam) % ell if r == c else v for c, v in enumerate(row)] for r, row in enumerate(mat)]
+
+
+def _conjugated(diagonal, ell, rng):
+    """P diag(diagonal) P^-1 mod ell for a random invertible P: a
+    diagonalisable matrix with the given eigenvalues, repeats kept."""
+    d = len(diagonal)
+    while True:
+        p = [[rng.randrange(ell) for _ in range(d)] for _ in range(d)]
+        if len(_rref(p, ell)[1]) == d:
+            break
+    aug = _rref([row + [int(r == c) for c in range(d)] for r, row in enumerate(p)], ell)[0]
+    p_inv = [row[d:] for row in aug]
+    return [[sum(p[i][k] * diagonal[k] * p_inv[k][j] for k in range(d)) % ell for j in range(d)]
+            for i in range(d)]
+
+
+def _is_hessenberg(h):
+    return all(v == 0 for r, row in enumerate(h) for c, v in enumerate(row) if r > c + 1)
+
+
+@pytest.mark.parametrize("ell", [97, 10007, 364141])
+def test_eigenspaces_of_repeated_eigenvalues_match_the_dense_kernel(ell):
+    """Diagonalisable d x d matrices, d from 1 to 9, whose eigenvalues
+    repeat up to d times: the Hessenberg form is reduced (a repeated
+    eigenvalue of a diagonalisable matrix forces a zero subdiagonal
+    entry), and each eigenvalue's space is the dense kernel of
+    mat - lam I, of dimension its multiplicity, in RREF."""
+    rng = random.Random(ell)
+    reduced = 0
+    for d in range(1, 10):
+        for mult in range(1, d + 1):
+            values = rng.sample(range(ell), d - mult + 1)
+            diagonal = [values[0]] * mult + values[1:]
+            rng.shuffle(diagonal)
+            mat = _conjugated(diagonal, ell, rng)
+            h, steps = _hessenberg(mat, ell)
+            assert _is_hessenberg(h)
+            reduced += any(h[r + 1][r] == 0 for r in range(d - 1))
+            for lam in set(diagonal):
+                vectors, pivots = _eigenspace(h, steps, lam, ell)
+                assert len(vectors) == diagonal.count(lam)
+                assert (vectors, pivots) == kernel_basis(_shifted(mat, lam, ell), ell)
+            other = next(x for x in range(ell) if x not in diagonal)
+            assert _eigenspace(h, steps, other, ell) == ([], [])
+    assert reduced > 0
+
+
+@pytest.mark.parametrize("ell", [97, 364141])
+def test_eigenspaces_of_hessenberg_forms_with_zero_subdiagonals(ell):
+    """Matrices that are upper Hessenberg already, with random zero
+    entries on the subdiagonal, and the scalar d x d matrices (all of it
+    one eigenvalue of multiplicity d): every kernel of mat - lam I, lam
+    an entry of the diagonal, is the dense one."""
+    rng = random.Random(ell + 1)
+    for d in range(1, 9):
+        scalar = [[7 * int(r == c) for c in range(d)] for r in range(d)]
+        h, steps = _hessenberg(scalar, ell)
+        assert _eigenspace(h, steps, 7, ell) == (
+            [[int(r == c) for c in range(d)] for r in range(d)], list(range(d)))
+        for _ in range(6):
+            mat = [[0 if r > c + 1 else rng.randrange(ell) for c in range(d)] for r in range(d)]
+            for r in range(d - 1):
+                if rng.randrange(2):
+                    mat[r + 1][r] = 0
+            for c in range(d):
+                if rng.randrange(2):
+                    mat[c][c] = mat[0][0]  # a repeated diagonal entry
+            h, steps = _hessenberg(mat, ell)
+            assert h == mat
+            for lam in {row[c] for c, row in enumerate(mat)}:
+                assert _eigenspace(h, steps, lam, ell) == kernel_basis(_shifted(mat, lam, ell), ell)
+
+
+def _det(mat, ell):
+    """The determinant mod ell by elimination."""
+    a = [row[:] for row in mat]
+    d, det = len(a), 1
+    for c in range(d):
+        piv = next((r for r in range(c, d) if a[r][c] % ell), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % ell
+        inv = pow(a[c][c], ell - 2, ell)
+        for r in range(c + 1, d):
+            f = a[r][c] * inv % ell
+            a[r] = [(x - f * y) % ell for x, y in zip(a[r], a[c])]
+    return det % ell
+
+
+def test_hessenberg_steps_map_its_kernel_back():
+    """H = S^-1 mat S: for random 1 x 1 to 7 x 7 matrices mod 364141 the
+    characteristic polynomial of H is that of mat (checked at random
+    points as det(x I - mat) by elimination), and the eigenspace at any
+    eigenvalue found is the dense kernel."""
+    ell, rng = 364141, random.Random(5)
+    for _ in range(40):
+        d = rng.randrange(1, 8)
+        mat = [[rng.randrange(ell) for _ in range(d)] for _ in range(d)]
+        h, steps = _hessenberg(mat, ell)
+        assert _is_hessenberg(h)
+        chi = _charpoly_mod(h, ell)
+        for x in (0, 1, rng.randrange(ell)):
+            assert sum(c * pow(x, k, ell) for k, c in enumerate(chi)) % ell == \
+                (-1) ** d * _det(_shifted(mat, x, ell), ell) % ell
+        for lam in _roots_mod(chi, ell):
+            assert _eigenspace(h, steps, lam, ell) == kernel_basis(_shifted(mat, lam, ell), ell)
 
 
 def _merge_classes(table, a, b):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -230,6 +231,68 @@ def test_powmod_matches_repeated_mulmod(p):
         for e in range(71):
             assert zpoly_powmod(a, e, f, p) == expected, (a, e)
             expected = zpoly_mulmod(expected, a, f, p)
+
+
+def schoolbook_powmod(a, e, f, p):
+    """Oracle: a^e mod (f, p) by square-and-multiply over lists, each
+    product a schoolbook one reduced by long division by f, from 1 mod f."""
+
+    def reduce(c):
+        c = [x % p for x in c]
+        inv_lead = pow(f[-1], p - 2, p)
+        for top in range(len(c) - 1, len(f) - 2, -1):
+            k = c[top] * inv_lead % p
+            for i, y in enumerate(f):
+                c[top - len(f) + 1 + i] = (c[top - len(f) + 1 + i] - k * y) % p
+        c = c[:len(f) - 1]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    def times(x, y):
+        prod = [0] * (len(x) + len(y))
+        for i, u in enumerate(x):
+            for j, v in enumerate(y):
+                prod[i + j] += u * v
+        return reduce(prod)
+
+    out, square = reduce([1]), reduce(list(a))
+    while e:
+        if e & 1:
+            out = times(out, square)
+        square, e = times(square, square), e >> 1
+    return out
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("p", [97, 7057, 364141, _next_prime(2**31)])
+def test_packed_powmod_matches_schoolbook(p):
+    """The packed powering against the schoolbook oracle: moduli of
+    degree 1 to 40, not monic, for e in {0, 1, 2, (p - 1)/2}, with the
+    bases x, x + a and a random base of degree up to deg f + 2 (Ben-Or's
+    test passes nonlinear ones)."""
+    rng = random.Random(p)
+    for deg in range(1, 41):
+        f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+        for a in ([0, 1], [rng.randrange(p), 1], [rng.randrange(p) for _ in range(deg + 3)]):
+            for e in (0, 1, 2, (p - 1) // 2):
+                assert zpoly_powmod(a, e, f, p) == schoolbook_powmod(a, e, f, p), (deg, a, e)
+
+
+def test_packed_powmod_of_a_zero_base_and_a_constant_modulus():
+    """0^0 = 1 and 0^e = 0 mod f; every polynomial is 0 mod a nonzero
+    constant."""
+    p = 364141
+    f = [3, 0, 1]
+    assert zpoly_powmod([], 0, f, p) == [1]
+    assert zpoly_powmod([0], 5, f, p) == []
+    assert zpoly_powmod([0, 0, 1], 3, f, p) == schoolbook_powmod([0, 0, 1], 3, f, p)
+    assert zpoly_powmod([1, 1], 7, [5], p) == []
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)

@@ -82,15 +82,19 @@ def test_only_groups_codes_rows():
 
 
 def test_only_tablecache_reads_and_writes_files():
-    """tablecache owns the file framing: no other module calls
-    `read_bytes` or `write_bytes`, and tablecache calls each once, in
-    its one reader and its one writer."""
+    """tablecache owns the file framing: no other module calls `open`
+    (the builtin or a path's), `read_bytes` or `write_bytes`, and
+    tablecache reads once, with `read_bytes` in its one reader, and
+    writes once, opening the file in its one writer, which writes the
+    body's parts without joining them."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("read_bytes", "write_bytes"):
+            if isinstance(node, ast.Attribute) and node.attr in ("open", "read_bytes", "write_bytes"):
                 found.append((path.name, node.attr))
-    assert sorted(found) == [("tablecache.py", "read_bytes"), ("tablecache.py", "write_bytes")]
+            elif isinstance(node, ast.Name) and node.id == "open":
+                found.append((path.name, "open"))
+    assert sorted(found) == [("tablecache.py", "open"), ("tablecache.py", "read_bytes")]
 
 
 def test_group_table_is_built_only_by_class_records():

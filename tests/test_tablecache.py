@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import shutil
 import struct
+from array import array
 
 import pytest
 
@@ -9,7 +11,7 @@ from klyachko import gelfand
 from klyachko.arena import build_arena, is_prime
 from klyachko.characters import character_table
 from klyachko.cli import main
-from klyachko.errors import CacheError
+from klyachko.errors import CacheError, InvariantViolation
 from klyachko.gelfand import load_or_compute_table
 from klyachko.gf import field_make
 from klyachko.groups import SINGULAR
@@ -64,6 +66,36 @@ def test_round_trip_over_several_label_chunks(tmp_path, table_store):
     assert loaded.labels == table.labels
     assert [sorted(m) for m in loaded.members] == [sorted(m) for m in table.members]
     assert loaded.classes == table.classes
+
+
+def test_saved_labels_with_a_0xff_byte_next_to_singular_entries(tmp_path, table_store):
+    """Labels 0x00ff, 0x01ff and 0xfdff (a low byte 0xff), 0xfe00 and
+    0xfefe, the largest label below 0xff00 classes, each beside a
+    `SINGULAR` entry on one side or both, in a table of 0xfeff classes:
+    only the `SINGULAR` entries leave the bytes, as the pack over the
+    codes says."""
+    table = table_store(2, 3)
+    tricky = [0x00FF, 0x01FF, 0xFDFF, 0xFE00, 0xFEFE, 0]
+    labels = array("H", table.labels)
+    codes = list(table.codes)
+    for at, code in enumerate(codes):
+        labels[code] = tricky[at % len(tricky)]
+    assert any(labels[c - 1] == SINGULAR and labels[c + 1] == SINGULAR for c in codes[1:-1])
+    synthetic = dataclasses.replace(table, labels=labels,
+                                    classes=(table.classes[0],) * 0xFEFF)
+    path = tmp_path / "t.tbl"
+    save_table(synthetic, path)
+    assert path.read_bytes()[48:] == struct.pack(f"<{table.order}H", *element_labels(synthetic))
+
+
+def test_save_rejects_0xff00_classes(tmp_path, table_store):
+    """At 0xff00 classes a label could have the high byte 0xff, and its
+    removal could start at an odd offset."""
+    table = table_store(2, 2)
+    synthetic = dataclasses.replace(table, classes=(table.classes[0],) * 0xFF00)
+    with pytest.raises(InvariantViolation, match="0xFF00"):
+        save_table(synthetic, tmp_path / "t.tbl")
+    assert not list(tmp_path.iterdir())
 
 
 def test_load_rejects_wrong_parameters(tmp_path, table_store):
