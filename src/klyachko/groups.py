@@ -48,18 +48,20 @@ for the pair, so the orbits are labelled in the order of their least
 members.  Orbits of conjugation by the group the two generators make
 refine the classes, so more or fewer orbits than class_count(n, q)
 raise InvariantViolation, and orbits that pass are the classes.  The
-table keeps the element codes, one label array indexed by code, holding
-`SINGULAR` at the codes of singular matrices, so a class lookup is one
-index, labels[encode(g, q)] (`identity_class` is that index at the
-identity's code), and the codes of the members of each class, least
-member first.  One loop writes the label array and the members: the
-search's, each orbit in the order the walk reached it being the members
-of its class, with no sort.  `class_records` is the one builder of a
-table, for the search and for a cached table alike, and does only
-per-class work: sizes and least members are read off the members (the
-first of each), and each class is keyed by the invariant factors of
-xI - g (see fqpoly), computed once per class representative, not per
-element.  Other than class_count(n, q)
+table keeps one label array indexed by code, holding `SINGULAR` at the
+codes of singular matrices, so a class lookup is one index,
+labels[encode(g, q)] (`identity_class` is that index at the identity's
+code), and the codes of the members of each class, least member first.
+It holds each element once: no list of the element codes is kept, the
+order is the sum of the class sizes and the elements are the codes whose
+label is not `SINGULAR`.  One loop writes the label array and the
+members: the search's, each orbit in the order the walk reached it
+being the members of its class, with no sort.  `class_records` is the
+one builder of a table, for the search and for a cached table alike,
+and does only per-class work: sizes and least members are read off
+the members (the first of each), and each class is keyed by the
+invariant factors of xI - g (see fqpoly), computed once per class
+representative, not per element.  Other than class_count(n, q)
 classes, least members that do not increase with the label, or two
 classes with one key would mean the labels were not the classes in
 their canonical order, and raise InvariantViolation.  Class
@@ -81,7 +83,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain, filterfalse, product, repeat
+from itertools import chain, compress, count, filterfalse, product, repeat
 from operator import add, itemgetter
 
 from .errors import GroupTooLarge, InvariantViolation, UsageError
@@ -241,11 +243,12 @@ class ConjClass:
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """GL_n(F_q), complete at construction and never changed afterwards:
-    the codes of its elements in increasing order (an array('I')), the
-    class label at every code below q^(n^2) (an array('H'), `SINGULAR` at
-    singular matrices), the codes of the members of each class, least
+    the class label at every code below q^(n^2) (an array('H'), `SINGULAR`
+    at singular matrices), the codes of the members of each class, least
     member first and the rest in no set order (an array('I') per class),
-    and the class records.
+    and the class records.  Each element is held once, as a member: the
+    order is the sum of the class sizes, and `elements` reads the codes
+    off the label array.
     The class of a matrix g is labels[encode(g, q)].
 
     Built only by `class_records`, for `gl_enumerate` and
@@ -254,7 +257,6 @@ class GroupTable:
 
     field: FiniteField
     n: int
-    codes: array
     labels: array
     members: tuple[array, ...]
     classes: tuple[ConjClass, ...]
@@ -265,13 +267,14 @@ class GroupTable:
 
     @property
     def order(self) -> int:
-        return len(self.codes)
+        return sum(map(len, self.members))
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        """The elements in lex order as flat entry tuples: the codes, decoded."""
+        """The elements in lex order as flat entry tuples: the codes whose
+        label is not `SINGULAR`, in increasing order, decoded."""
         n, q = self.n, self.q
-        return tuple(decode(code, n, q) for code in self.codes)
+        return tuple(decode(code, n, q) for code in compress(count(), map(SINGULAR.__ne__, self.labels)))
 
     def inverses(self) -> list[tuple[int, ...]]:
         """The inverses of `elements`, in the same order, as flat entry tuples."""
@@ -306,6 +309,11 @@ def class_count(n: int, q: int) -> int:
     return coeffs[n]
 
 
+def gl_order(n: int, q: int) -> int:
+    """|GL_n(F_q)| = prod_{i<n} (q^n - q^i)."""
+    return math.prod(q**n - q**i for i in range(n))
+
+
 def check_group_cap(n: int, q: int, max_elements: int) -> int:
     """|GL_n(F_q)|, or GroupTooLarge if it exceeds the element cap; UsageError
     for n < 1.  The product q^i (q^(i+1) - 1) over i < n stops as soon as
@@ -331,18 +339,14 @@ def gl_elements(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEM
     """
     q = field.q
     expected = check_group_cap(n, q, max_elements)
-    codes = array("I")
-    if n == 1:
-        codes.extend(range(1, q))
-    else:
-        _extend_by_hyperplanes(codes, n, field)
+    codes = array("I", range(1, q)) if n == 1 else _hyperplane_codes(n, field)
     if len(codes) != expected:
         raise InvariantViolation(f"enumerated {len(codes)}, expected {expected}")
     return codes
 
 
-def _extend_by_hyperplanes(codes: array, n: int, field: FiniteField) -> None:
-    """Append the codes of GL_n(F_q), n >= 2, in increasing order."""
+def _hyperplane_codes(n: int, field: FiniteField) -> array:
+    """The codes of GL_n(F_q), n >= 2, in increasing order, as an array('I')."""
     q = field.q
     size = q**n
     ident = mat_identity(n)
@@ -370,6 +374,7 @@ def _extend_by_hyperplanes(codes: array, n: int, field: FiniteField) -> None:
                                         for v, outside in sorted(complements.items())))
 
     tails: dict[frozenset[int], list[int]] = {}  # by span: prefixes with one span share it
+    codes = array("I")
 
     def extend(prefix: int, span: set[int], depth: int) -> None:
         if depth == n - 2:
@@ -383,6 +388,11 @@ def _extend_by_hyperplanes(codes: array, n: int, field: FiniteField) -> None:
             extend(prefix * size + v, span_with(span, v), depth + 1)
 
     extend(0, {0}, 0)
+    # `extend` calls itself, so it and its closure are a reference cycle that
+    # holds `codes` and `tails` until the cyclic collector runs: break it, so
+    # the codes live only as long as the caller holds them
+    del extend
+    return codes
 
 
 def gl_enumerate(n: int, field: FiniteField, max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupTable:
@@ -507,7 +517,8 @@ def _conjugation_tables(generators: list[tuple[int, ...]], n: int, field: Finite
 def conjugacy_classes(codes: array, n: int, field: FiniteField) -> GroupTable:
     """The table of GL_n(F_q) with its classes as conjugation orbits, from
     the codes of its elements in increasing order, as `class_records`
-    builds it.
+    builds it.  The table keeps no reference to `codes`: the members and
+    labels hold every element.
 
     One label array indexed by code is the search's visited set:
     conjugates of invertible matrices are invertible, so `SINGULAR`
@@ -552,16 +563,15 @@ def conjugacy_classes(codes: array, n: int, field: FiniteField) -> GroupTable:
                 labels[h] = c
                 orbit.append(h)
         members.append(array("I", orbit))
-    return class_records(codes, tuple(members), labels, n, field)
+    return class_records(tuple(members), labels, n, field)
 
 
-def class_records(codes: array, members: tuple[array, ...], labels: array, n: int,
+def class_records(members: tuple[array, ...], labels: array, n: int,
                   field: FiniteField) -> GroupTable:
-    """The table of GL_n(F_q) with the element codes `codes` in increasing
-    order, the class members `members` (the codes of each class, least
-    member first, class c at index c) and `labels`, the label array
-    of q^(n^2) entries holding c at the codes of class c and `SINGULAR`
-    at every code that is not an element.
+    """The table of GL_n(F_q) with the class members `members` (the codes
+    of each class, least member first, class c at index c) and `labels`,
+    the label array of q^(n^2) entries holding c at the codes of class c
+    and `SINGULAR` at every code that is not an element.
 
     Only per-class work is done here: the caller made the members and
     wrote the labels, the search as it walks the orbits and
@@ -573,7 +583,8 @@ def class_records(codes: array, members: tuple[array, ...], labels: array, n: in
     invariant factors of xI - g of the representative, and its inverse
     class the label at the representative's inverse.  Other
     than class_count(n, q) classes or an empty one (labels that skip a
-    number or merge classes, say), sizes that do not sum to the order,
+    number or merge classes, say), sizes that do not sum to
+    gl_order(n, q) (a member that is not an element, say),
     least members that do not increase with the label (labels that
     permute the classes) or a key shared by two classes (labels that
     split a class) raise InvariantViolation.
@@ -583,7 +594,7 @@ def class_records(codes: array, members: tuple[array, ...], labels: array, n: in
     if len(members) != expected or not all(members):
         raise InvariantViolation(
             f"{sum(map(bool, members))} classes named, GL_{n}(F_{q}) has {expected}")
-    if sum(map(len, members)) != len(codes):
+    if sum(map(len, members)) != gl_order(n, q):
         raise InvariantViolation("the class sizes do not sum to the group order")
     firsts = [m[0] for m in members]
     if any(a > b for a, b in zip(firsts, firsts[1:])):
@@ -596,7 +607,7 @@ def class_records(codes: array, members: tuple[array, ...], labels: array, n: in
         ConjClass(g, len(m), key, labels[encode(mat_inv(g, n, field), q)])
         for g, key, m in zip(reps, keys, members)
     )
-    return GroupTable(field, n, codes, labels, members, classes)
+    return GroupTable(field, n, labels, members, classes)
 
 
 # -- symplectic and mixed subgroups --------------------------------------

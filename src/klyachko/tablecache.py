@@ -20,10 +20,13 @@ search's orbits give a computed table its members.  A loaded class's
 members are in increasing order, so its least member is first, as in a
 computed table.  `groups.class_records` then builds the table from the
 members as it does for the search, reading the class records off them.
+The enumeration is a local of the load, freed once the table is built,
+which keeps only the labels and members.
 The writer takes the label array `LABEL_CHUNK` entries at a time as
 little-endian bytes and drops the `SINGULAR` ones, with no int per
 element (`save_table`).  The loader rejects a file whose version,
-(n, p, e), count, length, digest or class labels do not match (a label
+(n, p, e), count (checked against `groups.gl_order`), length, digest or
+class labels do not match (a label
 at or above the class count, a class with no member, or labels that
 are otherwise not the classes numbered in the order of their least
 members, as `class_records` checks them); the caller then
@@ -66,7 +69,6 @@ length and the digest, so each loader makes only its own checks.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import sys
@@ -77,7 +79,7 @@ from .arena import ModularArena
 from .characters import ClassFunction, verify_orthogonality
 from .errors import CacheError, InvariantViolation
 from .gf import FiniteField
-from .groups import SINGULAR, GroupTable, class_count, class_records, gl_elements
+from .groups import SINGULAR, GroupTable, class_count, class_records, gl_elements, gl_order
 
 # importing hashlib loads OpenSSL (about 3.5 MiB resident), so take the
 # lean builtin SHA-256 where it exists, as the stdlib's random does
@@ -194,7 +196,7 @@ def save_table(table: GroupTable, path: str | Path) -> None:
 def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
     (_, _, _, _, count), _, body = _read(path, MAGIC, HEADER, n, field,
                                          lambda n, p, e, reserved, count: (0, 2 * count))
-    if count != math.prod(field.q**n - field.q**i for i in range(n)):
+    if count != gl_order(n, field.q):
         raise CacheError(f"{path}: {count} elements is not the order of GL_{n}(F_{field.q})")
     codes = gl_elements(n, field, count)
     labels = array("H", [SINGULAR]) * field.q ** (n * n)
@@ -211,7 +213,7 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
     except IndexError:  # a label at or above the class count, SINGULAR too
         raise CacheError(f"{path}: class labels do not name conjugacy classes") from None
     try:
-        return class_records(codes, members, labels, n, field)
+        return class_records(members, labels, n, field)
     except InvariantViolation as exc:
         raise CacheError(f"{path}: class labels do not name conjugacy classes") from exc
 

@@ -27,6 +27,7 @@ from klyachko.groups import (
     chunk_columns,
     chunk_images,
     encode,
+    gl_elements,
     products,
     symplectic_form,
 )
@@ -67,9 +68,9 @@ def label_of(table, el):
 
 
 def element_labels(table):
-    """The class label of every element of a group table, in the order
-    of `table.elements` (increasing codes)."""
-    return [table.labels[code] for code in table.codes]
+    """The class label of every element of a group table, in increasing
+    order of codes, the codes taken from `gl_elements`, not the table."""
+    return [table.labels[code] for code in gl_elements(table.n, table.field)]
 
 
 def inner_product_residue(a, b, table):
@@ -102,9 +103,10 @@ def every_class_visit_order(table, images):
 
 def class_members(table):
     """The codes of the members of each class, in increasing order,
-    indexed by class: the element codes bucketed by their labels."""
+    indexed by class: the element codes of `gl_elements`, not the
+    table's, bucketed by their labels."""
     members = tuple(array("I") for _ in table.classes)
-    for code in table.codes:
+    for code in gl_elements(table.n, table.field):
         members[table.labels[code]].append(code)
     return members
 

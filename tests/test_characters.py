@@ -516,21 +516,28 @@ def test_class_members_are_the_classes_in_lex_order(n, q, table_store, tmp_path)
         assert [len(m) for m in tab.members] == [cls.size for cls in table.classes]
 
 
-class _CountOnly:
-    """Element codes that have a length and nothing to iterate or index."""
+class _IndexOnly:
+    """A label array that can be indexed and not iterated."""
 
-    def __init__(self, count):
-        self.count = count
+    def __init__(self, labels):
+        self.labels = labels
 
-    def __len__(self):
-        return self.count
+    def __getitem__(self, code):
+        return self.labels[code]
+
+    def __iter__(self):
+        raise TypeError("the label array is iterated")
 
 
 def test_character_table_scans_no_element_list(table_store, arena_store):
-    """The split reads the members of each class from the table: with
-    element codes that cannot be scanned it gives the same characters."""
+    """The split reads the members of each class from the table and
+    looks up labels one code at a time: with a label array that cannot
+    be iterated, so no element list can be read off it, it gives the
+    same characters."""
     table, arena = table_store(3, 3), arena_store(3, 3)
-    unscannable = dataclasses.replace(table, codes=_CountOnly(table.order))
+    unscannable = dataclasses.replace(table, labels=_IndexOnly(table.labels))
+    with pytest.raises(TypeError):
+        unscannable.elements
     assert character_table(unscannable, arena) == character_table(table, arena)
 
 

@@ -288,7 +288,7 @@ def test_products_match_mat_mul(n, q, table_store):
     """x g for every element x, by one chunk-image lookup per chunk of
     rows (pairs of rows when n > 2), equals the matrix product."""
     table = table_store(n, q)
-    columns = chunk_columns(table.codes, n, q)
+    columns = chunk_columns(gl_elements(n, table.field), n, q)
     assert len(columns) == -(-n // chunk_rows(n))
     for cls in table.classes[:4]:
         g = cls.representative
@@ -389,7 +389,7 @@ def test_generator_pair_matches_three_generators(n, q):
     labels, members = three_generator_classes(codes, n, field)
     assert pair.labels == labels
     assert _holds_the_members(pair.members, members)
-    assert pair.classes == class_records(codes, members, labels, n, field).classes
+    assert pair.classes == class_records(members, labels, n, field).classes
 
 
 def _send_identity_to(dst, generator, field, monkeypatch):
@@ -422,7 +422,7 @@ def test_generator_table_that_merges_classes_raises(q, generator, monkeypatch):
     c = table.identity_class()
     _send_identity_to(table.members[c + 1][0], generator, field, monkeypatch)
     with pytest.raises(InvariantViolation, match=f"{len(table.classes) - 1} classes named"):
-        conjugacy_classes(table.codes, 2, field)
+        conjugacy_classes(gl_elements(2, field), 2, field)
 
 
 @pytest.mark.parametrize("generator", [0, 1])

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import klyachko
 from klyachko.groups import GroupTable
+from klyachko.tablecache import load_table, save_table
 
 SRC = Path(klyachko.__file__).parent
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
@@ -187,16 +188,20 @@ def test_benchmark_worker_names_resolve():
     assert sorted(table_members - members) == []
 
 
-def test_benchmark_worker_unit_costs_run_on_tables(table_store, monkeypatch):
+def test_benchmark_worker_unit_costs_run_on_tables(table_store, monkeypatch, tmp_path):
     """The benchmark worker, imported as it runs, times invariant_factors
     and mat_mul on the elements, inverses and representatives of real
-    tables: a table API it cannot use fails here, not only in a
-    benchmark run."""
+    tables, computed and loaded from a `.tbl` (whose elements come from
+    its labels alone): a table API it cannot use fails here, not only in
+    a benchmark run."""
     monkeypatch.syspath_prepend(str(WORKER.parent))  # the worker imports hostspeed
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
-    costs = worker.unit_costs({(2, 2): table_store(2, 2), (2, 3): table_store(2, 3)})
+    path = tmp_path / "t.tbl"
+    save_table(table_store(3, 2), path)
+    loaded = load_table(path, table_store(3, 2).field, 3)
+    costs = worker.unit_costs({(2, 2): table_store(2, 2), (2, 3): table_store(2, 3), (3, 2): loaded})
     assert sorted(costs) == ["fqpoly.invariant_factors_us", "gf.mat_mul_us"]
     assert all(math.isfinite(us) and us > 0 for us in costs.values())

@@ -1,20 +1,22 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import shutil
 import struct
+import weakref
 from array import array
 
 import pytest
 
-from klyachko import gelfand
+from klyachko import gelfand, groups, tablecache
 from klyachko.arena import build_arena, is_prime
 from klyachko.characters import character_table
 from klyachko.cli import main
 from klyachko.errors import CacheError, InvariantViolation
 from klyachko.gelfand import load_or_compute_table
-from klyachko.gf import field_make
-from klyachko.groups import SINGULAR
+from klyachko.gf import field_make, mat_inv
+from klyachko.groups import SINGULAR, decode, gl_elements
 from klyachko.tablecache import (
     CHARS_MAGIC,
     LABEL_CHUNK,
@@ -27,7 +29,7 @@ from klyachko.tablecache import (
     save_characters,
     save_table,
 )
-from oracles import element_labels
+from oracles import element_labels, gl_order
 
 RETIRED_MAGIC = b"KLYGRP\x00\x02"  # format 2 also stored a record per class
 FORMAT_3_MAGIC = b"KLYGRP\x00\x03"  # format 3 also stored the elements
@@ -36,20 +38,63 @@ FORMAT_3_MAGIC = b"KLYGRP\x00\x03"  # format 3 also stored the elements
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_save_load_with_classes(n, q, tmp_path, table_store):
     """The table loaded from a file equals the orbit sweep's in its
-    label array, element codes, class members (as sets, each with its
-    least member first), class records, order, elements and inverses."""
+    label array, class members (as sets, each with its least member
+    first), class records, order, elements and inverses."""
     table = table_store(n, q)
     path = tmp_path / "t.tbl"
     save_table(table, path)
     loaded = load_table(path, table.field, n)
     assert loaded.labels == table.labels
-    assert loaded.codes == table.codes
     assert [sorted(m) for m in loaded.members] == [sorted(m) for m in table.members]
     assert all(m[0] == min(m) for tab in (loaded, table) for m in tab.members)
     assert loaded.classes == table.classes
     assert loaded.order == table.order
     assert loaded.elements == table.elements
     assert loaded.inverses() == table.inverses()
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (3, 3), (3, 4)])
+def test_order_elements_and_inverses_come_from_members_and_labels(n, q, tmp_path, table_store):
+    """A table holds no element list: computed or loaded, its order is
+    |GL_n(F_q)| by the closed form, its elements are the decoded codes
+    of a fresh `gl_elements` enumeration, in the same order, and its
+    inverses are those elements inverted one by one."""
+    table = table_store(n, q)
+    path = tmp_path / "t.tbl"
+    save_table(table, path)
+    field = table.field
+    want = tuple(decode(code, n, q) for code in gl_elements(n, field))
+    inverses = [mat_inv(el, n, field) for el in want]
+    for tab in (table, load_table(path, field, n)):
+        assert tab.order == gl_order(n, q)
+        assert tab.elements == want
+        assert tab.inverses() == inverses
+
+
+def test_the_enumeration_is_freed_once_the_table_is_built(tmp_path, monkeypatch, table_store):
+    """The codes that `gl_elements` gives `gl_enumerate` and `load_table`
+    are freed when the call returns, with the cyclic collector off:
+    neither the table nor a reference cycle of the enumeration holds
+    them."""
+    table = table_store(3, 3)
+    path = tmp_path / "t.tbl"
+    save_table(table, path)
+    made = []
+
+    def recorded(*args):
+        codes = gl_elements(*args)
+        made.append(weakref.ref(codes))
+        return codes
+
+    monkeypatch.setattr(groups, "gl_elements", recorded)
+    monkeypatch.setattr(tablecache, "gl_elements", recorded)
+    gc.disable()
+    try:
+        built = [groups.gl_enumerate(3, table.field), load_table(path, table.field, 3)]
+    finally:
+        gc.enable()
+    assert [tab.classes for tab in built] == [table.classes] * 2
+    assert len(made) == 2 and all(ref() is None for ref in made)
 
 
 def test_round_trip_over_several_label_chunks(tmp_path, table_store):
@@ -77,7 +122,7 @@ def test_saved_labels_with_a_0xff_byte_next_to_singular_entries(tmp_path, table_
     table = table_store(2, 3)
     tricky = [0x00FF, 0x01FF, 0xFDFF, 0xFE00, 0xFEFE, 0]
     labels = array("H", table.labels)
-    codes = list(table.codes)
+    codes = gl_elements(2, table.field)
     for at, code in enumerate(codes):
         labels[code] = tricky[at % len(tricky)]
     assert any(labels[c - 1] == SINGULAR and labels[c + 1] == SINGULAR for c in codes[1:-1])
