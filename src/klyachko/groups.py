@@ -82,7 +82,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import chain, compress, count, filterfalse, product, repeat
 from operator import add, itemgetter
 
@@ -265,7 +265,7 @@ class GroupTable:
     def q(self) -> int:
         return self.field.q
 
-    @property
+    @cached_property
     def order(self) -> int:
         return sum(map(len, self.members))
 
