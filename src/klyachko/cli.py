@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes (stable): 0 success (for verify-gelfand: the gelfand flag is
 true); 1 verification negative or generic failure; 2 refused (resource
-caps exceeded, or bad usage); 3 internal invariant violation; 4 parse
-error in a parameter expression; 5 degree mismatch.
+caps exceeded, such as the enumeration cap or a --t of residue-survival
+or period above MAX_T = 1001, or bad usage); 3 internal invariant
+violation; 4 parse error in a parameter expression; 5 degree mismatch.
 
 Environment: KLYACHKO_CACHE_DIR (group and character table cache location),
 KLYACHKO_MAX_ELEMENTS (enumeration cap).
@@ -67,6 +68,10 @@ EXIT_DEGREE = 5
 
 ENV_CACHE_DIR = "KLYACHKO_CACHE_DIR"
 ENV_MAX_ELEMENTS = "KLYACHKO_MAX_ELEMENTS"
+
+# the largest --t of residue-survival and period: the residue report grows
+# as t^2 (15 MB of JSON at t = 1001) and the period report as t
+MAX_T = 1001
 
 
 def _meta() -> dict:
@@ -229,7 +234,14 @@ def _as_plain_param(blocks) -> TadicParameter:
     return TadicParameter([ParamBlock(b) for b in blocks])
 
 
+def _refuse_large_t(t: int) -> None:
+    """Refuse a --t above MAX_T before any work."""
+    if t > MAX_T:
+        raise ResourceRefused(f"--t {t} is above the cap {MAX_T}")
+
+
 def cmd_period(args) -> int:
+    _refuse_large_t(args.t)
     if args.tol is not None:
         if not args.zeta:
             raise UsageError("--tol applies only with --zeta")
@@ -267,6 +279,7 @@ def cmd_period(args) -> int:
 
 
 def cmd_residue_survival(args) -> int:
+    _refuse_large_t(args.t)
     payload = residue_survival(args.t)
     payload["meta"] = _meta()
 

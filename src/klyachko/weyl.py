@@ -8,29 +8,20 @@ and a parabolic containing the blocks is a composition of t.  The
 staircase vector Lambda_t = ((t-1)/2, ..., (1-t)/2) is the point where
 the multi-residue is taken.
 
-Permutations act on exponent vectors by (w . v)_j = v_{w^-1(j)}.
+Permutations act on exponent vectors by (w . v)_j = v_{w^-1(j)}, but
+nothing here applies that action: on the staircase it reduces to the
+images of w.  Lambda_k = (t+1)/2 - k, so
+(w . Lambda_t)_j - (w . Lambda_t)_{j+1} = w^-1(j+1) - w^-1(j), and with
+j = w(k) that step is 1 exactly when w(k+1) = w(k) + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import gt, ne, sub
+from operator import and_, eq, gt, ne
 
 from .errors import UnsupportedComposition
-
-Vector = tuple  # of exact rationals
-
-
-def interior_indices(composition: tuple[int, ...]) -> list[int]:
-    """Delta^L: the adjacent pairs (j, j+1) lying inside one block of
-    the composition, 1-based."""
-    out = []
-    pos = 0
-    for m in composition:
-        out.extend(range(pos + 1, pos + m))
-        pos += m
-    return out
 
 
 @dataclass(frozen=True)
@@ -55,21 +46,6 @@ class WeylElement:
 
     def __call__(self, j: int) -> int:
         return self.images[j - 1]
-
-    def inverse(self) -> "WeylElement":
-        """w^-1 in one pass over the images (on CPython 3.11 this plain loop
-        is faster than a dict position map or a keyed sort)."""
-        inv = [0] * self.t
-        for j, img in enumerate(self.images, start=1):
-            inv[img - 1] = j
-        return WeylElement(tuple(inv))
-
-    def apply(self, vec: Vector) -> Vector:
-        """(w . v)_j = v_{w^-1(j)}: one lookup pass of w^-1's images into
-        the vector, padded so that the 1-based images index it."""
-        if len(vec) != self.t:
-            raise ValueError("vector length mismatch")
-        return tuple(map((None, *vec).__getitem__, self.inverse().images))
 
     def cycle_string(self) -> str:
         """The disjoint cycles, each from its least point, walked on the
@@ -96,6 +72,16 @@ def descent_set(w: WeylElement) -> list[int]:
     return list(compress(count(1), map(gt, images, images[1:])))
 
 
+def bookkeeping_set(w: WeylElement) -> list[int]:
+    """w^-1 of the residue hyperplanes through Lambda_t for the (1, t-1)
+    block composition, ascending: the k with w(k+1) = w(k) + 1 and w(k)
+    interior, i.e. in [2, t-1] (see the module docstring).  w(k+1) <= t
+    caps w(k) at t-1, so only w(k) > 1 is tested."""
+    images = w.images
+    return list(compress(count(1), map(and_, map(eq, images[1:], map((1).__add__, images)),
+                                       map((1).__lt__, images))))
+
+
 def coset_reps(t: int) -> list[WeylElement]:
     """The t reduced representatives for the (r, 2mr) parabolic, t = 2m+1
     odd: w^(i) = (1, 2, ..., i), the unique one with w^(i)(i) = 1."""
@@ -115,27 +101,21 @@ def residue_survival(t: int) -> dict:
     of total order 2m.  Two sources are counted from first principles:
 
     - descents of w (first-order poles of the intertwining operator),
-    - positions w^-1(j) for interior indices j of the (1, 2m) block
-      composition where (w . Lambda_t) steps down by exactly 1, i.e.
-      residue hyperplanes of the inner Eisenstein series that pass
-      through Lambda_t.  For i > 1 this set equals [1, 2m] minus
-      {i-1, i}; for the identity it is [2, 2m], which is why the
-      identity term also dies.
+    - the bookkeeping set: positions w^-1(j) for interior indices j of
+      the (1, 2m) block composition where (w . Lambda_t) steps down by
+      exactly 1, i.e. residue hyperplanes of the inner Eisenstein series
+      that pass through Lambda_t.  That step is w^-1(j+1) - w^-1(j), so
+      the set is read off the images of w as its unit ascents
+      w(k+1) = w(k) + 1 with w(k) interior (`bookkeeping_set`).  For
+      i > 1 it equals [1, 2m] minus {i-1, i}; for the identity it is
+      [2, 2m], which is why the identity term also dies.
     """
     if t < 3 or t % 2 == 0:
         raise UnsupportedComposition(f"t must be odd and >= 3, got t = {t}")
     m = (t - 1) // 2
-    lam2 = tuple(t - 1 - 2 * j for j in range(t))  # 2 Lambda_t, in integers: a step of 1 is 2
-    inner = frozenset(interior_indices((1, t - 1)))
     terms = []
     for i, w in enumerate(coset_reps(t), start=1):
-        moved = w.apply(lam2)
-        # steps[j-1] = moved_j - moved_{j+1}; the residue hyperplanes through
-        # Lambda_t are the interior j with a step of exactly 2
-        steps = map(sub, moved, moved[1:])
-        through = inner.intersection(compress(count(1), map((2).__eq__, steps)))
-        # w^-1(through): the positions k with w(k) in through, ascending
-        bookkeeping = list(compress(count(1), map(through.__contains__, w.images)))
+        bookkeeping = bookkeeping_set(w)
         descents = descent_set(w)
         pole_order = len(bookkeeping) + len(descents)
         terms.append({

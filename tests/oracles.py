@@ -650,7 +650,7 @@ def mu_q(m):
     nothing."""
     t = 2 * m + 1
     composition = (1, t - 1)
-    moved = WeylElement.cycle(t, t).apply(lambda_vec(t))
+    moved = naive_apply(WeylElement.cycle(t, t), lambda_vec(t))
     diff = tuple(a - b for a, b in zip(moved, lambda_blockwise(composition)))
     if len(set(diff[1:])) != 1:
         raise InvariantViolation("difference vector not constant on blocks")
@@ -662,7 +662,7 @@ def mu_q(m):
 
 def naive_inverse(w):
     """The images of w^-1: for each k, the j with w(j) = k, found by search."""
-    return tuple(next(j for j in range(1, w.t + 1) if w(j) == k) for k in range(1, w.t + 1))
+    return tuple(w.images.index(k) + 1 for k in range(1, w.t + 1))
 
 
 def naive_apply(w, vec):
@@ -695,6 +695,29 @@ def naive_cycle_string(w):
 def naive_descent_set(w):
     """{i in [1, t-1] : w(i) > w(i+1)}, as an ascending list."""
     return [i for i in range(1, w.t) if w(i) > w(i + 1)]
+
+
+def interior_indices(composition):
+    """Delta^L: the adjacent pairs (j, j+1) lying inside one block of
+    the composition, 1-based."""
+    out = []
+    pos = 0
+    for m in composition:
+        out.extend(range(pos + 1, pos + m))
+        pos += m
+    return out
+
+
+def naive_bookkeeping_set(w):
+    """The bookkeeping set from the action: apply w to 2 Lambda_t, keep
+    the interior indices j of the (1, t-1) composition where it steps
+    down by exactly 2 (a step of 1 in Lambda_t), and map them back
+    through w^-1, ascending."""
+    t = w.t
+    moved = naive_apply(w, tuple(t - 1 - 2 * k for k in range(t)))  # w . 2 Lambda_t
+    through = [j for j in interior_indices((1, t - 1)) if moved[j - 1] - moved[j] == 2]
+    inv = naive_inverse(w)
+    return sorted(inv[j - 1] for j in through)
 
 
 def residue_terms_closed_form(t):

@@ -369,6 +369,31 @@ def test_residue_survival_even_t_fails(capsys):
     assert code == 1
 
 
+def test_largest_t_is_accepted(capsys):
+    code, out, err = run(capsys, "residue-survival", "--t", "1001")
+    assert (code, err) == (0, "")
+    assert out.endswith("survivors: [1001] (w_Q is i = 1001)\n")
+    code, js, err = run_json(capsys, "period", "--t", "1001")
+    assert (code, err) == (0, "")
+    assert js["t"] == 1001
+
+
+@pytest.mark.parametrize("argv", [
+    ["residue-survival", "--t", "1003"],
+    ["residue-survival", "--t", "1003", "--format", "json"],
+    ["residue-survival", "--t", "1004"],
+    ["period", "--t", "1002", "--zeta"],
+])
+def test_t_above_the_cap_is_refused_before_any_work(capsys, monkeypatch, argv):
+    def no_work(t):
+        raise AssertionError("engine called above the cap")
+
+    monkeypatch.setattr(cli, "residue_survival", no_work)
+    monkeypatch.setattr(cli, "period_formula", no_work)
+    t = argv[2]
+    assert run(capsys, *argv) == (2, "", f"refused: --t {t} is above the cap 1001\n")
+
+
 def test_table_dump(capsys):
     code, js, _ = run_json(capsys, "table", "--n", "2", "--q", "2", "--no-cache")
     assert code == 0

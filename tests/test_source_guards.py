@@ -7,7 +7,6 @@ import importlib.util
 import math
 import re
 import sys
-from collections import Counter
 from pathlib import Path
 
 import klyachko
@@ -131,20 +130,35 @@ def test_no_class_of_dict_in_library():
 
 def test_every_library_name_is_used():
     """Every function, class and method the library defines, dunders
-    aside, is used by the library or the benchmark: its name occurs as a
-    word in src/klyachko or perfbench/ outside the def or class lines
-    that define it.  What only tests use belongs in tests/."""
-    words = Counter()
+    aside, is used by the library or the benchmark, read from the syntax
+    of src/klyachko and perfbench/, not from words in their prose.  A
+    function or class outside a class body is used when it is loaded by
+    name or imported; a method when it is read as an attribute, where a
+    dotted string constant such as TRACED's "GroupTable.exponent" reads
+    its last part.  What only tests use belongs in tests/."""
+    loaded, read = set(), set()
     for path in sorted(SRC.glob("*.py")) + sorted(WORKER.parent.glob("*.py")):
-        words.update(re.findall(r"\w+", path.read_text()))
-    own = Counter()  # occurrences of each name on the lines defining it
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and "." in node.value and all(map(str.isidentifier, node.value.split("."))):
+                read.add(node.value.rpartition(".")[2])
+    unused = []
     for path in sorted(SRC.glob("*.py")):
-        lines = path.read_text().splitlines()
-        for node in ast.walk(ast.parse("\n".join(lines), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and not (node.name.startswith("__") and node.name.endswith("__")):
-                own[node.name] += re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
-    assert sorted(name for name in own if words[name] <= own[name]) == []
+                    and not (node.name.startswith("__") and node.name.endswith("__")) \
+                    and node.name not in (read if id(node) in methods else loaded):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []
 
 
 def _resolves(name: str) -> bool:
