@@ -27,11 +27,12 @@ omega_chibar; a real class requests no rows for such a plane
 A wrong skip could at worst leave a space unsplit, which raises
 EigenSplitFailure.  Each visited class splits every other space that
 is not yet a line: only the rows of M_i at the space's pivot columns
-are computed, each counted over the smaller of C_i and C_j
-(a_ij^k = a_ji^k, as class sums are central), the d x d restriction of
-M_i to the space is diagonalised, and the kernel of each eigenvalue
-becomes a new space.  The members of every class come with the table
-(`GroupTable.members`), so no visit scans the whole group.  A product
+are computed, once per visit for a column several spaces share, each
+counted over the smaller of C_i and C_j (a_ij^k = a_ji^k, as class
+sums are central), the d x d restriction of M_i to the space is
+diagonalised, and the kernel of each eigenvalue becomes a new space.
+The members of every class come with the table (`GroupTable.members`),
+so no visit scans the whole group.  A product
 x g is read row by row: row r of x g is the entry of
 `groups.row_images(g)` at row r of x, so with tables of the rows of
 each chunk of rows at their places the code of x g is a sum of one
@@ -675,7 +676,9 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
         real = inv_map[i] == i  # a scalar on every conjugate pair
         split = [len(basis) > 1 and not (real and _conjugate_pair(basis, pivots, inv_map, ell))
                  for basis, pivots, _ in spaces]
-        rows = [p for (_, pivots, _), s in zip(spaces, split) if s for p in pivots]
+        # spaces share pivot columns: ask for each row once
+        rows = list(dict.fromkeys(p for (_, pivots, _), s in zip(spaces, split) if s
+                                  for p in pivots))
         if not rows:
             continue
         m_rows = dict(zip(rows, class_multiplication_tensor(table, i, rows, columns, images)))

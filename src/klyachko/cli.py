@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import (
@@ -70,7 +71,9 @@ ENV_CACHE_DIR = "KLYACHKO_CACHE_DIR"
 ENV_MAX_ELEMENTS = "KLYACHKO_MAX_ELEMENTS"
 
 # the largest --t of residue-survival and period: the residue report grows
-# as t^2 (15 MB of JSON at t = 1001) and the period report as t
+# as t^2 (15 MB of JSON at t = 1001, where a new process peaks at 81 MiB in
+# JSON or text, as _emit writes the parts without joining them) and the
+# period report as t
 MAX_T = 1001
 
 
@@ -78,9 +81,58 @@ def _meta() -> dict:
     return {"version": __version__}
 
 
+def _json_parts(value, parts: list, pad: str) -> None:
+    """Append the text of `json.dumps(value, indent=2)` to `parts`; `pad`
+    is a newline and the indent of the line that `value` starts on.
+
+    With `indent` set, the stdlib encodes in pure Python, one generator
+    step per value. Here a list of plain ints is one C-level join, and
+    a plain int is `int.__repr__`, as in the stdlib's encoder. Keys and
+    other scalars are encoded by the stdlib. A key that is not a str, or
+    a value of no JSON type, raises TypeError."""
+    if type(value) is int:
+        parts.append(int.__repr__(value))
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            parts += (sep, encode_basestring_ascii(key), ": ")
+            _json_parts(item, parts, inner)
+            sep = "," + inner
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            parts += ("[" + inner, ("," + inner).join(map(int.__repr__, value)), pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _json_parts(item, parts, inner)
+            sep = "," + inner
+        parts.append(pad + "]")
+    elif value is None or isinstance(value, (int, float)):
+        parts.append(json.dumps(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, fmt: str, text_renderer) -> None:
+    """Write the payload as `json.dumps(payload, indent=2)` and a newline,
+    byte for byte, or render it as text."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        parts = []
+        _json_parts(payload, parts, "\n")
+        parts.append("\n")
+        sys.stdout.writelines(parts)
     else:
         text_renderer(payload)
 

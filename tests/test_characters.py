@@ -581,8 +581,8 @@ def test_rational_class_matches_power_map(n, q, table_store):
 # (classes visited, products, characteristic polynomials, restrictions,
 # lines carried from the kept central spaces) of the split, as the
 # README's "Character table" section states them
-SPLIT_WORK = {(3, 3): (4, 4719, 4, 6, 12), (4, 2): (4, 8124, 4, 5, 0),
-              (2, 9): (8, 7076, 13, 31, 60)}
+SPLIT_WORK = {(3, 3): (4, 4719, 4, 6, 12), (4, 2): (4, 7914, 4, 5, 0),
+              (2, 9): (8, 3711, 13, 31, 60)}
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -1,5 +1,7 @@
 import json
+import random
 import time
+from enum import IntEnum
 
 import pytest
 
@@ -448,3 +450,55 @@ def test_reused_parser_matches_fresh_parser():
         argv = PARSER_ARGVS[index]
         fresh = build_parser.__wrapped__().parse_args(argv)
         assert vars(shared.parse_args(argv)) == vars(fresh)
+
+
+class Colour(IntEnum):
+    RED = 1
+    BLUE = -7
+
+
+SCALARS = [0, 1, -1, 2**64, -(3**200), True, False, None, 0.0, -0.0, 1.5, -2.5e-300, 1e300,
+           float("nan"), float("inf"), float("-inf"), Colour.RED, Colour.BLUE,
+           "", "plain", 'a "quoted" word', "back\\slash", "\x00\x1f\n\t\x7f", "caf\u00e9",
+           "\u65e5\u672c", "\U0001f600", "\u2028\ud800"]
+CHARACTERS = "az09 \"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600"
+
+
+def _random_json_value(rng, depth):
+    """A nested value of dicts, lists and tuples, with runs of plain ints
+    and lists that mix ints with the other scalars."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        if rng.random() < 0.5:
+            return rng.choice(SCALARS)
+        if rng.random() < 0.5:
+            return rng.randint(-10**30, 10**30)
+        return "".join(rng.choices(CHARACTERS, k=rng.randint(0, 6)))
+    if roll < 0.5:
+        ints = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 6))]
+        return ints if rng.random() < 0.5 else tuple(ints)
+    if roll < 0.75:
+        items = [_random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+        return items if rng.random() < 0.5 else tuple(items)
+    return {"".join(rng.choices(CHARACTERS, k=rng.randint(0, 4))): _random_json_value(rng, depth - 1)
+            for _ in range(rng.randint(0, 4))}
+
+
+def test_emitter_writes_the_stdlib_bytes_on_random_values(capsys):
+    """cli._emit against json.dumps(indent=2) on 600 seeded nested values."""
+    rng = random.Random(2718)
+    values = [[], (), {}, [[]], {"a": {}}, [1, True], [0, None], [2, 1.0], [Colour.RED, 3],
+              [10**40, -0.0, float("nan")], *SCALARS]
+    values += [_random_json_value(rng, 4) for _ in range(600)]
+    for value in values:
+        cli._emit(value, "json", None)
+        assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 1}]}, {(1, 2): 3}, {b"k": 1}, [object()],
+                                   {"a": {1, 2}}, b"bytes"])
+def test_emitter_refuses_what_it_cannot_encode(value):
+    """A key that is not a str, or a value of no JSON type, raises
+    TypeError (json.dumps would convert int, float, bool and None keys)."""
+    with pytest.raises(TypeError):
+        cli._emit(value, "json", None)

@@ -7,6 +7,7 @@ the run metadata is compared verbatim.
 """
 
 import json
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,24 @@ def test_symbolic_output_matches_golden(name, capsys):
     live = json.loads(capsys.readouterr().out)
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert json.dumps(strip_meta(live), indent=2) == json.dumps(strip_meta(golden), indent=2)
+
+
+EMITTED_ARGVS = {
+    "verify_gelfand_n3_q3": ["verify-gelfand", "--n", "3", "--q", "3", "--no-cache"],
+    "table_n2_q5": ["table", "--n", "2", "--q", "5", "--no-cache"],
+    **SYMBOLIC_CASES,
+    **{f"residue_survival_t{t}": ["residue-survival", "--t", str(t)] for t in (3, 101)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED_ARGVS))
+def test_json_output_is_the_stdlib_encoding(name, capsys):
+    """Every command writes exactly json.dumps(report, indent=2) and a
+    newline, meta included, though cli._emit does not call it."""
+    assert main(EMITTED_ARGVS[name] + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    expected = json.dumps(json.loads(out), indent=2) + "\n"
+    if out != expected:  # report the first difference, not a diff of every line
+        at = next(i for i, pair in enumerate(zip_longest(out, expected)) if pair[0] != pair[1])
+        pytest.fail(f"byte {at}: {out[at - 40:at + 40]!r} where json.dumps writes "
+                    f"{expected[at - 40:at + 40]!r}")

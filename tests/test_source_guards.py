@@ -97,6 +97,20 @@ def test_only_tablecache_reads_and_writes_files():
     assert sorted(found) == [("tablecache.py", "open"), ("tablecache.py", "read_bytes")]
 
 
+def test_only_cli_emit_writes_indented_json():
+    """One JSON writer: no library call of `json.dumps`, `json.dump` or
+    `JSONEncoder` passes `indent`, so every indented report comes from
+    `cli._emit`, whose bytes the tests compare with the stdlib's."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords) \
+                    and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} \
+                    & {"dumps", "dump", "JSONEncoder"}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_group_table_is_built_only_by_class_records():
     """One builder of tables: `GroupTable(` is called at exactly one site
     in the library, inside `groups.class_records`, so a computed table
