@@ -11,9 +11,10 @@ Subcommands:
 
 Exit codes (stable): 0 success (for verify-gelfand: the gelfand flag is
 true); 1 verification negative or generic failure; 2 refused (resource
-caps exceeded, such as the enumeration cap or a --t of residue-survival
-or period above MAX_T = 1001, or bad usage); 3 internal invariant
-violation; 4 parse error in a parameter expression; 5 degree mismatch.
+caps exceeded, such as the enumeration cap, a --t of residue-survival
+or period above MAX_T = 1001 or a derive parameter with a block t above
+it, or bad usage); 3 internal invariant violation; 4 parse error in a
+parameter expression; 5 degree mismatch.
 
 Environment: KLYACHKO_CACHE_DIR (group and character table cache location),
 KLYACHKO_MAX_ELEMENTS (enumeration cap).
@@ -70,10 +71,11 @@ EXIT_DEGREE = 5
 ENV_CACHE_DIR = "KLYACHKO_CACHE_DIR"
 ENV_MAX_ELEMENTS = "KLYACHKO_MAX_ELEMENTS"
 
-# the largest --t of residue-survival and period: the residue report grows
-# as t^2 (15 MB of JSON at t = 1001, where a new process peaks at 81 MiB in
-# JSON or text, as _emit writes the parts without joining them) and the
-# period report as t
+# the largest --t of residue-survival and period, and the largest block t
+# of a derive parameter: the residue report grows as t^2 (15 MB of JSON at
+# t = 1001, where a new process peaks at 66 MiB in JSON and 50 MiB in text,
+# as _emit writes the parts without joining them), the period report as t
+# and the derive report as t times the blocks (one stage per step)
 MAX_T = 1001
 
 
@@ -251,6 +253,7 @@ def cmd_kappa(args) -> int:
 
 def cmd_derive(args) -> int:
     param = parse_parameter(args.param)
+    _refuse_large_t("block t", max(e.block.t for e in param.entries))
     blocks = param.expanded_blocks()
     stages = []
     while blocks:
@@ -286,14 +289,14 @@ def _as_plain_param(blocks) -> TadicParameter:
     return TadicParameter([ParamBlock(b) for b in blocks])
 
 
-def _refuse_large_t(t: int) -> None:
-    """Refuse a --t above MAX_T before any work."""
+def _refuse_large_t(name: str, t: int) -> None:
+    """Refuse a t above MAX_T before any work; `name` says where it came from."""
     if t > MAX_T:
-        raise ResourceRefused(f"--t {t} is above the cap {MAX_T}")
+        raise ResourceRefused(f"{name} {t} is above the cap {MAX_T}")
 
 
 def cmd_period(args) -> int:
-    _refuse_large_t(args.t)
+    _refuse_large_t("--t", args.t)
     if args.tol is not None:
         if not args.zeta:
             raise UsageError("--tol applies only with --zeta")
@@ -331,7 +334,7 @@ def cmd_period(args) -> int:
 
 
 def cmd_residue_survival(args) -> int:
-    _refuse_large_t(args.t)
+    _refuse_large_t("--t", args.t)
     payload = residue_survival(args.t)
     payload["meta"] = _meta()
 

@@ -70,7 +70,10 @@ class _Tokens:
         if self.pos == start:
             found = text[self.pos] if self.pos < len(text) else "end of input"
             raise ParseError(f"expected an integer, found {found!r}", start)
-        return int(text[start:self.pos])
+        try:
+            return int(text[start:self.pos])
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
 
     def rational(self) -> Fraction:
         self.skip_ws()

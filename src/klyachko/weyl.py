@@ -4,9 +4,11 @@ computation of Eisenstein constant terms.
 Everything lives on the block level: for a group of rank t*r cut into t
 blocks of size r, exponent vectors are length-t tuples of exact
 rationals, the relevant Weyl elements are permutations of the blocks,
-and a parabolic containing the blocks is a composition of t.  The
-staircase vector Lambda_t = ((t-1)/2, ..., (1-t)/2) is the point where
-the multi-residue is taken.
+and a parabolic containing the blocks is a composition of t.  A
+permutation w of [1, t] is the plain tuple of its images
+(w(1), ..., w(t)).  The staircase vector
+Lambda_t = ((t-1)/2, ..., (1-t)/2) is the point where the
+multi-residue is taken.
 
 Permutations act on exponent vectors by (w . v)_j = v_{w^-1(j)}, but
 nothing here applies that action: on the staircase it reduces to the
@@ -17,84 +19,51 @@ j = w(k) that step is 1 exactly when w(k+1) = w(k) + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import and_, eq, gt, ne
 
 from .errors import UnsupportedComposition
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A permutation of [1, t], stored as the tuple of images."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        t = len(self.images)
-        if sorted(self.images) != list(range(1, t + 1)):
-            raise ValueError(f"not a permutation of [1, {t}]: {self.images}")
-
-    @classmethod
-    def cycle(cls, t: int, i: int) -> "WeylElement":
-        """The cycle (1, 2, ..., i) inside S_t: j -> j+1 for j < i, i -> 1."""
-        return cls((*range(2, i + 1), 1, *range(i + 1, t + 1)))
-
-    @property
-    def t(self) -> int:
-        return len(self.images)
-
-    def __call__(self, j: int) -> int:
-        return self.images[j - 1]
-
-    def cycle_string(self) -> str:
-        """The disjoint cycles, each from its least point, walked on the
-        images from the moved points only; "e" for the identity."""
-        images = self.images
-        seen = [False] * (self.t + 1)
-        parts = []
-        for start in compress(count(1), map(ne, images, count(1))):
-            if seen[start]:
-                continue
-            orbit = [start]
-            nxt = images[start - 1]
-            while nxt != start:
-                orbit.append(nxt)
-                seen[nxt] = True
-                nxt = images[nxt - 1]
-            parts.append("(" + " ".join(map(str, orbit)) + ")")
-        return "".join(parts) or "e"
+def cycle_string(images: tuple[int, ...]) -> str:
+    """The disjoint cycles of the permutation with these images, each
+    from its least point, walked on the images from the moved points
+    only; "e" for the identity."""
+    seen = [False] * (len(images) + 1)
+    parts = []
+    for start in compress(count(1), map(ne, images, count(1))):
+        if seen[start]:
+            continue
+        orbit = [start]
+        nxt = images[start - 1]
+        while nxt != start:
+            orbit.append(nxt)
+            seen[nxt] = True
+            nxt = images[nxt - 1]
+        parts.append("(" + " ".join(map(str, orbit)) + ")")
+    return "".join(parts) or "e"
 
 
-def descent_set(w: WeylElement) -> list[int]:
+def descent_set(images: tuple[int, ...]) -> list[int]:
     """{i in [1, t-1] : w(i) > w(i+1)}, ascending."""
-    images = w.images
     return list(compress(count(1), map(gt, images, images[1:])))
 
 
-def bookkeeping_set(w: WeylElement) -> list[int]:
+def bookkeeping_set(images: tuple[int, ...]) -> list[int]:
     """w^-1 of the residue hyperplanes through Lambda_t for the (1, t-1)
     block composition, ascending: the k with w(k+1) = w(k) + 1 and w(k)
     interior, i.e. in [2, t-1] (see the module docstring).  w(k+1) <= t
     caps w(k) at t-1, so only w(k) > 1 is tested."""
-    images = w.images
     return list(compress(count(1), map(and_, map(eq, images[1:], map((1).__add__, images)),
                                        map((1).__lt__, images))))
 
 
-def coset_reps(t: int) -> list[WeylElement]:
-    """The t reduced representatives for the (r, 2mr) parabolic, t = 2m+1
-    odd: w^(i) = (1, 2, ..., i), the unique one with w^(i)(i) = 1."""
-    if t < 1 or t % 2 == 0:
-        raise UnsupportedComposition(
-            f"only compositions of type (r, 2mr) with t = 2m+1 odd are supported, got t = {t}"
-        )
-    return [WeylElement.cycle(t, i) for i in range(1, t + 1)]
-
-
 def residue_survival(t: int) -> dict:
     """Pole bookkeeping for each coset representative w^(i), t = 2m+1,
-    as the `residue-survival` payload without `meta`.
+    as the `residue-survival` payload without `meta`.  The t reduced
+    representatives for the (r, 2mr) parabolic are the cycles
+    w^(i) = (1 2 ... i), each the unique one with w^(i)(i) = 1; each is
+    built, read and dropped in turn.
 
     The multi-residue multiplies by all 2m factors lambda_j - lambda_{j+1}
     - 1 vanishing at Lambda_t, so a term survives iff it supplies poles
@@ -114,13 +83,14 @@ def residue_survival(t: int) -> dict:
         raise UnsupportedComposition(f"t must be odd and >= 3, got t = {t}")
     m = (t - 1) // 2
     terms = []
-    for i, w in enumerate(coset_reps(t), start=1):
+    for i in range(1, t + 1):
+        w = (*range(2, i + 1), 1, *range(i + 1, t + 1))
         bookkeeping = bookkeeping_set(w)
         descents = descent_set(w)
         pole_order = len(bookkeeping) + len(descents)
         terms.append({
             "i": i,
-            "cycle": w.cycle_string(),
+            "cycle": cycle_string(w),
             "descents": descents,
             "bookkeeping": bookkeeping,
             "pole_order": pole_order,

@@ -5,9 +5,10 @@ the labels, the dense kernel of a matrix in RREF, the character
 split's visit order over every non-central class, the sources of its
 class matrix rows and the rows counted over C_i, Green's class data,
 the segment calculus, contragredients and mu_Q behind the symbolic
-commands, and per-index Weyl-element routines with the closed forms of
-the residue-survival count.  The library itself does not need them;
-they are written plainly so the tests can check it against them."""
+commands, and per-index routines on Weyl elements as image tuples with
+the closed forms of the residue-survival count.  The library itself
+does not need them; they are written plainly so the tests can check it
+against them."""
 
 import math
 from array import array
@@ -32,7 +33,6 @@ from klyachko.groups import (
     symplectic_form,
 )
 from klyachko.speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter, kappa
-from klyachko.weyl import WeylElement
 
 
 def gl_order(n, q):
@@ -650,7 +650,7 @@ def mu_q(m):
     nothing."""
     t = 2 * m + 1
     composition = (1, t - 1)
-    moved = naive_apply(WeylElement.cycle(t, t), lambda_vec(t))
+    moved = naive_apply(naive_cycle(t, t), lambda_vec(t))
     diff = tuple(a - b for a, b in zip(moved, lambda_blockwise(composition)))
     if len(set(diff[1:])) != 1:
         raise InvariantViolation("difference vector not constant on blocks")
@@ -658,35 +658,42 @@ def mu_q(m):
 
 
 # -- Weyl elements -----------------------------------------------------------
+# A permutation w of [1, t] is the tuple of its images, w(j) = w[j - 1].
+
+
+def naive_cycle(t, i):
+    """The cycle (1 2 ... i) inside S_t, one image at a time: j -> j+1
+    for j < i, i -> 1, and j -> j past i."""
+    return tuple(j + 1 if j < i else 1 if j == i else j for j in range(1, t + 1))
 
 
 def naive_inverse(w):
     """The images of w^-1: for each k, the j with w(j) = k, found by search."""
-    return tuple(w.images.index(k) + 1 for k in range(1, w.t + 1))
+    return tuple(w.index(k) + 1 for k in range(1, len(w) + 1))
 
 
 def naive_apply(w, vec):
     """(w . v)_j = v_{w^-1(j)}, one index at a time."""
-    if len(vec) != w.t:
+    if len(vec) != len(w):
         raise ValueError("vector length mismatch")
     inv = naive_inverse(w)
-    return tuple(vec[inv[j - 1] - 1] for j in range(1, w.t + 1))
+    return tuple(vec[inv[j - 1] - 1] for j in range(1, len(w) + 1))
 
 
 def naive_cycle_string(w):
     """Disjoint cycles of w, each from its least point, fixed points left out."""
     seen = set()
     parts = []
-    for start in range(1, w.t + 1):
+    for start in range(1, len(w) + 1):
         if start in seen:
             continue
         orbit = [start]
         seen.add(start)
-        nxt = w(start)
+        nxt = w[start - 1]
         while nxt != start:
             orbit.append(nxt)
             seen.add(nxt)
-            nxt = w(nxt)
+            nxt = w[nxt - 1]
         if len(orbit) > 1:
             parts.append("(" + " ".join(map(str, orbit)) + ")")
     return "".join(parts) or "e"
@@ -694,7 +701,7 @@ def naive_cycle_string(w):
 
 def naive_descent_set(w):
     """{i in [1, t-1] : w(i) > w(i+1)}, as an ascending list."""
-    return [i for i in range(1, w.t) if w(i) > w(i + 1)]
+    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
 def interior_indices(composition):
@@ -713,7 +720,7 @@ def naive_bookkeeping_set(w):
     the interior indices j of the (1, t-1) composition where it steps
     down by exactly 2 (a step of 1 in Lambda_t), and map them back
     through w^-1, ascending."""
-    t = w.t
+    t = len(w)
     moved = naive_apply(w, tuple(t - 1 - 2 * k for k in range(t)))  # w . 2 Lambda_t
     through = [j for j in interior_indices((1, t - 1)) if moved[j - 1] - moved[j] == 2]
     inv = naive_inverse(w)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from enum import IntEnum
 
@@ -9,6 +10,7 @@ from klyachko import __version__, cli, gelfand
 from klyachko.cli import build_parser, main
 from klyachko.paramparse import parse_parameter
 from oracles import residue_terms_closed_form
+from textcheck import assert_same_text
 
 
 def run(capsys, *argv):
@@ -295,6 +297,39 @@ def test_derive_empty_param_is_parse_error(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("param", ["U(rho:1,1,1001)@0", "P(U(rho:1,1,1001),1/4) x U(a:1,1,1)"])
+def test_derive_at_the_cap_is_accepted(capsys, param):
+    code, js, err = run_json(capsys, "derive", param)
+    assert (code, err) == (0, "")
+    assert js["steps"] == cli.MAX_T == 1001
+    assert js["stages"][-1]["param"] is None
+
+
+@pytest.mark.parametrize("param", ["U(rho:1,1,1002)@0", "P(U(rho:1,1,1002),1/4) x U(a:1,1,1)"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_derive_above_the_cap_is_refused_before_any_derivative(capsys, monkeypatch, param, fmt):
+    def no_work(blocks):
+        raise AssertionError("derivative taken above the cap")
+
+    monkeypatch.setattr(cli, "product_highest_derivative", no_work)
+    assert run(capsys, "derive", param, "--format", fmt) == (
+        2, "", "refused: block t 1002 is above the cap 1001\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no limit on integer digits")
+@pytest.mark.parametrize("template", ["U(rho:1,1,{})@0", "U(rho:1,1,3)@-1/{}", "P(U(rho:{},1,1),1/4)"])
+def test_integer_past_the_digit_limit_is_parse_error_exit_4(capsys, template):
+    digits = sys.get_int_max_str_digits()
+    if digits == 0:
+        pytest.skip("the integer digit limit is switched off")
+    param = template.format("9" * (digits + 1))
+    code, out, err = run(capsys, "kappa", param)
+    assert (code, out) == (4, "")
+    assert err == (f"parse error: integer of {digits + 1} digits is too long "
+                   f"(at position {param.index('9' * 10)})\n")
+
+
 def test_period_text_and_value(capsys):
     code, out, _ = run(capsys, "period", "--t", "2", "--zeta")
     assert code == 0
@@ -336,7 +371,7 @@ def test_residue_survival_json_bytes_match_closed_form(capsys):
     payload = {**residue_terms_closed_form(101), "meta": {"version": __version__}}
     code, out, _ = run(capsys, "residue-survival", "--t", "101", "--format", "json")
     assert code == 0
-    assert out == json.dumps(payload, indent=2) + "\n"
+    assert_same_text(out, json.dumps(payload, indent=2) + "\n", "the closed form")
 
 
 RESIDUE_SURVIVAL_TEXT = {
@@ -363,7 +398,9 @@ survivors: [7] (w_Q is i = 7)
 
 @pytest.mark.parametrize("t", sorted(RESIDUE_SURVIVAL_TEXT))
 def test_residue_survival_text_output(capsys, t):
-    assert run(capsys, "residue-survival", "--t", str(t)) == (0, RESIDUE_SURVIVAL_TEXT[t], "")
+    code, out, err = run(capsys, "residue-survival", "--t", str(t))
+    assert (code, err) == (0, "")
+    assert_same_text(out, RESIDUE_SURVIVAL_TEXT[t], "RESIDUE_SURVIVAL_TEXT")
 
 
 def test_residue_survival_even_t_fails(capsys):

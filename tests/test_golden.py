@@ -7,7 +7,6 @@ the run metadata is compared verbatim.
 """
 
 import json
-from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ import pytest
 from klyachko.cli import main
 from klyachko.gelfand import verify_gelfand
 from oracles import degree_model_columns, degree_model_histogram, model_columns, model_histogram
+from textcheck import assert_same_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (3, 3)]
@@ -47,7 +47,8 @@ def test_gelfand_report_matches_golden(n, q, table_store):
     path = GOLDEN_DIR / f"gelfand_n{n}_q{q}.json"
     golden = json.loads(path.read_text())
     live = verify_gelfand(table_store(n, q))
-    assert json.dumps(strip_meta(live), indent=2) == json.dumps(strip_meta(golden), indent=2)
+    assert_same_text(json.dumps(strip_meta(live), indent=2), json.dumps(strip_meta(golden), indent=2),
+                     path.name)
 
 
 @pytest.mark.parametrize("n,q", GOLDEN_CASES)
@@ -68,7 +69,8 @@ def test_table_output_matches_golden(capsys):
     assert main(["table", "--n", "2", "--q", "5", "--format", "json", "--no-cache"]) == 0
     live = json.loads(capsys.readouterr().out)
     golden = json.loads((GOLDEN_DIR / "table_n2_q5.json").read_text())
-    assert json.dumps(strip_meta(live), indent=2) == json.dumps(strip_meta(golden), indent=2)
+    assert_same_text(json.dumps(strip_meta(live), indent=2), json.dumps(strip_meta(golden), indent=2),
+                     "table_n2_q5.json")
 
 
 @pytest.mark.parametrize("name", sorted(SYMBOLIC_CASES))
@@ -77,7 +79,8 @@ def test_symbolic_output_matches_golden(name, capsys):
     assert main(SYMBOLIC_CASES[name] + ["--format", "json"]) == 0
     live = json.loads(capsys.readouterr().out)
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    assert json.dumps(strip_meta(live), indent=2) == json.dumps(strip_meta(golden), indent=2)
+    assert_same_text(json.dumps(strip_meta(live), indent=2), json.dumps(strip_meta(golden), indent=2),
+                     f"{name}.json")
 
 
 EMITTED_ARGVS = {
@@ -94,8 +97,4 @@ def test_json_output_is_the_stdlib_encoding(name, capsys):
     newline, meta included, though cli._emit does not call it."""
     assert main(EMITTED_ARGVS[name] + ["--format", "json"]) == 0
     out = capsys.readouterr().out
-    expected = json.dumps(json.loads(out), indent=2) + "\n"
-    if out != expected:  # report the first difference, not a diff of every line
-        at = next(i for i, pair in enumerate(zip_longest(out, expected)) if pair[0] != pair[1])
-        pytest.fail(f"byte {at}: {out[at - 40:at + 40]!r} where json.dumps writes "
-                    f"{expected[at - 40:at + 40]!r}")
+    assert_same_text(out, json.dumps(json.loads(out), indent=2) + "\n", "json.dumps")

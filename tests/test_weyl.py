@@ -1,16 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from klyachko.errors import UnsupportedComposition
-from klyachko.weyl import (
-    WeylElement,
-    bookkeeping_set,
-    coset_reps,
-    descent_set,
-    residue_survival,
-)
+from klyachko.weyl import bookkeeping_set, cycle_string, descent_set, residue_survival
 from oracles import (
     block_project,
     interior_indices,
@@ -19,6 +14,7 @@ from oracles import (
     mu_q,
     naive_apply,
     naive_bookkeeping_set,
+    naive_cycle,
     naive_cycle_string,
     naive_descent_set,
     naive_inverse,
@@ -41,42 +37,44 @@ def test_lambda_invariants_up_to_50():
 
 
 def test_descent_sets():
-    identity = WeylElement((1, 2, 3, 4, 5))
+    identity = (1, 2, 3, 4, 5)
     assert descent_set(identity) == [] == naive_descent_set(identity)
     for t in (3, 5, 9):
         for i in range(2, t + 1):
-            w = WeylElement.cycle(t, i)
+            w = naive_cycle(t, i)
             assert descent_set(w) == [i - 1] == naive_descent_set(w)
-    reversal = WeylElement(tuple(range(5, 0, -1)))
+    reversal = tuple(range(5, 0, -1))
     assert descent_set(reversal) == [1, 2, 3, 4] == naive_descent_set(reversal)
 
 
 def test_weyl_action_convention():
     # (w . v)_j = v_{w^-1(j)}: the cycle (1 2 3) sends position-1 value to slot 2
-    w = WeylElement.cycle(3, 3)
+    w = naive_cycle(3, 3)
+    assert w == (2, 3, 1)
     assert naive_apply(w, (10, 20, 30)) == (30, 10, 20)
 
 
 def test_coset_reps_t3():
-    reps = coset_reps(3)
-    assert [w.cycle_string() for w in reps] == ["e", "(1 2)", "(1 2 3)"]
-    for i, w in enumerate(reps, start=1):
+    cycles = [term["cycle"] for term in residue_survival(3)["terms"]]
+    assert cycles == ["e", "(1 2)", "(1 2 3)"]
+    for i in range(1, 4):
+        w = naive_cycle(3, i)
+        assert naive_cycle_string(w) == cycles[i - 1]
         assert naive_inverse(w)[0] == i
-        assert w(i) == 1
+        assert w[i - 1] == 1
 
 
 def test_coset_reps_bijection_property():
+    """w^(i) is the representative with w^(i)(i) = 1, so i -> w^-1(1) is
+    a bijection onto [1, t]; the payload names each w^(i) by its cycle."""
     for t in (1, 3, 5, 7, 9, 11):
-        reps = coset_reps(t)
+        reps = [naive_cycle(t, i) for i in range(1, t + 1)]
         assert [naive_inverse(w)[0] for w in reps] == list(range(1, t + 1))
-        assert reps[-1].cycle_string() == "(" + " ".join(map(str, range(1, t + 1))) + ")" if t > 1 else "e"
-
-
-def test_coset_reps_rejects_even():
-    with pytest.raises(UnsupportedComposition):
-        coset_reps(4)
-    with pytest.raises(UnsupportedComposition):
-        coset_reps(0)
+        assert naive_cycle_string(reps[-1]) == ("(" + " ".join(map(str, range(1, t + 1))) + ")"
+                                                if t > 1 else "e")
+        if t > 1:
+            cycles = [term["cycle"] for term in residue_survival(t)["terms"]]
+            assert cycles == list(map(naive_cycle_string, reps))
 
 
 def test_interior_indices():
@@ -111,15 +109,13 @@ def random_weyl_elements(t_max):
         for _ in range(40):
             images = list(range(1, t + 1))
             rng.shuffle(images)
-            yield WeylElement(tuple(images))
+            yield tuple(images)
 
 
 def test_weyl_element_matches_naive_references():
     for w in random_weyl_elements(12):
-        assert w.cycle_string() == naive_cycle_string(w)
+        assert cycle_string(w) == naive_cycle_string(w)
         assert descent_set(w) == naive_descent_set(w)
-    with pytest.raises(ValueError):
-        WeylElement((1, 1, 3))
 
 
 def test_bookkeeping_set_matches_naive_reference():
@@ -129,15 +125,30 @@ def test_bookkeeping_set_matches_naive_reference():
     for w in random_weyl_elements(13):
         assert bookkeeping_set(w) == naive_bookkeeping_set(w)
     for t in range(1, 102, 2):
-        for w in coset_reps(t):
+        for i in range(1, t + 1):
+            w = naive_cycle(t, i)
             assert bookkeeping_set(w) == naive_bookkeeping_set(w)
 
 
 def test_residue_survival_rejects_bad_t():
-    with pytest.raises(UnsupportedComposition):
-        residue_survival(4)
-    with pytest.raises(UnsupportedComposition):
-        residue_survival(1)
+    for t in (4, 1, 0, -1):
+        with pytest.raises(UnsupportedComposition):
+            residue_survival(t)
+
+
+def test_residue_survival_holds_one_representative_at_a_time():
+    """Building the report allocates little beyond what the report
+    keeps: the traced peak of residue_survival(301) is at most 1.2 times
+    the memory the returned payload retains.  A list of all t coset
+    representatives, t ints each, would add about as much again."""
+    tracemalloc.start()
+    try:
+        payload = residue_survival(301)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["survivors"] == [301]
+    assert peak <= 1.2 * retained, f"peak {peak} B, payload {retained} B"
 
 
 def test_mu_q_formula():
@@ -149,7 +160,7 @@ def test_mu_q_first_coordinate_independent_recompute():
     # w_Q moves the last staircase entry (1-t)/2 = -m to position 1
     for m in (1, 2, 5):
         t = 2 * m + 1
-        w_q = WeylElement.cycle(t, t)
+        w_q = naive_cycle(t, t)
         moved = naive_apply(w_q, lambda_vec(t))
         assert moved[0] == Fraction(1 - t, 2) == -m
 
