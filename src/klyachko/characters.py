@@ -1,5 +1,10 @@
 """Exact character theory of GL_n(F_q) in a mod-ell arena.
 
+A character (or any class function) is a tuple of residues mod ell, one
+per conjugacy class in the table's class order, and every function that
+reads one is passed its arena beside it; `dimension` lifts chi(1) to an
+integer in [0, |G|].
+
 The irreducible table comes from the Dixon-Schneider class-sum method.
 The central characters omega(K_j) = |C_j| chi(g_j) / chi(1) are the
 common eigenvectors of the class matrices M_i, whose entries
@@ -98,7 +103,6 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
@@ -115,7 +119,6 @@ from .errors import ArenaMismatch, EigenSplitFailure, InvariantViolation
 from .gf import mat_identity
 from .groups import (
     GroupTable,
-    KlyachkoSubgroupSpec,
     chunk_columns,
     chunk_images,
     det_class_map,
@@ -128,16 +131,9 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """One residue mod ell per conjugacy class, class order as in the table."""
-
-    arena: ModularArena
-    values: tuple[int, ...]
-
-    def dimension(self, table: GroupTable) -> int:
-        v = self.values[table.identity_class()]
-        return self.arena.lift_bounded(v, 0, self.arena.group_order, "dimension")
+def dimension(chi: tuple[int, ...], table: GroupTable, arena: ModularArena) -> int:
+    """chi(1), lifted from its residue to an integer in [0, |G|]."""
+    return arena.lift_bounded(chi[table.identity_class()], 0, table.order, "dimension")
 
 
 def class_multiplication_tensor(table: GroupTable, i: int, rows: list[int], columns: Callable,
@@ -597,8 +593,8 @@ def _twists(n: int, q: int) -> dict[int, list[tuple[int, int]]]:
     return {k: [((k + n * j) % (q - 1), j) for j in range(1, (q - 1) // g)] for k in range(g)}
 
 
-def _carry(lines: list[tuple[ClassFunction, int]], twists: dict, dims: list[int], dets: list[int],
-           shift: list[int], zeta: int, ell: int) -> list[ClassFunction]:
+def _carry(lines: list[tuple[tuple[int, ...], int]], twists: dict, dims: list[int],
+           dets: list[int], shift: list[int], zeta: int, ell: int) -> list[tuple[int, ...]]:
     """The characters of every central space from `lines`, the (chi, k)
     of the lines of the kept spaces: each chi of space k, and its twist
     (chi lambda_j(det))(c) = zeta^(j a_c) chi(c), a_c = `dets`[c], in
@@ -619,11 +615,11 @@ def _carry(lines: list[tuple[ClassFunction, int]], twists: dict, dims: list[int]
         out.append(chi)
         got[k] += 1
         for target, j in twists[k]:
-            u = tuple(x * powers[j * a % order] % ell for x, a in zip(chi.values, dets))
+            u = tuple(x * powers[j * a % order] % ell for x, a in zip(chi, dets))
             mu = powers[target]
             if any(u[d] != mu * x % ell for x, d in zip(u, shift)):
                 raise InvariantViolation(f"a line carried to central space {target} is not in it")
-            out.append(ClassFunction(chi.arena, u))
+            out.append(u)
             got[target] += 1
     if got != dims:
         raise InvariantViolation(f"{got} lines carried to central spaces of dimensions {dims}")
@@ -647,7 +643,7 @@ def _sorted_codes(codes: array) -> array:
     return array("I", heapq.merge(*blocks))
 
 
-def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunction]:
+def character_table(table: GroupTable, arena: ModularArena) -> list[tuple[int, ...]]:
     """All irreducible characters, sorted by (dimension, values)."""
     _check_arena(table, arena)
     classes, n, q = table.classes, table.n, table.q
@@ -696,13 +692,13 @@ def character_table(table: GroupTable, arena: ModularArena) -> list[ClassFunctio
     zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
     chars = _carry(lines, twists, [len(b) for b, _ in central], det_class_map(table, shift),
                    shift, zeta, ell)
-    chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
+    chars.sort(key=lambda chi: (chi[e_idx], chi))
     verify_orthogonality(chars, table, arena)
     return chars
 
 
 def _character_from_central(omega: list[int], inv_sizes: list[int], inv_map: list[int],
-                            order: int, arena: ModularArena) -> ClassFunction:
+                            order: int, arena: ModularArena) -> tuple[int, ...]:
     """The character d omega(K_c) / |c| of a central character omega,
     with d^2 = |G| / sum_c omega(K_c) omega(K_c^-1) / |c|; `inv_sizes`
     holds the 1 / |c| mod ell."""
@@ -714,30 +710,29 @@ def _character_from_central(omega: list[int], inv_sizes: list[int], inv_map: lis
     d = math.isqrt(d_sq)
     if d * d != d_sq:
         raise InvariantViolation(f"dimension^2 = {d_sq} is not a perfect square")
-    return ClassFunction(arena, tuple(w * d * inv % ell for w, inv in zip(omega, inv_sizes)))
+    return tuple(w * d * inv % ell for w, inv in zip(omega, inv_sizes))
 
 
-def multiplicity(chi_model: ClassFunction, chars: list[ClassFunction], table: GroupTable) -> list[int]:
+def multiplicity(chi_model: tuple[int, ...], chars: list[tuple[int, ...]], table: GroupTable,
+                 arena: ModularArena) -> list[int]:
     """The multiplicities <chi_model, chi> of every chi in `chars`, each
     lifted to an integer in [0, dim chi_model].
 
     <chi_model, chi> = |G|^-1 sum_c |c| chi_model(c) chi(c^-1), so with
     the weights w[c^-1] = |c| chi_model(c) / |G| mod ell, built once, each
     character costs one weighted sum of its values."""
-    arena = chi_model.arena
-    if any(cf.arena != arena for cf in chars):
-        raise ArenaMismatch("class functions from different arenas")
     ell = arena.ell
     inv_order = pow(table.order, ell - 2, ell)
     weights = [0] * len(table.classes)
-    for c, x in zip(table.classes, chi_model.values):
+    for c, x in zip(table.classes, chi_model):
         weights[c.inverse_class] = c.size * x % ell * inv_order % ell
-    bound = chi_model.dimension(table)
-    return [arena.lift_bounded(sum(map(mul, weights, cf.values)), 0, bound, "multiplicity")
-            for cf in chars]
+    bound = dimension(chi_model, table, arena)
+    return [arena.lift_bounded(sum(map(mul, weights, chi)), 0, bound, "multiplicity")
+            for chi in chars]
 
 
-def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: ModularArena) -> None:
+def verify_orthogonality(chars: list[tuple[int, ...]], table: GroupTable,
+                         arena: ModularArena) -> None:
     """Exact row and column orthogonality and the dimension identity of a
     computed table; raises InvariantViolation on any mismatch.
 
@@ -769,11 +764,9 @@ def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: M
     ell = arena.ell
     classes = table.classes
     n_cls = len(classes)
-    if any(cf.arena != arena for cf in chars):
-        raise ArenaMismatch("class functions from different arenas")
     if len(chars) != n_cls:
         raise InvariantViolation(f"{len(chars)} characters for {n_cls} classes")
-    dims = [cf.dimension(table) for cf in chars]
+    dims = [dimension(chi, table, arena) for chi in chars]
     if sum(d * d for d in dims) != table.order:
         raise InvariantViolation("sum of squared dimensions != |G|")
     inv_map = [c.inverse_class for c in classes]
@@ -781,8 +774,8 @@ def verify_orthogonality(chars: list[ClassFunction], table: GroupTable, arena: M
     for c, i in enumerate(inv_map):
         if not 0 <= i < n_cls or inv_map[i] != c or sizes[i] != sizes[c] or table.order % sizes[c]:
             raise InvariantViolation(f"class {c} and its inverse class {i} do not pair up")
-    rows = [cf.values if 0 <= min(cf.values) and max(cf.values) < ell
-            else [v % ell for v in cf.values] for cf in chars]
+    rows = [chi if 0 <= min(chi) and max(chi) < ell else [v % ell for v in chi]
+            for chi in chars]
     width = (n_cls * (ell - 1) ** 2).bit_length()
     mask = (1 << width) - 1
     order = table.order % ell
@@ -806,24 +799,24 @@ def _check_arena(table: GroupTable, arena: ModularArena) -> None:
         raise ArenaMismatch(f"arena p = {arena.p}, field p = {table.field.p}")
 
 
-def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
-                               arena: ModularArena) -> ClassFunction:
-    """Character of the Klyachko model Ind_{H_{r,2k}}^{G}(psi_r), by the
-    class-sum evaluation over the members of H_{r,2k}."""
-    if spec.n != table.n:
-        raise ArenaMismatch(f"spec is for n = {spec.n}, table has n = {table.n}")
+def induced_klyachko_character(table: GroupTable, k: int, psi: int,
+                               arena: ModularArena) -> tuple[int, ...]:
+    """Character of the Klyachko model Ind_{H_{r,2k}}^{G}(psi_r),
+    r = n - 2k, by the class-sum evaluation over the members of
+    H_{r,2k}; psi_r takes its values in the powers of zeta_p^psi."""
     _check_arena(table, arena)
-    field, ell = table.field, arena.ell
-    if spec.psi_generator % field.p == 0:
-        raise ValueError("psi_generator must be nonzero mod p (psi nontrivial)")
-    zeta = pow(arena.zeta_p, spec.psi_generator, ell)
+    field, ell, n = table.field, arena.ell, table.n
+    r = n - 2 * k
+    if psi % field.p == 0:
+        raise ValueError("psi must be nonzero mod p (psi nontrivial)")
+    zeta = pow(arena.zeta_p, psi, ell)
     psi_values = [pow(zeta, t, ell) for t in range(field.p)]  # psi of a trace in [0, p)
     labels = table.labels
-    members = enumerate_h(spec, field)
+    members = enumerate_h(r, k, field)
     sums = [0] * len(table.classes)
     for el in members:
         c = labels[el]
-        sums[c] = (sums[c] + psi_values[psi_r_trace(el, spec, field)]) % ell
+        sums[c] = (sums[c] + psi_values[psi_r_trace(el, r, n, field)]) % ell
     h_size = len(members)
     if table.order % h_size:
         raise InvariantViolation("|H| does not divide |G|")
@@ -831,9 +824,9 @@ def induced_klyachko_character(table: GroupTable, spec: KlyachkoSubgroupSpec,
     for s_c, cls in zip(sums, table.classes):
         denom_inv = pow(h_size * cls.size % ell, ell - 2, ell)
         vals.append(table.order % ell * s_c % ell * denom_inv % ell)
-    cf = ClassFunction(arena, tuple(vals))
+    chi = tuple(vals)
     # induced dimension must lift to the exact index [G : H]
-    got = cf.dimension(table)
+    got = dimension(chi, table, arena)
     if got != table.order // h_size:
         raise InvariantViolation(f"chi(e) lifted to {got}, expected index {table.order // h_size}")
-    return cf
+    return chi

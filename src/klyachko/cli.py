@@ -12,9 +12,10 @@ Subcommands:
 Exit codes (stable): 0 success (for verify-gelfand: the gelfand flag is
 true); 1 verification negative or generic failure; 2 refused (resource
 caps exceeded, such as the enumeration cap, a --t of residue-survival
-or period above MAX_T = 1001 or a derive parameter with a block t above
-it, or bad usage); 3 internal invariant violation; 4 parse error in a
-parameter expression; 5 degree mismatch.
+or period above MAX_T = 1001 or a derive parameter whose block t add
+up to more than it, a paired block counting twice, or bad usage);
+3 internal invariant violation; 4 parse error in a parameter
+expression; 5 degree mismatch.
 
 Environment: KLYACHKO_CACHE_DIR (group and character table cache location),
 KLYACHKO_MAX_ELEMENTS (enumeration cap).
@@ -31,6 +32,7 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
+from .characters import dimension
 from .errors import (
     ArenaTooSmall,
     DegreeMismatch,
@@ -71,11 +73,12 @@ EXIT_DEGREE = 5
 ENV_CACHE_DIR = "KLYACHKO_CACHE_DIR"
 ENV_MAX_ELEMENTS = "KLYACHKO_MAX_ELEMENTS"
 
-# the largest --t of residue-survival and period, and the largest block t
-# of a derive parameter: the residue report grows as t^2 (15 MB of JSON at
-# t = 1001, where a new process peaks at 66 MiB in JSON and 50 MiB in text,
-# as _emit writes the parts without joining them), the period report as t
-# and the derive report as t times the blocks (one stage per step)
+# the largest --t of residue-survival and period, and the largest sum of
+# the block t of a derive parameter, a paired block counting twice: the
+# residue report grows as t^2 (15 MB of JSON at t = 1001, where a new
+# process peaks at 66 MiB in JSON and 50 MiB in text, as _emit writes the
+# parts without joining them), the period report as t and the derive
+# report as the sum of the block t (each stage lists the blocks it keeps)
 MAX_T = 1001
 
 
@@ -217,16 +220,16 @@ def cmd_verify_gelfand(args) -> int:
 
 
 def _kappa_payload(param: TadicParameter) -> dict:
-    kt = kappa(param)
+    r, k = kappa(param)
     return {
         "n": param.n,
         "blocks": [str(e) for e in param.entries],
-        "kappa": {"r": kt.r, "k": kt.k},
-        "model": kt.model,
+        "kappa": {"r": r, "k": k},
+        "model": f"H_{{{r},{2 * k}}} with psi_{r}",
         "unitary_valid": validate_unitary(param),
-        "dual_model": {
-            "group": kt.dual_group,
-            "character": kt.dual_character,
+        "dual_model": {  # the contragredient's model lives on the primed family
+            "group": f"H'_{{{2 * k},{r}}}",
+            "character": f"conjugate psi'_{r}",
             "applies_to": "contragredient",
         },
         "meta": _meta(),
@@ -253,8 +256,8 @@ def cmd_kappa(args) -> int:
 
 def cmd_derive(args) -> int:
     param = parse_parameter(args.param)
-    _refuse_large_t("block t", max(e.block.t for e in param.entries))
     blocks = param.expanded_blocks()
+    _refuse_large_t("sum of block t", sum(b.t for b in blocks))
     stages = []
     while blocks:
         order, blocks = product_highest_derivative(blocks)
@@ -372,8 +375,8 @@ def cmd_table(args) -> int:
             }
             for i, cls in enumerate(table.classes)
         ],
-        "dims": [cf.dimension(table) for cf in chars],
-        "characters": [list(cf.values) for cf in chars],
+        "dims": [dimension(chi, table, arena) for chi in chars],
+        "characters": [list(chi) for chi in chars],
         "note": "character values are residues mod ell; no complex lifting",
         "meta": _meta(),
     }

@@ -28,10 +28,6 @@ class GroupTooLarge(ResourceRefused):
     pass
 
 
-class NoIrreduciblePolynomial(KlyachkoError):
-    """No irreducible modulus found; impossible for valid (p, e)."""
-
-
 # -- argument errors -----------------------------------------------------
 
 

@@ -2,12 +2,14 @@
 
 `load_or_compute_table` gives the table of GL_n(F_q), and
 `load_or_compute_characters` builds the arena for one ell and gives the
-character table in it; each table is read from its cache file or
+character table in it, each character a tuple of residues mod ell in
+the table's class order; each table is read from its cache file or
 computed and written there by one helper (see tablecache for the
 files).  `verify_gelfand` reads n and q from the table and, for every
-irreducible pi and every decomposition n = r + 2k, computes the
-multiplicity of pi in the Klyachko model Ind_{H_{r,2k}}^G(psi_r).  It
-reports four flags:
+irreducible pi and every k with r = n - 2k >= 0, computes the
+multiplicity of pi in the Klyachko model Ind_{H_{r,2k}}^G(psi_r), the
+model's character and the multiplicities all read in the one arena.
+It reports four flags:
 
 - existence:    every irreducible appears in some model,
 - disjointness: no irreducible appears in two different models,
@@ -30,13 +32,12 @@ import os
 from pathlib import Path
 
 from .arena import ModularArena, build_arena
-from .characters import ClassFunction, character_table, induced_klyachko_character, multiplicity
+from .characters import character_table, dimension, induced_klyachko_character, multiplicity
 from .errors import CacheError, UsageError
 from .gf import field_from_q
 from .groups import (
     DEFAULT_MAX_ELEMENTS,
     GroupTable,
-    KlyachkoSubgroupSpec,
     check_group_cap,
     gl_enumerate,
 )
@@ -88,16 +89,17 @@ def load_or_compute_table(n: int, q: int, cache_dir: str | Path | None = None,
 
 
 def load_or_compute_characters(table: GroupTable, ell: int | None, cache_dir: str | Path | None,
-                               ) -> tuple[ModularArena, list[ClassFunction]]:
+                               ) -> tuple[ModularArena, list[tuple[int, ...]]]:
     """The arena of `table` for `ell` (the least valid prime when None)
     and the character table in it: read from `cache_dir` when it holds a
     good one for this ell, otherwise computed and written there, beside
     the group table; only computed when `cache_dir` is None."""
     arena = build_arena(table.order, table.exponent(), table.field.p, ell=ell)
     path = None if cache_dir is None else characters_path(cache_dir, table.n, table.q, arena.ell)
-    return arena, _load_or_compute(path, lambda path: load_characters(path, table, arena),
-                                   lambda: character_table(table, arena),
-                                   lambda chars, path: save_characters(chars, table, path))
+    return arena, _load_or_compute(
+        path, lambda path: load_characters(path, table, arena),
+        lambda: character_table(table, arena),
+        lambda chars, path: save_characters(chars, table, arena.ell, path))
 
 
 def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1,
@@ -110,14 +112,13 @@ def verify_gelfand(table: GroupTable, *, ell: int | None = None, psi: int = 1,
     matrix: list[list[int]] = [[] for _ in chars]  # multiplicities [pi][k]
     model_dims = []
     for k in range(n // 2 + 1):
-        spec = KlyachkoSubgroupSpec(n - 2 * k, k, psi_generator=psi)
-        chi_model = induced_klyachko_character(table, spec, arena)
-        model_dims.append(chi_model.dimension(table))
-        for mults, m in zip(matrix, multiplicity(chi_model, chars, table)):
+        chi_model = induced_klyachko_character(table, k, psi, arena)
+        model_dims.append(dimension(chi_model, table, arena))
+        for mults, m in zip(matrix, multiplicity(chi_model, chars, table, arena)):
             mults.append(m)
-    rows = [{"index": i, "dim": cf.dimension(table),
+    rows = [{"index": i, "dim": dimension(chi, table, arena),
              "mults": [[k, m] for k, m in enumerate(mults)], "total": sum(mults)}
-            for i, (cf, mults) in enumerate(zip(chars, matrix))]
+            for i, (chi, mults) in enumerate(zip(chars, matrix))]
     model_total = sum(model_dims)
     irreducible_total = sum(row["dim"] for row in rows)
     return {

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arena import is_prime, prime_factors, zpoly_is_irreducible, zpoly_mulmod
-from .errors import FieldTooLarge, InvariantViolation, NoIrreduciblePolynomial, NonPrimeP
+from .errors import FieldTooLarge, InvariantViolation, NonPrimeP
 
 MAX_Q = 16  # desk-scale cap on the field size
 
@@ -37,7 +37,8 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
         poly = _poly_from_code(code, p)
         if zpoly_is_irreducible(poly, p):
             return tuple(poly)
-    raise NoIrreduciblePolynomial(f"no irreducible monic of degree {e} over F_{p}")
+    # a monic irreducible of every degree exists over F_p
+    raise InvariantViolation(f"no irreducible monic of degree {e} over F_{p}")
 
 
 class FiniteField:
@@ -100,9 +101,7 @@ class FiniteField:
                     inv[a] = b
                     break
             else:
-                raise NoIrreduciblePolynomial(
-                    f"element {a} has no inverse; modulus not irreducible?"
-                )
+                raise InvariantViolation(f"element {a} has no inverse: the modulus is not irreducible")
         self.inv = inv
         self.sub = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
 

@@ -624,32 +624,10 @@ def symplectic_form(k: int, field: FiniteField) -> tuple[int, ...]:
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class KlyachkoSubgroupSpec:
-    """H_{r,2k} inside GL_{r+2k}: unipotent block over a symplectic one.
-
-    psi_generator selects the primitive p-th root of unity used for
-    psi (the arena's zeta_p raised to this power).
-    """
-
-    r: int
-    k: int
-    psi_generator: int = 1
-
-    def __post_init__(self):
-        if self.r < 0 or self.k < 0:
-            raise ValueError("r and k must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.r + 2 * self.k
-
-
-def psi_r_trace(g: int, spec: KlyachkoSubgroupSpec, field: FiniteField) -> int:
-    """Tr_{F_q/F_p}(u_{1,2} + ... + u_{r-1,r}) in [0, p) of an element
-    code: u_{i,i+1} is entry (i, i + 1), base-q digit n^2 - 2 - i (n + 1)
-    of the code."""
-    r, n = spec.r, spec.n
+def psi_r_trace(g: int, r: int, n: int, field: FiniteField) -> int:
+    """Tr_{F_q/F_p}(u_{1,2} + ... + u_{r-1,r}) in [0, p) of the code of
+    an n x n matrix: u_{i,i+1} is entry (i, i + 1), base-q digit
+    n^2 - 2 - i (n + 1) of the code."""
     if r <= 1:
         return 0
     q, add = field.q, field.add
@@ -730,8 +708,9 @@ def enumerate_sp(k: int, field: FiniteField) -> list[int]:
     return sorted(seen)
 
 
-def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField) -> list[int]:
-    """The codes of H_{r,2k}(F_q), in increasing order.
+def enumerate_h(r: int, k: int, field: FiniteField) -> list[int]:
+    """The codes of H_{r,2k}(F_q) inside GL_n(F_q), n = r + 2k, in
+    increasing order.
 
     Top row i has 1 on the diagonal, 0 to its left and any field element
     to its right (the U_r block together with the r x 2k block beside
@@ -740,8 +719,7 @@ def enumerate_h(spec: KlyachkoSubgroupSpec, field: FiniteField) -> list[int]:
     [0 | s] for every s in Sp(2k) from `enumerate_sp`, whose row codes
     are those of s.
     """
-    r, k, n = spec.r, spec.k, spec.n
-    q = field.q
+    n, q = r + 2 * k, field.q
     total = h_order(r, k, q)
     if total > DEFAULT_MAX_ELEMENTS:
         raise GroupTooLarge(f"|H_{{{r},{2 * k}}}| = {total} exceeds cap {DEFAULT_MAX_ELEMENTS}")

@@ -15,10 +15,11 @@ A TadicParameter is a multiset of blocks, each either plain or paired
 classification the unitary ones are exactly those with plain alpha = 0
 and paired 0 < alpha < 1/2.
 
-kappa reads the Klyachko type straight off the block shape: blocks of
-odd t contribute their delta-degree to the Whittaker rank r, and every
-block contributes floor(t/2) * delta-degree to the symplectic half-rank
-k, so r + 2k = n always.
+kappa reads the Klyachko type, the pair (r, k) naming the model
+H_{r,2k} with psi_r, straight off the block shape: blocks of odd t
+contribute their delta-degree to the Whittaker rank r, and every block
+contributes floor(t/2) * delta-degree to the symplectic half-rank k, so
+r + 2k = n always.
 """
 
 from __future__ import annotations
@@ -99,32 +100,6 @@ def product_highest_derivative(blocks: list[SpehBlock]) -> tuple[int, list[SpehB
 
 
 @dataclass(frozen=True)
-class KlyachkoType:
-    """The decomposition n = r + 2k naming the model H_{r,2k}, psi_r."""
-
-    r: int
-    k: int
-
-    @property
-    def n(self) -> int:
-        return self.r + 2 * self.k
-
-    @property
-    def model(self) -> str:
-        return f"H_{{{self.r},{2 * self.k}}} with psi_{self.r}"
-
-    @property
-    def dual_group(self) -> str:
-        """The mirrored subgroup the contragredient's model lives on:
-        the primed family H'_{2k,r}."""
-        return f"H'_{{{2 * self.k},{self.r}}}"
-
-    @property
-    def dual_character(self) -> str:
-        return f"conjugate psi'_{self.r}"
-
-
-@dataclass(frozen=True)
 class ParamBlock:
     block: SpehBlock
     paired: bool = False
@@ -178,15 +153,15 @@ class TadicParameter:
         return " x ".join(str(e) for e in self.entries)
 
 
-def kappa(param: TadicParameter) -> KlyachkoType:
-    """Whittaker rank from odd-t blocks, half-rank floor(t/2) per block."""
+def kappa(param: TadicParameter) -> tuple[int, int]:
+    """(r, k): Whittaker rank from odd-t blocks, half-rank floor(t/2) per block."""
     r = 0
     k = 0
     for block in param.expanded_blocks():
         if block.t % 2 == 1:
             r += block.delta_degree
         k += (block.t // 2) * block.delta_degree
-    return KlyachkoType(r, k)
+    return r, k
 
 
 def validate_unitary(param: TadicParameter) -> bool:

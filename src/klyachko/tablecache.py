@@ -76,7 +76,7 @@ from array import array
 from pathlib import Path
 
 from .arena import ModularArena
-from .characters import ClassFunction, verify_orthogonality
+from .characters import verify_orthogonality
 from .errors import CacheError, InvariantViolation
 from .gf import FiniteField
 from .groups import SINGULAR, GroupTable, class_count, class_records, gl_elements, gl_order
@@ -232,18 +232,18 @@ def _width(ell: int) -> int:
     return (ell.bit_length() + 7) // 8
 
 
-def save_characters(chars: list[ClassFunction], table: GroupTable, path: str | Path) -> None:
-    ell = chars[0].arena.ell
+def save_characters(chars: list[tuple[int, ...]], table: GroupTable, ell: int,
+                    path: str | Path) -> None:
     width = _width(ell)
     head = (CHARS_MAGIC
             + CHARS_HEADER.pack(table.n, table.field.p, table.field.e, len(chars), width)
             + ell.to_bytes(width, "little") + class_fingerprint(table))
-    body = b"".join(v.to_bytes(width, "little") for cf in chars for v in cf.values)
+    body = b"".join(v.to_bytes(width, "little") for chi in chars for v in chi)
     _write(Path(path), head, [body])
 
 
 def load_characters(path: str | Path, table: GroupTable,
-                    arena: ModularArena) -> list[ClassFunction]:
+                    arena: ModularArena) -> list[tuple[int, ...]]:
     """The character table of `table` in `arena` from a file that
     `save_characters` wrote, checked as the module docstring says."""
     (_, _, _, count, width), middle, body = _read(
@@ -262,10 +262,9 @@ def load_characters(path: str | Path, table: GroupTable,
     values = [int.from_bytes(body[at:at + width], "little") for at in range(0, len(body), width)]
     if max(values) >= ell:
         raise CacheError(f"{path}: a value is not below ell = {ell}")
-    chars = [ClassFunction(arena, tuple(values[at:at + count]))
-             for at in range(0, len(values), count)]
+    chars = [tuple(values[at:at + count]) for at in range(0, len(values), count)]
     e_idx = table.identity_class()
-    keys = [(cf.values[e_idx], cf.values) for cf in chars]
+    keys = [(chi[e_idx], chi) for chi in chars]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CacheError(f"{path}: characters out of order")
     try:

@@ -20,7 +20,7 @@ from itertools import product
 from operator import itemgetter
 
 from klyachko.characters import _rational_class, _rref
-from klyachko.errors import ArenaMismatch, EmptyBlock, InvariantViolation
+from klyachko.errors import EmptyBlock, InvariantViolation
 from klyachko.gf import mat_identity, mat_mul
 from klyachko.groups import (
     SINGULAR,
@@ -73,15 +73,11 @@ def element_labels(table):
     return [table.labels[code] for code in gl_elements(table.n, table.field)]
 
 
-def inner_product_residue(a, b, table):
-    """<a, b> = |G|^-1 sum_c |c| a(c) b(c^-1) of two class functions, as
-    a residue mod ell, one pair at a time."""
-    arena = a.arena
-    if arena != b.arena:
-        raise ArenaMismatch("class functions from different arenas")
+def inner_product_residue(a, b, table, arena):
+    """<a, b> = |G|^-1 sum_c |c| a(c) b(c^-1) of two class functions of
+    `arena`, as a residue mod ell, one pair at a time."""
     ell = arena.ell
-    b_values = b.values
-    acc = sum(c.size * x * b_values[c.inverse_class] for c, x in zip(table.classes, a.values))
+    acc = sum(c.size * x * b[c.inverse_class] for c, x in zip(table.classes, a))
     return acc % ell * pow(table.order, ell - 2, ell) % ell
 
 
@@ -273,10 +269,10 @@ def sp_by_search(k, field):
     return sorted(out)
 
 
-def h_membership_flat(g, spec, field):
+def h_membership_flat(g, r, k, field):
     """Membership in H_{r,2k}: zero lower-left block, U_r upper-left,
     Sp(2k) lower-right."""
-    r, k, n = spec.r, spec.k, spec.n
+    n = r + 2 * k
     if any(g[i * n + j] for i in range(r, n) for j in range(r)):
         return False
     for i in range(r):
@@ -382,7 +378,7 @@ def model_histogram(n, q):
     """{k: number of irreducibles of GL_n(F_q) in the model H_{n-2k,2k}},
     read from Green's parametrisation through kappa: odd parts t feed r,
     and floor(t/2) deg f feeds k."""
-    return dict(Counter(kappa(param).k for param in green_parameters(n, q)))
+    return dict(Counter(kappa(param)[1] for param in green_parameters(n, q)))
 
 
 def model_columns(rows):
@@ -420,7 +416,7 @@ def degree_model_histogram(n, q):
     """{(dim pi, k): number of irreducibles pi of GL_n(F_q) of that
     dimension in the model H_{n-2k,2k}}, from Green's degree formula and
     the parametrisation read through kappa."""
-    return dict(Counter((green_degree(function, n, q), kappa(param).k)
+    return dict(Counter((green_degree(function, n, q), kappa(param)[1])
                         for function, param in zip(green_functions(n, q),
                                                    green_parameters(n, q))))
 

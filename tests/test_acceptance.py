@@ -146,9 +146,9 @@ def test_criterion_5_kappa_consistency():
         for d in range(1, 5):
             for t in range(1, 10):
                 block = SpehBlock(CuspidalLabel("rho", r), d, t)
-                kt = kappa(TadicParameter([ParamBlock(block)]))
-                assert kt.k == block.delta_degree * (t // 2)
-                assert kt.r + 2 * kt.k == block.degree
+                rank, half_rank = kappa(TadicParameter([ParamBlock(block)]))
+                assert half_rank == block.delta_degree * (t // 2)
+                assert rank + 2 * half_rank == block.degree
     rng = random.Random(515)
     for _ in range(1000):
         self_dual = {name for name in "uvw" if rng.random() < 0.25}

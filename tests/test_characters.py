@@ -12,7 +12,6 @@ from klyachko import characters
 from klyachko.arena import build_arena, zpoly_divmod, zpoly_powmod
 from klyachko.characters import (
     SORT_BLOCK,
-    ClassFunction,
     _central_spaces,
     _character_from_central,
     _carry,
@@ -30,13 +29,13 @@ from klyachko.characters import (
     _visit_order,
     character_table,
     class_multiplication_tensor,
+    dimension,
     induced_klyachko_character,
     multiplicity,
     verify_orthogonality,
 )
 from klyachko.cli import main
 from klyachko.errors import (
-    ArenaMismatch,
     ArenaTooSmall,
     EigenSplitFailure,
     InvariantViolation,
@@ -48,7 +47,6 @@ from klyachko.gf import mat_identity, mat_inv, mat_mul
 from klyachko.groups import (
     SINGULAR,
     ConjClass,
-    KlyachkoSubgroupSpec,
     chunk_columns,
     chunk_images,
     det_class_map,
@@ -74,23 +72,25 @@ from oracles import (
 )
 
 
-def _induced_full_sum(table, spec, arena):
+def _induced_full_sum(table, k, psi, arena):
     """Oracle: the literal Frobenius sum over all of G per class
-    representative, chi(g) = |H|^-1 sum_x psi(x g x^-1) over x g x^-1 in H."""
+    representative, chi(g) = |H|^-1 sum_x psi(x g x^-1) over x g x^-1 in H,
+    H = H_{n-2k,2k}."""
     ell = arena.ell
     n, field = table.n, table.field
-    zeta = pow(arena.zeta_p, spec.psi_generator, ell)
-    h_inv = pow(h_order(spec.r, spec.k, field.q), ell - 2, ell)
+    r = n - 2 * k
+    zeta = pow(arena.zeta_p, psi, ell)
+    h_inv = pow(h_order(r, k, field.q), ell - 2, ell)
     elements, inverses = table.elements, table.inverses()
     vals = []
     for cls in table.classes:
         acc = 0
         for x, x_inv in zip(elements, inverses):
             y = mat_mul(mat_mul(x, cls.representative, n, field), x_inv, n, field)
-            if h_membership_flat(y, spec, field):
-                acc += pow(zeta, psi_r_trace(encode(y, field.q), spec, field), ell)
+            if h_membership_flat(y, r, k, field):
+                acc += pow(zeta, psi_r_trace(encode(y, field.q), r, n, field), ell)
         vals.append(acc * h_inv % ell)
-    return ClassFunction(arena, tuple(vals))
+    return tuple(vals)
 
 
 def test_arena_least_prime_for_s3(table_store):
@@ -125,14 +125,14 @@ def test_lift_bounded(arena_store):
         arena.lift_bounded(arena.ell - 1, 0, 5)
 
 
-def dims_of(chars, table):
-    return sorted(cf.dimension(table) for cf in chars)
+def dims_of(chars, table, arena):
+    return sorted(dimension(chi, table, arena) for chi in chars)
 
 
 def test_gl2_f2_is_s3(table_store, arena_store):
     table, arena = table_store(2, 2), arena_store(2, 2)
     chars = character_table(table, arena)
-    assert dims_of(chars, table) == [1, 1, 2]
+    assert dims_of(chars, table, arena) == [1, 1, 2]
     # classical S_3 table, classes keyed by size: 1 = identity,
     # 3 = order-2 (transposition type), 2 = order-3
     by_size = {cls.size: i for i, cls in enumerate(table.classes)}
@@ -143,8 +143,8 @@ def test_gl2_f2_is_s3(table_store, arena_store):
         (2, 0, ell - 1),
     }
     got = {
-        (cf.values[by_size[1]], cf.values[by_size[3]], cf.values[by_size[2]])
-        for cf in chars
+        (chi[by_size[1]], chi[by_size[3]], chi[by_size[2]])
+        for chi in chars
     }
     assert got == expected
 
@@ -155,24 +155,25 @@ def test_gl2_f2_table_against_regular_decomposition(table_store, arena_store):
     table, arena = table_store(2, 2), arena_store(2, 2)
     chars = character_table(table, arena)
     e_idx = table.identity_class()
-    regular = ClassFunction(arena, tuple(table.order % arena.ell if c == e_idx else 0
-                                         for c in range(len(table.classes))))
-    assert regular.dimension(table) == table.order
-    assert multiplicity(regular, chars, table) == [cf.dimension(table) for cf in chars]
+    regular = tuple(table.order % arena.ell if c == e_idx else 0
+                    for c in range(len(table.classes)))
+    assert dimension(regular, table, arena) == table.order
+    assert multiplicity(regular, chars, table, arena) == [dimension(chi, table, arena)
+                                                           for chi in chars]
 
 
 def test_gl2_f3_dimensions(table_store, arena_store):
     table, arena = table_store(2, 3), arena_store(2, 3)
     chars = character_table(table, arena)
-    assert dims_of(chars, table) == [1, 1, 2, 2, 2, 3, 3, 4]
-    assert sum(d * d for d in dims_of(chars, table)) == 48
+    assert dims_of(chars, table, arena) == [1, 1, 2, 2, 2, 3, 3, 4]
+    assert sum(d * d for d in dims_of(chars, table, arena)) == 48
 
 
 def test_gl3_f2_dimensions(table_store, arena_store):
     table, arena = table_store(3, 2), arena_store(3, 2)
     chars = character_table(table, arena)
-    assert dims_of(chars, table) == [1, 3, 3, 6, 7, 8]
-    assert sum(dims_of(chars, table)) == 28
+    assert dims_of(chars, table, arena) == [1, 3, 3, 6, 7, 8]
+    assert sum(dims_of(chars, table, arena)) == 28
 
 
 def test_row_orthogonality_explicit(table_store, arena_store):
@@ -180,7 +181,7 @@ def test_row_orthogonality_explicit(table_store, arena_store):
     chars = character_table(table, arena)
     for i, a in enumerate(chars):
         for j, b in enumerate(chars):
-            assert inner_product_residue(a, b, table) == (1 if i == j else 0)
+            assert inner_product_residue(a, b, table, arena) == (1 if i == j else 0)
 
 
 def _literal_orthogonality(chars, table, arena):
@@ -191,20 +192,20 @@ def _literal_orthogonality(chars, table, arena):
     n_cls = len(table.classes)
     if len(chars) != n_cls:
         raise InvariantViolation(f"{len(chars)} characters for {n_cls} classes")
-    dims = [cf.dimension(table) for cf in chars]
+    dims = [dimension(chi, table, arena) for chi in chars]
     if sum(d * d for d in dims) != table.order:
         raise InvariantViolation("sum of squared dimensions != |G|")
     for a in range(n_cls):
         for b in range(a, n_cls):
             want = 1 if a == b else 0
-            if inner_product_residue(chars[a], chars[b], table) != want:
+            if inner_product_residue(chars[a], chars[b], table, arena) != want:
                 raise InvariantViolation(f"row orthogonality failed at ({a}, {b})")
     inv_map = [c.inverse_class for c in table.classes]
     for c in range(n_cls):
         for cp in range(n_cls):
             acc = 0
-            for cf in chars:
-                acc = (acc + cf.values[c] * cf.values[inv_map[cp]]) % ell
+            for chi in chars:
+                acc = (acc + chi[c] * chi[inv_map[cp]]) % ell
             want = table.order // table.classes[c].size if c == cp else 0
             if acc != want % ell:
                 raise InvariantViolation(f"column orthogonality failed at ({c}, {cp})")
@@ -221,11 +222,11 @@ def test_orthogonality_checkers_agree_on_perturbed_tables(n, q, table_store, are
         check(chars, table, arena)
         with pytest.raises(InvariantViolation):
             check(chars[1:], table, arena)
-    for a, cf in enumerate(chars):
+    for a, chi in enumerate(chars):
         for c in range(len(table.classes)):
-            values = list(cf.values)
+            values = list(chi)
             values[c] = (values[c] + 1) % arena.ell
-            perturbed = chars[:a] + [ClassFunction(arena, tuple(values))] + chars[a + 1:]
+            perturbed = chars[:a] + [tuple(values)] + chars[a + 1:]
             for check in checkers:
                 with pytest.raises(InvariantViolation):
                     check(perturbed, table, arena)
@@ -240,10 +241,10 @@ def test_orthogonality_rejects_a_perturbed_last_row(n, q, table_store, arena_sto
     chars = character_table(table, arena)
     *rest, last = chars
     for c in range(len(table.classes)):
-        values = list(last.values)
+        values = list(last)
         values[c] = (values[c] + 1) % arena.ell
         with pytest.raises(InvariantViolation):
-            verify_orthogonality(rest + [ClassFunction(arena, tuple(values))], table, arena)
+            verify_orthogonality(rest + [tuple(values)], table, arena)
 
 
 def test_orthogonality_takes_each_dot_product_once(table_store, arena_store, monkeypatch):
@@ -271,7 +272,7 @@ def test_orthogonality_reduces_values_outside_the_residue_range(table_store, are
     chars = character_table(table, arena)
     ell = arena.ell
     for shift in (ell, -ell, 3 * ell * ell):
-        shifted = [ClassFunction(arena, tuple(v + shift for v in cf.values)) for cf in chars]
+        shifted = [tuple(v + shift for v in chi) for chi in chars]
         verify_orthogonality(shifted, table, arena)
         _literal_orthogonality(shifted, table, arena)
 
@@ -310,10 +311,12 @@ def test_orthogonality_rejects_inverse_classes_that_do_not_pair_up(n, q, table_s
 
 
 def test_orthogonality_rejects_characters_of_another_arena(table_store, arena_store):
+    """Residues mod one ell read in the arena of another are not a
+    character table there: the row relations fail."""
     table = table_store(2, 3)
     chars = character_table(table, arena_store(2, 3))
     other = build_arena(table.order, table.exponent(), 3, ell=1000000009)
-    with pytest.raises(ArenaMismatch):
+    with pytest.raises(InvariantViolation, match="row orthogonality failed"):
         verify_orthogonality(chars, table, other)
 
 
@@ -386,7 +389,7 @@ def _tensor_character_table(table, arena, seed=20259, attempts=20):
         chars = [_character_from_central(om, [pow(c.size, ell - 2, ell) for c in classes],
                                          [c.inverse_class for c in classes], table.order, arena)
                  for om in omegas]
-        chars.sort(key=lambda cf: (cf.values[e_idx], cf.values))
+        chars.sort(key=lambda chi: (chi[e_idx], chi))
         verify_orthogonality(chars, table, arena)
         return chars
     pytest.fail("the random mix never split")
@@ -865,13 +868,13 @@ def test_every_twist_of_a_character_is_a_character(n, q, table_store, arena_stor
     ell = arena.ell
     zeta = pow(arena.zeta_m, arena.m // (q - 1), ell)
     chars = character_table(table, arena)
-    rows = {cf.values for cf in chars}
+    rows = set(chars)
     dets = det_exponents(table)
-    twists = [tuple(pow(zeta, j * a, ell) * x % ell for x, a in zip(cf.values, dets))
-              for cf in chars for j in range(1, q - 1)]
+    twists = [tuple(pow(zeta, j * a, ell) * x % ell for x, a in zip(chi, dets))
+              for chi in chars for j in range(1, q - 1)]
     assert all(twist in rows for twist in twists)
     if q > 2:  # twisting by lambda_1 moves some character
-        assert any(t != cf.values for cf, t in zip(chars, twists[::q - 2]))
+        assert any(t != chi for chi, t in zip(chars, twists[::q - 2]))
 
 
 def _det_off_by_one(c):
@@ -944,8 +947,8 @@ def test_a_space_that_receives_too_few_lines_raises(table_store, arena_store, mo
 def _omegas(chars, table, ell):
     """The central character |c| chi(c) / chi(1) of every character."""
     e_idx = table.identity_class()
-    return [[cls.size * v * pow(cf.values[e_idx], ell - 2, ell) % ell
-             for cls, v in zip(table.classes, cf.values)] for cf in chars]
+    return [[cls.size * v * pow(chi[e_idx], ell - 2, ell) % ell
+             for cls, v in zip(table.classes, chi)] for chi in chars]
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3), (4, 2), (2, 9)])
@@ -959,8 +962,8 @@ def test_conjugate_pair_holds_exactly_for_a_character_and_its_conjugate(n, q, ta
     ell, inv_map = arena.ell, [cls.inverse_class for cls in table.classes]
     chars = character_table(table, arena)
     omegas = _omegas(chars, table, ell)
-    index = {cf.values: a for a, cf in enumerate(chars)}
-    conj = [index[tuple(map(cf.values.__getitem__, inv_map))] for cf in chars]
+    index = {chi: a for a, chi in enumerate(chars)}
+    conj = [index[tuple(map(chi.__getitem__, inv_map))] for chi in chars]
     conjugate_pairs = [(a, b) for a, b in itertools.combinations(range(len(chars)), 2)
                        if conj[a] == b]
     real = [a for a in range(len(chars)) if conj[a] == a]
@@ -1037,7 +1040,7 @@ def test_gl1_table_needs_no_visit(table_store, arena_store, monkeypatch):
     monkeypatch.setattr(characters, "class_multiplication_tensor", _refuse_tensor)
     monkeypatch.setattr(characters, "chunk_columns", _refuse_tensor)
     chars = character_table(table, arena)
-    assert len(chars) == 4 and all(cf.dimension(table) == 1 for cf in chars)
+    assert len(chars) == 4 and all(dimension(chi, table, arena) == 1 for chi in chars)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1500,18 +1503,18 @@ def test_billion_scale_ell_gives_same_report(table_store):
 def test_induced_trivial_when_h_is_everything(table_store, arena_store):
     # Sp(2, F_2) = GL_2(F_2), so the (r, k) = (0, 1) model is trivial
     table, arena = table_store(2, 2), arena_store(2, 2)
-    chi = induced_klyachko_character(table, KlyachkoSubgroupSpec(0, 1), arena)
-    assert chi.values == (1, 1, 1)
+    chi = induced_klyachko_character(table, 1, 1, arena)
+    assert chi == (1, 1, 1)
 
 
 def test_induced_whittaker_gl2_f2(table_store, arena_store):
     table, arena = table_store(2, 2), arena_store(2, 2)
-    chi = induced_klyachko_character(table, KlyachkoSubgroupSpec(2, 0), arena)
+    chi = induced_klyachko_character(table, 0, 1, arena)
     by_size = {cls.size: i for i, cls in enumerate(table.classes)}
     ell = arena.ell
-    assert chi.values[by_size[1]] == 3
-    assert chi.values[by_size[3]] == ell - 1
-    assert chi.values[by_size[2]] == 0
+    assert chi[by_size[1]] == 3
+    assert chi[by_size[3]] == ell - 1
+    assert chi[by_size[2]] == 0
 
 
 def test_induced_dimension_is_index(table_store, arena_store):
@@ -1520,9 +1523,8 @@ def test_induced_dimension_is_index(table_store, arena_store):
     for n, q in ((2, 3), (3, 2), (2, 4)):
         table, arena = table_store(n, q), arena_store(n, q)
         for k in range(n // 2 + 1):
-            spec = KlyachkoSubgroupSpec(n - 2 * k, k)
-            chi = induced_klyachko_character(table, spec, arena)
-            assert chi.dimension(table) == table.order // h_order(spec.r, spec.k, q)
+            chi = induced_klyachko_character(table, k, 1, arena)
+            assert dimension(chi, table, arena) == table.order // h_order(n - 2 * k, k, q)
 
 
 def test_a_model_of_the_wrong_dimension_raises(table_store, arena_store, monkeypatch, capsys):
@@ -1533,18 +1535,18 @@ def test_a_model_of_the_wrong_dimension_raises(table_store, arena_store, monkeyp
     table, arena = table_store(2, 3), arena_store(2, 3)
     listed = characters.enumerate_h
 
-    def identity_twice(spec, field):
-        members = listed(spec, field)
-        ident = encode(mat_identity(spec.n), field.q)
+    def identity_twice(r, k, field):
+        members = listed(r, k, field)
+        ident = encode(mat_identity(r + 2 * k), field.q)
         i = next(i for i, el in enumerate(members) if el != ident)
         return members[:i] + [ident] + members[i + 1:]
 
     monkeypatch.setattr(characters, "enumerate_h", identity_twice)
-    for spec in (KlyachkoSubgroupSpec(2, 0), KlyachkoSubgroupSpec(0, 1)):
-        index = table.order // h_order(spec.r, spec.k, 3)
+    for k in (0, 1):
+        index = table.order // h_order(2 - 2 * k, k, 3)
         with pytest.raises(InvariantViolation,
                            match=f"chi\\(e\\) lifted to {2 * index}, expected index {index}"):
-            induced_klyachko_character(table, spec, arena)
+            induced_klyachko_character(table, k, 1, arena)
     assert main(["verify-gelfand", "--n", "2", "--q", "3", "--no-cache"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "expected index" in err
@@ -1554,20 +1556,19 @@ def test_full_sum_method_agrees(table_store, arena_store):
     for n, q in ((2, 2), (2, 3)):
         table, arena = table_store(n, q), arena_store(n, q)
         for k in range(n // 2 + 1):
-            spec = KlyachkoSubgroupSpec(n - 2 * k, k)
-            fast = induced_klyachko_character(table, spec, arena)
-            slow = _induced_full_sum(table, spec, arena)
+            fast = induced_klyachko_character(table, k, 1, arena)
+            slow = _induced_full_sum(table, k, 1, arena)
             assert fast == slow
 
 
 def test_multiplicity_examples(table_store, arena_store):
     table, arena = table_store(2, 2), arena_store(2, 2)
     chars = character_table(table, arena)
-    trivial = next(cf for cf in chars if set(cf.values) == {1})
-    m_symp = induced_klyachko_character(table, KlyachkoSubgroupSpec(0, 1), arena)
-    m_whit = induced_klyachko_character(table, KlyachkoSubgroupSpec(2, 0), arena)
-    assert multiplicity(m_symp, [trivial], table) == [1]
-    assert multiplicity(m_whit, [trivial], table) == [0]
+    trivial = next(chi for chi in chars if set(chi) == {1})
+    m_symp = induced_klyachko_character(table, 1, 1, arena)
+    m_whit = induced_klyachko_character(table, 0, 1, arena)
+    assert multiplicity(m_symp, [trivial], table, arena) == [1]
+    assert multiplicity(m_whit, [trivial], table, arena) == [0]
 
 
 @pytest.mark.parametrize("n,q", ACCEPTANCE_GRID)
@@ -1577,40 +1578,38 @@ def test_multiplicities_match_the_per_pair_inner_product(n, q, table_store, aren
     table, arena = table_store(n, q), arena_store(n, q)
     chars = character_table(table, arena)
     for k in range(n // 2 + 1):
-        chi_model = induced_klyachko_character(table, KlyachkoSubgroupSpec(n - 2 * k, k), arena)
-        bound = chi_model.dimension(table)
-        assert multiplicity(chi_model, chars, table) == [
-            arena.lift_bounded(inner_product_residue(chi_model, cf, table), 0, bound)
-            for cf in chars]
+        chi_model = induced_klyachko_character(table, k, 1, arena)
+        bound = dimension(chi_model, table, arena)
+        assert multiplicity(chi_model, chars, table, arena) == [
+            arena.lift_bounded(inner_product_residue(chi_model, chi, table, arena), 0, bound)
+            for chi in chars]
 
 
 def test_multiplicity_rejects_a_perturbed_model_and_another_arena(table_store, arena_store):
     """A model character with one value moved by +1 has an inner product
-    with the trivial character that lifts outside [0, dim]; characters of
-    another arena are refused."""
+    with the trivial character that lifts outside [0, dim]; so do the
+    model and characters of one arena read in another."""
     table, arena = table_store(2, 3), arena_store(2, 3)
     chars = character_table(table, arena)
-    chi_model = induced_klyachko_character(table, KlyachkoSubgroupSpec(2, 0), arena)
+    chi_model = induced_klyachko_character(table, 0, 1, arena)
     e_idx = table.identity_class()
     for c in range(len(table.classes)):
         if c == e_idx:
             continue
-        values = list(chi_model.values)
+        values = list(chi_model)
         values[c] = (values[c] + 1) % arena.ell
         with pytest.raises(LiftOutOfRange, match="multiplicity"):
-            multiplicity(ClassFunction(arena, tuple(values)), chars, table)
+            multiplicity(tuple(values), chars, table, arena)
     other = build_arena(table.order, table.exponent(), 3, ell=1000000009)
-    with pytest.raises(ArenaMismatch):
-        multiplicity(chi_model, [ClassFunction(other, cf.values) for cf in chars], table)
+    with pytest.raises(LiftOutOfRange, match="multiplicity"):
+        multiplicity(chi_model, chars, table, other)
 
 
 def test_psi_generator_changes_character_not_multiplicities(table_store, arena_store):
     table, arena = table_store(2, 3), arena_store(2, 3)
     chars = character_table(table, arena)
-    spec1 = KlyachkoSubgroupSpec(2, 0, psi_generator=1)
-    spec2 = KlyachkoSubgroupSpec(2, 0, psi_generator=2)
-    chi1 = induced_klyachko_character(table, spec1, arena)
-    chi2 = induced_klyachko_character(table, spec2, arena)
-    mults1 = multiplicity(chi1, chars, table)
-    mults2 = multiplicity(chi2, chars, table)
+    chi1 = induced_klyachko_character(table, 0, 1, arena)
+    chi2 = induced_klyachko_character(table, 0, 2, arena)
+    mults1 = multiplicity(chi1, chars, table, arena)
+    mults2 = multiplicity(chi2, chars, table, arena)
     assert mults1 == mults2

@@ -297,15 +297,25 @@ def test_derive_empty_param_is_parse_error(capsys):
     assert code == 4
 
 
-@pytest.mark.parametrize("param", ["U(rho:1,1,1001)@0", "P(U(rho:1,1,1001),1/4) x U(a:1,1,1)"])
+# the steps of a derive whose block t sum to exactly MAX_T = 1001, a paired
+# block counting twice
+AT_THE_CAP = {"U(rho:1,1,1001)@0": 1001, "P(U(rho:1,1,500),1/4) x U(a:1,1,1)": 500}
+
+
+@pytest.mark.parametrize("param", sorted(AT_THE_CAP))
 def test_derive_at_the_cap_is_accepted(capsys, param):
     code, js, err = run_json(capsys, "derive", param)
     assert (code, err) == (0, "")
-    assert js["steps"] == cli.MAX_T == 1001
+    assert cli.MAX_T == 1001
+    assert js["steps"] == AT_THE_CAP[param]
     assert js["stages"][-1]["param"] is None
 
 
-@pytest.mark.parametrize("param", ["U(rho:1,1,1002)@0", "P(U(rho:1,1,1002),1/4) x U(a:1,1,1)"])
+# the block t sum of each parameter above the cap
+ABOVE_THE_CAP = {"U(rho:1,1,1002)@0": 1002, "P(U(rho:1,1,1002),1/4) x U(a:1,1,1)": 2005}
+
+
+@pytest.mark.parametrize("param", sorted(ABOVE_THE_CAP))
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_derive_above_the_cap_is_refused_before_any_derivative(capsys, monkeypatch, param, fmt):
     def no_work(blocks):
@@ -313,7 +323,19 @@ def test_derive_above_the_cap_is_refused_before_any_derivative(capsys, monkeypat
 
     monkeypatch.setattr(cli, "product_highest_derivative", no_work)
     assert run(capsys, "derive", param, "--format", fmt) == (
-        2, "", "refused: block t 1002 is above the cap 1001\n")
+        2, "", f"refused: sum of block t {ABOVE_THE_CAP[param]} is above the cap 1001\n")
+
+
+def test_derive_of_many_blocks_each_under_the_cap_is_refused(capsys, monkeypatch):
+    """100 blocks of t = 1001 would list 100 100 blocks over the stages:
+    the sum of the block t is capped, not each t."""
+    def no_work(blocks):
+        raise AssertionError("derivative taken above the cap")
+
+    monkeypatch.setattr(cli, "product_highest_derivative", no_work)
+    param = " x ".join(f"U(a{i}:1,1,1001)@0" for i in range(100))
+    assert run(capsys, "derive", param, "--format", "json") == (
+        2, "", "refused: sum of block t 100100 is above the cap 1001\n")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -199,6 +199,22 @@ def test_a_field_with_no_generator_raises(monkeypatch):
         FiniteField(5, 1)
 
 
+def test_a_field_with_no_irreducible_modulus_raises(monkeypatch):
+    """A monic irreducible of every degree exists over F_p, so a search
+    that finds none is a bug: InvariantViolation."""
+    monkeypatch.setattr(gf, "zpoly_is_irreducible", lambda poly, p: False)
+    with pytest.raises(InvariantViolation, match="no irreducible monic of degree 2 over F_3"):
+        FiniteField(3, 2)
+
+
+def test_a_reducible_modulus_raises(monkeypatch):
+    """With every polynomial taken as irreducible the modulus is x^2,
+    under which x has no inverse: InvariantViolation."""
+    monkeypatch.setattr(gf, "zpoly_is_irreducible", lambda poly, p: True)
+    with pytest.raises(InvariantViolation, match="element 3 has no inverse"):
+        FiniteField(3, 2)
+
+
 def test_field_from_q():
     assert field_from_q(4).modulus == (1, 1, 1)
     assert field_from_q(9).p == 3

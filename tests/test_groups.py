@@ -12,7 +12,6 @@ from klyachko.fqpoly import invariant_factors
 from klyachko.gf import field_from_q, field_make, mat_identity, mat_inv, mat_mul
 from klyachko.groups import (
     ConjClass,
-    KlyachkoSubgroupSpec,
     _conjugation_tables,
     chunk_columns,
     chunk_images,
@@ -325,9 +324,8 @@ def test_enumerate_h_is_the_encoded_membership_filter(n, q):
     field = field_from_q(q)
     flat = decoded(gl_elements(n, field), n, q)
     for k in range(n // 2 + 1):
-        spec = KlyachkoSubgroupSpec(n - 2 * k, k)
-        oracle = [encode(g, q) for g in flat if h_membership_flat(g, spec, field)]
-        assert enumerate_h(spec, field) == oracle
+        oracle = [encode(g, q) for g in flat if h_membership_flat(g, n - 2 * k, k, field)]
+        assert enumerate_h(n - 2 * k, k, field) == oracle
 
 
 @pytest.mark.parametrize("n,q,drop", [
@@ -644,12 +642,10 @@ def test_sp_order_formula():
 
 def test_h_identity_and_sizes():
     f2 = field_make(2, 1)
-    spec = KlyachkoSubgroupSpec(2, 0)
-    assert h_membership_flat(mat_identity(2), spec, f2)
-    assert len(enumerate_h(spec, f2)) == 2 == h_order(2, 0, 2)
+    assert h_membership_flat(mat_identity(2), 2, 0, f2)
+    assert len(enumerate_h(2, 0, f2)) == 2 == h_order(2, 0, 2)
     f3 = field_make(3, 1)
-    spec12 = KlyachkoSubgroupSpec(1, 1)
-    assert len(enumerate_h(spec12, f3)) == 216 == h_order(1, 1, 3)
+    assert len(enumerate_h(1, 1, f3)) == 216 == h_order(1, 1, 3)
 
 
 @pytest.mark.parametrize("r,k,q", [(0, 2, 2), (1, 1, 3), (2, 1, 2)])
@@ -657,64 +653,58 @@ def test_enumerate_h_is_built_without_gl(r, k, q, monkeypatch):
     """H_{r,2k} is the lex-ordered filter of GL_n by membership, built
     without enumerating any general linear group."""
     field = field_from_q(q)
-    spec = KlyachkoSubgroupSpec(r, k)
-    oracle = [g for g in gl_elements(spec.n, field)
-              if h_membership_flat(decode(g, spec.n, q), spec, field)]
+    n = r + 2 * k
+    oracle = [g for g in gl_elements(n, field) if h_membership_flat(decode(g, n, q), r, k, field)]
 
     def no_gl(*args, **kwargs):
         raise AssertionError("gl_elements called")
 
     monkeypatch.setattr(groups, "gl_elements", no_gl)
-    assert enumerate_h(spec, field) == oracle
+    assert enumerate_h(r, k, field) == oracle
     assert len(oracle) == h_order(r, k, q)
 
 
 def test_h_closure_under_product_and_inverse():
     rng = random.Random(42)
     f3 = field_make(3, 1)
-    spec = KlyachkoSubgroupSpec(1, 1)
-    n = spec.n
-    members = decoded(enumerate_h(spec, f3), n, 3)
+    n = 3
+    members = decoded(enumerate_h(1, 1, f3), n, 3)
     for _ in range(1000):
         a, b = rng.choice(members), rng.choice(members)
         ab = mat_mul(a, b, n, f3)
-        assert h_membership_flat(ab, spec, f3)
-        assert h_membership_flat(mat_inv(a, n, f3), spec, f3)
+        assert h_membership_flat(ab, 1, 1, f3)
+        assert h_membership_flat(mat_inv(a, n, f3), 1, 1, f3)
 
 
 def test_psi_identity_is_zero():
     f3 = field_make(3, 1)
-    spec = KlyachkoSubgroupSpec(3, 0)
-    assert psi_r_trace(encode(mat_identity(3), 3), spec, f3) == 0
+    assert psi_r_trace(encode(mat_identity(3), 3), 3, 3, f3) == 0
 
 
 def test_psi_reads_superdiagonal():
     f3 = field_make(3, 1)
-    spec = KlyachkoSubgroupSpec(2, 0)
-    assert psi_r_trace(encode((1, 2, 0, 1), 3), spec, f3) == 2
+    assert psi_r_trace(encode((1, 2, 0, 1), 3), 2, 2, f3) == 2
 
 
 def test_psi_trivial_for_small_r():
     f3 = field_make(3, 1)
-    spec = KlyachkoSubgroupSpec(0, 1)
     for g in enumerate_sp(1, f3):
-        assert psi_r_trace(g, spec, f3) == 0
+        assert psi_r_trace(g, 0, 2, f3) == 0
 
 
 def test_psi_is_homomorphism():
     rng = random.Random(9)
     for p, e, r, k in ((3, 1, 3, 0), (2, 1, 2, 1), (2, 2, 2, 0)):
         field = field_make(p, e)
-        spec = KlyachkoSubgroupSpec(r, k)
-        n = spec.n
-        members = enumerate_h(spec, field)
+        n = r + 2 * k
+        members = enumerate_h(r, k, field)
         for _ in range(1000):
             a, b = rng.choice(members), rng.choice(members)
             ab = mat_mul(decode(a, n, field.q), decode(b, n, field.q), n, field)
-            assert h_membership_flat(ab, spec, field)
-            va = psi_r_trace(a, spec, field)
-            vb = psi_r_trace(b, spec, field)
-            assert psi_r_trace(encode(ab, field.q), spec, field) == (va + vb) % p
+            assert h_membership_flat(ab, r, k, field)
+            va = psi_r_trace(a, r, n, field)
+            vb = psi_r_trace(b, r, n, field)
+            assert psi_r_trace(encode(ab, field.q), r, n, field) == (va + vb) % p
 
 
 # -- the mirrored family H'_{2k,r} ----------------------------------------
@@ -762,15 +752,15 @@ def test_duality_involution_swaps_model_families():
     """tau carries H_{r,2k} onto H'_{2k,r} and conjugates psi."""
     for p, e, r, k in ((2, 1, 2, 1), (3, 1, 2, 0), (3, 1, 1, 1), (2, 2, 2, 0)):
         field = field_make(p, e)
-        spec = KlyachkoSubgroupSpec(r, k)
+        n = r + 2 * k
         image = set()
-        for h in enumerate_h(spec, field):
-            t = duality_involution(decode(h, spec.n, field.q), r, k, field)
+        for h in enumerate_h(r, k, field):
+            t = duality_involution(decode(h, n, field.q), r, k, field)
             image.add(t)
-            e1 = psi_r_trace(h, spec, field)
+            e1 = psi_r_trace(h, r, n, field)
             e2 = mirrored_psi_trace(t, r, k, field)
             assert (e1 + e2) % p == 0
-        mirrored = {g for g in decoded(gl_elements(spec.n, field), spec.n, field.q)
+        mirrored = {g for g in decoded(gl_elements(n, field), n, field.q)
                     if mirrored_h_membership(g, r, k, field)}
         assert len(mirrored) == h_order(r, k, field.q)
         assert image == mirrored

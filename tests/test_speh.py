@@ -1,12 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from klyachko.cli import main
 from klyachko.errors import EmptyBlock
 from klyachko.speh import (
     CuspidalLabel,
-    KlyachkoType,
     ParamBlock,
     SpehBlock,
     TadicParameter,
@@ -133,28 +134,25 @@ def test_kappa_single_block_closed_form():
         for d in range(1, 5):
             for t in range(1, 10):
                 param = TadicParameter([plain(CuspidalLabel("rho", r0), d, t)])
-                kt = kappa(param)
-                assert kt.k == r0 * d * (t // 2)
-                assert kt.r + 2 * kt.k == param.n == r0 * d * t
+                r, k = kappa(param)
+                assert k == r0 * d * (t // 2)
+                assert r + 2 * k == param.n == r0 * d * t
 
 
 def test_kappa_even_blocks_purely_symplectic():
     param = TadicParameter([plain(RHO, 1, 2), plain(CuspidalLabel("tau"), 1, 4)])
-    kt = kappa(param)
-    assert kt.r == 0
-    assert kt.k == param.n // 2 == 3
+    assert kappa(param) == (0, param.n // 2) == (0, 3)
 
 
 def test_kappa_all_t1_whittaker():
     param = TadicParameter([plain(CuspidalLabel(c), 1, 1) for c in "abc"])
-    assert kappa(param) == KlyachkoType(3, 0)
+    assert kappa(param) == (3, 0)
 
 
 def test_kappa_paired_counts_twice():
     param = TadicParameter([paired(RHO, 1, 3, Fraction(1, 4))])
-    kt = kappa(param)
     assert param.n == 6
-    assert kt == KlyachkoType(2, 2)
+    assert kappa(param) == (2, 2)
 
 
 def test_kappa_mixed_theorem_shape():
@@ -162,10 +160,10 @@ def test_kappa_mixed_theorem_shape():
     delta_even = CuspidalLabel("s", 2)   # deg 2, t = 4: m' = 2
     delta_odd = CuspidalLabel("r", 1)    # deg 1 with d = 3: deg delta = 3, t = 5: m = 2
     param = TadicParameter([plain(delta_even, 1, 4), plain(delta_odd, 3, 5)])
-    kt = kappa(param)
-    assert kt.r == 3
-    assert kt.k == 2 * 2 + 2 * 3
-    assert kt.n == param.n == 8 + 15
+    r, k = kappa(param)
+    assert r == 3
+    assert k == 2 * 2 + 2 * 3
+    assert r + 2 * k == param.n == 8 + 15
 
 
 def test_kappa_equal_odd_t_closed_form():
@@ -175,10 +173,10 @@ def test_kappa_equal_odd_t_closed_form():
             plain(CuspidalLabel("a", 2), 1, t),
             plain(CuspidalLabel("b"), 3, t),
         ])
-        kt = kappa(param)
-        assert kt.k == (2 + 3) * (t // 2)
-        assert kt.r == 5
-        assert kt.n == param.n == 5 * t
+        r, k = kappa(param)
+        assert k == (2 + 3) * (t // 2)
+        assert r == 5
+        assert r + 2 * k == param.n == 5 * t
 
 
 def test_contragredient_involution_and_kappa_invariance():
@@ -217,11 +215,22 @@ def test_validate_unitary():
     assert not validate_unitary(TadicParameter([plain(RHO, 1, 3, Fraction(1, 4))]))
 
 
-def test_dual_model_type():
-    kt = KlyachkoType(1, 2)
-    assert kt.dual_group == "H'_{4,1}"
-    assert kt.dual_character == "conjugate psi'_1"
-    assert KlyachkoType(3, 0).dual_group == "H'_{0,3}"
+def test_dual_model_type(capsys):
+    """`kappa --format json` names the model H_{r,2k} with psi_r and the
+    contragredient's model on the primed family H'_{2k,r}, at r = 0 and
+    at k = 0 too."""
+    cases = [
+        ("U(rho:1,1,5)@0", {"r": 1, "k": 2}, "H_{1,4} with psi_1", "H'_{4,1}", "conjugate psi'_1"),
+        ("U(rho:1,1,2)@0", {"r": 0, "k": 1}, "H_{0,2} with psi_0", "H'_{2,0}", "conjugate psi'_0"),
+        ("U(a:1,1,1)@0 x U(b:1,1,1)@0 x U(c:1,1,1)@0", {"r": 3, "k": 0}, "H_{3,0} with psi_3",
+         "H'_{0,3}", "conjugate psi'_3"),
+    ]
+    for expr, kt, model, group, character in cases:
+        assert main(["kappa", expr, "--format", "json"]) == 0
+        js = json.loads(capsys.readouterr().out)
+        assert (js["kappa"], js["model"]) == (kt, model)
+        assert js["dual_model"] == {"group": group, "character": character,
+                                    "applies_to": "contragredient"}
 
 
 def test_parameter_drops_empty_blocks():

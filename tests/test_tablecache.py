@@ -501,16 +501,18 @@ def test_characters_round_trip(n, q, tmp_path, table_store, arena_store):
     table, arena = table_store(n, q), arena_store(n, q)
     chars = character_table(table, arena)
     path = characters_path(tmp_path, n, q, arena.ell)
-    save_characters(chars, table, path)
+    save_characters(chars, table, arena.ell, path)
     assert path.name == f"gl{n}_q{q}_ell{arena.ell}.chr"
-    assert load_characters(path, table, arena) == chars
+    loaded = load_characters(path, table, arena)
+    assert loaded == chars
+    assert all(type(chi) is tuple for chi in chars + loaded)
 
 
 def test_characters_file_layout(tmp_path, table_store, arena_store):
     table, arena = table_store(2, 3), arena_store(2, 3)
     chars = character_table(table, arena)
     path = tmp_path / "t.chr"
-    save_characters(chars, table, path)
+    save_characters(chars, table, arena.ell, path)
     raw = path.read_bytes()
     width, ell_at, fingerprint, digest, body = _chr_layout(raw)
     n_cls = len(table.classes)
@@ -521,7 +523,7 @@ def test_characters_file_layout(tmp_path, table_store, arena_store):
     assert raw[fingerprint:digest] == class_fingerprint(table)
     assert raw[digest:body] == hashlib.sha256(raw[:digest] + raw[body:]).digest()
     assert len(raw) == body + n_cls * n_cls * width
-    assert _chr_values(raw) == [v for cf in chars for v in cf.values]
+    assert _chr_values(raw) == [v for chi in chars for v in chi]
 
 
 def _other_fingerprint(raw):
@@ -582,7 +584,7 @@ CORRUPTIONS = ["digest", "fingerprint", "columns permuted", "rows permuted", "va
 def test_load_characters_rejects(kind, tmp_path, table_store, arena_store):
     table, arena = table_store(2, 3), arena_store(2, 3)
     path = tmp_path / "t.chr"
-    save_characters(character_table(table, arena), table, path)
+    save_characters(character_table(table, arena), table, arena.ell, path)
     corrupt, message = _chr_corruptions(table, arena)[kind]
     corrupt(path)
     with pytest.raises(CacheError, match=message):
@@ -592,7 +594,7 @@ def test_load_characters_rejects(kind, tmp_path, table_store, arena_store):
 def test_load_characters_rejects_other_ell_and_other_group(tmp_path, table_store, arena_store):
     table, arena = table_store(2, 3), arena_store(2, 3)
     path = tmp_path / "t.chr"
-    save_characters(character_table(table, arena), table, path)
+    save_characters(character_table(table, arena), table, arena.ell, path)
     other = build_arena(table.order, table.exponent(), 3, ell=_next_ell(arena))
     with pytest.raises(CacheError, match="ell"):
         load_characters(path, table, other)
@@ -682,7 +684,7 @@ def test_character_file_that_is_a_directory_is_bad_usage(tmp_path, capsys, arena
 
 
 def test_failed_character_write_is_bad_usage(tmp_path, capsys, monkeypatch, arena_store):
-    def deny(chars, table, path):
+    def deny(chars, table, ell, path):
         raise PermissionError(13, "Permission denied")
 
     monkeypatch.setattr(gelfand, "save_characters", deny)
