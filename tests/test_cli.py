@@ -327,7 +327,7 @@ def test_derive_above_the_cap_is_refused_before_any_derivative(capsys, monkeypat
 
 
 def test_derive_of_many_blocks_each_under_the_cap_is_refused(capsys, monkeypatch):
-    """100 blocks of t = 1001 would list 100 100 blocks over the stages:
+    """100 blocks of t = 1001 would list 100100 blocks over the stages:
     the sum of the block t is capped, not each t."""
     def no_work(blocks):
         raise AssertionError("derivative taken above the cap")
