@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -437,6 +438,25 @@ def test_largest_t_is_accepted(capsys):
     code, js, err = run_json(capsys, "period", "--t", "1001")
     assert (code, err) == (0, "")
     assert js["t"] == 1001
+
+
+RESIDUE_SURVIVAL_AT_THE_CAP = {  # --format: size in bytes and sha256 of stdout at t = 1001
+    "json": (14952992, "88adcef9b93210bf4c697139b5a45ff4da6cb50539567d393e80ecf2cd7deb0c"),
+    "text": (6843853, "e8148845d919d75aee4f26c0944b1f656ad3d35d2964f3e342a778bf3b8d7540"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RESIDUE_SURVIVAL_AT_THE_CAP))
+def test_residue_survival_at_the_cap_keeps_its_bytes(capsys, fmt):
+    """The whole report at t = 1001, pinned by its size and sha256: the
+    walk over the representatives writes the bytes that building each
+    one from scratch wrote."""
+    size, digest = RESIDUE_SURVIVAL_AT_THE_CAP[fmt]
+    code, out, err = run(capsys, "residue-survival", "--t", "1001", "--format", fmt)
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,11 @@
-import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from klyachko.errors import UnsupportedComposition
-from klyachko.weyl import bookkeeping_set, cycle_string, descent_set, residue_survival
+from klyachko.weyl import residue_survival
 from oracles import (
     block_project,
     interior_indices,
@@ -34,17 +34,6 @@ def test_lambda_invariants_up_to_50():
         assert sum(lam) == 0
         assert tuple(reversed(lam)) == tuple(-x for x in lam)
         assert all(a - b == 1 for a, b in zip(lam, lam[1:]))
-
-
-def test_descent_sets():
-    identity = (1, 2, 3, 4, 5)
-    assert descent_set(identity) == [] == naive_descent_set(identity)
-    for t in (3, 5, 9):
-        for i in range(2, t + 1):
-            w = naive_cycle(t, i)
-            assert descent_set(w) == [i - 1] == naive_descent_set(w)
-    reversal = tuple(range(5, 0, -1))
-    assert descent_set(reversal) == [1, 2, 3, 4] == naive_descent_set(reversal)
 
 
 def test_weyl_action_convention():
@@ -102,32 +91,34 @@ def test_residue_survival_bookkeeping_identity(t):
     assert residue_survival(t) == residue_terms_closed_form(t)
 
 
-def random_weyl_elements(t_max):
-    """40 seeded random permutations of [1, t] for each t <= t_max."""
-    rng = random.Random(16)
-    for t in range(1, t_max + 1):
-        for _ in range(40):
-            images = list(range(1, t + 1))
-            rng.shuffle(images)
-            yield tuple(images)
-
-
-def test_weyl_element_matches_naive_references():
-    for w in random_weyl_elements(12):
-        assert cycle_string(w) == naive_cycle_string(w)
-        assert descent_set(w) == naive_descent_set(w)
-
-
-def test_bookkeeping_set_matches_naive_reference():
-    """The unit-ascent count agrees with the route through the action on
-    2 Lambda_t: on 40 random permutations per t <= 13 and on every coset
-    representative up to t = 101."""
-    for w in random_weyl_elements(13):
-        assert bookkeeping_set(w) == naive_bookkeeping_set(w)
-    for t in range(1, 102, 2):
-        for i in range(1, t + 1):
+def test_residue_survival_terms_match_naive_references():
+    """Every term of the walk agrees with the naive per-index routines on
+    the representative built from scratch: its cycle string, descents
+    and bookkeeping set (the route through the action on 2 Lambda_t)."""
+    for t in range(3, 102, 2):
+        for i, term in enumerate(residue_survival(t)["terms"], start=1):
             w = naive_cycle(t, i)
-            assert bookkeeping_set(w) == naive_bookkeeping_set(w)
+            assert term["i"] == i
+            assert term["cycle"] == naive_cycle_string(w)
+            assert term["descents"] == naive_descent_set(w)
+            assert term["bookkeeping"] == naive_bookkeeping_set(w)
+
+
+def test_residue_survival_makes_no_python_call_per_term():
+    """The walk runs each term in the function's own frame: the Python-level
+    calls inside residue_survival(t), counted as profile "call" events,
+    are as many at t = 11 as at t = 301."""
+
+    def calls(t):
+        events = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and events.append(frame))
+        try:
+            residue_survival(t)
+        finally:
+            sys.setprofile(None)
+        return len(events)
+
+    assert calls(11) == calls(301)
 
 
 def test_residue_survival_rejects_bad_t():
