@@ -76,7 +76,7 @@ ENV_MAX_ELEMENTS = "KLYACHKO_MAX_ELEMENTS"
 # the largest --t of residue-survival and period, and the largest sum of
 # the block t of a derive parameter, a paired block counting twice: the
 # residue report grows as t^2 (15 MB of JSON at t = 1001, where a new
-# process takes 0.34-0.40 s and peaks at 66 MiB in JSON, and 0.26-0.29 s
+# process takes 0.34-0.43 s and peaks at 66 MiB in JSON, and 0.26-0.31 s
 # and 50 MiB in text, as _emit writes the parts without joining them, on
 # a 2-core shared x86_64 host with Python 3.11), the period report as t
 # and the derive report as the sum of the block t (each stage lists the
