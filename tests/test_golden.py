@@ -83,6 +83,77 @@ def test_symbolic_output_matches_golden(name, capsys):
                      f"{name}.json")
 
 
+# the text of kappa and derive on EXPRESSIONS, which has no meta and is
+# pinned whole
+SYMBOLIC_TEXT = {
+    "kappa_dual_label": """\
+parameter: U(rho~:2,1,3)@0 x U(sigma:1,2,2)@0
+n = 10, kappa: (r, 2k) = (2, 8)
+model: H_{2,8} with psi_2
+unitary (Tadic gate): True
+contragredient carries H'_{8,2} with conjugate psi'_2
+""",
+    "kappa_paired": """\
+parameter: U(rho:1,1,3)@0 x P(U(rho~:1,2,2),1/4)
+n = 11, kappa: (r, 2k) = (1, 10)
+model: H_{1,10} with psi_1
+unitary (Tadic gate): True
+contragredient carries H'_{10,1} with conjugate psi'_1
+""",
+    "kappa_negative_shift": """\
+parameter: U(tau:3,2,4)@-1/2
+n = 24, kappa: (r, 2k) = (0, 24)
+model: H_{0,24} with psi_0
+unitary (Tadic gate): False
+contragredient carries H'_{24,0} with conjugate psi'_0
+""",
+    "kappa_three_blocks": """\
+parameter: U(a:1,1,1)@0 x U(b:2,1,2)@0 x U(c:1,3,5)@0
+n = 20, kappa: (r, 2k) = (4, 16)
+model: H_{4,16} with psi_4
+unitary (Tadic gate): True
+contragredient carries H'_{16,4} with conjugate psi'_4
+""",
+    "derive_dual_label": """\
+input: U(rho~:2,1,3)@0 x U(sigma:1,2,2)@0 (n = 10)
+  step 1: derivative order 4 -> U(rho~:2,1,2)@-1/2 x U(sigma:1,2,1)@-1/2
+  step 2: derivative order 4 -> U(rho~:2,1,1)@-1
+  step 3: derivative order 2 -> (empty)
+exhausted after 3 steps; orders [4, 4, 2]
+""",
+    "derive_paired": """\
+input: U(rho:1,1,3)@0 x P(U(rho~:1,2,2),1/4) (n = 11)
+  step 1: derivative order 5 -> U(rho:1,1,2)@-1/2 x U(rho~:1,2,1)@-3/4 x U(rho~:1,2,1)@-1/4
+  step 2: derivative order 5 -> U(rho:1,1,1)@-1
+  step 3: derivative order 1 -> (empty)
+exhausted after 3 steps; orders [5, 5, 1]
+""",
+    "derive_negative_shift": """\
+input: U(tau:3,2,4)@-1/2 (n = 24)
+  step 1: derivative order 6 -> U(tau:3,2,3)@-1
+  step 2: derivative order 6 -> U(tau:3,2,2)@-3/2
+  step 3: derivative order 6 -> U(tau:3,2,1)@-2
+  step 4: derivative order 6 -> (empty)
+exhausted after 4 steps; orders [6, 6, 6, 6]
+""",
+    "derive_three_blocks": """\
+input: U(a:1,1,1)@0 x U(b:2,1,2)@0 x U(c:1,3,5)@0 (n = 20)
+  step 1: derivative order 6 -> U(b:2,1,1)@-1/2 x U(c:1,3,4)@-1/2
+  step 2: derivative order 5 -> U(c:1,3,3)@-1
+  step 3: derivative order 3 -> U(c:1,3,2)@-3/2
+  step 4: derivative order 3 -> U(c:1,3,1)@-2
+  step 5: derivative order 3 -> (empty)
+exhausted after 5 steps; orders [6, 5, 3, 3, 3]
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC_TEXT))
+def test_symbolic_text_matches_golden(name, capsys):
+    assert main(SYMBOLIC_CASES[name] + ["--format", "text"]) == 0
+    assert_same_text(capsys.readouterr().out, SYMBOLIC_TEXT[name], name)
+
+
 EMITTED_ARGVS = {
     "verify_gelfand_n3_q3": ["verify-gelfand", "--n", "3", "--q", "3", "--no-cache"],
     "table_n2_q5": ["table", "--n", "2", "--q", "5", "--no-cache"],
