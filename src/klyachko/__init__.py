@@ -7,8 +7,8 @@ Subpackages:
   subgroups H_{r,2k} and psi_r;
 - arena, characters, gelfand: exact mod-ell character theory, induced
   Klyachko characters, and the Gelfand-model verifier;
-- speh: Speh blocks and their highest derivatives, Tadic parameters,
-  the model-assignment map kappa;
+- speh: Tadic parameters as sorted tuples of plain Block values, their
+  highest derivatives, the model-assignment map kappa;
 - weyl, periods: exponent-vector and residue-survival bookkeeping for
   Eisenstein constant terms, and symbolic L-value period formulas;
 - paramparse, cli: the parameter expression grammar and the command

@@ -55,9 +55,11 @@ from .periods import (
     zeta_assignment,
 )
 from .speh import (
-    ParamBlock,
-    TadicParameter,
+    block_text,
+    expanded_blocks,
     kappa,
+    parameter_degree,
+    parameter_text,
     product_highest_derivative,
     validate_unitary,
 )
@@ -226,11 +228,11 @@ def cmd_verify_gelfand(args) -> int:
     return EXIT_OK if payload["flags"]["gelfand"] else EXIT_FAIL
 
 
-def _kappa_payload(param: TadicParameter) -> dict:
+def _kappa_payload(param, n: int) -> dict:
     r, k = kappa(param)
     return {
-        "n": param.n,
-        "blocks": [str(e) for e in param.entries],
+        "n": n,
+        "blocks": [block_text(b) for b in param],
         "kappa": {"r": r, "k": k},
         "model": f"H_{{{r},{2 * k}}} with psi_{r}",
         "unitary_valid": validate_unitary(param),
@@ -245,9 +247,10 @@ def _kappa_payload(param: TadicParameter) -> dict:
 
 def cmd_kappa(args) -> int:
     param = parse_parameter(args.param)
-    if args.n is not None and args.n != param.n:
-        raise DegreeMismatch(f"parameter has degree {param.n}, --n says {args.n}")
-    payload = _kappa_payload(param)
+    n = parameter_degree(param)
+    if args.n is not None and args.n != n:
+        raise DegreeMismatch(f"parameter has degree {n}, --n says {args.n}")
+    payload = _kappa_payload(param, n)
 
     def render(js):
         print(f"parameter: {' x '.join(js['blocks'])}")
@@ -263,7 +266,7 @@ def cmd_kappa(args) -> int:
 
 def cmd_derive(args) -> int:
     param = parse_parameter(args.param)
-    blocks = param.expanded_blocks()
+    blocks = expanded_blocks(param)
     _refuse_large_t("sum of block t", sum(b.t for b in blocks))
     stages = []
     while blocks:
@@ -271,13 +274,13 @@ def cmd_derive(args) -> int:
         stages.append(
             {
                 "order": order,
-                "blocks": [str(b) for b in blocks],
-                "param": str(_as_plain_param(blocks)) if blocks else None,
+                "blocks": [block_text(b) for b in blocks],
+                "param": parameter_text(sorted(blocks)) if blocks else None,
             }
         )
     payload = {
-        "input": str(param),
-        "n": param.n,
+        "input": parameter_text(param),
+        "n": parameter_degree(param),
         "stages": stages,
         "steps": len(stages),
         "orders": [s["order"] for s in stages],
@@ -293,10 +296,6 @@ def cmd_derive(args) -> int:
 
     _emit(payload, args.format, render)
     return EXIT_OK
-
-
-def _as_plain_param(blocks) -> TadicParameter:
-    return TadicParameter([ParamBlock(b) for b in blocks])
 
 
 def _refuse_large_t(name: str, t: int) -> None:

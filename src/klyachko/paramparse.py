@@ -8,10 +8,16 @@
     rational := ["-"] int [ "/" int ]
     int      := [0-9]+
 
-Example: "U(rho:1,1,3)@0 x P(U(rho:1,2,2),1/4)".  Names are ASCII
-identifiers with an optional trailing "~" marking a dual label.  Errors
-carry the character offset.  Printed parameters
-(TadicParameter.__str__) re-parse to equal values.
+Example: "U(rho:1,1,3)@0 x P(U(rho:1,2,2),1/4)".  Whitespace between
+tokens is ignored, and the separator is the one character "x", so
+"U(a:1,1,1)xU(b:1,1,1)" parses too.  Names are ASCII identifiers with an
+optional trailing "~" marking a dual label.  Errors carry the offset of
+the first character of the offending token.
+
+The parser is the one place that checks and normalises a parameter:
+it refuses degree, d or t below 1 and a zero denominator, stores a
+pair's alpha as abs(alpha), and returns the speh.Block tuples sorted.
+Printed parameters (speh.parameter_text) re-parse to equal values.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import string
 from fractions import Fraction
 
 from .errors import ParseError
-from .speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter
+from .speh import Block
 
 
 class _Tokens:
@@ -85,67 +91,67 @@ class _Tokens:
         den = 1
         if self.peek() == "/":
             self.pos += 1
+            self.skip_ws()
+            den_pos = self.pos
             den = self.integer()
             if den == 0:
-                raise ParseError("zero denominator", self.pos)
+                raise ParseError("zero denominator", den_pos)
         value = Fraction(num, den)
         return -value if negative else value
 
 
-def _parse_u_block(tok: _Tokens, allow_shift: bool) -> SpehBlock:
+def _at_least_one(tok: _Tokens, what: str) -> int:
+    tok.skip_ws()
+    start = tok.pos
+    value = tok.integer()
+    if value < 1:
+        raise ParseError(f"{what} must be >= 1", start)
+    return value
+
+
+def _parse_u(tok: _Tokens) -> tuple[str, bool, int, int, int]:
+    """U(name~:degree,d,t) as (name, dual, degree, d, t)."""
     head = tok.ident()
     if head != "U":
         raise ParseError(f"expected 'U', found {head!r}", tok.pos - len(head))
     tok.expect("(")
     name = tok.ident()
     dual = name.endswith("~")
-    if dual:
-        name = name[:-1]
     tok.expect(":")
-    pos_before = tok.pos
-    degree = tok.integer()
-    if degree < 1:
-        raise ParseError("cuspidal degree must be >= 1", pos_before)
+    degree = _at_least_one(tok, "cuspidal degree")
     tok.expect(",")
-    pos_before = tok.pos
-    d = tok.integer()
-    if d < 1:
-        raise ParseError("d must be >= 1", pos_before)
+    d = _at_least_one(tok, "d")
     tok.expect(",")
-    pos_before = tok.pos
-    t = tok.integer()
-    if t < 1:
-        raise ParseError("t must be >= 1", pos_before)
+    t = _at_least_one(tok, "t")
     tok.expect(")")
-    alpha = Fraction(0)
-    if allow_shift and tok.peek() == "@":
-        tok.pos += 1
-        alpha = tok.rational()
-    rho = CuspidalLabel(name, degree, dual=dual)
-    return SpehBlock(rho, d, t, alpha)
+    return name.removesuffix("~"), dual, degree, d, t
 
 
-def _parse_block(tok: _Tokens) -> ParamBlock:
+def _parse_block(tok: _Tokens) -> Block:
     save = tok.pos
-    head = tok.ident()
-    if head == "P":
+    if tok.ident() == "P":
         tok.expect("(")
-        inner = _parse_u_block(tok, allow_shift=False)
+        shape = _parse_u(tok)
         tok.expect(",")
         alpha = tok.rational()
         tok.expect(")")
-        return ParamBlock(SpehBlock(inner.rho, inner.d, inner.t, alpha), paired=True)
+        return Block(True, *shape, abs(alpha))  # the pair's +alpha representative
     tok.pos = save
-    return ParamBlock(_parse_u_block(tok, allow_shift=True))
+    shape = _parse_u(tok)
+    alpha = Fraction(0)
+    if tok.peek() == "@":
+        tok.pos += 1
+        alpha = tok.rational()
+    return Block(False, *shape, alpha)
 
 
-def parse_parameter(text: str) -> TadicParameter:
+def parse_parameter(text: str) -> tuple[Block, ...]:
     tok = _Tokens(text)
-    entries = [_parse_block(tok)]
+    blocks = [_parse_block(tok)]
     while not tok.at_end():
-        sep_pos = tok.pos
-        sep = tok.ident()
-        if sep != "x":
-            raise ParseError(f"expected block separator 'x', found {sep!r}", sep_pos)
-        entries.append(_parse_block(tok))
-    return TadicParameter(entries)
+        if tok.peek() != "x":  # the separator is one character: "xU(" is "x" and a block
+            sep_pos = tok.pos
+            raise ParseError(f"expected block separator 'x', found {tok.ident()!r}", sep_pos)
+        tok.pos += 1
+        blocks.append(_parse_block(tok))
+    return tuple(sorted(blocks))

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 from klyachko.characters import _rational_class, _rref
 from klyachko.errors import EmptyBlock, InvariantViolation
@@ -32,7 +33,7 @@ from klyachko.groups import (
     products,
     symplectic_form,
 )
-from klyachko.speh import CuspidalLabel, ParamBlock, SpehBlock, TadicParameter, kappa
+from klyachko.speh import Block, kappa
 
 
 def gl_order(n, q):
@@ -342,8 +343,7 @@ def green_parameters(n, q):
     function of `green_functions` as the Tadic parameter with one block
     U(f:deg f,1,t) for each part t of lambda(f)."""
     for function in green_functions(n, q):
-        yield TadicParameter([ParamBlock(SpehBlock(CuspidalLabel(name, d), 1, t))
-                              for name, d, lam in function for t in lam])
+        yield tuple(sorted(plain(Label(name, d), 1, t) for name, d, lam in function for t in lam))
 
 
 def centraliser_factor(lam, t):
@@ -538,13 +538,33 @@ def flat_orbit_classes(elements, n, field):
 # -- the segment calculus behind the highest derivative of a Speh block ----
 
 
+class Label(NamedTuple):
+    """An opaque cuspidal rho of G_degree; dual marks rho~."""
+
+    name: str
+    degree: int = 1
+    dual: bool = False
+
+
+def plain(label, d, t, alpha=0):
+    """The block U(delta, t)[alpha], delta built from d singleton
+    segments of `label`."""
+    return Block(False, label.name, label.dual, label.degree, d, t, Fraction(alpha))
+
+
+def paired(label, d, t, alpha):
+    """The pair U(delta, t)[alpha] x U(delta, t)[-alpha] as the parser
+    stores it, at abs(alpha)."""
+    return Block(True, label.name, label.dual, label.degree, d, t, abs(Fraction(alpha)))
+
+
 @dataclass(frozen=True)
 class Segment:
     """The Zelevinsky segment [a, b]^(rho) = {rho[a], rho[a + 1], ...,
     rho[b]}, its endpoints exact rationals with b - a a nonnegative
     integer."""
 
-    base: CuspidalLabel
+    base: Label
     a: Fraction
     b: Fraction
 
@@ -592,7 +612,8 @@ def speh_multisegment(block):
         raise EmptyBlock("t = 0 block has no multisegment")
     half = Fraction(block.t - 1, 2)
     centres = (Fraction(1 - block.d, 2) + j + block.alpha for j in range(block.d))
-    return Multisegment(Segment(block.rho, c - half, c + half) for c in centres)
+    base = Label(block.name, block.degree, block.dual)
+    return Multisegment(Segment(base, c - half, c + half) for c in centres)
 
 
 # -- contragredients -------------------------------------------------------
@@ -600,18 +621,18 @@ def speh_multisegment(block):
 
 def dual_label(rho, self_dual=frozenset()):
     """rho~: the dual flag flipped, unless rho's name is self-dual."""
-    return rho if rho.name in self_dual else replace(rho, dual=not rho.dual)
+    return rho if rho.name in self_dual else rho._replace(dual=not rho.dual)
 
 
 def contragredient(param, self_dual=frozenset()):
     """The contragredient of a Tadic parameter: blockwise delta -> delta~
     and alpha -> -alpha, with rho~ = rho for the names in `self_dual`;
     paired entries go back to their positive representative."""
-    return TadicParameter(
-        ParamBlock(replace(e.block, rho=dual_label(e.block.rho, self_dual), alpha=-e.block.alpha),
-                   e.paired)
-        for e in param.entries
-    )
+    out = []
+    for b in param:
+        dual = dual_label(Label(b.name, b.degree, b.dual), self_dual).dual
+        out.append(b._replace(dual=dual, alpha=abs(b.alpha) if b.paired else -b.alpha))
+    return tuple(sorted(out))
 
 
 # -- mu_Q ------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from klyachko import __version__, cli, gelfand
 from klyachko.cli import build_parser, main
 from klyachko.paramparse import parse_parameter
+from klyachko.speh import block_text
 from oracles import residue_terms_closed_form
 from textcheck import assert_same_text
 
@@ -508,7 +509,7 @@ def test_round_trip_parameter_strings(capsys):
     code, js, _ = run_json(capsys, "kappa", "P(U(s:2,2,2),1/4) x U(rho~:1,1,3)@-1/2")
     assert code == 0
     rebuilt = parse_parameter(" x ".join(js["blocks"]))
-    assert [str(e) for e in rebuilt.entries] == js["blocks"]
+    assert [block_text(b) for b in rebuilt] == js["blocks"]
 
 
 PARSER_ARGVS = [

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from klyachko.speh import CuspidalLabel
-from oracles import Multisegment, Segment, dual_label
+from oracles import Label, Multisegment, Segment, dual_label
 
-RHO = CuspidalLabel("rho")
+RHO = Label("rho")
 
 
 def seg(a, b, base=RHO):
@@ -16,10 +15,10 @@ def seg(a, b, base=RHO):
 
 
 def test_label_dual_involution():
-    tau = CuspidalLabel("tau", 2)
-    assert dual_label(tau) == CuspidalLabel("tau", 2, dual=True)
+    tau = Label("tau", 2)
+    assert dual_label(tau) == Label("tau", 2, dual=True)
     assert dual_label(dual_label(tau)) == tau
-    sd = CuspidalLabel("sigma", 1)
+    sd = Label("sigma", 1)
     assert dual_label(sd, {"sigma"}) == sd
 
 
@@ -32,7 +31,7 @@ def test_segment_rejects_bad_span():
 
 def test_segment_degree():
     assert seg(0, 2).degree == 3
-    assert Segment(CuspidalLabel("tau", 2), 0, 2).degree == 6
+    assert Segment(Label("tau", 2), 0, 2).degree == 6
 
 
 def test_derivative_shortens_right_end():
