@@ -55,7 +55,8 @@ def test_empty_block_errors():
 
 
 def test_highest_derivative_step():
-    assert product_highest_derivative([plain(RHO, 1, 4)]) == (1, [plain(RHO, 1, 3, Fraction(-1, 2))])
+    stepped = plain(RHO, 1, 3, Fraction(-1, 2))
+    assert product_highest_derivative([plain(RHO, 1, 4)]) == (1, [stepped])
     assert product_highest_derivative([plain(RHO, 1, 1)]) == (1, [])
 
 
@@ -101,7 +102,8 @@ def test_product_derivative_degree_accounting():
     rng = random.Random(5)
     for _ in range(200):
         blocks = [
-            plain(Label(rng.choice("xyz"), rng.randrange(1, 4)), rng.randrange(1, 4), rng.randrange(1, 5))
+            plain(Label(rng.choice("xyz"), rng.randrange(1, 4)),
+                  rng.randrange(1, 4), rng.randrange(1, 5))
             for _ in range(rng.randrange(1, 4))
         ]
         order, stepped = product_highest_derivative(blocks)
