@@ -271,11 +271,12 @@ def cmd_derive(args) -> int:
     stages = []
     while blocks:
         order, blocks = product_highest_derivative(blocks)
+        texts = [block_text(b) for b in blocks]
         stages.append(
             {
                 "order": order,
-                "blocks": [block_text(b) for b in blocks],
-                "param": parameter_text(sorted(blocks)) if blocks else None,
+                "blocks": texts,
+                "param": " x ".join(t for _, t in sorted(zip(blocks, texts))) if blocks else None,
             }
         )
     payload = {

@@ -8,15 +8,19 @@ where codes are plain residues mod p), so element codes are
 reproducible across runs.  Irreducibility is Ben-Or's test and products
 are reduced by the modulus with the prime-field polynomials of arena.
 
-Full q x q addition and multiplication tables are precomputed; all
-group-theoretic hot loops index into them directly.  `primitive`, the
-least code that generates F_q^*, is found once per field, and
-`field_make` memoizes the fields.
+A field is a plain immutable value, `FiniteField`, a NamedTuple whose
+full q x q addition and multiplication tables are tuples; all
+group-theoretic hot loops index into them directly.  `field_make` is
+its one builder and memoizes the fields, so every table in a process
+shares one set of tuples, which no one can change.  `primitive`, the
+least code that generates F_q^*, is found once per field.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
+from typing import NamedTuple
 
 from .arena import is_prime, prime_factors, zpoly_is_irreducible, zpoly_mulmod
 from .errors import FieldTooLarge, InvariantViolation, NonPrimeP
@@ -41,83 +45,31 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise InvariantViolation(f"no irreducible monic of degree {e} over F_{p}")
 
 
-class FiniteField:
+class FiniteField(NamedTuple):
     """F_q with element codes in [0, q) and precomputed op tables.
 
-    Attributes `add`, `sub`, `mul` are flat q*q lookup lists indexed by
-    a*q + b; `neg` and `inv` are length-q lists (inv[0] is unused).
-    `primitive` is the least code w generating F_q^* (1 for q = 2): the
-    least w with w^((q-1)/r) != 1 for each prime r dividing q - 1.
+    A plain immutable value built only by `field_make`.  `add`, `sub`,
+    `mul` are flat q*q lookup tuples indexed by a*q + b; `neg` and `inv`
+    are length-q tuples (inv[0] is unused).  `modulus` is the ascending
+    coefficient tuple of the modulus.  `primitive` is the least code w
+    generating F_q^* (1 for q = 2): the least w with w^((q-1)/r) != 1
+    for each prime r dividing q - 1.
     """
 
-    def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise NonPrimeP(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError(f"extension degree must be >= 1, got {e}")
-        q = p**e
-        if q > MAX_Q:
-            raise FieldTooLarge(f"q = {q} exceeds cap {MAX_Q}")
-        self.p = p
-        self.e = e
-        self.q = q
-        self.modulus = _least_irreducible(p, e)
-        self._build_tables()
-        cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-        self.primitive = next(
-            (w for w in range(1, q) if all(self.pow(w, c) != 1 for c in cofactors)), None)
-        if self.primitive is None:
-            raise InvariantViolation(f"F_{q}^* has no generator")
-
-    def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-        polys = [_poly_from_code(c, p) for c in range(q)]
-        modulus = list(self.modulus)
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            for b in range(q):
-                add[a * q + b] = self._code(
-                    tuple(
-                        ((polys[a][i] if i < len(polys[a]) else 0)
-                         + (polys[b][i] if i < len(polys[b]) else 0)) % p
-                        for i in range(e)
-                    )
-                )
-                mul[a * q + b] = self._code(zpoly_mulmod(polys[a], polys[b], modulus, p))
-        self.add = add
-        self.mul = mul
-        neg = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if add[a * q + b] == 0:
-                    neg[a] = b
-                    break
-        self.neg = neg
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise InvariantViolation(f"element {a} has no inverse: the modulus is not irreducible")
-        self.inv = inv
-        self.sub = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
-
-    def _code(self, coeffs: tuple[int, ...]) -> int:
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + c
-        return code
-
-    # -- scalar ops ------------------------------------------------------
+    p: int
+    e: int
+    q: int
+    modulus: tuple[int, ...]
+    add: tuple[int, ...]
+    sub: tuple[int, ...]
+    mul: tuple[int, ...]
+    neg: tuple[int, ...]
+    inv: tuple[int, ...]
+    primitive: int
 
     def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv[a], -k
-        out, q = 1, self.q
-        mul = self.mul
+        """a^k for k >= 0."""
+        out, q, mul = 1, self.q, self.mul
         while k:
             if k & 1:
                 out = mul[out * q + a]
@@ -135,23 +87,39 @@ class FiniteField:
             raise InvariantViolation("trace landed outside the prime subfield")
         return acc
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"FiniteField(p={self.p}, e={self.e})"
-
 
 @lru_cache(maxsize=None)
 def field_make(p: int, e: int) -> FiniteField:
-    """Construct (and memoize) F_{p^e} with the canonical modulus."""
-    return FiniteField(p, e)
+    """Construct (and memoize) F_{p^e} with the canonical modulus: the one
+    builder of `FiniteField`."""
+    if not is_prime(p):
+        raise NonPrimeP(f"p = {p} is not prime")
+    if e < 1:
+        raise ValueError(f"extension degree must be >= 1, got {e}")
+    q = p**e
+    if q > MAX_Q:
+        raise FieldTooLarge(f"q = {q} exceeds cap {MAX_Q}")
+    modulus = _least_irreducible(p, e)
+    polys = [_poly_from_code(c, p) for c in range(q)]
+    codes = [p**i for i in range(e)]
+    add = tuple(sum((x + y) % p * c for x, y, c in zip_longest(a, b, codes, fillvalue=0))
+                for a in polys for b in polys)
+    mul = tuple(sum(x * c for x, c in zip(zpoly_mulmod(a, b, modulus, p), codes))
+                for a in polys for b in polys)
+    neg = tuple(add.index(0, a * q, (a + 1) * q) - a * q for a in range(q))
+    inv = [0]
+    for a in range(1, q):
+        try:
+            inv.append(mul.index(1, a * q, (a + 1) * q) - a * q)
+        except ValueError:
+            raise InvariantViolation(f"element {a} has no inverse: the modulus is not irreducible") from None
+    sub = tuple(add[a * q + neg[b]] for a in range(q) for b in range(q))
+    field = FiniteField(p, e, q, modulus, add, sub, mul, neg, tuple(inv), 0)
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+    primitive = next((w for w in range(1, q) if all(field.pow(w, c) != 1 for c in cofactors)), None)
+    if primitive is None:
+        raise InvariantViolation(f"F_{q}^* has no generator")
+    return field._replace(primitive=primitive)
 
 
 def field_from_q(q: int) -> FiniteField:

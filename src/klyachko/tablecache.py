@@ -12,10 +12,11 @@ Group table `gl{n}_q{q}.tbl` (little-endian):
 
 The file holds no elements: the loader pairs the labels with a fresh
 `groups.gl_elements` enumeration, which gives the element codes in the
-same order.  The labels are read as one array('H') (byteswapped on a
-big-endian host), and one loop writes each label into a fresh label
-array and each code into the members of its class, with no tuple or
-dict per element: the one per-element pass of a load, where the
+same order.  On a little-endian host the labels are read in place, a
+u16 view of the file's bytes with no copy; a big-endian host reads them
+into one byteswapped array('H').  One loop writes each label into a
+fresh label array and each code into the members of its class, with no
+tuple or dict per element: the one per-element pass of a load, where the
 search's orbits give a computed table its members.  A loaded class's
 members are in increasing order, so its least member is first, as in a
 computed table.  `groups.class_records` then builds the table from the
@@ -202,9 +203,11 @@ def load_table(path: str | Path, field: FiniteField, n: int) -> GroupTable:
     labels = array("H", [SINGULAR]) * field.q ** (n * n)
     members = tuple(array("I") for _ in range(class_count(n, field.q)))
     append = [m.append for m in members]
-    file_labels = array("H")
-    file_labels.frombytes(body)
-    if sys.byteorder == "big":
+    if sys.byteorder == "little":
+        file_labels = body.cast("H")  # read in place, no copy of the body
+    else:
+        file_labels = array("H")
+        file_labels.frombytes(body)
         file_labels.byteswap()
     try:
         for code, label in zip(codes, file_labels):

@@ -115,6 +115,8 @@ def test_criterion_3_orthogonality_exact(n, q):
 
 
 def test_criterion_4_derivative_coherence():
+    """Shortening every segment of the Speh multisegment equals stepping
+    the block parameters (t, alpha) -> (t-1, alpha-1/2), exactly."""
     import random
 
     rng = random.Random(8141)
@@ -145,7 +147,7 @@ def test_criterion_5_kappa_consistency():
                 param = (plain(Label("rho", r), d, t),)
                 rank, half_rank = kappa(param)
                 assert half_rank == r * d * (t // 2)
-                assert rank + 2 * half_rank == parameter_degree(param)
+                assert rank + 2 * half_rank == parameter_degree(param) == r * d * t
     rng = random.Random(515)
     for _ in range(1000):
         self_dual = {name for name in "uvw" if rng.random() < 0.25}

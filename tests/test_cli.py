@@ -340,6 +340,33 @@ def test_derive_of_many_blocks_each_under_the_cap_is_refused(capsys, monkeypatch
         2, "", "refused: sum of block t 100100 is above the cap 1001\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_derive_formats_each_stepped_block_once(capsys, monkeypatch, fmt):
+    """Ten blocks U(a_i:1,1,100-i)@0 step through 945 blocks: a stage's
+    `param` joins the texts of its `blocks` in sorted order, so at most
+    one `block_text` call per stepped block and one per input block."""
+    from klyachko import speh
+
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return block_text(b)
+
+    monkeypatch.setattr(cli, "block_text", counted)
+    monkeypatch.setattr(speh, "block_text", counted)
+    param = " x ".join(f"U(a{i}:1,1,{100 - i})@0" for i in range(10))
+    code, out, err = run(capsys, "derive", param, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert 0 < len(calls) <= 945 + 10
+    if fmt == "json":
+        stages = json.loads(out)["stages"]
+        assert sum(len(s["blocks"]) for s in stages) == 945
+        for s in stages[:-1]:
+            blocks = parse_parameter(" x ".join(s["blocks"]))
+            assert s["param"] == " x ".join(map(block_text, blocks))
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="the interpreter has no limit on integer digits")
 @pytest.mark.parametrize("template", ["U(rho:1,1,{})@0", "U(rho:1,1,3)@-1/{}", "P(U(rho:{},1,1),1/4)"])

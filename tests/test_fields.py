@@ -86,7 +86,7 @@ def oracle_field(q):
     neg = [add[a * q:(a + 1) * q].index(0) for a in range(q)]
     inv = [0] + [mul[a * q:(a + 1) * q].index(1) for a in range(1, q)]
     sub = [add[a * q + neg[b]] for a in range(q) for b in range(q)]
-    return modulus, add, sub, mul, neg, inv
+    return modulus, tuple(add), tuple(sub), tuple(mul), tuple(neg), tuple(inv)
 
 
 def brute_force_irreducible(coeffs, p):
@@ -180,14 +180,14 @@ def test_trace_identity_on_prime_field():
 
 def test_rejects_non_prime_p():
     with pytest.raises(NonPrimeP):
-        FiniteField(4, 1)
+        field_make.__wrapped__(4, 1)
 
 
 def test_rejects_oversized_field():
     with pytest.raises(FieldTooLarge):
-        FiniteField(17, 1)
+        field_make.__wrapped__(17, 1)
     with pytest.raises(FieldTooLarge):
-        FiniteField(2, 5)
+        field_make.__wrapped__(2, 5)
 
 
 def test_a_field_with_no_generator_raises(monkeypatch):
@@ -196,7 +196,7 @@ def test_a_field_with_no_generator_raises(monkeypatch):
     StopIteration."""
     monkeypatch.setattr(gf, "prime_factors", lambda m: [1])
     with pytest.raises(InvariantViolation, match="F_5\\^\\* has no generator"):
-        FiniteField(5, 1)
+        field_make.__wrapped__(5, 1)
 
 
 def test_a_field_with_no_irreducible_modulus_raises(monkeypatch):
@@ -204,7 +204,7 @@ def test_a_field_with_no_irreducible_modulus_raises(monkeypatch):
     that finds none is a bug: InvariantViolation."""
     monkeypatch.setattr(gf, "zpoly_is_irreducible", lambda poly, p: False)
     with pytest.raises(InvariantViolation, match="no irreducible monic of degree 2 over F_3"):
-        FiniteField(3, 2)
+        field_make.__wrapped__(3, 2)
 
 
 def test_a_reducible_modulus_raises(monkeypatch):
@@ -212,7 +212,7 @@ def test_a_reducible_modulus_raises(monkeypatch):
     under which x has no inverse: InvariantViolation."""
     monkeypatch.setattr(gf, "zpoly_is_irreducible", lambda poly, p: True)
     with pytest.raises(InvariantViolation, match="element 3 has no inverse"):
-        FiniteField(3, 2)
+        field_make.__wrapped__(3, 2)
 
 
 def test_field_from_q():
@@ -315,6 +315,23 @@ def test_packed_powmod_of_a_zero_base_and_a_constant_modulus():
 def test_tables_match_oracle_construction(q):
     f = field_from_q(q)
     assert (f.modulus, f.add, f.sub, f.mul, f.neg, f.inv) == oracle_field(q)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_field_is_an_immutable_value_from_its_one_builder(q):
+    """Every table is a tuple, so no caller can change the tables that
+    every group table of the process shares, and `field_from_q` returns
+    the memoized field of `field_make`."""
+    f = field_from_q(q)
+    assert type(f) is FiniteField
+    assert f is field_make(f.p, f.e)
+    for name in ("modulus", "add", "sub", "mul", "neg", "inv"):
+        table = getattr(f, name)
+        assert type(table) is tuple, name
+        with pytest.raises(TypeError):
+            table[0] = 1
+    with pytest.raises(AttributeError):
+        f.add = ()
 
 
 def test_is_prime_small():

@@ -111,26 +111,37 @@ def test_only_cli_emit_writes_indented_json():
     assert found == []
 
 
+def _build_sites(name):
+    """The library function around each call `name(...)` or `x.name(...)`,
+    one entry per call."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                func = node
+                while func is not None and not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    func = parents.get(func)
+                sites.append(f"{path.name}:{func.name if func else '<module>'}")
+    return sites
+
+
 def test_group_table_is_built_only_by_class_records():
     """One builder of tables: `GroupTable(` is called at exactly one site
     in the library, inside `groups.class_records`, so a computed table
     and a loaded one get their class records from the same per-class
     code, whether the search's orbits or the load's one bucketing loop
     gave the labels and members."""
+    assert _build_sites("GroupTable") == ["groups.py:class_records"]
 
-    def builds(node):
-        return isinstance(node, ast.Call) and "GroupTable" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
-    sites, owners = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if builds(node)]
-        owners += [f"{path.name}:{func.name}" for func in ast.walk(tree)
-                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   and any(map(builds, ast.walk(func)))]
-    assert len(sites) == 1
-    assert owners == ["groups.py:class_records"]
+def test_finite_field_is_built_only_by_field_make():
+    """One builder of fields: `FiniteField(` is called at exactly one site
+    in the library, inside `gf.field_make`, so every field of a process is
+    the memoized one and its tables are built by one code path."""
+    assert _build_sites("FiniteField") == ["gf.py:field_make"]
 
 
 def test_no_class_of_dict_in_library():
