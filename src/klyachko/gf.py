@@ -101,10 +101,10 @@ def field_make(p: int, e: int) -> FiniteField:
         raise FieldTooLarge(f"q = {q} exceeds cap {MAX_Q}")
     modulus = _least_irreducible(p, e)
     polys = [_poly_from_code(c, p) for c in range(q)]
-    codes = [p**i for i in range(e)]
-    add = tuple(sum((x + y) % p * c for x, y, c in zip_longest(a, b, codes, fillvalue=0))
+    places = [p**i for i in range(e)]
+    add = tuple(sum((x + y) % p * c for x, y, c in zip_longest(a, b, places, fillvalue=0))
                 for a in polys for b in polys)
-    mul = tuple(sum(x * c for x, c in zip(zpoly_mulmod(a, b, modulus, p), codes))
+    mul = tuple(sum(x * c for x, c in zip(zpoly_mulmod(a, b, modulus, p), places))
                 for a in polys for b in polys)
     neg = tuple(add.index(0, a * q, (a + 1) * q) - a * q for a in range(q))
     inv = [0]

@@ -7,7 +7,7 @@ from enum import IntEnum
 
 import pytest
 
-from klyachko import __version__, cli, gelfand
+from klyachko import __version__, cli, gelfand, speh
 from klyachko.cli import build_parser, main
 from klyachko.paramparse import parse_parameter
 from klyachko.speh import block_text
@@ -345,8 +345,6 @@ def test_derive_formats_each_stepped_block_once(capsys, monkeypatch, fmt):
     """Ten blocks U(a_i:1,1,100-i)@0 step through 945 blocks: a stage's
     `param` joins the texts of its `blocks` in sorted order, so at most
     one `block_text` call per stepped block and one per input block."""
-    from klyachko import speh
-
     calls = []
 
     def counted(b):
