@@ -66,6 +66,24 @@ def test_derivative_degree_drop():
     assert parameter_degree((block,)) - parameter_degree((stepped,)) == order == 6
 
 
+def test_derivative_coherence_random():
+    """Shortening every segment of the Speh multisegment equals stepping
+    the block parameters (t, alpha) -> (t-1, alpha-1/2), exactly."""
+    rng = random.Random(2024)
+    alphas = [Fraction(0), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2)]
+    for _ in range(1000):
+        block = plain(
+            Label(rng.choice("abc"), rng.randrange(1, 5)),
+            rng.randrange(1, 5),
+            rng.randrange(1, 7),
+            rng.choice(alphas),
+        )
+        _, stepped = product_highest_derivative([block])
+        lhs = speh_multisegment(block).derivative()
+        rhs = speh_multisegment(stepped[0]) if stepped else Multisegment()
+        assert lhs == rhs
+
+
 def test_product_derivative_single():
     tau = Label("tau", 2)
     order, blocks = product_highest_derivative([plain(tau, 1, 3)])
@@ -94,6 +112,16 @@ def test_product_derivative_degree_accounting():
 
 
 # -- Tadic parameters and kappa -------------------------------------------
+
+
+def test_kappa_single_block_closed_form():
+    for r0 in range(1, 7):
+        for d in range(1, 5):
+            for t in range(1, 10):
+                param = (plain(Label("rho", r0), d, t),)
+                r, k = kappa(param)
+                assert k == r0 * d * (t // 2)
+                assert r + 2 * k == parameter_degree(param) == r0 * d * t
 
 
 def test_kappa_even_blocks_purely_symplectic():
